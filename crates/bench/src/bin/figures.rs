@@ -6,6 +6,7 @@
 //! experiments: fig2 fig7a fig7b fig8a fig8b fig9 fig10 fig11 fig13
 //!              fig14a fig14b table1 notify ablation regime notify-sweep
 //!              faults impair skew tails
+//!              shortflows fairness multirack
 //!              all   (everything above)
 //!              quick (adds table1 + fig10 + fig11 at a reduced horizon;
 //!                     other requested experiments still run)
@@ -22,6 +23,10 @@
 //!                     baseline regardless of --horizon-ms
 //! ```
 //!
+//! An unknown experiment name, an unknown option, or a missing or
+//! non-numeric option value is a usage error: nothing runs and the exit
+//! code is 2.
+//!
 //! Every experiment's sweep-style runs shard across worker threads via
 //! `simcore::par`; outputs are bit-identical to `--jobs 1` because run
 //! seeds live in the sharded items and results collect in index order.
@@ -29,6 +34,7 @@
 
 use bench::experiments::*;
 use simcore::SimTime;
+use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 
 /// One experiment's timing record for `BENCH_figures.json`.
@@ -59,39 +65,81 @@ fn write_bench_json(path: &str, jobs: usize, timings: &[ExpTiming]) {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut horizon = default_horizon();
-    let mut wanted: Vec<String> = Vec::new();
-    let mut jobs: Option<usize> = None;
-    let mut bench_json = "BENCH_figures.json".to_string();
-    let mut tails_json = "BENCH_tails.json".to_string();
+/// Every experiment `all` runs, in output order.
+const EXPERIMENTS: [&str; 23] = [
+    "table1", "fig2", "fig7a", "fig7b", "fig8a", "fig8b", "fig9", "fig10", "fig11", "fig13",
+    "fig14a", "fig14b", "notify", "ablation", "regime", "notify-sweep", "shortflows", "fairness",
+    "multirack", "faults", "impair", "skew", "tails",
+];
+
+const USAGE: &str = "usage: figures [experiment...] [--horizon-ms N] [--jobs N] \
+                     [--bench-json PATH] [--tails-json PATH]";
+
+/// The parsed command line.
+struct Args {
+    horizon: SimTime,
+    wanted: Vec<String>,
+    jobs: Option<usize>,
+    bench_json: String,
+    tails_json: String,
+}
+
+/// Parse and validate the command line; every experiment name is checked
+/// before anything runs, so a typo cannot cost a full `all` run first.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
+        horizon: default_horizon(),
+        wanted: Vec::new(),
+        jobs: None,
+        bench_json: "BENCH_figures.json".to_string(),
+        tails_json: "BENCH_tails.json".to_string(),
+    };
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        let mut value = |what: &str| it.next().ok_or_else(|| format!("{a} needs {what}"));
         match a.as_str() {
             "--horizon-ms" => {
-                let v = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--horizon-ms needs a number");
-                horizon = SimTime::from_millis(v);
+                let v = value("a number of milliseconds")?;
+                let ms = v
+                    .parse()
+                    .map_err(|_| format!("--horizon-ms needs a number of milliseconds, got {v:?}"))?;
+                parsed.horizon = SimTime::from_millis(ms);
             }
             "--jobs" => {
-                let v = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--jobs needs a number >= 1");
-                jobs = Some(v);
+                let v = value("a number >= 1")?;
+                let n = v
+                    .parse()
+                    .map_err(|_| format!("--jobs needs a number >= 1, got {v:?}"))?;
+                parsed.jobs = Some(n);
             }
-            "--bench-json" => {
-                bench_json = it.next().expect("--bench-json needs a path").clone();
+            "--bench-json" => parsed.bench_json = value("a path")?.clone(),
+            "--tails-json" => parsed.tails_json = value("a path")?.clone(),
+            name if name == "all" || name == "quick" || EXPERIMENTS.contains(&name) => {
+                parsed.wanted.push(name.to_string());
             }
-            "--tails-json" => {
-                tails_json = it.next().expect("--tails-json needs a path").clone();
-            }
-            other => wanted.push(other.to_string()),
+            other => return Err(format!("unknown experiment or option: {other}")),
         }
     }
+    Ok(parsed)
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        mut horizon,
+        mut wanted,
+        jobs,
+        bench_json,
+        tails_json,
+    } = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("figures: {e}");
+            eprintln!("{USAGE}");
+            eprintln!("experiments: all quick {}", EXPERIMENTS.join(" "));
+            return ExitCode::from(2);
+        }
+    };
     // Worker count: --jobs beats FIGURES_JOBS beats available_parallelism.
     let jobs = jobs
         .or_else(|| {
@@ -116,14 +164,7 @@ fn main() {
         wanted.retain(|w| seen.insert(w.clone()));
     }
     if wanted.iter().any(|w| w == "all") {
-        wanted = [
-            "table1", "fig2", "fig7a", "fig7b", "fig8a", "fig8b", "fig9", "fig10", "fig11",
-            "fig13", "fig14a", "fig14b", "notify", "ablation", "regime", "notify-sweep",
-            "shortflows", "fairness", "multirack", "faults", "impair", "skew", "tails",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        wanted = EXPERIMENTS.map(String::from).to_vec();
     }
 
     let warmup = default_warmup();
@@ -197,7 +238,7 @@ fn main() {
                 );
                 shortflows::print_fairness(&rows);
             }
-            other => eprintln!("unknown experiment: {other}"),
+            other => unreachable!("parse_args admitted unknown experiment {other}"),
         }
         let wall_s = t0.elapsed().as_secs_f64();
         let events = rdcn::EVENTS_TOTAL.load(Ordering::Relaxed) - ev0;
@@ -211,4 +252,5 @@ fn main() {
         });
     }
     write_bench_json(&bench_json, jobs, &timings);
+    ExitCode::SUCCESS
 }

@@ -18,8 +18,9 @@
 //!    explicit `ConnError` within a horizon that is generous for the
 //!    scenario. A flow that does neither is deadlocked.
 //! 4. **Stats sanity**: checksum-discarded segments never exceed the
-//!    number the network actually corrupted, and a corruption-free plan
-//!    yields zero `corrupt_rx`.
+//!    damaged copies the network actually delivered — one per corruption,
+//!    plus one more for each EPS-corrupted segment the wire then
+//!    duplicated — and a corruption-free plan yields zero `corrupt_rx`.
 
 use crate::variants::Variant;
 use crate::workload::Workload;
@@ -234,7 +235,12 @@ pub fn check_invariants(spec: &ChaosSpec, res: &RunResult) -> Result<(), String>
             return Err(format!("flow {i}: errored without a counted abort"));
         }
     }
-    // Stats sanity: a checksum discard needs a matching wire corruption.
+    // Stats sanity: a checksum discard needs a matching damaged copy on
+    // the wire. The EPS burst corrupts at VOQ ingress, *before* the wire
+    // impairment decides the segment's fate at link service, so a segment
+    // can be corrupted there and then duplicated: both copies arrive
+    // damaged and both are discarded. (The wire's own verdicts are
+    // exclusive — a segment it corrupts is never also duplicated.)
     let corrupt_rx: u64 = res
         .sender_stats
         .iter()
@@ -242,9 +248,14 @@ pub fn check_invariants(spec: &ChaosSpec, res: &RunResult) -> Result<(), String>
         .map(|s| s.corrupt_rx)
         .sum();
     let corrupted_wire = res.impairments.segs_corrupted + res.faults.eps_corruptions;
-    if corrupt_rx > corrupted_wire {
+    let corrupted_copies = res
+        .faults
+        .eps_corruptions
+        .min(res.impairments.segs_duplicated);
+    if corrupt_rx > corrupted_wire + corrupted_copies {
         return Err(format!(
-            "corrupt_rx {corrupt_rx} exceeds wire corruptions {corrupted_wire}"
+            "corrupt_rx {corrupt_rx} exceeds wire corruptions {corrupted_wire} \
+             (+ {corrupted_copies} duplicated)"
         ));
     }
     if corrupted_wire == 0 && corrupt_rx > 0 {

@@ -1,0 +1,48 @@
+//! The `figures` binary's command line fails loudly: a mistyped
+//! experiment name or option value is a usage error with a non-zero exit
+//! and nothing run — not exit 0 after silently skipping it, and not a
+//! panic.
+
+use std::process::{Command, Output};
+
+fn figures(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--bench-json", concat!(env!("CARGO_TARGET_TMPDIR"), "/figures_cli.json")])
+        .args(args)
+        .output()
+        .expect("run figures")
+}
+
+/// A usage error: exit code 2, the complaint and the usage line on
+/// stderr, no panic, and no experiment output.
+fn assert_usage_error(args: &[&str], complaint: &str) {
+    let out = figures(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error: {stderr}");
+    assert!(stderr.contains(complaint), "{args:?}: no {complaint:?} in: {stderr}");
+    assert!(stderr.contains("usage: figures"), "{args:?}: no usage line: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} ran something before failing");
+}
+
+#[test]
+fn unknown_experiment_is_a_usage_error() {
+    assert_usage_error(&["tabel1"], "tabel1");
+    // Validated up front: the good name before the typo does not run.
+    assert_usage_error(&["notify", "fig99"], "fig99");
+    assert_usage_error(&["--horizon", "5"], "--horizon");
+}
+
+#[test]
+fn non_numeric_option_values_are_usage_errors() {
+    assert_usage_error(&["notify", "--horizon-ms", "fast"], "--horizon-ms");
+    assert_usage_error(&["notify", "--jobs", "many"], "--jobs");
+    assert_usage_error(&["notify", "--jobs"], "--jobs");
+}
+
+#[test]
+fn known_experiment_still_runs() {
+    let out = figures(&["notify", "--jobs", "1", "--horizon-ms", "5"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(!out.stdout.is_empty());
+}

@@ -15,7 +15,9 @@ use crate::faults::{DayFate, EpsVerdict, FaultInjector, FaultStats, NotifyVerdic
 use crate::impair::{ImpairInjector, ImpairStats, ImpairVerdict, IMPAIR_STREAM_LABEL};
 use crate::notify::NotifyModel;
 use crate::voq::Voq;
-use simcore::{DetRng, EventId, EventQueue, FlightRecorder, SimDuration, SimTime, TimeSeries};
+use simcore::{
+    DefaultEventId, DefaultQueue, DetRng, FlightRecorder, SimDuration, SimTime, TimeSeries,
+};
 use tcp::{ConnError, ConnStats, Direction, Segment, Transport};
 use testkit::Digest;
 use wire::TdnId;
@@ -55,10 +57,11 @@ pub static EVENTS_TOTAL: std::sync::atomic::AtomicU64 = std::sync::atomic::Atomi
 
 /// Which flows an event can have called into. Only events that reach a
 /// transport (`on_segment`/`on_timer`/`on_tdn_notification`/
-/// `on_circuit_prepare`/construction) can flip a flow's `is_done`, so the
-/// post-event completion check only needs to look at those flows instead
-/// of scanning every sender after every event (the old hot-loop cost:
-/// `n_flows` virtual calls per event).
+/// `on_circuit_prepare`/construction) can change a flow's counters or flip
+/// an endpoint's `is_done`, so the post-event step ([`Emulator::refresh`])
+/// only looks at those flows, and everything the engine does per sample,
+/// per day and per notification reads what that step left behind instead
+/// of scanning every flow slot.
 enum Touched {
     None,
     One(usize),
@@ -77,6 +80,33 @@ enum Ev {
     Notify { side: Side, flow: usize, tdn: TdnId, gen: u64 },
     HostTimer { side: Side, flow: usize },
     Sample,
+}
+
+/// The engine's view of one flow, brought up to date by
+/// [`Emulator::refresh`] after every event that called into the flow's
+/// transports. One flat array of these is all that `Ev::Sample`,
+/// `record_day` and the notification fan-out read.
+#[derive(Clone, Copy, Default)]
+struct FlowTrack {
+    /// The sender's `bytes_acked` as last folded into `acked_total`.
+    acked: u64,
+    /// The four [`DayRecord`] counters as of the last `record_day`.
+    day: [u64; 4],
+    /// Touched since the last `record_day` (i.e. on the dirty list).
+    dirty: bool,
+    /// `is_done()` of the sender and the receiver. A done host is closed:
+    /// the ToR stops notifying it (see `on_day_start`).
+    done: [bool; 2],
+}
+
+/// The counters a [`DayRecord`] is the per-day delta of.
+fn day_counters(snd: &ConnStats, rcv: &ConnStats) -> [u64; 4] {
+    [
+        snd.reorder_events,
+        snd.reorder_marked_pkts,
+        snd.retransmits,
+        rcv.spurious_retransmits,
+    ]
 }
 
 /// Per-day deltas of the counters Fig. 10 plots, one entry per finished day.
@@ -357,7 +387,7 @@ pub struct FlowSpec {
 /// [`Emulator::run`].
 pub struct Emulator<'a> {
     cfg: NetConfig,
-    q: EventQueue<Ev>,
+    q: DefaultQueue<Ev>,
     rng: DetRng,
     notify_model: NotifyModel,
     /// Executes `cfg.faults` against its own forked RNG stream, so the
@@ -388,7 +418,13 @@ pub struct Emulator<'a> {
     /// Flows with a recorded completion; the run terminates early when
     /// this reaches n_flows with every flow started.
     done_count: usize,
-    timer_slots: Vec<[Option<(SimTime, EventId)>; 2]>,
+    /// Per-flow engine state kept current by `refresh`.
+    track: Vec<FlowTrack>,
+    /// Flows touched since the last `record_day`.
+    dirty: Vec<usize>,
+    /// Sum of every sender's `bytes_acked` (what `Ev::Sample` records).
+    acked_total: u64,
+    timer_slots: Vec<[Option<(SimTime, DefaultEventId)>; 2]>,
     /// Per-rack shared uplink availability: the testbed emulates each rack
     /// as one machine with one data NIC, so all of a rack's hosts
     /// serialize through a single uplink — which caps the VOQ's input
@@ -404,7 +440,6 @@ pub struct Emulator<'a> {
     active: Option<TdnId>,
     seq_series: TimeSeries,
     day_records: Vec<DayRecord>,
-    prev_snapshot: Vec<(ConnStats, ConnStats)>,
     prev_day: u64,
     prev_day_tdn: TdnId,
     sample_every: SimDuration,
@@ -435,7 +470,7 @@ impl<'a> Emulator<'a> {
             clock,
             recorder: FlightRecorder::default(),
             rng,
-            q: EventQueue::new(),
+            q: DefaultQueue::new(),
             senders,
             receivers,
             timed_factory: None,
@@ -443,6 +478,9 @@ impl<'a> Emulator<'a> {
             completions: vec![None; n_flows],
             started: n_flows,
             done_count: 0,
+            track: vec![FlowTrack::default(); n_flows],
+            dirty: Vec::new(),
+            acked_total: 0,
             timer_slots: vec![[None, None]; n_flows],
             nic_free: [SimTime::ZERO; 2],
             service_pending: [false, false],
@@ -450,7 +488,6 @@ impl<'a> Emulator<'a> {
             active: None,
             seq_series: TimeSeries::new("seq"),
             day_records: Vec::new(),
-            prev_snapshot: vec![(ConnStats::new(), ConnStats::new()); n_flows],
             prev_day: 0,
             prev_day_tdn: cfg.schedule.day_tdn(0),
             sample_every: SimDuration::from_micros(2),
@@ -481,7 +518,7 @@ impl<'a> Emulator<'a> {
             clock,
             recorder: FlightRecorder::default(),
             rng,
-            q: EventQueue::new(),
+            q: DefaultQueue::new(),
             senders: (0..n_flows).map(|_| None).collect(),
             receivers: (0..n_flows).map(|_| None).collect(),
             timed_factory: Some(factory),
@@ -489,6 +526,9 @@ impl<'a> Emulator<'a> {
             completions: vec![None; n_flows],
             started: 0,
             done_count: 0,
+            track: vec![FlowTrack::default(); n_flows],
+            dirty: Vec::new(),
+            acked_total: 0,
             timer_slots: vec![[None, None]; n_flows],
             nic_free: [SimTime::ZERO; 2],
             service_pending: [false, false],
@@ -496,7 +536,6 @@ impl<'a> Emulator<'a> {
             active: None,
             seq_series: TimeSeries::new("seq"),
             day_records: Vec::new(),
-            prev_snapshot: vec![(ConnStats::new(), ConnStats::new()); n_flows],
             prev_day: 0,
             prev_day_tdn: cfg.schedule.day_tdn(0),
             sample_every: SimDuration::from_micros(2),
@@ -530,7 +569,7 @@ impl<'a> Emulator<'a> {
             // t = 0 (the first event always pops at t = 0, so this matches
             // the per-event check's timestamp).
             for i in 0..self.senders.len() {
-                self.note_completion(SimTime::ZERO, i);
+                self.refresh(SimTime::ZERO, i);
             }
         }
 
@@ -538,9 +577,9 @@ impl<'a> Emulator<'a> {
             if now > until {
                 break;
             }
-            // A flow's `is_done` can only flip during an event that calls
-            // into its transports, so the completion check below only
-            // visits the flow(s) this event touched.
+            // A flow's counters and `is_done` can only change during an
+            // event that calls into its transports, so the refresh below
+            // only visits the flow(s) this event touched.
             let touched = match &ev {
                 Ev::StartFlow { flow }
                 | Ev::Arrive { flow, .. }
@@ -629,14 +668,18 @@ impl<'a> Emulator<'a> {
                 }
                 Ev::Prepare => self.on_prepare(now),
                 Ev::Notify { side, flow, tdn, gen } => {
-                    if self.host_exists(side, flow) {
-                        // A skewed host reads the notification against its
-                        // own clock — this is exactly what desynchronizes
-                        // its slot-phase estimate.
-                        let pnow = self.host_now(side, flow, now);
-                        self.host_mut(side, flow).on_tdn_notification(pnow, tdn, gen);
-                        self.flush(now, side, flow);
-                    }
+                    // `on_day_start` only schedules deliveries to hosts
+                    // that have started by the delivery time.
+                    debug_assert!(
+                        self.host_exists(side, flow),
+                        "notification popped for flow {flow}, which has not started"
+                    );
+                    // A skewed host reads the notification against its
+                    // own clock — this is exactly what desynchronizes
+                    // its slot-phase estimate.
+                    let pnow = self.host_now(side, flow, now);
+                    self.host_mut(side, flow).on_tdn_notification(pnow, tdn, gen);
+                    self.flush(now, side, flow);
                 }
                 Ev::HostTimer { side, flow } => {
                     self.timer_slots[flow][side.idx()] = None;
@@ -647,13 +690,16 @@ impl<'a> Emulator<'a> {
                     }
                 }
                 Ev::Sample => {
-                    let acked: u64 = self
-                        .senders
-                        .iter()
-                        .flatten()
-                        .map(|s| s.stats().bytes_acked)
-                        .sum();
-                    self.seq_series.push(now, acked as f64);
+                    debug_assert_eq!(
+                        self.acked_total,
+                        self.senders
+                            .iter()
+                            .flatten()
+                            .map(|s| s.stats().bytes_acked)
+                            .sum::<u64>(),
+                        "running acked total diverged from the full sum"
+                    );
+                    self.seq_series.push(now, self.acked_total as f64);
                     if now + self.sample_every <= until {
                         self.q.schedule(now + self.sample_every, Ev::Sample);
                     }
@@ -661,10 +707,10 @@ impl<'a> Emulator<'a> {
             }
             match touched {
                 Touched::None => {}
-                Touched::One(flow) => self.note_completion(now, flow),
+                Touched::One(flow) => self.refresh(now, flow),
                 Touched::All => {
                     for flow in 0..self.senders.len() {
-                        self.note_completion(now, flow);
+                        self.refresh(now, flow);
                     }
                 }
             }
@@ -718,14 +764,25 @@ impl<'a> Emulator<'a> {
         }
     }
 
-    /// Record flow `flow`'s completion time the first time its sender
-    /// reports done. Called only for flows the current event touched.
-    fn note_completion(&mut self, now: SimTime, flow: usize) {
-        if self.completions[flow].is_some() {
+    /// The post-event step, called only for flows the current event
+    /// touched: fold the sender's `bytes_acked` progress into
+    /// `acked_total`, put the flow on the dirty list for `record_day`,
+    /// refresh both hosts' done flags, and record the flow's completion
+    /// time the first time its sender reports done.
+    fn refresh(&mut self, now: SimTime, flow: usize) {
+        let (Some(s), Some(r)) = (&self.senders[flow], &self.receivers[flow]) else {
             return;
+        };
+        let t = &mut self.track[flow];
+        let acked = s.stats().bytes_acked;
+        self.acked_total = self.acked_total + acked - t.acked;
+        t.acked = acked;
+        if !t.dirty {
+            t.dirty = true;
+            self.dirty.push(flow);
         }
-        let Some(s) = &self.senders[flow] else { return };
-        if !s.is_done() {
+        t.done = [s.is_done(), r.is_done()];
+        if !t.done[0] || self.completions[flow].is_some() {
             return;
         }
         self.completions[flow] = Some(now);
@@ -985,14 +1042,23 @@ impl<'a> Emulator<'a> {
             }
         }
 
-        // Notifications to every host (none for an absent day). The gen
-        // is the day number: monotone at the ToR, so endpoints can
-        // discard duplicated/reordered deliveries. Latency is sampled
-        // from the main stream even for dropped notifications, keeping
-        // the clean-path draw sequence identical across plans.
+        // Notifications to every live host (none for an absent day). The
+        // gen is the day number: monotone at the ToR, so endpoints can
+        // discard duplicated/reordered deliveries. Latency and the fault
+        // verdict are drawn for every host *slot*, in slot order, even
+        // when the notification is dropped or the host is not live —
+        // that keeps the main and fault streams' draw sequences
+        // independent of who is live — but a delivery is only scheduled
+        // to a host that is live when it lands: its flow has started by
+        // then, and the endpoint had not closed (`is_done`) by this day
+        // start. A closed socket stops hearing the ToR; a receiver whose
+        // sender aborted never closes, so it keeps hearing it and its
+        // watchdog is not starved.
         if self.cfg.notifications && fate != DayFate::Absent {
             for flow in 0..self.senders.len() {
+                let start = self.specs[flow].start;
                 for side in [Side::A, Side::B] {
+                    let closed = self.track[flow].done[side.idx()];
                     let lat = self.notify_model.sample(&mut self.rng, flow).total();
                     match self.faults.on_notify(day, flow, side.idx() as u8) {
                         NotifyVerdict::Drop => {
@@ -1002,12 +1068,15 @@ impl<'a> Emulator<'a> {
                             );
                         }
                         NotifyVerdict::Deliver { extra, duplicate } => {
+                            // The original and a fault duplicate are
+                            // judged each at its own delivery time.
                             let at = now + lat + extra;
-                            self.q
-                                .schedule(at, Ev::Notify { side, flow, tdn, gen: day });
-                            if let Some(lag) = duplicate {
-                                self.q
-                                    .schedule(at + lag, Ev::Notify { side, flow, tdn, gen: day });
+                            let copies = [Some(at), duplicate.map(|lag| at + lag)];
+                            for at in copies.into_iter().flatten() {
+                                if !closed && start <= at {
+                                    self.q
+                                        .schedule(at, Ev::Notify { side, flow, tdn, gen: day });
+                                }
                             }
                         }
                     }
@@ -1059,31 +1128,50 @@ impl<'a> Emulator<'a> {
         }
     }
 
-    fn record_day(&mut self, day: u64) {
-        // `prev_day_tdn` still holds the finished day's *effective* TDN
-        // (on_day_start records day-1 before overwriting it), which can
-        // differ from the nominal schedule under a freeze fault.
-        let mut rec = DayRecord {
-            day,
-            tdn: self.prev_day_tdn,
-            reorder_events: 0,
-            reorder_marked_pkts: 0,
-            retransmits: 0,
-            spurious_retransmits: 0,
+    /// How far flow `flow`'s four [`DayRecord`] counters have moved since
+    /// the last `record_day`, and their current values (all zero for a
+    /// flow that has not started).
+    fn day_delta(&self, flow: usize) -> ([u64; 4], [u64; 4]) {
+        let (Some(snd), Some(rcv)) = (&self.senders[flow], &self.receivers[flow]) else {
+            return ([0; 4], [0; 4]);
         };
-        for (i, snap) in self.prev_snapshot.iter_mut().enumerate() {
-            let (Some(snd), Some(rcv)) = (&self.senders[i], &self.receivers[i]) else {
-                continue;
-            };
-            let s = *snd.stats();
-            let r = *rcv.stats();
-            rec.reorder_events += s.reorder_events - snap.0.reorder_events;
-            rec.reorder_marked_pkts += s.reorder_marked_pkts - snap.0.reorder_marked_pkts;
-            rec.retransmits += s.retransmits - snap.0.retransmits;
-            rec.spurious_retransmits += r.spurious_retransmits - snap.1.spurious_retransmits;
-            *snap = (s, r);
+        let cur = day_counters(snd.stats(), rcv.stats());
+        let prev = &self.track[flow].day;
+        (std::array::from_fn(|k| cur[k] - prev[k]), cur)
+    }
+
+    fn record_day(&mut self, day: u64) {
+        // Only a flow touched since the last record can have moved a
+        // counter; debug builds check that against a scan of every flow.
+        let full_scan = cfg!(debug_assertions).then(|| {
+            (0..self.senders.len()).fold([0u64; 4], |sum, flow| {
+                let (delta, _) = self.day_delta(flow);
+                std::array::from_fn(|k| sum[k] + delta[k])
+            })
+        });
+        let mut sum = [0u64; 4];
+        for i in 0..self.dirty.len() {
+            let flow = self.dirty[i];
+            let (delta, cur) = self.day_delta(flow);
+            sum = std::array::from_fn(|k| sum[k] + delta[k]);
+            self.track[flow].day = cur;
+            self.track[flow].dirty = false;
         }
-        self.day_records.push(rec);
+        self.dirty.clear();
+        debug_assert_eq!(Some(sum), full_scan, "dirty list missed a touched flow");
+        let [reorder_events, reorder_marked_pkts, retransmits, spurious_retransmits] = sum;
+        self.day_records.push(DayRecord {
+            day,
+            // `prev_day_tdn` still holds the finished day's *effective*
+            // TDN (on_day_start records day-1 before overwriting it),
+            // which can differ from the nominal schedule under a freeze
+            // fault.
+            tdn: self.prev_day_tdn,
+            reorder_events,
+            reorder_marked_pkts,
+            retransmits,
+            spurious_retransmits,
+        });
     }
 }
 

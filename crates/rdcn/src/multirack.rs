@@ -25,7 +25,7 @@ use crate::config::TdnParams;
 use crate::notify::{NotifyConfig, NotifyModel};
 use crate::schedule::rotor;
 use crate::voq::{Voq, VoqConfig};
-use simcore::{DetRng, EventId, EventQueue, SimDuration, SimTime};
+use simcore::{DefaultEventId, DefaultQueue, DetRng, SimDuration, SimTime};
 use tcp::{ConnStats, Direction, Segment, Transport};
 use wire::TdnId;
 
@@ -121,7 +121,7 @@ impl MultiRackResult {
 /// The N-rack emulator.
 pub struct MultiRackEmulator<'a> {
     cfg: MultiRackConfig,
-    q: EventQueue<Ev>,
+    q: DefaultQueue<Ev>,
     rng: DetRng,
     notify_model: NotifyModel,
     matchings: Vec<Vec<(usize, usize)>>,
@@ -131,7 +131,7 @@ pub struct MultiRackEmulator<'a> {
     flows: Vec<PairFlow>,
     senders: Vec<Box<dyn Transport + 'a>>,
     receivers: Vec<Box<dyn Transport + 'a>>,
-    timer_slots: Vec<[Option<(SimTime, EventId)>; 2]>,
+    timer_slots: Vec<[Option<(SimTime, DefaultEventId)>; 2]>,
 
     /// voqs[src][dst]: per-pair queue at the source ToR.
     voqs: Vec<Vec<Voq>>,
@@ -179,7 +179,7 @@ impl<'a> MultiRackEmulator<'a> {
             notify_model: NotifyModel::new(cfg.notify),
             matchings,
             peer: vec![None; n],
-            q: EventQueue::new(),
+            q: DefaultQueue::new(),
             flows,
             senders,
             receivers,

@@ -41,7 +41,10 @@ pub use wheel::{TimerWheel, WheelEventId};
 /// `BENCH_simulator.json`. Currently the wheel: O(1) amortized
 /// schedule/pop beats the heap's O(log n) sift on all three mixes
 /// (push/pop ~38 vs ~46 µs, cancel/rearm ~52 vs ~86 µs, windowed
-/// drain ~120 vs ~223 µs), and the bigrun engine numbers agree.
+/// drain ~120 vs ~223 µs), and the bigrun engine numbers agree. Every
+/// `rdcn` engine runs on this alias; [`EventQueue`] stays `pub` as the
+/// wheel's differential oracle (property tests and both benchmarks race
+/// the two on the same scripts).
 pub type DefaultQueue<E> = TimerWheel<E>;
 
 /// Handle type paired with [`DefaultQueue`] (see [`EventId`] /

@@ -4,6 +4,11 @@
 # cargo registry — or no network at all — must never break the build.
 #
 # Usage: scripts/ci.sh [soak|chaos|bench|bigrun|lint|tails|skew]
+#   (none) — the default gate: release build, workspace tests, chaos
+#           soak, figures smoke, tailgate, the benchmark package (built
+#           --offline, its unit tests, one pass of each of its five
+#           workloads, all of which must report "correct": true),
+#           detlint, clippy -D warnings.
 #   lint  — run only detlint, the in-repo determinism & layering
 #           static-analysis pass (DESIGN.md §10): per-file token rules
 #           (HashMap/HashSet iteration, wall-clock reads, ad-hoc RNG
@@ -187,6 +192,21 @@ cargo run -q --offline --release -p bench --bin figures -- quick \
     --bench-json "$(mktemp)" > /dev/null
 
 tailgate_check
+
+# The benchmark (BENCHMARK.json, benchmark/README.md) is a package of its
+# own that times the crates' `pub` surface from outside, so nothing in
+# the workspace build or tests notices when that surface changes under
+# it. Build it, run its unit tests, and run each workload once: every
+# run cross-checks its output and reports `"correct": true` or not.
+echo "==> benchmark: offline build, unit tests, one pass of each workload"
+cargo build -q --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+smoke="$(bash benchmark/run.sh --passes 1 --trace 0 | grep '^{"correct"')"
+if [[ "$(grep -c '^{"correct": true' <<< "$smoke")" -ne 5 ]]; then
+    echo "$smoke" | cut -c1-120
+    echo "benchmark smoke: not all five workloads reported \"correct\": true"
+    exit 1
+fi
 
 echo "==> detlint (determinism & layering static analysis)"
 cargo run -q --offline --release -p detlint -- --root . --json target/detlint.json

@@ -120,6 +120,47 @@ fn chaos_soak() {
     );
 }
 
+/// Both corrupting planes on one segment: the EPS burst damages a data
+/// segment at VOQ ingress and the wire impairment then duplicates it, so
+/// the receiver discards two damaged copies of a single corruption. The
+/// oracle's stats-sanity law must allow that (it used to allow one
+/// discard per corruption and failed about one soak scenario in 20 000).
+#[test]
+fn eps_corrupted_then_duplicated_segment_is_discarded_twice() {
+    let spec = ChaosSpec {
+        seed: 118_308,
+        variant_idx: 2,
+        flows_idx: 2,
+        bytes_kb: 169,
+        loss_pm: 12,
+        reorder_pm: 121,
+        reorder_delay_us: 229,
+        dup_pm: 18,
+        corrupt_pm: 7,
+        notify_loss_pm: 15,
+        eps_burst: true,
+        clock_offset_us: 0,
+        clock_drift_ppm: 0,
+        slot_edge_idx: 0,
+        clock_resync: false,
+    };
+    let res = spec.run();
+    let corrupt_rx: u64 = res
+        .sender_stats
+        .iter()
+        .chain(&res.receiver_stats)
+        .map(|s| s.corrupt_rx)
+        .sum();
+    let corruptions = res.impairments.segs_corrupted + res.faults.eps_corruptions;
+    assert!(res.faults.eps_corruptions > 0 && res.impairments.segs_duplicated > 0);
+    assert_eq!(
+        corrupt_rx,
+        corruptions + 1,
+        "the scenario no longer discards one corruption twice; pick another"
+    );
+    check_invariants(&spec, &res).unwrap();
+}
+
 testkit::props! {
     // Clean subset: with every rate forced to zero the scenario is a
     // plain run — all flows complete without error and the injectors

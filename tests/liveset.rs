@@ -1,0 +1,336 @@
+//! The two-rack engine's live-set rule.
+//!
+//! `rdcn::Emulator` does its per-day, per-sample and per-notification
+//! work for *live* hosts only: the ToR notifies a host whose flow has
+//! started by the time the notification lands and whose endpoint had not
+//! closed (`is_done`) when the day began. These tests pin the edges of
+//! that rule from outside the engine — through a probe endpoint that
+//! logs every notification it is handed — and pin, from the commit before
+//! the rule, the simulated results it must not move.
+//!
+//! The engine's own cross-checks (running acked total ≡ full sum at every
+//! sample, dirty-list day deltas ≡ full-scan deltas at every day, no
+//! notification popped for an unborn host) are `debug_assert`s, so every
+//! suite under `cargo test` runs them.
+
+use bench::tails::{self, Population, TailSpec, TAIL_STREAM_LABEL};
+use bench::Variant;
+use rdcn::emulator::TimedEndpointFactory;
+use rdcn::{Emulator, FlowSpec, NetConfig, RunResult};
+use simcore::{DetRng, SimDuration, SimTime, TimeSeries};
+use std::cell::RefCell;
+use std::rc::Rc;
+use tcp::cc::{CcConfig, Cubic};
+use tcp::{ConnError, ConnStats, FlowId, Segment, Transport};
+use testkit::Digest;
+use wire::TdnId;
+
+/// `(delivery time, generation)` of every notification a host was handed.
+type NotifyLog = Rc<RefCell<Vec<(SimTime, u64)>>>;
+
+/// A transparent endpoint wrapper that logs notifications and can go
+/// deaf: from `deaf_from` on it discards incoming segments, which drives
+/// a sender into RTO back-off and, at `max_retries`, into an abort.
+struct Probe {
+    inner: Box<dyn Transport>,
+    log: NotifyLog,
+    deaf_from: Option<SimTime>,
+}
+
+impl Transport for Probe {
+    fn on_segment(&mut self, now: SimTime, seg: &Segment) {
+        if self.deaf_from.is_none_or(|t| now < t) {
+            self.inner.on_segment(now, seg);
+        }
+    }
+    fn poll_send(&mut self, now: SimTime) -> Option<Segment> {
+        self.inner.poll_send(now)
+    }
+    fn next_timer(&self) -> Option<SimTime> {
+        self.inner.next_timer()
+    }
+    fn on_timer(&mut self, now: SimTime) {
+        self.inner.on_timer(now);
+    }
+    fn on_tdn_notification(&mut self, now: SimTime, tdn: TdnId, gen: u64) {
+        self.log.borrow_mut().push((now, gen));
+        self.inner.on_tdn_notification(now, tdn, gen);
+    }
+    fn on_circuit_prepare(&mut self, now: SimTime) {
+        self.inner.on_circuit_prepare(now);
+    }
+    fn stats(&self) -> &ConnStats {
+        self.inner.stats()
+    }
+    fn is_established(&self) -> bool {
+        self.inner.is_established()
+    }
+    fn is_done(&self) -> bool {
+        self.inner.is_done()
+    }
+    fn conn_error(&self) -> Option<ConnError> {
+        self.inner.conn_error()
+    }
+    fn variant(&self) -> &'static str {
+        self.inner.variant()
+    }
+    fn cwnd_report(&self) -> Vec<u32> {
+        self.inner.cwnd_report()
+    }
+}
+
+/// One probed TDTCP flow of a staggered run.
+#[derive(Clone, Copy)]
+struct ProbedFlow {
+    start: SimTime,
+    bytes: u64,
+    /// The sender stops hearing the network from here on (and gives up
+    /// after three RTOs).
+    sender_deaf_from: Option<SimTime>,
+}
+
+impl ProbedFlow {
+    fn new(start: SimTime, bytes: u64) -> ProbedFlow {
+        ProbedFlow {
+            start,
+            bytes,
+            sender_deaf_from: None,
+        }
+    }
+}
+
+/// What a probed run yields: the result, and per flow the sender's and
+/// the receiver's notification logs.
+struct Probed {
+    res: RunResult,
+    logs: Vec<[Vec<(SimTime, u64)>; 2]>,
+}
+
+impl Probed {
+    /// The last generation host `side` (0 = sender) of `flow` heard.
+    fn last_gen(&self, flow: usize, side: usize) -> u64 {
+        self.logs[flow][side].last().expect("host heard nothing").1
+    }
+}
+
+/// Run `flows` as TDTCP endpoints (watchdog armed, as `bench::tails`
+/// builds them) over `net` until `horizon`, every endpoint probed.
+fn run_probed(net: &NetConfig, flows: &[ProbedFlow], horizon: SimTime) -> Probed {
+    let logs: Vec<[NotifyLog; 2]> = flows.iter().map(|_| Default::default()).collect();
+    let factory: TimedEndpointFactory = Box::new(|i, now| {
+        let f = flows[i];
+        let mut cfg = tdtcp::TdtcpConfig::default();
+        cfg.tcp.bytes_to_send = f.bytes;
+        cfg.tcp.max_retries = 3;
+        cfg.tcp.rtt.min_rto = SimDuration::from_micros(500);
+        cfg.tcp.rtt.initial_rto = SimDuration::from_micros(500);
+        cfg.watchdog = Some(tdtcp::WatchdogConfig::for_slot_with_guard(
+            net.schedule.slot_len(),
+            net.guard_band,
+        ));
+        let template = Cubic::new(CcConfig::default());
+        let flow = FlowId(i as u32);
+        let probe = |inner: Box<dyn Transport>, side: usize, deaf_from| {
+            Box::new(Probe {
+                inner,
+                log: Rc::clone(&logs[i][side]),
+                deaf_from,
+            }) as Box<dyn Transport>
+        };
+        (
+            probe(
+                Box::new(tdtcp::TdtcpConnection::connect(flow, cfg.clone(), &template, now)),
+                0,
+                f.sender_deaf_from,
+            ),
+            probe(
+                Box::new(tdtcp::TdtcpConnection::listen(flow, cfg, &template)),
+                1,
+                None,
+            ),
+        )
+    });
+    let specs = flows.iter().map(|f| FlowSpec { start: f.start }).collect();
+    let res = Emulator::new_staggered(net.clone(), specs, factory).run(horizon);
+    let logs = logs
+        .iter()
+        .map(|[s, r]| [s.borrow().clone(), r.borrow().clone()])
+        .collect();
+    Probed { res, logs }
+}
+
+const BULK: u64 = u64::MAX;
+
+/// A flow that starts after a `DayStart` but before that day's
+/// notification lands still hears it (liveness is judged at the delivery
+/// time, not at the fan-out); one that starts after the delivery first
+/// hears the next day's.
+#[test]
+fn flow_started_before_delivery_still_hears_that_day() {
+    let mut net = NetConfig::paper_baseline();
+    // Notifications take ~60 µs, so a start can fall inside the gap.
+    net.notify.extra_delay = SimDuration::from_micros(60);
+    let day = 5;
+    let day_start = net.schedule.day_start(day);
+    let in_gap = day_start + SimDuration::from_micros(10);
+    let after_delivery = day_start + SimDuration::from_micros(100);
+    let flows = [
+        ProbedFlow::new(SimTime::ZERO, BULK),
+        ProbedFlow::new(in_gap, BULK),
+        ProbedFlow::new(after_delivery, BULK),
+    ];
+    let run = run_probed(&net, &flows, SimTime::from_millis(3));
+
+    for side in 0..2 {
+        let (at, gen) = run.logs[1][side][0];
+        assert_eq!(gen, day, "flow born in the gap must hear day {day} (side {side})");
+        assert!(at >= in_gap && at < after_delivery, "day {day} landed at {at}");
+        let (_, gen) = run.logs[2][side][0];
+        assert_eq!(gen, day + 1, "flow born after the delivery hears the next day first");
+        // The flow that was there all along heard every day from 0.
+        assert_eq!(run.logs[0][side][0].1, 0);
+    }
+}
+
+/// A completed flow's hosts stop hearing the ToR — their notification
+/// counters stop advancing — while a still-running neighbour's do not.
+#[test]
+fn closed_hosts_stop_hearing_the_tor() {
+    let net = NetConfig::paper_baseline();
+    let horizon = SimTime::from_millis(10);
+    let flows = [
+        ProbedFlow::new(SimTime::ZERO, BULK),
+        ProbedFlow::new(SimTime::ZERO, 50_000),
+    ];
+    let run = run_probed(&net, &flows, horizon);
+
+    let done_at = run.res.completions[1].expect("the 50 kB flow completes");
+    assert!(run.res.conn_errors[1].is_none());
+    let done_day = net.schedule.day_number(done_at);
+    let last_day = net.schedule.day_number(horizon);
+    assert!(done_day + 10 < last_day, "the short flow must finish early");
+
+    for side in 0..2 {
+        // Nothing fanned out after the host closed reaches it. (A
+        // notification already in flight when it closed still lands.)
+        assert!(
+            run.last_gen(1, side) <= done_day,
+            "closed host (side {side}) heard day {} after closing on day {done_day}",
+            run.last_gen(1, side)
+        );
+        assert!(run.last_gen(0, side) + 1 >= last_day, "live neighbour went unnotified");
+    }
+    let finished = &run.res.sender_stats[1];
+    let running = &run.res.sender_stats[0];
+    assert!(finished.tdn_switches <= done_day + 1);
+    assert!(
+        running.tdn_switches > finished.tdn_switches + 5,
+        "neighbour switched {} times, finished flow {}",
+        running.tdn_switches,
+        finished.tdn_switches
+    );
+}
+
+/// Liveness is per host, not per flow: when a sender aborts, its
+/// receiver — established and never closed — keeps hearing the ToR, so
+/// its notification watchdog is not starved into firing.
+#[test]
+fn receiver_of_an_aborted_sender_stays_live() {
+    let net = NetConfig::paper_baseline();
+    // Deaf at 1 ms, the sender backs off through three RTOs and gives up
+    // at about 11 ms.
+    let horizon = SimTime::from_millis(20);
+    let flows = [
+        ProbedFlow::new(SimTime::ZERO, BULK),
+        ProbedFlow {
+            sender_deaf_from: Some(SimTime::from_millis(1)),
+            ..ProbedFlow::new(SimTime::ZERO, BULK)
+        },
+    ];
+    let run = run_probed(&net, &flows, horizon);
+
+    assert!(
+        matches!(run.res.conn_errors[1], Some(ConnError::RetransmitLimit { .. })),
+        "the deaf sender must give up: {:?}",
+        run.res.conn_errors[1]
+    );
+    let aborted_at = run.res.completions[1].expect("an abort is a termination");
+    let aborted_day = net.schedule.day_number(aborted_at);
+    let last_day = net.schedule.day_number(horizon);
+    assert!(aborted_day + 10 < last_day, "the abort must come early");
+
+    // The aborted sender is closed and stops hearing the ToR ...
+    assert!(run.last_gen(1, 0) <= aborted_day);
+    // ... its receiver is not, and does not.
+    assert!(run.last_gen(1, 1) + 1 >= last_day, "live receiver went unnotified");
+    let rcv = &run.res.receiver_stats[1];
+    assert_eq!(rcv.notify_watchdog_fires, 0, "live receiver's watchdog was starved");
+    assert_eq!(rcv.degraded_ns, 0);
+}
+
+// ---------------------------------------------------------------------------
+// What the rule must not move
+// ---------------------------------------------------------------------------
+
+fn series_digest(series: &TimeSeries) -> u64 {
+    let mut d = Digest::new();
+    d.write_usize(series.points().len());
+    for &(t, v) in series.points() {
+        d.write_u64(t.as_nanos()).write_f64(v);
+    }
+    d.finish()
+}
+
+/// Digests of the per-flow completion times (sorted, i.e. the multiset),
+/// the A→B VOQ occupancy series and the aggregate sequence series.
+fn simulated_result_digests(res: &RunResult) -> [u64; 3] {
+    let mut done: Vec<u64> = res.completions.iter().flatten().map(|t| t.as_nanos()).collect();
+    done.sort_unstable();
+    let mut d = Digest::new();
+    d.write_usize(done.len());
+    for t in done {
+        d.write_u64(t);
+    }
+    [d.finish(), series_digest(&res.voq_ab), series_digest(&res.seq_series)]
+}
+
+/// The benchmark's `short_incast` spec — 500 Poisson shorts plus four
+/// 16-way incast rounds of 100 kB over four background flows — at a
+/// 30 ms horizon, for both populations. The digests were taken at the
+/// commit *before* the live-set rule (full-scan samples and day records,
+/// every host slot notified every day): when flows complete, how the VOQ
+/// fills and how acknowledged bytes grow are all unmoved by it. What it
+/// does move is `RunResult::events`, closed hosts' notification counters
+/// and, under clock jitter, later jitter draws (DESIGN.md).
+#[test]
+fn short_incast_simulated_results_match_the_full_scan_engine() {
+    let got = [Variant::Tdtcp, Variant::Cubic].map(|variant| {
+        let population = Population::Uniform(variant);
+        let spec = TailSpec {
+            incast_degree: 16,
+            incast_rounds: 4,
+            incast_bytes: 100_000,
+            incast_every: SimDuration::from_millis(3),
+            ..TailSpec::poisson(population, 500, 100_000, SimDuration::from_micros(100), 4)
+        };
+        let mut net = NetConfig::paper_baseline();
+        population.apply_net_config(&mut net);
+        let schedule = tails::generate(&spec, &mut DetRng::new(net.seed).fork(TAIL_STREAM_LABEL));
+        let specs = schedule.flows.iter().map(|f| FlowSpec { start: f.start }).collect();
+        let factory: TimedEndpointFactory = Box::new(|i, now| {
+            let f = &schedule.flows[i];
+            tails::make_endpoints(f.variant, &net, i, f.bytes, now)
+        });
+        let res = Emulator::new_staggered(net.clone(), specs, factory).run(SimTime::from_millis(30));
+        assert!(res.completions.iter().flatten().count() > 50, "{variant:?}: too few completions");
+        (variant.label(), simulated_result_digests(&res))
+    });
+    let pinned: [(&str, [u64; 3]); 2] = [
+        ("tdtcp", [0x936da6a63ea17ae9, 0xc6cc025e8c8e4e9d, 0xcd51808efb3aa33c]),
+        ("cubic", [0x566ab1455c7c45c3, 0x6ea7402433b9bde9, 0x415a369efe175d33]),
+    ];
+    assert!(
+        got == pinned,
+        "[completions, voq_ab, seq_series] digests moved:\n got    {got:#x?}\n pinned {pinned:#x?}"
+    );
+}
