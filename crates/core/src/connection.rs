@@ -1,36 +1,37 @@
-//! The TDTCP connection.
+//! The TDTCP connection: a thin shell over [`tcp::Connection`].
 //!
-//! Structurally parallel to `tcp::Connection` (the paper's implementation
-//! is likewise a pervasive fork of the Linux stack, §4) but with the four
-//! mechanisms that define TDTCP:
+//! TDTCP *is* TCP with its path model duplicated per TDN (§3.1), so the
+//! send / receive / loss-recovery machine is not forked here: it is
+//! `tcp::Connection`, built over one [`TdnState`] per TDN instead of one.
+//! The machine already does everything that merely *indexes* a state set
+//! — crediting ACKs to the TDN that carried the data (§4.3), filtering
+//! cross-TDN RTT samples and timing out pessimistically (§4.4), sparing
+//! cross-TDN holes from loss marking (§3.4), recovering and collapsing
+//! per TDN (Fig. 4), keeping one sequence space (§3.3). This shell is
+//! what the paper adds on top of that:
 //!
-//! 1. **Per-TDN state** (§3.1/§4.3): one [`TdnState`] per TDN — CCA, RTT
-//!    estimator, CA machine — swapped on notification; pipe counters are
-//!    derived from the shared retransmission queue by TDN tag.
-//! 2. **TDN change notifications** (§3.2): an out-of-band signal moves the
-//!    connection onto another TDN's state set and records the TDN change
-//!    pointer (`snd_nxt` at the switch).
-//! 3. **A single sequence space** (§3.3): one retransmission queue and one
-//!    reassembler regardless of TDN, so ACKs returning on any TDN drive
-//!    progress and no subflow coordination exists.
-//! 4. **Relaxed reordering detection** (§3.4): hole segments whose TDN
-//!    differs from the triggering ACK's TDN are not declared lost; only
-//!    same-TDN holes are retransmitted, and cross-TDN tail losses fall
-//!    back to RACK-TLP-style time-based marking.
+//! 1. **`TD_CAPABLE` negotiation and downgrade** (§4.2): offer on the
+//!    SYN, require the peer to echo the same TDN count, otherwise fall
+//!    back to regular TCP on state set 0.
+//! 2. **TD option tagging** (§4.2): every data segment says which TDN it
+//!    rides, every ACK which TDN it returns on.
+//! 3. **TDN change notifications** (§3.2): an out-of-band, generation-
+//!    tagged signal selects the machine's current state set; duplicated
+//!    and reordered deliveries are discarded.
+//! 4. **Desynchronization hardening**: a watchdog that infers a missed
+//!    notification, a skew estimator over notification arrival phase, a
+//!    send gate across predicted slot edges, and the degraded posture
+//!    (one state set, capped window) they escalate into.
 //!
-//! RTT estimation follows §4.4: samples whose data and ACK TDNs differ
-//! (type-3) are discarded; the retransmission timer pessimistically
-//! assumes ACKs return on the slowest TDN (`½·RTT_n + ½·RTT_slowest`).
+//! It drives the machine through four inherent methods — `select_path`,
+//! `collapse_paths`, `cap_cwnd`, `hold_sends_until` — plus the two
+//! ablation switches it forwards at construction.
 
-use crate::tdn_state::TdnState;
 use simcore::{SimDuration, SimTime};
-use std::collections::VecDeque;
-use tcp::cc::{AckEvent, CongestionControl};
-use tcp::recv::Reassembler;
+use tcp::cc::CongestionControl;
 use tcp::rtt::RttEstimator;
-use tcp::rtx::{RtxQueue, TxSeg};
-use tcp::{CaState, ConnError, ConnStats, Direction, FlowId, Segment, SeqNum, Transport};
-use wire::{Ecn, TdnId};
+use tcp::{ConnError, ConnStats, Connection, FlowId, Path as TdnState, Segment, State, Transport};
+use wire::TdnId;
 
 /// Notification watchdog parameters.
 ///
@@ -113,80 +114,23 @@ impl Default for TdtcpConfig {
     }
 }
 
-/// Connection state (same simplified close path as `tcp::Connection`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum State {
-    /// No connection.
-    Closed,
-    /// SYN sent with `TD_CAPABLE`.
-    SynSent,
-    /// SYN received, SYN-ACK sent.
-    SynRcvd,
-    /// Data flows.
-    Established,
-    /// FIN sent, awaiting its ACK.
-    FinWait,
-    /// Transfer complete.
-    Done,
-}
-
 /// A TDTCP endpoint.
 pub struct TdtcpConnection {
     cfg: TdtcpConfig,
-    flow: FlowId,
-    data_dir: Direction,
-    state: State,
-
-    /// Per-TDN duplicated state, indexed by TDN id.
-    tdns: Vec<TdnState>,
-    /// The TDN the host currently believes is active (§3.2's "pull model"
-    /// global variable).
-    current: TdnId,
-    /// First sequence number sent on the current TDN (§3.4's TDN change
-    /// pointer).
-    tdn_change_ptr: SeqNum,
+    /// The connection machine, over one state set per TDN. Its current
+    /// path tag is the TDN this host believes is active (§3.2's "pull
+    /// model" global variable).
+    conn: Connection,
     /// Whether TD_CAPABLE negotiation succeeded.
     negotiated: bool,
     /// Locally downgraded to regular TCP (§4.2): per-TDN logic off, no
     /// TDTCP options emitted, notifications ignored.
     downgraded: bool,
-
-    // --- send half (shared across TDNs: single sequence space, §3.3) ---
-    snd_una: SeqNum,
-    snd_nxt: SeqNum,
-    rtx: RtxQueue,
-    peer_wnd: u32,
-    bytes_unsent: u64,
-    fin_acked: bool,
-    dupacks: u32,
-
-    rto_deadline: Option<SimTime>,
-    tlp_deadline: Option<SimTime>,
-    rto_backoff: u32,
-    /// When the RTO timer was last (re)armed — the last send/ACK activity
-    /// on the retransmission path. The gap to a subsequent RTO firing is
-    /// the dead air accounted to `ConnStats::stall_ns`.
-    rto_armed_at: SimTime,
-    /// Zero-window persist timer: armed when the peer's window is closed,
-    /// nothing is outstanding (so no RTO is armed), and data waits.
-    persist_deadline: Option<SimTime>,
-    persist_backoff: u32,
-    /// Terminal error, if the connection aborted.
-    error: Option<ConnError>,
-    /// Pacing release time for the next data segment (§5.2 mentions
-    /// sender pacing as the mitigation for the initial burst at TDN
-    /// switches; TDTCP enables it by default).
-    next_paced_at: SimTime,
-
-    // --- receive half ---
-    rx: Option<Reassembler>,
-    peer_fin: Option<SeqNum>,
-    dctcp_rx: tcp::cc::dctcp::DctcpReceiver,
-    echo_circuit: bool,
-
-    pending: VecDeque<Segment>,
-    stats: ConnStats,
-    established_at: Option<SimTime>,
+    /// Whether this endpoint's SYN (or SYN-ACK) has gone out once. Only
+    /// that first copy carries `TD_CAPABLE`; a retransmitted one is
+    /// rebuilt from the retransmission queue without it, so a lost SYN
+    /// downgrades the connection (kept as found — see DESIGN.md §15).
+    syn_sent: bool,
 
     // --- notification hardening ---
     /// Highest notification generation applied; duplicates and reordered
@@ -211,10 +155,6 @@ pub struct TdtcpConnection {
     /// EWMA (gain 1/8) of those residuals in nanoseconds — the host's
     /// estimate of how far its clock has slid against the schedule.
     skew_ewma_ns: f64,
-    /// End of the current skew-gate pause, if the pacer is held across a
-    /// predicted slot edge. Folded into `next_timer_at` so the driver
-    /// wakes the host when the edge passes.
-    skew_gate_until: Option<SimTime>,
 }
 
 impl TdtcpConnection {
@@ -225,25 +165,20 @@ impl TdtcpConnection {
         cc_template: &dyn CongestionControl,
         now: SimTime,
     ) -> Self {
-        let mut c = Self::new_endpoint(flow, Direction::DataPath, cfg, cc_template);
-        c.send_syn(now);
-        c.state = State::SynSent;
-        c
+        Self::connect_with_ccas(flow, cfg, vec![cc_template.clone_box()], now)
     }
 
     /// Create the passive endpoint (bulk sink).
     pub fn listen(flow: FlowId, cfg: TdtcpConfig, cc_template: &dyn CongestionControl) -> Self {
-        let mut cfg = cfg;
-        cfg.tcp.bytes_to_send = 0;
-        Self::new_endpoint(flow, Direction::AckPath, cfg, cc_template)
+        Self::listen_with_ccas(flow, cfg, vec![cc_template.clone_box()])
     }
 
     /// Create an initiating endpoint with a *different* congestion control
     /// algorithm in each TDN — the §3.5 extension ("in principle, TDTCP
     /// could use multiple, different CCAs within a single flow").
     ///
-    /// `ccas[i]` serves TDN `i`; TDNs beyond the list (allocated at
-    /// runtime) clone the last entry.
+    /// `ccas[i]` serves TDN `i`; TDNs beyond the list (configured, or
+    /// allocated at runtime) get a fresh instance of `ccas[0]`.
     ///
     /// # Panics
     /// Panics if `ccas` is empty.
@@ -253,10 +188,9 @@ impl TdtcpConnection {
         ccas: Vec<Box<dyn CongestionControl>>,
         now: SimTime,
     ) -> Self {
-        assert!(!ccas.is_empty(), "at least one CCA required");
-        let mut c = Self::connect(flow, cfg, ccas[0].as_ref(), now);
-        c.install_ccas(ccas);
-        c
+        let paths = state_sets(&cfg, ccas);
+        let conn = Connection::connect_paths(flow, cfg.tcp.clone(), paths, now);
+        Self::wrap(cfg, conn)
     }
 
     /// Listener counterpart of [`TdtcpConnection::connect_with_ccas`].
@@ -265,70 +199,26 @@ impl TdtcpConnection {
         cfg: TdtcpConfig,
         ccas: Vec<Box<dyn CongestionControl>>,
     ) -> Self {
-        assert!(!ccas.is_empty(), "at least one CCA required");
-        let mut c = Self::listen(flow, cfg, ccas[0].as_ref());
-        c.install_ccas(ccas);
-        c
+        let paths = state_sets(&cfg, ccas);
+        let conn = Connection::listen_paths(flow, cfg.tcp.clone(), paths);
+        Self::wrap(cfg, conn)
     }
 
-    fn install_ccas(&mut self, ccas: Vec<Box<dyn CongestionControl>>) {
-        for (i, cc) in ccas.into_iter().enumerate() {
-            if i < self.tdns.len() {
-                self.tdns[i].cc = cc;
-            }
-        }
-    }
-
-    fn new_endpoint(
-        flow: FlowId,
-        data_dir: Direction,
-        cfg: TdtcpConfig,
-        cc_template: &dyn CongestionControl,
-    ) -> Self {
-        assert!(cfg.num_tdns >= 1);
-        let rtt = RttEstimator::new(cfg.tcp.rtt);
-        let n = if cfg.per_tdn_state { cfg.num_tdns } else { 1 };
-        let tdns = (0..n).map(|_| TdnState::new(cc_template, rtt)).collect();
-        let isn = SeqNum(cfg.tcp.isn);
+    fn wrap(cfg: TdtcpConfig, mut conn: Connection) -> Self {
+        conn.set_relaxed_reordering(cfg.relaxed_reordering);
+        conn.set_pessimistic_rto(cfg.pessimistic_rto);
         TdtcpConnection {
-            bytes_unsent: cfg.tcp.bytes_to_send,
-            tdns,
             cfg,
-            flow,
-            data_dir,
-            state: State::Closed,
-            current: TdnId::ZERO,
-            tdn_change_ptr: isn,
+            conn,
             negotiated: false,
             downgraded: false,
-            snd_una: isn,
-            snd_nxt: isn,
-            rtx: RtxQueue::new(),
-            peer_wnd: u32::MAX,
-            fin_acked: false,
-            dupacks: 0,
-            rto_deadline: None,
-            tlp_deadline: None,
-            rto_backoff: 0,
-            rto_armed_at: SimTime::ZERO,
-            persist_deadline: None,
-            persist_backoff: 0,
-            error: None,
-            next_paced_at: SimTime::ZERO,
-            rx: None,
-            peer_fin: None,
-            dctcp_rx: tcp::cc::dctcp::DctcpReceiver::new(),
-            echo_circuit: false,
-            pending: VecDeque::new(),
-            stats: ConnStats::new(),
-            established_at: None,
+            syn_sent: false,
             last_gen: None,
             last_notify_at: None,
             degraded: false,
             degraded_since: None,
             skew_ref: None,
             skew_ewma_ns: 0.0,
-            skew_gate_until: None,
         }
     }
 
@@ -338,12 +228,12 @@ impl TdtcpConnection {
 
     /// Current state.
     pub fn state(&self) -> State {
-        self.state
+        self.conn.state()
     }
 
     /// The TDN this endpoint currently believes is active.
     pub fn current_tdn(&self) -> TdnId {
-        self.current
+        self.conn.current()
     }
 
     /// Whether TD_CAPABLE negotiation succeeded and the connection speaks
@@ -352,15 +242,16 @@ impl TdtcpConnection {
         self.negotiated && !self.downgraded
     }
 
-    /// Read a TDN's duplicated state (panics on out-of-range id).
+    /// Read a TDN's duplicated state (ids beyond the allocated sets read
+    /// the last one; every id reads set 0 while downgraded or degraded).
     pub fn tdn_state(&self, tdn: TdnId) -> &TdnState {
-        &self.tdns[self.state_index(tdn)]
+        self.conn.path(tdn)
     }
 
     /// Congestion window of the currently active TDN, after the degraded-
     /// mode cap (the window actually gating transmission).
     pub fn cwnd(&self) -> u32 {
-        self.effective_cwnd()
+        self.conn.cwnd()
     }
 
     /// Whether the connection is currently desynchronized (watchdog fired,
@@ -371,91 +262,51 @@ impl TdtcpConnection {
 
     /// The terminal error this connection aborted with, if any.
     pub fn conn_error(&self) -> Option<ConnError> {
-        self.error
-    }
-
-    /// The active TDN's congestion window, capped while degraded: a
-    /// desynchronized host cannot know which TDN it is on, so it sends
-    /// conservatively on state set 0 until resynchronized.
-    fn effective_cwnd(&self) -> u32 {
-        let raw = self.cur().cc.cwnd();
-        match (self.degraded, self.cfg.watchdog) {
-            (true, Some(wd)) => raw.min(wd.degraded_cwnd_pkts.saturating_mul(self.cfg.tcp.mss)),
-            _ => raw,
-        }
+        self.conn.conn_error()
     }
 
     /// Number of TDN state sets allocated.
     pub fn num_tdn_states(&self) -> usize {
-        self.tdns.len()
+        self.conn.paths().len()
+    }
+
+    /// Pipe (bytes in flight) attributed to one TDN, derived from the
+    /// shared retransmission queue ("specific TDN" accounting, §4.3).
+    pub fn pipe_bytes(&self, tdn: TdnId) -> u32 {
+        self.conn.pipe_bytes(tdn)
+    }
+
+    /// Total outstanding packets over all TDNs ("all TDNs" accounting).
+    pub fn total_packets_out(&self) -> u32 {
+        self.conn.packets_out()
     }
 
     /// Locally downgrade to regular TCP (§4.2): stop emitting TDTCP
     /// options and ignore further notifications.
     pub fn downgrade(&mut self) {
         self.downgraded = true;
-        self.current = TdnId::ZERO;
+        self.conn.select_path(TdnId::ZERO);
+        self.sync_posture();
     }
 
-    fn state_index(&self, tdn: TdnId) -> usize {
-        if self.cfg.per_tdn_state && !self.downgraded && !self.degraded {
-            tdn.index().min(self.tdns.len() - 1)
-        } else {
-            0
-        }
+    /// Tell the machine which posture the shell is in. Downgraded or
+    /// degraded, every TDN maps to state set 0; degraded, the window is
+    /// capped as well: a desynchronized host cannot know which TDN it is
+    /// on, so it must not blast a stale TDN's window onto an unknown path.
+    fn sync_posture(&mut self) {
+        self.conn.collapse_paths(self.downgraded || self.degraded);
+        let cap = self.cfg.watchdog.filter(|_| self.degraded);
+        let mss = self.cfg.tcp.mss;
+        self.conn
+            .cap_cwnd(cap.map(|wd| wd.degraded_cwnd_pkts.saturating_mul(mss)));
     }
 
-    fn cur(&self) -> &TdnState {
-        &self.tdns[self.state_index(self.current)]
-    }
-
-    fn cur_mut(&mut self) -> &mut TdnState {
-        let i = self.state_index(self.current);
-        &mut self.tdns[i]
-    }
-
-    /// Pipe (bytes in flight) attributed to one TDN, derived from the
-    /// shared retransmission queue ("specific TDN" accounting, §4.3).
-    pub fn pipe_bytes(&self, tdn: TdnId) -> u32 {
-        self.rtx
-            .counts_tdn(|t| self.state_index(t) == self.state_index(tdn))
-            .pipe()
-            .saturating_mul(self.cfg.tcp.mss)
-    }
-
-    /// Total outstanding packets over all TDNs ("all TDNs" accounting).
-    pub fn total_packets_out(&self) -> u32 {
-        self.rtx.counts().packets_out
-    }
-
-    /// Smoothed RTT of the slowest TDN (the §4.4 pessimistic assumption).
-    fn slowest_srtt(&self) -> Option<SimDuration> {
-        self.tdns.iter().filter_map(|t| t.rtt.srtt()).max()
-    }
-
-    /// The §4.4 retransmission timeout for a segment sent on `tdn`:
-    /// `½·RTT_n + ½·RTT_slowest` plus the usual variance term.
-    fn rto_for(&self, tdn: TdnId) -> SimDuration {
-        let st = &self.tdns[self.state_index(tdn)];
-        if !self.cfg.pessimistic_rto {
-            return st.rtt.rto();
-        }
-        match (st.rtt.srtt(), self.slowest_srtt()) {
-            (Some(own), Some(slow)) => {
-                let synth = own / 2 + slow / 2;
-                let var = self
-                    .tdns
-                    .iter()
-                    .map(|t| t.rtt.rttvar())
-                    .max()
-                    .unwrap_or(SimDuration::ZERO);
-                (synth + var.saturating_mul(4).max(SimDuration::from_nanos(1))).clamp(
-                    self.cfg.tcp.rtt.min_rto,
-                    self.cfg.tcp.rtt.max_rto,
-                )
-            }
-            _ => st.rtt.rto(),
-        }
+    /// Enter the conservative fallback posture until the next fresh
+    /// notification.
+    fn degrade(&mut self, now: SimTime) {
+        self.degraded = true;
+        self.degraded_since = Some(now);
+        self.sync_posture();
     }
 
     // ------------------------------------------------------------------
@@ -478,11 +329,9 @@ impl TdtcpConnection {
         if self.downgraded || !self.cfg.per_tdn_state {
             return;
         }
-        if let Some(last) = self.last_gen {
-            if gen <= last {
-                self.stats.stale_notifies += 1;
-                return;
-            }
+        if self.last_gen.is_some_and(|last| gen <= last) {
+            self.conn.stats_mut().stale_notifies += 1;
+            return;
         }
         self.last_gen = Some(gen);
         self.last_notify_at = Some(now);
@@ -490,30 +339,18 @@ impl TdtcpConnection {
             // Fresh authoritative word from the ToR: leave the
             // conservative posture and resume per-TDN operation.
             if let Some(since) = self.degraded_since.take() {
-                self.stats.degraded_ns += now.saturating_since(since).as_nanos();
+                self.conn.stats_mut().degraded_ns += now.saturating_since(since).as_nanos();
             }
             self.degraded = false;
-            self.stats.notify_resyncs += 1;
+            self.sync_posture();
+            self.conn.stats_mut().notify_resyncs += 1;
         }
         self.update_skew_estimate(now, gen);
-        // Runtime schedule change: first sight of a new TDN allocates a
-        // fresh state set (§4.2).
-        while self.cfg.per_tdn_state && tdn.index() >= self.tdns.len() {
-            if self.tdns.len() >= wire::TdnId::MAX_TDNS {
-                break;
-            }
-            let fresh = TdnState::new(
-                self.tdns[0].cc.as_ref(),
-                RttEstimator::new(self.cfg.tcp.rtt),
-            );
-            self.tdns.push(fresh);
-        }
-        if tdn != self.current {
-            self.stats.tdn_switches += 1;
-            self.current = tdn;
-            // The TDN change pointer: everything at or above this was (or
-            // will be) sent on the new TDN (§3.4).
-            self.tdn_change_ptr = self.snd_nxt;
+        // First sight of a new TDN allocates a fresh state set (§4.2);
+        // everything sent from here on is tagged with the new TDN (§3.4's
+        // TDN change pointer, kept per segment).
+        if self.conn.select_path(tdn) {
+            self.conn.stats_mut().tdn_switches += 1;
         }
     }
 
@@ -546,9 +383,8 @@ impl TdtcpConnection {
         let resid = now.as_nanos() as i64 - expect.as_nanos() as i64;
         self.skew_ewma_ns = self.skew_ewma_ns * 0.875 + resid as f64 * 0.125;
         if !self.degraded && self.skew_ewma_ns.abs() > wd.guard.as_nanos() as f64 {
-            self.stats.skew_escalations += 1;
-            self.degraded = true;
-            self.degraded_since = Some(now);
+            self.conn.stats_mut().skew_escalations += 1;
+            self.degrade(now);
             // Re-baseline: when a fresh notification later resynchronizes
             // the host, the estimator starts over instead of instantly
             // re-escalating against the stale reference.
@@ -557,39 +393,29 @@ impl TdtcpConnection {
         }
     }
 
-    /// Whether the skew-aware send gate currently holds the pacer: with
-    /// low confidence in the local clock (estimate past half the guard
-    /// band), new transmissions pause across the predicted slot edge —
-    /// segments launched into the edge would be killed or deferred by the
-    /// switch's slot-edge enforcement anyway, so holding them costs less
-    /// than losing them.
-    fn skew_gated(&mut self, now: SimTime) -> bool {
-        if let Some(until) = self.skew_gate_until {
-            if now < until {
-                return true;
-            }
-            self.skew_gate_until = None;
-        }
-        let Some(wd) = self.cfg.watchdog else { return false };
-        if self.degraded || !self.is_tdtcp() {
-            return false;
+    /// The skew-aware send gate: with low confidence in the local clock
+    /// (estimate past half the guard band), new transmissions pause
+    /// across the predicted slot edge — segments launched into the edge
+    /// would be killed or deferred by the switch's slot-edge enforcement
+    /// anyway, so holding them costs less than losing them.
+    fn update_skew_gate(&mut self, now: SimTime) {
+        let Some(wd) = self.cfg.watchdog else { return };
+        if self.conn.sends_held(now) || self.degraded || !self.is_tdtcp() {
+            return;
         }
         if self.skew_ewma_ns.abs() <= wd.guard.as_nanos() as f64 / 2.0 {
-            return false;
+            return;
         }
-        let Some(last) = self.last_notify_at else { return false };
+        let Some(last) = self.last_notify_at else {
+            return;
+        };
         let edge = last + wd.period;
-        if now >= edge {
-            // Past the predicted edge with no fresh notification yet: the
-            // watchdog owns truly missed slots; gating here would stall.
-            return false;
+        // Past the predicted edge with no fresh notification yet, the
+        // watchdog owns truly missed slots; gating here would stall.
+        if now < edge && now + wd.guard >= edge {
+            self.conn.hold_sends_until(edge);
+            self.conn.stats_mut().skew_gate_pauses += 1;
         }
-        if now + wd.guard >= edge {
-            self.skew_gate_until = Some(edge);
-            self.stats.skew_gate_pauses += 1;
-            return true;
-        }
-        false
     }
 
     /// The watchdog deadline: one period plus a guard band after the last
@@ -598,999 +424,111 @@ impl TdtcpConnection {
     /// nothing further to infer — it waits for the ToR).
     fn watchdog_deadline(&self) -> Option<SimTime> {
         let wd = self.cfg.watchdog?;
-        if self.degraded || !self.is_tdtcp() {
-            return None;
-        }
-        if !matches!(self.state, State::Established | State::FinWait) {
+        if self.degraded || !self.is_tdtcp() || !self.conn.is_established() {
             return None;
         }
         // Before the first notification, baseline from establishment: a
         // run whose very first notification is lost is still covered.
-        let base = self.last_notify_at.or(self.established_at)?;
+        let base = self.last_notify_at.or(self.conn.established_at())?;
         Some(base + wd.period + wd.guard)
     }
 
-    /// The watchdog inferred a missed TDN change: enter the conservative
-    /// fallback posture (single state set, capped cwnd) until the next
-    /// fresh notification.
-    fn fire_watchdog(&mut self, now: SimTime) {
-        self.stats.notify_watchdog_fires += 1;
-        self.degraded = true;
-        self.degraded_since = Some(now);
-    }
-
     // ------------------------------------------------------------------
-    // handshake
+    // segments and timers: negotiate / tag around the machine
     // ------------------------------------------------------------------
-
-    fn send_syn(&mut self, now: SimTime) {
-        let mut syn = Segment::new(self.flow, self.data_dir);
-        syn.seq = self.snd_nxt;
-        syn.flags.syn = true;
-        syn.wnd = self.cfg.tcp.recv_buf;
-        syn.td_capable = Some(self.cfg.num_tdns);
-        if self.cfg.tcp.ecn {
-            syn.flags.ece = true;
-            syn.flags.cwr = true;
-        }
-        // Appendix A.2: the SYN is always accounted to TDN 0.
-        self.rtx.push(TxSeg {
-            seq: self.snd_nxt,
-            len: 1,
-            is_syn: true,
-            is_fin: false,
-            tdn: TdnId::ZERO,
-            tx_time: now,
-            first_tx: now,
-            sacked: false,
-            lost: false,
-            retx_in_flight: false,
-            retx_count: 0,
-        });
-        self.snd_nxt += 1;
-        self.pending.push_back(syn);
-        self.arm_rto(now);
-    }
 
     /// Feed an arriving segment.
     pub fn handle_segment(&mut self, now: SimTime, seg: &Segment) {
-        self.stats.segs_received += 1;
-        // End-to-end payload checksum: discard damaged segments whole,
-        // counted apart from network drops (see `tcp::Connection`).
-        if seg.payload_is_corrupt() {
-            self.stats.corrupt_rx += 1;
-            return;
-        }
-        if seg.flags.rst {
-            self.state = State::Done;
-            self.pending.clear();
-            return;
-        }
-        match self.state {
-            State::Closed => {
-                if seg.flags.syn && !seg.flags.ack {
-                    self.on_syn(now, seg);
-                }
-            }
-            State::SynSent => {
-                if seg.flags.syn && seg.flags.ack {
-                    self.on_syn_ack(now, seg);
-                }
-            }
-            State::SynRcvd => {
-                if seg.flags.ack {
-                    self.process_ack(now, seg);
-                    if self.snd_una.after(SeqNum(self.cfg.tcp.isn)) {
-                        self.state = State::Established;
-                        self.established_at = Some(now);
-                    }
-                }
-                if seg.has_payload() {
-                    self.on_data(now, seg);
-                }
-            }
-            State::Established | State::FinWait => {
-                if seg.flags.ack {
-                    self.process_ack(now, seg);
-                }
-                if seg.has_payload() || seg.flags.fin {
-                    self.on_data(now, seg);
-                }
-                self.maybe_finish();
-            }
-            State::Done => {
-                // TIME-WAIT duty: a retransmitted FIN means the peer
-                // never got our final ACK (lost or corrupted on the
-                // wire). Re-ACK it, or the peer retries its FIN until
-                // its retransmission limit — a silent stall from the
-                // application's point of view.
-                if seg.flags.fin && self.rx.is_some() {
-                    self.queue_ack(now, false);
-                }
-            }
-        }
-    }
-
-    fn on_syn(&mut self, now: SimTime, seg: &Segment) {
-        // Negotiate: the TDN counts must match exactly (§4.2); a failed
-        // negotiation downgrades this side to regular TCP.
-        self.negotiated = seg.td_capable == Some(self.cfg.num_tdns);
-        if !self.negotiated {
-            self.downgrade();
-        }
-        self.rx = Some(Reassembler::new(seg.seq + 1, self.cfg.tcp.recv_buf));
-        self.peer_wnd = seg.wnd;
-        let mut sa = Segment::new(self.flow, self.data_dir);
-        sa.seq = self.snd_nxt;
-        sa.ack = seg.seq + 1;
-        sa.flags.syn = true;
-        sa.flags.ack = true;
-        sa.wnd = self.cfg.tcp.recv_buf;
-        if self.negotiated {
-            sa.td_capable = Some(self.cfg.num_tdns);
-        }
-        if self.cfg.tcp.ecn && seg.flags.ece && seg.flags.cwr {
-            sa.flags.ece = true;
-        }
-        self.rtx.push(TxSeg {
-            seq: self.snd_nxt,
-            len: 1,
-            is_syn: true,
-            is_fin: false,
-            tdn: TdnId::ZERO,
-            tx_time: now,
-            first_tx: now,
-            sacked: false,
-            lost: false,
-            retx_in_flight: false,
-            retx_count: 0,
-        });
-        self.snd_nxt += 1;
-        self.pending.push_back(sa);
-        self.state = State::SynRcvd;
-        self.arm_rto(now);
-    }
-
-    fn on_syn_ack(&mut self, now: SimTime, seg: &Segment) {
-        self.negotiated = seg.td_capable == Some(self.cfg.num_tdns);
-        if !self.negotiated {
-            self.downgrade();
-        }
-        self.rx = Some(Reassembler::new(seg.seq + 1, self.cfg.tcp.recv_buf));
-        self.peer_wnd = seg.wnd;
-        self.process_ack(now, seg);
-        self.state = State::Established;
-        self.established_at = Some(now);
-        let mut ack = Segment::new(self.flow, self.data_dir);
-        ack.seq = self.snd_nxt;
-        ack.ack = self.rx.as_ref().expect("created").rcv_nxt();
-        ack.flags.ack = true;
-        ack.wnd = self.cfg.tcp.recv_buf;
-        if self.is_tdtcp() {
-            ack.ack_tdn = Some(self.current);
-        }
-        self.pending.push_back(ack);
-        self.stats.acks_sent += 1;
-    }
-
-    // ------------------------------------------------------------------
-    // receive path
-    // ------------------------------------------------------------------
-
-    fn on_data(&mut self, now: SimTime, seg: &Segment) {
-        let Some(rx) = self.rx.as_mut() else { return };
-        if seg.has_payload() {
-            let outcome = rx.on_data(seg.seq, seg.len);
-            self.stats.bytes_delivered += u64::from(outcome.delivered);
-            if outcome.duplicate {
-                self.stats.dup_segs_received += 1;
-                self.stats.spurious_retransmits += 1;
-            }
-            if seg.ecn == Ecn::Ce {
-                self.stats.ce_received += 1;
-            }
-        }
-        if seg.flags.fin {
-            self.peer_fin = Some(seg.seq + (seg.seq_space() - 1));
-        }
-        if let Some(fin) = self.peer_fin {
-            let rx = self.rx.as_mut().expect("checked");
-            if rx.rcv_nxt() == fin {
-                rx.advance(1);
-                self.peer_fin = None;
-                if self.state == State::Established && self.cfg.tcp.bytes_to_send == 0 {
-                    self.state = State::Done;
-                }
-            }
-        }
-        let ece = self.cfg.tcp.ecn && self.dctcp_rx.on_data(seg.seq, seg.ecn == Ecn::Ce);
-        self.echo_circuit = seg.circuit_mark;
-        self.queue_ack(now, ece);
-    }
-
-    fn queue_ack(&mut self, _now: SimTime, ece: bool) {
-        let rx = self.rx.as_ref().expect("established");
-        let mut ack = Segment::new(self.flow, self.data_dir);
-        ack.seq = self.snd_nxt;
-        ack.ack = rx.rcv_nxt();
-        ack.flags.ack = true;
-        ack.flags.ece = ece;
-        ack.wnd = rx.window();
-        ack.sack = rx.sack_blocks();
-        ack.circuit_mark = self.echo_circuit;
-        if self.is_tdtcp() {
-            // TD_DATA_ACK with the A flag: the TDN this ACK rides on.
-            ack.ack_tdn = Some(self.current);
-        }
-        self.pending.push_back(ack);
-        self.stats.acks_sent += 1;
-    }
-
-    // ------------------------------------------------------------------
-    // ACK processing (§4.3 semantics throughout)
-    // ------------------------------------------------------------------
-
-    fn process_ack(&mut self, now: SimTime, seg: &Segment) {
-        // "All TDNs": validate against the sum of per-TDN packets_out.
-        if self.total_packets_out() == 0 && seg.ack == self.snd_una && seg.sack.is_empty() {
-            // Still a window update: a zero-window receiver reopening its
-            // window sends exactly this "stale" ACK shape, and it must
-            // cancel (or re-pace) the persist timer.
-            self.peer_wnd = seg.wnd;
-            self.maybe_arm_persist(now);
-            return;
-        }
-        if seg.ack.after(self.snd_nxt) {
-            return;
-        }
-
-        let old_una = self.snd_una;
-        let res = self.rtx.cum_ack(seg.ack);
-        if seg.ack.after(self.snd_una) {
-            self.snd_una = seg.ack;
-        }
-
-        // §4.4 RTT sampling: Karn + same-TDN filter. The newest acked
-        // never-retransmitted segment per TDN yields one sample, but only
-        // when the ACK returned on that same TDN (type-1/2); a missing
-        // ack_tdn means the peer is not tagging (downgraded) — accept.
-        let ack_tdn = seg.ack_tdn;
-        let mut sampled: [bool; 8] = [false; 8];
-        for s in res.acked.iter().rev() {
-            if s.ever_retransmitted() {
-                continue;
-            }
-            let idx = self.state_index(s.tdn);
-            if sampled.get(idx).copied().unwrap_or(true) {
-                continue;
-            }
-            match ack_tdn {
-                Some(at) if self.state_index(at) != idx => {
-                    // Type-3 sample: data and ACK crossed TDNs — discard.
-                    self.stats.cross_tdn_rtt_discards += 1;
-                }
-                _ => {
-                    let tx = s.tx_time;
-                    self.tdns[idx].rtt.on_sample_between(tx, now);
-                    if idx < sampled.len() {
-                        sampled[idx] = true;
-                    }
-                }
-            }
-        }
-
-        // "Specific TDN": credit cumulatively acked bytes to the TDN each
-        // segment was sent on.
-        let mut per_tdn_bytes = vec![0u32; self.tdns.len()];
-        let mut per_tdn_pkts = vec![0u32; self.tdns.len()];
-        let mut acked_payload = 0u32;
-        for s in &res.acked {
-            let payload = s.len - u32::from(s.is_syn) - u32::from(s.is_fin);
-            acked_payload += payload;
-            let idx = self.state_index(s.tdn);
-            per_tdn_bytes[idx] += payload;
-            per_tdn_pkts[idx] += 1;
-            if s.is_fin {
-                self.fin_acked = true;
-            }
-        }
-        if res.acked.is_empty() && res.acked_space > 0 && seg.ack.after(old_una) {
-            acked_payload = res.acked_space;
-            per_tdn_bytes[self.state_index(self.current)] += res.acked_space;
-        }
-        self.stats.bytes_acked += u64::from(acked_payload);
-
-        let newly_sacked = self.rtx.mark_sacked(seg.sack.iter());
-
-        let progress = seg.ack.after(old_una);
-        if !progress
-            && !self.rtx.is_empty()
-            && (seg.has_payload() || !newly_sacked.is_empty() || seg.sack.is_empty())
-        {
-            self.dupacks += 1;
-        } else if progress {
-            self.dupacks = 0;
-        }
-
-        self.detect_losses(now, seg, &newly_sacked);
-
-        // Per-TDN recovery exit: a TDN leaves Recovery/Loss once snd_una
-        // passes its recovery point (Fig. 4's independent machines).
-        for st in self.tdns.iter_mut() {
-            if let Some(rp) = st.recovery_point {
-                if self.snd_una.after_eq(rp) {
-                    st.recovery_point = None;
-                    st.ca = CaState::Open;
-                    st.cc.on_exit_recovery(now);
-                }
-            }
-        }
-        if progress {
-            self.rto_backoff = 0;
-        }
-
-        if seg.flags.ece {
-            self.stats.ece_received += 1;
-        }
-
-        // Per-TDN congestion control: each TDN's CCA sees only the bytes
-        // acked for data it carried.
-        for idx in 0..self.tdns.len() {
-            if per_tdn_bytes[idx] == 0 && per_tdn_pkts[idx] == 0 {
-                continue;
-            }
-            let flight = self
-                .rtx
-                .counts_tdn(|t| self.state_index(t) == idx)
-                .pipe()
-                .saturating_mul(self.cfg.tcp.mss);
-            let in_recovery = self.tdns[idx].in_recovery();
-            let ev = AckEvent {
-                now,
-                bytes_acked: per_tdn_bytes[idx],
-                packets_acked: per_tdn_pkts[idx],
-                rtt_sample: self.tdns[idx].rtt.latest(),
-                srtt: self.tdns[idx].rtt.srtt(),
-                flight_size: flight,
-                in_recovery,
-                ecn_bytes: if seg.flags.ece { per_tdn_bytes[idx] } else { 0 },
-            };
-            self.tdns[idx].cc.on_ack(&ev);
-        }
-
-        self.peer_wnd = seg.wnd;
-
-        if self.rtx.is_empty() {
-            self.rto_deadline = None;
-            self.tlp_deadline = None;
-            self.rto_backoff = 0;
-        } else if progress || !newly_sacked.is_empty() {
-            self.arm_rto(now);
-            self.arm_tlp(now);
-        }
-        self.maybe_arm_persist(now);
-    }
-
-    /// §3.4 relaxed reordering detection.
-    fn detect_losses(&mut self, now: SimTime, seg: &Segment, newly_sacked: &[TxSeg]) {
-        let Some(high_sacked) = self.rtx.highest_sacked() else {
-            return;
+        // Negotiate on the peer's SYN (listener) or SYN-ACK (initiator):
+        // the TDN counts must match exactly (§4.2); anything else
+        // downgrades this side to regular TCP before the machine sees
+        // the segment.
+        let handshake = match self.conn.state() {
+            State::Closed => seg.flags.syn && !seg.flags.ack,
+            State::SynSent => seg.flags.syn && seg.flags.ack,
+            _ => false,
         };
-        // Fast path: an unsacked head below a SACKed segment is a hole.
-        let hole_exists = match self.rtx.front() {
-            Some(f) if !f.sacked => true,
-            _ => self
-                .rtx
-                .iter()
-                .any(|s| !s.sacked && s.seq.before(high_sacked)),
-        };
-        if !hole_exists {
-            return;
-        }
-        // Fresh detections only: first hole evidence while the current
-        // TDN's machine was Open.
-        if !newly_sacked.is_empty() && self.cur().ca == CaState::Open {
-            self.stats.reorder_events += 1;
-        }
-
-        let thresh = self.cfg.tcp.dupack_thresh;
-        let thresh_hit =
-            self.dupacks >= thresh || self.rtx.sacked_above(self.snd_una) >= thresh;
-        if !thresh_hit {
-            let st = self.cur_mut();
-            if st.ca == CaState::Open {
-                st.ca = CaState::Disorder;
-            }
-            return;
-        }
-
-        // The TDN that triggered the heuristic: the ACK's TDN, or the
-        // newest sacked segment's data TDN when the option is absent.
-        let trigger = seg
-            .ack_tdn
-            .or_else(|| newly_sacked.last().map(|s| s.tdn))
-            .unwrap_or(self.current);
-        let trigger_idx = self.state_index(trigger);
-
-        // Cross-TDN holes are only declared lost when old enough that
-        // delayed delivery is no longer plausible — the RACK-TLP fallback
-        // for true tail losses of a prior TDN (§3.4).
-        let tail_cutoff = self
-            .slowest_srtt()
-            .map(|s| now - s.mul_f64(1.25))
-            .unwrap_or(SimTime::ZERO);
-
-        let relaxed = self.cfg.relaxed_reordering && self.is_tdtcp();
-        let state_index_of = |s: &TxSeg| {
-            if self.cfg.per_tdn_state && !self.downgraded && !self.degraded {
-                s.tdn.index().min(self.tdns.len() - 1)
-            } else {
-                0
-            }
-        };
-        // RACK window for same-TDN holes: intra-TDN reordering (jitter)
-        // must not be declared loss either; a hole only counts as lost
-        // once it is older than the newest SACKed transmission by the
-        // TDN's reordering window (min_rtt / 4).
-        let same_tdn_cutoff = self.rtx.newest_sacked_tx_time().map(|t| {
-            let reo = self.tdns[trigger_idx]
-                .rtt
-                .min_rtt()
-                .map(|m| m / 4)
-                .unwrap_or(SimDuration::ZERO);
-            t - reo
-        });
-        let mut skipped = 0u64;
-        let marked = self.rtx.mark_lost_below(high_sacked, |s| {
-            let same_tdn_lost = match same_tdn_cutoff {
-                Some(cutoff) => s.tx_time <= cutoff,
-                None => true,
-            };
-            if !relaxed {
-                return same_tdn_lost;
-            }
-            if state_index_of(s) == trigger_idx {
-                same_tdn_lost
-            } else if s.tx_time <= tail_cutoff {
-                true // stale enough to be a true tail loss
-            } else {
-                skipped += 1;
-                false
-            }
-        });
-        self.stats.relaxed_skips += skipped;
-        self.stats.reorder_marked_pkts += marked.len() as u64;
-
-        // Stale retransmissions (already re-tagged with the TDN that last
-        // carried them) follow the same rules: same-TDN ones refresh at
-        // the reordering window; cross-TDN ones at the tail cutoff.
-        let reo_cutoff = self
-            .rtx
-            .newest_sacked_tx_time()
-            .map(|t| {
-                let reo = self.tdns[trigger_idx]
-                    .rtt
-                    .min_rtt()
-                    .map(|m| m / 4)
-                    .unwrap_or(SimDuration::ZERO);
-                t - reo
-            })
-            .unwrap_or(SimTime::ZERO);
-        self.rtx.refresh_stale_retx(reo_cutoff, |s| {
-            !relaxed || state_index_of(s) == trigger_idx || s.tx_time <= tail_cutoff
-        });
-
-        // TDNs with marked (to-be-retransmitted) segments enter Recovery
-        // (Fig. 4); others stay Open and keep sending at full speed.
-        let mut affected = vec![false; self.tdns.len()];
-        for s in &marked {
-            affected[self.state_index(s.tdn)] = true;
-        }
-        for (idx, hit) in affected.iter().enumerate() {
-            if *hit && !self.tdns[idx].in_recovery() {
-                let flight = self
-                    .rtx
-                    .counts_tdn(|t| {
-                        if self.cfg.per_tdn_state && !self.downgraded && !self.degraded {
-                            t.index().min(self.tdns.len() - 1) == idx
-                        } else {
-                            true
-                        }
-                    })
-                    .pipe()
-                    .saturating_mul(self.cfg.tcp.mss);
-                self.tdns[idx].ca = CaState::Recovery;
-                self.tdns[idx].recovery_point = Some(self.snd_nxt);
-                self.tdns[idx].cc.on_enter_recovery(now, flight);
-                self.stats.fast_recoveries += 1;
+        if handshake && !seg.flags.rst {
+            self.negotiated = seg.td_capable == Some(self.cfg.num_tdns);
+            if !self.negotiated {
+                self.downgrade();
             }
         }
+        self.conn.handle_segment(now, seg);
     }
 
-    // ------------------------------------------------------------------
-    // timers
-    // ------------------------------------------------------------------
-
-    fn arm_rto(&mut self, now: SimTime) {
-        // The timer covers the oldest outstanding segment, with the §4.4
-        // pessimistic timeout for its TDN. The shift cap bounds the
-        // arithmetic; `max_retries` (checked in `fire_rto`) bounds the
-        // *retrying* — a blackholed flow aborts with `ConnError` before
-        // the cap ever plateaus the backoff.
-        let tdn = self.rtx.front().map(|s| s.tdn).unwrap_or(self.current);
-        let backoff = 1u64 << self.rto_backoff.min(12);
-        self.rto_deadline = Some(now + self.rto_for(tdn).saturating_mul(backoff));
-        self.rto_armed_at = now;
-    }
-
-    /// Whether the connection is stuck behind a closed peer window: data
-    /// waits, nothing is outstanding (so no RTO is armed), and the peer
-    /// advertises zero. Without a persist probe this is a silent deadlock.
-    fn needs_persist(&self) -> bool {
-        self.state == State::Established
-            && self.peer_wnd == 0
-            && self.rtx.is_empty()
-            && self.bytes_unsent > 0
-    }
-
-    /// Arm, re-arm or disarm the persist timer to match current state.
-    fn maybe_arm_persist(&mut self, now: SimTime) {
-        if self.needs_persist() {
-            if self.persist_deadline.is_none() {
-                let backoff = 1u64 << self.persist_backoff.min(12);
-                let delay = self
-                    .rto_for(self.current)
-                    .saturating_mul(backoff)
-                    .min(self.cfg.tcp.rtt.max_rto);
-                self.persist_deadline = Some(now + delay);
+    /// Produce the next transmittable segment, TD options attached.
+    pub fn poll_transmit(&mut self, now: SimTime) -> Option<Segment> {
+        self.update_skew_gate(now);
+        let mut seg = self.conn.poll_send(now)?;
+        let tdn = self.conn.current();
+        if seg.flags.syn && !self.syn_sent {
+            // TD_CAPABLE: offered on the SYN, echoed on the SYN-ACK once
+            // the offer matched.
+            self.syn_sent = true;
+            if !seg.flags.ack || self.negotiated {
+                seg.td_capable = Some(self.cfg.num_tdns);
             }
-        } else {
-            self.persist_deadline = None;
-            if self.peer_wnd > 0 {
-                self.persist_backoff = 0;
+        } else if self.is_tdtcp() {
+            // TD_DATA_ACK: the TDN the data rides (D flag) and the TDN
+            // this ACK returns on (A flag).
+            if seg.seq_space() > 0 {
+                seg.data_tdn = Some(tdn);
+            }
+            if seg.flags.ack {
+                seg.ack_tdn = Some(tdn);
             }
         }
-    }
-
-    /// The persist timer fired: transmit a one-byte window probe from the
-    /// unsent stream (RFC 9293 §3.8.6.1). The byte is real data — it goes
-    /// on the rtx queue and is cumulatively acknowledged like any other —
-    /// so a reopening window resumes exactly in sequence. Probes travel
-    /// the active TDN.
-    fn fire_persist(&mut self, now: SimTime) {
-        if !self.needs_persist() {
-            return;
-        }
-        if self.persist_backoff >= self.cfg.tcp.max_retries {
-            self.abort(ConnError::PersistTimeout {
-                probes: self.persist_backoff,
-            });
-            return;
-        }
-        self.stats.persist_probes += 1;
-        self.persist_backoff += 1;
-        let mut seg = Segment::new(self.flow, self.data_dir);
-        seg.seq = self.snd_nxt;
-        seg.len = 1;
-        seg.flags.psh = true;
-        seg.flags.ack = self.rx.is_some();
-        seg.ack = self
-            .rx
-            .as_ref()
-            .map(|r| r.rcv_nxt())
-            .unwrap_or(SeqNum::ZERO);
-        if self.is_tdtcp() {
-            seg.data_tdn = Some(self.current);
-            seg.ack_tdn = self.rx.as_ref().map(|_| self.current);
-        }
-        self.finalize_data_segment(&mut seg);
-        self.rtx.push(TxSeg {
-            seq: self.snd_nxt,
-            len: 1,
-            is_syn: false,
-            is_fin: false,
-            tdn: self.current,
-            tx_time: now,
-            first_tx: now,
-            sacked: false,
-            lost: false,
-            retx_in_flight: false,
-            retx_count: 0,
-        });
-        self.snd_nxt += 1;
-        self.bytes_unsent -= 1;
-        self.stats.bytes_sent += 1;
-        self.stats.segs_sent += 1;
-        self.pending.push_back(seg);
-        self.arm_rto(now);
-        // Re-arm with backoff in case the probe's ACK still says zero.
-        self.persist_deadline = None;
-    }
-
-    /// Abort with a terminal error: surface it, stop all timers, and
-    /// report done so the driver terminates the flow.
-    fn abort(&mut self, err: ConnError) {
-        self.error = Some(err);
-        self.state = State::Done;
-        self.stats.conn_aborts += 1;
-        self.pending.clear();
-        self.rto_deadline = None;
-        self.tlp_deadline = None;
-        self.persist_deadline = None;
-    }
-
-    fn arm_tlp(&mut self, now: SimTime) {
-        if !self.cfg.tcp.tlp {
-            return;
-        }
-        let pto = match self.cur().rtt.srtt() {
-            Some(srtt) => {
-                let slow = self.slowest_srtt().unwrap_or(srtt);
-                srtt + slow // 2·srtt, pessimistically stretched
-            }
-            None => self.rto_for(self.current) / 2,
-        };
-        let deadline = now + pto;
-        if self.rto_deadline.is_none_or(|rto| deadline < rto) {
-            self.tlp_deadline = Some(deadline);
-        }
+        Some(seg)
     }
 
     /// Earliest pending timer.
     pub fn next_timer_at(&self) -> Option<SimTime> {
-        let mut t = None;
-        for cand in [self.rto_deadline, self.tlp_deadline, self.persist_deadline] {
-            t = match (t, cand) {
-                (None, c) => c,
-                (Some(a), Some(b)) if b < a => Some(b),
-                (a, _) => a,
-            };
+        let timer = self.conn.next_timer();
+        match self.watchdog_deadline() {
+            Some(wd) => Some(timer.map_or(wd, |t| t.min(wd))),
+            None => timer,
         }
-        if let Some(wd) = self.watchdog_deadline() {
-            t = Some(t.map_or(wd, |a| a.min(wd)));
-        }
-        // Skew-gate release: wake exactly when the predicted slot edge
-        // passes so a gated sender resumes without an external event.
-        if let Some(g) = self.skew_gate_until {
-            t = Some(t.map_or(g, |a| a.min(g)));
-        }
-        // Pacing wake-up: only relevant while there is something to send.
-        if self.cfg.tcp.pacing
-            && self.next_paced_at > SimTime::ZERO
-            && (self.bytes_unsent > 0 || self.rtx.has_retransmit())
-        {
-            t = match t {
-                None => Some(self.next_paced_at),
-                Some(a) => Some(a.min(self.next_paced_at)),
-            };
-        }
-        t
     }
 
     /// Fire expired timers.
     pub fn handle_timer(&mut self, now: SimTime) {
-        if let Some(wd) = self.watchdog_deadline() {
-            if wd <= now {
-                self.fire_watchdog(now);
-            }
+        if self.watchdog_deadline().is_some_and(|wd| wd <= now) {
+            // The watchdog inferred a missed TDN change.
+            self.conn.stats_mut().notify_watchdog_fires += 1;
+            self.degrade(now);
         }
-        if let Some(tlp) = self.tlp_deadline {
-            if tlp <= now {
-                self.tlp_deadline = None;
-                self.fire_tlp(now);
-            }
-        }
-        if let Some(rto) = self.rto_deadline {
-            if rto <= now {
-                self.fire_rto(now);
-            }
-        }
-        if let Some(p) = self.persist_deadline {
-            if p <= now {
-                self.persist_deadline = None;
-                self.fire_persist(now);
-            }
-        }
+        self.conn.handle_timer(now);
     }
+}
 
-    fn fire_tlp(&mut self, now: SimTime) {
-        if self.rtx.is_empty() {
-            return;
-        }
-        self.stats.tlps += 1;
-        let flow = self.flow;
-        let dir = self.data_dir;
-        let cur = self.current;
-        let rcv = self.rx.as_ref().map(|r| r.rcv_nxt());
-        let tagging = self.is_tdtcp();
-        if let Some(mut out) = self.rtx.with_last_unsacked(|s| {
-            let out = Self::segment_from_txseg(flow, dir, s);
-            s.tx_time = now;
-            s.tdn = cur; // probes travel the active TDN
-            s.retx_count += 1;
-            s.retx_in_flight = true;
-            out
-        }) {
-            out.ack = rcv.unwrap_or(SeqNum::ZERO);
-            out.flags.ack = rcv.is_some();
-            if tagging {
-                out.data_tdn = Some(cur);
-                out.ack_tdn = rcv.map(|_| cur);
-            }
-            self.finalize_data_segment(&mut out);
-            self.stats.retransmits += 1;
-            self.stats.segs_sent += 1;
-            self.pending.push_back(out);
-        }
-        self.arm_rto(now);
+/// One state set per TDN (or a single one under the `per_tdn_state`
+/// ablation): `ccas[i]` for TDN `i`, fresh instances of `ccas[0]` beyond
+/// the list.
+fn state_sets(cfg: &TdtcpConfig, mut ccas: Vec<Box<dyn CongestionControl>>) -> Vec<TdnState> {
+    assert!(cfg.num_tdns >= 1);
+    assert!(!ccas.is_empty(), "at least one CCA required");
+    let n = if cfg.per_tdn_state {
+        usize::from(cfg.num_tdns)
+    } else {
+        1
+    };
+    ccas.truncate(n);
+    while ccas.len() < n {
+        let fresh = ccas[0].clone_box();
+        ccas.push(fresh);
     }
-
-    fn fire_rto(&mut self, now: SimTime) {
-        if self.rtx.is_empty() {
-            self.rto_deadline = None;
-            return;
-        }
-        if self.rto_backoff >= self.cfg.tcp.max_retries {
-            self.abort(ConnError::RetransmitLimit {
-                retries: self.rto_backoff,
-            });
-            return;
-        }
-        // SACK reneging (the `tcp_check_sack_reneging` analogue): an RTO
-        // with the *head* of the queue SACKed means the receiver reneged;
-        // forget every SACK mark so `mark_all_lost` re-marks the ranges.
-        if self.rtx.front().is_some_and(|s| s.sacked) {
-            let n = self.rtx.clear_sack_marks();
-            self.stats.sack_reneges += u64::from(n);
-        }
-        self.stats.rtos += 1;
-        // RTO-stall accounting: a firing with zero backoff opens a new
-        // timer-recovery episode; backoff refires extend it. Either way
-        // the wait between arming and firing was dead air for the flow.
-        if self.rto_backoff == 0 {
-            self.stats.rto_stalls += 1;
-        }
-        self.stats.stall_ns += now.saturating_since(self.rto_armed_at).as_nanos();
-        // Only the TDN owning the timed-out (oldest) segment collapses;
-        // the other TDNs' models are not to blame and stay intact (§3.1's
-        // isolation of per-TDN state).
-        let victim = self
-            .rtx
-            .front()
-            .map(|s| self.state_index(s.tdn))
-            .unwrap_or(0);
-        self.tdns[victim].ca = CaState::Loss;
-        self.tdns[victim].recovery_point = Some(self.snd_nxt);
-        self.tdns[victim].cc.on_rto(now);
-        self.dupacks = 0;
-        self.rtx.mark_all_lost();
-        self.rto_backoff += 1;
-        self.arm_rto(now);
-        self.tlp_deadline = None;
-    }
-
-    // ------------------------------------------------------------------
-    // output path
-    // ------------------------------------------------------------------
-
-    fn segment_from_txseg(flow: FlowId, dir: Direction, s: &TxSeg) -> Segment {
-        let mut seg = Segment::new(flow, dir);
-        seg.seq = s.seq;
-        seg.len = s.len - u32::from(s.is_syn) - u32::from(s.is_fin);
-        seg.flags.syn = s.is_syn;
-        seg.flags.fin = s.is_fin;
-        seg.flags.psh = seg.len > 0;
-        seg
-    }
-
-    fn finalize_data_segment(&self, seg: &mut Segment) {
-        if self.cfg.tcp.ecn && seg.len > 0 {
-            seg.ecn = Ecn::Ect0;
-        }
-        seg.wnd = self
-            .rx
-            .as_ref()
-            .map(|r| r.window())
-            .unwrap_or(self.cfg.tcp.recv_buf);
-        seg.stamp_payload();
-    }
-
-    fn fin_is_queued(&self) -> bool {
-        self.fin_acked || self.rtx.has_fin()
-    }
-
-    /// Record the pacing release point after transmitting `seg`: the next
-    /// data segment may leave one serialization interval of the paced rate
-    /// `cwnd / srtt` later.
-    fn stamp_pacing(&mut self, now: SimTime, seg: &Segment) {
-        if !self.cfg.tcp.pacing {
-            return;
-        }
-        let st = self.cur();
-        // Pace against the TDN's *minimum* RTT, not srtt: ACKs generated
-        // at the tail of a day are stranded through the night and arrive
-        // during other TDNs' days still tagged with their own TDN, so a
-        // TDN's srtt is inflated by schedule artifacts that say nothing
-        // about the path's real capacity. min_rtt is immune.
-        let rtt = st
-            .rtt
-            .min_rtt()
-            .or_else(|| st.rtt.srtt())
-            .unwrap_or(SimDuration::from_micros(50));
-        let cwnd = self.effective_cwnd().max(self.cfg.tcp.mss);
-        let gap = rtt.mul_f64(f64::from(seg.wire_size()) / f64::from(cwnd));
-        self.next_paced_at = now + gap;
-    }
-
-    /// Produce the next transmittable segment.
-    pub fn poll_transmit(&mut self, now: SimTime) -> Option<Segment> {
-        if let Some(seg) = self.pending.pop_front() {
-            return Some(seg);
-        }
-        // Skew gate before pacing: control segments already queued above
-        // still flow; new data and retransmissions hold until the
-        // predicted slot edge passes. The gate, not the pacer, is now the
-        // binding constraint — disarm the pacing wake-up (stamped fresh on
-        // the next real send) so `next_timer_at` cannot advertise a stale
-        // past release and spin the driver at one instant forever.
-        if self.skew_gated(now) {
-            self.next_paced_at = SimTime::ZERO;
-            return None;
-        }
-        if self.cfg.tcp.pacing && now < self.next_paced_at {
-            return None;
-        }
-
-        // Gate on the *current TDN's* window against the *current TDN's*
-        // pipe — the swap that gives TDTCP a wide-open window with
-        // near-zero inflight right after a switch (§5.2's initial burst).
-        // While degraded the window is capped: a desynchronized host must
-        // not blast a stale TDN's window onto an unknown path.
-        let cwnd = self.effective_cwnd();
-        let pipe = self.pipe_bytes(self.current);
-        let any_loss = self.tdns.iter().any(|t| t.ca == CaState::Loss);
-
-        // Retransmissions first — "any TDN" rule (§4.3): lost segments go
-        // out at the earliest opportunity regardless of original TDN, and
-        // are re-tagged with the TDN that now carries them.
-        if pipe < cwnd || any_loss {
-            let flow = self.flow;
-            let dir = self.data_dir;
-            let cur = self.current;
-            let rcv = self.rx.as_ref().map(|r| r.rcv_nxt());
-            let tagging = self.is_tdtcp();
-            if let Some(mut out) = self.rtx.with_next_retransmit(|s| {
-                let out = Self::segment_from_txseg(flow, dir, s);
-                s.tx_time = now;
-                s.tdn = cur;
-                s.retx_count += 1;
-                s.retx_in_flight = true;
-                out
-            }) {
-                out.ack = rcv.unwrap_or(SeqNum::ZERO);
-                out.flags.ack = rcv.is_some();
-                if tagging {
-                    out.data_tdn = Some(cur);
-                    out.ack_tdn = rcv.map(|_| cur);
-                }
-                self.finalize_data_segment(&mut out);
-                self.stats.retransmits += 1;
-                self.stats.segs_sent += 1;
-                if self.rto_deadline.is_none() {
-                    self.arm_rto(now);
-                }
-                self.arm_tlp(now);
-                self.stamp_pacing(now, &out);
-                return Some(out);
-            }
-        }
-
-        if self.state == State::Established && pipe < cwnd {
-            let inflight_seq = self.snd_nxt - self.snd_una;
-            if self.bytes_unsent > 0 && inflight_seq < self.peer_wnd {
-                let len = (self.cfg.tcp.mss as u64)
-                    .min(self.bytes_unsent)
-                    .min(u64::from(self.peer_wnd - inflight_seq)) as u32;
-                if len > 0 {
-                    let mut seg = Segment::new(self.flow, self.data_dir);
-                    seg.seq = self.snd_nxt;
-                    seg.len = len;
-                    seg.flags.psh = true;
-                    seg.flags.ack = self.rx.is_some();
-                    seg.ack = self
-                        .rx
-                        .as_ref()
-                        .map(|r| r.rcv_nxt())
-                        .unwrap_or(SeqNum::ZERO);
-                    if self.is_tdtcp() {
-                        seg.data_tdn = Some(self.current);
-                        seg.ack_tdn = self.rx.as_ref().map(|_| self.current);
-                    }
-                    self.finalize_data_segment(&mut seg);
-                    self.rtx.push(TxSeg {
-                        seq: self.snd_nxt,
-                        len,
-                        is_syn: false,
-                        is_fin: false,
-                        tdn: self.current, // "current TDN" tagging (§4.3)
-                        tx_time: now,
-                        first_tx: now,
-                        sacked: false,
-                        lost: false,
-                        retx_in_flight: false,
-                        retx_count: 0,
-                    });
-                    self.snd_nxt += len;
-                    self.bytes_unsent -= u64::from(len);
-                    self.stats.bytes_sent += u64::from(len);
-                    self.stats.segs_sent += 1;
-                    if self.rto_deadline.is_none() {
-                        self.arm_rto(now);
-                    }
-                    self.arm_tlp(now);
-                    self.stamp_pacing(now, &seg);
-                    return Some(seg);
-                }
-            }
-            if self.bytes_unsent == 0 && self.cfg.tcp.bytes_to_send > 0 && !self.fin_is_queued() {
-                let mut fin = Segment::new(self.flow, self.data_dir);
-                fin.seq = self.snd_nxt;
-                fin.flags.fin = true;
-                fin.flags.ack = self.rx.is_some();
-                fin.ack = self
-                    .rx
-                    .as_ref()
-                    .map(|r| r.rcv_nxt())
-                    .unwrap_or(SeqNum::ZERO);
-                if self.is_tdtcp() {
-                    fin.data_tdn = Some(self.current);
-                }
-                self.finalize_data_segment(&mut fin);
-                self.rtx.push(TxSeg {
-                    seq: self.snd_nxt,
-                    len: 1,
-                    is_syn: false,
-                    is_fin: true,
-                    tdn: self.current,
-                    tx_time: now,
-                    first_tx: now,
-                    sacked: false,
-                    lost: false,
-                    retx_in_flight: false,
-                    retx_count: 0,
-                });
-                self.snd_nxt += 1;
-                self.state = State::FinWait;
-                self.arm_rto(now);
-                return Some(fin);
-            }
-        }
-        // Nothing sendable for a non-pacing reason (cwnd/rwnd-blocked or
-        // no data): disarm the pacing wake-up so the timer does not spin;
-        // an arriving ACK re-opens the window and restarts pacing. A
-        // zero-window block instead arms the persist timer — the driver
-        // flushes poll_transmit after every event, so a stall is noticed.
-        self.next_paced_at = SimTime::ZERO;
-        self.maybe_arm_persist(now);
-        None
-    }
-
-    fn maybe_finish(&mut self) {
-        if self.state == State::FinWait && self.fin_acked && self.rtx.is_empty() {
-            self.state = State::Done;
-        }
-    }
+    ccas.into_iter()
+        .map(|cc| TdnState::new(cc, RttEstimator::new(cfg.tcp.rtt)))
+        .collect()
 }
 
 impl std::fmt::Debug for TdtcpConnection {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TdtcpConnection")
-            .field("flow", &self.flow)
-            .field("state", &self.state)
-            .field("current", &self.current)
-            .field("snd_una", &self.snd_una)
-            .field("snd_nxt", &self.snd_nxt)
-            .field("tdns", &self.tdns)
+            .field("conn", &self.conn)
+            .field("tdtcp", &self.is_tdtcp())
+            .field("degraded", &self.degraded)
             .finish()
     }
 }
@@ -1617,19 +555,19 @@ impl Transport for TdtcpConnection {
     }
 
     fn stats(&self) -> &ConnStats {
-        &self.stats
+        self.conn.stats()
     }
 
     fn is_established(&self) -> bool {
-        matches!(self.state, State::Established | State::FinWait)
+        self.conn.is_established()
     }
 
     fn is_done(&self) -> bool {
-        self.state == State::Done
+        self.conn.is_done()
     }
 
     fn conn_error(&self) -> Option<ConnError> {
-        self.error
+        self.conn.conn_error()
     }
 
     fn variant(&self) -> &'static str {
@@ -1637,6 +575,6 @@ impl Transport for TdtcpConnection {
     }
 
     fn cwnd_report(&self) -> Vec<u32> {
-        self.tdns.iter().map(|t| t.cc.cwnd()).collect()
+        self.conn.cwnd_report()
     }
 }

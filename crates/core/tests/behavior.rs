@@ -263,6 +263,29 @@ fn rtt_samples_filtered_by_tdn() {
     );
 }
 
+/// Every TDN's estimator is reachable, not just the first eight: the
+/// per-ACK "already sampled" scratch is sized by the TDN id space
+/// (`TdnId::MAX_TDNS`), the same bound runtime growth allocates up to.
+#[test]
+fn rtt_samples_reach_high_numbered_tdns() {
+    let mut c = cfg(u64::MAX);
+    c.num_tdns = 9;
+    let (mut a, _) = establish(c);
+    assert_eq!(a.num_tdn_states(), 9);
+    a.on_notification(t(35), TdnId(8));
+    // Segment sent on TDN 8 at t=40; its ACK returns on TDN 8 at t=140.
+    let seg = a.poll_transmit(t(40)).expect("data");
+    assert_eq!(seg.data_tdn, Some(TdnId(8)));
+    a.handle_segment(t(140), &sack_ack(1001, &[], Some(8)));
+    assert_eq!(a.stats().cross_tdn_rtt_discards, 0);
+    assert_eq!(a.tdn_state(TdnId(8)).rtt.samples(), 1, "sample recorded on TDN 8");
+    assert_eq!(
+        a.tdn_state(TdnId(8)).rtt.latest(),
+        Some(SimDuration::from_micros(100))
+    );
+    assert_eq!(a.tdn_state(TdnId(0)).rtt.samples(), 1, "handshake sample only");
+}
+
 #[test]
 fn per_tdn_cwnd_checkpoints_survive_switches() {
     let (mut a, _) = establish(cfg(u64::MAX));

@@ -3,6 +3,10 @@
 //! state invariants (no panic, per-TDN accounting partitions the total,
 //! the current TDN always has a state set, sequence progress is
 //! monotone), and connection evolution is deterministic under replay.
+//! Every property runs over the three shapes a TDTCP endpoint's state can
+//! take: the paper's two TDNs, a single TDN (`num_tdns = 1`, where
+//! notifications for other TDNs are §4.2 runtime growth), and the
+//! `per_tdn_state = false` ablation (one set, notifications ignored).
 //! Runs on the in-repo `testkit` harness.
 
 use simcore::SimTime;
@@ -48,8 +52,19 @@ fn arb_op() -> Gen<Op> {
     ])
 }
 
-fn establish() -> TdtcpConnection {
-    let mut cfg = TdtcpConfig::default();
+/// `(num_tdns, per_tdn_state)` rows every property is run over.
+const SHAPES: [(u8, bool); 3] = [(2, true), (1, true), (2, false)];
+
+fn arb_shape() -> Gen<(u8, bool)> {
+    range(0usize..SHAPES.len()).map(|i| SHAPES[i])
+}
+
+fn establish((num_tdns, per_tdn_state): (u8, bool)) -> TdtcpConnection {
+    let mut cfg = TdtcpConfig {
+        num_tdns,
+        per_tdn_state,
+        ..TdtcpConfig::default()
+    };
     cfg.tcp.mss = MSS;
     cfg.tcp.pacing = false;
     let cubic = Cubic::new(CcConfig {
@@ -64,9 +79,10 @@ fn establish() -> TdtcpConnection {
     synack.seq = SeqNum(0);
     synack.ack = SeqNum(1);
     synack.wnd = 1 << 22;
-    synack.td_capable = Some(2);
+    synack.td_capable = Some(num_tdns);
     a.handle_segment(SimTime::from_micros(100), &synack);
-    assert!(a.is_established());
+    assert!(a.is_established() && a.is_tdtcp());
+    assert_eq!(a.num_tdn_states(), if per_tdn_state { usize::from(num_tdns) } else { 1 });
     a
 }
 
@@ -113,8 +129,11 @@ fn apply_op(conn: &mut TdtcpConnection, op: &Op, mut now_us: u64) -> u64 {
 
 testkit::props! {
     #[cases(64)]
-    fn random_op_sequences_keep_invariants(ops in vec_of(arb_op(), 1..120)) {
-        let mut conn = establish();
+    fn random_op_sequences_keep_invariants(
+        input in testkit::prop::tuple2(arb_shape(), vec_of(arb_op(), 1..120))
+    ) {
+        let (shape, ops) = input;
+        let mut conn = establish(shape);
         let mut now_us = 200u64;
         let mut last_acked = 0u64;
         for op in &ops {
@@ -139,13 +158,21 @@ testkit::props! {
             // pipe excludes lost/sacked so the partition is <= total
             // (plus retransmissions in flight, bounded by total).
             tk_assert!(per <= total * 2 + 2);
+            // The flat-state ablation never grows or leaves set 0.
+            if !shape.1 {
+                tk_assert_eq!(conn.num_tdn_states(), 1);
+                tk_assert_eq!(cur, TdnId::ZERO);
+            }
         }
     }
 
     // Stats counters are monotone under any op sequence.
     #[cases(64)]
-    fn counters_monotone(ops in vec_of(arb_op(), 1..80)) {
-        let mut conn = establish();
+    fn counters_monotone(
+        input in testkit::prop::tuple2(arb_shape(), vec_of(arb_op(), 1..80))
+    ) {
+        let (shape, ops) = input;
+        let mut conn = establish(shape);
         let mut now_us = 200u64;
         let mut prev = *conn.stats();
         for op in &ops {
@@ -180,12 +207,16 @@ testkit::props! {
     // the network may duplicate or reorder notifications freely.
     #[cases(64)]
     fn tdn_updates_idempotent(
-        input in testkit::prop::tuple2(
+        input in tuple3(
+            range(1u8..3),
             vec_of(range(0u8..4), 1..16),
             vec_of(range(0usize..1_000), 0..48),
         )
     ) {
-        let (tdns, picks) = input;
+        // (The flat-state ablation ignores notifications altogether; it
+        // has no update to be idempotent about.)
+        let (num_tdns, tdns, picks) = input;
+        let establish = || establish((num_tdns, true));
         // Delivery order: arbitrary picks (with repeats) into the base
         // set, then every index once so nothing is permanently lost.
         let mut order: Vec<usize> = picks.iter().map(|p| p % tdns.len()).collect();
@@ -244,9 +275,12 @@ testkit::props! {
     // reproduces byte-identical stats digests at every step. This is the
     // per-connection half of the golden-trace determinism guarantee.
     #[cases(64)]
-    fn replay_is_deterministic(ops in vec_of(arb_op(), 1..100)) {
-        let mut a = establish();
-        let mut b = establish();
+    fn replay_is_deterministic(
+        input in testkit::prop::tuple2(arb_shape(), vec_of(arb_op(), 1..100))
+    ) {
+        let (shape, ops) = input;
+        let mut a = establish(shape);
+        let mut b = establish(shape);
         let (mut now_a, mut now_b) = (200u64, 200u64);
         for op in &ops {
             now_a += 37;

@@ -23,8 +23,6 @@ pub struct AckEvent {
     pub now: SimTime,
     /// Payload bytes newly cumulatively acknowledged.
     pub bytes_acked: u32,
-    /// Segments newly acknowledged (cumulative + newly SACKed).
-    pub packets_acked: u32,
     /// RTT sample from this ACK (post Karn / TDN filtering), if any.
     pub rtt_sample: Option<SimDuration>,
     /// Smoothed RTT at this point, if known.
@@ -49,7 +47,9 @@ pub trait CongestionControl: std::fmt::Debug + Send {
     /// Current slow-start threshold in bytes.
     fn ssthresh(&self) -> u32;
 
-    /// Process an acknowledgment.
+    /// Process an acknowledgment that newly acknowledged payload this
+    /// instance's path carried (`ev.bytes_acked > 0`); ACKs that credit
+    /// the path nothing are not delivered.
     fn on_ack(&mut self, ev: &AckEvent);
 
     /// Loss detected: entering fast recovery. `flight_size` is bytes in
@@ -125,7 +125,6 @@ pub(crate) mod testutil {
         AckEvent {
             now: SimTime::from_micros(now_us),
             bytes_acked: bytes,
-            packets_acked: 1,
             rtt_sample: Some(SimDuration::from_micros(100)),
             srtt: Some(SimDuration::from_micros(100)),
             flight_size: 0,

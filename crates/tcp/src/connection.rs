@@ -1,18 +1,32 @@
-//! A single-path TCP connection: handshake, bulk data transfer with SACK
+//! The connection state machine: handshake, bulk data transfer with SACK
 //! loss recovery, RACK-style time-based loss marking, tail-loss probes,
-//! RTO with backoff, ECN feedback, and pluggable congestion control.
+//! RTO with backoff, zero-window persist, ECN feedback and pacing — over
+//! a *set* of [`Path`]s sharing one sequence space.
+//!
+//! This is the only send / receive / loss-recovery implementation in the
+//! workspace. Everything TCP uses to model the network lives in a
+//! [`Path`]; the machine keeps one retransmission queue and one
+//! reassembler (a single sequence space, §3.3) and *indexes a path*
+//! wherever the model is consulted: ACK crediting and RTT sampling go to
+//! the path each segment was sent on, loss marking compares a hole's path
+//! with the path the ACK returned on, recovery is entered and left per
+//! path, an RTO collapses only the path of the timed-out segment, and the
+//! window and pipe that gate sending are the current path's. With one
+//! path every index is 0 and the machine is plain single-path TCP — the
+//! cross-path rules (§3.4 relaxed reordering, §4.4 pessimistic RTO and
+//! same-path RTT filter) only ever see "same path". The `tdtcp` crate
+//! wraps a multi-path instance and drives it from TDN notifications; the
+//! `mptcp` crate runs one single-path instance per subflow.
 //!
 //! The engine is poll-based in the smoltcp style: the owner feeds it
 //! segments and timer expirations and drains outgoing segments with
 //! [`Connection::poll_send`]; nothing inside blocks or knows about wall
-//! clocks. This same machinery — the retransmission queue, reassembler,
-//! RTT estimator, and CC modules — is reused by the `tdtcp` crate (which
-//! duplicates path state per TDN) and the `mptcp` crate (which runs one of
-//! these per subflow).
+//! clocks.
 
 use crate::ca::CaState;
 use crate::cc::dctcp::DctcpReceiver;
 use crate::cc::{AckEvent, CongestionControl};
+use crate::path::Path;
 use crate::recv::Reassembler;
 use crate::rtt::{RttConfig, RttEstimator};
 use crate::rtx::{RtxQueue, TxSeg};
@@ -41,10 +55,7 @@ pub struct Config {
     pub ecn: bool,
     /// Enable tail loss probes.
     pub tlp: bool,
-    /// Enable RACK time-based loss marking (otherwise classic
-    /// all-holes-below-SACK marking).
-    pub rack: bool,
-    /// Pace data segments at cwnd/srtt instead of bursting.
+    /// Pace data segments at cwnd/min_rtt instead of bursting.
     pub pacing: bool,
     /// Initial sequence number (fixed for determinism).
     pub isn: u32,
@@ -66,7 +77,6 @@ impl Default for Config {
             bytes_to_send: u64::MAX,
             ecn: false,
             tlp: true,
-            rack: true,
             pacing: false,
             isn: 0,
             max_retries: 15,
@@ -93,7 +103,7 @@ pub enum State {
     Done,
 }
 
-/// A single-path TCP connection (either endpoint).
+/// A connection endpoint (either side) over one or more paths.
 pub struct Connection {
     cfg: Config,
     flow: FlowId,
@@ -101,18 +111,39 @@ pub struct Connection {
     data_dir: Direction,
     state: State,
 
-    // --- send half ---
+    // --- paths ---
+    /// Per-path state, indexed through [`Connection::path_index`].
+    paths: Vec<Path>,
+    /// The path tag stamped on every (re)transmission made now ("current
+    /// TDN", §4.3); always `TdnId::ZERO` for single-path TCP.
+    current: TdnId,
+    /// Every tag maps to path 0 while set (a TDTCP endpoint that has been
+    /// downgraded, or cannot tell which TDN is active).
+    collapsed: bool,
+    /// The highest path index a tag can map to: the last path allocated,
+    /// or 0 while collapsed. Derived; see `remap`.
+    last_path: usize,
+    /// `path_index(current)`. Derived; see `remap`.
+    cur: usize,
+    /// Upper bound on the window that gates sending, if any.
+    cwnd_cap: Option<u32>,
+    /// New data and retransmissions wait until this instant, if set.
+    hold_until: Option<SimTime>,
+    /// §3.4: a hole on another path than the triggering ACK's is not
+    /// declared lost until it is stale. Vacuous with one path.
+    relaxed_reordering: bool,
+    /// §4.4: time out as if ACKs return on the slowest path. Vacuous with
+    /// one path.
+    pessimistic_rto: bool,
+
+    // --- send half (one sequence space across paths, §3.3) ---
     snd_una: SeqNum,
     snd_nxt: SeqNum,
     rtx: RtxQueue,
     peer_wnd: u32,
     bytes_unsent: u64,
-    fin_sent: bool,
-    recovery_point: Option<SeqNum>,
+    fin_acked: bool,
     dupacks: u32,
-    ca: CaState,
-    cc: Box<dyn CongestionControl>,
-    rtt: RttEstimator,
 
     rto_deadline: Option<SimTime>,
     tlp_deadline: Option<SimTime>,
@@ -121,6 +152,7 @@ pub struct Connection {
     /// on the retransmission path. The gap to a subsequent RTO firing is
     /// the dead air accounted to `ConnStats::stall_ns`.
     rto_armed_at: SimTime,
+    /// Pacing release time for the next data segment; `ZERO` = disarmed.
     next_paced_at: SimTime,
     /// Zero-window persist timer: armed when the peer's window is closed,
     /// nothing is outstanding (so no RTO is armed), and data waits.
@@ -142,36 +174,63 @@ pub struct Connection {
 }
 
 impl Connection {
-    /// Create the initiating endpoint and queue its SYN.
+    /// Create the initiating single-path endpoint and queue its SYN.
     pub fn connect(
         flow: FlowId,
         cfg: Config,
         cc: Box<dyn CongestionControl>,
         now: SimTime,
     ) -> Self {
-        let mut c = Connection::new_endpoint(flow, Direction::DataPath, cfg, cc);
-        c.send_syn(now, false);
+        let path = Path::new(cc, RttEstimator::new(cfg.rtt));
+        Connection::connect_paths(flow, cfg, vec![path], now)
+    }
+
+    /// Create the passive single-path endpoint (bulk sink).
+    pub fn listen(flow: FlowId, cfg: Config, cc: Box<dyn CongestionControl>) -> Self {
+        let path = Path::new(cc, RttEstimator::new(cfg.rtt));
+        Connection::listen_paths(flow, cfg, vec![path])
+    }
+
+    /// Create the initiating endpoint over `paths` (non-empty) and queue
+    /// its SYN. Sending starts on path 0.
+    pub fn connect_paths(flow: FlowId, cfg: Config, paths: Vec<Path>, now: SimTime) -> Self {
+        let mut c = Connection::new_endpoint(flow, Direction::DataPath, cfg, paths);
+        let mut syn = Segment::new(c.flow, c.data_dir);
+        syn.seq = c.snd_nxt;
+        syn.flags.syn = true;
+        syn.wnd = c.cfg.recv_buf;
+        if c.cfg.ecn {
+            syn.flags.ece = true;
+            syn.flags.cwr = true; // ECN-setup SYN (RFC 3168)
+        }
+        // Appendix A.2: the SYN is always accounted to TDN 0.
+        c.track(1, true, false, TdnId::ZERO, now);
+        c.pending.push_back(syn);
+        c.arm_rto(now);
         c.state = State::SynSent;
         c
     }
 
-    /// Create the passive endpoint (bulk sink).
-    pub fn listen(flow: FlowId, cfg: Config, cc: Box<dyn CongestionControl>) -> Self {
-        let mut cfg = cfg;
+    /// Create the passive endpoint (bulk sink) over `paths` (non-empty).
+    pub fn listen_paths(flow: FlowId, mut cfg: Config, paths: Vec<Path>) -> Self {
         cfg.bytes_to_send = 0; // pure receiver
-        Connection::new_endpoint(flow, Direction::AckPath, cfg, cc)
+        Connection::new_endpoint(flow, Direction::AckPath, cfg, paths)
     }
 
-    fn new_endpoint(
-        flow: FlowId,
-        data_dir: Direction,
-        cfg: Config,
-        cc: Box<dyn CongestionControl>,
-    ) -> Self {
+    fn new_endpoint(flow: FlowId, data_dir: Direction, cfg: Config, paths: Vec<Path>) -> Self {
+        assert!(!paths.is_empty(), "a connection needs at least one path");
         let isn = SeqNum(cfg.isn);
         Connection {
-            rtt: RttEstimator::new(cfg.rtt),
             bytes_unsent: cfg.bytes_to_send,
+            last_path: paths.len() - 1,
+            paths,
+            current: TdnId::ZERO,
+            collapsed: false,
+            cur: 0,
+            cwnd_cap: None,
+            hold_until: None,
+            relaxed_reordering: true,
+            pessimistic_rto: true,
             snd_una: isn,
             snd_nxt: isn,
             cfg,
@@ -180,11 +239,8 @@ impl Connection {
             state: State::Closed,
             rtx: RtxQueue::new(),
             peer_wnd: u32::MAX,
-            fin_sent: false,
-            recovery_point: None,
+            fin_acked: false,
             dupacks: 0,
-            ca: CaState::Open,
-            cc,
             rto_deadline: None,
             tlp_deadline: None,
             rto_backoff: 0,
@@ -212,24 +268,39 @@ impl Connection {
         self.state
     }
 
-    /// Current congestion window (bytes).
+    /// The window that gates sending right now: the current path's
+    /// congestion window, under the cap if one is set (bytes).
     pub fn cwnd(&self) -> u32 {
-        self.cc.cwnd()
+        let raw = self.cur().cc.cwnd();
+        self.cwnd_cap.map_or(raw, |cap| raw.min(cap))
     }
 
-    /// Congestion-avoidance machine state.
+    /// The current path's congestion-avoidance state.
     pub fn ca_state(&self) -> CaState {
-        self.ca
+        self.cur().ca
     }
 
-    /// The RTT estimator (read-only).
+    /// The current path's RTT estimator (read-only).
     pub fn rtt(&self) -> &RttEstimator {
-        &self.rtt
+        &self.cur().rtt
     }
 
-    /// Bytes of sequence space in flight (estimate, RFC 6675 pipe).
+    /// Bytes of sequence space in flight over all paths (estimate,
+    /// RFC 6675 pipe).
     pub fn flight_bytes(&self) -> u32 {
         self.rtx.counts().pipe().saturating_mul(self.cfg.mss)
+    }
+
+    /// Pipe (bytes in flight) attributed to the path `tdn` maps to,
+    /// derived from the shared retransmission queue ("specific TDN"
+    /// accounting, §4.3).
+    pub fn pipe_bytes(&self, tdn: TdnId) -> u32 {
+        self.path_pipe_bytes(self.path_index(tdn))
+    }
+
+    /// Segments outstanding over all paths ("all TDNs" accounting).
+    pub fn packets_out(&self) -> u32 {
+        self.rtx.counts().packets_out
     }
 
     /// Highest cumulative byte offset acknowledged (relative to the ISN),
@@ -272,25 +343,158 @@ impl Connection {
         self.snd_una
     }
 
+    /// Counters, writable: a layer that wraps the connection (TDTCP's
+    /// notification handling) keeps its counters in the same record.
+    pub fn stats_mut(&mut self) -> &mut ConnStats {
+        &mut self.stats
+    }
+
+    // ------------------------------------------------------------------
+    // paths
+    // ------------------------------------------------------------------
+
+    /// All paths, in index order.
+    pub fn paths(&self) -> &[Path] {
+        &self.paths
+    }
+
+    /// The path a segment tagged `tdn` is accounted to: its own, clamped
+    /// to the last one allocated — or path 0 for every tag while the
+    /// paths are collapsed.
+    pub fn path(&self, tdn: TdnId) -> &Path {
+        &self.paths[self.path_index(tdn)]
+    }
+
+    /// The tag (re)transmissions made now are stamped with.
+    pub fn current(&self) -> TdnId {
+        self.current
+    }
+
+    /// Make `tdn` the current path tag, allocating fresh paths (path 0's
+    /// algorithm at its initial window, no RTT samples) up to it on first
+    /// sight — a runtime schedule change, §4.2. Returns whether the
+    /// current tag changed.
+    pub fn select_path(&mut self, tdn: TdnId) -> bool {
+        while tdn.index() >= self.paths.len() && self.paths.len() < TdnId::MAX_TDNS {
+            let cc = self.paths[0].cc.clone_box();
+            self.paths
+                .push(Path::new(cc, RttEstimator::new(self.cfg.rtt)));
+        }
+        let changed = tdn != self.current;
+        self.current = tdn;
+        self.remap();
+        changed
+    }
+
+    /// Account every tag to path 0 (`true`) or to its own path (`false`).
+    /// The other paths' state is kept, frozen, for when they come back.
+    pub fn collapse_paths(&mut self, collapsed: bool) {
+        self.collapsed = collapsed;
+        self.remap();
+    }
+
+    /// Bound the window that gates sending (`None` lifts the bound).
+    pub fn cap_cwnd(&mut self, cap: Option<u32>) {
+        self.cwnd_cap = cap;
+    }
+
+    /// Hold new data and retransmissions until `until`; control segments
+    /// already queued still flow, and [`Connection::next_timer`] reports
+    /// `until` so the driver wakes the connection when the hold ends.
+    pub fn hold_sends_until(&mut self, until: SimTime) {
+        self.hold_until = Some(until);
+    }
+
+    /// Whether a hold set by [`Connection::hold_sends_until`] is still in
+    /// force at `now`.
+    pub fn sends_held(&self, now: SimTime) -> bool {
+        self.hold_until.is_some_and(|until| now < until)
+    }
+
+    /// Ablation: turn §3.4 relaxed cross-path reordering detection off
+    /// (every old-enough hole is marked, whatever path it was sent on).
+    pub fn set_relaxed_reordering(&mut self, on: bool) {
+        self.relaxed_reordering = on;
+    }
+
+    /// Ablation: turn the §4.4 pessimistic RTO off (each path times out
+    /// on its own estimator alone).
+    pub fn set_pessimistic_rto(&mut self, on: bool) {
+        self.pessimistic_rto = on;
+    }
+
+    /// Recompute the tag → path mapping after the path set or the
+    /// collapse switch changed.
+    fn remap(&mut self) {
+        self.last_path = if self.collapsed {
+            0
+        } else {
+            self.paths.len() - 1
+        };
+        self.cur = self.path_index(self.current);
+    }
+
+    fn path_index(&self, tdn: TdnId) -> usize {
+        tdn.index().min(self.last_path)
+    }
+
+    fn cur(&self) -> &Path {
+        &self.paths[self.cur]
+    }
+
+    /// With every tag on path 0 (one path, or collapsed) that path's pipe
+    /// is the whole queue's. Otherwise, tags never exceed the allocated
+    /// paths (`select_path` grows first), so a path's pipe is its tag's
+    /// bucket in the queue. O(1) either way.
+    fn path_pipe_bytes(&self, idx: usize) -> u32 {
+        let counts = if self.last_path == 0 {
+            self.rtx.counts()
+        } else {
+            self.rtx.counts_for_tdn(TdnId(idx as u8))
+        };
+        counts.pipe().saturating_mul(self.cfg.mss)
+    }
+
+    /// Smoothed RTT of the slowest path (the §4.4 pessimistic assumption).
+    fn slowest_srtt(&self) -> Option<SimDuration> {
+        self.paths.iter().filter_map(|p| p.rtt.srtt()).max()
+    }
+
+    /// The retransmission timeout for a segment sent on path `idx`. §4.4:
+    /// ACKs may return on the slowest path, so the timeout is taken
+    /// halfway from this path's srtt to the slowest one's, with the
+    /// largest variance term. When this path is the slowest — or the
+    /// only — one, that is exactly its own `rtt.rto()`, which the single-
+    /// path case takes directly (`tests/one_machine.rs` holds the two to
+    /// the nanosecond).
+    fn rto_for(&self, idx: usize) -> SimDuration {
+        let own = &self.paths[idx].rtt;
+        if !self.pessimistic_rto || self.paths.len() == 1 {
+            return own.rto();
+        }
+        let (Some(srtt), Some(slow)) = (own.srtt(), self.slowest_srtt()) else {
+            return own.rto();
+        };
+        let synth = srtt + (slow - srtt) / 2;
+        let var = self.paths.iter().map(|p| p.rtt.rttvar()).max();
+        let var = var.unwrap_or(SimDuration::ZERO).saturating_mul(4);
+        (synth + var.max(SimDuration::from_nanos(1)))
+            .clamp(self.cfg.rtt.min_rto, self.cfg.rtt.max_rto)
+    }
+
     // ------------------------------------------------------------------
     // segment input
     // ------------------------------------------------------------------
 
-    fn send_syn(&mut self, now: SimTime, _retx: bool) {
-        let mut syn = Segment::new(self.flow, self.data_dir);
-        syn.seq = self.snd_nxt;
-        syn.flags.syn = true;
-        syn.wnd = self.cfg.recv_buf;
-        if self.cfg.ecn {
-            syn.flags.ece = true;
-            syn.flags.cwr = true; // ECN-setup SYN (RFC 3168)
-        }
+    /// Put `len` octets of sequence space starting at `snd_nxt` on the
+    /// retransmission queue, tagged `tdn`.
+    fn track(&mut self, len: u32, is_syn: bool, is_fin: bool, tdn: TdnId, now: SimTime) {
         self.rtx.push(TxSeg {
             seq: self.snd_nxt,
-            len: 1,
-            is_syn: true,
-            is_fin: false,
-            tdn: TdnId::ZERO, // Appendix A.2: the SYN is always TDN 0
+            len,
+            is_syn,
+            is_fin,
+            tdn,
             tx_time: now,
             first_tx: now,
             sacked: false,
@@ -298,9 +502,7 @@ impl Connection {
             retx_in_flight: false,
             retx_count: 0,
         });
-        self.snd_nxt += 1;
-        self.pending.push_back(syn);
-        self.arm_rto(now);
+        self.snd_nxt += len;
     }
 
     /// Feed an arriving segment.
@@ -340,7 +542,7 @@ impl Connection {
                 }
                 if seg.has_payload() {
                     // The handshake ACK can carry data.
-                    self.on_data(now, seg);
+                    self.on_data(seg);
                 }
             }
             State::Established | State::FinWait => {
@@ -348,9 +550,11 @@ impl Connection {
                     self.process_ack(now, seg);
                 }
                 if seg.has_payload() || seg.flags.fin {
-                    self.on_data(now, seg);
+                    self.on_data(seg);
                 }
-                self.maybe_finish();
+                if self.state == State::FinWait && self.fin_acked && self.rtx.is_empty() {
+                    self.state = State::Done;
+                }
             }
             State::Done => {
                 // TIME-WAIT duty: a retransmitted FIN means the peer
@@ -359,7 +563,7 @@ impl Connection {
                 // until its retransmission limit — a silent stall from
                 // the application's point of view.
                 if seg.flags.fin && self.rx.is_some() {
-                    self.queue_ack(now, false);
+                    self.queue_ack(false);
                 }
             }
         }
@@ -378,27 +582,15 @@ impl Connection {
         if self.cfg.ecn && seg.flags.ece && seg.flags.cwr {
             sa.flags.ece = true; // accept ECN setup
         }
-        self.rtx.push(TxSeg {
-            seq: self.snd_nxt,
-            len: 1,
-            is_syn: true,
-            is_fin: false,
-            tdn: TdnId::ZERO,
-            tx_time: now,
-            first_tx: now,
-            sacked: false,
-            lost: false,
-            retx_in_flight: false,
-            retx_count: 0,
-        });
-        self.snd_nxt += 1;
+        self.track(1, true, false, TdnId::ZERO, now);
         self.pending.push_back(sa);
         self.state = State::SynRcvd;
         self.arm_rto(now);
     }
 
     fn on_syn_ack(&mut self, now: SimTime, seg: &Segment) {
-        self.rx = Some(Reassembler::new(seg.seq + 1, self.cfg.recv_buf));
+        let rcv_nxt = seg.seq + 1;
+        self.rx = Some(Reassembler::new(rcv_nxt, self.cfg.recv_buf));
         self.peer_wnd = seg.wnd;
         self.process_ack(now, seg);
         self.state = State::Established;
@@ -406,14 +598,14 @@ impl Connection {
         // Complete the handshake with a bare ACK.
         let mut ack = Segment::new(self.flow, self.data_dir);
         ack.seq = self.snd_nxt;
-        ack.ack = self.rx.as_ref().expect("created above").rcv_nxt();
+        ack.ack = rcv_nxt;
         ack.flags.ack = true;
         ack.wnd = self.cfg.recv_buf;
         self.pending.push_back(ack);
         self.stats.acks_sent += 1;
     }
 
-    fn on_data(&mut self, now: SimTime, seg: &Segment) {
+    fn on_data(&mut self, seg: &Segment) {
         let Some(rx) = self.rx.as_mut() else { return };
         if seg.has_payload() {
             let outcome = rx.on_data(seg.seq, seg.len);
@@ -430,23 +622,20 @@ impl Connection {
             self.peer_fin = Some(seg.seq + (seg.seq_space() - 1));
         }
         // Consume the FIN octet once all data before it has arrived.
-        if let Some(fin) = self.peer_fin {
-            let rx = self.rx.as_mut().expect("checked above");
-            if rx.rcv_nxt() == fin {
-                rx.advance(1);
-                self.peer_fin = None;
-                if self.state == State::Established && self.cfg.bytes_to_send == 0 {
-                    self.state = State::Done;
-                }
+        if self.peer_fin == Some(rx.rcv_nxt()) {
+            rx.advance(1);
+            self.peer_fin = None;
+            if self.state == State::Established && self.cfg.bytes_to_send == 0 {
+                self.state = State::Done;
             }
         }
         let ece = self.cfg.ecn && self.dctcp_rx.on_data(seg.seq, seg.ecn == Ecn::Ce);
         self.echo_circuit = seg.circuit_mark;
-        self.queue_ack(now, ece);
+        self.queue_ack(ece);
     }
 
     /// Queue a pure ACK reflecting current receive state.
-    fn queue_ack(&mut self, _now: SimTime, ece: bool) {
+    fn queue_ack(&mut self, ece: bool) {
         let rx = self.rx.as_ref().expect("established");
         let mut ack = Segment::new(self.flow, self.data_dir);
         ack.seq = self.snd_nxt;
@@ -461,13 +650,12 @@ impl Connection {
     }
 
     // ------------------------------------------------------------------
-    // ACK processing / loss detection
+    // ACK processing / loss detection (§4.3 semantics throughout)
     // ------------------------------------------------------------------
 
     fn process_ack(&mut self, now: SimTime, seg: &Segment) {
-        let before_counts = self.rtx.counts();
-        // §4.3 "all TDNs": an ACK with nothing outstanding is stale.
-        if before_counts.packets_out == 0 && seg.ack == self.snd_una && seg.sack.is_empty() {
+        // "All TDNs": an ACK with nothing outstanding on any path is stale.
+        if self.rtx.is_empty() && seg.ack == self.snd_una && seg.sack.is_empty() {
             // Still a window update: a zero-window receiver reopening
             // its window sends exactly this "stale" ACK shape, and it
             // must cancel (or re-pace) the persist timer.
@@ -479,81 +667,107 @@ impl Connection {
             return; // acks data never sent; drop
         }
 
-        let old_una = self.snd_una;
+        let progress = seg.ack.after(self.snd_una);
         let res = self.rtx.cum_ack(seg.ack);
-        if seg.ack.after(self.snd_una) {
+        if progress {
             self.snd_una = seg.ack;
         }
 
-        // RTT sampling: newest cumulatively acked, never-retransmitted
-        // segment (Karn). Subclass behaviour (TDTCP) filters further.
-        if let Some(sample_seg) = res
-            .acked
-            .iter()
-            .rev()
-            .find(|s| !s.ever_retransmitted())
-        {
-            self.rtt.on_sample_between(sample_seg.tx_time, now);
-        }
-
-        let mut acked_payload: u32 = res.acked.iter().map(seg_payload).sum();
-        if seg.ack.after(old_una) && res.acked.is_empty() && res.acked_space > 0 {
-            acked_payload = res.acked_space; // partial trim
-        }
-        self.stats.bytes_acked += u64::from(acked_payload);
-        if res.acked.iter().any(|s| s.is_fin) {
-            self.fin_sent = true; // FIN acknowledged
-        }
-
-        // SACK processing.
-        let newly_sacked = self.rtx.mark_sacked(seg.sack.iter());
-
-        // Duplicate-ACK bookkeeping.
-        let progress = seg.ack.after(old_una);
-        if !progress && !self.rtx.is_empty() && (seg.has_payload() || !newly_sacked.is_empty() || seg.sack.is_empty()) {
-            self.dupacks += 1;
-        } else if progress {
-            self.dupacks = 0;
-        }
-
-        // Reordering / loss detection.
-        self.detect_losses(now, seg, &newly_sacked);
-
-        // Recovery exit.
-        if let Some(rp) = self.recovery_point {
-            if self.snd_una.after_eq(rp) {
-                self.recovery_point = None;
-                self.ca = CaState::Open;
-                self.dupacks = 0;
-                self.rto_backoff = 0;
-                self.cc.on_exit_recovery(now);
+        // One pass over the acknowledged segments, newest first.
+        //
+        // "Specific TDN" crediting: acknowledged bytes go to the path each
+        // segment was sent on.
+        //
+        // RTT sampling (§4.4): the newest never-retransmitted segment
+        // (Karn) of each path yields that path one sample — but only when
+        // the ACK returned on the same path; a sample whose data and ACK
+        // crossed paths (type-3) is discarded. An untagged ACK (`ack_tdn`
+        // absent: plain TCP, or a downgraded peer) is accepted.
+        let ack_path = seg.ack_tdn.map(|t| self.path_index(t));
+        let mut sampled = [0u64; TdnId::MAX_TDNS / 64];
+        let mut acked_payload = 0u32;
+        for s in res.acked.iter().rev() {
+            let idx = self.path_index(s.tdn);
+            let payload = seg_payload(s);
+            acked_payload += payload;
+            self.paths[idx].credit += payload;
+            self.fin_acked |= s.is_fin;
+            let (word, bit) = (idx / 64, 1u64 << (idx % 64));
+            if s.ever_retransmitted() || sampled[word] & bit != 0 {
+                continue;
+            }
+            if ack_path.is_some_and(|a| a != idx) {
+                self.stats.cross_tdn_rtt_discards += 1;
+            } else {
+                self.paths[idx].rtt.on_sample_between(s.tx_time, now);
+                sampled[word] |= bit;
             }
         }
-        if self.ca == CaState::Disorder && self.rtx.all_sacked() {
-            self.ca = CaState::Open;
+        if progress && res.acked.is_empty() && res.acked_space > 0 {
+            // Partial trim of the head segment.
+            acked_payload = res.acked_space;
+            self.paths[self.cur].credit += res.acked_space;
+        }
+        self.stats.bytes_acked += u64::from(acked_payload);
+
+        // SACK processing and duplicate-ACK bookkeeping.
+        let newly_sacked = self.rtx.mark_sacked(seg.sack.iter());
+        if progress {
+            self.dupacks = 0;
+        } else if !self.rtx.is_empty()
+            && (seg.has_payload() || !newly_sacked.is_empty() || seg.sack.is_empty())
+        {
+            self.dupacks += 1;
         }
 
-        // Congestion control.
+        self.detect_losses(now, seg, &newly_sacked);
+
+        // Per-path recovery exit: a path leaves Recovery/Loss once
+        // snd_una passes its recovery point (Fig. 4's independent
+        // machines); Disorder ends when nothing is left out (Linux
+        // `tcp_try_keep_open`).
+        let all_sacked = self.rtx.all_sacked();
+        for p in self.paths.iter_mut() {
+            if p.recovery_point.is_some_and(|rp| self.snd_una.after_eq(rp)) {
+                p.recovery_point = None;
+                p.ca = CaState::Open;
+                p.cc.on_exit_recovery(now);
+            }
+            if all_sacked && p.ca == CaState::Disorder {
+                p.ca = CaState::Open;
+            }
+        }
+
+        // Congestion control: each path's CCA sees only the bytes
+        // acknowledged for data it carried, against its own pipe.
         if seg.flags.ece {
             self.stats.ece_received += 1;
         }
-        let ev = AckEvent {
-            now,
-            bytes_acked: acked_payload,
-            packets_acked: res.acked.len() as u32 + newly_sacked.len() as u32,
-            rtt_sample: self.rtt.latest(),
-            srtt: self.rtt.srtt(),
-            flight_size: self.flight_bytes(),
-            in_recovery: self.ca.in_recovery(),
-            ecn_bytes: if seg.flags.ece { acked_payload } else { 0 },
-        };
-        self.cc.on_ack(&ev);
+        for idx in 0..self.paths.len() {
+            let bytes = std::mem::take(&mut self.paths[idx].credit);
+            if bytes == 0 {
+                continue;
+            }
+            let flight_size = self.path_pipe_bytes(idx);
+            let p = &mut self.paths[idx];
+            p.cc.on_ack(&AckEvent {
+                now,
+                bytes_acked: bytes,
+                rtt_sample: p.rtt.latest(),
+                srtt: p.rtt.srtt(),
+                flight_size,
+                in_recovery: p.ca.in_recovery(),
+                ecn_bytes: if seg.flags.ece { bytes } else { 0 },
+            });
+        }
         // reTCP: the echoed circuit mark drives explicit window scaling.
-        self.cc.on_circuit_signal(now, seg.circuit_mark);
+        self.paths[self.cur]
+            .cc
+            .on_circuit_signal(now, seg.circuit_mark);
 
         self.peer_wnd = seg.wnd;
 
-        // Timers: progress re-arms RTO; emptiness disarms.
+        // Timers: new information re-arms the RTO; emptiness disarms.
         if self.rtx.is_empty() {
             self.rto_deadline = None;
             self.tlp_deadline = None;
@@ -566,10 +780,11 @@ impl Connection {
         self.maybe_arm_persist(now);
     }
 
-    /// Loss detection: classic dupACK threshold + RACK-style time filter.
-    /// The TDTCP subclass replaces the marking predicate with the
-    /// TDN-aware relaxed heuristic; here every hole candidate qualifies.
-    fn detect_losses(&mut self, now: SimTime, _seg: &Segment, newly_sacked: &[TxSeg]) {
+    /// Loss detection: dupACK / SACK threshold, then RACK-style time
+    /// filtering with the §3.4 relaxation — a hole sent on another path
+    /// than the one that triggered detection is reordering across a path
+    /// change, not loss, until it is old enough to be a true tail loss.
+    fn detect_losses(&mut self, now: SimTime, seg: &Segment, newly_sacked: &[TxSeg]) {
         let Some(high_sacked) = self.rtx.highest_sacked() else {
             return;
         };
@@ -585,55 +800,84 @@ impl Connection {
             return;
         }
         // A "reordering event" is a fresh detection: the first hole
-        // evidence while the machine was still Open.
-        if !newly_sacked.is_empty() && self.ca == CaState::Open {
+        // evidence while the current path's machine was still Open.
+        let cur = self.cur;
+        if !newly_sacked.is_empty() && self.paths[cur].ca == CaState::Open {
             self.stats.reorder_events += 1;
         }
 
-        let thresh_hit = self.dupacks >= self.cfg.dupack_thresh
-            || self.rtx.sacked_above(self.snd_una) >= self.cfg.dupack_thresh;
-        if !thresh_hit {
-            if self.ca == CaState::Open {
-                self.ca = CaState::Disorder;
+        let thresh = self.cfg.dupack_thresh;
+        if self.dupacks < thresh && self.rtx.sacked_above(self.snd_una) < thresh {
+            if self.paths[cur].ca == CaState::Open {
+                self.paths[cur].ca = CaState::Disorder;
             }
             return;
         }
 
-        // Entering (or continuing) recovery: mark losses.
-        let rack_cutoff = if self.cfg.rack {
-            let reo_wnd = self
-                .rtt
-                .min_rtt()
-                .map(|m| m / 4)
-                .unwrap_or(SimDuration::ZERO);
-            self.rtx
-                .newest_sacked_tx_time()
-                .map(|t| t - reo_wnd)
-        } else {
-            None
+        // The path that triggered the heuristic: the one the ACK rode,
+        // or the newest sacked segment's when the ACK is untagged.
+        let trigger = seg
+            .ack_tdn
+            .or_else(|| newly_sacked.last().map(|s| s.tdn))
+            .unwrap_or(self.current);
+        let trigger_idx = self.path_index(trigger);
+
+        // Same-path holes: RACK. Intra-path reordering (jitter) is not
+        // loss either; a hole counts as lost once it is older than the
+        // newest SACKed transmission by the reordering window
+        // (min_rtt / 4).
+        let reo_wnd = self.paths[trigger_idx]
+            .rtt
+            .min_rtt()
+            .map_or(SimDuration::ZERO, |m| m / 4);
+        let rack_cutoff = self.rtx.newest_sacked_tx_time().map(|t| t - reo_wnd);
+        // Cross-path holes (there are none with one path, with the paths
+        // collapsed, or with the relaxation ablated): only when old
+        // enough that delayed delivery is no longer plausible — the
+        // RACK-TLP fallback for true tail losses of a previous path
+        // (§3.4).
+        let last = self.last_path;
+        let relaxed = self.relaxed_reordering && last > 0;
+        let tail_cutoff = match self.slowest_srtt() {
+            Some(slow) if relaxed => now - slow.mul_f64(1.25),
+            _ => SimTime::ZERO,
         };
-        let marked = self.rtx.mark_lost_below(high_sacked, |s| match rack_cutoff {
-            Some(cutoff) => s.tx_time <= cutoff,
-            None => true,
+        let same_path = |s: &TxSeg| !relaxed || s.tdn.index().min(last) == trigger_idx;
+        let mut skipped = 0u64;
+        let marked = self.rtx.mark_lost_below(high_sacked, |s| {
+            if same_path(s) {
+                rack_cutoff.is_none_or(|cutoff| s.tx_time <= cutoff)
+            } else if s.tx_time <= tail_cutoff {
+                true
+            } else {
+                skipped += 1;
+                false
+            }
         });
+        self.stats.relaxed_skips += skipped;
         self.stats.reorder_marked_pkts += marked.len() as u64;
 
-        // A retransmission older than the RACK window that is still
-        // unacknowledged was itself lost: release it for another try.
-        if let Some(cutoff) = rack_cutoff {
-            self.rtx.refresh_stale_retx(cutoff, |_| true);
-        }
+        // A retransmission that old and still unacknowledged was itself
+        // lost: release it for another try, under the same two rules
+        // (it carries the tag of the path that last carried it).
+        self.rtx
+            .refresh_stale_retx(rack_cutoff.unwrap_or(SimTime::ZERO), |s| {
+                same_path(s) || s.tx_time <= tail_cutoff
+            });
 
-        if !marked.is_empty() && !self.ca.in_recovery() {
-            self.enter_recovery(now);
+        // Paths with marked (to-be-retransmitted) segments enter Recovery
+        // (Fig. 4); the others stay Open and keep sending at full speed.
+        for s in &marked {
+            let idx = self.path_index(s.tdn);
+            if !self.paths[idx].in_recovery() {
+                let flight = self.path_pipe_bytes(idx);
+                let p = &mut self.paths[idx];
+                p.ca = CaState::Recovery;
+                p.recovery_point = Some(self.snd_nxt);
+                p.cc.on_enter_recovery(now, flight);
+                self.stats.fast_recoveries += 1;
+            }
         }
-    }
-
-    fn enter_recovery(&mut self, now: SimTime) {
-        self.ca = CaState::Recovery;
-        self.recovery_point = Some(self.snd_nxt);
-        self.stats.fast_recoveries += 1;
-        self.cc.on_enter_recovery(now, self.flight_bytes());
     }
 
     // ------------------------------------------------------------------
@@ -641,11 +885,15 @@ impl Connection {
     // ------------------------------------------------------------------
 
     fn arm_rto(&mut self, now: SimTime) {
-        // The shift cap bounds the arithmetic; `max_retries` (checked in
-        // `fire_rto`) bounds the *retrying* — a blackholed flow aborts
-        // with `ConnError` before the cap ever plateaus the backoff.
+        // The timer covers the oldest outstanding segment, with the
+        // timeout of the path that carried it. The shift cap bounds the
+        // arithmetic; `max_retries` (checked in `fire_rto`) bounds the
+        // *retrying* — a blackholed flow aborts with `ConnError` before
+        // the cap ever plateaus the backoff.
+        let tdn = self.rtx.front().map_or(self.current, |s| s.tdn);
         let backoff = 1u64 << self.rto_backoff.min(12);
-        self.rto_deadline = Some(now + self.rtt.rto().saturating_mul(backoff));
+        let rto = self.rto_for(self.path_index(tdn));
+        self.rto_deadline = Some(now + rto.saturating_mul(backoff));
         self.rto_armed_at = now;
     }
 
@@ -666,8 +914,7 @@ impl Connection {
             if self.persist_deadline.is_none() {
                 let backoff = 1u64 << self.persist_backoff.min(12);
                 let delay = self
-                    .rtt
-                    .rto()
+                    .rto_for(self.cur)
                     .saturating_mul(backoff)
                     .min(self.cfg.rtt.max_rto);
                 self.persist_deadline = Some(now + delay);
@@ -681,9 +928,11 @@ impl Connection {
     }
 
     /// The persist timer fired: transmit a one-byte window probe from the
-    /// unsent stream (RFC 9293 §3.8.6.1). The byte is real data — it goes
-    /// on the rtx queue and is cumulatively acknowledged like any other —
-    /// so a reopening window resumes exactly in sequence.
+    /// unsent stream (RFC 9293 §3.8.6.1), on the current path. The byte
+    /// is real data — it goes on the rtx queue and is cumulatively
+    /// acknowledged like any other — so a reopening window resumes
+    /// exactly in sequence. The timer is re-armed, with backoff, if the
+    /// probe's ACK still says zero.
     fn fire_persist(&mut self, now: SimTime) {
         if !self.needs_persist() {
             return;
@@ -696,38 +945,13 @@ impl Connection {
         }
         self.stats.persist_probes += 1;
         self.persist_backoff += 1;
-        let mut seg = Segment::new(self.flow, self.data_dir);
-        seg.seq = self.snd_nxt;
-        seg.len = 1;
-        seg.flags.psh = true;
-        seg.flags.ack = self.rx.is_some();
-        seg.ack = self
-            .rx
-            .as_ref()
-            .map(|r| r.rcv_nxt())
-            .unwrap_or(SeqNum::ZERO);
-        self.finalize_data_segment(&mut seg);
-        self.rtx.push(TxSeg {
-            seq: self.snd_nxt,
-            len: 1,
-            is_syn: false,
-            is_fin: false,
-            tdn: self.current_tdn(),
-            tx_time: now,
-            first_tx: now,
-            sacked: false,
-            lost: false,
-            retx_in_flight: false,
-            retx_count: 0,
-        });
-        self.snd_nxt += 1;
+        let seg = self.data_segment(self.snd_nxt, 1, false, false);
+        self.track(1, false, false, self.current, now);
         self.bytes_unsent -= 1;
         self.stats.bytes_sent += 1;
         self.stats.segs_sent += 1;
         self.pending.push_back(seg);
         self.arm_rto(now);
-        // Re-arm with backoff in case the probe's ACK still says zero.
-        self.persist_deadline = None;
     }
 
     /// Abort with a terminal error: surface it, stop all timers, and
@@ -746,9 +970,10 @@ impl Connection {
         if !self.cfg.tlp {
             return;
         }
-        let pto = match self.rtt.srtt() {
-            Some(srtt) => srtt.saturating_mul(2),
-            None => self.rtt.rto() / 2,
+        let pto = match self.cur().rtt.srtt() {
+            // 2·srtt, pessimistically stretched towards the slowest path.
+            Some(srtt) => srtt + self.slowest_srtt().unwrap_or(srtt),
+            None => self.rto_for(self.cur) / 2,
         };
         let deadline = now + pto;
         // TLP must fire before the RTO or it is useless.
@@ -759,42 +984,33 @@ impl Connection {
 
     /// The earliest pending timer, if any.
     pub fn next_timer(&self) -> Option<SimTime> {
-        let mut t = None;
-        for cand in [self.rto_deadline, self.tlp_deadline, self.persist_deadline] {
-            t = match (t, cand) {
-                (None, c) => c,
-                (Some(a), Some(b)) if b < a => Some(b),
-                (a, _) => a,
-            };
-        }
-        if self.cfg.pacing && self.can_send_data() && self.next_paced_at > SimTime::ZERO {
-            t = match t {
-                None => Some(self.next_paced_at),
-                Some(a) if self.next_paced_at < a => Some(self.next_paced_at),
-                a => a,
-            };
-        }
-        t
+        // A pacing wake-up only matters while there is something to send.
+        let paced = (self.cfg.pacing
+            && self.next_paced_at > SimTime::ZERO
+            && (self.bytes_unsent > 0 || self.rtx.has_retransmit()))
+        .then_some(self.next_paced_at);
+        let timers = [
+            self.rto_deadline,
+            self.tlp_deadline,
+            self.persist_deadline,
+            self.hold_until,
+            paced,
+        ];
+        timers.into_iter().flatten().min()
     }
 
     /// Fire any expired timers.
     pub fn handle_timer(&mut self, now: SimTime) {
-        if let Some(tlp) = self.tlp_deadline {
-            if tlp <= now {
-                self.tlp_deadline = None;
-                self.fire_tlp(now);
-            }
+        if self.tlp_deadline.is_some_and(|tlp| tlp <= now) {
+            self.tlp_deadline = None;
+            self.fire_tlp(now);
         }
-        if let Some(rto) = self.rto_deadline {
-            if rto <= now {
-                self.fire_rto(now);
-            }
+        if self.rto_deadline.is_some_and(|rto| rto <= now) {
+            self.fire_rto(now);
         }
-        if let Some(p) = self.persist_deadline {
-            if p <= now {
-                self.persist_deadline = None;
-                self.fire_persist(now);
-            }
+        if self.persist_deadline.is_some_and(|p| p <= now) {
+            self.persist_deadline = None;
+            self.fire_persist(now);
         }
     }
 
@@ -803,23 +1019,14 @@ impl Connection {
             return;
         }
         self.stats.tlps += 1;
-        let flow = self.flow;
-        let dir = self.data_dir;
-        // Probe: retransmit the highest unsacked segment.
-        if let Some(mut out) = self.rtx.with_last_unsacked(|seg| {
-            let out = Self::segment_from_txseg(flow, dir, seg);
-            seg.tx_time = now;
-            seg.retx_count += 1;
-            seg.retx_in_flight = true;
-            out
-        }) {
-            out.ack = self
-                .rx
-                .as_ref()
-                .map(|r| r.rcv_nxt())
-                .unwrap_or(SeqNum::ZERO);
-            out.flags.ack = self.rx.is_some();
-            self.finalize_data_segment(&mut out);
+        // Probe: retransmit the highest unsacked segment, on the current
+        // path.
+        let tdn = self.current;
+        if let Some(s) = self
+            .rtx
+            .with_last_unsacked(|s| mark_retransmitted(s, now, tdn))
+        {
+            let out = self.data_segment(s.seq, seg_payload(&s), s.is_syn, s.is_fin);
             self.stats.retransmits += 1;
             self.stats.segs_sent += 1;
             self.pending.push_back(out);
@@ -828,10 +1035,10 @@ impl Connection {
     }
 
     fn fire_rto(&mut self, now: SimTime) {
-        if self.rtx.is_empty() {
+        let Some(head) = self.rtx.front().copied() else {
             self.rto_deadline = None;
             return;
-        }
+        };
         if self.rto_backoff >= self.cfg.max_retries {
             self.abort(ConnError::RetransmitLimit {
                 retries: self.rto_backoff,
@@ -845,7 +1052,7 @@ impl Connection {
         // `mark_all_lost` re-marks the reneged ranges; without this the
         // sacked head is never eligible for retransmission and the
         // connection RTO-spins to a wrongful abort.
-        if self.rtx.front().is_some_and(|s| s.sacked) {
+        if head.sacked {
             let n = self.rtx.clear_sack_marks();
             self.stats.sack_reneges += u64::from(n);
         }
@@ -857,11 +1064,16 @@ impl Connection {
             self.stats.rto_stalls += 1;
         }
         self.stats.stall_ns += now.saturating_since(self.rto_armed_at).as_nanos();
-        self.ca = CaState::Loss;
-        self.recovery_point = Some(self.snd_nxt);
+        // Only the path that carried the timed-out (oldest) segment
+        // collapses; the other paths' models are not to blame and stay
+        // intact (§3.1's isolation of per-path state).
+        let victim = self.path_index(head.tdn);
+        let p = &mut self.paths[victim];
+        p.ca = CaState::Loss;
+        p.recovery_point = Some(self.snd_nxt);
+        p.cc.on_rto(now);
         self.dupacks = 0;
         self.rtx.mark_all_lost();
-        self.cc.on_rto(now);
         self.rto_backoff += 1;
         self.arm_rto(now);
         self.tlp_deadline = None;
@@ -871,77 +1083,69 @@ impl Connection {
     // output path
     // ------------------------------------------------------------------
 
-    fn can_send_data(&self) -> bool {
-        matches!(self.state, State::Established)
-            && (self.bytes_unsent > 0 || (!self.fin_is_queued() && self.cfg.bytes_to_send > 0))
-    }
-
-    fn fin_is_queued(&self) -> bool {
-        self.fin_sent || self.rtx.has_fin()
-    }
-
-    /// Hook: the TDN to tag (re)transmissions with. Single-path TCP has no
-    /// notion of TDNs; everything is accounted to TDN 0.
-    fn current_tdn(&self) -> TdnId {
-        TdnId::ZERO
-    }
-
-    fn segment_from_txseg(flow: FlowId, dir: Direction, s: &TxSeg) -> Segment {
-        let mut seg = Segment::new(flow, dir);
-        seg.seq = s.seq;
-        seg.len = s.len - u32::from(s.is_syn) - u32::from(s.is_fin);
-        seg.flags.syn = s.is_syn;
-        seg.flags.fin = s.is_fin;
-        seg.flags.psh = seg.len > 0;
-        seg
-    }
-
-    fn finalize_data_segment(&self, seg: &mut Segment) {
-        if self.cfg.ecn && seg.len > 0 {
+    /// A segment occupying sequence space (data, FIN, window probe, or a
+    /// retransmission of any of those or of a SYN), piggybacking the
+    /// current receive state.
+    fn data_segment(&self, seq: SeqNum, len: u32, syn: bool, fin: bool) -> Segment {
+        let mut seg = Segment::new(self.flow, self.data_dir);
+        seg.seq = seq;
+        seg.len = len;
+        seg.flags.syn = syn;
+        seg.flags.fin = fin;
+        seg.flags.psh = len > 0;
+        seg.wnd = self.cfg.recv_buf;
+        if let Some(rx) = self.rx.as_ref() {
+            seg.flags.ack = true;
+            seg.ack = rx.rcv_nxt();
+            seg.wnd = rx.window();
+        }
+        if self.cfg.ecn && len > 0 {
             seg.ecn = Ecn::Ect0;
         }
-        if let Some(rx) = self.rx.as_ref() {
-            seg.wnd = rx.window();
-        } else {
-            seg.wnd = self.cfg.recv_buf;
-        }
         seg.stamp_payload();
+        seg
     }
 
     /// Produce the next segment to transmit, or `None` when flow- or
     /// congestion-control forbids sending.
     pub fn poll_send(&mut self, now: SimTime) -> Option<Segment> {
-        // Control/ACK segments bypass cwnd.
+        // Control/ACK segments bypass every gate.
         if let Some(seg) = self.pending.pop_front() {
             return Some(seg);
+        }
+        // Hold before pacing: while held, the hold — not the pacer — is
+        // the binding constraint, so disarm the pacing wake-up (stamped
+        // fresh on the next real send) or `next_timer` would advertise a
+        // stale past release and spin the driver at one instant.
+        if let Some(until) = self.hold_until {
+            if now < until {
+                self.next_paced_at = SimTime::ZERO;
+                return None;
+            }
+            self.hold_until = None;
         }
         if self.cfg.pacing && now < self.next_paced_at {
             return None;
         }
 
-        // Retransmissions take priority (Linux behaviour; also TDTCP's
-        // "any TDN" rule — lost segments go out at the first opportunity).
-        let cwnd = self.cc.cwnd();
-        let pipe_bytes = self.flight_bytes();
-        if pipe_bytes < cwnd || self.ca == CaState::Loss {
-            let tdn = self.current_tdn();
-            let flow = self.flow;
-            let dir = self.data_dir;
-            if let Some(mut out) = self.rtx.with_next_retransmit(|s| {
-                let out = Self::segment_from_txseg(flow, dir, s);
-                s.tx_time = now;
-                s.tdn = tdn;
-                s.retx_count += 1;
-                s.retx_in_flight = true;
-                out
-            }) {
-                out.ack = self
-                    .rx
-                    .as_ref()
-                    .map(|r| r.rcv_nxt())
-                    .unwrap_or(SeqNum::ZERO);
-                out.flags.ack = self.rx.is_some();
-                self.finalize_data_segment(&mut out);
+        // Gate on the *current path's* window against the *current
+        // path's* pipe — the swap that gives TDTCP a wide-open window
+        // with near-zero inflight right after a switch (§5.2's initial
+        // burst).
+        let cwnd = self.cwnd();
+        let pipe = self.path_pipe_bytes(self.cur);
+
+        // Retransmissions first (Linux behaviour; §4.3's "any TDN" rule):
+        // lost segments go out at the first opportunity whatever path
+        // they were first sent on — in RTO recovery even past a full
+        // window — re-tagged with the path that now carries them.
+        if pipe < cwnd || self.paths.iter().any(|p| p.ca == CaState::Loss) {
+            let tdn = self.current;
+            if let Some(s) = self
+                .rtx
+                .with_next_retransmit(|s| mark_retransmitted(s, now, tdn))
+            {
+                let out = self.data_segment(s.seq, seg_payload(&s), s.is_syn, s.is_fin);
                 self.stats.retransmits += 1;
                 self.stats.segs_sent += 1;
                 self.after_transmit(now, &out);
@@ -949,85 +1153,40 @@ impl Connection {
             }
         }
 
-        // New data.
-        if self.state == State::Established && pipe_bytes < cwnd {
+        if self.state == State::Established && pipe < cwnd {
+            // New data.
             let inflight_seq = self.snd_nxt - self.snd_una;
             if self.bytes_unsent > 0 && inflight_seq < self.peer_wnd {
-                let len = (self.cfg.mss as u64)
+                let len = u64::from(self.cfg.mss)
                     .min(self.bytes_unsent)
-                    .min(u64::from(self.peer_wnd - inflight_seq))
-                    as u32;
-                if len > 0 {
-                    let mut seg = Segment::new(self.flow, self.data_dir);
-                    seg.seq = self.snd_nxt;
-                    seg.len = len;
-                    seg.flags.psh = true;
-                    seg.flags.ack = self.rx.is_some();
-                    seg.ack = self
-                        .rx
-                        .as_ref()
-                        .map(|r| r.rcv_nxt())
-                        .unwrap_or(SeqNum::ZERO);
-                    self.finalize_data_segment(&mut seg);
-                    self.rtx.push(TxSeg {
-                        seq: self.snd_nxt,
-                        len,
-                        is_syn: false,
-                        is_fin: false,
-                        tdn: self.current_tdn(),
-                        tx_time: now,
-                        first_tx: now,
-                        sacked: false,
-                        lost: false,
-                        retx_in_flight: false,
-                        retx_count: 0,
-                    });
-                    self.snd_nxt += len;
-                    self.bytes_unsent -= u64::from(len);
-                    self.stats.bytes_sent += u64::from(len);
-                    self.stats.segs_sent += 1;
-                    self.after_transmit(now, &seg);
-                    return Some(seg);
-                }
+                    .min(u64::from(self.peer_wnd - inflight_seq)) as u32;
+                let seg = self.data_segment(self.snd_nxt, len, false, false);
+                self.track(len, false, false, self.current, now);
+                self.bytes_unsent -= u64::from(len);
+                self.stats.bytes_sent += u64::from(len);
+                self.stats.segs_sent += 1;
+                self.after_transmit(now, &seg);
+                return Some(seg);
             }
             // FIN once everything is sent.
             if self.bytes_unsent == 0
                 && self.cfg.bytes_to_send > 0
-                && !self.fin_is_queued()
-                && self.snd_nxt == self.rtx.back().map_or(self.snd_nxt, |s| s.end())
+                && !(self.fin_acked || self.rtx.has_fin())
             {
-                let mut fin = Segment::new(self.flow, self.data_dir);
-                fin.seq = self.snd_nxt;
-                fin.flags.fin = true;
-                fin.flags.ack = self.rx.is_some();
-                fin.ack = self
-                    .rx
-                    .as_ref()
-                    .map(|r| r.rcv_nxt())
-                    .unwrap_or(SeqNum::ZERO);
-                self.finalize_data_segment(&mut fin);
-                self.rtx.push(TxSeg {
-                    seq: self.snd_nxt,
-                    len: 1,
-                    is_syn: false,
-                    is_fin: true,
-                    tdn: self.current_tdn(),
-                    tx_time: now,
-                    first_tx: now,
-                    sacked: false,
-                    lost: false,
-                    retx_in_flight: false,
-                    retx_count: 0,
-                });
-                self.snd_nxt += 1;
+                let fin = self.data_segment(self.snd_nxt, 0, false, true);
+                self.track(1, false, true, self.current, now);
                 self.state = State::FinWait;
                 self.arm_rto(now);
                 return Some(fin);
             }
         }
-        // Nothing sendable: if that is because the peer's window is
-        // closed with nothing outstanding, arm the persist timer (this
-        // runs after every event, so the stall is always noticed).
+        // Nothing sendable for a non-pacing reason (cwnd/rwnd-blocked or
+        // no data): disarm the pacing wake-up so `next_timer` cannot
+        // advertise a release that has no work; an arriving ACK re-opens
+        // the window and restarts pacing. A zero-window block instead
+        // arms the persist timer — the driver polls after every event,
+        // so the stall is always noticed.
+        self.next_paced_at = SimTime::ZERO;
         self.maybe_arm_persist(now);
         None
     }
@@ -1038,24 +1197,34 @@ impl Connection {
         }
         self.arm_tlp(now);
         if self.cfg.pacing {
-            if let Some(srtt) = self.rtt.srtt() {
-                let cwnd = self.cc.cwnd().max(1);
-                // Release the next segment after size/(cwnd/srtt).
-                let gap = srtt.mul_f64(f64::from(seg.wire_size()) / f64::from(cwnd));
-                self.next_paced_at = now + gap;
-            }
-        }
-    }
-
-    fn maybe_finish(&mut self) {
-        if self.state == State::FinWait && self.fin_sent && self.rtx.is_empty() {
-            self.state = State::Done;
+            // The next data segment may leave one serialization interval
+            // of the paced rate cwnd/rtt later. Pace against the path's
+            // *minimum* RTT, not srtt: ACKs generated at the tail of a
+            // day are stranded through the night and arrive during other
+            // TDNs' days still tagged with their own TDN, so a path's
+            // srtt is inflated by schedule artifacts that say nothing
+            // about its real capacity. min_rtt is immune.
+            let rtt = self.cur().rtt.min_rtt().or(self.cur().rtt.srtt());
+            let rtt = rtt.unwrap_or(SimDuration::from_micros(50));
+            let cwnd = self.cwnd().max(self.cfg.mss);
+            let gap = rtt.mul_f64(f64::from(seg.wire_size()) / f64::from(cwnd));
+            self.next_paced_at = now + gap;
         }
     }
 }
 
 fn seg_payload(s: &TxSeg) -> u32 {
     s.len - u32::from(s.is_syn) - u32::from(s.is_fin)
+}
+
+/// Record a retransmission of `s` at `now` on the path tagged `tdn`;
+/// returns a copy for building the wire segment.
+fn mark_retransmitted(s: &mut TxSeg, now: SimTime, tdn: TdnId) -> TxSeg {
+    s.tx_time = now;
+    s.tdn = tdn;
+    s.retx_count += 1;
+    s.retx_in_flight = true;
+    *s
 }
 
 impl std::fmt::Debug for Connection {
@@ -1065,8 +1234,8 @@ impl std::fmt::Debug for Connection {
             .field("state", &self.state)
             .field("snd_una", &self.snd_una)
             .field("snd_nxt", &self.snd_nxt)
-            .field("cwnd", &self.cc.cwnd())
-            .field("ca", &self.ca)
+            .field("current", &self.current)
+            .field("paths", &self.paths)
             .finish()
     }
 }
@@ -1105,10 +1274,10 @@ impl Transport for Connection {
     }
 
     fn variant(&self) -> &'static str {
-        self.cc.name()
+        self.paths[0].cc.name()
     }
 
     fn cwnd_report(&self) -> Vec<u32> {
-        vec![self.cc.cwnd()]
+        self.paths.iter().map(|p| p.cc.cwnd()).collect()
     }
 }

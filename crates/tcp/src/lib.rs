@@ -11,8 +11,12 @@
 //! * receiver reassembly with SACK generation ([`recv::Reassembler`]),
 //! * RTT estimation per RFC 6298 ([`rtt::RttEstimator`]),
 //! * the Linux congestion-avoidance state machine ([`ca::CaState`]),
-//! * RACK-style loss marking and tail-loss probes (in
-//!   [`connection::Connection`]),
+//! * per-path state — CCA, RTT estimator, CA machine ([`path::Path`]) —
+//!   which is exactly what TDTCP duplicates per TDN (§3.1),
+//! * the one connection state machine ([`connection::Connection`]):
+//!   handshake, SACK recovery, RACK-style loss marking, tail-loss probes,
+//!   RTO, persist and pacing over a set of paths — single-path TCP when
+//!   the set has one member, the engine under `tdtcp` when it has more,
 //! * pluggable congestion control ([`cc::CongestionControl`]) with Reno,
 //!   CUBIC, DCTCP and reTCP implementations,
 //! * and the [`Transport`] trait the RDCN emulator drives.
@@ -23,6 +27,7 @@
 pub mod ca;
 pub mod cc;
 pub mod connection;
+pub mod path;
 pub mod recv;
 pub mod rtt;
 pub mod rtx;
@@ -34,6 +39,7 @@ pub mod transport;
 pub use ca::CaState;
 pub use cc::{CcConfig, CongestionControl};
 pub use connection::{Config, Connection, State};
+pub use path::Path;
 pub use segment::{Direction, DssMap, FlowId, SackBlocks, Segment};
 pub use seq::SeqNum;
 pub use stats::ConnStats;

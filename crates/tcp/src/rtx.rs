@@ -509,24 +509,6 @@ impl RtxQueue {
         self.total
     }
 
-    /// Pipe counters summed over the TDNs matching `pred` (per-TDN
-    /// views). O(number of TDNs ever seen), not O(queue length).
-    pub fn counts_tdn<F>(&self, pred: F) -> PipeCounts
-    where
-        F: Fn(TdnId) -> bool,
-    {
-        let mut c = PipeCounts::default();
-        for (i, b) in self.by_tdn.iter().enumerate() {
-            if b.packets_out > 0 && pred(TdnId(i as u8)) {
-                c.packets_out += b.packets_out;
-                c.sacked_out += b.sacked_out;
-                c.lost_out += b.lost_out;
-                c.retrans_out += b.retrans_out;
-            }
-        }
-        c
-    }
-
     /// Pipe counters for one TDN. O(1).
     pub fn counts_for_tdn(&self, tdn: TdnId) -> PipeCounts {
         self.by_tdn.get(tdn.index()).copied().unwrap_or_default()

@@ -227,3 +227,40 @@ fn pacing_spreads_transmissions() {
     // After the gap, sending resumes.
     assert!(Transport::poll_send(&mut a, wake).is_some());
 }
+
+/// A paced connection that stops for a reason other than the pacer —
+/// here a full congestion window — must not leave a pacing wake-up armed:
+/// `next_timer` would name an instant at which `poll_send` has nothing to
+/// release, and a driver that re-arms on whatever `next_timer` says spins
+/// at that instant forever (the two-rack engine did exactly that).
+#[test]
+fn paced_sender_advertises_no_wake_up_without_work() {
+    let mut config = cfg(u64::MAX);
+    config.pacing = true;
+    let mut a = Connection::connect(FlowId(1), config, cc(), t(0));
+    let _syn = a.poll_send(t(0)).unwrap();
+    let mut synack = Segment::new(FlowId(1), Direction::AckPath);
+    synack.flags.syn = true;
+    synack.flags.ack = true;
+    synack.ack = SeqNum(1);
+    synack.wnd = 1 << 20;
+    a.on_segment(t(100), &synack);
+    // Follow the advertised wake-ups, draining at each: every one must
+    // lie strictly ahead of the instant it is read at — also at the two
+    // instants where the window, not the pacer, is what stops the sender
+    // (the release stamped by the last send, and the instant after it).
+    let mut now = t(100);
+    let mut window_full_polls = 0;
+    while window_full_polls < 2 {
+        while Transport::poll_send(&mut a, now).is_some() {}
+        let wake = Transport::next_timer(&a).expect("data is outstanding: an RTO at least");
+        assert!(
+            wake > now,
+            "wake-up {wake:?} advertised at {now:?} with nothing to release (flight {} of cwnd {})",
+            a.flight_bytes(),
+            a.cwnd()
+        );
+        window_full_polls += usize::from(a.flight_bytes() >= a.cwnd());
+        now = wake;
+    }
+}

@@ -5,7 +5,8 @@
 #
 # Usage: scripts/ci.sh [soak|chaos|bench|bigrun|lint|tails|skew]
 #   (none) — the default gate: release build, workspace tests, chaos
-#           soak, figures smoke, tailgate, the benchmark package (built
+#           soak, figures smoke, every example under a wall-clock
+#           timeout, tailgate, the benchmark package (built
 #           --offline, its unit tests, one pass of each of its five
 #           workloads, all of which must report "correct": true),
 #           detlint, clippy -D warnings.
@@ -190,6 +191,19 @@ TK_CASES="$CHAOS_CASES" cargo test -q --offline --test chaos chaos_soak
 echo "==> figures quick smoke (parallel harness end to end)"
 cargo run -q --offline --release -p bench --bin figures -- quick \
     --bench-json "$(mktemp)" > /dev/null
+
+# The examples are the user-facing entry points, and the only callers of
+# some configurations (a paced single-path sender once livelocked the
+# engine and nothing noticed): run each to completion under a wall-clock
+# timeout — all four finish in seconds.
+echo "==> examples (each under a 120 s timeout)"
+for ex in examples/*.rs; do
+    name="$(basename "$ex" .rs)"
+    if ! timeout 120 cargo run -q --offline --release --example "$name" > /dev/null; then
+        echo "example $name failed or ran past 120 s"
+        exit 1
+    fi
+done
 
 tailgate_check
 

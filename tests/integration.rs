@@ -255,3 +255,29 @@ fn mptcp_reinjection_ablation() {
     let ratio = acked_with as f64 / acked_without as f64;
     assert!((0.5..2.0).contains(&ratio), "ratio {ratio:.2}");
 }
+
+/// Paced single-path TCP runs to the horizon on the two-rack engine. A
+/// paced sender that is cwnd-blocked used to keep advertising its last
+/// pacing release; the engine re-armed the host timer at that (past)
+/// instant after every firing and `run` never returned. Bounded events
+/// per simulated millisecond is the observable: bulk CUBIC on this
+/// network costs ~10^5 events/ms, a spin costs all of them at one instant.
+#[test]
+fn paced_single_path_flows_reach_the_horizon() {
+    let factory: rdcn::EndpointFactory = Box::new(|i| {
+        let cfg = tcp::Config {
+            pacing: true,
+            ..tcp::Config::default()
+        };
+        let cubic = || Box::new(Cubic::new(CcConfig::default()));
+        let flow = FlowId(i as u32);
+        (
+            Box::new(tcp::Connection::connect(flow, cfg.clone(), cubic(), SimTime::ZERO))
+                as Box<dyn Transport>,
+            Box::new(tcp::Connection::listen(flow, cfg, cubic())) as Box<dyn Transport>,
+        )
+    });
+    let res = Emulator::new(NetConfig::paper_baseline(), 2, factory).run(SimTime::from_millis(5));
+    assert!(res.total_acked() > 1_000_000, "paced flows made progress");
+    assert!(res.events < 5_000_000, "{} events in 5 ms: timer spin", res.events);
+}
