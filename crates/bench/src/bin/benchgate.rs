@@ -14,7 +14,7 @@
 //! not silently retire its baseline.
 //!
 //! `scripts/ci.sh bench` wires this against the checked-in
-//! `BENCH_simulator.json` at the repo root; exit status 1 on any
+//! `BENCH_detlint.json` at the repo root; exit status 1 on any
 //! regression makes it a hard gate.
 #![forbid(unsafe_code)]
 

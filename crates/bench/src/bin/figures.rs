@@ -1,7 +1,7 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! figures [experiment...] [--horizon-ms N] [--jobs N] [--bench-json PATH]
+//! figures [experiment...] [--horizon-ms N] [--jobs N] [--tails-json PATH]
 //!
 //! experiments: fig2 fig7a fig7b fig8a fig8b fig9 fig10 fig11 fig13
 //!              fig14a fig14b table1 notify ablation regime notify-sweep
@@ -14,8 +14,6 @@
 //! --jobs N      worker threads for sharded runs (default: the
 //!               FIGURES_JOBS env var, else available_parallelism();
 //!               --jobs 1 forces the serial path for debugging)
-//! --bench-json PATH   write per-experiment wall time + events/sec to
-//!                     PATH (default BENCH_figures.json in the cwd)
 //! --tails-json PATH   where the `tails` experiment writes its FCT rows
 //!                     (default BENCH_tails.json in the cwd); the tails
 //!                     experiment always runs at its own fixed horizon so
@@ -35,35 +33,6 @@
 use bench::experiments::*;
 use simcore::SimTime;
 use std::process::ExitCode;
-use std::sync::atomic::Ordering;
-
-/// One experiment's timing record for `BENCH_figures.json`.
-struct ExpTiming {
-    name: String,
-    wall_s: f64,
-    events: u64,
-    events_per_sec: f64,
-}
-
-fn write_bench_json(path: &str, jobs: usize, timings: &[ExpTiming]) {
-    let mut out = String::from("{\n  \"suite\": \"figures\",\n  \"unit\": \"seconds\",\n");
-    out.push_str(&format!("  \"jobs\": {jobs},\n  \"results\": [\n"));
-    for (i, t) in timings.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"wall_s\": {:.3}, \"events\": {}, \"events_per_sec\": {:.0}}}{}\n",
-            t.name,
-            t.wall_s,
-            t.events,
-            t.events_per_sec,
-            if i + 1 < timings.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    match std::fs::write(path, out) {
-        Ok(()) => eprintln!("figures: wrote {path}"),
-        Err(e) => eprintln!("figures: could not write {path}: {e}"),
-    }
-}
 
 /// Every experiment `all` runs, in output order.
 const EXPERIMENTS: [&str; 23] = [
@@ -73,14 +42,13 @@ const EXPERIMENTS: [&str; 23] = [
 ];
 
 const USAGE: &str = "usage: figures [experiment...] [--horizon-ms N] [--jobs N] \
-                     [--bench-json PATH] [--tails-json PATH]";
+                     [--tails-json PATH]";
 
 /// The parsed command line.
 struct Args {
     horizon: SimTime,
     wanted: Vec<String>,
     jobs: Option<usize>,
-    bench_json: String,
     tails_json: String,
 }
 
@@ -91,7 +59,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         horizon: default_horizon(),
         wanted: Vec::new(),
         jobs: None,
-        bench_json: "BENCH_figures.json".to_string(),
         tails_json: "BENCH_tails.json".to_string(),
     };
     let mut it = args.iter();
@@ -112,7 +79,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                     .map_err(|_| format!("--jobs needs a number >= 1, got {v:?}"))?;
                 parsed.jobs = Some(n);
             }
-            "--bench-json" => parsed.bench_json = value("a path")?.clone(),
             "--tails-json" => parsed.tails_json = value("a path")?.clone(),
             name if name == "all" || name == "quick" || EXPERIMENTS.contains(&name) => {
                 parsed.wanted.push(name.to_string());
@@ -129,7 +95,6 @@ fn main() -> ExitCode {
         mut horizon,
         mut wanted,
         jobs,
-        bench_json,
         tails_json,
     } = match parse_args(&args) {
         Ok(parsed) => parsed,
@@ -175,10 +140,8 @@ fn main() -> ExitCode {
         jobs
     );
 
-    let mut timings = Vec::new();
     for w in &wanted {
-        let ev0 = rdcn::EVENTS_TOTAL.load(Ordering::Relaxed);
-        // detlint: allow(wall_clock) — per-experiment wall timing for BENCH_figures.json only
+        // detlint: allow(wall_clock) — per-experiment wall timing for the stderr line only
         let t0 = std::time::Instant::now();
         match w.as_str() {
             "table1" => table1::run(horizon, warmup).print(),
@@ -221,7 +184,7 @@ fn main() -> ExitCode {
                 );
                 shortflows::print_short_flows(&rows);
             }
-            "multirack" => multirack::run(SimTime::from_millis(15)).print(),
+            "multirack" => multirack::run(horizon).print(),
             "tails" => {
                 let fig = tails::run();
                 fig.print();
@@ -240,17 +203,7 @@ fn main() -> ExitCode {
             }
             other => unreachable!("parse_args admitted unknown experiment {other}"),
         }
-        let wall_s = t0.elapsed().as_secs_f64();
-        let events = rdcn::EVENTS_TOTAL.load(Ordering::Relaxed) - ev0;
-        let events_per_sec = if wall_s > 0.0 { events as f64 / wall_s } else { 0.0 };
-        eprintln!("[{w} took {wall_s:.1}s, {events} events, {events_per_sec:.0} events/s]");
-        timings.push(ExpTiming {
-            name: w.clone(),
-            wall_s,
-            events,
-            events_per_sec,
-        });
+        eprintln!("[{w} took {:.1}s]", t0.elapsed().as_secs_f64());
     }
-    write_bench_json(&bench_json, jobs, &timings);
     ExitCode::SUCCESS
 }

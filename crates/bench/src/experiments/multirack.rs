@@ -3,7 +3,7 @@
 //! the demand-oblivious schedule gives every pair one direct circuit day
 //! per week while the EPS carries the rest.
 
-use rdcn::{MultiRackConfig, MultiRackEmulator, PairFlow};
+use rdcn::{MultiRackConfig, PairFlow, ShardConfig, ShardedEmulator};
 use simcore::SimTime;
 use tcp::cc::{CcConfig, Cubic};
 use tcp::{Config, Connection, FlowId, Transport};
@@ -29,7 +29,7 @@ pub fn run(horizon: SimTime) -> MultiRack {
         .collect();
     let cc = CcConfig::default();
     let rows = simcore::par::par_map(vec!["tdtcp", "cubic"], |_, label| {
-        let emu = MultiRackEmulator::new(cfg.clone(), flows.clone(), |i, _| {
+        let emu = ShardedEmulator::new(ShardConfig::clean(cfg.clone()), flows.clone(), |i, _| {
             if label == "tdtcp" {
                 let c = TdtcpConfig::default();
                 let template = Cubic::new(cc);
@@ -39,9 +39,9 @@ pub fn run(horizon: SimTime) -> MultiRack {
                         c.clone(),
                         &template,
                         SimTime::ZERO,
-                    )) as Box<dyn Transport>,
+                    )) as Box<dyn Transport + Send>,
                     Box::new(TdtcpConnection::listen(FlowId(i as u32), c, &template))
-                        as Box<dyn Transport>,
+                        as Box<dyn Transport + Send>,
                 )
             } else {
                 let c = Config::default();
@@ -51,13 +51,13 @@ pub fn run(horizon: SimTime) -> MultiRack {
                         c.clone(),
                         Box::new(Cubic::new(cc)),
                         SimTime::ZERO,
-                    )) as Box<dyn Transport>,
+                    )) as Box<dyn Transport + Send>,
                     Box::new(Connection::listen(FlowId(i as u32), c, Box::new(Cubic::new(cc))))
-                        as Box<dyn Transport>,
+                        as Box<dyn Transport + Send>,
                 )
             }
         });
-        let res = emu.run(horizon);
+        let res = emu.run(horizon, 1);
         (label.to_string(), res.total_acked(), res.drops)
     });
     MultiRack {

@@ -7,7 +7,6 @@ use std::process::{Command, Output};
 
 fn figures(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_figures"))
-        .args(["--bench-json", concat!(env!("CARGO_TARGET_TMPDIR"), "/figures_cli.json")])
         .args(args)
         .output()
         .expect("run figures")
@@ -31,6 +30,7 @@ fn unknown_experiment_is_a_usage_error() {
     // Validated up front: the good name before the typo does not run.
     assert_usage_error(&["notify", "fig99"], "fig99");
     assert_usage_error(&["--horizon", "5"], "--horizon");
+    assert_usage_error(&["notify", "--bench-json", "x.json"], "--bench-json");
 }
 
 #[test]
@@ -45,4 +45,18 @@ fn known_experiment_still_runs() {
     let out = figures(&["notify", "--jobs", "1", "--horizon-ms", "5"]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(!out.stdout.is_empty());
+}
+
+/// `multirack` honours `--horizon-ms` like every other experiment.
+#[test]
+fn multirack_follows_the_horizon() {
+    let acked = |ms: &str| {
+        let out = figures(&["multirack", "--jobs", "1", "--horizon-ms", ms]);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(stdout.contains("acked bytes"), "{stdout}");
+        // The variant rows; the banner line names the horizon itself.
+        stdout.lines().filter(|l| l.contains("tdtcp") || l.contains("cubic")).collect::<String>()
+    };
+    assert_ne!(acked("2"), acked("4"), "two horizons printed the same acked bytes");
 }

@@ -49,12 +49,6 @@ enum Dir {
     Ba,
 }
 
-/// Process-wide count of simulator events executed, summed over every
-/// [`Emulator`] (and multi-rack) run that completed in this process.
-/// The figure harness snapshots it around each experiment to report
-/// events/sec; runs on worker threads add their counts atomically.
-pub static EVENTS_TOTAL: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
 /// Which flows an event can have called into. Only events that reach a
 /// transport (`on_segment`/`on_timer`/`on_tdn_notification`/
 /// `on_circuit_prepare`/construction) can change a flow's counters or flip
@@ -720,7 +714,6 @@ impl<'a> Emulator<'a> {
         }
 
         let duration = self.q.now().saturating_since(SimTime::ZERO);
-        EVENTS_TOTAL.fetch_add(self.q.events_processed(), std::sync::atomic::Ordering::Relaxed);
         RunResult {
             seq_series: self.seq_series,
             drops_ab: self.voq_ab.drops,

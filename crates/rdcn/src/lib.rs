@@ -17,7 +17,6 @@ pub mod config;
 pub mod emulator;
 pub mod faults;
 pub mod impair;
-pub mod multirack;
 pub mod notify;
 pub mod schedule;
 pub mod shard;
@@ -34,14 +33,15 @@ pub use faults::{
     LinkFailure, NotifyVerdict, ScheduleFreeze, FAULT_STREAM_LABEL,
 };
 pub use emulator::{
-    DayRecord, Emulator, EndpointFactory, FlowSpec, RunResult, TimedEndpointFactory, EVENTS_TOTAL,
+    DayRecord, Emulator, EndpointFactory, FlowSpec, RunResult, TimedEndpointFactory,
 };
 pub use impair::{
     ImpairEvent, ImpairInjector, ImpairPlan, ImpairStats, ImpairVerdict, IMPAIR_STREAM_LABEL,
 };
-pub use multirack::{MultiRackConfig, MultiRackEmulator, MultiRackResult, PairFlow};
 pub use notify::{NotifyConfig, NotifyModel, NotifySample};
 pub use schedule::{Phase, Schedule};
-pub use shard::{ShardConfig, ShardResult, ShardedEmulator, RACK_STREAM_BASE};
+pub use shard::{
+    MultiRackConfig, PairFlow, ShardConfig, ShardResult, ShardedEmulator, RACK_STREAM_BASE,
+};
 pub use statfold::{InjectorStats, LogEvent, LOG_CAP};
 pub use voq::{Voq, VoqConfig};

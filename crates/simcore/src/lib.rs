@@ -37,14 +37,14 @@ pub use wheel::{TimerWheel, WheelEventId};
 /// [`EventQueue`] (binary heap over a slab) and [`TimerWheel`]
 /// (hierarchical wheel over the same slab) are digest-interchangeable —
 /// both pop in exact `(time, seq)` order — so this alias names whichever
-/// wins the `event_queue_*` / `timer_wheel_*` microbench race in
-/// `BENCH_simulator.json`. Currently the wheel: O(1) amortized
-/// schedule/pop beats the heap's O(log n) sift on all three mixes
-/// (push/pop ~38 vs ~46 µs, cancel/rearm ~52 vs ~86 µs, windowed
-/// drain ~120 vs ~223 µs), and the bigrun engine numbers agree. Every
-/// `rdcn` engine runs on this alias; [`EventQueue`] stays `pub` as the
-/// wheel's differential oracle (property tests and both benchmarks race
-/// the two on the same scripts).
+/// wins the queue race the benchmark's `simcore.wheel_ns_per_op` /
+/// `simcore.heap_ns_per_op` kernels re-run (`benchmark/src/micro.rs`).
+/// Currently the wheel: O(1) amortized schedule/pop beats the heap's
+/// O(log n) sift on all three mixes (push/pop ~38 vs ~46 µs,
+/// cancel/rearm ~52 vs ~86 µs, windowed drain ~120 vs ~223 µs when it
+/// was picked). Both `rdcn` engines run on this alias; [`EventQueue`]
+/// stays `pub` as the wheel's differential oracle (property tests and
+/// the benchmark race the two on the same scripts).
 pub type DefaultQueue<E> = TimerWheel<E>;
 
 /// Handle type paired with [`DefaultQueue`] (see [`EventId`] /

@@ -5,9 +5,9 @@
 //! `(time, seq)` order where `seq` is the monotone insertion counter, so
 //! the two implementations are digest-interchangeable — swapping one for
 //! the other cannot change any simulation output, only its wall time.
-//! `scripts/ci.sh bench` races them head-to-head (`event_queue_*` vs
-//! `timer_wheel_*` in `BENCH_simulator.json`); [`crate::DefaultQueue`]
-//! names the winner.
+//! The benchmark races them head-to-head (`simcore.heap_ns_per_op` vs
+//! `simcore.wheel_ns_per_op`, `benchmark/src/micro.rs`);
+//! [`crate::DefaultQueue`] names the winner.
 //!
 //! Layout: six levels of 64 slots each. Level `l` buckets spans of
 //! `64^l · 1024 ns`, so the wheel covers ~70 000 s before anything

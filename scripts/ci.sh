@@ -3,7 +3,7 @@
 # zero registry dependencies by design (see DESIGN.md), so an empty
 # cargo registry — or no network at all — must never break the build.
 #
-# Usage: scripts/ci.sh [soak|chaos|bench|bigrun|lint|tails|skew]
+# Usage: scripts/ci.sh [soak|chaos|bench|lint|tails|skew]
 #   (none) — the default gate: release build, workspace tests, chaos
 #           soak, figures smoke, every example under a wall-clock
 #           timeout, tailgate, the benchmark package (built
@@ -31,26 +31,16 @@
 #           replayable case seed (persisted to tests/tk-regressions/).
 #           TK_JOBS=N shards scenarios across N workers (default:
 #           available_parallelism; results are job-count independent).
-#   bench — run the microbench suites and gate them against the
-#           checked-in baselines at the repo root (BENCH_simulator.json,
-#           BENCH_simulator_e2e.json): any benchmark losing more than
-#           25% events/sec vs its baseline median fails the gate. The
-#           detlint scan bench (BENCH_detlint.json: lex / parse / full
-#           pipeline over the in-memory workspace) is gated too, at a
-#           50% budget — single-iteration wall timings see scheduler
-#           noise, same rationale as bigrun. After a deliberate perf
-#           change, refresh the baselines by copying the freshly
-#           written files over the checked-in ones.
-#   bigrun — run the large-multirack engine gate (bench/bin/bigrun):
-#           16 racks x 48 TDTCP flows, serial engine vs the sharded
-#           engine at workers 1/2/4. Fails if the sharded digests
-#           diverge across worker counts or the sharded engine misses
-#           its hardware-aware throughput floor (3x at workers=4 on
-#           >=4-CPU hosts; algorithmic w1>=1.25x floor on narrower
-#           ones), then benchgates the fresh BENCH_bigrun.json against
-#           the checked-in baseline (>50% ns/event regression fails;
-#           wider than the 25% microbench budget because engine-level
-#           wall-clock timings see scheduler noise on shared hosts).
+#   bench — run the detlint scan bench (lex / parse / full pipeline
+#           over the in-memory workspace) and gate it against the
+#           checked-in BENCH_detlint.json: any row losing more than 50%
+#           vs its baseline median fails (single-iteration wall timings
+#           see scheduler noise, hence the wide budget). A missing
+#           baseline fails the gate. After a deliberate perf change,
+#           refresh it by copying the freshly written file over the
+#           checked-in one. Simulator performance is measured by the
+#           benchmark package (BENCHMARK.json, benchmark/README.md),
+#           not here.
 #   tails — run the tail-latency acceptance suite (tests/tails.rs +
 #           the tailgate failure-path tests), regenerate the FCT rows
 #           with `figures tails`, and gate p99/p999 against the
@@ -101,48 +91,17 @@ fi
 
 if [[ "$MODE" == "bench" ]]; then
     NEW_DIR="$(mktemp -d)"
-    echo "==> cargo bench -p bench --bench simulator (into ${NEW_DIR})"
-    TK_BENCH_DIR="$NEW_DIR" cargo bench --offline -q -p bench --bench simulator
     echo "==> cargo bench -p detlint --bench scan (into ${NEW_DIR})"
     TK_BENCH_DIR="$NEW_DIR" cargo bench --offline -q -p detlint --bench scan
-    echo "==> perf-regression gate (>25% events/sec loss vs checked-in baseline fails)"
-    for f in BENCH_simulator.json BENCH_simulator_e2e.json; do
-        if [[ -f "$f" ]]; then
-            cargo run -q --offline --release -p bench --bin benchgate -- "$f" "$NEW_DIR/$f"
-        else
-            echo "no checked-in baseline $f — seed one with: cp $NEW_DIR/$f ."
-        fi
-    done
-    # Lint-scan timings are single-iteration wall clock, so they get the
-    # wider bigrun-style budget instead of the 25% microbench one.
-    if [[ -f BENCH_detlint.json ]]; then
-        cargo run -q --offline --release -p bench --bin benchgate -- \
-            --max-loss-pct 50 BENCH_detlint.json "$NEW_DIR/BENCH_detlint.json"
-    else
+    if [[ ! -f BENCH_detlint.json ]]; then
         echo "no checked-in baseline BENCH_detlint.json — seed one with: cp $NEW_DIR/BENCH_detlint.json ."
+        exit 1
     fi
-    echo "BENCH OK (refresh baselines after deliberate perf changes:"
-    echo "          cp $NEW_DIR/BENCH_*.json .)"
-    exit 0
-fi
-
-if [[ "$MODE" == "bigrun" ]]; then
-    NEW="$(mktemp -d)/BENCH_bigrun.json"
-    echo "==> bigrun (sharded-engine digest + throughput gate)"
-    cargo run -q --offline --release -p bench --bin bigrun -- --json "$NEW"
-    if [[ -f BENCH_bigrun.json ]]; then
-        # Engine-level wall-clock timings swing far more than the pinned
-        # microbenches on shared hosts (threaded runs contend with
-        # whatever else the machine is doing), so this gate gets a 50%
-        # budget instead of the microbench 25%: it still catches a real
-        # 2x regression without flaking on scheduler noise.
-        echo "==> perf-regression gate (>50% ns/event loss vs checked-in BENCH_bigrun.json fails)"
-        cargo run -q --offline --release -p bench --bin benchgate -- \
-            --max-loss-pct 50 BENCH_bigrun.json "$NEW"
-    else
-        echo "no checked-in baseline BENCH_bigrun.json — seed one with: cp $NEW ."
-    fi
-    echo "BIGRUN OK"
+    echo "==> perf-regression gate (>50% loss vs checked-in BENCH_detlint.json fails)"
+    cargo run -q --offline --release -p bench --bin benchgate -- \
+        --max-loss-pct 50 BENCH_detlint.json "$NEW_DIR/BENCH_detlint.json"
+    echo "BENCH OK (refresh the baseline after a deliberate perf change:"
+    echo "          cp $NEW_DIR/BENCH_detlint.json .)"
     exit 0
 fi
 
@@ -154,7 +113,7 @@ tailgate_check() {
     out="$(mktemp -d)/BENCH_tails.json"
     echo "==> figures tails (tail-latency FCT rows into ${out})"
     cargo run -q --offline --release -p bench --bin figures -- tails \
-        --tails-json "$out" --bench-json "$(mktemp)" > /dev/null
+        --tails-json "$out" > /dev/null
     if [[ -f BENCH_tails.json ]]; then
         echo "==> tailgate (>10% p99/p999 FCT rise vs checked-in baseline fails)"
         cargo run -q --offline --release -p bench --bin tailgate -- \
@@ -189,8 +148,7 @@ echo "==> chaos soak: ${CHAOS_CASES} randomized scenarios"
 TK_CASES="$CHAOS_CASES" cargo test -q --offline --test chaos chaos_soak
 
 echo "==> figures quick smoke (parallel harness end to end)"
-cargo run -q --offline --release -p bench --bin figures -- quick \
-    --bench-json "$(mktemp)" > /dev/null
+cargo run -q --offline --release -p bench --bin figures -- quick > /dev/null
 
 # The examples are the user-facing entry points, and the only callers of
 # some configurations (a paced single-path sender once livelocked the

@@ -1,9 +1,10 @@
 //! Multi-rack fabric tests: the demand-oblivious rotor serves every rack
 //! pair, the hybrid semantics hold (EPS always on, circuits accelerate),
 //! TDTCP exploits the circuits across many pairs, and runs are
-//! deterministic.
+//! deterministic — across reruns and across worker counts. Every run
+//! here is the N-rack engine at `workers = 1` unless it says otherwise.
 
-use rdcn::{MultiRackConfig, MultiRackEmulator, PairFlow};
+use rdcn::{MultiRackConfig, PairFlow, ShardConfig, ShardResult, ShardedEmulator};
 use simcore::SimTime;
 use tcp::cc::{CcConfig, Cubic};
 use tcp::{Config, Connection, FlowId, Transport};
@@ -21,7 +22,21 @@ fn all_pairs(n: usize) -> Vec<PairFlow> {
     v
 }
 
-fn cubic_ep(i: usize, bytes: u64) -> (Box<dyn Transport>, Box<dyn Transport>) {
+type Endpoints = (Box<dyn Transport + Send>, Box<dyn Transport + Send>);
+
+/// Run `flows` over the clean fabric `cfg` until `until_ms`.
+fn run(
+    cfg: MultiRackConfig,
+    flows: Vec<PairFlow>,
+    ep: impl Fn(usize) -> Endpoints,
+    until_ms: u64,
+    workers: usize,
+) -> ShardResult {
+    ShardedEmulator::new(ShardConfig::clean(cfg), flows, |i, _| ep(i))
+        .run(SimTime::from_millis(until_ms), workers)
+}
+
+fn cubic_ep(i: usize, bytes: u64) -> Endpoints {
     let cfg = Config {
         bytes_to_send: bytes,
         ..Config::default()
@@ -38,7 +53,7 @@ fn cubic_ep(i: usize, bytes: u64) -> (Box<dyn Transport>, Box<dyn Transport>) {
     )
 }
 
-fn tdtcp_ep(i: usize, bytes: u64) -> (Box<dyn Transport>, Box<dyn Transport>) {
+fn tdtcp_ep(i: usize, bytes: u64) -> Endpoints {
     let mut cfg = TdtcpConfig::default();
     cfg.tcp.bytes_to_send = bytes;
     let template = Cubic::new(CcConfig::default());
@@ -62,12 +77,14 @@ fn every_pair_makes_progress() {
     cfg.racks = 4;
     let flows = all_pairs(4);
     let n = flows.len();
-    let emu = MultiRackEmulator::new(cfg, flows, |i, _| cubic_ep(i, u64::MAX));
-    let res = emu.run(SimTime::from_millis(10));
+    let res = run(cfg, flows, |i| cubic_ep(i, u64::MAX), 10, 1);
     assert_eq!(res.sender_stats.len(), n);
     for (i, s) in res.sender_stats.iter().enumerate() {
         assert!(s.bytes_acked > 0, "pair flow {i} starved");
     }
+    assert!(res.events > 0);
+    assert_eq!(res.rack_events.len(), 4);
+    assert_eq!(res.events, res.rack_events.iter().sum::<u64>());
 }
 
 #[test]
@@ -79,10 +96,10 @@ fn finite_transfers_complete_cross_rack() {
         PairFlow { src: 2, dst: 3 },
         PairFlow { src: 3, dst: 0 },
     ];
-    let emu = MultiRackEmulator::new(cfg, flows, |i, _| tdtcp_ep(i, 2_000_000));
-    let res = emu.run(SimTime::from_millis(100));
+    let res = run(cfg, flows, |i| tdtcp_ep(i, 2_000_000), 100, 1);
     for (i, r) in res.receiver_stats.iter().enumerate() {
         assert_eq!(r.bytes_delivered, 2_000_000, "flow {i}");
+        assert!(res.completions[i].is_some(), "flow {i} never completed");
     }
 }
 
@@ -99,19 +116,9 @@ fn circuits_accelerate_tdtcp_beyond_eps_share() {
             dst: (r + 1) % 8,
         })
         .collect();
-    let horizon = SimTime::from_millis(15);
-    let run = |tdtcp: bool| {
-        let emu = MultiRackEmulator::new(cfg.clone(), flows.clone(), |i, _| {
-            if tdtcp {
-                tdtcp_ep(i, u64::MAX)
-            } else {
-                cubic_ep(i, u64::MAX)
-            }
-        });
-        emu.run(horizon).total_acked() as f64
-    };
-    let tdtcp = run(true);
-    let cubic = run(false);
+    let tdtcp = run(cfg.clone(), flows.clone(), |i| tdtcp_ep(i, u64::MAX), 15, 1);
+    let cubic = run(cfg, flows, |i| cubic_ep(i, u64::MAX), 15, 1);
+    let (tdtcp, cubic) = (tdtcp.total_acked() as f64, cubic.total_acked() as f64);
     // EPS-only ceiling: 8 racks x 10 Gbps x 15 ms = 150 MB.
     let eps_ceiling = 8.0 * 10e9 / 8.0 * 0.015;
     assert!(
@@ -135,8 +142,7 @@ fn eps_shared_fairly_across_destinations() {
         PairFlow { src: 0, dst: 2 },
         PairFlow { src: 0, dst: 3 },
     ];
-    let emu = MultiRackEmulator::new(cfg, flows, |i, _| cubic_ep(i, u64::MAX));
-    let res = emu.run(SimTime::from_millis(10));
+    let res = run(cfg, flows, |i| cubic_ep(i, u64::MAX), 10, 1);
     let acked: Vec<u64> = res.sender_stats.iter().map(|s| s.bytes_acked).collect();
     let max = *acked.iter().max().unwrap() as f64;
     let min = *acked.iter().min().unwrap() as f64;
@@ -149,12 +155,17 @@ fn eps_shared_fairly_across_destinations() {
 
 #[test]
 fn deterministic() {
-    let run = || {
+    // The clean fabric gives one digest: across two runs and at workers
+    // 1, 2 and 4.
+    let digest = |workers: usize| {
         let mut cfg = MultiRackConfig::paper_8rack();
         cfg.racks = 4;
-        let emu = MultiRackEmulator::new(cfg, all_pairs(4), |i, _| tdtcp_ep(i, u64::MAX));
-        let res = emu.run(SimTime::from_millis(5));
-        (res.total_acked(), res.drops, res.events)
+        let res = run(cfg, all_pairs(4), |i| tdtcp_ep(i, u64::MAX), 5, workers);
+        assert!(res.total_acked() > 0);
+        res.stats_digest()
     };
-    assert_eq!(run(), run());
+    let base = digest(1);
+    for workers in [1, 2, 4] {
+        assert_eq!(digest(workers), base, "digest moved at workers={workers}");
+    }
 }
