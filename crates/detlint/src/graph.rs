@@ -99,14 +99,16 @@ impl<'a> SymbolGraph<'a> {
         any_body.then_some(out)
     }
 
-    /// Names of structs in `unit` that own the shard vector (a field
-    /// named `shards`) — the leader types whose methods alone may touch
-    /// other shards' state.
-    pub fn leader_structs(&self, unit: &'a Unit) -> BTreeSet<&'a str> {
+    /// Names of structs in `unit` with a field named `field`. The shard
+    /// engine's two ownership roles are read off field names: the leader
+    /// types own `shards` (their methods alone may touch other shards'
+    /// state), the mailbox type owns `boxes` (its methods alone may
+    /// touch the mailbox storage).
+    pub fn owners_of(&self, unit: &'a Unit, field: &str) -> BTreeSet<&'a str> {
         unit.parsed
             .structs
             .iter()
-            .filter(|s| s.fields.iter().any(|f| f.name == "shards"))
+            .filter(|s| s.fields.iter().any(|f| f.name == field))
             .map(|s| s.name.as_str())
             .collect()
     }
@@ -152,17 +154,20 @@ mod tests {
     }
 
     #[test]
-    fn leader_structs_by_shards_field() {
+    fn owners_by_field_name() {
         let u = unit(
             "crates/rdcn/src/shard.rs",
             "pub struct ShardedEmulator { shards: Vec<Mutex<RackShard>> }\n\
-             pub struct RackShard { outbox: Vec<OutMsg> }\n",
+             pub struct Mailboxes { boxes: Vec<Mutex<Vec<Msg>>> }\n\
+             pub struct RackShard { mail: Arc<Mailboxes> }\n",
         );
         let units = vec![u];
         let g = SymbolGraph::build(&units);
-        let leaders = g.leader_structs(&units[0]);
+        let leaders = g.owners_of(&units[0], "shards");
         assert!(leaders.contains("ShardedEmulator"));
         assert!(!leaders.contains("RackShard"));
+        let mailboxes = g.owners_of(&units[0], "boxes");
+        assert_eq!(mailboxes.into_iter().collect::<Vec<_>>(), ["Mailboxes"]);
     }
 
     #[test]

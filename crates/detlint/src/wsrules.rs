@@ -13,12 +13,14 @@
 //!   impl (`rdcn::statfold`). The union of every fold body for the type
 //!   must name every pub counter.
 //! * `shard_safety` — in shard-engine files, only the leader type (the
-//!   struct owning the `shards` vector) may touch other shards' state;
-//!   any other function mentioning `shards` is a mailbox bypass. And a
-//!   function draining mailboxes (`outbox`/`mailbox` in scope) must not
-//!   accumulate floats through iterator folds — cross-rack float
-//!   folding is only deterministic in the explicit fixed `(src, dst)`
-//!   drain order.
+//!   struct owning the `shards` vector) may touch other shards' state,
+//!   and only the mailbox type (the struct owning `boxes`) may touch the
+//!   mailbox storage: everyone else goes through its `post`/`collect`.
+//!   Any other function mentioning `shards` or `boxes` is a mailbox
+//!   bypass. And a function handling mail (`mail`/`mailbox`/`boxes` in
+//!   scope) must not accumulate floats through iterator folds —
+//!   cross-rack float folding is only deterministic in the explicit
+//!   fixed source-rack collect order.
 //! * `suppression_audit` lives in [`crate::suppress`]: it needs the
 //!   per-directive hit counts that only exist after every other rule
 //!   has run and suppression has been applied.
@@ -218,13 +220,20 @@ fn is_shard_scope(rel_path: &str) -> bool {
 }
 
 fn shard_safety(graph: &SymbolGraph<'_>, findings: &mut Vec<Finding>) {
-    // Leader types across every shard-scope file: the structs that own
-    // the `shards` vector. Their methods are the only sanctioned place
-    // for cross-shard access (barrier drains, mailbox routing).
-    let mut leaders = std::collections::BTreeSet::new();
+    // The two guarded fields, each with the types that own it across
+    // every shard-scope file. Leader types own `shards`: their methods
+    // are the only sanctioned place for cross-shard access (the window
+    // barrier). The mailbox type owns `boxes`: its `post`/`collect` are
+    // the only way a segment changes racks.
+    let mut guarded = [
+        ("shards", "leader", std::collections::BTreeSet::new()),
+        ("boxes", "mailbox", std::collections::BTreeSet::new()),
+    ];
     for u in prod_units(graph) {
         if is_shard_scope(&u.rel_path) {
-            leaders.extend(graph.leader_structs(u));
+            for (field, _, owners) in &mut guarded {
+                owners.extend(graph.owners_of(u, field));
+            }
         }
     }
     for u in prod_units(graph) {
@@ -236,39 +245,41 @@ fn shard_safety(graph: &SymbolGraph<'_>, findings: &mut Vec<Finding>) {
                 continue;
             }
             let body = u.body_tokens(f);
-            let is_leader_fn = f.owner.as_deref().is_some_and(|o| leaders.contains(o));
-            if !is_leader_fn {
+            for (field, role, owners) in &guarded {
+                if f.owner.as_deref().is_some_and(|o| owners.contains(o)) {
+                    continue;
+                }
                 for t in body {
-                    if ident(t) == Some("shards") {
+                    if ident(t) == Some(field) {
                         findings.push(Finding {
                             rule: RuleId::ShardSafety,
                             file: u.rel_path.clone(),
                             line: t.line,
                             message: format!(
-                                "`{}` touches the shard vector but is not a method of a \
-                                 leader type (one owning `shards`); cross-shard state may \
-                                 only move through the mailbox/barrier API",
+                                "`{}` touches `{field}` but is not a method of a {role} \
+                                 type (one owning `{field}`); cross-shard state may only \
+                                 move through the mailbox `post`/`collect` API",
                                 f.name
                             ),
                         });
                     }
                 }
             }
-            // Mailbox-drain float accumulation: only the explicit fixed
-            // (src, dst) loop order is deterministic across worker
+            // Mail-handling float accumulation: only the explicit fixed
+            // source-rack collect order is deterministic across worker
             // counts; iterator folds hide the order.
-            let drains_mailboxes = body
+            let handles_mail = body
                 .iter()
-                .any(|t| matches!(ident(t), Some("outbox" | "mailbox" | "mailboxes")));
-            if drains_mailboxes {
+                .any(|t| matches!(ident(t), Some("mail" | "mailbox" | "mailboxes" | "boxes")));
+            if handles_mail {
                 for (line, acc) in float_acc_sites(body) {
                     findings.push(Finding {
                         rule: RuleId::ShardSafety,
                         file: u.rel_path.clone(),
                         line,
                         message: format!(
-                            "float `{acc}` while draining shard mailboxes in `{}`; \
-                             accumulate with an explicit fixed (src, dst) order loop \
+                            "float `{acc}` while handling shard mail in `{}`; \
+                             accumulate with an explicit fixed source-order loop \
                              instead of an iterator fold",
                             f.name
                         ),
@@ -353,5 +364,20 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!((f[0].rule, f[0].line), (RuleId::ShardSafety, 3));
         assert!(f[0].message.contains("cheat"));
+    }
+
+    #[test]
+    fn mailbox_storage_is_private_to_the_mailbox_type() {
+        let units = vec![unit(
+            "crates/demo/src/shard.rs",
+            "pub struct Mail { boxes: Vec<Vec<u64>> }\n\
+             impl Mail { fn post(&mut self, d: usize, m: u64) { self.boxes[d].push(m); } }\n\
+             impl Shard { fn emit(&mut self, m: u64) { self.mail.post(1, m); } }\n\
+             impl Shard { fn peek(&self) -> usize { self.mail.boxes[1].len() } }\n",
+        )];
+        let f = check(&units);
+        assert_eq!(f.len(), 1);
+        assert_eq!((f[0].rule, f[0].line), (RuleId::ShardSafety, 4));
+        assert!(f[0].message.contains("peek") && f[0].message.contains("boxes"));
     }
 }

@@ -236,18 +236,20 @@ fn stream_discipline_fires_on_dup_value_magic_and_undeclared() {
 }
 
 #[test]
-fn shard_safety_fires_on_mailbox_bypass_and_float_fold() {
+fn shard_safety_fires_on_shard_and_mailbox_bypass_and_float_fold() {
     let src = include_str!("../fixtures/shard_safety.rs");
     let (findings, suppressed) = check_rust_source("crates/rdcn/src/shard.rs", src);
     assert_eq!(
         ids(&findings),
-        vec![("shard_safety", 35), ("shard_safety", 40)],
-        "a shard writing through the world's `shards` and a float fold \
-         over a mailbox drain both fire; the leader's fixed (src, dst) \
-         drain does not"
+        vec![("shard_safety", 56), ("shard_safety", 61), ("shard_safety", 66)],
+        "a shard writing through the world's `shards`, a shard indexing \
+         the mailbox `boxes` and a float fold over collected mail all \
+         fire; `post`/`collect` calls and the mailbox type's own fixed \
+         source-order drain do not"
     );
     assert!(findings[0].message.contains("shards"));
-    assert!(findings[1].message.contains("float `sum`"));
+    assert!(findings[1].message.contains("`peek` touches `boxes`"));
+    assert!(findings[2].message.contains("float `sum`"));
     assert_eq!(suppressed, 0);
 }
 

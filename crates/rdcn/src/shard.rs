@@ -29,19 +29,21 @@
 //! `L = min(packet.one_way, circuit.one_way)` — so all shards can
 //! safely simulate a window `[w, min(w + L, next schedule edge))`
 //! in parallel (conservative-lookahead PDES), exchanging the segments
-//! they emitted through per-rack mailboxes drained at the window
-//! barrier in fixed rack order.
+//! they emitted through per-(source, destination) mailboxes
+//! ([`Mailboxes`]): a shard posts during a window, and the destination
+//! shard collects at the start of its next one.
 //!
-//! Determinism: a shard's window work depends only on its own state and
-//! its deterministic queue, so the mailbox contents are identical at
-//! any worker count; the single-threaded barrier drains them in
-//! (source rack, emission order), and the destination queue's FIFO
-//! tie-break makes the merged order total. Every reduction at the end
-//! folds in fixed rack order. `run(.., workers)` therefore produces a
-//! bit-identical [`ShardResult::stats_digest`] for workers 1, 2, 4, …
-//! — pinned by `tests/determinism.rs` and `tests/multirack.rs`. At
-//! `workers = 1` the loop runs inline on the calling thread: that is the
-//! serial N-rack engine.
+//! Determinism: a shard's window work depends only on its own state,
+//! its deterministic queue and the boxes addressed to it, so the mailbox
+//! contents are identical at any worker count; the destination shard
+//! collects its boxes in (source rack, emission order) before it pops
+//! anything, and its queue's FIFO tie-break makes the merged order
+//! total. Every reduction at the end folds in fixed rack order.
+//! `run(.., workers)` therefore produces a bit-identical
+//! [`ShardResult::stats_digest`] for workers 1, 2, 4, … — pinned by
+//! `tests/determinism.rs` and `tests/multirack.rs`. At `workers = 1` the
+//! loop runs inline on the calling thread: that is the serial N-rack
+//! engine, and it runs the same post/collect protocol.
 //!
 //! Event semantics:
 //! * **service trains**: one `CircuitService`/`PacketService` event
@@ -74,6 +76,7 @@ use crate::notify::{NotifyConfig, NotifyModel};
 use crate::schedule::{rotor, Schedule};
 use crate::voq::{Voq, VoqConfig};
 use simcore::{par, DefaultQueue, DetRng, SimDuration, SimTime};
+use std::sync::{Arc, Mutex};
 use tcp::{ConnStats, Direction, Segment, Transport};
 use testkit::Digest;
 use wire::TdnId;
@@ -208,9 +211,83 @@ enum REv {
     HostTimer { host: u32, tgen: u32 },
 }
 
-/// One segment waiting in a shard's outbox: `(arrival time, destination
-/// rack, destination host, segment)`, in emission order.
-type OutMsg = (SimTime, u32, u32, Segment);
+/// One segment crossing racks: posted by the source shard in emission
+/// order, collected by the destination shard one window later.
+struct Msg {
+    /// Arrival time at the destination host.
+    t: SimTime,
+    /// Destination host, rack-local.
+    host: u32,
+    /// The source shard's previous emission had the same `(t, rack,
+    /// host)`: the two arrive in one `Deliver`. Fixed by the source's own
+    /// emission order, so a batch never depends on what else shares the
+    /// box.
+    joins_prev: bool,
+    seg: Segment,
+}
+
+/// The cross-rack mailboxes: one box per (source, destination) pair,
+/// double-buffered by window parity. During a window of parity `p` the
+/// source posts into its row of parity `p` while the destination
+/// collects its column of parity `p ^ 1` — last window's posts — so a
+/// box has one writer or one reader in any window, never both, and the
+/// locks are never contended. A collected box keeps its capacity:
+/// nothing is allocated or freed across threads in the steady state.
+struct Mailboxes {
+    racks: usize,
+    /// `boxes[parity][src * racks + dst]`.
+    boxes: [Vec<Mutex<Vec<Msg>>>; 2],
+}
+
+impl Mailboxes {
+    fn new(racks: usize) -> Mailboxes {
+        let half = || (0..racks * racks).map(|_| Mutex::default()).collect();
+        Mailboxes {
+            racks,
+            boxes: [half(), half()],
+        }
+    }
+
+    /// Append `msg` to the `(src, dst)` box of `parity`.
+    fn post(&self, parity: usize, src: usize, dst: usize, msg: Msg) {
+        self.boxes[parity][src * self.racks + dst]
+            .lock()
+            .expect("mailbox poisoned")
+            .push(msg);
+    }
+
+    /// Empty column `dst` of `parity` in fixed source-rack order, handing
+    /// each run of `joins_prev` messages to `deliver` as one batch.
+    fn collect(
+        &self,
+        parity: usize,
+        dst: usize,
+        mut deliver: impl FnMut(SimTime, u32, SegBatch),
+    ) {
+        for src in 0..self.racks {
+            let mut msgs = self.boxes[parity][src * self.racks + dst]
+                .lock()
+                .expect("mailbox poisoned");
+            for run in msgs.chunk_by(|_, next| next.joins_prev) {
+                let segs = match run {
+                    [one] => SegBatch::One(one.seg),
+                    many => SegBatch::Many(many.iter().map(|m| m.seg).collect()),
+                };
+                deliver(run[0].t, run[0].host, segs);
+            }
+            msgs.clear();
+        }
+    }
+
+    /// Messages posted and not yet collected, both parities.
+    fn in_flight(&self) -> u64 {
+        let mut n = 0;
+        for slot in self.boxes.iter().flatten() {
+            n += slot.lock().expect("mailbox poisoned").len() as u64;
+        }
+        n
+    }
+}
 
 /// One rack's complete simulation state.
 struct RackShard<'a> {
@@ -226,7 +303,8 @@ struct RackShard<'a> {
     /// consults day numbering, which needs just the day/night lengths).
     sched: Schedule,
     guard_band: SimDuration,
-    matchings: Vec<Vec<(usize, usize)>>,
+    /// `peer_of[day % (racks − 1)][rack]`: the rotor week as a lookup.
+    peer_of: Arc<[Vec<usize>]>,
     packet: TdnParams,
     circuit: TdnParams,
     host_rate_bps: u64,
@@ -268,7 +346,16 @@ struct RackShard<'a> {
     n_senders: usize,
     done_count: usize,
 
-    outbox: Vec<OutMsg>,
+    mail: Arc<Mailboxes>,
+    /// Parity of the window being simulated: posts go to this half of
+    /// the mailboxes, the other half is collected.
+    parity: usize,
+    /// `(arrival, rack, host)` of this window's latest emission.
+    last_emit: Option<(SimTime, u32, u32)>,
+    /// Earliest arrival posted this window (`MAX` = nothing posted): the
+    /// barrier needs it to bound the next window, since the destination
+    /// has not queued the message yet.
+    out_min: SimTime,
     /// Exclusive end of the window this shard may simulate.
     w_end: SimTime,
     /// Train/batch segments beyond the event that carried them — added
@@ -293,15 +380,16 @@ struct Ledger {
     /// Dropped at launch: guard band, EPS burst, impairment loss, or a
     /// corrupted pure ACK.
     dropped: u64,
-    /// Segments the barrier moved from a mailbox into this rack's
-    /// queue: in a scheduled `Deliver`, or already delivered.
+    /// Segments this rack collected from its mailboxes: in a scheduled
+    /// `Deliver`, or already delivered.
     routed_in: u64,
 }
 
 /// The sharded N-rack emulator. Construct with [`ShardedEmulator::new`],
 /// then [`run`](ShardedEmulator::run).
 pub struct ShardedEmulator<'a> {
-    shards: Vec<std::sync::Mutex<RackShard<'a>>>,
+    shards: Vec<Mutex<RackShard<'a>>>,
+    mail: Arc<Mailboxes>,
     flows: Vec<PairFlow>,
     lookahead: SimDuration,
     day_len: SimDuration,
@@ -413,8 +501,8 @@ impl ShardResult {
 
 impl<'a> ShardedEmulator<'a> {
     /// Create the sharded fabric with one (sender, receiver) pair per
-    /// flow. Transports must be `Send`: shards migrate across worker
-    /// threads between windows.
+    /// flow. Transports must be `Send`: a shard runs on the worker
+    /// thread it is assigned to, not on the constructing thread.
     pub fn new(
         cfg: ShardConfig,
         flows: Vec<PairFlow>,
@@ -437,7 +525,19 @@ impl<'a> ShardedEmulator<'a> {
             lookahead > SimDuration::ZERO,
             "conservative lookahead needs a positive minimum one-way latency"
         );
-        let matchings = rotor::matchings(net.racks);
+        let peer_of: Arc<[Vec<usize>]> = rotor::matchings(net.racks)
+            .iter()
+            .map(|day| {
+                let mut peers = vec![usize::MAX; net.racks];
+                for &(a, b) in day {
+                    peers[a] = b;
+                    peers[b] = a;
+                }
+                debug_assert!(!peers.contains(&usize::MAX), "rotor days are perfect matchings");
+                peers
+            })
+            .collect();
+        let mail = Arc::new(Mailboxes::new(net.racks));
         let sched = Schedule {
             day_len: net.day_len,
             night_len: net.night_len,
@@ -477,7 +577,7 @@ impl<'a> ShardedEmulator<'a> {
                     notify_model: NotifyModel::new(net.notify),
                     sched: sched.clone(),
                     guard_band: cfg.guard_band,
-                    matchings: matchings.clone(),
+                    peer_of: Arc::clone(&peer_of),
                     packet: net.packet,
                     circuit: net.circuit,
                     host_rate_bps: net.host_rate_bps,
@@ -502,7 +602,10 @@ impl<'a> ShardedEmulator<'a> {
                     completion: Vec::new(),
                     n_senders: 0,
                     done_count: 0,
-                    outbox: Vec::new(),
+                    mail: Arc::clone(&mail),
+                    parity: 1,
+                    last_emit: None,
+                    out_min: SimTime::MAX,
                     w_end: SimTime::ZERO,
                     extra_events: 0,
                     ledger: Ledger::default(),
@@ -517,7 +620,8 @@ impl<'a> ShardedEmulator<'a> {
         }
 
         ShardedEmulator {
-            shards: shards.into_iter().map(std::sync::Mutex::new).collect(),
+            shards: shards.into_iter().map(Mutex::new).collect(),
+            mail,
             flows,
             lookahead,
             day_len: net.day_len,
@@ -542,17 +646,46 @@ impl<'a> ShardedEmulator<'a> {
     /// The barrier-time conservation law (debug builds): summed over
     /// racks, every segment polled from a host or duplicated on the wire
     /// is waiting on a NIC, in a VOQ, tail-dropped, dropped with a cause
-    /// at launch, in a mailbox or a scheduled `Deliver`, or delivered.
-    fn assert_conserved(shards: &[std::sync::Mutex<RackShard<'a>>]) {
-        let (mut made, mut found) = (0u64, 0u64);
-        for s in shards {
+    /// at launch, in a mailbox, in a scheduled `Deliver`, or delivered.
+    fn assert_conserved(&self) {
+        let (mut made, mut found) = (0u64, self.mail.in_flight());
+        for s in &self.shards {
             let g = s.lock().expect("shard poisoned");
             let l = &g.ledger;
             made += l.polled + l.wire_dups;
-            found += l.on_nic + l.dropped + l.routed_in + g.outbox.len() as u64;
+            found += l.on_nic + l.dropped + l.routed_in;
             found += g.voqs.iter().map(|v| v.len() as u64 + v.drops).sum::<u64>();
         }
         assert_eq!(made, found, "segment conservation violated at a window barrier");
+    }
+
+    /// The barrier between two windows: decide whether to stop, and
+    /// bound the next window. Its start is the earliest pending event —
+    /// queued in a shard, or posted last window and still in a mailbox
+    /// (`out_min`) — which is the time the destination's queue will
+    /// report once it has collected.
+    fn next_window(&self, until: SimTime) -> bool {
+        if cfg!(debug_assertions) {
+            self.assert_conserved();
+        }
+        let mut all_done = true;
+        let mut w_start = SimTime::MAX;
+        for s in &self.shards {
+            let mut g = s.lock().expect("shard poisoned");
+            all_done &= g.done_count == g.n_senders;
+            let queued = g.q.peek_time().unwrap_or(SimTime::MAX);
+            w_start = w_start.min(queued).min(g.out_min);
+        }
+        if all_done || w_start == SimTime::MAX || w_start > until {
+            return false;
+        }
+        let w_end = (w_start + self.lookahead)
+            .min(self.edge_after(w_start))
+            .min(until + SimDuration::from_nanos(1));
+        for s in &self.shards {
+            s.lock().expect("shard poisoned").w_end = w_end;
+        }
+        true
     }
 
     /// Run the fabric until `until` with up to `workers` threads.
@@ -561,64 +694,10 @@ impl<'a> ShardedEmulator<'a> {
         for s in &self.shards {
             s.lock().expect("shard poisoned").start();
         }
-        let epsilon = SimDuration::from_nanos(1);
         par::run_windows(
             workers,
             &self.shards,
-            |shards| {
-                if cfg!(debug_assertions) {
-                    Self::assert_conserved(shards);
-                }
-                // Drain mailboxes in fixed rack order; batch runs of
-                // same-(host, time) segments into one delivery event.
-                for src in 0..shards.len() {
-                    let out =
-                        std::mem::take(&mut shards[src].lock().expect("shard poisoned").outbox);
-                    let mut i = 0;
-                    while i < out.len() {
-                        let (t, dst, host, _) = out[i];
-                        let mut j = i + 1;
-                        while j < out.len() && out[j].0 == t && out[j].1 == dst && out[j].2 == host
-                        {
-                            j += 1;
-                        }
-                        let segs = if j == i + 1 {
-                            SegBatch::One(out[i].3)
-                        } else {
-                            SegBatch::Many(out[i..j].iter().map(|m| m.3).collect())
-                        };
-                        let mut to = shards[dst as usize].lock().expect("shard poisoned");
-                        if cfg!(debug_assertions) {
-                            to.ledger.routed_in += segs.len() as u64;
-                        }
-                        to.q.schedule(t, REv::Deliver { host, segs });
-                        i = j;
-                    }
-                }
-                // Window bounds and stop decision.
-                let mut all_done = true;
-                let mut w_start: Option<SimTime> = None;
-                for s in shards {
-                    let mut g = s.lock().expect("shard poisoned");
-                    if g.done_count < g.n_senders {
-                        all_done = false;
-                    }
-                    if let Some(t) = g.q.peek_time() {
-                        w_start = Some(w_start.map_or(t, |w: SimTime| w.min(t)));
-                    }
-                }
-                let Some(w_start) = w_start else { return false };
-                if all_done || w_start > until {
-                    return false;
-                }
-                let w_end = (w_start + self.lookahead)
-                    .min(self.edge_after(w_start))
-                    .min(until + epsilon);
-                for s in shards {
-                    s.lock().expect("shard poisoned").w_end = w_end;
-                }
-                true
-            },
+            |_| self.next_window(until),
             |_, shard| shard.run_window(),
         );
 
@@ -715,8 +794,27 @@ impl<'a> RackShard<'a> {
         }
     }
 
-    /// Process every local event strictly before `w_end`.
+    /// Enter the next window: flip the mailbox parity and queue what
+    /// the other racks posted to this one during the last window — before
+    /// anything is popped, so the arrivals take the same place in the
+    /// queue's FIFO order at every worker count.
+    fn begin_window(&mut self) {
+        self.parity ^= 1;
+        self.last_emit = None;
+        self.out_min = SimTime::MAX;
+        let (q, ledger) = (&mut self.q, &mut self.ledger);
+        self.mail.collect(self.parity ^ 1, self.r, |t, host, segs| {
+            if cfg!(debug_assertions) {
+                ledger.routed_in += segs.len() as u64;
+            }
+            q.schedule(t, REv::Deliver { host, segs });
+        });
+    }
+
+    /// Collect the mailboxes, then process every local event strictly
+    /// before `w_end`.
     fn run_window(&mut self) {
+        self.begin_window();
         while let Some((now, ev)) = self.q.pop_before(self.w_end) {
             let touched = match &ev {
                 REv::Deliver { host, .. }
@@ -929,16 +1027,15 @@ impl<'a> RackShard<'a> {
         }
     }
 
-    /// Whether `matchings[day]` connects racks `a` and `b`.
+    /// Whether the rotor connects racks `a` and `b` on `day`.
     fn connected_on_day(&self, day: u64, a: usize, b: usize) -> bool {
-        let m = &self.matchings[(day % self.matchings.len() as u64) as usize];
-        m.iter().any(|&(x, y)| (x == a && y == b) || (x == b && y == a))
+        self.peer_of[(day % self.peer_of.len() as u64) as usize][a] == b
     }
 
     /// Launch one segment from this rack's ToR toward `dst` at `at`,
     /// running it through the chaos pipeline in fixed order — clock →
     /// EPS jitter → EPS transit faults → wire impairments — and
-    /// emitting any surviving copies into the outbox. Returns the
+    /// posting any surviving copies to the mailboxes. Returns the
     /// serialization time the port slot consumed.
     fn launch(&mut self, at: SimTime, mut seg: Segment, circuit: bool, dst: usize) -> SimDuration {
         let mut p = if circuit { self.circuit } else { self.packet };
@@ -1036,7 +1133,8 @@ impl<'a> RackShard<'a> {
         }
     }
 
-    /// Queue a segment for cross-rack delivery at the next barrier.
+    /// Post a segment for the destination rack to collect at the start
+    /// of its next window.
     fn emit(&mut self, arrive: SimTime, seg: Segment) {
         let seat = self.seats[seg.flow.0 as usize];
         let (rack, host) = match seg.dir {
@@ -1047,20 +1145,20 @@ impl<'a> RackShard<'a> {
             arrive >= self.w_end,
             "cross-rack arrival inside the window violates the lookahead"
         );
-        self.outbox.push((arrive, rack, host, seg));
+        let key = Some((arrive, rack, host));
+        let msg = Msg {
+            t: arrive,
+            host,
+            joins_prev: self.last_emit == key,
+            seg,
+        };
+        self.last_emit = key;
+        self.out_min = self.out_min.min(arrive);
+        self.mail.post(self.parity, self.r, rack as usize, msg);
     }
 
     fn on_day_start(&mut self, now: SimTime, day: u64) {
-        let m = &self.matchings[(day % self.matchings.len() as u64) as usize];
-        self.peer = m.iter().find_map(|&(a, b)| {
-            if a == self.r {
-                Some(b)
-            } else if b == self.r {
-                Some(a)
-            } else {
-                None
-            }
-        });
+        self.peer = Some(self.peer_of[(day % self.peer_of.len() as u64) as usize][self.r]);
         // Notify resident hosts, sampling latencies (and fault
         // verdicts) in fixed host order.
         for h in 0..self.hosts.len() {
@@ -1224,5 +1322,94 @@ mod tests {
         let emu = ShardedEmulator::new(small_cfg(), ring_flows(4), |i, _| cubic_pair(i, u64::MAX));
         emu.shards[2].lock().unwrap().ledger.polled += 1;
         let _ = emu.run(SimTime::from_millis(1), 1);
+    }
+
+    /// Start `emu` and step it window by window, inline, until some
+    /// shard has posted to a mailbox; returns the parity posted to.
+    fn run_until_mail(emu: &ShardedEmulator<'_>) -> usize {
+        for s in &emu.shards {
+            s.lock().unwrap().start();
+        }
+        while emu.mail.in_flight() == 0 {
+            assert!(emu.next_window(SimTime::from_millis(1)), "ran out before any cross-rack segment");
+            for s in &emu.shards {
+                s.lock().unwrap().run_window();
+            }
+        }
+        emu.shards[0].lock().unwrap().parity
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "segment conservation violated")]
+    fn lost_mail_trips_the_conservation_law() {
+        // A collect that drops one batch on the floor: the segment is
+        // out of the mailbox and in no queue, and the next barrier says so.
+        let emu = ShardedEmulator::new(small_cfg(), ring_flows(4), |i, _| cubic_pair(i, u64::MAX));
+        let parity = run_until_mail(&emu);
+        let mut lost = false;
+        for dst in 0..4 {
+            let mut to = emu.shards[dst].lock().unwrap();
+            emu.mail.collect(parity, dst, |t, host, segs| {
+                if !std::mem::replace(&mut lost, true) {
+                    return;
+                }
+                to.ledger.routed_in += segs.len() as u64;
+                to.q.schedule(t, REv::Deliver { host, segs });
+            });
+        }
+        assert!(lost);
+        emu.next_window(SimTime::from_millis(1));
+    }
+
+    /// Shapes of the `Deliver` events rack `dst` collects and queues:
+    /// `(host, segments in the event)` in queue order.
+    fn collected(emu: &ShardedEmulator<'_>, dst: usize) -> Vec<(u32, usize)> {
+        let mut to = emu.shards[dst].lock().unwrap();
+        to.begin_window();
+        let mut shapes = Vec::new();
+        while let Some((_, ev)) = to.q.pop() {
+            if let REv::Deliver { host, segs } = ev {
+                shapes.push((host, segs.len()));
+            }
+        }
+        shapes
+    }
+
+    #[test]
+    fn batches_follow_the_sources_emission_order() {
+        // Rack 0 sources flow 0 (to rack 1) and flow 1 (to rack 2).
+        let flows = vec![PairFlow { src: 0, dst: 1 }, PairFlow { src: 0, dst: 2 }];
+        let fabric = || ShardedEmulator::new(small_cfg(), flows.clone(), |i, _| cubic_pair(i, 1_000));
+        let t = SimTime::from_micros(50);
+        let (a, b) = (
+            Segment::new(FlowId(0), Direction::DataPath),
+            Segment::new(FlowId(1), Direction::DataPath),
+        );
+
+        // A B C with A and C to the same (t, rack, host): B broke the
+        // run at the source, so they stay two deliveries (the host is
+        // flushed between them) although they sit side by side in the
+        // 0 → 1 box.
+        let emu = fabric();
+        for seg in [a, b, a] {
+            emu.shards[0].lock().unwrap().emit(t, seg);
+        }
+        assert_eq!(collected(&emu, 1), [(0, 1), (0, 1)]);
+        assert_eq!(collected(&emu, 2), [(0, 1)]);
+
+        // A A' B: one delivery of two segments, then B's.
+        let emu = fabric();
+        for seg in [a, a, b] {
+            emu.shards[0].lock().unwrap().emit(t, seg);
+        }
+        assert_eq!(collected(&emu, 1), [(0, 2)]);
+        assert_eq!(collected(&emu, 2), [(0, 1)]);
+
+        // Same host, different arrival times: no batch.
+        let emu = fabric();
+        emu.shards[0].lock().unwrap().emit(t, a);
+        emu.shards[0].lock().unwrap().emit(t + SimDuration::from_nanos(1), a);
+        assert_eq!(collected(&emu, 1), [(0, 1), (0, 1)]);
     }
 }

@@ -20,8 +20,9 @@
 //! overridable with [`set_default_jobs`] (the `figures` binary wires its
 //! `--jobs N` flag and the `FIGURES_JOBS` environment variable here).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::thread::Thread;
 
 /// Process-wide default worker count; `0` means "auto" (use
 /// [`available`]).
@@ -113,30 +114,37 @@ where
 /// Windowed barrier executor for intra-run sharding (DESIGN.md §13).
 ///
 /// Runs a sequence of *windows*. In each window, `leader` runs first on
-/// the calling thread with exclusive access to all shards (it drains
-/// mailboxes, decides the window bounds, and returns `false` to stop);
-/// then `work(shard_index, &mut shard)` runs once per shard, possibly in
-/// parallel across up to `jobs` workers. Two barriers per window bracket
-/// the leader section so no worker ever overlaps it.
+/// the calling thread with exclusive access to all shards (it decides
+/// the window bounds and returns `false` to stop); then
+/// `work(shard_index, &mut shard)` runs once per shard, in parallel
+/// across `jobs.min(shards.len())` workers. No worker ever overlaps the
+/// leader section.
 ///
 /// Determinism contract: `work` on shard `i` may touch only shard `i`
-/// (the `&mut` exclusivity enforces it), so the multiset of per-shard
-/// effects is the same for any worker count; everything order-sensitive
-/// (mailbox draining, reductions) happens in the single-threaded leader
-/// in fixed shard order. `jobs <= 1` runs the whole loop inline —
-/// leader, then shards 0..n in order — with no threads and no atomics:
-/// the debugging path, and byte-identical to the parallel path by the
-/// argument above.
+/// (the `&mut` exclusivity enforces it) plus whatever `Sync` state the
+/// closure captures — and that state must make the result independent
+/// of the order shards run in (the sharded engine's mailboxes do: one
+/// writer and one reader per box, never in the same window). `jobs <= 1`
+/// runs the whole loop inline — leader, then shards 0..n in order —
+/// with no threads and no atomics: the debugging path, and byte-identical
+/// to the parallel path by the argument above.
 ///
-/// The fan-out is a **persistent** pool: workers are spawned once and
-/// parked on per-worker channels between windows, so the per-window cost
-/// is two channel hops instead of `workers` thread spawns (which
-/// dominate short windows — a multirack run has thousands of them).
-/// Barriers are channel round-trips, not `std::sync::Barrier` (which
-/// cannot be broken): each worker owns a drop guard that reports
-/// completion *even while unwinding*, so a panicking worker wakes the
-/// leader instead of deadlocking it, the leader stops issuing windows,
-/// and the scope join propagates the panic to the caller.
+/// Execution: the calling thread is worker 0 and `workers − 1` helper
+/// threads are spawned once per call. Shard `i` always runs on worker
+/// `i % workers`, so a shard's state stays in one core's cache for the
+/// whole run. The go signal is a window counter the helpers wait on;
+/// completion is a counter of finished helper shares the caller waits
+/// on. Both waits spin for a bounded budget and then `thread::park` —
+/// the budget is zero when the workers outnumber the hardware threads,
+/// where a spinning waiter would only keep the thread it waits for off
+/// the CPU.
+///
+/// Unwinding: a helper reports its share finished from a drop guard,
+/// flagging the panic, so a panicking `work` wakes the caller instead of
+/// deadlocking it; the caller raises the stop signal and unparks every
+/// helper from a drop guard of its own, so a panic in `leader` or in
+/// worker 0's share frees the helpers too. Either way the scope joins
+/// every thread and the panic reaches the caller of `run_windows`.
 pub fn run_windows<S>(
     jobs: usize,
     shards: &[Mutex<S>],
@@ -146,67 +154,136 @@ pub fn run_windows<S>(
     S: Send,
 {
     let n = shards.len();
-    if jobs <= 1 || n <= 1 {
+    let workers = jobs.min(n).max(1);
+    let run_share = |w: usize| {
+        for i in (w..n).step_by(workers) {
+            work(i, &mut shards[i].lock().expect("shard poisoned"));
+        }
+    };
+    if workers == 1 {
         while leader(shards) {
-            for (i, s) in shards.iter().enumerate() {
-                work(i, &mut s.lock().expect("shard poisoned"));
-            }
+            run_share(0);
         }
         return;
     }
-    let workers = jobs.min(n);
-    let work = &work;
-    let cursor = &AtomicUsize::new(0);
 
-    /// Reports a worker's window as finished when dropped — including
-    /// a drop during unwind, where it flags the panic so the leader
-    /// stops cleanly instead of waiting forever.
-    struct DoneGuard(std::sync::mpsc::Sender<bool>);
-    impl Drop for DoneGuard {
+    /// `go` value that ends the helpers.
+    const STOP: u64 = u64::MAX;
+    let helpers = workers as u64 - 1;
+    let spin = if workers <= available() { SPIN_BUDGET } else { 0 };
+    // The window being run (published by the caller), or `STOP`.
+    let go = &AtomicU64::new(0);
+    // Helper shares finished since the start, all windows summed; the
+    // caller's wait on it pairs with the helpers' `Release` increments.
+    let done = &AtomicU64::new(0);
+    // Set before the panicking helper's `done` increment, read after the
+    // caller has seen that increment: `Relaxed` rides on that pairing.
+    let panicked = &AtomicBool::new(false);
+    let caller = &std::thread::current();
+    let run_share = &run_share;
+
+    /// Reports a helper's share as finished when dropped — including a
+    /// drop during unwind, which it flags so the caller stops issuing
+    /// windows instead of waiting forever.
+    struct DoneGuard<'a> {
+        done: &'a AtomicU64,
+        target: u64,
+        panicked: &'a AtomicBool,
+        caller: &'a Thread,
+    }
+    impl Drop for DoneGuard<'_> {
         fn drop(&mut self) {
-            let _ = self.0.send(std::thread::panicking());
+            if std::thread::panicking() {
+                self.panicked.store(true, Ordering::Relaxed);
+            }
+            if self.done.fetch_add(1, Ordering::AcqRel) + 1 == self.target {
+                self.caller.unpark();
+            }
+        }
+    }
+
+    /// Ends the helpers however the caller leaves the window loop.
+    struct StopGuard<'a> {
+        go: &'a AtomicU64,
+        helpers: Vec<Thread>,
+    }
+    impl StopGuard<'_> {
+        fn signal(&self, window: u64) {
+            self.go.store(window, Ordering::Release);
+            for h in &self.helpers {
+                h.unpark();
+            }
+        }
+    }
+    impl Drop for StopGuard<'_> {
+        fn drop(&mut self) {
+            self.signal(STOP);
         }
     }
 
     std::thread::scope(|scope| {
-        let (done_tx, done_rx) = std::sync::mpsc::channel::<bool>();
-        let mut go_txs = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
-            go_txs.push(go_tx);
-            let done_tx = done_tx.clone();
-            scope.spawn(move || {
-                // Parked here between windows; a dropped sender (leader
-                // finished or bailed) ends the worker.
-                while go_rx.recv().is_ok() {
-                    let _done = DoneGuard(done_tx.clone());
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        work(i, &mut shards[i].lock().expect("shard poisoned"));
+        // The guard exists before the first helper does, so a failed
+        // spawn still ends the helpers already running.
+        let mut pool = StopGuard {
+            go,
+            helpers: Vec::with_capacity(workers - 1),
+        };
+        for w in 1..workers {
+            let helper = scope.spawn(move || {
+                let mut seen = 0;
+                loop {
+                    wait_until(spin, || go.load(Ordering::Acquire) != seen);
+                    seen = go.load(Ordering::Acquire);
+                    if seen == STOP {
+                        return;
                     }
+                    let _done = DoneGuard {
+                        done,
+                        target: seen * helpers,
+                        panicked,
+                        caller,
+                    };
+                    run_share(w);
                 }
             });
+            pool.helpers.push(helper.thread().clone());
         }
-        drop(done_tx);
-
-        // Workers are parked whenever the leader runs, so it has the
-        // shards to itself.
-        'windows: while leader(shards) {
-            cursor.store(0, Ordering::Relaxed);
-            for go in &go_txs {
-                go.send(()).expect("worker exited early");
-            }
-            for _ in 0..workers {
-                if done_rx.recv().expect("worker exited early") {
-                    break 'windows; // a worker panicked: stop issuing work
-                }
+        let mut window = 0;
+        while leader(shards) {
+            window += 1;
+            pool.signal(window);
+            run_share(0);
+            wait_until(spin, || done.load(Ordering::Acquire) == window * helpers);
+            if panicked.load(Ordering::Relaxed) {
+                break; // the scope join re-raises it
             }
         }
-        drop(go_txs); // unpark workers into their exit path
     });
+}
+
+/// Spin iterations a window waiter spends before it parks. A parked
+/// waiter costs a futex wake-up (tens of microseconds under a
+/// hypervisor) and windows are microseconds apart, so the budget is
+/// sized to outlast the gap between two workers finishing a window.
+const SPIN_BUDGET: u32 = 1 << 14;
+
+/// Block until `ready()`: poll it `spin` times, then park between
+/// polls. Whoever makes `ready()` true must `unpark` this thread
+/// afterwards; the park token makes an unpark that lands between the
+/// poll and the park wake it at once, so no wake-up is lost.
+fn wait_until(spin: u32, ready: impl Fn() -> bool) {
+    loop {
+        for _ in 0..spin {
+            if ready() {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+        if ready() {
+            return;
+        }
+        std::thread::park();
+    }
 }
 
 #[cfg(test)]
@@ -320,20 +397,71 @@ mod tests {
         }
     }
 
+    /// Run `f` on a thread of its own and report whether it panicked;
+    /// fail if it has done neither within 10 s (a lost wake-up hangs
+    /// instead of failing).
+    fn panics_within_10s(f: impl FnOnce() + Send + 'static) -> bool {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+            let _ = tx.send(outcome.is_err());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("run_windows hung")
+    }
+
     #[test]
-    #[should_panic(expected = "scoped thread panicked")]
+    fn run_windows_leader_panic_propagates() {
+        // The second leader call panics with every helper waiting for a
+        // go signal: the caller's drop guard must free them.
+        for jobs in [2, 4] {
+            assert!(panics_within_10s(move || {
+                let state: Vec<Mutex<u32>> = (0..4).map(|_| Mutex::new(0)).collect();
+                let mut calls = 0;
+                run_windows(
+                    jobs,
+                    &state,
+                    |_| {
+                        calls += 1;
+                        assert!(calls < 2, "boom");
+                        true
+                    },
+                    |_, s| *s += 1,
+                );
+            }));
+        }
+    }
+
+    #[test]
     fn run_windows_work_panic_propagates() {
-        let state: Vec<Mutex<u32>> = (0..4).map(|_| Mutex::new(0)).collect();
-        let mut first = true;
-        run_windows(
-            2,
-            &state,
-            |_| std::mem::take(&mut first),
-            |i, _| {
-                if i == 3 {
-                    panic!("boom");
-                }
-            },
-        );
+        // Shard `i` runs on worker `i % jobs` and worker 0 is the
+        // caller: the first two cases panic on the caller, the rest on a
+        // helper. The panicking shard (`bad`) first waits until a shard
+        // of another worker (`after`) has run, so the panic lands with
+        // that worker at or near the barrier rather than before it.
+        for (jobs, bad, after) in [(3, 0, 1), (3, 3, 2), (3, 1, 0), (2, 1, 0), (4, 2, 0)] {
+            assert!(
+                panics_within_10s(move || {
+                    let state: Vec<Mutex<u32>> = (0..4).map(|_| Mutex::new(0)).collect();
+                    let (tx, rx) = std::sync::mpsc::channel();
+                    let (tx, rx) = (Mutex::new(tx), Mutex::new(rx));
+                    run_windows(
+                        jobs,
+                        &state,
+                        |_| true,
+                        |i, _| {
+                            if i == after {
+                                tx.lock().unwrap().send(()).unwrap();
+                            }
+                            if i == bad {
+                                rx.lock().unwrap().recv().unwrap();
+                                panic!("boom");
+                            }
+                        },
+                    );
+                }),
+                "jobs={jobs} bad={bad}"
+            );
+        }
     }
 }

@@ -4,7 +4,8 @@
 # cargo registry — or no network at all — must never break the build.
 #
 # Usage: scripts/ci.sh [soak|chaos|bench|lint|tails|skew]
-#   (none) — the default gate: release build, workspace tests, chaos
+#   (none) — the default gate: release build, workspace tests, the
+#           window-barrier panic and stress tests again in release, chaos
 #           soak, figures smoke, every example under a wall-clock
 #           timeout, tailgate, the benchmark package (built
 #           --offline, its unit tests, one pass of each of its five
@@ -143,6 +144,13 @@ fi
 
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
+
+# The window barrier's spin/park hand-off is timing-sensitive and an
+# unoptimised build hides races an optimised one shows: run its panic
+# tests and the empty-window stress again in release.
+echo "==> window barrier, release build: panic propagation + 10k-empty-window stress"
+cargo test -q --offline --release -p simcore par::tests::run_windows
+cargo test -q --offline --release --test multirack barrier_survives
 
 echo "==> chaos soak: ${CHAOS_CASES} randomized scenarios"
 TK_CASES="$CHAOS_CASES" cargo test -q --offline --test chaos chaos_soak

@@ -169,3 +169,72 @@ fn deterministic() {
         assert_eq!(digest(workers), base, "digest moved at workers={workers}");
     }
 }
+
+/// The benchmark's `fabric16`: 16 racks, every rack sending at strides
+/// 1, 2 and 3 (48 TDTCP bulk flows), 60 ms, seed 1.
+fn fabric16(workers: usize) -> ShardResult {
+    let cfg = MultiRackConfig {
+        racks: 16,
+        ..MultiRackConfig::paper_8rack()
+    };
+    let flows: Vec<PairFlow> = (1..=3)
+        .flat_map(|stride| {
+            (0..16).map(move |r| PairFlow {
+                src: r,
+                dst: (r + stride) % 16,
+            })
+        })
+        .collect();
+    run(cfg, flows, |i| tdtcp_ep(i, u64::MAX), 60, workers)
+}
+
+#[test]
+fn fabric16_digest_is_pinned_at_every_worker_count() {
+    // Captured from the channel-barrier / leader-drain engine this one
+    // replaced (PR 15's tree): the window protocol may change, the
+    // simulated result may not. 3, 4, 8 and 32 workers oversubscribe a
+    // 2-CPU host (32 > racks clamps to 16) and must park, not spin:
+    // each finishes within 3× the two-worker wall time.
+    let timed = |workers: usize| {
+        // detlint: allow(wall_clock) — host time bounds the oversubscribed runs; it never reaches the simulation
+        let t0 = std::time::Instant::now();
+        let digest = fabric16(workers).stats_digest();
+        (digest, t0.elapsed())
+    };
+    assert_eq!(timed(1).0, 0x3e82_3511_d799_fd67, "workers=1");
+    let (d2, wall2) = timed(2);
+    assert_eq!(d2, 0x3e82_3511_d799_fd67, "workers=2");
+    for workers in [3, 4, 8, 32] {
+        let (d, wall) = timed(workers);
+        assert_eq!(d, 0x3e82_3511_d799_fd67, "workers={workers}");
+        assert!(
+            wall < 3 * wall2,
+            "workers={workers} took {wall:?}, workers=2 took {wall2:?}"
+        );
+    }
+}
+
+#[test]
+fn barrier_survives_ten_thousand_empty_windows() {
+    // Lost-wake-up hunt: with nothing to do per window the barrier is
+    // all that runs, at every split of 5 shards over 2..=8 workers.
+    // A lost wake-up hangs; a skipped or doubled share miscounts.
+    const WINDOWS: u64 = 10_000;
+    for workers in 2..=8 {
+        let shards: Vec<std::sync::Mutex<u64>> = (0..5).map(|_| Default::default()).collect();
+        let mut left = WINDOWS;
+        simcore::par::run_windows(
+            workers,
+            &shards,
+            |shards| {
+                let ran = WINDOWS - left;
+                for s in shards {
+                    assert_eq!(*s.lock().unwrap(), ran, "workers={workers}");
+                }
+                left -= 1;
+                left > 0
+            },
+            |_, s| *s += 1,
+        );
+    }
+}
