@@ -416,10 +416,8 @@ impl Transport for MptcpConnection {
         // Poll the active subflow first, then the others (retransmissions
         // and stranded ACKs may still be queued there).
         let active = self.subflow_index(Some(self.current));
-        let order: Vec<usize> = std::iter::once(active)
-            .chain((0..self.subflows.len()).filter(|&i| i != active))
-            .collect();
-        for i in order {
+        let others = (0..self.subflows.len()).filter(|&i| i != active);
+        for i in std::iter::once(active).chain(others) {
             let data_ack = self.rx.rcv_nxt();
             let sf = &mut self.subflows[i];
             let Some(conn) = sf.conn.as_mut() else { continue };

@@ -200,16 +200,6 @@ impl RunResult {
         self.sender_stats.iter().map(|s| s.bytes_acked).sum()
     }
 
-    /// Simulator throughput: events processed per wall-clock second
-    /// (0.0 if the run was too fast for the clock to register).
-    pub fn events_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.events as f64 / secs
-    }
-
     /// Notifications lost to injected faults.
     pub fn notifications_lost(&self) -> u64 {
         self.faults.notifications_dropped

@@ -32,19 +32,19 @@ pub use time::{SimDuration, SimTime};
 pub use trace::{Gauge, TimeSeries};
 pub use wheel::{TimerWheel, WheelEventId};
 
-/// The event queue the simulators use by default.
+/// The event queue both `rdcn` engines run on.
 ///
-/// [`EventQueue`] (binary heap over a slab) and [`TimerWheel`]
-/// (hierarchical wheel over the same slab) are digest-interchangeable —
-/// both pop in exact `(time, seq)` order — so this alias names whichever
-/// wins the queue race the benchmark's `simcore.wheel_ns_per_op` /
-/// `simcore.heap_ns_per_op` kernels re-run (`benchmark/src/micro.rs`).
-/// Currently the wheel: O(1) amortized schedule/pop beats the heap's
-/// O(log n) sift on all three mixes (push/pop ~38 vs ~46 µs,
-/// cancel/rearm ~52 vs ~86 µs, windowed drain ~120 vs ~223 µs when it
-/// was picked). Both `rdcn` engines run on this alias; [`EventQueue`]
-/// stays `pub` as the wheel's differential oracle (property tests and
-/// the benchmark race the two on the same scripts).
+/// [`TimerWheel`] (an intrusive hierarchical wheel: one node slab, every
+/// bucket a linked list through it, no heap call per event once the slab
+/// has grown to its peak) and [`EventQueue`] (a binary heap of keys over
+/// a payload slab) are digest-interchangeable — both pop in exact
+/// `(time, seq)` order — so which one this alias names can change a
+/// run's host cost and nothing else. It names the wheel: O(1) amortized
+/// schedule/pop against the heap's O(log n) sift. [`EventQueue`] stays
+/// `pub` as the wheel's differential oracle: root `tests/queue_oracle.rs`
+/// holds the two to identical behaviour over random scripts, and the
+/// benchmark's `simcore.wheel_ns_per_op` / `simcore.heap_ns_per_op`
+/// kernels (`benchmark/src/micro.rs`) time them on the same one.
 pub type DefaultQueue<E> = TimerWheel<E>;
 
 /// Handle type paired with [`DefaultQueue`] (see [`EventId`] /

@@ -1,54 +1,79 @@
-//! Hierarchical timer wheel — an alternative event queue to the binary
-//! heap in [`crate::event`].
+//! Hierarchical timer wheel — the event queue both `rdcn` engines run on.
 //!
 //! Same contract as [`crate::EventQueue`]: events pop in exact
 //! `(time, seq)` order where `seq` is the monotone insertion counter, so
 //! the two implementations are digest-interchangeable — swapping one for
-//! the other cannot change any simulation output, only its wall time.
-//! The benchmark races them head-to-head (`simcore.heap_ns_per_op` vs
-//! `simcore.wheel_ns_per_op`, `benchmark/src/micro.rs`);
-//! [`crate::DefaultQueue`] names the winner.
+//! the other cannot change any simulation output, only its host cost.
+//! The heap queue stays as the differential oracle (root
+//! `tests/queue_oracle.rs`, the unit test below, and the benchmark's
+//! `simcore.wheel_ns_per_op` / `simcore.heap_ns_per_op` kernels run the
+//! two on the same scripts).
 //!
-//! Layout: six levels of 64 slots each. Level `l` buckets spans of
-//! `64^l · 1024 ns`, so the wheel covers ~70 000 s before anything
-//! lands in the unsorted overflow list (rebased wholesale if the
-//! levels ever run dry, which no current workload reaches). Each slot
-//! holds small `{time, seq, slot}` keys; payloads live in the same
-//! slab-with-free-list arrangement as the heap queue, so cancellation
-//! is a lazy O(1) mark. Draining a slot sorts its keys (slots are
-//! narrow, so runs are short) into a `ready` batch that pops by
+//! Layout: intrusive. Every scheduled event is one node in a slab —
+//! `time`, `seq`, a `next` link and the payload — and every container a
+//! node can be in is a singly linked list threaded through `next`: the
+//! free list, one list per bucket, the overflow list. Six levels of 64
+//! buckets each; a level is 64 list heads plus an occupancy bitmask.
+//! Level `l` buckets spans of `64^l · 1024 ns`, so the wheel covers
+//! ~70 000 s before anything lands on the overflow list (rebased
+//! wholesale when the levels run dry). Scheduling pushes a node on the
+//! front of its bucket's list; a cascade relinks a bucket's nodes one
+//! level down; cancellation is a lazy O(1) mark on the node. Draining a
+//! level-0 bucket walks its list into the one reusable `ready` buffer of
+//! `{time, seq, node}` keys and sorts it, and pops then read `ready` by
 //! cursor; an insert below the drained horizon binary-searches into
 //! `ready`, keeping the total order exact.
+//!
+//! List order inside a bucket carries no information: `(time, seq)` is
+//! unique per node, so the sort that follows a drain gives one result
+//! whatever order the walk met the nodes in, and a cascade or a rebase
+//! only decides *which* bucket a node lands in, from its own time.
+//!
+//! Nothing here allocates in steady state: the slab grows to the peak
+//! number of events ever held at once and `ready` to the widest bucket
+//! ever drained, and both are kept.
 
 use crate::time::SimTime;
 
 /// Opaque handle identifying a scheduled event, usable for cancellation.
 ///
 /// Same shape as the heap queue's id: `seq` disambiguates slab reuse, so
-/// a stale id whose slot now holds a different event fails the seq match
+/// a stale id whose node now holds a different event fails the seq match
 /// instead of cancelling it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WheelEventId {
-    slot: u32,
+    node: u32,
     seq: u64,
 }
 
-/// Bucket key: 24 bytes regardless of payload size (mirrors the heap
-/// queue's `Entry`).
+/// End-of-list marker, and the head of an empty list.
+const NIL: u32 = u32::MAX;
+
+/// One entry of the `ready` batch: 24 bytes regardless of payload size,
+/// so the per-bucket sort moves small keys, not payloads.
 #[derive(Clone, Copy)]
 struct Key {
     time: SimTime,
     seq: u64,
-    slot: u32,
+    node: u32,
 }
 
-enum Slot<E> {
+enum State<E> {
     /// On the free list, available for the next `schedule`.
     Vacant,
     /// Scheduled and not yet fired or cancelled.
-    Live { seq: u64, payload: E },
+    Live(E),
     /// Cancelled while live; freed when its key surfaces.
     Cancelled,
+}
+
+struct Node<E> {
+    time: SimTime,
+    seq: u64,
+    /// The next node on whichever list holds this one (free, a bucket's,
+    /// overflow), or `NIL`. Unused while the node's key sits in `ready`.
+    next: u32,
+    state: State<E>,
 }
 
 /// log2 of the level-0 slot width in nanoseconds (1024 ns).
@@ -64,23 +89,17 @@ fn width(l: usize) -> u64 {
 }
 
 struct Level {
-    /// Keys bucketed by `(time / width) % SLOTS`.
-    buckets: Vec<Vec<Key>>,
-    /// Bit `i` set iff `buckets[i]` is non-empty.
+    /// List heads, bucketed by `(time / width) % SLOTS`.
+    heads: [u32; SLOTS],
+    /// Bit `i` set iff `heads[i]` is not `NIL`.
     occupied: u64,
 }
 
 impl Level {
-    fn new() -> Level {
-        Level {
-            buckets: (0..SLOTS).map(|_| Vec::new()).collect(),
-            occupied: 0,
-        }
-    }
-
-    fn push(&mut self, idx: usize, key: Key) {
-        self.buckets[idx].push(key);
-        self.occupied |= 1 << idx;
+    /// Unlink and return bucket `idx`'s whole list.
+    fn take(&mut self, idx: usize) -> u32 {
+        self.occupied &= !(1u64 << idx);
+        std::mem::replace(&mut self.heads[idx], NIL)
     }
 
     /// Index of the first occupied bucket at or after `from`, if any.
@@ -98,24 +117,27 @@ impl Level {
 /// tie-breaking and lazy cancellation, backed by a hierarchical timer
 /// wheel. Drop-in alternative to [`crate::EventQueue`].
 pub struct TimerWheel<E> {
-    levels: Vec<Level>,
-    /// Events beyond the top level's span (rebased if ever reached).
-    overflow: Vec<Key>,
+    levels: [Level; LEVELS],
+    /// Head of the list of events beyond the top level's span.
+    overflow: u32,
     /// Drained keys in exact `(time, seq)` order; `ready_pos` is the
-    /// pop cursor.
+    /// pop cursor. The buffer is reused from drain to drain.
     ready: Vec<Key>,
     ready_pos: usize,
-    /// Every live event with `time < horizon` is in `ready`; everything
+    /// Every held event with `time < horizon` is in `ready`; everything
     /// at or after it is still bucketed. Horizon is always a multiple of
     /// the level-0 width.
     horizon: u64,
-    slots: Vec<Slot<E>>,
-    free: Vec<u32>,
+    nodes: Vec<Node<E>>,
+    /// Head of the free list.
+    free: u32,
     next_seq: u64,
     now: SimTime,
     popped: u64,
     /// Live (scheduled, not fired, not cancelled) event count.
     live: usize,
+    /// Nodes off the free list: live plus not-yet-collected cancelled.
+    held: usize,
 }
 
 impl<E> Default for TimerWheel<E> {
@@ -128,17 +150,21 @@ impl<E> TimerWheel<E> {
     /// Create an empty queue with the clock at zero.
     pub fn new() -> Self {
         TimerWheel {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
-            overflow: Vec::new(),
+            levels: std::array::from_fn(|_| Level {
+                heads: [NIL; SLOTS],
+                occupied: 0,
+            }),
+            overflow: NIL,
             ready: Vec::new(),
             ready_pos: 0,
             horizon: 0,
-            slots: Vec::new(),
-            free: Vec::new(),
+            nodes: Vec::new(),
+            free: NIL,
             next_seq: 0,
             now: SimTime::ZERO,
             popped: 0,
             live: 0,
+            held: 0,
         }
     }
 
@@ -153,51 +179,70 @@ impl<E> TimerWheel<E> {
         self.popped
     }
 
-    /// Count of keys still held, including not-yet-collected cancelled
+    /// Count of events still held, including not-yet-collected cancelled
     /// ones.
     pub fn raw_len(&self) -> usize {
-        (self.ready.len() - self.ready_pos)
-            + self.overflow.len()
-            + self
-                .levels
-                .iter()
-                .map(|l| l.buckets.iter().map(Vec::len).sum::<usize>())
-                .sum::<usize>()
+        self.held
     }
 
-    fn alloc(&mut self, payload: E) -> (u32, u64) {
+    /// Take a node off the free list (growing the slab when it is empty)
+    /// and fill it in; its `next` is for whoever links it.
+    fn alloc(&mut self, time: SimTime, payload: E) -> Key {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                debug_assert!(matches!(self.slots[slot as usize], Slot::Vacant));
-                self.slots[slot as usize] = Slot::Live { seq, payload };
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slots.len()).expect("more than u32::MAX live events");
-                self.slots.push(Slot::Live { seq, payload });
-                slot
-            }
-        };
         self.live += 1;
-        (slot, seq)
+        self.held += 1;
+        let state = State::Live(payload);
+        let node = self.free;
+        if node == NIL {
+            let node = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&n| n != NIL)
+                .expect("more than u32::MAX - 1 events held");
+            self.nodes.push(Node {
+                time,
+                seq,
+                next: NIL,
+                state,
+            });
+            return Key { time, seq, node };
+        }
+        let slot = &mut self.nodes[node as usize];
+        debug_assert!(matches!(slot.state, State::Vacant));
+        self.free = slot.next;
+        slot.time = time;
+        slot.seq = seq;
+        slot.state = state;
+        Key { time, seq, node }
     }
 
-    /// Bucket `key` into the shallowest level whose current window
-    /// reaches its time, or the overflow list.
-    fn place(&mut self, key: Key) {
-        let t = key.time.as_nanos();
+    /// Put `node` back on the free list and return what it held.
+    fn release(&mut self, node: u32) -> State<E> {
+        let slot = &mut self.nodes[node as usize];
+        slot.next = self.free;
+        self.free = node;
+        self.held -= 1;
+        std::mem::replace(&mut slot.state, State::Vacant)
+    }
+
+    /// Link `node`, whose time is `time`, into the shallowest level whose
+    /// current window reaches it, or onto the overflow list.
+    fn place(&mut self, node: u32, time: SimTime) {
+        let t = time.as_nanos();
         debug_assert!(t >= self.horizon);
-        for l in 0..LEVELS {
+        let next = &mut self.nodes[node as usize].next;
+        for (l, level) in self.levels.iter_mut().enumerate() {
             let w = width(l);
             if t / w < self.horizon / w + SLOTS as u64 {
                 let idx = ((t / w) % SLOTS as u64) as usize;
-                self.levels[l].push(idx, key);
+                *next = level.heads[idx];
+                level.heads[idx] = node;
+                level.occupied |= 1 << idx;
                 return;
             }
         }
-        self.overflow.push(key);
+        *next = self.overflow;
+        self.overflow = node;
     }
 
     /// Schedule `payload` at absolute time `time`.
@@ -211,8 +256,7 @@ impl<E> TimerWheel<E> {
             "scheduled event at {time} but clock is already at {}",
             self.now
         );
-        let (slot, seq) = self.alloc(payload);
-        let key = Key { time, seq, slot };
+        let key = self.alloc(time, payload);
         if time.as_nanos() < self.horizon {
             // Below the drained horizon: splice into the pending part of
             // the ready batch at its exact `(time, seq)` position. `seq`
@@ -222,34 +266,48 @@ impl<E> TimerWheel<E> {
             // cancelled keys with times above `time` (skipped by
             // cursor, never removed), so the vec as a whole need not be
             // sorted — but `[ready_pos..]` always is.
-            let at = self.ready_pos
-                + self.ready[self.ready_pos..].partition_point(|k| k.time <= time);
+            let at =
+                self.ready_pos + self.ready[self.ready_pos..].partition_point(|k| k.time <= time);
             self.ready.insert(at, key);
         } else {
-            self.place(key);
+            self.place(key.node, time);
         }
-        WheelEventId { slot, seq }
+        WheelEventId {
+            node: key.node,
+            seq: key.seq,
+        }
     }
 
     /// Cancel a previously scheduled event. Returns `true` if the event
-    /// had not yet fired (or been cancelled). Lazy: the key stays
-    /// bucketed and is discarded when it surfaces.
+    /// had not yet fired (or been cancelled). Lazy: the node stays where
+    /// it is linked and is freed when its key surfaces.
     pub fn cancel(&mut self, id: WheelEventId) -> bool {
-        match self.slots.get_mut(id.slot as usize) {
-            Some(s @ Slot::Live { .. }) => {
-                let live_seq = match s {
-                    Slot::Live { seq, .. } => *seq,
-                    _ => unreachable!(),
-                };
-                if live_seq == id.seq {
-                    *s = Slot::Cancelled;
-                    self.live -= 1;
-                    true
-                } else {
-                    false
-                }
+        match self.nodes.get_mut(id.node as usize) {
+            Some(n) if n.seq == id.seq && matches!(n.state, State::Live(_)) => {
+                n.state = State::Cancelled;
+                self.live -= 1;
+                true
             }
             _ => false,
+        }
+    }
+
+    /// Put every node of the list starting at `node` on the free list.
+    fn release_list(&mut self, mut node: u32) {
+        while node != NIL {
+            let next = self.nodes[node as usize].next;
+            self.release(node);
+            node = next;
+        }
+    }
+
+    /// Re-place every node of the list starting at `node` relative to
+    /// the current horizon.
+    fn place_list(&mut self, mut node: u32) {
+        while node != NIL {
+            let Node { time, next, .. } = self.nodes[node as usize];
+            self.place(node, time);
+            node = next;
         }
     }
 
@@ -264,42 +322,37 @@ impl<E> TimerWheel<E> {
         self.ready_pos = 0;
         loop {
             if self.live == 0 {
-                // Nothing real left; drop any lingering cancelled keys.
-                for l in &mut self.levels {
-                    if l.occupied != 0 {
-                        for b in &mut l.buckets {
-                            for k in b.drain(..) {
-                                self.slots[k.slot as usize] = Slot::Vacant;
-                                self.free.push(k.slot);
-                            }
-                        }
-                        l.occupied = 0;
+                // Nothing real left; free any lingering cancelled nodes.
+                for l in 0..LEVELS {
+                    while self.levels[l].occupied != 0 {
+                        let i = self.levels[l].occupied.trailing_zeros() as usize;
+                        let list = self.levels[l].take(i);
+                        self.release_list(list);
                     }
                 }
-                for k in self.overflow.drain(..) {
-                    self.slots[k.slot as usize] = Slot::Vacant;
-                    self.free.push(k.slot);
-                }
+                let list = std::mem::replace(&mut self.overflow, NIL);
+                self.release_list(list);
                 return;
             }
-            // Each level's live keys occupy one 64-slot wrap window
+            // Each level's held nodes occupy one 64-slot wrap window
             // starting at its current cursor slot `s_l = horizon / W_l`
             // (indices below the cursor's belong to the *next* aligned
             // block). Find the earliest-starting occupied slot across
             // overflow and all levels, scanning overflow first and
             // levels high→low with a strict `<`, so on equal starts the
             // coarser holder cascades down *before* the finer one
-            // drains — a level-l slot can contain keys that belong in
+            // drains — a level-l slot can contain nodes that belong in
             // the very level-0 slot about to drain.
             const OVF: usize = LEVELS;
             let mut best: Option<(u64, usize, usize)> = None; // (start, level, idx)
-            if !self.overflow.is_empty() {
-                let min = self
-                    .overflow
-                    .iter()
-                    .map(|k| k.time.as_nanos())
-                    .min()
-                    .expect("overflow checked non-empty");
+            if self.overflow != NIL {
+                let mut min = u64::MAX;
+                let mut node = self.overflow;
+                while node != NIL {
+                    let n = &self.nodes[node as usize];
+                    min = min.min(n.time.as_nanos());
+                    node = n.next;
+                }
                 best = Some((min / width(0) * width(0), OVF, 0));
             }
             for l in (0..LEVELS).rev() {
@@ -323,33 +376,57 @@ impl<E> TimerWheel<E> {
                 }
             }
             let Some((start, l, i)) = best else {
-                unreachable!("live > 0 but no level or overflow holds a key");
+                unreachable!("live > 0 but no level or overflow holds a node");
             };
             debug_assert!(start >= self.horizon, "wheel horizon went backwards");
             if l == OVF {
                 // Rebase: everything beyond the top span re-places now
                 // that the horizon caught up.
                 self.horizon = start;
-                for k in std::mem::take(&mut self.overflow) {
-                    self.place(k);
-                }
+                let list = std::mem::replace(&mut self.overflow, NIL);
+                self.place_list(list);
             } else if l == 0 {
-                let mut batch = std::mem::take(&mut self.levels[0].buckets[i]);
-                self.levels[0].occupied &= !(1u64 << i);
-                batch.sort_unstable_by_key(|k| (k.time, k.seq));
+                let mut node = self.levels[0].take(i);
+                while node != NIL {
+                    let n = &self.nodes[node as usize];
+                    self.ready.push(Key {
+                        time: n.time,
+                        seq: n.seq,
+                        node,
+                    });
+                    node = n.next;
+                }
+                self.ready.sort_unstable_by_key(|k| (k.time, k.seq));
                 self.horizon = start + width(0);
-                self.ready = batch;
                 return;
             } else {
-                // Cascade: re-place the slot's keys; each fits level
+                // Cascade: relink the slot's nodes; each fits level
                 // l-1 or below relative to the advanced horizon.
                 self.horizon = start;
-                let batch = std::mem::take(&mut self.levels[l].buckets[i]);
-                self.levels[l].occupied &= !(1u64 << i);
-                for k in batch {
-                    self.place(k);
-                }
+                let list = self.levels[l].take(i);
+                self.place_list(list);
             }
+        }
+    }
+
+    /// Consume `key`, the one at the ready cursor: free its node and, if
+    /// the event was still live, advance the clock to it and return it.
+    fn fire(&mut self, key: Key) -> Option<(SimTime, E)> {
+        self.ready_pos += 1;
+        debug_assert_eq!(
+            self.nodes[key.node as usize].seq, key.seq,
+            "node/key pairing broken"
+        );
+        match self.release(key.node) {
+            State::Cancelled => None,
+            State::Live(payload) => {
+                debug_assert!(key.time >= self.now, "timer wheel went backwards");
+                self.now = key.time;
+                self.popped += 1;
+                self.live -= 1;
+                Some((key.time, payload))
+            }
+            State::Vacant => unreachable!("ready key pointed at a vacant node"),
         }
     }
 
@@ -357,22 +434,9 @@ impl<E> TimerWheel<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         loop {
             self.refill();
-            let key = self.ready.get(self.ready_pos).copied()?;
-            self.ready_pos += 1;
-            match std::mem::replace(&mut self.slots[key.slot as usize], Slot::Vacant) {
-                Slot::Cancelled => {
-                    self.free.push(key.slot);
-                }
-                Slot::Live { seq, payload } => {
-                    debug_assert_eq!(seq, key.seq, "slot/key pairing broken");
-                    debug_assert!(key.time >= self.now, "timer wheel went backwards");
-                    self.free.push(key.slot);
-                    self.now = key.time;
-                    self.popped += 1;
-                    self.live -= 1;
-                    return Some((key.time, payload));
-                }
-                Slot::Vacant => unreachable!("bucketed key pointed at a vacant slot"),
+            let key = *self.ready.get(self.ready_pos)?;
+            if let Some(event) = self.fire(key) {
+                return Some(event);
             }
         }
     }
@@ -390,21 +454,8 @@ impl<E> TimerWheel<E> {
                 // times, so no live event precedes `limit`.
                 return None;
             }
-            self.ready_pos += 1;
-            match std::mem::replace(&mut self.slots[key.slot as usize], Slot::Vacant) {
-                Slot::Cancelled => {
-                    self.free.push(key.slot);
-                }
-                Slot::Live { seq, payload } => {
-                    debug_assert_eq!(seq, key.seq, "slot/key pairing broken");
-                    debug_assert!(key.time >= self.now, "timer wheel went backwards");
-                    self.free.push(key.slot);
-                    self.now = key.time;
-                    self.popped += 1;
-                    self.live -= 1;
-                    return Some((key.time, payload));
-                }
-                Slot::Vacant => unreachable!("bucketed key pointed at a vacant slot"),
+            if let Some(event) = self.fire(key) {
+                return Some(event);
             }
         }
     }
@@ -414,9 +465,8 @@ impl<E> TimerWheel<E> {
         loop {
             self.refill();
             let key = *self.ready.get(self.ready_pos)?;
-            if matches!(self.slots[key.slot as usize], Slot::Cancelled) {
-                self.slots[key.slot as usize] = Slot::Vacant;
-                self.free.push(key.slot);
+            if matches!(self.nodes[key.node as usize].state, State::Cancelled) {
+                self.release(key.node);
                 self.ready_pos += 1;
             } else {
                 return Some(key.time);
@@ -428,40 +478,102 @@ impl<E> TimerWheel<E> {
     pub fn is_empty(&mut self) -> bool {
         self.live == 0
     }
-}
 
-#[cfg(test)]
-impl<E> TimerWheel<E> {
-    /// Test-only structural invariant check; panics with a description
-    /// of the first violated invariant.
-    fn check_invariants(&self) {
-        assert_eq!(self.horizon % width(0), 0, "horizon not slot-aligned");
+    /// Length of the node slab: the peak number of events ever held at
+    /// once. For tests that pin node recycling.
+    #[doc(hidden)]
+    pub fn slab_len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Structural invariant check for tests (the unit tests below and
+    /// root `tests/queue_oracle.rs`): `Err` describes the first violated
+    /// invariant. O(slab) and allocating — not for the event path.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) -> Result<(), String> {
+        macro_rules! ensure {
+            ($cond:expr, $($msg:tt)+) => {
+                if !$cond {
+                    return Err(format!($($msg)+));
+                }
+            };
+        }
+        ensure!(
+            self.horizon.is_multiple_of(width(0)),
+            "horizon not slot-aligned"
+        );
+        // Every node is on exactly one of: the free list, one bucket's
+        // list, the overflow list, the pending part of `ready` — vacant
+        // on the first, live or cancelled on the others.
+        let mut seen = vec![false; self.nodes.len()];
+        let (mut held, mut live) = (0usize, 0usize);
+        let mut claim = |node: u32, list: &'static str| {
+            let Some(n) = self.nodes.get(node as usize) else {
+                return Err(format!("{list} names node {node} past the slab"));
+            };
+            let again = std::mem::replace(&mut seen[node as usize], true);
+            ensure!(!again, "node {node} reached twice (second time via {list})");
+            let vacant = matches!(n.state, State::Vacant);
+            ensure!(
+                vacant == (list == "free list"),
+                "node {node} on {list} in the wrong state"
+            );
+            if !vacant {
+                held += 1;
+                live += usize::from(matches!(n.state, State::Live(_)));
+            }
+            Ok(n)
+        };
+        let mut node = self.free;
+        while node != NIL {
+            node = claim(node, "free list")?.next;
+        }
         for (l, level) in self.levels.iter().enumerate() {
             let w = width(l);
             let s = self.horizon / w;
-            for (idx, bucket) in level.buckets.iter().enumerate() {
-                assert_eq!(
-                    level.occupied & (1 << idx) != 0,
-                    !bucket.is_empty(),
+            for (idx, &head) in level.heads.iter().enumerate() {
+                ensure!(
+                    (level.occupied & (1 << idx) != 0) == (head != NIL),
                     "occupancy bit mismatch level {l} idx {idx}"
                 );
-                for k in bucket {
-                    let t = k.time.as_nanos();
-                    assert!(t >= self.horizon, "bucketed key below horizon (level {l})");
+                let mut node = head;
+                while node != NIL {
+                    let n = claim(node, "bucket")?;
+                    let t = n.time.as_nanos();
+                    ensure!(t >= self.horizon, "bucketed node below horizon (level {l})");
                     let abs = t / w;
-                    assert!(
+                    ensure!(
                         abs >= s && abs < s + SLOTS as u64,
-                        "key at level {l} outside wrap window: abs={abs} s={s}"
+                        "node at level {l} outside wrap window: abs={abs} s={s}"
                     );
-                    assert_eq!(abs as usize % SLOTS, idx, "key in wrong bucket");
+                    ensure!(abs as usize % SLOTS == idx, "node in wrong bucket");
+                    node = n.next;
                 }
             }
         }
-        for k in &self.overflow {
-            assert!(k.time.as_nanos() >= self.horizon, "overflow key below horizon");
+        let mut node = self.overflow;
+        while node != NIL {
+            let n = claim(node, "overflow")?;
+            ensure!(
+                n.time.as_nanos() >= self.horizon,
+                "overflow node below horizon"
+            );
+            node = n.next;
         }
-        for pair in self.ready[self.ready_pos..].windows(2) {
-            assert!(
+        let pending = &self.ready[self.ready_pos..];
+        for k in pending {
+            let n = claim(k.node, "ready")?;
+            ensure!(
+                (n.time, n.seq) == (k.time, k.seq),
+                "ready key does not match its node"
+            );
+            ensure!(
+                k.time.as_nanos() < self.horizon,
+                "pending ready key at/above horizon"
+            );
+        }
+        for pair in pending.windows(2) {
+            ensure!(
                 (pair[0].time, pair[0].seq) < (pair[1].time, pair[1].seq),
                 "ready not sorted: ({:?},{}) then ({:?},{}), horizon {}, pos {}, len {}",
                 pair[0].time,
@@ -473,12 +585,20 @@ impl<E> TimerWheel<E> {
                 self.ready.len()
             );
         }
-        for k in &self.ready[self.ready_pos..] {
-            assert!(
-                k.time.as_nanos() < self.horizon || self.horizon == 0,
-                "pending ready key at/above horizon"
-            );
+        if let Some(lost) = seen.iter().position(|&s| !s) {
+            return Err(format!("node {lost} is on no list"));
         }
+        ensure!(
+            held == self.held,
+            "raw_len counter {} but {held} nodes held",
+            self.held
+        );
+        ensure!(
+            live == self.live,
+            "live counter {} but {live} live nodes",
+            self.live
+        );
+        Ok(())
     }
 }
 
@@ -587,13 +707,19 @@ mod tests {
         q.schedule(SimTime::from_micros(5), "c");
         q.cancel(a);
         // Cancelled root below the limit is collected, "b" surfaces.
-        assert_eq!(q.pop_before(SimTime::from_micros(4)), Some((SimTime::from_micros(2), "b")));
+        assert_eq!(
+            q.pop_before(SimTime::from_micros(4)),
+            Some((SimTime::from_micros(2), "b"))
+        );
         // "c" is at 5 >= 4: untouched, clock stays where the pop left it.
         assert_eq!(q.pop_before(SimTime::from_micros(4)), None);
         assert_eq!(q.now(), SimTime::from_micros(2));
         // Limit is exclusive: an event exactly at the limit stays queued.
         assert_eq!(q.pop_before(SimTime::from_micros(5)), None);
-        assert_eq!(q.pop_before(SimTime::from_micros(6)), Some((SimTime::from_micros(5), "c")));
+        assert_eq!(
+            q.pop_before(SimTime::from_micros(6)),
+            Some((SimTime::from_micros(5), "c"))
+        );
         assert_eq!(q.pop_before(SimTime::MAX), None);
         assert!(q.is_empty());
     }
@@ -624,7 +750,7 @@ mod tests {
             }
         }
         assert_eq!(pops, 10_001);
-        assert!(q.slots.len() <= 2, "slab grew to {} slots", q.slots.len());
+        assert!(q.nodes.len() <= 2, "slab grew to {} nodes", q.nodes.len());
     }
 
     #[test]
@@ -665,21 +791,21 @@ mod tests {
                         let t = heap.now() + SimDuration::from_nanos(off);
                         heap_ids.push(heap.schedule(t, step));
                         wheel_ids.push(wheel.schedule(t, step));
-                        wheel.check_invariants();
+                        wheel.check_invariants().unwrap();
                     }
                     6 => {
                         if !heap_ids.is_empty() {
                             let i = rng.gen_range(0..heap_ids.len());
                             let a = heap.cancel(heap_ids[i]);
                             let b = wheel.cancel(wheel_ids[i]);
-                            wheel.check_invariants();
+                            wheel.check_invariants().unwrap();
                             assert_eq!(a, b, "cancel verdicts diverged");
                         }
                     }
                     _ => {
                         let a = heap.pop();
                         let b = wheel.pop();
-                        wheel.check_invariants();
+                        wheel.check_invariants().unwrap();
                         assert_eq!(a, b, "pop diverged at step {step} seed {seed}");
                         if let Some(x) = a {
                             trace_h.push(x);
@@ -688,7 +814,7 @@ mod tests {
                             trace_w.push(t);
                         }
                         assert_eq!(heap.peek_time(), wheel.peek_time());
-                        wheel.check_invariants();
+                        wheel.check_invariants().unwrap();
                     }
                 }
             }

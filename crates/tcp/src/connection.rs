@@ -435,7 +435,7 @@ impl Connection {
     }
 
     fn path_index(&self, tdn: TdnId) -> usize {
-        tdn.index().min(self.last_path)
+        path_of(tdn, self.last_path)
     }
 
     fn cur(&self) -> &Path {
@@ -668,12 +668,9 @@ impl Connection {
         }
 
         let progress = seg.ack.after(self.snd_una);
-        let res = self.rtx.cum_ack(seg.ack);
-        if progress {
-            self.snd_una = seg.ack;
-        }
 
-        // One pass over the acknowledged segments, newest first.
+        // One pass over the acknowledged segments, newest first, as the
+        // queue drops them.
         //
         // "Specific TDN" crediting: acknowledged bytes go to the path each
         // segment was sent on.
@@ -683,18 +680,19 @@ impl Connection {
         // the ACK returned on the same path; a sample whose data and ACK
         // crossed paths (type-3) is discarded. An untagged ACK (`ack_tdn`
         // absent: plain TCP, or a downgraded peer) is accepted.
-        let ack_path = seg.ack_tdn.map(|t| self.path_index(t));
+        let last = self.last_path;
+        let ack_path = seg.ack_tdn.map(|t| path_of(t, last));
         let mut sampled = [0u64; TdnId::MAX_TDNS / 64];
         let mut acked_payload = 0u32;
-        for s in res.acked.iter().rev() {
-            let idx = self.path_index(s.tdn);
+        let res = self.rtx.cum_ack_with(seg.ack, |s| {
+            let idx = path_of(s.tdn, last);
             let payload = seg_payload(s);
             acked_payload += payload;
             self.paths[idx].credit += payload;
             self.fin_acked |= s.is_fin;
             let (word, bit) = (idx / 64, 1u64 << (idx % 64));
             if s.ever_retransmitted() || sampled[word] & bit != 0 {
-                continue;
+                return;
             }
             if ack_path.is_some_and(|a| a != idx) {
                 self.stats.cross_tdn_rtt_discards += 1;
@@ -702,8 +700,11 @@ impl Connection {
                 self.paths[idx].rtt.on_sample_between(s.tx_time, now);
                 sampled[word] |= bit;
             }
+        });
+        if progress {
+            self.snd_una = seg.ack;
         }
-        if progress && res.acked.is_empty() && res.acked_space > 0 {
+        if progress && res.acked_segs == 0 && res.acked_space > 0 {
             // Partial trim of the head segment.
             acked_payload = res.acked_space;
             self.paths[self.cur].credit += res.acked_space;
@@ -711,16 +712,16 @@ impl Connection {
         self.stats.bytes_acked += u64::from(acked_payload);
 
         // SACK processing and duplicate-ACK bookkeeping.
-        let newly_sacked = self.rtx.mark_sacked(seg.sack.iter());
+        let sacked = self.rtx.mark_sacked(seg.sack.iter());
         if progress {
             self.dupacks = 0;
         } else if !self.rtx.is_empty()
-            && (seg.has_payload() || !newly_sacked.is_empty() || seg.sack.is_empty())
+            && (seg.has_payload() || sacked.newly_sacked > 0 || seg.sack.is_empty())
         {
             self.dupacks += 1;
         }
 
-        self.detect_losses(now, seg, &newly_sacked);
+        self.detect_losses(now, seg, sacked.last);
 
         // Per-path recovery exit: a path leaves Recovery/Loss once
         // snd_una passes its recovery point (Fig. 4's independent
@@ -772,7 +773,7 @@ impl Connection {
             self.rto_deadline = None;
             self.tlp_deadline = None;
             self.rto_backoff = 0;
-        } else if progress || !newly_sacked.is_empty() {
+        } else if progress || sacked.newly_sacked > 0 {
             self.rto_backoff = 0;
             self.arm_rto(now);
             self.arm_tlp(now);
@@ -784,7 +785,8 @@ impl Connection {
     /// filtering with the §3.4 relaxation — a hole sent on another path
     /// than the one that triggered detection is reordering across a path
     /// change, not loss, until it is old enough to be a true tail loss.
-    fn detect_losses(&mut self, now: SimTime, seg: &Segment, newly_sacked: &[TxSeg]) {
+    /// `newest_sack` is the last segment this ACK newly SACKed, if any.
+    fn detect_losses(&mut self, now: SimTime, seg: &Segment, newest_sack: Option<TxSeg>) {
         let Some(high_sacked) = self.rtx.highest_sacked() else {
             return;
         };
@@ -802,7 +804,7 @@ impl Connection {
         // A "reordering event" is a fresh detection: the first hole
         // evidence while the current path's machine was still Open.
         let cur = self.cur;
-        if !newly_sacked.is_empty() && self.paths[cur].ca == CaState::Open {
+        if newest_sack.is_some() && self.paths[cur].ca == CaState::Open {
             self.stats.reorder_events += 1;
         }
 
@@ -818,7 +820,7 @@ impl Connection {
         // or the newest sacked segment's when the ACK is untagged.
         let trigger = seg
             .ack_tdn
-            .or_else(|| newly_sacked.last().map(|s| s.tdn))
+            .or(newest_sack.map(|s| s.tdn))
             .unwrap_or(self.current);
         let trigger_idx = self.path_index(trigger);
 
@@ -842,20 +844,27 @@ impl Connection {
             Some(slow) if relaxed => now - slow.mul_f64(1.25),
             _ => SimTime::ZERO,
         };
-        let same_path = |s: &TxSeg| !relaxed || s.tdn.index().min(last) == trigger_idx;
+        let same_path = |s: &TxSeg| !relaxed || path_of(s.tdn, last) == trigger_idx;
         let mut skipped = 0u64;
+        // Which paths had a segment marked, as a bitset over path indices.
+        let mut hit = [0u64; TdnId::MAX_TDNS / 64];
         let marked = self.rtx.mark_lost_below(high_sacked, |s| {
-            if same_path(s) {
+            let lost = if same_path(s) {
                 rack_cutoff.is_none_or(|cutoff| s.tx_time <= cutoff)
             } else if s.tx_time <= tail_cutoff {
                 true
             } else {
                 skipped += 1;
                 false
+            };
+            if lost {
+                let idx = path_of(s.tdn, last);
+                hit[idx / 64] |= 1 << (idx % 64);
             }
+            lost
         });
         self.stats.relaxed_skips += skipped;
-        self.stats.reorder_marked_pkts += marked.len() as u64;
+        self.stats.reorder_marked_pkts += u64::from(marked);
 
         // A retransmission that old and still unacknowledged was itself
         // lost: release it for another try, under the same two rules
@@ -867,9 +876,10 @@ impl Connection {
 
         // Paths with marked (to-be-retransmitted) segments enter Recovery
         // (Fig. 4); the others stay Open and keep sending at full speed.
-        for s in &marked {
-            let idx = self.path_index(s.tdn);
-            if !self.paths[idx].in_recovery() {
+        // Each entry reads only the finished scoreboard and its own
+        // path, so the order paths are taken in is immaterial.
+        for idx in 0..self.paths.len() {
+            if hit[idx / 64] & (1 << (idx % 64)) != 0 && !self.paths[idx].in_recovery() {
                 let flight = self.path_pipe_bytes(idx);
                 let p = &mut self.paths[idx];
                 p.ca = CaState::Recovery;
@@ -1211,6 +1221,12 @@ impl Connection {
             self.next_paced_at = now + gap;
         }
     }
+}
+
+/// [`Connection::path_index`] for code that holds `last_path` by value
+/// because the connection is mutably borrowed (scoreboard visitors).
+fn path_of(tdn: TdnId, last_path: usize) -> usize {
+    tdn.index().min(last_path)
 }
 
 fn seg_payload(s: &TxSeg) -> u32 {

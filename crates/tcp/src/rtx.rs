@@ -79,12 +79,21 @@ impl PipeCounts {
 }
 
 /// Result of processing a cumulative ACK.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CumAckResult {
-    /// Fully acknowledged segments, removed from the queue in order.
-    pub acked: Vec<TxSeg>,
+    /// Fully acknowledged segments removed from the queue.
+    pub acked_segs: u32,
     /// Bytes of sequence space newly acknowledged.
     pub acked_space: u32,
+}
+
+/// Result of applying an ACK's SACK blocks.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SackResult {
+    /// Segments that were not sacked before and are now.
+    pub newly_sacked: u32,
+    /// The last of them, in block order (a copy, flags as marked).
+    pub last: Option<TxSeg>,
 }
 
 /// A lazily maintained scoreboard aggregate: `Dirty` after a mutation
@@ -248,41 +257,52 @@ impl RtxQueue {
         self.account_add(&seg);
     }
 
-    /// Process a cumulative ACK at `ack`: remove fully covered segments.
+    /// Process a cumulative ACK at `ack`: remove fully covered segments,
+    /// showing each to `visit`, newest first (the order RTT sampling
+    /// wants). Nothing is collected, so an ACK costs no heap call.
     /// A mid-segment ACK trims the front segment (only possible if a peer
     /// ACKs at sub-segment granularity, which ours never does, but the
     /// queue stays correct regardless).
-    pub fn cum_ack(&mut self, ack: SeqNum) -> CumAckResult {
-        let mut out = CumAckResult::default();
-        while let Some(front) = self.segs.front() {
-            if front.end().before_eq(ack) {
-                let seg = self.segs.pop_front().expect("checked front");
-                self.account_remove(&seg);
-                out.acked_space += seg.len;
-                out.acked.push(seg);
-            } else if front.seq.before(ack) {
+    pub fn cum_ack_with(&mut self, ack: SeqNum, mut visit: impl FnMut(&TxSeg)) -> CumAckResult {
+        let covered = self
+            .segs
+            .iter()
+            .take_while(|s| s.end().before_eq(ack))
+            .count();
+        let mut out = CumAckResult {
+            acked_segs: covered as u32,
+            acked_space: 0,
+        };
+        for i in (0..covered).rev() {
+            let seg = self.segs[i];
+            self.account_remove(&seg);
+            out.acked_space += seg.len;
+            visit(&seg);
+        }
+        self.segs.drain(..covered);
+        if let Some(front) = self.segs.front_mut() {
+            if front.seq.before(ack) {
                 // Partial: trim the acknowledged prefix (flags and
                 // therefore the aggregates are unchanged).
-                let front = self.segs.front_mut().expect("checked front");
                 let trimmed = ack - front.seq;
                 front.seq = ack;
                 front.len -= trimmed;
                 front.is_syn = false; // SYN is the first octet; it is covered
                 out.acked_space += trimmed;
-                break;
-            } else {
-                break;
             }
         }
         out
     }
 
-    /// Apply SACK blocks; returns the newly sacked segments (copies).
-    pub fn mark_sacked<'a>(
-        &mut self,
-        blocks: impl Iterator<Item = (SeqNum, SeqNum)> + 'a,
-    ) -> Vec<TxSeg> {
-        let mut newly = Vec::new();
+    /// [`RtxQueue::cum_ack_with`] for a caller that only wants the totals.
+    pub fn cum_ack(&mut self, ack: SeqNum) -> CumAckResult {
+        self.cum_ack_with(ack, |_| {})
+    }
+
+    /// Apply SACK blocks; reports how many segments they newly covered
+    /// and the last one marked.
+    pub fn mark_sacked(&mut self, blocks: impl Iterator<Item = (SeqNum, SeqNum)>) -> SackResult {
+        let mut out = SackResult::default();
         for (left, right) in blocks {
             // The queue is seq-sorted and contiguous: binary-search the
             // first segment at or after `left`, then walk only the
@@ -310,11 +330,12 @@ impl RtxQueue {
                         s.retx_in_flight = false;
                         *s
                     });
-                    newly.push(copy);
+                    out.newly_sacked += 1;
+                    out.last = Some(copy);
                 }
             }
         }
-        newly
+        out
     }
 
     /// Highest SACKed sequence (exclusive end), if any segment is sacked.
@@ -353,15 +374,17 @@ impl RtxQueue {
     }
 
     /// Mark as lost every unsacked, not-already-lost segment below
-    /// `below` that satisfies `pred`. Returns copies of the segments
-    /// marked. This is the hook TDTCP's relaxed detection uses: its
-    /// predicate rejects hole segments whose TDN differs from the
-    /// triggering ACK's TDN (§3.4).
-    pub fn mark_lost_below<F>(&mut self, below: SeqNum, mut pred: F) -> Vec<TxSeg>
+    /// `below` that satisfies `pred`; returns how many were marked.
+    /// `pred` is only asked about segments that are otherwise eligible,
+    /// so each one it accepts is marked — a caller that needs to know
+    /// *which* were marked records that in `pred`. This is the hook
+    /// TDTCP's relaxed detection uses: its predicate rejects hole
+    /// segments whose TDN differs from the triggering ACK's TDN (§3.4).
+    pub fn mark_lost_below<F>(&mut self, below: SeqNum, mut pred: F) -> u32
     where
         F: FnMut(&TxSeg) -> bool,
     {
-        let mut marked = Vec::new();
+        let mut marked = 0;
         // Sacked and lost are mutually exclusive, so when every segment
         // carries one of the marks there is nothing left to mark.
         if self.total.packets_out == self.total.sacked_out + self.total.lost_out {
@@ -373,12 +396,11 @@ impl RtxQueue {
                 break;
             }
             if !seg.sacked && !seg.lost && pred(seg) {
-                let copy = self.mutate_at(i, |s| {
+                self.mutate_at(i, |s| {
                     s.lost = true;
                     s.retx_in_flight = false;
-                    *s
                 });
-                marked.push(copy);
+                marked += 1;
             }
         }
         marked
@@ -567,9 +589,11 @@ mod tests {
     #[test]
     fn cum_ack_removes_covered() {
         let mut q = queue_of(5);
-        let r = q.cum_ack(SeqNum(300));
-        assert_eq!(r.acked.len(), 3);
+        let mut seen = Vec::new();
+        let r = q.cum_ack_with(SeqNum(300), |s| seen.push(s.seq));
+        assert_eq!(r.acked_segs, 3);
         assert_eq!(r.acked_space, 300);
+        assert_eq!(seen, [SeqNum(200), SeqNum(100), SeqNum(0)], "newest first");
         assert_eq!(q.len(), 2);
         assert_eq!(q.front().unwrap().seq, SeqNum(300));
     }
@@ -579,7 +603,7 @@ mod tests {
         let mut q = queue_of(3);
         q.cum_ack(SeqNum(200));
         let r = q.cum_ack(SeqNum(100)); // stale ACK
-        assert!(r.acked.is_empty());
+        assert_eq!(r, CumAckResult::default());
         assert_eq!(q.len(), 1);
     }
 
@@ -587,7 +611,7 @@ mod tests {
     fn cum_ack_partial_trims() {
         let mut q = queue_of(2);
         let r = q.cum_ack(SeqNum(150));
-        assert_eq!(r.acked.len(), 1);
+        assert_eq!(r.acked_segs, 1);
         assert_eq!(r.acked_space, 150);
         let front = q.front().unwrap();
         assert_eq!(front.seq, SeqNum(150));
@@ -598,11 +622,14 @@ mod tests {
     fn sack_marks_and_reports_newly() {
         let mut q = queue_of(5);
         let newly = q.mark_sacked([(SeqNum(200), SeqNum(400))].into_iter());
-        assert_eq!(newly.len(), 2);
-        assert_eq!(newly[0].seq, SeqNum(200));
+        assert_eq!(newly.newly_sacked, 2);
+        let last = newly.last.expect("two segments marked");
+        assert_eq!(last.seq, SeqNum(300));
+        assert!(last.sacked, "the copy carries the new mark");
         // Re-applying the same block marks nothing new.
         let again = q.mark_sacked([(SeqNum(200), SeqNum(400))].into_iter());
-        assert!(again.is_empty());
+        assert_eq!(again.newly_sacked, 0);
+        assert!(again.last.is_none());
         assert_eq!(q.highest_sacked(), Some(SeqNum(400)));
         assert_eq!(q.sacked_above(SeqNum(0)), 2);
     }
@@ -612,7 +639,7 @@ mod tests {
         let mut q = queue_of(3);
         // Block covers only half of segment [100,200): not sacked.
         let newly = q.mark_sacked([(SeqNum(100), SeqNum(150))].into_iter());
-        assert!(newly.is_empty());
+        assert_eq!(newly.newly_sacked, 0);
     }
 
     #[test]
@@ -621,8 +648,9 @@ mod tests {
         q.mark_sacked([(SeqNum(500), SeqNum(600))].into_iter());
         // Mark lost only TDN-1 segments below 500.
         let marked = q.mark_lost_below(SeqNum(500), |s| s.tdn == TdnId(1));
-        assert_eq!(marked.len(), 2);
-        assert!(marked.iter().all(|s| s.tdn == TdnId(1)));
+        assert_eq!(marked, 2);
+        assert_eq!(q.counts_for_tdn(TdnId(1)).lost_out, 2);
+        assert_eq!(q.counts_for_tdn(TdnId(0)).lost_out, 0);
         let c = q.counts();
         assert_eq!(c.packets_out, 6);
         assert_eq!(c.sacked_out, 1);
@@ -635,9 +663,9 @@ mod tests {
         let mut q = queue_of(4);
         q.mark_sacked([(SeqNum(100), SeqNum(200))].into_iter());
         let first = q.mark_lost_below(SeqNum(400), |_| true);
-        assert_eq!(first.len(), 3, "sacked seg skipped");
+        assert_eq!(first, 3, "sacked seg skipped");
         let second = q.mark_lost_below(SeqNum(400), |_| true);
-        assert!(second.is_empty(), "already-lost not re-marked");
+        assert_eq!(second, 0, "already-lost not re-marked");
     }
 
     #[test]
@@ -675,7 +703,7 @@ mod tests {
         q.with_next_retransmit(|s| s.retx_in_flight = true).unwrap();
         // The "lost" original arrives after all; SACK cleans everything.
         let newly = q.mark_sacked([(SeqNum(0), SeqNum(100))].into_iter());
-        assert_eq!(newly.len(), 1);
+        assert_eq!(newly.newly_sacked, 1);
         let c = q.counts();
         assert_eq!(c.lost_out, 0);
         assert_eq!(c.retrans_out, 0);

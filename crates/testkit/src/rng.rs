@@ -88,6 +88,9 @@ impl TkRng {
 
     /// Unbiased uniform sample in `[0, n)`; `n` must be nonzero.
     /// Uses rejection sampling so every value is exactly equally likely.
+    /// Inlined across crates so a constant `n` folds the threshold and
+    /// strength-reduces both modulos.
+    #[inline]
     pub fn next_below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "next_below(0)");
         // 2^64 mod n: values >= this threshold fill complete buckets.
@@ -102,6 +105,7 @@ impl TkRng {
 
     /// Uniform sample from an integer or float range, e.g.
     /// `rng.gen_range(0..300u64)` or `rng.gen_range(0.5..=1.5)`.
+    #[inline]
     pub fn gen_range<T, R: UniformRange<T>>(&mut self, range: R) -> T {
         range.sample_in(self)
     }
@@ -182,6 +186,7 @@ pub trait UniformRange<T> {
 macro_rules! impl_uniform_uint {
     ($($t:ty),*) => {$(
         impl UniformRange<$t> for Range<$t> {
+            #[inline]
             fn sample_in(self, rng: &mut TkRng) -> $t {
                 assert!(self.start < self.end, "empty range");
                 let span = (self.end - self.start) as u64;
@@ -189,6 +194,7 @@ macro_rules! impl_uniform_uint {
             }
         }
         impl UniformRange<$t> for RangeInclusive<$t> {
+            #[inline]
             fn sample_in(self, rng: &mut TkRng) -> $t {
                 let (lo, hi) = (*self.start(), *self.end());
                 assert!(lo <= hi, "empty range");
@@ -206,6 +212,7 @@ impl_uniform_uint!(u8, u16, u32, u64, usize);
 macro_rules! impl_uniform_int {
     ($($t:ty),*) => {$(
         impl UniformRange<$t> for Range<$t> {
+            #[inline]
             fn sample_in(self, rng: &mut TkRng) -> $t {
                 assert!(self.start < self.end, "empty range");
                 let span = (self.end as i64).wrapping_sub(self.start as i64) as u64;
@@ -213,6 +220,7 @@ macro_rules! impl_uniform_int {
             }
         }
         impl UniformRange<$t> for RangeInclusive<$t> {
+            #[inline]
             fn sample_in(self, rng: &mut TkRng) -> $t {
                 let (lo, hi) = (*self.start(), *self.end());
                 assert!(lo <= hi, "empty range");
@@ -228,6 +236,7 @@ macro_rules! impl_uniform_int {
 impl_uniform_int!(i8, i16, i32, i64);
 
 impl UniformRange<f64> for Range<f64> {
+    #[inline]
     fn sample_in(self, rng: &mut TkRng) -> f64 {
         assert!(self.start < self.end, "empty range");
         let v = self.start + rng.gen_f64() * (self.end - self.start);

@@ -5,9 +5,11 @@
 #
 # Usage: scripts/ci.sh [soak|chaos|bench|lint|tails|skew]
 #   (none) — the default gate: release build, workspace tests, the
-#           window-barrier panic and stress tests again in release, chaos
-#           soak, figures smoke, every example under a wall-clock
-#           timeout, tailgate, the benchmark package (built
+#           window-barrier panic and stress tests, the queue oracle and
+#           the allocation ledger again in release, chaos soak, figures
+#           smoke, `figures all --jobs 1` diffed bit-for-bit against the
+#           checked-in figures_output.txt, every example under a
+#           wall-clock timeout, tailgate, the benchmark package (built
 #           --offline, its unit tests, one pass of each of its five
 #           workloads, all of which must report "correct": true),
 #           detlint, clippy -D warnings.
@@ -106,21 +108,16 @@ if [[ "$MODE" == "bench" ]]; then
     exit 0
 fi
 
-# Regenerate the tail-latency FCT rows and gate them against the
-# checked-in baseline. Factored so both `ci.sh tails` and the default
-# gate run the same check.
+# Gate freshly generated tail-latency FCT rows (the file `figures tails`
+# or `figures all` wrote to `--tails-json`, passed as $1) against the
+# checked-in baseline. Both `ci.sh tails` and the default gate end here.
 tailgate_check() {
-    local out
-    out="$(mktemp -d)/BENCH_tails.json"
-    echo "==> figures tails (tail-latency FCT rows into ${out})"
-    cargo run -q --offline --release -p bench --bin figures -- tails \
-        --tails-json "$out" > /dev/null
     if [[ -f BENCH_tails.json ]]; then
         echo "==> tailgate (>10% p99/p999 FCT rise vs checked-in baseline fails)"
         cargo run -q --offline --release -p bench --bin tailgate -- \
-            BENCH_tails.json "$out"
+            BENCH_tails.json "$1"
     else
-        echo "no checked-in BENCH_tails.json — seed one with: cp $out ."
+        echo "no checked-in BENCH_tails.json — seed one with: cp $1 ."
     fi
 }
 
@@ -137,7 +134,11 @@ if [[ "$MODE" == "tails" ]]; then
     echo "==> tail-latency acceptance suite"
     cargo test -q --offline --test tails
     cargo test -q --offline -p bench --test tailgate
-    tailgate_check
+    tails_out="$(mktemp -d)/BENCH_tails.json"
+    echo "==> figures tails (tail-latency FCT rows into ${tails_out})"
+    cargo run -q --offline --release -p bench --bin figures -- tails \
+        --tails-json "$tails_out" > /dev/null
+    tailgate_check "$tails_out"
     echo "TAILS OK"
     exit 0
 fi
@@ -152,11 +153,37 @@ echo "==> window barrier, release build: panic propagation + 10k-empty-window st
 cargo test -q --offline --release -p simcore par::tests::run_windows
 cargo test -q --offline --release --test multirack barrier_survives
 
+# The wheel's debug assertions are compiled out of the build every figure
+# and the benchmark run on, and an optimised build inlines across the
+# allocator boundary the ledger counts at: hold both to their oracles
+# there too.
+echo "==> queue oracle + allocation ledger, release build"
+cargo test -q --offline --release --test queue_oracle
+cargo test -q --offline --release --test alloc_ledger
+
 echo "==> chaos soak: ${CHAOS_CASES} randomized scenarios"
 TK_CASES="$CHAOS_CASES" cargo test -q --offline --test chaos chaos_soak
 
 echo "==> figures quick smoke (parallel harness end to end)"
 cargo run -q --offline --release -p bench --bin figures -- quick > /dev/null
+
+# figures_output.txt is `figures all --jobs 1` stdout, checked in: every
+# number in it is deterministic simulation output, so an unchanged tree
+# reproduces it byte for byte and a change that claims to be
+# digest-neutral is held to that here. After a deliberate behaviour
+# change, regenerate it with the command below and say which rows moved.
+echo "==> figures all --jobs 1 vs checked-in figures_output.txt (bit-for-bit)"
+figures_out="$(mktemp)"
+tails_out="$(mktemp -d)/BENCH_tails.json"
+cargo run -q --offline --release -p bench --bin figures -- all --jobs 1 \
+    --tails-json "$tails_out" > "$figures_out"
+if ! cmp -s figures_output.txt "$figures_out"; then
+    echo "figures all --jobs 1 no longer reproduces figures_output.txt; first differing lines:"
+    diff figures_output.txt "$figures_out" | head -20 || true
+    exit 1
+fi
+# That run included the tails experiment; gate the rows it wrote.
+tailgate_check "$tails_out"
 
 # The examples are the user-facing entry points, and the only callers of
 # some configurations (a paced single-path sender once livelocked the
@@ -170,8 +197,6 @@ for ex in examples/*.rs; do
         exit 1
     fi
 done
-
-tailgate_check
 
 # The benchmark (BENCHMARK.json, benchmark/README.md) is a package of its
 # own that times the crates' `pub` surface from outside, so nothing in
