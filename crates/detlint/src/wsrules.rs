@@ -15,7 +15,7 @@
 //! * `shard_safety` — in shard-engine files, only the leader type (the
 //!   struct owning the `shards` vector) may touch other shards' state,
 //!   and only the mailbox type (the struct owning `boxes`) may touch the
-//!   mailbox storage: everyone else goes through its `post`/`collect`.
+//!   mailbox storage: everyone else goes through its `hand_off`/`collect`.
 //!   Any other function mentioning `shards` or `boxes` is a mailbox
 //!   bypass. And a function handling mail (`mail`/`mailbox`/`boxes` in
 //!   scope) must not accumulate floats through iterator folds —
@@ -223,7 +223,7 @@ fn shard_safety(graph: &SymbolGraph<'_>, findings: &mut Vec<Finding>) {
     // The two guarded fields, each with the types that own it across
     // every shard-scope file. Leader types own `shards`: their methods
     // are the only sanctioned place for cross-shard access (the window
-    // barrier). The mailbox type owns `boxes`: its `post`/`collect` are
+    // barrier). The mailbox type owns `boxes`: its `hand_off`/`collect` are
     // the only way a segment changes racks.
     let mut guarded = [
         ("shards", "leader", std::collections::BTreeSet::new()),
@@ -258,7 +258,7 @@ fn shard_safety(graph: &SymbolGraph<'_>, findings: &mut Vec<Finding>) {
                             message: format!(
                                 "`{}` touches `{field}` but is not a method of a {role} \
                                  type (one owning `{field}`); cross-shard state may only \
-                                 move through the mailbox `post`/`collect` API",
+                                 move through the mailbox `hand_off`/`collect` API",
                                 f.name
                             ),
                         });

@@ -14,11 +14,12 @@ use crate::config::NetConfig;
 use crate::faults::{DayFate, EpsVerdict, FaultInjector, FaultStats, NotifyVerdict, FAULT_STREAM_LABEL};
 use crate::impair::{ImpairInjector, ImpairStats, ImpairVerdict, IMPAIR_STREAM_LABEL};
 use crate::notify::NotifyModel;
+use crate::pool::{SegPool, SegRef};
 use crate::voq::Voq;
 use simcore::{
     DefaultEventId, DefaultQueue, DetRng, FlightRecorder, SimDuration, SimTime, TimeSeries,
 };
-use tcp::{ConnError, ConnStats, Direction, Segment, Transport};
+use tcp::{ConnError, ConnStats, Direction, Transport};
 use testkit::Digest;
 use wire::TdnId;
 
@@ -62,10 +63,12 @@ enum Touched {
     All,
 }
 
+/// A segment in an event is its id in `Emulator::pool`: the event, and
+/// with it the wheel node, stays small whatever a `Segment` weighs.
 enum Ev {
     StartFlow { flow: usize },
-    Arrive { side: Side, flow: usize, seg: Segment },
-    Enqueue { dir: Dir, seg: Segment },
+    Arrive { side: Side, flow: usize, seg: u32 },
+    Enqueue { dir: Dir, seg: u32 },
     Service { dir: Dir },
     DayStart { day: u64 },
     NightStart { day: u64 },
@@ -416,8 +419,15 @@ pub struct Emulator<'a> {
     /// from instantly overflowing the shallow VOQ.
     nic_free: [SimTime; 2],
 
-    voq_ab: Voq,
-    voq_ba: Voq,
+    /// Every segment between a host's `poll_send` and the peer's
+    /// `on_segment`; events and VOQ entries carry ids into it.
+    pool: SegPool,
+    /// Segments in scheduled `Enqueue` and `Arrive` events, for the pool
+    /// law checked when [`Emulator::run`] returns; counted in debug
+    /// builds only.
+    in_events: u64,
+    voq_ab: Voq<SegRef>,
+    voq_ba: Voq<SegRef>,
     service_pending: [bool; 2],
     link_free_at: [SimTime; 2],
 
@@ -467,6 +477,8 @@ impl<'a> Emulator<'a> {
             acked_total: 0,
             timer_slots: vec![[None, None]; n_flows],
             nic_free: [SimTime::ZERO; 2],
+            pool: SegPool::new(),
+            in_events: 0,
             service_pending: [false, false],
             link_free_at: [SimTime::ZERO; 2],
             active: None,
@@ -515,6 +527,8 @@ impl<'a> Emulator<'a> {
             acked_total: 0,
             timer_slots: vec![[None, None]; n_flows],
             nic_free: [SimTime::ZERO; 2],
+            pool: SegPool::new(),
+            in_events: 0,
             service_pending: [false, false],
             link_free_at: [SimTime::ZERO; 2],
             active: None,
@@ -586,15 +600,28 @@ impl<'a> Emulator<'a> {
                     self.flush(now, Side::B, flow);
                 }
                 Ev::Arrive { side, flow, seg } => {
+                    self.note_popped();
                     if self.host_exists(side, flow) {
                         let pnow = self.host_now(side, flow, now);
-                        self.host_mut(side, flow).on_segment(pnow, &seg);
+                        // The transport reads the segment where it lies.
+                        let hosts = match side {
+                            Side::A => &mut self.senders,
+                            Side::B => &mut self.receivers,
+                        };
+                        hosts[flow]
+                            .as_mut()
+                            .expect("checked")
+                            .on_segment(pnow, self.pool.get(seg));
+                        self.pool.release(seg);
                         self.flush(now, side, flow);
                         // The peer may now be able to send (window opened).
                         self.flush(now, side.other(), flow);
+                    } else {
+                        self.pool.release(seg);
                     }
                 }
                 Ev::Enqueue { dir, seg } => {
+                    self.note_popped();
                     // EPS ingress burst faults: drops vanish here, but
                     // corrupted *data* segments keep flowing — damage is
                     // detected end-to-end by the receiver's payload
@@ -603,31 +630,19 @@ impl<'a> Emulator<'a> {
                     // pure ACK has no trustworthy bits and degrades to a
                     // drop.
                     match self.faults.on_transit(now) {
-                        EpsVerdict::Pass => {
-                            let voq = match dir {
-                                Dir::Ab => &mut self.voq_ab,
-                                Dir::Ba => &mut self.voq_ba,
-                            };
-                            if voq.enqueue(now, seg) {
-                                self.kick_service(now, dir);
-                            }
-                        }
+                        EpsVerdict::Pass => self.offer(now, dir, seg),
                         EpsVerdict::Drop => {
+                            self.pool.release(seg);
                             self.recorder.record(now, "eps burst: segment dropped");
                         }
                         EpsVerdict::Corrupt => {
-                            if seg.has_payload() {
-                                let mut seg = seg;
-                                seg.payload_csum = mangle_csum(seg.payload_csum);
+                            let s = self.pool.get_mut(seg);
+                            if s.has_payload() {
+                                s.payload_csum = mangle_csum(s.payload_csum);
                                 self.recorder.record(now, "eps burst: segment corrupted");
-                                let voq = match dir {
-                                    Dir::Ab => &mut self.voq_ab,
-                                    Dir::Ba => &mut self.voq_ba,
-                                };
-                                if voq.enqueue(now, seg) {
-                                    self.kick_service(now, dir);
-                                }
+                                self.offer(now, dir, seg);
                             } else {
+                                self.pool.release(seg);
                                 self.recorder
                                     .record(now, "eps burst: corrupted ack dropped");
                             }
@@ -703,6 +718,14 @@ impl<'a> Emulator<'a> {
             }
         }
 
+        // The pool law: every live slot is accounted for by an event still
+        // scheduled (or popped past `until` and never processed) or by a
+        // VOQ entry — no id leaked, none released early.
+        debug_assert_eq!(
+            self.pool.live(),
+            self.in_events + (self.voq_ab.len() + self.voq_ba.len()) as u64,
+            "segment pool law violated when the run returned"
+        );
         let duration = self.q.now().saturating_since(SimTime::ZERO);
         RunResult {
             seq_series: self.seq_series,
@@ -791,6 +814,36 @@ impl<'a> Emulator<'a> {
         self.clock.perceived(Self::host_id(side, flow), now)
     }
 
+    /// A segment-carrying event left the queue (pool-law bookkeeping).
+    fn note_popped(&mut self) {
+        if cfg!(debug_assertions) {
+            self.in_events -= 1;
+        }
+    }
+
+    /// Schedule a segment-carrying event.
+    fn schedule_seg(&mut self, at: SimTime, ev: Ev) {
+        if cfg!(debug_assertions) {
+            self.in_events += 1;
+        }
+        self.q.schedule(at, ev);
+    }
+
+    /// Offer pooled segment `seg` to `dir`'s VOQ; a tail drop frees its
+    /// slot.
+    fn offer(&mut self, now: SimTime, dir: Dir, seg: u32) {
+        let item = self.pool.seg_ref(seg);
+        let voq = match dir {
+            Dir::Ab => &mut self.voq_ab,
+            Dir::Ba => &mut self.voq_ba,
+        };
+        if voq.enqueue(now, item) {
+            self.kick_service(now, dir);
+        } else {
+            self.pool.release(seg);
+        }
+    }
+
     fn host_mut(&mut self, side: Side, flow: usize) -> &mut (dyn Transport + 'a) {
         match side {
             Side::A => self.senders[flow].as_mut().expect("flow started").as_mut(),
@@ -832,7 +885,8 @@ impl<'a> Emulator<'a> {
             let done = start
                 + SimDuration::serialization(u64::from(seg.wire_size()), self.cfg.host_rate_bps);
             *nic = done;
-            self.q.schedule(done, Ev::Enqueue { dir, seg });
+            let seg = self.pool.insert(seg);
+            self.schedule_seg(done, Ev::Enqueue { dir, seg });
         }
         // Re-arm this host's timer (perceived frame → true frame).
         let want = match side {
@@ -869,9 +923,14 @@ impl<'a> Emulator<'a> {
             Dir::Ab => &mut self.voq_ab,
             Dir::Ba => &mut self.voq_ba,
         };
-        let Some(mut seg) = voq.dequeue_eligible(now, Some(active)) else {
+        let Some(SegRef { id, ecn, .. }) = voq.dequeue_eligible(now, Some(active)) else {
             return;
         };
+        // The segment stays in its slot: the VOQ's CE mark lands there,
+        // and everything below reads or rewrites it in place.
+        let seg = self.pool.get_mut(id);
+        seg.ecn = ecn;
+        let has_payload = seg.has_payload();
         // Serialization happens on the *true* plane regardless of the
         // sender's clock: the wire runs at the active TDN's rate.
         let ser = SimDuration::serialization(u64::from(seg.wire_size()), params.rate_bps);
@@ -897,6 +956,7 @@ impl<'a> Emulator<'a> {
             {
                 ClockVerdict::Send => {}
                 ClockVerdict::GuardDrop => {
+                    self.pool.release(id);
                     self.recorder
                         .record(now, "slot edge: mis-timed segment dropped");
                     self.finish_service(now, dir, ser, active);
@@ -910,7 +970,7 @@ impl<'a> Emulator<'a> {
                         .day_start(self.cfg.schedule.day_number(now) + 1);
                     self.recorder
                         .record(now, "slot edge: mis-timed segment deferred");
-                    self.q.schedule(at, Ev::Enqueue { dir, seg });
+                    self.schedule_seg(at, Ev::Enqueue { dir, seg: id });
                     self.finish_service(now, dir, ser, active);
                     return;
                 }
@@ -927,7 +987,7 @@ impl<'a> Emulator<'a> {
             }
         }
         if mark {
-            seg.circuit_mark = true;
+            self.pool.get_mut(id).circuit_mark = true;
         }
         // In-network queueing jitter (per-packet, so it can reorder
         // segments within a TDN and strand stragglers across transitions).
@@ -943,32 +1003,25 @@ impl<'a> Emulator<'a> {
         // day, including segments straddling a transition — carries the
         // segment. The link is occupied either way (the segment was
         // transmitted; the wire damaged or lost it downstream).
+        let arrive = |seg| Ev::Arrive { side: to_side, flow, seg };
         match self.impair.on_wire(now) {
-            ImpairVerdict::Pass => {
-                self.q.schedule(arrive_at, Ev::Arrive { side: to_side, flow, seg });
-            }
-            ImpairVerdict::Drop => {}
-            ImpairVerdict::Delay(extra) => {
-                self.q
-                    .schedule(arrive_at + extra, Ev::Arrive { side: to_side, flow, seg });
-            }
+            ImpairVerdict::Pass => self.schedule_seg(arrive_at, arrive(id)),
+            ImpairVerdict::Drop => self.pool.release(id),
+            ImpairVerdict::Delay(extra) => self.schedule_seg(arrive_at + extra, arrive(id)),
             ImpairVerdict::Duplicate(lag) => {
-                self.q.schedule(
-                    arrive_at,
-                    Ev::Arrive { side: to_side, flow, seg },
-                );
-                self.q
-                    .schedule(arrive_at + lag, Ev::Arrive { side: to_side, flow, seg });
+                // The copy is a segment of its own from here on.
+                let dup = self.pool.insert(*self.pool.get(id));
+                self.schedule_seg(arrive_at, arrive(id));
+                self.schedule_seg(arrive_at + lag, arrive(dup));
             }
-            ImpairVerdict::Corrupt => {
-                if seg.has_payload() {
-                    let mut seg = seg;
-                    seg.payload_csum = mangle_csum(seg.payload_csum);
-                    self.q.schedule(arrive_at, Ev::Arrive { side: to_side, flow, seg });
-                }
-                // A corrupted pure ACK degrades to a drop: no bit of it
-                // can be trusted, so nothing arrives.
+            ImpairVerdict::Corrupt if has_payload => {
+                let seg = self.pool.get_mut(id);
+                seg.payload_csum = mangle_csum(seg.payload_csum);
+                self.schedule_seg(arrive_at, arrive(id));
             }
+            // A corrupted pure ACK degrades to a drop: no bit of it can
+            // be trusted, so nothing arrives.
+            ImpairVerdict::Corrupt => self.pool.release(id),
         }
         self.finish_service(now, dir, ser, active);
     }
@@ -1179,5 +1232,18 @@ impl Dir {
             Dir::Ab => 0,
             Dir::Ba => 1,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn events_stay_within_the_wheel_node_budget() {
+        // Same budget as the N-rack engine's `REv`: a segment in an event
+        // is a pool id, so the wheel node fits one 64-byte line.
+        assert!(std::mem::size_of::<Ev>() <= 40);
+        assert!(DefaultQueue::<Ev>::node_bytes() <= 64);
     }
 }

@@ -18,6 +18,7 @@ pub mod emulator;
 pub mod faults;
 pub mod impair;
 pub mod notify;
+mod pool;
 pub mod schedule;
 pub mod shard;
 pub mod statfold;
@@ -44,4 +45,4 @@ pub use shard::{
     MultiRackConfig, PairFlow, ShardConfig, ShardResult, ShardedEmulator, RACK_STREAM_BASE,
 };
 pub use statfold::{InjectorStats, LogEvent, LOG_CAP};
-pub use voq::{Voq, VoqConfig};
+pub use voq::{Voq, VoqConfig, VoqItem};

@@ -30,8 +30,15 @@
 //! safely simulate a window `[w, min(w + L, next schedule edge))`
 //! in parallel (conservative-lookahead PDES), exchanging the segments
 //! they emitted through per-(source, destination) mailboxes
-//! ([`Mailboxes`]): a shard posts during a window, and the destination
+//! ([`Mailboxes`]): a shard fills a private outbox during a window, hands
+//! each non-empty one over when the window ends, and the destination
 //! shard collects at the start of its next one.
+//!
+//! Inside a rack a segment does not move: `poll_send`'s result is written
+//! into the rack's segment pool ([`crate::pool`]) and events, VOQ entries
+//! and service trains carry its `u32` id. Crossing racks copies it once
+//! into the message and once into the destination rack's pool, where the
+//! receiving transport reads it in place.
 //!
 //! Determinism: a shard's window work depends only on its own state,
 //! its deterministic queue and the boxes addressed to it, so the mailbox
@@ -43,7 +50,7 @@
 //! [`ShardResult::stats_digest`] for workers 1, 2, 4, … — pinned by
 //! `tests/determinism.rs` and `tests/multirack.rs`. At `workers = 1` the
 //! loop runs inline on the calling thread: that is the serial N-rack
-//! engine, and it runs the same post/collect protocol.
+//! engine, and it runs the same hand-off/collect protocol.
 //!
 //! Event semantics:
 //! * **service trains**: one `CircuitService`/`PacketService` event
@@ -65,8 +72,9 @@
 //! `freeze`) are two-rack-emulator concepts and are rejected at
 //! construction.
 //!
-//! Debug builds check a segment conservation law at every window
-//! barrier (`ShardedEmulator::assert_conserved`).
+//! Debug builds check a segment conservation law and the pool law (every
+//! live pool slot is held by a queued event or a VOQ entry) at every
+//! window barrier (`ShardedEmulator::assert_conserved`).
 
 use crate::faults::{EpsVerdict, FaultInjector, FaultPlan, NotifyVerdict, FAULT_STREAM_LABEL};
 use crate::impair::{ImpairInjector, ImpairPlan, ImpairVerdict, IMPAIR_STREAM_LABEL};
@@ -74,8 +82,10 @@ use crate::clock::{ClockInjector, ClockPlan, ClockVerdict, CLOCK_STREAM_LABEL};
 use crate::config::TdnParams;
 use crate::notify::{NotifyConfig, NotifyModel};
 use crate::schedule::{rotor, Schedule};
+use crate::pool::{SegPool, SegRef, NIL};
 use crate::voq::{Voq, VoqConfig};
 use simcore::{par, DefaultQueue, DetRng, SimDuration, SimTime};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use tcp::{ConnStats, Direction, Segment, Transport};
 use testkit::Digest;
@@ -182,27 +192,14 @@ struct FlowSeat {
     r_local: u32,
 }
 
-/// One or more segments arriving at the same host at the same instant.
-enum SegBatch {
-    One(Segment),
-    Many(Vec<Segment>),
-}
-
-impl SegBatch {
-    fn len(&self) -> usize {
-        match self {
-            SegBatch::One(_) => 1,
-            SegBatch::Many(v) => v.len(),
-        }
-    }
-}
-
 /// Rack-local events. Cross-rack arrivals enter as `Deliver` via the
 /// window barrier; everything else is scheduled and consumed by the
-/// same shard.
+/// same shard. A segment in an event is its id in the rack's pool.
 enum REv {
-    Deliver { host: u32, segs: SegBatch },
-    Enqueue { dst: u32, seg: Segment },
+    /// One or more segments arriving at `host` at the same instant: the
+    /// pool chain starting at `head`, in arrival order.
+    Deliver { host: u32, head: u32 },
+    Enqueue { dst: u32, seg: u32 },
     CircuitService,
     PacketService,
     DayStart { day: u64 },
@@ -211,8 +208,9 @@ enum REv {
     HostTimer { host: u32, tgen: u32 },
 }
 
-/// One segment crossing racks: posted by the source shard in emission
-/// order, collected by the destination shard one window later.
+/// One segment crossing racks: queued by the source shard in emission
+/// order, collected by the destination shard one window later. The one
+/// place between two hosts where the segment itself is copied.
 struct Msg {
     /// Arrival time at the destination host.
     t: SimTime,
@@ -226,64 +224,74 @@ struct Msg {
     seg: Segment,
 }
 
+/// One `(source, destination)` box of one parity.
+#[derive(Default)]
+struct Mailbox {
+    /// Set by the hand-off, cleared by the collect: the destination
+    /// skips a box its source left empty without taking the lock. The
+    /// `Release` store pairs with the `Acquire` load in `collect` (the
+    /// window barrier between them orders the two as well).
+    full: AtomicBool,
+    msgs: Mutex<Vec<Msg>>,
+}
+
 /// The cross-rack mailboxes: one box per (source, destination) pair,
-/// double-buffered by window parity. During a window of parity `p` the
-/// source posts into its row of parity `p` while the destination
-/// collects its column of parity `p ^ 1` — last window's posts — so a
-/// box has one writer or one reader in any window, never both, and the
-/// locks are never contended. A collected box keeps its capacity:
-/// nothing is allocated or freed across threads in the steady state.
+/// double-buffered by window parity. A source fills a private outbox per
+/// destination during a window of parity `p` and swaps each non-empty
+/// one into its row of parity `p` when the window ends — one hand-off
+/// per pair per window, not a lock per segment — while the destination
+/// collects its column of parity `p ^ 1`, last window's mail. So a box
+/// has one writer or one reader in any window, never both, and the locks
+/// are never contended. The swap trades the outbox for the box's emptied
+/// buffer, both keep their capacity: nothing is allocated or freed across
+/// threads in the steady state.
 struct Mailboxes {
     racks: usize,
     /// `boxes[parity][src * racks + dst]`.
-    boxes: [Vec<Mutex<Vec<Msg>>>; 2],
+    boxes: [Vec<Mailbox>; 2],
 }
 
 impl Mailboxes {
     fn new(racks: usize) -> Mailboxes {
-        let half = || (0..racks * racks).map(|_| Mutex::default()).collect();
+        let half = || (0..racks * racks).map(|_| Mailbox::default()).collect();
         Mailboxes {
             racks,
             boxes: [half(), half()],
         }
     }
 
-    /// Append `msg` to the `(src, dst)` box of `parity`.
-    fn post(&self, parity: usize, src: usize, dst: usize, msg: Msg) {
-        self.boxes[parity][src * self.racks + dst]
-            .lock()
-            .expect("mailbox poisoned")
-            .push(msg);
+    /// Swap the non-empty `outbox` into the (collected, hence empty)
+    /// `(src, dst)` box of `parity`; `outbox` comes back empty.
+    fn hand_off(&self, parity: usize, src: usize, dst: usize, outbox: &mut Vec<Msg>) {
+        let slot = &self.boxes[parity][src * self.racks + dst];
+        let mut msgs = slot.msgs.lock().expect("mailbox poisoned");
+        debug_assert!(msgs.is_empty(), "handed off into an uncollected box");
+        std::mem::swap(&mut *msgs, outbox);
+        slot.full.store(true, Ordering::Release);
     }
 
     /// Empty column `dst` of `parity` in fixed source-rack order, handing
     /// each run of `joins_prev` messages to `deliver` as one batch.
-    fn collect(
-        &self,
-        parity: usize,
-        dst: usize,
-        mut deliver: impl FnMut(SimTime, u32, SegBatch),
-    ) {
+    fn collect(&self, parity: usize, dst: usize, mut deliver: impl FnMut(&[Msg])) {
         for src in 0..self.racks {
-            let mut msgs = self.boxes[parity][src * self.racks + dst]
-                .lock()
-                .expect("mailbox poisoned");
+            let slot = &self.boxes[parity][src * self.racks + dst];
+            if !slot.full.load(Ordering::Acquire) {
+                continue;
+            }
+            let mut msgs = slot.msgs.lock().expect("mailbox poisoned");
             for run in msgs.chunk_by(|_, next| next.joins_prev) {
-                let segs = match run {
-                    [one] => SegBatch::One(one.seg),
-                    many => SegBatch::Many(many.iter().map(|m| m.seg).collect()),
-                };
-                deliver(run[0].t, run[0].host, segs);
+                deliver(run);
             }
             msgs.clear();
+            slot.full.store(false, Ordering::Release);
         }
     }
 
-    /// Messages posted and not yet collected, both parities.
+    /// Messages handed off and not yet collected, both parities.
     fn in_flight(&self) -> u64 {
         let mut n = 0;
         for slot in self.boxes.iter().flatten() {
-            n += slot.lock().expect("mailbox poisoned").len() as u64;
+            n += slot.msgs.lock().expect("mailbox poisoned").len() as u64;
         }
         n
     }
@@ -313,8 +321,11 @@ struct RackShard<'a> {
 
     /// Current OCS peer of this rack (None during nights).
     peer: Option<usize>,
+    /// Every segment this rack holds — on its NIC, in a VOQ, in a
+    /// scheduled `Deliver`; events and VOQ entries carry ids into it.
+    pool: SegPool,
     /// voqs[dst]: per-destination queue at this rack's ToR.
-    voqs: Vec<Voq>,
+    voqs: Vec<Voq<SegRef>>,
     eps_busy_until: SimTime,
     eps_pending: bool,
     eps_rr: usize,
@@ -347,12 +358,15 @@ struct RackShard<'a> {
     done_count: usize,
 
     mail: Arc<Mailboxes>,
-    /// Parity of the window being simulated: posts go to this half of
+    /// `outbox[dst]`: this window's emissions toward rack `dst`, handed
+    /// to the mailboxes when the window ends.
+    outbox: Vec<Vec<Msg>>,
+    /// Parity of the window being simulated: outboxes go to this half of
     /// the mailboxes, the other half is collected.
     parity: usize,
     /// `(arrival, rack, host)` of this window's latest emission.
     last_emit: Option<(SimTime, u32, u32)>,
-    /// Earliest arrival posted this window (`MAX` = nothing posted): the
+    /// Earliest arrival emitted this window (`MAX` = nothing emitted): the
     /// barrier needs it to bound the next window, since the destination
     /// has not queued the message yet.
     out_min: SimTime,
@@ -383,6 +397,8 @@ struct Ledger {
     /// Segments this rack collected from its mailboxes: in a scheduled
     /// `Deliver`, or already delivered.
     routed_in: u64,
+    /// The part of `routed_in` not yet delivered.
+    in_deliver: u64,
 }
 
 /// The sharded N-rack emulator. Construct with [`ShardedEmulator::new`],
@@ -584,6 +600,7 @@ impl<'a> ShardedEmulator<'a> {
                     day_len: net.day_len,
                     night_len: net.night_len,
                     peer: None,
+                    pool: SegPool::new(),
                     voqs: (0..net.racks).map(|_| Voq::untraced(net.voq)).collect(),
                     eps_busy_until: SimTime::ZERO,
                     eps_pending: false,
@@ -603,6 +620,7 @@ impl<'a> ShardedEmulator<'a> {
                     n_senders: 0,
                     done_count: 0,
                     mail: Arc::clone(&mail),
+                    outbox: (0..net.racks).map(|_| Vec::new()).collect(),
                     parity: 1,
                     last_emit: None,
                     out_min: SimTime::MAX,
@@ -647,21 +665,31 @@ impl<'a> ShardedEmulator<'a> {
     /// racks, every segment polled from a host or duplicated on the wire
     /// is waiting on a NIC, in a VOQ, tail-dropped, dropped with a cause
     /// at launch, in a mailbox, in a scheduled `Deliver`, or delivered.
+    /// And the pool law: the slots live in the racks' pools are exactly
+    /// the segments waiting on a NIC, in a VOQ or in a scheduled
+    /// `Deliver` — an id leaked, or released while something still holds
+    /// it, breaks the equality.
     fn assert_conserved(&self) {
         let (mut made, mut found) = (0u64, self.mail.in_flight());
+        let (mut live, mut held) = (0u64, 0u64);
         for s in &self.shards {
             let g = s.lock().expect("shard poisoned");
+            debug_assert!(g.outbox.iter().all(Vec::is_empty), "outbox kept past its window");
             let l = &g.ledger;
+            let queued = g.voqs.iter().map(|v| v.len() as u64).sum::<u64>();
             made += l.polled + l.wire_dups;
-            found += l.on_nic + l.dropped + l.routed_in;
-            found += g.voqs.iter().map(|v| v.len() as u64 + v.drops).sum::<u64>();
+            found += l.on_nic + l.dropped + l.routed_in + queued;
+            found += g.voqs.iter().map(|v| v.drops).sum::<u64>();
+            live += g.pool.live();
+            held += l.on_nic + queued + l.in_deliver;
         }
         assert_eq!(made, found, "segment conservation violated at a window barrier");
+        assert_eq!(live, held, "segment pool law violated at a window barrier");
     }
 
     /// The barrier between two windows: decide whether to stop, and
     /// bound the next window. Its start is the earliest pending event —
-    /// queued in a shard, or posted last window and still in a mailbox
+    /// queued in a shard, or handed off last window and still in a mailbox
     /// (`out_min`) — which is the time the destination's queue will
     /// report once it has collected.
     fn next_window(&self, until: SimTime) -> bool {
@@ -795,24 +823,42 @@ impl<'a> RackShard<'a> {
     }
 
     /// Enter the next window: flip the mailbox parity and queue what
-    /// the other racks posted to this one during the last window — before
+    /// the other racks sent to this one during the last window — before
     /// anything is popped, so the arrivals take the same place in the
-    /// queue's FIFO order at every worker count.
+    /// queue's FIFO order at every worker count. Each batch is copied
+    /// into this rack's pool as one chain.
     fn begin_window(&mut self) {
         self.parity ^= 1;
         self.last_emit = None;
         self.out_min = SimTime::MAX;
-        let (q, ledger) = (&mut self.q, &mut self.ledger);
-        self.mail.collect(self.parity ^ 1, self.r, |t, host, segs| {
+        let (q, ledger, pool) = (&mut self.q, &mut self.ledger, &mut self.pool);
+        self.mail.collect(self.parity ^ 1, self.r, |run| {
             if cfg!(debug_assertions) {
-                ledger.routed_in += segs.len() as u64;
+                ledger.routed_in += run.len() as u64;
+                ledger.in_deliver += run.len() as u64;
             }
-            q.schedule(t, REv::Deliver { host, segs });
+            let head = pool.insert(run[0].seg);
+            let mut tail = head;
+            for m in &run[1..] {
+                let id = pool.insert(m.seg);
+                pool.chain(tail, id);
+                tail = id;
+            }
+            q.schedule(run[0].t, REv::Deliver { host: run[0].host, head });
         });
     }
 
-    /// Collect the mailboxes, then process every local event strictly
-    /// before `w_end`.
+    /// Leave the window: hand every non-empty outbox to the mailboxes.
+    fn end_window(&mut self) {
+        for (dst, outbox) in self.outbox.iter_mut().enumerate() {
+            if !outbox.is_empty() {
+                self.mail.hand_off(self.parity, self.r, dst, outbox);
+            }
+        }
+    }
+
+    /// Collect the mailboxes, process every local event strictly before
+    /// `w_end`, hand off what that emitted.
     fn run_window(&mut self) {
         self.begin_window();
         while let Some((now, ev)) = self.q.pop_before(self.w_end) {
@@ -823,16 +869,20 @@ impl<'a> RackShard<'a> {
                 _ => None,
             };
             match ev {
-                REv::Deliver { host, segs } => {
+                REv::Deliver { host, head } => {
                     let h = host as usize;
-                    self.extra_events += segs.len() as u64 - 1;
-                    match segs {
-                        SegBatch::One(seg) => self.hosts[h].on_segment(now, &seg),
-                        SegBatch::Many(v) => {
-                            for seg in &v {
-                                self.hosts[h].on_segment(now, seg);
-                            }
-                        }
+                    // The transport reads each segment where it lies.
+                    let (mut id, mut n) = (head, 0u64);
+                    while id != NIL {
+                        let next = self.pool.next(id);
+                        self.hosts[h].on_segment(now, self.pool.get(id));
+                        self.pool.release(id);
+                        id = next;
+                        n += 1;
+                    }
+                    self.extra_events += n - 1;
+                    if cfg!(debug_assertions) {
+                        self.ledger.in_deliver -= n;
                     }
                     self.flush(now, h);
                 }
@@ -841,8 +891,10 @@ impl<'a> RackShard<'a> {
                     if cfg!(debug_assertions) {
                         self.ledger.on_nic -= 1;
                     }
-                    if self.voqs[dst].enqueue(now, seg) {
+                    if self.voqs[dst].enqueue(now, self.pool.seg_ref(seg)) {
                         self.kick(now, dst);
+                    } else {
+                        self.pool.release(seg); // tail drop
                     }
                 }
                 REv::CircuitService => {
@@ -870,6 +922,7 @@ impl<'a> RackShard<'a> {
                 }
             }
         }
+        self.end_window();
     }
 
     /// Drain a host's sends through the rack NIC, then maintain its lazy
@@ -892,6 +945,7 @@ impl<'a> RackShard<'a> {
                 self.ledger.polled += 1;
                 self.ledger.on_nic += 1;
             }
+            let seg = self.pool.insert(seg);
             self.q.schedule(done, REv::Enqueue { dst, seg });
         }
         let want = self.hosts[h].next_timer().map_or(SimTime::MAX, |t| t.max(now));
@@ -967,14 +1021,14 @@ impl<'a> RackShard<'a> {
                 }
                 return;
             }
-            let Some(seg) = self.voqs[dst].dequeue_eligible(at, Some(TdnId(1))) else {
+            let Some(item) = self.voqs[dst].dequeue_eligible(at, Some(TdnId(1))) else {
                 return;
             };
             if !first {
                 self.extra_events += 1;
             }
             first = false;
-            let ser = self.launch(at, seg, true, dst);
+            let ser = self.launch(at, item, true, dst);
             at += ser;
             self.circuit_busy_until = at;
         }
@@ -1014,14 +1068,14 @@ impl<'a> RackShard<'a> {
             }
             let Some(dst) = chosen else { return };
             self.eps_rr = (dst + 1) % n;
-            let seg = self.voqs[dst]
+            let item = self.voqs[dst]
                 .dequeue_eligible(at, Some(TdnId(0)))
                 .expect("has_eligible checked");
             if !first {
                 self.extra_events += 1;
             }
             first = false;
-            let ser = self.launch(at, seg, false, dst);
+            let ser = self.launch(at, item, false, dst);
             at += ser;
             self.eps_busy_until = at;
         }
@@ -1032,14 +1086,20 @@ impl<'a> RackShard<'a> {
         self.peer_of[(day % self.peer_of.len() as u64) as usize][a] == b
     }
 
-    /// Launch one segment from this rack's ToR toward `dst` at `at`,
-    /// running it through the chaos pipeline in fixed order — clock →
-    /// EPS jitter → EPS transit faults → wire impairments — and
-    /// posting any surviving copies to the mailboxes. Returns the
-    /// serialization time the port slot consumed.
-    fn launch(&mut self, at: SimTime, mut seg: Segment, circuit: bool, dst: usize) -> SimDuration {
+    /// Launch the dequeued segment from this rack's ToR toward `dst` at
+    /// `at`, running it through the chaos pipeline in fixed order — clock
+    /// → EPS jitter → EPS transit faults → wire impairments — reading and
+    /// rewriting it in its pool slot, and emitting any surviving copies
+    /// toward the destination rack. Every path out of here releases the
+    /// slot or re-queues its id. Returns the serialization time the port
+    /// slot consumed.
+    fn launch(&mut self, at: SimTime, item: SegRef, circuit: bool, dst: usize) -> SimDuration {
+        let id = item.id;
+        let seg = self.pool.get_mut(id);
+        seg.ecn = item.ecn; // the VOQ's CE mark lands in the slot
+        let (wire_size, has_payload) = (u64::from(seg.wire_size()), seg.has_payload());
         let mut p = if circuit { self.circuit } else { self.packet };
-        let true_ser = SimDuration::serialization(u64::from(seg.wire_size()), p.rate_bps);
+        let true_ser = SimDuration::serialization(wire_size, p.rate_bps);
         // Time plane: the launching host is always resident (data
         // launches at the flow's source rack, acks at its destination).
         if !self.clock.is_inert() {
@@ -1051,7 +1111,7 @@ impl<'a> RackShard<'a> {
             match self.clock.on_send(host, at, &self.sched, self.guard_band) {
                 ClockVerdict::Send => {}
                 ClockVerdict::GuardDrop => {
-                    self.note_drop();
+                    self.drop_seg(id);
                     return true_ser; // slot burned, segment gone
                 }
                 ClockVerdict::Defer => {
@@ -1061,7 +1121,7 @@ impl<'a> RackShard<'a> {
                     if cfg!(debug_assertions) {
                         self.ledger.on_nic += 1;
                     }
-                    self.q.schedule(next, REv::Enqueue { dst: dst as u32, seg });
+                    self.q.schedule(next, REv::Enqueue { dst: dst as u32, seg: id });
                     return true_ser;
                 }
                 ClockVerdict::WrongTdn { perceived_day } => {
@@ -1075,7 +1135,7 @@ impl<'a> RackShard<'a> {
                 }
             }
         }
-        let ser = SimDuration::serialization(u64::from(seg.wire_size()), p.rate_bps);
+        let ser = SimDuration::serialization(wire_size, p.rate_bps);
         let jitter = match p.jitter {
             Some((prob, mean)) if self.rng.chance(prob) => {
                 SimDuration::from_nanos(self.rng.exponential(mean.as_nanos() as f64) as u64)
@@ -1087,55 +1147,56 @@ impl<'a> RackShard<'a> {
         if !circuit {
             match self.faults.on_transit(at) {
                 EpsVerdict::Pass => {}
-                EpsVerdict::Drop => {
-                    self.note_drop();
+                EpsVerdict::Corrupt if has_payload => self.mangle(id),
+                // A corrupted pure ACK is a loss.
+                EpsVerdict::Drop | EpsVerdict::Corrupt => {
+                    self.drop_seg(id);
                     return ser;
-                }
-                EpsVerdict::Corrupt => {
-                    if seg.has_payload() {
-                        seg.payload_csum = crate::emulator::mangle_csum(seg.payload_csum);
-                    } else {
-                        self.note_drop();
-                        return ser; // a corrupted pure ACK is a loss
-                    }
                 }
             }
         }
         let arrive = at + ser + p.one_way + jitter;
         match self.impair.on_wire(at) {
-            ImpairVerdict::Pass => self.emit(arrive, seg),
-            ImpairVerdict::Drop => self.note_drop(),
-            ImpairVerdict::Delay(extra) => self.emit(arrive + extra, seg),
+            ImpairVerdict::Pass => self.emit(arrive, id),
+            ImpairVerdict::Delay(extra) => self.emit(arrive + extra, id),
             ImpairVerdict::Duplicate(lag) => {
                 if cfg!(debug_assertions) {
                     self.ledger.wire_dups += 1;
                 }
-                self.emit(arrive, seg);
-                self.emit(arrive + lag, seg);
+                // The copy is a segment of its own from here on.
+                let dup = self.pool.insert(*self.pool.get(id));
+                self.emit(arrive, id);
+                self.emit(arrive + lag, dup);
             }
-            ImpairVerdict::Corrupt => {
-                if seg.has_payload() {
-                    seg.payload_csum = crate::emulator::mangle_csum(seg.payload_csum);
-                    self.emit(arrive, seg);
-                } else {
-                    self.note_drop();
-                }
+            ImpairVerdict::Corrupt if has_payload => {
+                self.mangle(id);
+                self.emit(arrive, id);
             }
+            ImpairVerdict::Drop | ImpairVerdict::Corrupt => self.drop_seg(id),
         }
         ser
     }
 
-    /// A segment left the fabric at launch, for one of the causes
-    /// `Ledger::dropped` lists.
-    fn note_drop(&mut self) {
+    /// Damage the payload checksum of the segment in slot `id`.
+    fn mangle(&mut self, id: u32) {
+        let seg = self.pool.get_mut(id);
+        seg.payload_csum = crate::emulator::mangle_csum(seg.payload_csum);
+    }
+
+    /// The segment in slot `id` left the fabric at launch, for one of
+    /// the causes `Ledger::dropped` lists.
+    fn drop_seg(&mut self, id: u32) {
+        self.pool.release(id);
         if cfg!(debug_assertions) {
             self.ledger.dropped += 1;
         }
     }
 
-    /// Post a segment for the destination rack to collect at the start
-    /// of its next window.
-    fn emit(&mut self, arrive: SimTime, seg: Segment) {
+    /// Copy the segment in slot `id` into this window's outbox for its
+    /// destination rack — which collects it at the start of its next
+    /// window — and release the slot.
+    fn emit(&mut self, arrive: SimTime, id: u32) {
+        let seg = self.pool.get(id);
         let seat = self.seats[seg.flow.0 as usize];
         let (rack, host) = match seg.dir {
             Direction::DataPath => (seat.dst_rack, seat.r_local),
@@ -1146,15 +1207,15 @@ impl<'a> RackShard<'a> {
             "cross-rack arrival inside the window violates the lookahead"
         );
         let key = Some((arrive, rack, host));
-        let msg = Msg {
+        self.outbox[rack as usize].push(Msg {
             t: arrive,
             host,
             joins_prev: self.last_emit == key,
-            seg,
-        };
+            seg: *seg,
+        });
         self.last_emit = key;
         self.out_min = self.out_min.min(arrive);
-        self.mail.post(self.parity, self.r, rack as usize, msg);
+        self.pool.release(id);
     }
 
     fn on_day_start(&mut self, now: SimTime, day: u64) {
@@ -1324,8 +1385,42 @@ mod tests {
         let _ = emu.run(SimTime::from_millis(1), 1);
     }
 
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "segment pool law violated")]
+    fn leaked_segment_id_trips_the_pool_law() {
+        // A slot nothing holds: no event, no VOQ entry, no delivery.
+        let emu = ShardedEmulator::new(small_cfg(), ring_flows(4), |i, _| cubic_pair(i, u64::MAX));
+        let leaked = Segment::new(FlowId(0), Direction::DataPath);
+        emu.shards[2].lock().unwrap().pool.insert(leaked);
+        let _ = emu.run(SimTime::from_millis(1), 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "after its release")]
+    fn segment_released_while_queued_panics_at_its_next_use() {
+        // Release a queued `Enqueue`'s slot behind its back (what a
+        // second release of a re-queued id amounts to): the event then
+        // reads a vacant slot, and the pool says so at that site.
+        let emu = ShardedEmulator::new(small_cfg(), ring_flows(4), |i, _| cubic_pair(i, u64::MAX));
+        {
+            let mut shard = emu.shards[0].lock().unwrap();
+            shard.start();
+            let (_, ev) = shard.q.pop().expect("day 0 and the SYN are queued");
+            assert!(matches!(ev, REv::DayStart { .. }));
+            let Some((at, REv::Enqueue { dst, seg })) = shard.q.pop() else {
+                panic!("the SYN's enqueue follows the day start");
+            };
+            shard.pool.release(seg);
+            shard.q.schedule(at, REv::Enqueue { dst, seg });
+            shard.w_end = SimTime::from_micros(1);
+            shard.run_window();
+        }
+    }
+
     /// Start `emu` and step it window by window, inline, until some
-    /// shard has posted to a mailbox; returns the parity posted to.
+    /// shard has handed mail off; returns the parity it went to.
     fn run_until_mail(emu: &ShardedEmulator<'_>) -> usize {
         for s in &emu.shards {
             s.lock().unwrap().start();
@@ -1347,18 +1442,11 @@ mod tests {
         // out of the mailbox and in no queue, and the next barrier says so.
         let emu = ShardedEmulator::new(small_cfg(), ring_flows(4), |i, _| cubic_pair(i, u64::MAX));
         let parity = run_until_mail(&emu);
-        let mut lost = false;
+        let mut lost = 0;
         for dst in 0..4 {
-            let mut to = emu.shards[dst].lock().unwrap();
-            emu.mail.collect(parity, dst, |t, host, segs| {
-                if !std::mem::replace(&mut lost, true) {
-                    return;
-                }
-                to.ledger.routed_in += segs.len() as u64;
-                to.q.schedule(t, REv::Deliver { host, segs });
-            });
+            emu.mail.collect(parity, dst, |run| lost += run.len());
         }
-        assert!(lost);
+        assert!(lost > 0);
         emu.next_window(SimTime::from_millis(1));
     }
 
@@ -1369,8 +1457,13 @@ mod tests {
         to.begin_window();
         let mut shapes = Vec::new();
         while let Some((_, ev)) = to.q.pop() {
-            if let REv::Deliver { host, segs } = ev {
-                shapes.push((host, segs.len()));
+            if let REv::Deliver { host, head } = ev {
+                let (mut id, mut n) = (head, 0);
+                while id != NIL {
+                    id = to.pool.next(id);
+                    n += 1;
+                }
+                shapes.push((host, n));
             }
         }
         shapes
@@ -1386,30 +1479,50 @@ mod tests {
             Segment::new(FlowId(0), Direction::DataPath),
             Segment::new(FlowId(1), Direction::DataPath),
         );
+        // Rack 0 emits `segs` (pooled first, as a launch finds them) and
+        // ends its window; racks 1 and 2 then enter their next one, which
+        // collects the parity rack 0 handed off to.
+        let emitted = |segs: &[(SimTime, Segment)]| {
+            let emu = fabric();
+            {
+                let mut from = emu.shards[0].lock().unwrap();
+                for &(at, seg) in segs {
+                    let id = from.pool.insert(seg);
+                    from.emit(at, id);
+                }
+                assert_eq!(from.pool.live(), 0, "an emitted segment leaves the source's pool");
+                from.end_window();
+            }
+            assert_eq!(emu.mail.in_flight(), segs.len() as u64);
+            emu
+        };
 
         // A B C with A and C to the same (t, rack, host): B broke the
         // run at the source, so they stay two deliveries (the host is
         // flushed between them) although they sit side by side in the
         // 0 → 1 box.
-        let emu = fabric();
-        for seg in [a, b, a] {
-            emu.shards[0].lock().unwrap().emit(t, seg);
-        }
+        let emu = emitted(&[(t, a), (t, b), (t, a)]);
         assert_eq!(collected(&emu, 1), [(0, 1), (0, 1)]);
         assert_eq!(collected(&emu, 2), [(0, 1)]);
+        assert_eq!(emu.mail.in_flight(), 0);
 
         // A A' B: one delivery of two segments, then B's.
-        let emu = fabric();
-        for seg in [a, a, b] {
-            emu.shards[0].lock().unwrap().emit(t, seg);
-        }
+        let emu = emitted(&[(t, a), (t, a), (t, b)]);
         assert_eq!(collected(&emu, 1), [(0, 2)]);
         assert_eq!(collected(&emu, 2), [(0, 1)]);
 
         // Same host, different arrival times: no batch.
-        let emu = fabric();
-        emu.shards[0].lock().unwrap().emit(t, a);
-        emu.shards[0].lock().unwrap().emit(t + SimDuration::from_nanos(1), a);
+        let emu = emitted(&[(t, a), (t + SimDuration::from_nanos(1), a)]);
         assert_eq!(collected(&emu, 1), [(0, 1), (0, 1)]);
+    }
+
+    #[test]
+    fn events_stay_within_the_wheel_node_budget() {
+        // Time + seq + link + state on top of a 40-byte event keep the
+        // wheel node within one 64-byte line (ROADMAP 4a); the segment
+        // itself is in the pool, whatever it weighs.
+        assert!(std::mem::size_of::<REv>() <= 40);
+        assert!(DefaultQueue::<REv>::node_bytes() <= 64);
+        assert_eq!(std::mem::size_of::<Segment>(), 120);
     }
 }

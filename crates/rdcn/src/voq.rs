@@ -7,6 +7,12 @@
 //! day). MPTCP subflow segments are *pinned* to a TDN and may only be
 //! serviced while that TDN is active; the service scan skips over them
 //! otherwise, preserving FIFO order within each pin class.
+//!
+//! There is one queue implementation, generic over what it queues
+//! ([`VoqItem`]): admission and service read an entry's pin and ECN
+//! codepoint and nothing else. Both engines queue 8-byte handles to
+//! pooled segments (`crate::pool::SegRef`); `Voq<Segment>`, the default,
+//! queues whole segments for callers that have no pool.
 
 use simcore::{Gauge, SimTime};
 use tcp::Segment;
@@ -32,10 +38,32 @@ impl Default for VoqConfig {
     }
 }
 
+/// What a [`Voq`] reads of, and writes to, an entry.
+pub trait VoqItem {
+    /// The TDN this entry may only be serviced on, if any.
+    fn pin(&self) -> Option<TdnId>;
+    /// The entry's ECN codepoint.
+    fn ecn(&self) -> Ecn;
+    /// Rewrite the codepoint to CE (the queue was above its threshold).
+    fn mark_ce(&mut self);
+}
+
+impl VoqItem for Segment {
+    fn pin(&self) -> Option<TdnId> {
+        self.pin
+    }
+    fn ecn(&self) -> Ecn {
+        self.ecn
+    }
+    fn mark_ce(&mut self) {
+        self.ecn = Ecn::Ce;
+    }
+}
+
 /// One direction's virtual output queue.
 #[derive(Debug)]
-pub struct Voq {
-    q: VecDeque<Segment>,
+pub struct Voq<T = Segment> {
+    q: VecDeque<T>,
     cap: usize,
     base_cap: usize,
     ecn_k: Option<usize>,
@@ -66,7 +94,7 @@ fn class_of(pin: Option<TdnId>) -> usize {
     pin.map_or(0, |t| 1 + t.0 as usize)
 }
 
-impl Voq {
+impl<T: VoqItem> Voq<T> {
     /// New VOQ with the given config; `name` labels its trace series.
     pub fn new(name: impl Into<String>, cfg: VoqConfig) -> Self {
         Voq {
@@ -128,8 +156,9 @@ impl Voq {
     /// so TDN-pinned MPTCP subflows cannot starve each other or unpinned
     /// traffic out of buffer space. Single-path variants (all unpinned)
     /// see exactly one 16-packet queue.
-    pub fn enqueue(&mut self, now: SimTime, mut seg: Segment) -> bool {
-        let class = class_of(seg.pin);
+    pub fn enqueue(&mut self, now: SimTime, mut seg: T) -> bool {
+        let pin = seg.pin();
+        let class = class_of(pin);
         if class >= self.class_len.len() {
             self.class_len.resize(class + 1, 0);
         }
@@ -139,13 +168,13 @@ impl Voq {
             return false;
         }
         if let Some(k) = self.ecn_k {
-            if class_len >= k && seg.ecn.is_capable() {
-                seg.ecn = Ecn::Ce;
+            if class_len >= k && seg.ecn().is_capable() {
+                seg.mark_ce();
                 self.ce_marks += 1;
             }
         }
         self.class_len[class] += 1;
-        if seg.pin.is_some() {
+        if pin.is_some() {
             self.pinned_total += 1;
         }
         self.q.push_back(seg);
@@ -161,7 +190,7 @@ impl Voq {
     /// matches the active TDN. Returns `None` during blackouts
     /// (`active = None` never services anything: time division is strict,
     /// §2.1).
-    pub fn dequeue_eligible(&mut self, now: SimTime, active: Option<TdnId>) -> Option<Segment> {
+    pub fn dequeue_eligible(&mut self, now: SimTime, active: Option<TdnId>) -> Option<T> {
         let active = active?;
         if !self.has_eligible(Some(active)) {
             return None;
@@ -174,12 +203,13 @@ impl Voq {
             let idx = self
                 .q
                 .iter()
-                .position(|s| s.pin.is_none_or(|p| p == active))
+                .position(|s| s.pin().is_none_or(|p| p == active))
                 .expect("class counts said an eligible segment exists");
             self.q.remove(idx).expect("index in range")
         };
-        self.class_len[class_of(seg.pin)] -= 1;
-        if seg.pin.is_some() {
+        let pin = seg.pin();
+        self.class_len[class_of(pin)] -= 1;
+        if pin.is_some() {
             self.pinned_total -= 1;
         }
         if self.traced {
@@ -213,119 +243,114 @@ impl Voq {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::SegRef;
     use tcp::{Direction, FlowId};
 
-    fn seg(pin: Option<u8>, ecn: bool) -> Segment {
-        let mut s = Segment::new(FlowId(0), Direction::DataPath);
-        s.len = 1000;
-        s.ecn = if ecn { Ecn::Ect0 } else { Ecn::NotEct };
-        s.pin = pin.map(TdnId);
-        s
+    /// An entry type the behaviour checks can build and tell apart.
+    trait Probe: VoqItem {
+        fn make(tag: u32, pin: Option<u8>, ecn: bool) -> Self;
+        fn tag(&self) -> u32;
+    }
+
+    impl Probe for Segment {
+        fn make(tag: u32, pin: Option<u8>, ecn: bool) -> Segment {
+            let mut s = Segment::new(FlowId(0), Direction::DataPath);
+            s.len = 1000;
+            s.seq = tcp::SeqNum(tag);
+            s.ecn = if ecn { Ecn::Ect0 } else { Ecn::NotEct };
+            s.pin = pin.map(TdnId);
+            s
+        }
+        fn tag(&self) -> u32 {
+            self.seq.0
+        }
+    }
+
+    impl Probe for SegRef {
+        fn make(tag: u32, pin: Option<u8>, ecn: bool) -> SegRef {
+            SegRef {
+                id: tag,
+                pin: pin.map(TdnId),
+                ecn: if ecn { Ecn::Ect0 } else { Ecn::NotEct },
+            }
+        }
+        fn tag(&self) -> u32 {
+            self.id
+        }
     }
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
     }
 
-    #[test]
-    fn fifo_order_unpinned() {
-        let mut v = Voq::new("q", VoqConfig::default());
-        for i in 0..3u32 {
-            let mut s = seg(None, false);
-            s.seq = tcp::SeqNum(i * 1000);
-            assert!(v.enqueue(t(i as u64), s));
-        }
-        assert_eq!(v.len(), 3);
-        let a = v.dequeue_eligible(t(5), Some(TdnId(0))).unwrap();
-        assert_eq!(a.seq, tcp::SeqNum(0));
-        let b = v.dequeue_eligible(t(6), Some(TdnId(1))).unwrap();
-        assert_eq!(b.seq, tcp::SeqNum(1000), "unpinned serves on any TDN");
+    fn capped<T: VoqItem>(cap_pkts: usize, ecn_threshold: Option<usize>) -> Voq<T> {
+        Voq::new("q", VoqConfig { cap_pkts, ecn_threshold })
     }
 
-    #[test]
-    fn tail_drop_at_cap() {
-        let mut v = Voq::new(
-            "q",
-            VoqConfig {
-                cap_pkts: 2,
-                ecn_threshold: None,
-            },
+    /// Every behaviour of the queue, for one entry type.
+    fn behaviour<T: Probe>() {
+        let seg = |pin, ecn| T::make(0, pin, ecn);
+
+        // FIFO order among unpinned entries, on any TDN.
+        let mut v = Voq::new("q", VoqConfig::default());
+        for i in 0..3u32 {
+            assert!(v.enqueue(t(u64::from(i)), T::make(i * 1000, None, false)));
+        }
+        assert_eq!(v.len(), 3);
+        assert_eq!(v.dequeue_eligible(t(5), Some(TdnId(0))).unwrap().tag(), 0);
+        assert_eq!(
+            v.dequeue_eligible(t(6), Some(TdnId(1))).unwrap().tag(),
+            1000,
+            "unpinned serves on any TDN"
         );
+
+        // Tail drop at the cap.
+        let mut v = capped(2, None);
         assert!(v.enqueue(t(0), seg(None, false)));
         assert!(v.enqueue(t(0), seg(None, false)));
         assert!(!v.enqueue(t(0), seg(None, false)), "third is dropped");
-        assert_eq!(v.drops, 1);
-        assert_eq!(v.enqueued, 2);
-    }
+        assert_eq!((v.drops, v.enqueued), (1, 2));
 
-    #[test]
-    fn ecn_marking_above_threshold() {
-        let mut v = Voq::new(
-            "q",
-            VoqConfig {
-                cap_pkts: 16,
-                ecn_threshold: Some(2),
-            },
-        );
-        v.enqueue(t(0), seg(None, true));
-        v.enqueue(t(0), seg(None, true));
-        v.enqueue(t(0), seg(None, true)); // occupancy 2 at enqueue -> mark
+        // ECN marking at or above the threshold.
+        let mut v = capped(16, Some(2));
+        for _ in 0..3 {
+            v.enqueue(t(0), seg(None, true)); // the third sees occupancy 2 -> mark
+        }
         assert_eq!(v.ce_marks, 1);
         v.dequeue_eligible(t(1), Some(TdnId(0)));
         v.dequeue_eligible(t(1), Some(TdnId(0)));
         let marked = v.dequeue_eligible(t(1), Some(TdnId(0))).unwrap();
-        assert_eq!(marked.ecn, Ecn::Ce);
-    }
+        assert_eq!(marked.ecn(), Ecn::Ce);
 
-    #[test]
-    fn not_ect_never_marked() {
-        let mut v = Voq::new(
-            "q",
-            VoqConfig {
-                cap_pkts: 16,
-                ecn_threshold: Some(0),
-            },
-        );
+        // Not-ECT is never marked.
+        let mut v = capped(16, Some(0));
         v.enqueue(t(0), seg(None, false));
         let s = v.dequeue_eligible(t(1), Some(TdnId(0))).unwrap();
-        assert_eq!(s.ecn, Ecn::NotEct);
-        assert_eq!(v.ce_marks, 0);
-    }
+        assert_eq!((s.ecn(), v.ce_marks), (Ecn::NotEct, 0));
 
-    #[test]
-    fn pinned_segments_wait_for_their_tdn() {
+        // Pinned entries wait for their TDN.
         let mut v = Voq::new("q", VoqConfig::default());
         v.enqueue(t(0), seg(Some(1), false)); // optical-pinned at head
         v.enqueue(t(0), seg(Some(0), false));
         // Packet day: the head is ineligible, the second serves.
         let s = v.dequeue_eligible(t(1), Some(TdnId(0))).unwrap();
-        assert_eq!(s.pin, Some(TdnId(0)));
+        assert_eq!(s.pin(), Some(TdnId(0)));
         assert_eq!(v.len(), 1);
         // Still packet day: nothing eligible.
         assert!(v.dequeue_eligible(t(2), Some(TdnId(0))).is_none());
         assert!(v.has_eligible(Some(TdnId(1))));
         let s = v.dequeue_eligible(t(3), Some(TdnId(1))).unwrap();
-        assert_eq!(s.pin, Some(TdnId(1)));
-    }
+        assert_eq!(s.pin(), Some(TdnId(1)));
 
-    #[test]
-    fn blackout_services_nothing() {
+        // A blackout services nothing.
         let mut v = Voq::new("q", VoqConfig::default());
         v.enqueue(t(0), seg(None, false));
         assert!(v.dequeue_eligible(t(1), None).is_none());
         assert!(!v.has_eligible(None));
         assert_eq!(v.len(), 1, "segment held through the night");
-    }
 
-    #[test]
-    fn runtime_resize() {
-        let mut v = Voq::new(
-            "q",
-            VoqConfig {
-                cap_pkts: 2,
-                ecn_threshold: None,
-            },
-        );
+        // Runtime resize.
+        let mut v = capped(2, None);
         v.enqueue(t(0), seg(None, false));
         v.enqueue(t(0), seg(None, false));
         assert!(!v.enqueue(t(0), seg(None, false)));
@@ -336,17 +361,28 @@ mod tests {
         // Over-occupied after shrink: drains without dropping queued.
         assert_eq!(v.len(), 3);
         assert!(!v.enqueue(t(2), seg(None, false)), "but admits nothing new");
+
+        // The gauge tracks occupancy; an untraced queue records nothing.
+        let mut v = Voq::new("q", VoqConfig::default());
+        let mut quiet = Voq::untraced(VoqConfig::default());
+        for q in [&mut v, &mut quiet] {
+            q.enqueue(t(1), seg(None, false));
+            q.enqueue(t(2), seg(None, false));
+            q.dequeue_eligible(t(3), Some(TdnId(0)));
+        }
+        let pts = v.series().points();
+        assert_eq!(pts.len(), 3);
+        assert_eq!((pts[1].1, pts[2].1), (2.0, 1.0));
+        assert_eq!((quiet.len(), quiet.enqueued), (1, 2));
     }
 
     #[test]
-    fn gauge_tracks_occupancy() {
-        let mut v = Voq::new("q", VoqConfig::default());
-        v.enqueue(t(1), seg(None, false));
-        v.enqueue(t(2), seg(None, false));
-        v.dequeue_eligible(t(3), Some(TdnId(0)));
-        let pts = v.series().points();
-        assert_eq!(pts.len(), 3);
-        assert_eq!(pts[1].1, 2.0);
-        assert_eq!(pts[2].1, 1.0);
+    fn behaviour_queueing_segments() {
+        behaviour::<Segment>();
+    }
+
+    #[test]
+    fn behaviour_queueing_pool_handles() {
+        behaviour::<SegRef>();
     }
 }

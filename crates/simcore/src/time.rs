@@ -126,9 +126,19 @@ impl SimDuration {
 
     /// Scale by a float factor (used for RTO backoff with jitter and for
     /// EWMA-style smoothing where integer math would lose precision).
+    ///
+    /// Rounds half up — `round() as u64` for the non-negative products
+    /// the assert leaves, without `f64::round`, which is a libm call on
+    /// baseline x86-64 (four per RTT sample): truncate, then add one if
+    /// the dropped fraction is at least a half. Above 2⁵³ the product is
+    /// already an integer and the difference is zero; past `u64::MAX` the
+    /// cast and the add both saturate.
+    #[inline]
     pub fn mul_f64(self, k: f64) -> SimDuration {
         assert!(k >= 0.0, "scale factor must be non-negative");
-        SimDuration((self.0 as f64 * k).round() as u64)
+        let v = self.0 as f64 * k;
+        let t = v as u64;
+        SimDuration(t.saturating_add(u64::from(v - t as f64 >= 0.5)))
     }
 
     /// The larger of two durations.
@@ -158,6 +168,7 @@ impl SimDuration {
     /// Serialization delay for `bytes` at `rate_bps` bits per second,
     /// rounded up to a whole nanosecond so a non-empty packet never
     /// serializes in zero time.
+    #[inline]
     pub fn serialization(bytes: u64, rate_bps: u64) -> SimDuration {
         assert!(rate_bps > 0, "link rate must be positive");
         let bits = bytes * 8;
@@ -319,6 +330,30 @@ mod tests {
         assert_eq!(d.mul_f64(1.5).as_micros(), 150);
         let ratio = SimDuration::from_micros(30) / SimDuration::from_micros(60);
         assert!((ratio - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn mul_f64_rounds_like_round() {
+        let reference = |d: u64, k: f64| (d as f64 * k).round() as u64;
+        let p53 = 1u64 << 53;
+        let durations = [0, 1, 2, 3, 7, 1_000, 180_000, p53 - 1, p53, p53 + 1, u64::MAX - 1, u64::MAX];
+        let factors = [0.0, 0.125, 0.25, 0.5, 0.75, 0.875, 1.0, 1.25, 1.5, 2.5, 1e-9, 1e9, 1e300];
+        for d in durations {
+            for k in factors {
+                assert_eq!(
+                    SimDuration::from_nanos(d).mul_f64(k).as_nanos(),
+                    reference(d, k),
+                    "{d} * {k}"
+                );
+            }
+        }
+        // Every x.5 boundary and its neighbours one ULP either side.
+        for n in 0..2_000u64 {
+            let half = n as f64 + 0.5;
+            for v in [half, f64::from_bits(half.to_bits() - 1), f64::from_bits(half.to_bits() + 1)] {
+                assert_eq!(SimDuration::from_nanos(1).mul_f64(v).as_nanos(), v.round() as u64, "{v}");
+            }
+        }
     }
 
     #[test]

@@ -147,6 +147,13 @@ impl<E> Default for TimerWheel<E> {
 }
 
 impl<E> TimerWheel<E> {
+    /// Bytes one scheduled event occupies in the node slab: time, seq,
+    /// link and the payload in its state cell. Callers that size their
+    /// event type to a cache line test against this.
+    pub const fn node_bytes() -> usize {
+        std::mem::size_of::<Node<E>>()
+    }
+
     /// Create an empty queue with the clock at zero.
     pub fn new() -> Self {
         TimerWheel {

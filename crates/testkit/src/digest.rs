@@ -14,6 +14,18 @@
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// `FNV_PRIME^k` (wrapping) for `k = 0..=8`: what a run of `k` zero bytes
+/// multiplies the state by.
+const PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
 /// An incremental FNV-1a digest over typed values.
 #[derive(Debug, Clone)]
 pub struct Digest {
@@ -41,14 +53,42 @@ impl Digest {
         self
     }
 
+    /// Feed the low `width` little-endian bytes of `v` (everything above
+    /// them must be zero). Equal to `write_bytes` on those bytes by
+    /// construction: a zero byte's FNV-1a step is `state * P`, so the
+    /// zero bytes below the lowest and above the highest non-zero byte
+    /// are one multiply by a power of `P` each, and only the span between
+    /// them walks the serial xor-multiply chain. Times, counters and
+    /// small-integer floats are mostly zero bytes.
+    #[inline]
+    fn write_le(&mut self, v: u64, width: usize) -> &mut Self {
+        debug_assert!(width == 8 || v >> (8 * width) == 0);
+        if v == 0 {
+            self.state = self.state.wrapping_mul(PRIME_POW[width]);
+            return self;
+        }
+        let lo = (v.trailing_zeros() / 8) as usize;
+        let hi = ((63 - v.leading_zeros()) / 8) as usize;
+        let mut state = self.state.wrapping_mul(PRIME_POW[lo]);
+        let mut rest = v >> (8 * lo);
+        for _ in lo..=hi {
+            state = (state ^ (rest & 0xff)).wrapping_mul(FNV_PRIME);
+            rest >>= 8;
+        }
+        self.state = state.wrapping_mul(PRIME_POW[width - 1 - hi]);
+        self
+    }
+
     /// Feed a `u64` (little-endian framed).
+    #[inline]
     pub fn write_u64(&mut self, v: u64) -> &mut Self {
-        self.write_bytes(&v.to_le_bytes())
+        self.write_le(v, 8)
     }
 
     /// Feed a `u32`.
+    #[inline]
     pub fn write_u32(&mut self, v: u32) -> &mut Self {
-        self.write_bytes(&v.to_le_bytes())
+        self.write_le(u64::from(v), 4)
     }
 
     /// Feed an `i64`.
@@ -57,12 +97,14 @@ impl Digest {
     }
 
     /// Feed a `usize` (widened to `u64` so 32/64-bit hosts agree).
+    #[inline]
     pub fn write_usize(&mut self, v: usize) -> &mut Self {
         self.write_u64(v as u64)
     }
 
     /// Feed an `f64` by exact bit pattern (NaN-sensitive on purpose: a
     /// NaN appearing in stats is itself a determinism bug worth catching).
+    #[inline]
     pub fn write_f64(&mut self, v: f64) -> &mut Self {
         self.write_u64(v.to_bits())
     }
@@ -106,6 +148,43 @@ mod tests {
         assert_eq!(digest_bytes(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(digest_bytes(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(digest_bytes(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn typed_writes_equal_their_le_bytes() {
+        // The zero-run shortcut against the plain byte walk, over values
+        // of every shape: all-zero, low bytes only, high bytes only,
+        // interior zero bytes, and dense ones — each from a running state,
+        // so an error in one write would carry into every later one.
+        let mut rng = crate::TkRng::new(0xD16E57);
+        let (mut fast, mut slow) = (Digest::new(), Digest::new());
+        let mut check = |v: u64, shift: u64| {
+            fast.write_u64(v);
+            slow.write_bytes(&v.to_le_bytes());
+            fast.write_u32(v as u32);
+            slow.write_bytes(&(v as u32).to_le_bytes());
+            fast.write_usize(v as usize);
+            slow.write_bytes(&(v as usize as u64).to_le_bytes());
+            let f = (v >> shift) as f64;
+            fast.write_f64(f).write_f64(f64::from_bits(v));
+            slow.write_bytes(&f.to_bits().to_le_bytes());
+            slow.write_bytes(&v.to_le_bytes());
+            assert_eq!(fast.finish(), slow.finish(), "diverged at {v:#018x}");
+        };
+        for v in [0, 1, 0xff, 0x100, 1 << 56, u64::MAX, 0xff00_0000_0000_00ff] {
+            check(v, 0);
+        }
+        for _ in 0..100_000 {
+            let raw = rng.next_u64();
+            // Keep a random subset of the bytes, then a random magnitude.
+            let keep = (0..8).fold(0u64, |m, b| {
+                m | if rng.next_below(2) == 0 { 0xff << (8 * b) } else { 0 }
+            });
+            let shift = rng.next_below(64);
+            check(raw & keep, shift);
+            check(raw >> shift, shift);
+            check(raw << shift, 63 - shift);
+        }
     }
 
     #[test]

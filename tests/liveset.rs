@@ -16,7 +16,9 @@
 use bench::tails::{self, Population, TailSpec, TAIL_STREAM_LABEL};
 use bench::Variant;
 use rdcn::emulator::TimedEndpointFactory;
-use rdcn::{Emulator, FlowSpec, NetConfig, RunResult};
+use rdcn::{
+    ClockPlan, Emulator, EpsBurst, FlowSpec, ImpairPlan, NetConfig, RunResult, SlotEdgePolicy,
+};
 use simcore::{DetRng, SimDuration, SimTime, TimeSeries};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -266,6 +268,56 @@ fn receiver_of_an_aborted_sender_stays_live() {
     let rcv = &run.res.receiver_stats[1];
     assert_eq!(rcv.notify_watchdog_fires, 0, "live receiver's watchdog was starved");
     assert_eq!(rcv.degraded_ns, 0);
+}
+
+/// The rare paths of a pooled segment's life, all in one run: the wire
+/// duplicate (an id copied into a second slot), wire and EPS-burst
+/// corruption (the slot rewritten in place), burst and guard-band drops
+/// (the slot released at the fault) and the clock-deferred launch (the
+/// same id re-queued). `Emulator::run` checks the pool law when it
+/// returns — live slots ≡ queued events + VOQ occupancy — and a slot read
+/// or released after its release panics where it happens, so under
+/// `cargo test` a mishandled id on any of these paths fails here; and a
+/// re-run must reproduce the digest.
+#[test]
+fn chaos_paths_keep_the_pool_law_and_rerun_to_one_digest() {
+    for policy in [SlotEdgePolicy::Defer, SlotEdgePolicy::Drop] {
+        let mut net = NetConfig::paper_baseline();
+        net.impair = ImpairPlan {
+            duplicate_rate: 0.01,
+            corrupt_rate: 0.01,
+            ..ImpairPlan::none()
+        };
+        net.faults.eps_burst = Some(EpsBurst {
+            start: SimTime::from_millis(1),
+            len: SimDuration::from_millis(1),
+            drop_rate: 0.05,
+            corrupt_rate: 0.05,
+        });
+        net.clock = ClockPlan {
+            offset_bound: SimDuration::from_micros(40),
+            slot_edge_policy: policy,
+            ..ClockPlan::none()
+        };
+        net.guard_band = SimDuration::from_micros(1);
+        let flows = [
+            ProbedFlow::new(SimTime::ZERO, BULK),
+            ProbedFlow::new(SimTime::ZERO, BULK),
+            ProbedFlow::new(SimTime::from_micros(300), 200_000),
+        ];
+        let run = || run_probed(&net, &flows, SimTime::from_millis(4)).res;
+        let res = run();
+        assert!(res.total_acked() > 0);
+        assert!(res.impairments.segs_duplicated > 0, "no wire duplicate");
+        assert!(res.impairments.segs_corrupted > 0, "no wire corruption");
+        assert!(res.faults.eps_drops > 0 && res.faults.eps_corruptions > 0, "no EPS burst");
+        let edge = match policy {
+            SlotEdgePolicy::Defer => res.clock.deferred_sends,
+            _ => res.clock.guard_drops,
+        };
+        assert!(edge > 0, "{policy:?}: no mis-timed launch met the slot edge");
+        assert_eq!(res.stats_digest(), run().stats_digest(), "{policy:?}: re-run diverged");
+    }
 }
 
 // ---------------------------------------------------------------------------

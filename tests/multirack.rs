@@ -4,8 +4,11 @@
 //! deterministic — across reruns and across worker counts. Every run
 //! here is the N-rack engine at `workers = 1` unless it says otherwise.
 
-use rdcn::{MultiRackConfig, PairFlow, ShardConfig, ShardResult, ShardedEmulator};
-use simcore::SimTime;
+use rdcn::{
+    ClockPlan, EpsBurst, ImpairPlan, MultiRackConfig, PairFlow, ShardConfig, ShardResult,
+    ShardedEmulator, SlotEdgePolicy,
+};
+use simcore::{SimDuration, SimTime};
 use tcp::cc::{CcConfig, Cubic};
 use tcp::{Config, Connection, FlowId, Transport};
 use tdtcp::{TdtcpConfig, TdtcpConnection};
@@ -167,6 +170,59 @@ fn deterministic() {
     let base = digest(1);
     for workers in [1, 2, 4] {
         assert_eq!(digest(workers), base, "digest moved at workers={workers}");
+    }
+}
+
+#[test]
+fn chaos_paths_are_worker_count_invariant() {
+    // The rare paths of a pooled segment's life, together: the wire
+    // duplicate (an id copied into a second slot), wire and EPS-burst
+    // corruption (the slot rewritten in place), burst and guard-band
+    // drops (the slot released at the fault), the clock-deferred launch
+    // (the same id re-queued). Debug builds check the pool law at every
+    // window barrier and panic where a vacant slot is touched, so a
+    // mishandled id on any of them fails here; and the digest must not
+    // depend on the worker count.
+    for policy in [SlotEdgePolicy::Defer, SlotEdgePolicy::Drop] {
+        let run = |workers: usize| {
+            let mut net = MultiRackConfig::paper_8rack();
+            net.racks = 4;
+            let mut cfg = ShardConfig::clean(net);
+            cfg.impair = ImpairPlan {
+                duplicate_rate: 0.01,
+                corrupt_rate: 0.01,
+                ..ImpairPlan::none()
+            };
+            cfg.faults.eps_burst = Some(EpsBurst {
+                start: SimTime::from_millis(1),
+                len: SimDuration::from_millis(1),
+                drop_rate: 0.05,
+                corrupt_rate: 0.05,
+            });
+            cfg.clock = ClockPlan {
+                offset_bound: SimDuration::from_micros(40),
+                slot_edge_policy: policy,
+                ..ClockPlan::none()
+            };
+            cfg.guard_band = SimDuration::from_micros(1);
+            ShardedEmulator::new(cfg, all_pairs(4), |i, _| tdtcp_ep(i, u64::MAX))
+                .run(SimTime::from_millis(4), workers)
+        };
+        let base = run(1);
+        assert!(base.total_acked() > 0);
+        assert!(base.faults_total > 0, "{policy:?}: the EPS burst never fired");
+        assert!(base.impairments_total > 0, "{policy:?}: the wire never fired");
+        assert!(base.clock_total > 0, "{policy:?}: no launch met the slot edge");
+        let corrupt_rx: u64 = base.receiver_stats.iter().map(|s| s.corrupt_rx).sum();
+        let dups: u64 = base.receiver_stats.iter().map(|s| s.dup_segs_received).sum();
+        assert!(corrupt_rx > 0 && dups > 0, "{policy:?}: corrupt_rx {corrupt_rx}, dups {dups}");
+        for workers in [2, 4] {
+            assert_eq!(
+                run(workers).stats_digest(),
+                base.stats_digest(),
+                "{policy:?}: digest moved at workers={workers}"
+            );
+        }
     }
 }
 
