@@ -1,7 +1,7 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! figures [experiment...] [--horizon-ms N] [--jobs N] [--tails-json PATH]
+//! figures [experiment...] [--horizon-ms N] [--jobs N]
 //!
 //! experiments: fig2 fig7a fig7b fig8a fig8b fig9 fig10 fig11 fig13
 //!              fig14a fig14b table1 notify ablation regime notify-sweep
@@ -11,15 +11,13 @@
 //!              quick (adds table1 + fig10 + fig11 at a reduced horizon;
 //!                     other requested experiments still run)
 //!
-//! --jobs N      worker threads for sharded runs (default: the
-//!               FIGURES_JOBS env var, else available_parallelism();
-//!               --jobs 1 forces the serial path for debugging)
-//! --tails-json PATH   where the `tails` experiment writes its FCT rows
-//!                     (default BENCH_tails.json in the cwd); the tails
-//!                     experiment always runs at its own fixed horizon so
-//!                     these rows are comparable to the checked-in
-//!                     baseline regardless of --horizon-ms
+//! --jobs N      worker threads for sharded runs (default:
+//!               available_parallelism(); --jobs 1 forces the serial
+//!               path for debugging)
 //! ```
+//!
+//! The `tails` experiment runs at its own fixed horizon regardless of
+//! `--horizon-ms`, so its block of `figures_output.txt` is one record.
 //!
 //! An unknown experiment name, an unknown option, or a missing or
 //! non-numeric option value is a usage error: nothing runs and the exit
@@ -41,15 +39,13 @@ const EXPERIMENTS: [&str; 23] = [
     "multirack", "faults", "impair", "skew", "tails",
 ];
 
-const USAGE: &str = "usage: figures [experiment...] [--horizon-ms N] [--jobs N] \
-                     [--tails-json PATH]";
+const USAGE: &str = "usage: figures [experiment...] [--horizon-ms N] [--jobs N]";
 
 /// The parsed command line.
 struct Args {
     horizon: SimTime,
     wanted: Vec<String>,
     jobs: Option<usize>,
-    tails_json: String,
 }
 
 /// Parse and validate the command line; every experiment name is checked
@@ -59,7 +55,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         horizon: default_horizon(),
         wanted: Vec::new(),
         jobs: None,
-        tails_json: "BENCH_tails.json".to_string(),
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -79,7 +74,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                     .map_err(|_| format!("--jobs needs a number >= 1, got {v:?}"))?;
                 parsed.jobs = Some(n);
             }
-            "--tails-json" => parsed.tails_json = value("a path")?.clone(),
             name if name == "all" || name == "quick" || EXPERIMENTS.contains(&name) => {
                 parsed.wanted.push(name.to_string());
             }
@@ -95,7 +89,6 @@ fn main() -> ExitCode {
         mut horizon,
         mut wanted,
         jobs,
-        tails_json,
     } = match parse_args(&args) {
         Ok(parsed) => parsed,
         Err(e) => {
@@ -105,15 +98,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // Worker count: --jobs beats FIGURES_JOBS beats available_parallelism.
-    let jobs = jobs
-        .or_else(|| {
-            std::env::var("FIGURES_JOBS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-        })
-        .unwrap_or_else(simcore::par::available)
-        .max(1);
+    let jobs = jobs.unwrap_or_else(simcore::par::available).max(1);
     simcore::par::set_default_jobs(jobs);
 
     if wanted.is_empty() {
@@ -185,11 +170,7 @@ fn main() -> ExitCode {
                 shortflows::print_short_flows(&rows);
             }
             "multirack" => multirack::run(horizon).print(),
-            "tails" => {
-                let fig = tails::run();
-                fig.print();
-                fig.write_json(&tails_json);
-            }
+            "tails" => tails::run().print(),
             "faults" => faultsweep::run(horizon).print(),
             "impair" => impairsweep::run(horizon).print(),
             "skew" => skew::run(horizon).print(),

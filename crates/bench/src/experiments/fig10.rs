@@ -97,11 +97,6 @@ pub fn run(horizon: SimTime) -> Fig10 {
 }
 
 impl Fig10 {
-    /// Find a variant's marked-packet summary.
-    pub fn marked_for(&self, label: &str) -> Option<&DayCdf> {
-        self.marked.iter().find(|c| c.label == label)
-    }
-
     /// Print both CDFs as percentile rows.
     pub fn print(&self) {
         for (title, set) in [

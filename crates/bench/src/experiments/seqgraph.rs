@@ -24,14 +24,6 @@ pub struct SeqGraph {
 }
 
 impl SeqGraph {
-    /// Final (end-of-window) value of a labelled series.
-    pub fn final_value(&self, label: &str) -> Option<f64> {
-        self.series
-            .iter()
-            .find(|(l, _)| l == label)
-            .and_then(|(_, v)| v.last().copied())
-    }
-
     /// Print in the row form of the paper's figures.
     pub fn print(&self) {
         println!("\n== {} : sequence graph (bytes since window start) ==", self.name);

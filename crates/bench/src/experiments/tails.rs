@@ -4,16 +4,16 @@
 //! and the two mixed on one rack pair).
 //!
 //! Unlike the paper figures, this one runs at a **fixed internal
-//! horizon**: the emitted `BENCH_tails.json` rows are compared against a
-//! checked-in baseline by the `tailgate` binary, so they must not depend
-//! on the `figures` CLI horizon flag.
+//! horizon**: its rows are one record in `figures_output.txt`, held
+//! byte for byte by root `tests/tails.rs`, so they must not depend on the
+//! `figures` CLI horizon flag.
 
-use crate::tails::{run_tails, FctOracle, Population, TailSpec};
+use crate::tails::{run_tails, Population, TailSpec};
 use crate::variants::Variant;
 use rdcn::NetConfig;
 use simcore::SimTime;
 
-/// The horizon every tail row runs at (baseline-pinned; see module doc).
+/// The horizon every tail row runs at (pinned; see module doc).
 pub fn tails_horizon() -> SimTime {
     SimTime::from_millis(30)
 }
@@ -121,16 +121,25 @@ pub fn run() -> TailFigure {
 }
 
 impl TailFigure {
-    /// Print the figure as a table.
-    pub fn print(&self) {
-        println!("\n== extension: tail-latency suite (incast / tiny buffers / replication) ==");
-        println!(
-            "{:<20} {:>8} {:>10} {:>10} {:>10} {:>7} {:>7} {:>6} {:>6}",
-            "row", "started", "p50_us", "p99_us", "p999_us", "done", "stalls", "rwins", "jain"
+    /// The figure as a table: the block `figures tails` prints and
+    /// `figures_output.txt` records, from its `==` header line on. FCT
+    /// percentiles to 0.1 µs and Jain to four decimals, so every row
+    /// move a behaviour change makes shows in that file's diff.
+    pub fn render(&self) -> String {
+        use std::fmt::Write;
+        let mut out = String::from(
+            "== extension: tail-latency suite (incast / tiny buffers / replication) ==\n",
         );
+        writeln!(
+            out,
+            "{:<20} {:>8} {:>10} {:>10} {:>10} {:>7} {:>7} {:>6} {:>7}",
+            "row", "started", "p50_us", "p99_us", "p999_us", "done", "stalls", "rwins", "jain"
+        )
+        .expect("write to String");
         for r in &self.rows {
-            println!(
-                "{:<20} {:>8} {:>10.0} {:>10.0} {:>10.0} {:>7} {:>7} {:>6} {:>6.3}",
+            writeln!(
+                out,
+                "{:<20} {:>8} {:>10.1} {:>10.1} {:>10.1} {:>7} {:>7} {:>6} {:>7.4}",
                 r.name,
                 r.started,
                 r.p50_us,
@@ -140,52 +149,18 @@ impl TailFigure {
                 r.rto_stalls,
                 r.replica_wins,
                 r.jain
-            );
+            )
+            .expect("write to String");
         }
-        println!(
+        out.push_str(
             "T-RACKs: incast fan-in over tiny VOQs drives short flows into RTO; \
-             RepNet: replication cuts the tail"
+             RepNet: replication cuts the tail\n",
         );
+        out
     }
 
-    /// Write the figure as `BENCH_tails.json` (one row object per line —
-    /// the line-local format `tailgate` parses).
-    pub fn write_json(&self, path: &str) {
-        let mut out = String::from("{\n  \"suite\": \"tails\",\n  \"unit\": \"us\",\n");
-        out.push_str(&format!(
-            "  \"horizon_ms\": {},\n  \"results\": [\n",
-            tails_horizon().as_nanos() / 1_000_000
-        ));
-        for (i, r) in self.rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"p50_us\": {:.1}, \"p99_us\": {:.1}, \
-                 \"p999_us\": {:.1}, \"started\": {}, \"completed\": {}, \
-                 \"rto_stalls\": {}, \"replica_wins\": {}, \"jain\": {:.4}}}{}\n",
-                r.name,
-                r.p50_us,
-                r.p99_us,
-                r.p999_us,
-                r.started,
-                r.completed,
-                r.rto_stalls,
-                r.replica_wins,
-                r.jain,
-                if i + 1 < self.rows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        match std::fs::write(path, out) {
-            Ok(()) => eprintln!("figures: wrote {path}"),
-            Err(e) => eprintln!("figures: could not write {path}: {e}"),
-        }
-    }
-
-    /// Fetch a row by name (test hook).
-    pub fn row(&self, name: &str) -> Option<&TailRow> {
-        self.rows.iter().find(|r| r.name == name)
+    /// Print [`TailFigure::render`] after a blank separator line.
+    pub fn print(&self) {
+        print!("\n{}", self.render());
     }
 }
-
-/// `FctOracle` re-export so figure consumers need not reach into
-/// `crate::tails` for percentile math.
-pub type Oracle = FctOracle;

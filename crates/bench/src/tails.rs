@@ -193,11 +193,6 @@ impl TailSpec {
             settle: SimDuration::from_millis(2),
         }
     }
-
-    /// Logical finite flows this spec schedules (before replication).
-    pub fn logical_flows(&self) -> usize {
-        self.shorts + self.incast_rounds * self.incast_degree
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ fn unknown_experiment_is_a_usage_error() {
     assert_usage_error(&["notify", "fig99"], "fig99");
     assert_usage_error(&["--horizon", "5"], "--horizon");
     assert_usage_error(&["notify", "--bench-json", "x.json"], "--bench-json");
+    // A removed option: the tails rows live in figures_output.txt only.
+    assert_usage_error(&["notify", "--tails-json", "x.json"], "--tails-json");
 }
 
 #[test]

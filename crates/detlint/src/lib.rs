@@ -40,7 +40,7 @@ use std::path::{Path, PathBuf};
 
 /// One file to analyze, already read into memory. The analyzer never
 /// touches the filesystem — [`collect_sources`] does the reading, so
-/// benches and fixture tests can feed in-memory workspaces.
+/// fixture tests can feed in-memory workspaces.
 #[derive(Debug, Clone)]
 pub struct Source {
     /// Workspace-relative path, `/`-separated.

@@ -157,10 +157,6 @@ pub struct RunResult {
     pub duration: SimDuration,
     /// Events processed (a performance counter).
     pub events: u64,
-    /// Wall-clock time the run took. Excluded from [`RunResult::
-    /// stats_digest`]: it is a property of the machine, not of the
-    /// simulated system.
-    pub wall: std::time::Duration,
     /// Faults actually injected during the run (all zero for an empty
     /// [`crate::FaultPlan`]).
     pub faults: FaultStats,
@@ -549,8 +545,6 @@ impl<'a> Emulator<'a> {
     /// Run until `until` (or until every flow finishes). Consumes the
     /// emulator and returns the collected results.
     pub fn run(mut self, until: SimTime) -> RunResult {
-        // detlint: allow(wall_clock) — perf reporting only (RunResult.wall); excluded from digests
-        let wall_start = std::time::Instant::now();
         self.q.schedule(SimTime::ZERO, Ev::DayStart { day: 0 });
         self.q.schedule(SimTime::ZERO, Ev::Sample);
         if self.timed_factory.is_some() {
@@ -759,7 +753,6 @@ impl<'a> Emulator<'a> {
             day_records: self.day_records,
             duration,
             events: self.q.events_processed(),
-            wall: wall_start.elapsed(),
             faults: *self.faults.stats(),
             fault_log_digest: self.faults.log_digest(),
             impairments: *self.impair.stats(),

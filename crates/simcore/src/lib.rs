@@ -2,7 +2,7 @@
 //!
 //! The foundation of the TDTCP reproduction: simulated time
 //! ([`SimTime`]/[`SimDuration`]), a deterministic event queue
-//! ([`EventQueue`]) with FIFO tie-breaking and cancellation, an explicitly
+//! ([`DefaultQueue`]) with FIFO tie-breaking and cancellation, an explicitly
 //! seeded RNG ([`DetRng`]), and the statistics/tracing types the evaluation
 //! harness uses to regenerate the paper's figures ([`Cdf`], [`TimeSeries`],
 //! [`Gauge`]).
@@ -27,7 +27,7 @@ pub mod wheel;
 pub use event::{EventId, EventQueue};
 pub use recorder::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use rng::DetRng;
-pub use stats::{Cdf, Histogram, Welford};
+pub use stats::Cdf;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Gauge, TimeSeries};
 pub use wheel::{TimerWheel, WheelEventId};
@@ -40,11 +40,13 @@ pub use wheel::{TimerWheel, WheelEventId};
 /// a payload slab) are digest-interchangeable — both pop in exact
 /// `(time, seq)` order — so which one this alias names can change a
 /// run's host cost and nothing else. It names the wheel: O(1) amortized
-/// schedule/pop against the heap's O(log n) sift. [`EventQueue`] stays
-/// `pub` as the wheel's differential oracle: root `tests/queue_oracle.rs`
-/// holds the two to identical behaviour over random scripts, and the
-/// benchmark's `simcore.wheel_ns_per_op` / `simcore.heap_ns_per_op`
-/// kernels (`benchmark/src/micro.rs`) time them on the same one.
+/// schedule/pop against the heap's O(log n) sift. Every simulation and
+/// test driver runs on this alias. [`EventQueue`] stays `pub` for exactly
+/// two users: its reference role in root `tests/queue_oracle.rs` (and the
+/// wheel's own unit tests), which hold the two to identical behaviour
+/// over random scripts, and the comparison kernel in
+/// `benchmark/src/micro.rs` (`simcore.wheel_ns_per_op` /
+/// `simcore.heap_ns_per_op`), which times them on the same script.
 pub type DefaultQueue<E> = TimerWheel<E>;
 
 /// Handle type paired with [`DefaultQueue`] (see [`EventId`] /

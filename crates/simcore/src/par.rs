@@ -1,7 +1,7 @@
 //! Zero-dependency parallel execution of share-nothing simulation runs.
 //!
 //! Simulation runs are independent per `(variant, seed, horizon)`: each
-//! builds its own [`crate::EventQueue`], RNG and endpoints from an
+//! builds its own [`crate::DefaultQueue`], RNG and endpoints from an
 //! explicit seed and shares no mutable state with any other run. That
 //! makes sharding trivial *and* bit-deterministic: [`par_map`] executes
 //! one closure per item on a scoped worker pool and collects results in
@@ -18,7 +18,7 @@
 //!
 //! The process-wide default worker count is `available_parallelism()`,
 //! overridable with [`set_default_jobs`] (the `figures` binary wires its
-//! `--jobs N` flag and the `FIGURES_JOBS` environment variable here).
+//! `--jobs N` flag here; it is the one way to set the worker count).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;

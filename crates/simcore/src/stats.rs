@@ -1,6 +1,5 @@
 //! Statistics used by the evaluation harness: empirical CDFs and
-//! percentiles (Fig. 10, §5.4 latency breakdowns), streaming mean/variance,
-//! and fixed-width histograms.
+//! percentiles (Fig. 10, §5.4 latency breakdowns).
 
 /// Collects samples and answers percentile / CDF queries.
 ///
@@ -105,111 +104,6 @@ impl Cdf {
     }
 }
 
-/// Welford's streaming mean and variance.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// New, empty accumulator.
-    pub fn new() -> Self {
-        Welford::default()
-    }
-
-    /// Incorporate one sample.
-    pub fn add(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Sample count.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Running mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Unbiased sample variance (0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
-
-/// Fixed-width histogram over `[lo, hi)` with overflow/underflow buckets.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    width: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Histogram over `[lo, hi)` with `n` equal buckets.
-    pub fn new(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(hi > lo && n > 0);
-        Histogram {
-            lo,
-            width: (hi - lo) / n as f64,
-            buckets: vec![0; n],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Add one sample.
-    pub fn add(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-            return;
-        }
-        let idx = ((x - self.lo) / self.width) as usize;
-        if idx >= self.buckets.len() {
-            self.overflow += 1;
-        } else {
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Bucket counts.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Count of samples below the histogram range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Count of samples at or above the top of the range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total samples recorded including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,42 +161,5 @@ mod tests {
     #[should_panic(expected = "non-finite")]
     fn rejects_nan() {
         Cdf::new().add(f64::NAN);
-    }
-
-    #[test]
-    fn welford_matches_direct_computation() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.add(x);
-        }
-        assert_eq!(w.count(), 8);
-        assert!((w.mean() - 5.0).abs() < 1e-12);
-        // Unbiased variance of that set is 32/7.
-        assert!((w.variance() - 32.0 / 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn welford_degenerate() {
-        let mut w = Welford::new();
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.variance(), 0.0);
-        w.add(3.0);
-        assert_eq!(w.variance(), 0.0);
-        assert_eq!(w.stddev(), 0.0);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [-1.0, 0.0, 0.5, 5.0, 9.99, 10.0, 100.0] {
-            h.add(x);
-        }
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.buckets()[0], 2);
-        assert_eq!(h.buckets()[5], 1);
-        assert_eq!(h.buckets()[9], 1);
-        assert_eq!(h.total(), 7);
     }
 }

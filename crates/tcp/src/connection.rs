@@ -303,13 +303,6 @@ impl Connection {
         self.rtx.counts().packets_out
     }
 
-    /// Highest cumulative byte offset acknowledged (relative to the ISN),
-    /// excluding the SYN octet — i.e. application bytes confirmed
-    /// delivered. This is the y-axis of the paper's sequence graphs.
-    pub fn acked_offset(&self) -> u64 {
-        self.stats.bytes_acked
-    }
-
     /// When the handshake completed, if it has.
     pub fn established_at(&self) -> Option<SimTime> {
         self.established_at

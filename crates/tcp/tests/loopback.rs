@@ -1,9 +1,10 @@
 //! End-to-end loopback tests: two `Connection`s joined by a simple
-//! delay/loss pipe, driven by the simcore event queue. These exercise the
-//! handshake, bulk transfer, SACK recovery, RTO, TLP, FIN teardown, and
-//! determinism — the machinery every experiment in the harness relies on.
+//! delay/loss pipe, driven by the simcore event queue both engines run on
+//! (`DefaultQueue`, the wheel). These exercise the handshake, bulk
+//! transfer, SACK recovery, RTO, TLP, FIN teardown, and determinism — the
+//! machinery every experiment in the harness relies on.
 
-use simcore::{EventQueue, SimDuration, SimTime};
+use simcore::{DefaultEventId, DefaultQueue, SimDuration, SimTime};
 use tcp::cc::{CcConfig, Cubic, Reno};
 use tcp::{Config, Connection, Segment, Transport};
 
@@ -29,17 +30,17 @@ enum Ev {
 type DropFn = Box<dyn FnMut(&Segment, u64) -> bool>;
 
 struct Pipe {
-    q: EventQueue<Ev>,
+    q: DefaultQueue<Ev>,
     delay: SimDuration,
     drop_tx: DropFn,
     tx_count: u64,
-    timer_scheduled: [Option<(SimTime, simcore::EventId)>; 2],
+    timer_scheduled: [Option<(SimTime, DefaultEventId)>; 2],
 }
 
 impl Pipe {
     fn new(delay_us: u64, drop_tx: impl FnMut(&Segment, u64) -> bool + 'static) -> Self {
         Pipe {
-            q: EventQueue::new(),
+            q: DefaultQueue::new(),
             delay: SimDuration::from_micros(delay_us),
             drop_tx: Box::new(drop_tx),
             tx_count: 0,

@@ -3,10 +3,8 @@
 //! Everything the workspace needs to build and test fully offline: a
 //! deterministic PRNG ([`TkRng`], xoshiro256++ seeded via SplitMix64), a
 //! minimal property-testing harness ([`prop`]) with iteration-bounded
-//! shrinking and persisted regression seeds, a microbench harness
-//! ([`bench`]) that replaces criterion and emits `BENCH_<suite>.json`,
-//! and a stable stats digest ([`Digest`]) used by the golden-trace
-//! determinism suite.
+//! shrinking and persisted regression seeds, and a stable stats digest
+//! ([`Digest`]) used by the golden-trace determinism suite.
 //!
 //! The crate depends on `std` only. Randomness is never drawn from the
 //! environment: every stream is derived from an explicit 64-bit seed, and
@@ -16,12 +14,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod digest;
 pub mod prop;
 pub mod rng;
 
-pub use bench::BenchSuite;
 pub use digest::Digest;
 pub use prop::{check, Config, Gen};
 pub use rng::{TkRng, UniformRange};

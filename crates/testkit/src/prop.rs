@@ -213,20 +213,6 @@ pub fn any_bool() -> Gen<bool> {
     )
 }
 
-/// Uniform float in `[0, 1)`; shrinks toward 0.
-pub fn unit_f64() -> Gen<f64> {
-    Gen::new(
-        |rng| rng.gen_f64(),
-        |&v| {
-            if v == 0.0 {
-                Vec::new()
-            } else {
-                vec![0.0, v / 2.0]
-            }
-        },
-    )
-}
-
 /// Vector of values from `elem`, length drawn from `len`; shrinks by
 /// halving the length, dropping single elements, and shrinking elements.
 pub fn vec_of<T>(elem: Gen<T>, len: std::ops::Range<usize>) -> Gen<Vec<T>>

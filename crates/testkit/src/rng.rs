@@ -80,12 +80,6 @@ impl TkRng {
         result
     }
 
-    /// Next raw 32-bit output (upper half of a 64-bit draw).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Unbiased uniform sample in `[0, n)`; `n` must be nonzero.
     /// Uses rejection sampling so every value is exactly equally likely.
     /// Inlined across crates so a constant `n` folds the threshold and
@@ -159,14 +153,6 @@ impl TkRng {
         }
         idx.truncate(k);
         idx
-    }
-
-    /// Fill a byte slice with random data.
-    pub fn fill_bytes(&mut self, out: &mut [u8]) {
-        for chunk in out.chunks_mut(8) {
-            let v = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
     }
 }
 

@@ -3,16 +3,20 @@
 # zero registry dependencies by design (see DESIGN.md), so an empty
 # cargo registry — or no network at all — must never break the build.
 #
-# Usage: scripts/ci.sh [soak|chaos|bench|lint|tails|skew]
+# Usage: scripts/ci.sh [soak|chaos|lint|skew]
+#   Any other argument prints this usage line and exits 2 before
+#   anything is built.
 #   (none) — the default gate: release build, workspace tests, the
 #           window-barrier panic and stress tests, the queue oracle and
 #           the allocation ledger again in release, chaos soak, figures
 #           smoke, `figures all --jobs 1` diffed bit-for-bit against the
-#           checked-in figures_output.txt, every example under a
-#           wall-clock timeout, tailgate, the benchmark package (built
-#           --offline, its unit tests, one pass of each of its five
-#           workloads, all of which must report "correct": true),
-#           detlint, clippy -D warnings.
+#           checked-in figures_output.txt (every deterministic row,
+#           the tails table included), every example under a
+#           wall-clock timeout, the benchmark package (built --offline,
+#           its unit tests, one pass of each of its five workloads, all
+#           of which must report "correct": true), detlint, clippy
+#           -D warnings. Host time is measured by the benchmark
+#           package (BENCHMARK.json, benchmark/README.md) only.
 #   lint  — run only detlint, the in-repo determinism & layering
 #           static-analysis pass (DESIGN.md §10): per-file token rules
 #           (HashMap/HashSet iteration, wall-clock reads, ad-hoc RNG
@@ -34,27 +38,6 @@
 #           replayable case seed (persisted to tests/tk-regressions/).
 #           TK_JOBS=N shards scenarios across N workers (default:
 #           available_parallelism; results are job-count independent).
-#   bench — run the detlint scan bench (lex / parse / full pipeline
-#           over the in-memory workspace) and gate it against the
-#           checked-in BENCH_detlint.json: any row losing more than 50%
-#           vs its baseline median fails (single-iteration wall timings
-#           see scheduler noise, hence the wide budget). A missing
-#           baseline fails the gate. After a deliberate perf change,
-#           refresh it by copying the freshly written file over the
-#           checked-in one. Simulator performance is measured by the
-#           benchmark package (BENCHMARK.json, benchmark/README.md),
-#           not here.
-#   tails — run the tail-latency acceptance suite (tests/tails.rs +
-#           the tailgate failure-path tests), regenerate the FCT rows
-#           with `figures tails`, and gate p99/p999 against the
-#           checked-in BENCH_tails.json baseline (tailgate: any row
-#           rising more than 10% or completing fewer flows fails).
-#           The workload is deterministic, so an unchanged tree
-#           reproduces the baseline bit-for-bit; after a deliberate
-#           behaviour change, refresh with:
-#           cargo run --release -p bench --bin figures -- tails
-#           and commit the rewritten BENCH_tails.json. Also runs in
-#           the default gate.
 #   skew  — run the time-plane acceptance suite (tests/skew.rs: drift
 #           under resync holds ≥80% of clean goodput, guard-band knob,
 #           desync escalation, slot-edge policies) plus the skewed /
@@ -66,6 +49,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MODE="${1:-}"
+case "$MODE" in
+    ""|soak|chaos|lint|skew) ;;
+    *)
+        echo "usage: scripts/ci.sh [soak|chaos|lint|skew]" >&2
+        exit 2
+        ;;
+esac
 CHAOS_CASES=200
 
 if [[ "$MODE" == "soak" ]]; then
@@ -92,54 +82,12 @@ if [[ "$MODE" == "chaos" ]]; then
     exit 0
 fi
 
-if [[ "$MODE" == "bench" ]]; then
-    NEW_DIR="$(mktemp -d)"
-    echo "==> cargo bench -p detlint --bench scan (into ${NEW_DIR})"
-    TK_BENCH_DIR="$NEW_DIR" cargo bench --offline -q -p detlint --bench scan
-    if [[ ! -f BENCH_detlint.json ]]; then
-        echo "no checked-in baseline BENCH_detlint.json — seed one with: cp $NEW_DIR/BENCH_detlint.json ."
-        exit 1
-    fi
-    echo "==> perf-regression gate (>50% loss vs checked-in BENCH_detlint.json fails)"
-    cargo run -q --offline --release -p bench --bin benchgate -- \
-        --max-loss-pct 50 BENCH_detlint.json "$NEW_DIR/BENCH_detlint.json"
-    echo "BENCH OK (refresh the baseline after a deliberate perf change:"
-    echo "          cp $NEW_DIR/BENCH_detlint.json .)"
-    exit 0
-fi
-
-# Gate freshly generated tail-latency FCT rows (the file `figures tails`
-# or `figures all` wrote to `--tails-json`, passed as $1) against the
-# checked-in baseline. Both `ci.sh tails` and the default gate end here.
-tailgate_check() {
-    if [[ -f BENCH_tails.json ]]; then
-        echo "==> tailgate (>10% p99/p999 FCT rise vs checked-in baseline fails)"
-        cargo run -q --offline --release -p bench --bin tailgate -- \
-            BENCH_tails.json "$1"
-    else
-        echo "no checked-in BENCH_tails.json — seed one with: cp $1 ."
-    fi
-}
-
 if [[ "$MODE" == "skew" ]]; then
     echo "==> time-plane acceptance suite (clock skew / guard band / desync)"
     cargo test -q --offline --test skew
     cargo test -q --offline --test determinism skew
     cargo test -q --offline --test determinism inert_clock
     echo "SKEW OK"
-    exit 0
-fi
-
-if [[ "$MODE" == "tails" ]]; then
-    echo "==> tail-latency acceptance suite"
-    cargo test -q --offline --test tails
-    cargo test -q --offline -p bench --test tailgate
-    tails_out="$(mktemp -d)/BENCH_tails.json"
-    echo "==> figures tails (tail-latency FCT rows into ${tails_out})"
-    cargo run -q --offline --release -p bench --bin figures -- tails \
-        --tails-json "$tails_out" > /dev/null
-    tailgate_check "$tails_out"
-    echo "TAILS OK"
     exit 0
 fi
 
@@ -174,16 +122,12 @@ cargo run -q --offline --release -p bench --bin figures -- quick > /dev/null
 # change, regenerate it with the command below and say which rows moved.
 echo "==> figures all --jobs 1 vs checked-in figures_output.txt (bit-for-bit)"
 figures_out="$(mktemp)"
-tails_out="$(mktemp -d)/BENCH_tails.json"
-cargo run -q --offline --release -p bench --bin figures -- all --jobs 1 \
-    --tails-json "$tails_out" > "$figures_out"
+cargo run -q --offline --release -p bench --bin figures -- all --jobs 1 > "$figures_out"
 if ! cmp -s figures_output.txt "$figures_out"; then
     echo "figures all --jobs 1 no longer reproduces figures_output.txt; first differing lines:"
     diff figures_output.txt "$figures_out" | head -20 || true
     exit 1
 fi
-# That run included the tails experiment; gate the rows it wrote.
-tailgate_check "$tails_out"
 
 # The examples are the user-facing entry points, and the only callers of
 # some configurations (a paced single-path sender once livelocked the

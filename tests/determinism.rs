@@ -98,8 +98,8 @@ fn run_tails_once(degree: usize, seed: u64) -> u64 {
 /// The tail-latency workload joins the determinism contract: the same
 /// (degree, seed) cell reproduces bit-identically, and a sharded sweep
 /// over the (degree, seed) grid matches the serial one at every job
-/// count — the contract `figures tails` and its checked-in
-/// `BENCH_tails.json` baseline rest on.
+/// count — the contract `figures tails` and its block of the checked-in
+/// `figures_output.txt` rest on.
 #[test]
 fn tails_runs_are_deterministic_and_shard_invariant() {
     let grid: Vec<(usize, u64)> = [2usize, 4, 8]

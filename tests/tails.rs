@@ -15,7 +15,9 @@
 //! * TDTCP's tail stays within a pinned bound of its clean twin under 1%
 //!   random loss;
 //! * RepNet-style replication strictly improves p99 at fan-in 16, with
-//!   observed first-finisher wins by non-primary replicas.
+//!   observed first-finisher wins by non-primary replicas;
+//! * the `figures tails` table reproduces its block of the checked-in
+//!   `figures_output.txt` byte for byte.
 //!
 //! All runs are deterministic, so the numeric bounds here are regression
 //! pins, not statistical hopes.
@@ -258,5 +260,29 @@ fn rto_stall_accounting_tracks_collapse_depth() {
     assert!(
         deep.stall_ns / deep.rto_stalls.max(1) > 0,
         "per-episode stall time must be positive"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// The recorded table
+// ---------------------------------------------------------------------------
+
+/// `figures_output.txt` is the one record of the tails table: the block
+/// from its `== extension: tail-latency suite` header to the next blank
+/// line must equal what the experiment renders now, byte for byte. A
+/// behaviour change that moves any row fails here until the file is
+/// regenerated (`figures all --jobs 1 > figures_output.txt`).
+#[test]
+fn tails_table_matches_figures_output() {
+    let recorded = include_str!("../figures_output.txt");
+    let start = recorded
+        .find("== extension: tail-latency suite")
+        .expect("figures_output.txt has no tails block");
+    let block = &recorded[start..];
+    let block = block.find("\n\n").map_or(block, |end| &block[..=end]);
+    let rendered = bench::experiments::tails::run().render();
+    assert!(
+        rendered == block,
+        "the tails table no longer matches figures_output.txt:\n--- recorded\n{block}+++ now\n{rendered}"
     );
 }
