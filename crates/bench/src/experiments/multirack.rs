@@ -3,11 +3,9 @@
 //! the demand-oblivious schedule gives every pair one direct circuit day
 //! per week while the EPS carries the rest.
 
+use crate::Variant;
 use rdcn::{MultiRackConfig, PairFlow, ShardConfig, ShardedEmulator};
 use simcore::SimTime;
-use tcp::cc::{CcConfig, Cubic};
-use tcp::{Config, Connection, FlowId, Transport};
-use tdtcp::{TdtcpConfig, TdtcpConnection};
 
 /// Per-variant aggregate results on the 8-rack fabric.
 #[derive(Debug)]
@@ -27,38 +25,12 @@ pub fn run(horizon: SimTime) -> MultiRack {
             dst: (r + 1) % 8,
         })
         .collect();
-    let cc = CcConfig::default();
-    let rows = simcore::par::par_map(vec!["tdtcp", "cubic"], |_, label| {
+    let rows = simcore::par::par_map(vec![Variant::Tdtcp, Variant::Cubic], |_, variant| {
         let emu = ShardedEmulator::new(ShardConfig::clean(cfg.clone()), flows.clone(), |i, _| {
-            if label == "tdtcp" {
-                let c = TdtcpConfig::default();
-                let template = Cubic::new(cc);
-                (
-                    Box::new(TdtcpConnection::connect(
-                        FlowId(i as u32),
-                        c.clone(),
-                        &template,
-                        SimTime::ZERO,
-                    )) as Box<dyn Transport + Send>,
-                    Box::new(TdtcpConnection::listen(FlowId(i as u32), c, &template))
-                        as Box<dyn Transport + Send>,
-                )
-            } else {
-                let c = Config::default();
-                (
-                    Box::new(Connection::connect(
-                        FlowId(i as u32),
-                        c.clone(),
-                        Box::new(Cubic::new(cc)),
-                        SimTime::ZERO,
-                    )) as Box<dyn Transport + Send>,
-                    Box::new(Connection::listen(FlowId(i as u32), c, Box::new(Cubic::new(cc))))
-                        as Box<dyn Transport + Send>,
-                )
-            }
+            variant.endpoints(i, u64::MAX, None)
         });
         let res = emu.run(horizon, 1);
-        (label.to_string(), res.total_acked(), res.drops)
+        (variant.label().to_string(), res.total_acked(), res.drops)
     });
     MultiRack {
         rows,

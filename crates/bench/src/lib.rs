@@ -4,8 +4,7 @@
 //! emulated RDCN: variant factories ([`variants`]), the flowgrind-style
 //! workload generator ([`workload`]), and one module per experiment
 //! ([`experiments`]). The `figures` binary drives them from the command
-//! line; Criterion benches measure component performance (codecs, event
-//! queue, end-to-end simulation rate, notification path).
+//! line.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

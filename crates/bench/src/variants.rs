@@ -12,7 +12,12 @@ use rdcn::{NetConfig, RetcpDynConfig};
 use simcore::SimTime;
 use tcp::cc::{CcConfig, Cubic, Dctcp, Reno, ReTcp, ReTcpConfig};
 use tcp::{Config, Connection, FlowId, Transport};
-use tdtcp::{TdtcpConfig, TdtcpConnection};
+use tdtcp::{TdtcpConfig, TdtcpConnection, WatchdogConfig};
+
+/// One flow's `(sender, receiver)`. `Send`, so the sharded engine can
+/// move a rack's hosts to its worker thread; the two-rack engine takes
+/// them as plain `Box<dyn Transport>`.
+pub type Endpoints = (Box<dyn Transport + Send>, Box<dyn Transport + Send>);
 
 /// A TCP variant under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,40 +92,36 @@ impl Variant {
     /// for the schedule's slot, so lost notifications degrade goodput
     /// instead of stranding the host on a stale TDN.
     pub fn factory_for(self, net: &NetConfig, bytes: u64) -> rdcn::EndpointFactory<'static> {
-        match self {
-            Variant::Tdtcp => {
-                let cc = CcConfig::default();
-                let watchdog = tdtcp::WatchdogConfig::for_slot_with_guard(
-                    net.schedule.slot_len(),
-                    net.guard_band,
-                );
-                Box::new(move |i| {
-                    let mut cfg = TdtcpConfig::default();
-                    cfg.tcp.bytes_to_send = bytes;
-                    cfg.watchdog = Some(watchdog);
-                    let template = Cubic::new(cc);
-                    (
-                        Box::new(TdtcpConnection::connect(
-                            FlowId(i as u32),
-                            cfg.clone(),
-                            &template,
-                            SimTime::ZERO,
-                        )) as Box<dyn Transport>,
-                        Box::new(TdtcpConnection::listen(FlowId(i as u32), cfg, &template))
-                            as Box<dyn Transport>,
-                    )
-                })
-            }
-            _ => self.factory(bytes),
-        }
+        let watchdog = WatchdogConfig::for_slot_with_guard(net.schedule.slot_len(), net.guard_band);
+        self.boxed(bytes, Some(watchdog))
     }
 
     /// Build the endpoint factory for this variant with `bytes` per flow.
     pub fn factory(self, bytes: u64) -> rdcn::EndpointFactory<'static> {
+        self.boxed(bytes, None)
+    }
+
+    /// [`Variant::endpoints`] as a two-rack engine factory.
+    fn boxed(self, bytes: u64, watchdog: Option<WatchdogConfig>) -> rdcn::EndpointFactory<'static> {
+        Box::new(move |i| -> (Box<dyn Transport>, Box<dyn Transport>) {
+            let (s, r) = self.endpoints(i, bytes, watchdog);
+            (s, r)
+        })
+    }
+
+    /// Flow `i`'s `(sender, receiver)` with `bytes` to send: the one
+    /// place each variant's connection is built, for either engine.
+    /// `watchdog` arms TDTCP's notification watchdog; the other variants
+    /// have none and ignore it.
+    pub fn endpoints(self, i: usize, bytes: u64, watchdog: Option<WatchdogConfig>) -> Endpoints {
+        let flow = FlowId(i as u32);
         let cc = CcConfig::default();
         match self {
-            Variant::Cubic | Variant::Dctcp | Variant::Reno | Variant::ReTcp
-            | Variant::ReTcpDyn => Box::new(move |i| {
+            Variant::Cubic
+            | Variant::Dctcp
+            | Variant::Reno
+            | Variant::ReTcp
+            | Variant::ReTcpDyn => {
                 let cfg = Config {
                     bytes_to_send: bytes,
                     ecn: self == Variant::Dctcp,
@@ -138,17 +139,11 @@ impl Variant {
                     }
                 };
                 (
-                    Box::new(Connection::connect(
-                        FlowId(i as u32),
-                        cfg.clone(),
-                        mk(),
-                        SimTime::ZERO,
-                    )) as Box<dyn Transport>,
-                    Box::new(Connection::listen(FlowId(i as u32), cfg, mk()))
-                        as Box<dyn Transport>,
+                    Box::new(Connection::connect(flow, cfg.clone(), mk(), SimTime::ZERO)),
+                    Box::new(Connection::listen(flow, cfg, mk())),
                 )
-            }),
-            Variant::Mptcp => Box::new(move |i| {
+            }
+            Variant::Mptcp => {
                 let cfg = MptcpConfig {
                     bytes_to_send: bytes,
                     ..MptcpConfig::default()
@@ -156,30 +151,29 @@ impl Variant {
                 let template = Cubic::new(cc);
                 (
                     Box::new(MptcpConnection::connect(
-                        FlowId(i as u32),
+                        flow,
                         cfg.clone(),
                         &template,
                         SimTime::ZERO,
-                    )) as Box<dyn Transport>,
-                    Box::new(MptcpConnection::listen(FlowId(i as u32), cfg, &template))
-                        as Box<dyn Transport>,
+                    )),
+                    Box::new(MptcpConnection::listen(flow, cfg, &template)),
                 )
-            }),
-            Variant::Tdtcp => Box::new(move |i| {
+            }
+            Variant::Tdtcp => {
                 let mut cfg = TdtcpConfig::default();
                 cfg.tcp.bytes_to_send = bytes;
+                cfg.watchdog = watchdog;
                 let template = Cubic::new(cc);
                 (
                     Box::new(TdtcpConnection::connect(
-                        FlowId(i as u32),
+                        flow,
                         cfg.clone(),
                         &template,
                         SimTime::ZERO,
-                    )) as Box<dyn Transport>,
-                    Box::new(TdtcpConnection::listen(FlowId(i as u32), cfg, &template))
-                        as Box<dyn Transport>,
+                    )),
+                    Box::new(TdtcpConnection::listen(flow, cfg, &template)),
                 )
-            }),
+            }
         }
     }
 }

@@ -6,10 +6,14 @@
 //!
 //! * every rack has an always-on EPS uplink, shared round-robin by all
 //!   of its per-destination VOQs;
-//! * one OCS port per rack; a rotor schedule of `N−1` matchings connects
-//!   every rack pair directly exactly once per week (demand-oblivious,
-//!   [`crate::schedule::rotor`]), with reconfiguration nights between
-//!   days;
+//! * one OCS port per rack, driven by the week in
+//!   [`MultiRackConfig::schedule`]: the k-th TDN-1 day connects rotor
+//!   matching `k mod (N−1)` ([`crate::schedule::rotor`], demand-oblivious),
+//!   and a TDN-0 day leaves every rack on its EPS alone; reconfiguration
+//!   nights fall between days. A week of one circuit day is the plain
+//!   rotor, which connects every rack pair directly once per `N−1` days;
+//!   N = 2 over [`Schedule::hybrid_6to1`] is the paper's two-rack week
+//!   with the EPS left on;
 //! * per destination the ToR uses the circuit when it exists, otherwise
 //!   the packet network ("for a given destination, only one network is
 //!   in use at a time");
@@ -27,7 +31,7 @@
 //! traffic is segment delivery, and every wire between racks has a
 //! one-way latency of at least the *lookahead*
 //! `L = min(packet.one_way, circuit.one_way)` — so all shards can
-//! safely simulate a window `[w, min(w + L, next schedule edge))`
+//! safely simulate a window `[w, min(w + L, schedule.phase_at(w).ends()))`
 //! in parallel (conservative-lookahead PDES), exchanging the segments
 //! they emitted through per-(source, destination) mailboxes
 //! ([`Mailboxes`]): a shard fills a private outbox during a window, hands
@@ -106,10 +110,10 @@ pub struct MultiRackConfig {
     pub packet: TdnParams,
     /// The circuit network (per-circuit rate and one-way latency).
     pub circuit: TdnParams,
-    /// OCS day length.
-    pub day_len: SimDuration,
-    /// Reconfiguration night between days.
-    pub night_len: SimDuration,
+    /// The week: day and night lengths, and whether each day is a
+    /// circuit day (TDN 1) or a packet-only day (TDN 0). The fabric has
+    /// no third network, so any other TDN is rejected at construction.
+    pub schedule: Schedule,
     /// Per-pair VOQ configuration at each source ToR.
     pub voq: VoqConfig,
     /// Notification latency model.
@@ -123,13 +127,19 @@ pub struct MultiRackConfig {
 impl MultiRackConfig {
     /// An 8-rack fabric with the paper's §5.1 link parameters — the
     /// topology whose rotor schedule *is* the 6:1 ratio of the evaluation.
+    /// Its week is one 180 µs circuit day and a 20 µs night: day `n`
+    /// connects rotor matching `n mod 7`, so each pair gets one circuit
+    /// day in seven.
     pub fn paper_8rack() -> MultiRackConfig {
         MultiRackConfig {
             racks: 8,
             packet: TdnParams::packet_10g(),
             circuit: TdnParams::optical_100g(),
-            day_len: SimDuration::from_micros(180),
-            night_len: SimDuration::from_micros(20),
+            schedule: Schedule::alternating(
+                SimDuration::from_micros(180),
+                SimDuration::from_micros(20),
+                vec![TdnId(1)],
+            ),
             voq: VoqConfig {
                 cap_pkts: 16,
                 ecn_threshold: None,
@@ -139,6 +149,34 @@ impl MultiRackConfig {
             seed: 1,
         }
     }
+}
+
+/// The week as a lookup: `rows[day % rows.len()][rack]` is the rack's
+/// circuit peer on that day, `None` on a packet-only (TDN 0) day. The
+/// k-th circuit (TDN 1) day takes rotor matching `k mod (racks − 1)`, so
+/// the table repeats every `days.len() × (racks − 1)` days.
+fn peer_rows(sched: &Schedule, racks: usize) -> Vec<Vec<Option<usize>>> {
+    assert!(!sched.days.is_empty(), "the schedule's week has no days");
+    assert!(
+        sched.num_tdns() <= 2,
+        "the fabric has two networks (TDN 0: EPS, TDN 1: circuit); the schedule names TDN {}",
+        sched.num_tdns() - 1
+    );
+    let matchings = rotor::matchings(racks);
+    let mut circuit_days = 0;
+    (0..sched.days.len() * (racks - 1))
+        .map(|day| {
+            let mut peers = vec![None; racks];
+            if sched.day_tdn(day as u64) == TdnId(1) {
+                for &(a, b) in &matchings[circuit_days % (racks - 1)] {
+                    peers[a] = Some(b);
+                    peers[b] = Some(a);
+                }
+                circuit_days += 1;
+            }
+            peers
+        })
+        .collect()
 }
 
 /// One flow between a rack pair.
@@ -307,19 +345,17 @@ struct RackShard<'a> {
     faults: FaultInjector,
     impair: ImpairInjector,
     clock: ClockInjector,
-    /// Synthetic schedule handed to the clock plane (`on_send` only
-    /// consults day numbering, which needs just the day/night lengths).
+    /// The week: day/night lengths here and for the clock plane.
     sched: Schedule,
     guard_band: SimDuration,
-    /// `peer_of[day % (racks − 1)][rack]`: the rotor week as a lookup.
-    peer_of: Arc<[Vec<usize>]>,
+    /// `peer_of[day % len][rack]`, see [`peer_rows`].
+    peer_of: Arc<[Vec<Option<usize>>]>,
     packet: TdnParams,
     circuit: TdnParams,
     host_rate_bps: u64,
-    day_len: SimDuration,
-    night_len: SimDuration,
 
-    /// Current OCS peer of this rack (None during nights).
+    /// Current OCS peer of this rack (None during nights and packet-only
+    /// days).
     peer: Option<usize>,
     /// Every segment this rack holds — on its NIC, in a VOQ, in a
     /// scheduled `Deliver`; events and VOQ entries carry ids into it.
@@ -408,8 +444,8 @@ pub struct ShardedEmulator<'a> {
     mail: Arc<Mailboxes>,
     flows: Vec<PairFlow>,
     lookahead: SimDuration,
-    day_len: SimDuration,
-    night_len: SimDuration,
+    /// The week; windows end at its edges.
+    sched: Schedule,
 }
 
 /// Results of a sharded multirack run.
@@ -541,24 +577,8 @@ impl<'a> ShardedEmulator<'a> {
             lookahead > SimDuration::ZERO,
             "conservative lookahead needs a positive minimum one-way latency"
         );
-        let peer_of: Arc<[Vec<usize>]> = rotor::matchings(net.racks)
-            .iter()
-            .map(|day| {
-                let mut peers = vec![usize::MAX; net.racks];
-                for &(a, b) in day {
-                    peers[a] = b;
-                    peers[b] = a;
-                }
-                debug_assert!(!peers.contains(&usize::MAX), "rotor days are perfect matchings");
-                peers
-            })
-            .collect();
+        let peer_of: Arc<[Vec<Option<usize>>]> = peer_rows(&net.schedule, net.racks).into();
         let mail = Arc::new(Mailboxes::new(net.racks));
-        let sched = Schedule {
-            day_len: net.day_len,
-            night_len: net.night_len,
-            days: vec![TdnId(1); net.racks - 1],
-        };
 
         // Seat every flow's endpoints: rack-local host ids in global
         // flow order.
@@ -591,14 +611,12 @@ impl<'a> ShardedEmulator<'a> {
                     clock: ClockInjector::new(cfg.clock.clone(), rng.fork(CLOCK_STREAM_LABEL)),
                     rng,
                     notify_model: NotifyModel::new(net.notify),
-                    sched: sched.clone(),
+                    sched: net.schedule.clone(),
                     guard_band: cfg.guard_band,
                     peer_of: Arc::clone(&peer_of),
                     packet: net.packet,
                     circuit: net.circuit,
                     host_rate_bps: net.host_rate_bps,
-                    day_len: net.day_len,
-                    night_len: net.night_len,
                     peer: None,
                     pool: SegPool::new(),
                     voqs: (0..net.racks).map(|_| Voq::untraced(net.voq)).collect(),
@@ -642,22 +660,7 @@ impl<'a> ShardedEmulator<'a> {
             mail,
             flows,
             lookahead,
-            day_len: net.day_len,
-            night_len: net.night_len,
-        }
-    }
-
-    /// The schedule edge strictly after `t` (day→night or night→day
-    /// boundary) — windows never span an edge, so service trains can
-    /// use the window's matching throughout.
-    fn edge_after(&self, t: SimTime) -> SimTime {
-        let slot = self.day_len + self.night_len;
-        let k = t.as_nanos() / slot.as_nanos();
-        let night_at = SimTime::from_nanos(k * slot.as_nanos()) + self.day_len;
-        if t < night_at {
-            night_at
-        } else {
-            SimTime::from_nanos((k + 1) * slot.as_nanos())
+            sched: net.schedule.clone(),
         }
     }
 
@@ -707,8 +710,10 @@ impl<'a> ShardedEmulator<'a> {
         if all_done || w_start == SimTime::MAX || w_start > until {
             return false;
         }
+        // Windows never span a schedule edge, so service trains can use
+        // the window's matching throughout.
         let w_end = (w_start + self.lookahead)
-            .min(self.edge_after(w_start))
+            .min(self.sched.phase_at(w_start).ends())
             .min(until + SimDuration::from_nanos(1));
         for s in &self.shards {
             s.lock().expect("shard poisoned").w_end = w_end;
@@ -1081,9 +1086,9 @@ impl<'a> RackShard<'a> {
         }
     }
 
-    /// Whether the rotor connects racks `a` and `b` on `day`.
+    /// Whether a circuit connects racks `a` and `b` on `day`.
     fn connected_on_day(&self, day: u64, a: usize, b: usize) -> bool {
-        self.peer_of[(day % self.peer_of.len() as u64) as usize][a] == b
+        self.peer_of[(day % self.peer_of.len() as u64) as usize][a] == Some(b)
     }
 
     /// Launch the dequeued segment from this rack's ToR toward `dst` at
@@ -1219,7 +1224,7 @@ impl<'a> RackShard<'a> {
     }
 
     fn on_day_start(&mut self, now: SimTime, day: u64) {
-        self.peer = Some(self.peer_of[(day % self.peer_of.len() as u64) as usize][self.r]);
+        self.peer = self.peer_of[(day % self.peer_of.len() as u64) as usize][self.r];
         // Notify resident hosts, sampling latencies (and fault
         // verdicts) in fixed host order.
         for h in 0..self.hosts.len() {
@@ -1252,13 +1257,13 @@ impl<'a> RackShard<'a> {
             }
         }
         self.kick_eps_if_work(now);
-        self.q.schedule(now + self.day_len, REv::NightStart { day });
+        self.q.schedule(now + self.sched.day_len, REv::NightStart { day });
     }
 
     fn on_night_start(&mut self, now: SimTime, day: u64) {
         self.peer = None;
         self.q
-            .schedule(now + self.night_len, REv::DayStart { day: day + 1 });
+            .schedule(now + self.sched.night_len, REv::DayStart { day: day + 1 });
         // Traffic that was circuit-bound now needs the EPS.
         self.kick_eps_if_work(now);
     }
@@ -1374,6 +1379,53 @@ mod tests {
             outage_days: 1,
         });
         let _ = ShardedEmulator::new(cfg, ring_flows(4), |i, _| cubic_pair(i, 1_000));
+    }
+
+    #[test]
+    #[should_panic(expected = "names TDN 2")]
+    fn third_network_is_rejected() {
+        let mut cfg = small_cfg();
+        cfg.net.schedule.days = vec![TdnId(0), TdnId(2), TdnId(1)];
+        let _ = ShardedEmulator::new(cfg, ring_flows(4), |i, _| cubic_pair(i, 1_000));
+    }
+
+    #[test]
+    #[should_panic(expected = "week has no days")]
+    fn empty_week_is_rejected() {
+        let mut cfg = small_cfg();
+        cfg.net.schedule.days.clear();
+        let _ = ShardedEmulator::new(cfg, ring_flows(4), |i, _| cubic_pair(i, 1_000));
+    }
+
+    #[test]
+    fn peer_rows_follow_the_week() {
+        let is_matching = |row: &[Option<usize>], matching: &[(usize, usize)]| {
+            matching
+                .iter()
+                .all(|&(a, b)| row[a] == Some(b) && row[b] == Some(a))
+        };
+        // One circuit day per week is the rotor itself.
+        let rows = peer_rows(&MultiRackConfig::paper_8rack().schedule, 8);
+        assert_eq!(rows.len(), 7);
+        for (row, matching) in rows.iter().zip(&rotor::matchings(8)) {
+            assert!(is_matching(row, matching));
+        }
+        // Six packet days, then a circuit day taking the next matching:
+        // at 4 racks the table spans three weeks.
+        let rotor4 = rotor::matchings(4);
+        let rows = peer_rows(&Schedule::hybrid_6to1(), 4);
+        assert_eq!(rows.len(), 21);
+        for (day, row) in rows.iter().enumerate() {
+            if day % 7 == 6 {
+                assert!(is_matching(row, &rotor4[day / 7]), "day {day}");
+            } else {
+                assert!(row.iter().all(Option::is_none), "day {day}");
+            }
+        }
+        assert_eq!(
+            peer_rows(&Schedule::hybrid_6to1(), 2)[6],
+            [Some(1), Some(0)]
+        );
     }
 
     #[test]

@@ -20,9 +20,7 @@ use rdcn::{MultiRackConfig, NetConfig, PairFlow, ShardConfig, ShardedEmulator};
 use simcore::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use tcp::cc::{CcConfig, Cubic};
-use tcp::{ConnStats, FlowId, Transport};
-use tdtcp::{TdtcpConfig, TdtcpConnection};
+use tcp::ConnStats;
 
 thread_local! {
     /// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`) made by this
@@ -159,21 +157,7 @@ fn tdtcp_fabric_allocates_per_day_not_per_segment() {
                 })
             })
             .collect();
-        let endpoints = |i: usize, _: &PairFlow| {
-            let cfg = TdtcpConfig::default();
-            let template = Cubic::new(CcConfig::default());
-            let flow = FlowId(i as u32);
-            (
-                Box::new(TdtcpConnection::connect(
-                    flow,
-                    cfg.clone(),
-                    &template,
-                    SimTime::ZERO,
-                )) as Box<dyn Transport + Send>,
-                Box::new(TdtcpConnection::listen(flow, cfg, &template))
-                    as Box<dyn Transport + Send>,
-            )
-        };
+        let endpoints = |i, _: &PairFlow| Variant::Tdtcp.endpoints(i, u64::MAX, None);
         let res = ShardedEmulator::new(ShardConfig::clean(cfg), flows, endpoints).run(until, 1);
         delivered(&res.receiver_stats)
     });

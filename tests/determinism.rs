@@ -368,18 +368,7 @@ fn sharded_chaos_run_is_worker_count_invariant() {
         .collect();
     let run = |workers: usize| {
         rdcn::ShardedEmulator::new(chaotic_cfg(), flows.clone(), |i, _| {
-            let cfg = TdtcpConfig::default();
-            let template = Cubic::new(CcConfig::default());
-            (
-                Box::new(TdtcpConnection::connect(
-                    FlowId(i as u32),
-                    cfg.clone(),
-                    &template,
-                    SimTime::ZERO,
-                )) as Box<dyn Transport + Send>,
-                Box::new(TdtcpConnection::listen(FlowId(i as u32), cfg, &template))
-                    as Box<dyn Transport + Send>,
-            )
+            Variant::Tdtcp.endpoints(i, u64::MAX, None)
         })
         .run(SimTime::from_millis(4), workers)
     };

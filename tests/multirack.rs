@@ -4,14 +4,12 @@
 //! deterministic — across reruns and across worker counts. Every run
 //! here is the N-rack engine at `workers = 1` unless it says otherwise.
 
+use bench::Variant;
 use rdcn::{
-    ClockPlan, EpsBurst, ImpairPlan, MultiRackConfig, PairFlow, ShardConfig, ShardResult,
-    ShardedEmulator, SlotEdgePolicy,
+    ClockPlan, Emulator, EpsBurst, ImpairPlan, MultiRackConfig, NetConfig, PairFlow, Schedule,
+    ShardConfig, ShardResult, ShardedEmulator, SlotEdgePolicy,
 };
 use simcore::{SimDuration, SimTime};
-use tcp::cc::{CcConfig, Cubic};
-use tcp::{Config, Connection, FlowId, Transport};
-use tdtcp::{TdtcpConfig, TdtcpConnection};
 
 fn all_pairs(n: usize) -> Vec<PairFlow> {
     let mut v = Vec::new();
@@ -25,50 +23,20 @@ fn all_pairs(n: usize) -> Vec<PairFlow> {
     v
 }
 
-type Endpoints = (Box<dyn Transport + Send>, Box<dyn Transport + Send>);
-
-/// Run `flows` over the clean fabric `cfg` until `until_ms`.
+/// Run `variant` flows of `bytes` each over the clean fabric `cfg`
+/// until `until_ms`.
 fn run(
     cfg: MultiRackConfig,
     flows: Vec<PairFlow>,
-    ep: impl Fn(usize) -> Endpoints,
+    variant: Variant,
+    bytes: u64,
     until_ms: u64,
     workers: usize,
 ) -> ShardResult {
-    ShardedEmulator::new(ShardConfig::clean(cfg), flows, |i, _| ep(i))
-        .run(SimTime::from_millis(until_ms), workers)
-}
-
-fn cubic_ep(i: usize, bytes: u64) -> Endpoints {
-    let cfg = Config {
-        bytes_to_send: bytes,
-        ..Config::default()
-    };
-    let cc = CcConfig::default();
-    (
-        Box::new(Connection::connect(
-            FlowId(i as u32),
-            cfg.clone(),
-            Box::new(Cubic::new(cc)),
-            SimTime::ZERO,
-        )),
-        Box::new(Connection::listen(FlowId(i as u32), cfg, Box::new(Cubic::new(cc)))),
-    )
-}
-
-fn tdtcp_ep(i: usize, bytes: u64) -> Endpoints {
-    let mut cfg = TdtcpConfig::default();
-    cfg.tcp.bytes_to_send = bytes;
-    let template = Cubic::new(CcConfig::default());
-    (
-        Box::new(TdtcpConnection::connect(
-            FlowId(i as u32),
-            cfg.clone(),
-            &template,
-            SimTime::ZERO,
-        )),
-        Box::new(TdtcpConnection::listen(FlowId(i as u32), cfg, &template)),
-    )
+    ShardedEmulator::new(ShardConfig::clean(cfg), flows, |i, _| {
+        variant.endpoints(i, bytes, None)
+    })
+    .run(SimTime::from_millis(until_ms), workers)
 }
 
 #[test]
@@ -80,7 +48,7 @@ fn every_pair_makes_progress() {
     cfg.racks = 4;
     let flows = all_pairs(4);
     let n = flows.len();
-    let res = run(cfg, flows, |i| cubic_ep(i, u64::MAX), 10, 1);
+    let res = run(cfg, flows, Variant::Cubic, u64::MAX, 10, 1);
     assert_eq!(res.sender_stats.len(), n);
     for (i, s) in res.sender_stats.iter().enumerate() {
         assert!(s.bytes_acked > 0, "pair flow {i} starved");
@@ -99,7 +67,7 @@ fn finite_transfers_complete_cross_rack() {
         PairFlow { src: 2, dst: 3 },
         PairFlow { src: 3, dst: 0 },
     ];
-    let res = run(cfg, flows, |i| tdtcp_ep(i, 2_000_000), 100, 1);
+    let res = run(cfg, flows, Variant::Tdtcp, 2_000_000, 100, 1);
     for (i, r) in res.receiver_stats.iter().enumerate() {
         assert_eq!(r.bytes_delivered, 2_000_000, "flow {i}");
         assert!(res.completions[i].is_some(), "flow {i} never completed");
@@ -119,8 +87,8 @@ fn circuits_accelerate_tdtcp_beyond_eps_share() {
             dst: (r + 1) % 8,
         })
         .collect();
-    let tdtcp = run(cfg.clone(), flows.clone(), |i| tdtcp_ep(i, u64::MAX), 15, 1);
-    let cubic = run(cfg, flows, |i| cubic_ep(i, u64::MAX), 15, 1);
+    let tdtcp = run(cfg.clone(), flows.clone(), Variant::Tdtcp, u64::MAX, 15, 1);
+    let cubic = run(cfg, flows, Variant::Cubic, u64::MAX, 15, 1);
     let (tdtcp, cubic) = (tdtcp.total_acked() as f64, cubic.total_acked() as f64);
     // EPS-only ceiling: 8 racks x 10 Gbps x 15 ms = 150 MB.
     let eps_ceiling = 8.0 * 10e9 / 8.0 * 0.015;
@@ -145,7 +113,7 @@ fn eps_shared_fairly_across_destinations() {
         PairFlow { src: 0, dst: 2 },
         PairFlow { src: 0, dst: 3 },
     ];
-    let res = run(cfg, flows, |i| cubic_ep(i, u64::MAX), 10, 1);
+    let res = run(cfg, flows, Variant::Cubic, u64::MAX, 10, 1);
     let acked: Vec<u64> = res.sender_stats.iter().map(|s| s.bytes_acked).collect();
     let max = *acked.iter().max().unwrap() as f64;
     let min = *acked.iter().min().unwrap() as f64;
@@ -163,7 +131,7 @@ fn deterministic() {
     let digest = |workers: usize| {
         let mut cfg = MultiRackConfig::paper_8rack();
         cfg.racks = 4;
-        let res = run(cfg, all_pairs(4), |i| tdtcp_ep(i, u64::MAX), 5, workers);
+        let res = run(cfg, all_pairs(4), Variant::Tdtcp, u64::MAX, 5, workers);
         assert!(res.total_acked() > 0);
         res.stats_digest()
     };
@@ -205,8 +173,10 @@ fn chaos_paths_are_worker_count_invariant() {
                 ..ClockPlan::none()
             };
             cfg.guard_band = SimDuration::from_micros(1);
-            ShardedEmulator::new(cfg, all_pairs(4), |i, _| tdtcp_ep(i, u64::MAX))
-                .run(SimTime::from_millis(4), workers)
+            ShardedEmulator::new(cfg, all_pairs(4), |i, _| {
+                Variant::Tdtcp.endpoints(i, u64::MAX, None)
+            })
+            .run(SimTime::from_millis(4), workers)
         };
         let base = run(1);
         assert!(base.total_acked() > 0);
@@ -226,6 +196,47 @@ fn chaos_paths_are_worker_count_invariant() {
     }
 }
 
+/// The paper's two-rack week on this engine: N = 2 over
+/// `Schedule::hybrid_6to1` (six packet days, then one circuit day), 16
+/// bulk flows from rack 0 to rack 1.
+fn two_rack_week(variant: Variant, until_ms: u64, workers: usize) -> ShardResult {
+    let cfg = MultiRackConfig {
+        racks: 2,
+        schedule: Schedule::hybrid_6to1(),
+        ..MultiRackConfig::paper_8rack()
+    };
+    let flows = vec![PairFlow { src: 0, dst: 1 }; 16];
+    run(cfg, flows, variant, u64::MAX, until_ms, workers)
+}
+
+#[test]
+fn two_rack_week_holds_the_paper_shape_on_both_engines() {
+    // The same week and the same endpoints on the two-rack engine: every
+    // flow switches TDN as often on both ...
+    let sharded = two_rack_week(Variant::Tdtcp, 10, 1);
+    let mut net = NetConfig::paper_baseline();
+    Variant::Tdtcp.apply_net_config(&mut net);
+    let two_rack =
+        Emulator::new(net, 16, Variant::Tdtcp.factory(u64::MAX)).run(SimTime::from_millis(10));
+    let pairs = sharded.sender_stats.iter().zip(&two_rack.sender_stats);
+    for (i, (s, e)) in pairs.enumerate() {
+        assert!(s.tdn_switches > 0, "flow {i} never switched");
+        assert_eq!(s.tdn_switches, e.tdn_switches, "flow {i}");
+    }
+    // ... the run does not depend on the worker count ...
+    assert_eq!(
+        two_rack_week(Variant::Tdtcp, 10, 2).stats_digest(),
+        sharded.stats_digest()
+    );
+    // ... and `tests/integration.rs::headline_ordering`'s margin holds.
+    let tdtcp = two_rack_week(Variant::Tdtcp, 25, 1).total_acked() as f64;
+    let cubic = two_rack_week(Variant::Cubic, 25, 1).total_acked() as f64;
+    assert!(
+        tdtcp > cubic * 1.08,
+        "tdtcp {tdtcp:.0} must clearly beat cubic {cubic:.0}"
+    );
+}
+
 /// The benchmark's `fabric16`: 16 racks, every rack sending at strides
 /// 1, 2 and 3 (48 TDTCP bulk flows), 60 ms, seed 1.
 fn fabric16(workers: usize) -> ShardResult {
@@ -241,7 +252,7 @@ fn fabric16(workers: usize) -> ShardResult {
             })
         })
         .collect();
-    run(cfg, flows, |i| tdtcp_ep(i, u64::MAX), 60, workers)
+    run(cfg, flows, Variant::Tdtcp, u64::MAX, 60, workers)
 }
 
 #[test]
