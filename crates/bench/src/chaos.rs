@@ -236,9 +236,9 @@ pub fn check_invariants(spec: &ChaosSpec, res: &RunResult) -> Result<(), String>
         }
     }
     // Stats sanity: a checksum discard needs a matching damaged copy on
-    // the wire. The EPS burst corrupts at VOQ ingress, *before* the wire
-    // impairment decides the segment's fate at link service, so a segment
-    // can be corrupted there and then duplicated: both copies arrive
+    // the wire. The EPS burst corrupts at launch, *before* the wire
+    // impairment decides the segment's fate in the same launch, so a
+    // segment can be corrupted there and then duplicated: both copies arrive
     // damaged and both are discarded. (The wire's own verdicts are
     // exclusive — a segment it corrupts is never also duplicated.)
     let corrupt_rx: u64 = res

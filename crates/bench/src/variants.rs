@@ -14,9 +14,9 @@ use tcp::cc::{CcConfig, Cubic, Dctcp, Reno, ReTcp, ReTcpConfig};
 use tcp::{Config, Connection, FlowId, Transport};
 use tdtcp::{TdtcpConfig, TdtcpConnection, WatchdogConfig};
 
-/// One flow's `(sender, receiver)`. `Send`, so the sharded engine can
-/// move a rack's hosts to its worker thread; the two-rack engine takes
-/// them as plain `Box<dyn Transport>`.
+/// One flow's `(sender, receiver)`. `Send`, so the N-rack door can move
+/// a rack's hosts to its worker thread; the two-rack door takes them as
+/// plain `Box<dyn Transport>`.
 pub type Endpoints = (Box<dyn Transport + Send>, Box<dyn Transport + Send>);
 
 /// A TCP variant under test.
@@ -101,7 +101,7 @@ impl Variant {
         self.boxed(bytes, None)
     }
 
-    /// [`Variant::endpoints`] as a two-rack engine factory.
+    /// [`Variant::endpoints`] as a two-rack door factory.
     fn boxed(self, bytes: u64, watchdog: Option<WatchdogConfig>) -> rdcn::EndpointFactory<'static> {
         Box::new(move |i| -> (Box<dyn Transport>, Box<dyn Transport>) {
             let (s, r) = self.endpoints(i, bytes, watchdog);

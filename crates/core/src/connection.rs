@@ -129,7 +129,7 @@ pub struct TdtcpConnection {
     /// Whether this endpoint's SYN (or SYN-ACK) has gone out once. Only
     /// that first copy carries `TD_CAPABLE`; a retransmitted one is
     /// rebuilt from the retransmission queue without it, so a lost SYN
-    /// downgrades the connection (kept as found — see DESIGN.md §15).
+    /// downgrades the connection (kept as found — see DESIGN.md §14).
     syn_sent: bool,
 
     // --- notification hardening ---

@@ -7,7 +7,7 @@
 //! A [`ClockPlan`] on `NetConfig` gives each host a local clock with a
 //! static offset, a constant ppm drift rate, bounded per-read jitter,
 //! and periodic PTP-style resyncs that collapse the accumulated offset
-//! back to a configurable residual error floor. The emulator computes
+//! back to a configurable residual error floor. The engine computes
 //! each host's *perceived* time through [`ClockInjector::perceived`] and
 //! judges every link-service launch through [`ClockInjector::on_send`]:
 //! a segment launched while the sender's perceived day disagrees with
@@ -21,8 +21,9 @@
 //! host state: a clean run is bit-identical whether or not a
 //! `ClockPlan::none()` is attached, and a skewed run is fully
 //! reproducible per `(seed, plan)`. Per-host parameters are drawn
-//! lazily on first touch; the emulator's event order is deterministic,
-//! so the draw order is too.
+//! lazily on first touch; the engine's event order is deterministic,
+//! so the draw order is too. Each rack owns an injector for its
+//! resident hosts, numbered rack-locally.
 
 use crate::schedule::Schedule;
 use crate::statfold::{self, InjectorStats, LogEvent};
@@ -180,10 +181,27 @@ impl ClockStats {
     }
 }
 
-impl InjectorStats for ClockStats {
-    fn total(&self) -> u64 {
-        ClockStats::total(self)
+/// Counters summed across racks; the skew maximum is the larger one.
+impl std::ops::AddAssign for ClockStats {
+    fn add_assign(&mut self, o: ClockStats) {
+        let ClockStats {
+            skewed_sends,
+            guard_drops,
+            deferred_sends,
+            wrong_tdn_deliveries,
+            resyncs,
+            max_abs_skew_ns,
+        } = o;
+        self.skewed_sends += skewed_sends;
+        self.guard_drops += guard_drops;
+        self.deferred_sends += deferred_sends;
+        self.wrong_tdn_deliveries += wrong_tdn_deliveries;
+        self.resyncs += resyncs;
+        self.max_abs_skew_ns = self.max_abs_skew_ns.max(max_abs_skew_ns);
     }
+}
+
+impl InjectorStats for ClockStats {
     fn write_digest(&self, d: &mut Digest) {
         ClockStats::write_digest(self, d)
     }

@@ -21,9 +21,10 @@
 //!   so hosts discover the outage only through their watchdogs.
 //! - **Schedule freeze**: the rotor stops advancing for a window of
 //!   days, replaying one day's TDN (a stuck-rotor fault).
-//! - **EPS burst**: a window of random drop/corruption at ToR ingress
-//!   (corrupted segments fail their checksum at delivery and are
-//!   discarded, so both manifest as loss with distinct counters).
+//! - **EPS burst**: a window of random drop/corruption of segments as
+//!   they launch on the packet network (corrupted segments fail their
+//!   checksum at delivery and are discarded, so both manifest as loss
+//!   with distinct counters).
 
 use crate::statfold::{self, InjectorStats, LogEvent};
 use simcore::{DetRng, SimDuration, SimTime};
@@ -54,7 +55,7 @@ pub struct ScheduleFreeze {
     pub days: u64,
 }
 
-/// A burst of random drop/corruption applied at ToR ingress.
+/// A burst of random drop/corruption applied to packet-network launches.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpsBurst {
     /// Burst window start.
@@ -85,7 +86,7 @@ pub struct FaultPlan {
     pub link_failure: Option<LinkFailure>,
     /// Stuck-rotor schedule freeze.
     pub freeze: Option<ScheduleFreeze>,
-    /// ToR-ingress drop/corruption burst.
+    /// Packet-network drop/corruption burst.
     pub eps_burst: Option<EpsBurst>,
 }
 
@@ -125,9 +126,9 @@ pub struct FaultStats {
     pub days_absent: u64,
     /// Days served with a frozen (replayed) TDN.
     pub days_frozen: u64,
-    /// Segments dropped by the ingress burst.
+    /// Segments dropped by the EPS burst.
     pub eps_drops: u64,
-    /// Segments corrupted (and discarded) by the ingress burst.
+    /// Segments corrupted (and discarded) by the EPS burst.
     pub eps_corruptions: u64,
 }
 
@@ -181,10 +182,18 @@ impl FaultStats {
     }
 }
 
+statfold::summed_counters!(FaultStats {
+    notifications_dropped,
+    notifications_delayed,
+    notifications_duplicated,
+    days_truncated,
+    days_absent,
+    days_frozen,
+    eps_drops,
+    eps_corruptions,
+});
+
 impl InjectorStats for FaultStats {
-    fn total(&self) -> u64 {
-        FaultStats::total(self)
-    }
     fn write_digest(&self, d: &mut Digest) {
         FaultStats::write_digest(self, d)
     }
@@ -239,12 +248,12 @@ pub enum InjectedFault {
         /// The frozen day.
         day: u64,
     },
-    /// A segment was dropped at ToR ingress.
+    /// A segment was dropped at its packet-network launch.
     EpsDrop {
         /// Simulated time of the drop in nanoseconds.
         at_ns: u64,
     },
-    /// A segment was corrupted (and discarded) at ToR ingress.
+    /// A segment was corrupted (and discarded) at its packet-network launch.
     EpsCorrupt {
         /// Simulated time of the corruption in nanoseconds.
         at_ns: u64,
@@ -320,12 +329,12 @@ pub enum DayFate {
     Absent,
 }
 
-/// The injector's decision for one segment at ToR ingress.
+/// The injector's decision for one segment launching on the packet network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EpsVerdict {
     /// Forward normally.
     Pass,
-    /// Drop at ingress.
+    /// Drop at launch.
     Drop,
     /// Corrupt; the segment fails its checksum downstream and is
     /// discarded.
@@ -430,42 +439,59 @@ impl FaultInjector {
     }
 
     /// Map a schedule day through the freeze fault: frozen days replay
-    /// `from_day`'s position in the rotor.
-    pub fn schedule_day(&mut self, day: u64) -> u64 {
-        if let Some(fz) = self.plan.freeze {
-            if day >= fz.from_day && day < fz.from_day.saturating_add(fz.days) && day != fz.from_day
-            {
-                self.stats.days_frozen += 1;
-                self.push(InjectedFault::DayFrozen { day });
-                return fz.from_day;
+    /// `from_day`'s position in the rotor. A pure function of the plan
+    /// and the day, so every rack derives the same day without a
+    /// message; [`FaultInjector::record_day`] counts it.
+    pub fn schedule_day(&self, day: u64) -> u64 {
+        match self.plan.freeze {
+            Some(fz) if day > fz.from_day && day < fz.from_day.saturating_add(fz.days) => {
+                fz.from_day
             }
+            _ => day,
         }
-        day
     }
 
     /// Decide the fate of day `day` serving `tdn` (`circuit_tdn` names
-    /// the OCS TDN the link-failure fault applies to).
-    pub fn day_fate(&mut self, day: u64, tdn: TdnId, circuit_tdn: TdnId) -> DayFate {
+    /// the OCS TDN the link-failure fault applies to). Pure, like
+    /// [`FaultInjector::schedule_day`].
+    pub fn day_fate(&self, day: u64, tdn: TdnId, circuit_tdn: TdnId) -> DayFate {
         let Some(lf) = self.plan.link_failure else {
             return DayFate::Normal;
         };
         if tdn != circuit_tdn {
-            return DayFate::Normal;
-        }
-        if day == lf.day {
-            self.stats.days_truncated += 1;
-            self.push(InjectedFault::DayTruncated { day });
+            DayFate::Normal
+        } else if day == lf.day {
             DayFate::Truncated(lf.at_fraction.clamp(0.0, 1.0))
         } else if day > lf.day && day < lf.day.saturating_add(lf.outage_days) {
-            self.stats.days_absent += 1;
-            self.push(InjectedFault::DayAbsent { day });
             DayFate::Absent
         } else {
             DayFate::Normal
         }
     }
 
-    /// Decide the fate of one segment entering the ToR at `now`.
+    /// Count and log what [`FaultInjector::schedule_day`] (`sched_day`)
+    /// and [`FaultInjector::day_fate`] (`fate`) decided for `day` — once
+    /// per day for the whole fabric.
+    pub fn record_day(&mut self, day: u64, sched_day: u64, fate: DayFate) {
+        if sched_day != day {
+            self.stats.days_frozen += 1;
+            self.push(InjectedFault::DayFrozen { day });
+        }
+        match fate {
+            DayFate::Normal => {}
+            DayFate::Truncated(_) => {
+                self.stats.days_truncated += 1;
+                self.push(InjectedFault::DayTruncated { day });
+            }
+            DayFate::Absent => {
+                self.stats.days_absent += 1;
+                self.push(InjectedFault::DayAbsent { day });
+            }
+        }
+    }
+
+    /// Decide the fate of one segment launching on the packet network at
+    /// `now`.
     pub fn on_transit(&mut self, now: SimTime) -> EpsVerdict {
         let Some(b) = self.plan.eps_burst else {
             return EpsVerdict::Pass;
@@ -548,6 +574,11 @@ mod tests {
         assert_eq!(inj.day_fate(6, circuit, circuit), DayFate::Truncated(0.5));
         assert_eq!(inj.day_fate(13, circuit, circuit), DayFate::Absent);
         assert_eq!(inj.day_fate(20, circuit, circuit), DayFate::Normal);
+        assert_eq!(inj.stats().total(), 0, "deciding a fate counts nothing");
+        for day in [6, 13, 20] {
+            let fate = inj.day_fate(day, circuit, circuit);
+            inj.record_day(day, day, fate);
+        }
         assert_eq!(inj.stats().days_truncated, 1);
         assert_eq!(inj.stats().days_absent, 1);
     }
@@ -565,6 +596,10 @@ mod tests {
         assert_eq!(inj.schedule_day(5), 3);
         assert_eq!(inj.schedule_day(6), 3);
         assert_eq!(inj.schedule_day(7), 7);
+        for day in 2..8 {
+            let sched_day = inj.schedule_day(day);
+            inj.record_day(day, sched_day, DayFate::Normal);
+        }
         assert_eq!(inj.stats().days_frozen, 3);
     }
 

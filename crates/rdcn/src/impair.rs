@@ -125,10 +125,14 @@ impl ImpairStats {
     }
 }
 
+statfold::summed_counters!(ImpairStats {
+    segs_dropped,
+    segs_reordered,
+    segs_duplicated,
+    segs_corrupted,
+});
+
 impl InjectorStats for ImpairStats {
-    fn total(&self) -> u64 {
-        ImpairStats::total(self)
-    }
     fn write_digest(&self, d: &mut Digest) {
         ImpairStats::write_digest(self, d)
     }

@@ -4,9 +4,12 @@
 //! demand-oblivious rotor [`schedule`], ToR virtual output queues
 //! ([`voq`]) with ECN marking, circuit marking and runtime resizing, the
 //! ToR-generated TDN-change [`notify`] latency model with the three §5.4
-//! optimizations, analytic reference curves ([`analytic`]), and the
-//! [`emulator`] that drives any [`tcp::Transport`] implementation over the
-//! emulated fabric.
+//! optimizations, the three chaos planes ([`faults`], [`impair`],
+//! [`clock`]), analytic reference curves ([`analytic`]), and one event
+//! loop ([`shard`]) that drives any [`tcp::Transport`] implementation
+//! over the fabric. The loop has two doors: [`Emulator`] for the paper's
+//! two-rack pair and [`ShardedEmulator`] for an N-rack fabric at any
+//! worker count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

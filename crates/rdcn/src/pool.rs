@@ -17,7 +17,7 @@
 //! a tail drop, at a drop with a cause, or when the segment is copied
 //! into a cross-rack message. A clock-deferred launch re-queues the same
 //! id. Debug builds track `Vacant | Live` per slot, so a double release
-//! or a read of a released id panics at the site, and both engines check
+//! or a read of a released id panics at the site, and the engine checks
 //! at their barriers that the live count equals what their queues hold.
 //!
 //! Nothing here allocates in steady state: the slab grows to the peak

@@ -1,97 +1,64 @@
-//! The N-rack hybrid RDCN of §2.1/Fig. 1, simulated one shard per rack
-//! with bit-identical output at any worker count (DESIGN.md §13).
+//! The one simulation loop: the hybrid RDCN of §2.1/Fig. 1, one shard
+//! per rack, bit-identical at any worker count (DESIGN.md §13). Two
+//! doors lead in: [`ShardedEmulator::new`] builds an N-rack fabric from a
+//! [`ShardConfig`], and [`crate::Emulator`] builds the paper's two-rack
+//! pair (§5.1) as N = 2 from a [`NetConfig`], every flow from rack 0 to
+//! rack 1, on its own thread.
 //!
-//! The fabric (the two-rack [`crate::Emulator`] is Etalon's *strict
-//! time-division* special case of it):
+//! The fabric is one [`NetConfig`] and a rack count. Its week
+//! ([`NetConfig::schedule`]) decides everything time-divided:
 //!
-//! * every rack has an always-on EPS uplink, shared round-robin by all
-//!   of its per-destination VOQs;
-//! * one OCS port per rack, driven by the week in
-//!   [`MultiRackConfig::schedule`]: the k-th TDN-1 day connects rotor
-//!   matching `k mod (N−1)` ([`crate::schedule::rotor`], demand-oblivious),
-//!   and a TDN-0 day leaves every rack on its EPS alone; reconfiguration
-//!   nights fall between days. A week of one circuit day is the plain
-//!   rotor, which connects every rack pair directly once per `N−1` days;
-//!   N = 2 over [`Schedule::hybrid_6to1`] is the paper's two-rack week
-//!   with the EPS left on;
-//! * per destination the ToR uses the circuit when it exists, otherwise
-//!   the packet network ("for a given destination, only one network is
-//!   in use at a time");
-//! * ToRs notify hosts per flow when their pair's circuit comes up
-//!   (TDN 1) or goes away (TDN 0).
+//! * a day naming TDN k ≥ 1 is a circuit day; the j-th one connects rotor
+//!   matching `j mod (N−1)` ([`crate::schedule::rotor`]) over `tdns[k]`.
+//!   A TDN-0 day leaves every rack on its EPS uplink (`tdns[0]`), shared
+//!   round-robin by its per-destination VOQs. Per destination the ToR
+//!   uses the circuit when it exists, else the EPS;
+//! * EPS scheduling: a week that names TDN 0 is Etalon's strict time
+//!   division, where the EPS is scheduled like the circuit and serves
+//!   only on TDN-0 days (nights are dark). On any other week — the rotor —
+//!   the EPS is always on;
+//! * train granularity, a separate policy on the same switch: a week
+//!   naming TDN 0 runs segment-exact trains, the rotor whole-window
+//!   trains (below). The rotor keeps whole-window trains only so that
+//!   its pinned digest holds (ROADMAP 1b has one rule as an open item).
 //!
-//! Flows are unidirectional transfers between rack pairs; each flow has
-//! one sender container in the source rack and one receiver in the
-//! destination rack, as in the testbed.
+//! Each rack shard owns its queue, its forked RNG and chaos injectors,
+//! its resident transports, its VOQ row and its ports. Racks meet only
+//! through segments, and every wire between racks is at least the
+//! lookahead `L = min one_way` long, so all shards simulate a window
+//! `[w, min(w + L, next schedule edge))` in parallel and swap what they
+//! emitted through per-(source, destination) mailboxes at the barrier.
+//! Threads need `Send` hosts; the two-rack door runs inline.
 //!
-//! The engine partitions the fabric *by rack*: each rack shard owns a
-//! private event queue ([`simcore::DefaultQueue`]), its own forked RNG
-//! and chaos injectors, the transports resident in that rack, its ToR
-//! VOQ row, and its EPS/circuit/NIC port state. The only inter-rack
-//! traffic is segment delivery, and every wire between racks has a
-//! one-way latency of at least the *lookahead*
-//! `L = min(packet.one_way, circuit.one_way)` — so all shards can
-//! safely simulate a window `[w, min(w + L, schedule.phase_at(w).ends()))`
-//! in parallel (conservative-lookahead PDES), exchanging the segments
-//! they emitted through per-(source, destination) mailboxes
-//! ([`Mailboxes`]): a shard fills a private outbox during a window, hands
-//! each non-empty one over when the window ends, and the destination
-//! shard collects at the start of its next one.
+//! Event semantics: one `CircuitService`/`PacketService` event is a
+//! *train* that launches queued segments back-to-back to the window end.
+//! A whole-window train's segments leave the VOQ when it starts; a
+//! segment-exact train also stops before the rack's next event, so each
+//! segment holds its slot until it launches. Timers are lazy per-host
+//! arrays (no cancel), a delivery flushes the receiving host only, and
+//! same-instant segments to one host arrive as one event. Every
+//! transport call sees its host's perceived clock.
 //!
-//! Inside a rack a segment does not move: `poll_send`'s result is written
-//! into the rack's segment pool ([`crate::pool`]) and events, VOQ entries
-//! and service trains carry its `u32` id. Crossing racks copies it once
-//! into the message and once into the destination rack's pool, where the
-//! receiving transport reads it in place.
-//!
-//! Determinism: a shard's window work depends only on its own state,
-//! its deterministic queue and the boxes addressed to it, so the mailbox
-//! contents are identical at any worker count; the destination shard
-//! collects its boxes in (source rack, emission order) before it pops
-//! anything, and its queue's FIFO tie-break makes the merged order
-//! total. Every reduction at the end folds in fixed rack order.
-//! `run(.., workers)` therefore produces a bit-identical
-//! [`ShardResult::stats_digest`] for workers 1, 2, 4, … — pinned by
-//! `tests/determinism.rs` and `tests/multirack.rs`. At `workers = 1` the
-//! loop runs inline on the calling thread: that is the serial N-rack
-//! engine, and it runs the same hand-off/collect protocol.
-//!
-//! Event semantics:
-//! * **service trains**: one `CircuitService`/`PacketService` event
-//!   launches every already-queued eligible segment back-to-back up to
-//!   the window end, with analytic launch times (window ends are
-//!   worker-count independent, so trains are too). A train's segments
-//!   leave the VOQ when the train starts, not at their launch times;
-//! * **lazy struct-of-arrays timers**: per-host `deadline`/`armed`/
-//!   `gen` arrays — moving a timer *later* is a plain array write, and
-//!   a stale fire rearms from the array; no cancel is ever issued;
-//! * **single-side flush**: delivering to a host polls that host only;
-//! * **batched delivery**: same-instant segments to one host arrive as
-//!   one event.
-//!
-//! Chaos planes: notification faults (`notify_loss`/`extra_delay`/
-//! `duplicate`), EPS transit bursts (`eps_burst`), the full data-path
-//! impairment set, and per-host clock skew all run per rack on streams
-//! forked from the rack's RNG. Day-fate faults (`link_failure`,
-//! `freeze`) are two-rack-emulator concepts and are rejected at
-//! construction.
-//!
-//! Debug builds check a segment conservation law and the pool law (every
-//! live pool slot is held by a queued event or a VOQ entry) at every
-//! window barrier (`ShardedEmulator::assert_conserved`).
+//! Debug builds check a segment conservation law and the pool law at
+//! every window barrier (`ShardedEmulator::assert_conserved`), the
+//! running acked total at every sample, and the dirty-list day deltas at
+//! every day.
 
-use crate::faults::{EpsVerdict, FaultInjector, FaultPlan, NotifyVerdict, FAULT_STREAM_LABEL};
-use crate::impair::{ImpairInjector, ImpairPlan, ImpairVerdict, IMPAIR_STREAM_LABEL};
 use crate::clock::{ClockInjector, ClockPlan, ClockVerdict, CLOCK_STREAM_LABEL};
-use crate::config::TdnParams;
+use crate::config::{NetConfig, TdnParams};
+use crate::emulator::DayRecord;
+use crate::faults::{DayFate, EpsVerdict, FaultInjector, FaultPlan, NotifyVerdict, FAULT_STREAM_LABEL};
+use crate::impair::{ImpairInjector, ImpairPlan, ImpairVerdict, IMPAIR_STREAM_LABEL};
 use crate::notify::{NotifyConfig, NotifyModel};
-use crate::schedule::{rotor, Schedule};
 use crate::pool::{SegPool, SegRef, NIL};
+use crate::schedule::{rotor, Schedule};
 use crate::voq::{Voq, VoqConfig};
-use simcore::{par, DefaultQueue, DetRng, SimDuration, SimTime};
-use std::sync::atomic::{AtomicBool, Ordering};
+use simcore::{par, DefaultQueue, DetRng, SimDuration, SimTime, TimeSeries};
+use std::marker::PhantomData;
+use std::ops::DerefMut;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use tcp::{ConnStats, Direction, Segment, Transport};
+use tcp::{ConnError, ConnStats, Direction, Segment, Transport};
 use testkit::Digest;
 use wire::TdnId;
 
@@ -105,14 +72,16 @@ pub const RACK_STREAM_BASE: u64 = 0x5AAD_0000;
 pub struct MultiRackConfig {
     /// Number of racks (even, ≥ 2).
     pub racks: usize,
-    /// The always-on packet network (per-rack uplink capacity and
-    /// one-way latency through the EPS core).
+    /// The packet network (per-rack uplink capacity and one-way latency
+    /// through the EPS core): TDN 0.
     pub packet: TdnParams,
-    /// The circuit network (per-circuit rate and one-way latency).
+    /// The circuit network (per-circuit rate and one-way latency): TDN 1.
     pub circuit: TdnParams,
     /// The week: day and night lengths, and whether each day is a
-    /// circuit day (TDN 1) or a packet-only day (TDN 0). The fabric has
-    /// no third network, so any other TDN is rejected at construction.
+    /// circuit day (TDN 1) or a packet-only day (TDN 0). A week naming
+    /// TDN 0 makes the EPS a scheduled network (module docs). The fabric
+    /// has no third network, so any other TDN is rejected at
+    /// construction.
     pub schedule: Schedule,
     /// Per-pair VOQ configuration at each source ToR.
     pub voq: VoqConfig,
@@ -153,21 +122,16 @@ impl MultiRackConfig {
 
 /// The week as a lookup: `rows[day % rows.len()][rack]` is the rack's
 /// circuit peer on that day, `None` on a packet-only (TDN 0) day. The
-/// k-th circuit (TDN 1) day takes rotor matching `k mod (racks − 1)`, so
-/// the table repeats every `days.len() × (racks − 1)` days.
+/// k-th circuit (TDN ≥ 1) day takes rotor matching `k mod (racks − 1)`,
+/// so the table repeats every `days.len() × (racks − 1)` days.
 fn peer_rows(sched: &Schedule, racks: usize) -> Vec<Vec<Option<usize>>> {
     assert!(!sched.days.is_empty(), "the schedule's week has no days");
-    assert!(
-        sched.num_tdns() <= 2,
-        "the fabric has two networks (TDN 0: EPS, TDN 1: circuit); the schedule names TDN {}",
-        sched.num_tdns() - 1
-    );
     let matchings = rotor::matchings(racks);
     let mut circuit_days = 0;
     (0..sched.days.len() * (racks - 1))
         .map(|day| {
             let mut peers = vec![None; racks];
-            if sched.day_tdn(day as u64) == TdnId(1) {
+            if sched.day_tdn(day as u64) != TdnId(0) {
                 for &(a, b) in &matchings[circuit_days % (racks - 1)] {
                     peers[a] = Some(b);
                     peers[b] = Some(a);
@@ -194,8 +158,8 @@ pub struct PairFlow {
 pub struct ShardConfig {
     /// The fabric (racks, link parameters, schedule, VOQ, notify, seed).
     pub net: MultiRackConfig,
-    /// Control-plane notification / EPS-burst faults. `link_failure`
-    /// and `freeze` must be `None` (two-rack emulator concepts).
+    /// Control-plane faults: notification faults, EPS bursts, and the
+    /// day-fate faults (`link_failure`, `freeze`).
     pub faults: FaultPlan,
     /// Data-path impairments applied per launched segment.
     pub impair: ImpairPlan,
@@ -217,9 +181,34 @@ impl ShardConfig {
             guard_band: SimDuration::ZERO,
         }
     }
+
+    /// The engine's view of this fabric, and its rack count: TDN 0 is the
+    /// packet network and TDN 1 the circuit, every host is notified, and
+    /// there is no reTCP switch support.
+    fn into_net(self) -> (NetConfig, usize) {
+        let net = self.net;
+        let engine = NetConfig {
+            tdns: vec![net.packet, net.circuit],
+            schedule: net.schedule,
+            voq: net.voq,
+            notifications: true,
+            notify: net.notify,
+            circuit_marking: false,
+            circuit_tdn: TdnId(1),
+            retcpdyn: None,
+            host_rate_bps: net.host_rate_bps,
+            seed: net.seed,
+            faults: self.faults,
+            impair: self.impair,
+            clock: self.clock,
+            guard_band: self.guard_band,
+        };
+        (engine, net.racks)
+    }
 }
 
-/// Where each endpoint of a flow lives: racks and rack-local host ids.
+/// Where each endpoint of a flow lives (racks and rack-local host ids),
+/// and when the flow starts.
 #[derive(Debug, Clone, Copy)]
 struct FlowSeat {
     src_rack: u32,
@@ -228,6 +217,7 @@ struct FlowSeat {
     s_local: u32,
     /// Receiver's host index within `dst_rack`.
     r_local: u32,
+    start: SimTime,
 }
 
 /// Rack-local events. Cross-rack arrivals enter as `Deliver` via the
@@ -244,6 +234,12 @@ enum REv {
     NightStart { day: u64 },
     Notify { host: u32, tdn: TdnId, gen: u64 },
     HostTimer { host: u32, tgen: u32 },
+    /// A late flow's host sends its first segments.
+    Start { host: u32 },
+    /// Day `day`'s circuit fails (a `link_failure` fault).
+    LinkFail { day: u64 },
+    /// retcpdyn: circuit day `day` is one prepare lead away.
+    Prepare { day: u64 },
 }
 
 /// One segment crossing racks: queued by the source shard in emission
@@ -335,8 +331,31 @@ impl Mailboxes {
     }
 }
 
-/// One rack's complete simulation state.
-struct RackShard<'a> {
+/// What the engine keeps per resident host besides its timer: who it
+/// is, whether it is live, and what the result folds read of it, kept
+/// current by [`RackShard::touch`] after every event that called into it.
+#[derive(Debug, Clone, Copy)]
+struct Track {
+    /// Global flow id.
+    flow: u32,
+    sender: bool,
+    /// The flow's start: the host is live from here until it closes.
+    start: SimTime,
+    /// `is_done()` as of the last event that called into the host. A
+    /// closed host is not notified any more.
+    closed: bool,
+    /// When a sender first reported done.
+    completion: Option<SimTime>,
+    /// A sender's `bytes_acked` as last folded into `acked_total`.
+    acked: u64,
+    /// The four [`DayRecord`] counters as of the last day record.
+    day: [u64; 4],
+    /// On the dirty list (touched since the last day record).
+    dirty: bool,
+}
+
+/// One rack's complete simulation state; `H` boxes its transports.
+struct RackShard<H> {
     r: usize,
     racks: usize,
     q: DefaultQueue<REv>,
@@ -345,18 +364,23 @@ struct RackShard<'a> {
     faults: FaultInjector,
     impair: ImpairInjector,
     clock: ClockInjector,
-    /// The week: day/night lengths here and for the clock plane.
-    sched: Schedule,
-    guard_band: SimDuration,
+    /// The run's configuration, shared by every rack.
+    net: Arc<NetConfig>,
     /// `peer_of[day % len][rack]`, see [`peer_rows`].
     peer_of: Arc<[Vec<Option<usize>>]>,
-    packet: TdnParams,
-    circuit: TdnParams,
-    host_rate_bps: u64,
+    /// The week names TDN 0. Two policies follow from it (module docs):
+    /// the EPS serves only on TDN-0 days, and trains are segment-exact.
+    strict: bool,
 
-    /// Current OCS peer of this rack (None during nights and packet-only
-    /// days).
+    /// The current day, and the TDN it serves (a frozen day replays
+    /// another day's).
+    day: u64,
+    day_tdn: TdnId,
+    /// Current OCS peer of this rack (None during nights, packet-only
+    /// days, and once the day's circuit has failed).
     peer: Option<usize>,
+    /// Whether the EPS serves now.
+    eps_on: bool,
     /// Every segment this rack holds — on its NIC, in a VOQ, in a
     /// scheduled `Deliver`; events and VOQ entries carry ids into it.
     pool: SegPool,
@@ -369,16 +393,14 @@ struct RackShard<'a> {
     circuit_pending: bool,
     nic_free: SimTime,
 
-    /// Where every flow's endpoints live (shared copy; indexed by the
-    /// global flow id carried in each segment).
-    seats: Vec<FlowSeat>,
-    /// Resident transports, in global flow order (a flow's sender if it
-    /// sources here, its receiver if it sinks here — never both).
-    hosts: Vec<Box<dyn Transport + Send + 'a>>,
-    /// SoA per-host hot state, parallel to `hosts`: global flow id,
-    /// sender side, flow src/dst racks, and the lazy timer triple.
-    hflow: Vec<u32>,
-    hsend: Vec<bool>,
+    /// Where every flow's endpoints live (indexed by the global flow id
+    /// carried in each segment).
+    seats: Arc<[FlowSeat]>,
+    /// Resident transports by rack-local id (a flow's sender if it
+    /// sources here, its receiver if it sinks here — never both); `None`
+    /// until the flow's endpoints are built.
+    hosts: Vec<Option<H>>,
+    track: Vec<Track>,
     /// Next deadline wanted by the host (`SimTime::MAX` = none).
     tdeadline: Vec<SimTime>,
     /// Earliest time a live `HostTimer` event will fire (`MAX` = none).
@@ -387,11 +409,19 @@ struct RackShard<'a> {
     /// no-op, which is what lets timer *postponement* cost zero queue
     /// operations.
     tgen: Vec<u32>,
-
-    hdone: Vec<bool>,
-    completion: Vec<Option<SimTime>>,
     n_senders: usize,
     done_count: usize,
+    /// Sum of the resident senders' `bytes_acked` (observing runs only).
+    acked_total: u64,
+    /// Hosts touched since the last day record (observing runs only).
+    dirty: Vec<u32>,
+    /// Per finished day, this rack's share of the [`DayRecord`].
+    days: Vec<DayRecord>,
+    /// The next sample of `acked_total` (`MAX` = sampling off), the
+    /// interval (`ZERO` = off), and the samples.
+    next_sample: SimTime,
+    sample_every: SimDuration,
+    seq: TimeSeries,
 
     mail: Arc<Mailboxes>,
     /// `outbox[dst]`: this window's emissions toward rack `dst`, handed
@@ -406,8 +436,10 @@ struct RackShard<'a> {
     /// barrier needs it to bound the next window, since the destination
     /// has not queued the message yet.
     out_min: SimTime,
-    /// Exclusive end of the window this shard may simulate.
+    /// Exclusive end of the window this shard may simulate, loaded from
+    /// `window_end` as the window begins.
     w_end: SimTime,
+    window_end: Arc<AtomicU64>,
     /// Train/batch segments beyond the event that carried them — added
     /// to the queue's pop count so `events` counts one per segment moved.
     extra_events: u64,
@@ -437,26 +469,108 @@ struct Ledger {
     in_deliver: u64,
 }
 
-/// The sharded N-rack emulator. Construct with [`ShardedEmulator::new`],
-/// then [`run`](ShardedEmulator::run).
-pub struct ShardedEmulator<'a> {
-    shards: Vec<Mutex<RackShard<'a>>>,
+/// What one resident host ended the run with.
+pub(crate) struct HostEnd {
+    pub(crate) flow: usize,
+    pub(crate) sender: bool,
+    /// All zero for a host whose flow never started.
+    pub(crate) stats: ConnStats,
+    pub(crate) completion: Option<SimTime>,
+    pub(crate) error: Option<ConnError>,
+    /// A sender's `cwnd_report` (empty for receivers).
+    pub(crate) cwnds: Vec<u32>,
+}
+
+/// One rack's share of a finished run. [`ShardResult`] and
+/// [`crate::RunResult`] are two folds of these.
+pub(crate) struct RackResult {
+    /// Per resident host, in rack-local order.
+    pub(crate) hosts: Vec<HostEnd>,
+    /// Per-destination VOQs: counters, and traces when sampling was on.
+    pub(crate) voqs: Vec<Voq<SegRef>>,
+    /// Logical events: queue pops plus train/batch segments beyond the
+    /// first.
+    pub(crate) events: u64,
+    pub(crate) faults: FaultInjector,
+    pub(crate) impair: ImpairInjector,
+    pub(crate) clock: ClockInjector,
+    /// Time of the rack's last event.
+    pub(crate) end: SimTime,
+    /// Sampled acked total of the rack's senders.
+    pub(crate) seq: TimeSeries,
+    /// Per finished day, the rack's share of the record.
+    pub(crate) days: Vec<DayRecord>,
+}
+
+/// The one engine. Construct the N-rack fabric with
+/// [`ShardedEmulator::new`], then [`run`](ShardedEmulator::run);
+/// `H` boxes the transports (`Send` ones by default, so shards can move
+/// to worker threads; the two-rack door uses plain `Box<dyn Transport>`).
+pub struct ShardedEmulator<'a, H = Box<dyn Transport + Send + 'a>> {
+    shards: Vec<Mutex<RackShard<H>>>,
     mail: Arc<Mailboxes>,
-    flows: Vec<PairFlow>,
+    seats: Arc<[FlowSeat]>,
+    windows: Windows,
+    hosts: PhantomData<&'a ()>,
+}
+
+/// How the barrier bounds a window, and where it publishes the bound.
+struct Windows {
     lookahead: SimDuration,
     /// The week; windows end at its edges.
     sched: Schedule,
+    /// The instant a `link_failure` fault cuts its circuit day.
+    fail_at: Option<SimTime>,
+    /// The window's end in ns, read by every rack as it enters the
+    /// window; `run_windows`' go signal orders the store before the loads.
+    end: Arc<AtomicU64>,
+}
+
+impl Windows {
+    /// The barrier between two windows: decide whether to stop, and
+    /// bound the next window. Its start is the earliest pending event —
+    /// queued in a rack, handed off last window and still in a mailbox
+    /// (`out_min`), or a late flow's start (`next_start`) — which is the
+    /// time the destination's queue will report once it has collected.
+    /// Publishes the window's end and returns it.
+    fn next<H, R: DerefMut<Target = RackShard<H>>>(
+        &self,
+        racks: impl Iterator<Item = R>,
+        until: SimTime,
+        next_start: SimTime,
+    ) -> Option<SimTime> {
+        let mut all_done = true;
+        let mut w_start = next_start;
+        for mut g in racks {
+            all_done &= g.done_count == g.n_senders;
+            let queued = g.q.peek_time().unwrap_or(SimTime::MAX);
+            w_start = w_start.min(queued).min(g.out_min);
+        }
+        if all_done || w_start == SimTime::MAX || w_start > until {
+            return None;
+        }
+        // Windows never span a schedule edge or a circuit failure, so
+        // service trains can use the window's matching throughout.
+        let mut w_end = (w_start + self.lookahead)
+            .min(self.sched.phase_at(w_start).ends())
+            .min(until + SimDuration::from_nanos(1));
+        if let Some(fail) = self.fail_at.filter(|&f| w_start < f) {
+            w_end = w_end.min(fail);
+        }
+        self.end.store(w_end.as_nanos(), Ordering::Relaxed);
+        Some(w_end)
+    }
 }
 
 /// Results of a sharded multirack run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ShardResult {
     /// Per-flow sender stats, in global flow order.
     pub sender_stats: Vec<ConnStats>,
     /// Per-flow receiver stats.
     pub receiver_stats: Vec<ConnStats>,
-    /// Per-flow sender completion time (first barrier-visible event at
-    /// which the sender reported done), `None` if unfinished.
+    /// Per-flow sender completion time (the first event at which the
+    /// sender reported done), `None` if unfinished.
     pub completions: Vec<Option<SimTime>>,
     /// Whether each flow's sender aborted with a connection error.
     pub sender_errors: Vec<bool>,
@@ -549,12 +663,47 @@ impl ShardResult {
         self.write_digest(&mut d);
         d.finish()
     }
+
+    /// The N-rack fold of `racks` (in rack order) over `flows` flows.
+    fn fold(flows: usize, racks: Vec<RackResult>) -> ShardResult {
+        let mut res = ShardResult {
+            sender_stats: vec![ConnStats::default(); flows],
+            receiver_stats: vec![ConnStats::default(); flows],
+            completions: vec![None; flows],
+            sender_errors: vec![false; flows],
+            ..ShardResult::default()
+        };
+        for rack in &racks {
+            for h in &rack.hosts {
+                if h.sender {
+                    res.sender_stats[h.flow] = h.stats;
+                    res.completions[h.flow] = h.completion;
+                    res.sender_errors[h.flow] = h.error.is_some();
+                } else {
+                    res.receiver_stats[h.flow] = h.stats;
+                }
+            }
+            res.drops += rack.voqs.iter().map(|v| v.drops).sum::<u64>();
+            res.ce_marks += rack.voqs.iter().map(|v| v.ce_marks).sum::<u64>();
+            res.events += rack.events;
+            res.rack_events.push(rack.events);
+            res.faults_total += rack.faults.stats().total();
+            res.impairments_total += rack.impair.stats().total();
+            res.clock_total += rack.clock.stats().total();
+            res.fault_log_digests.push(rack.faults.log_digest());
+            res.impair_log_digests.push(rack.impair.log_digest());
+            res.clock_log_digests.push(rack.clock.log_digest());
+            res.duration = res.duration.max(rack.end.saturating_since(SimTime::ZERO));
+        }
+        res
+    }
 }
 
 impl<'a> ShardedEmulator<'a> {
     /// Create the sharded fabric with one (sender, receiver) pair per
-    /// flow. Transports must be `Send`: a shard runs on the worker
-    /// thread it is assigned to, not on the constructing thread.
+    /// flow, every flow starting at zero. Transports must be `Send`: a
+    /// shard runs on the worker thread it is assigned to, not on the
+    /// constructing thread.
     pub fn new(
         cfg: ShardConfig,
         flows: Vec<PairFlow>,
@@ -563,105 +712,242 @@ impl<'a> ShardedEmulator<'a> {
             &PairFlow,
         ) -> (Box<dyn Transport + Send + 'a>, Box<dyn Transport + Send + 'a>),
     ) -> Self {
-        let net = &cfg.net;
-        assert!(net.racks >= 2 && net.racks.is_multiple_of(2));
-        for f in &flows {
-            assert!(f.src != f.dst && f.src < net.racks && f.dst < net.racks);
+        let (net, racks) = cfg.into_net();
+        let starts = vec![SimTime::ZERO; flows.len()];
+        let mut emu = ShardedEmulator::build(net, racks, &flows, starts, None);
+        for (i, f) in flows.iter().enumerate() {
+            let (s, r) = factory(i, f);
+            emu.install(i, s, r);
         }
-        assert!(
-            cfg.faults.link_failure.is_none() && cfg.faults.freeze.is_none(),
-            "day-fate faults (link_failure/freeze) are not modeled by the sharded engine"
+        emu
+    }
+
+    /// Run the fabric until `until` with up to `workers` threads.
+    /// Output is bit-identical for every worker count.
+    pub fn run(mut self, until: SimTime, workers: usize) -> ShardResult {
+        self.start();
+        par::run_windows(
+            workers,
+            &self.shards,
+            |shards| {
+                if cfg!(debug_assertions) {
+                    self.assert_conserved();
+                }
+                let racks = shards.iter().map(|s| s.lock().expect("shard poisoned"));
+                self.windows.next(racks, until, SimTime::MAX).is_some()
+            },
+            |_, shard| shard.run_window(),
         );
-        let lookahead = net.packet.one_way.min(net.circuit.one_way);
+        let flows = self.seats.len();
+        ShardResult::fold(flows, self.finish(until))
+    }
+}
+
+impl<'a, H: DerefMut<Target: Transport>> ShardedEmulator<'a, H> {
+    /// The engine over `net` with `racks` racks and no hosts yet: flow
+    /// `i` runs `flows[i]` from `starts[i]`. With `sample_every` set the
+    /// racks sample their acked totals and trace their VOQs.
+    pub(crate) fn build(
+        net: NetConfig,
+        racks: usize,
+        flows: &[PairFlow],
+        starts: Vec<SimTime>,
+        sample_every: Option<SimDuration>,
+    ) -> Self {
+        assert!(racks >= 2 && racks.is_multiple_of(2));
+        for f in flows {
+            assert!(f.src != f.dst && f.src < racks && f.dst < racks);
+        }
+        let peer_of: Arc<[Vec<Option<usize>>]> = peer_rows(&net.schedule, racks).into();
+        assert!(
+            net.schedule.num_tdns() <= net.tdns.len(),
+            "the week names TDN {}, which has no parameters",
+            net.schedule.num_tdns() - 1
+        );
+        let lookahead = net.tdns.iter().map(|t| t.one_way).min().unwrap_or(SimDuration::ZERO);
         assert!(
             lookahead > SimDuration::ZERO,
             "conservative lookahead needs a positive minimum one-way latency"
         );
-        let peer_of: Arc<[Vec<Option<usize>>]> = peer_rows(&net.schedule, net.racks).into();
-        let mail = Arc::new(Mailboxes::new(net.racks));
+        let fail_at = net.faults.link_failure.map(|lf| {
+            net.schedule.day_start(lf.day) + net.schedule.day_len.mul_f64(lf.at_fraction.clamp(0.0, 1.0))
+        });
+        let mail = Arc::new(Mailboxes::new(racks));
+        let end = Arc::new(AtomicU64::new(0));
 
         // Seat every flow's endpoints: rack-local host ids in global
         // flow order.
-        let mut next_local = vec![0u32; net.racks];
-        let seats: Vec<FlowSeat> = flows
+        let mut tracks: Vec<Vec<Track>> = vec![Vec::new(); racks];
+        let mut seat_host = |rack: usize, flow: usize, sender: bool| {
+            let track = Track {
+                flow: flow as u32,
+                sender,
+                start: starts[flow],
+                closed: false,
+                completion: None,
+                acked: 0,
+                day: [0; 4],
+                dirty: false,
+            };
+            tracks[rack].push(track);
+            tracks[rack].len() as u32 - 1
+        };
+        let seats: Arc<[FlowSeat]> = flows
             .iter()
-            .map(|f| {
-                let s_local = next_local[f.src];
-                next_local[f.src] += 1;
-                let r_local = next_local[f.dst];
-                next_local[f.dst] += 1;
-                FlowSeat {
-                    src_rack: f.src as u32,
-                    dst_rack: f.dst as u32,
-                    s_local,
-                    r_local,
-                }
+            .enumerate()
+            .map(|(i, f)| FlowSeat {
+                src_rack: f.src as u32,
+                dst_rack: f.dst as u32,
+                s_local: seat_host(f.src, i, true),
+                r_local: seat_host(f.dst, i, false),
+                start: starts[i],
             })
             .collect();
 
-        let mut shards: Vec<RackShard<'a>> = (0..net.racks)
-            .map(|r| {
+        let strict = net.schedule.days.contains(&TdnId(0));
+        let net = Arc::new(net);
+        let shards = tracks
+            .into_iter()
+            .enumerate()
+            .map(|(r, track)| {
                 let rng = DetRng::new(net.seed).fork(RACK_STREAM_BASE + r as u64);
-                RackShard {
+                let n = track.len();
+                let n_senders = track.iter().filter(|t| t.sender).count();
+                let voq = || match sample_every {
+                    Some(_) => Voq::new("voq", net.voq),
+                    None => Voq::untraced(net.voq),
+                };
+                Mutex::new(RackShard {
                     r,
-                    racks: net.racks,
+                    racks,
                     q: DefaultQueue::new(),
-                    faults: FaultInjector::new(cfg.faults.clone(), rng.fork(FAULT_STREAM_LABEL)),
-                    impair: ImpairInjector::new(cfg.impair.clone(), rng.fork(IMPAIR_STREAM_LABEL)),
-                    clock: ClockInjector::new(cfg.clock.clone(), rng.fork(CLOCK_STREAM_LABEL)),
+                    faults: FaultInjector::new(net.faults.clone(), rng.fork(FAULT_STREAM_LABEL)),
+                    impair: ImpairInjector::new(net.impair.clone(), rng.fork(IMPAIR_STREAM_LABEL)),
+                    clock: ClockInjector::new(net.clock.clone(), rng.fork(CLOCK_STREAM_LABEL)),
                     rng,
                     notify_model: NotifyModel::new(net.notify),
-                    sched: net.schedule.clone(),
-                    guard_band: cfg.guard_band,
+                    net: Arc::clone(&net),
                     peer_of: Arc::clone(&peer_of),
-                    packet: net.packet,
-                    circuit: net.circuit,
-                    host_rate_bps: net.host_rate_bps,
+                    strict,
+                    day: 0,
+                    day_tdn: TdnId(0),
                     peer: None,
+                    eps_on: !strict,
                     pool: SegPool::new(),
-                    voqs: (0..net.racks).map(|_| Voq::untraced(net.voq)).collect(),
+                    voqs: (0..racks).map(|_| voq()).collect(),
                     eps_busy_until: SimTime::ZERO,
                     eps_pending: false,
                     eps_rr: 0,
                     circuit_busy_until: SimTime::ZERO,
                     circuit_pending: false,
                     nic_free: SimTime::ZERO,
-                    seats: seats.clone(),
-                    hosts: Vec::new(),
-                    hflow: Vec::new(),
-                    hsend: Vec::new(),
-                    tdeadline: Vec::new(),
-                    tarmed: Vec::new(),
-                    tgen: Vec::new(),
-                    hdone: Vec::new(),
-                    completion: Vec::new(),
-                    n_senders: 0,
+                    seats: Arc::clone(&seats),
+                    hosts: (0..n).map(|_| None).collect(),
+                    n_senders,
+                    track,
+                    tdeadline: vec![SimTime::MAX; n],
+                    tarmed: vec![SimTime::MAX; n],
+                    tgen: vec![0; n],
                     done_count: 0,
+                    acked_total: 0,
+                    dirty: Vec::new(),
+                    days: Vec::new(),
+                    // A rack without senders has nothing to sample.
+                    next_sample: match sample_every {
+                        Some(_) if n_senders > 0 => SimTime::ZERO,
+                        _ => SimTime::MAX,
+                    },
+                    sample_every: sample_every.unwrap_or(SimDuration::ZERO),
+                    seq: TimeSeries::new("seq"),
                     mail: Arc::clone(&mail),
-                    outbox: (0..net.racks).map(|_| Vec::new()).collect(),
+                    outbox: (0..racks).map(|_| Vec::new()).collect(),
                     parity: 1,
                     last_emit: None,
                     out_min: SimTime::MAX,
                     w_end: SimTime::ZERO,
+                    window_end: Arc::clone(&end),
                     extra_events: 0,
                     ledger: Ledger::default(),
-                }
+                })
             })
             .collect();
 
-        for (i, f) in flows.iter().enumerate() {
-            let (s, r) = factory(i, f);
-            shards[f.src].add_host(i as u32, true, s);
-            shards[f.dst].add_host(i as u32, false, r);
-        }
-
         ShardedEmulator {
-            shards: shards.into_iter().map(Mutex::new).collect(),
+            shards,
             mail,
-            flows,
-            lookahead,
-            sched: net.schedule.clone(),
+            seats,
+            windows: Windows {
+                lookahead,
+                sched: net.schedule.clone(),
+                fail_at,
+                end,
+            },
+            hosts: PhantomData,
         }
+    }
+
+    /// Hand flow `i`'s endpoints to the racks it spans.
+    pub(crate) fn install(&mut self, i: usize, sender: H, receiver: H) {
+        let seat = self.seats[i];
+        self.rack(seat.src_rack).hosts[seat.s_local as usize] = Some(sender);
+        self.rack(seat.dst_rack).hosts[seat.r_local as usize] = Some(receiver);
+    }
+
+    fn rack(&mut self, r: u32) -> &mut RackShard<H> {
+        self.shards[r as usize].get_mut().expect("shard poisoned")
+    }
+
+    /// Build late flow `i`'s endpoints with `factory`, at its start as
+    /// the sender's clock reads it, install them, and have both hosts send
+    /// at the start. Called at the barrier before the window holding the
+    /// start.
+    pub(crate) fn start_flow(&mut self, i: usize, factory: &mut dyn FnMut(usize, SimTime) -> (H, H)) {
+        let seat = self.seats[i];
+        let at = self.rack(seat.src_rack).clock.perceived(seat.s_local as usize, seat.start);
+        let (s, r) = factory(i, at);
+        self.install(i, s, r);
+        for (rack, host) in [(seat.src_rack, seat.s_local), (seat.dst_rack, seat.r_local)] {
+            self.rack(rack).q.schedule(seat.start, REv::Start { host });
+        }
+    }
+
+    /// Override every rack's sampling interval.
+    pub(crate) fn set_sample_interval(&mut self, every: SimDuration) {
+        assert!(every > SimDuration::ZERO, "a sampling interval must be positive");
+        for s in &mut self.shards {
+            s.get_mut().expect("shard poisoned").sample_every = every;
+        }
+    }
+
+    /// Seed every rack's day 0 and flush the hosts installed so far.
+    pub(crate) fn start(&mut self) {
+        for s in &mut self.shards {
+            s.get_mut().expect("shard poisoned").start();
+        }
+    }
+
+    /// Run one window on every rack, in rack order, on this thread.
+    pub(crate) fn run_window(&mut self) {
+        for s in &mut self.shards {
+            s.get_mut().expect("shard poisoned").run_window();
+        }
+    }
+
+    /// End the run: every rack's share, in rack order. Unless every flow
+    /// finished, the state is final up to `until`, and the samples run
+    /// to it.
+    pub(crate) fn finish(self, until: SimTime) -> Vec<RackResult> {
+        let mut racks: Vec<RackShard<H>> = self
+            .shards
+            .into_iter()
+            .map(|s| s.into_inner().expect("shard poisoned"))
+            .collect();
+        if !racks.iter().all(|g| g.done_count == g.n_senders) {
+            for g in &mut racks {
+                g.sample_until(until + SimDuration::from_nanos(1));
+            }
+        }
+        racks.into_iter().map(RackShard::finish).collect()
     }
 
     /// The barrier-time conservation law (debug builds): summed over
@@ -690,139 +976,30 @@ impl<'a> ShardedEmulator<'a> {
         assert_eq!(live, held, "segment pool law violated at a window barrier");
     }
 
-    /// The barrier between two windows: decide whether to stop, and
-    /// bound the next window. Its start is the earliest pending event —
-    /// queued in a shard, or handed off last window and still in a mailbox
-    /// (`out_min`) — which is the time the destination's queue will
-    /// report once it has collected.
-    fn next_window(&self, until: SimTime) -> bool {
+    /// The barrier between two windows on this thread; returns the
+    /// window's end.
+    pub(crate) fn next_window(&mut self, until: SimTime, next_start: SimTime) -> Option<SimTime> {
         if cfg!(debug_assertions) {
             self.assert_conserved();
         }
-        let mut all_done = true;
-        let mut w_start = SimTime::MAX;
-        for s in &self.shards {
-            let mut g = s.lock().expect("shard poisoned");
-            all_done &= g.done_count == g.n_senders;
-            let queued = g.q.peek_time().unwrap_or(SimTime::MAX);
-            w_start = w_start.min(queued).min(g.out_min);
-        }
-        if all_done || w_start == SimTime::MAX || w_start > until {
-            return false;
-        }
-        // Windows never span a schedule edge, so service trains can use
-        // the window's matching throughout.
-        let w_end = (w_start + self.lookahead)
-            .min(self.sched.phase_at(w_start).ends())
-            .min(until + SimDuration::from_nanos(1));
-        for s in &self.shards {
-            s.lock().expect("shard poisoned").w_end = w_end;
-        }
-        true
-    }
-
-    /// Run the fabric until `until` with up to `workers` threads.
-    /// Output is bit-identical for every worker count.
-    pub fn run(self, until: SimTime, workers: usize) -> ShardResult {
-        for s in &self.shards {
-            s.lock().expect("shard poisoned").start();
-        }
-        par::run_windows(
-            workers,
-            &self.shards,
-            |_| self.next_window(until),
-            |_, shard| shard.run_window(),
-        );
-
-        // Fold the result in fixed (flow, rack) order.
-        let nf = self.flows.len();
-        let mut sender_stats = vec![ConnStats::default(); nf];
-        let mut receiver_stats = vec![ConnStats::default(); nf];
-        let mut completions = vec![None; nf];
-        let mut sender_errors = vec![false; nf];
-        let mut drops = 0u64;
-        let mut ce_marks = 0u64;
-        let mut events = 0u64;
-        let mut rack_events = Vec::new();
-        let mut faults_total = 0u64;
-        let mut impairments_total = 0u64;
-        let mut clock_total = 0u64;
-        let mut fault_log_digests = Vec::new();
-        let mut impair_log_digests = Vec::new();
-        let mut clock_log_digests = Vec::new();
-        let mut duration = SimDuration::ZERO;
-        for s in &self.shards {
-            let g = s.lock().expect("shard poisoned");
-            for h in 0..g.hosts.len() {
-                let flow = g.hflow[h] as usize;
-                if g.hsend[h] {
-                    sender_stats[flow] = *g.hosts[h].stats();
-                    completions[flow] = g.completion[h];
-                    sender_errors[flow] = g.hosts[h].conn_error().is_some();
-                } else {
-                    receiver_stats[flow] = *g.hosts[h].stats();
-                }
-            }
-            drops += g.voqs.iter().map(|v| v.drops).sum::<u64>();
-            ce_marks += g.voqs.iter().map(|v| v.ce_marks).sum::<u64>();
-            let re = g.q.events_processed() + g.extra_events;
-            events += re;
-            rack_events.push(re);
-            faults_total += crate::statfold::InjectorStats::total(g.faults.stats());
-            impairments_total += crate::statfold::InjectorStats::total(g.impair.stats());
-            clock_total += g.clock.stats().total();
-            fault_log_digests.push(g.faults.log_digest());
-            impair_log_digests.push(g.impair.log_digest());
-            clock_log_digests.push(g.clock.log_digest());
-            duration = duration.max(g.q.now().saturating_since(SimTime::ZERO));
-        }
-        ShardResult {
-            sender_stats,
-            receiver_stats,
-            completions,
-            sender_errors,
-            drops,
-            ce_marks,
-            events,
-            rack_events,
-            faults_total,
-            impairments_total,
-            clock_total,
-            fault_log_digests,
-            impair_log_digests,
-            clock_log_digests,
-            duration,
-        }
+        let racks = self.shards.iter_mut().map(|s| s.get_mut().expect("shard poisoned"));
+        self.windows.next(racks, until, next_start)
     }
 }
 
-impl<'a> RackShard<'a> {
-    fn add_host(&mut self, flow: u32, sender: bool, t: Box<dyn Transport + Send + 'a>) {
-        self.hosts.push(t);
-        self.hflow.push(flow);
-        self.hsend.push(sender);
-        self.tdeadline.push(SimTime::MAX);
-        self.tarmed.push(SimTime::MAX);
-        self.tgen.push(0);
-        self.hdone.push(false);
-        self.completion.push(None);
-        if sender {
-            self.n_senders += 1;
-        }
-    }
-
-    /// Seed day 0, flush every resident host's initial sends, and count
-    /// already-done senders (zero-byte flows).
+impl<H: DerefMut<Target: Transport>> RackShard<H> {
+    /// Seed day 0, and flush and check every host already installed
+    /// (zero-byte flows are done at once).
     fn start(&mut self) {
         self.q.schedule(SimTime::ZERO, REv::DayStart { day: 0 });
         for h in 0..self.hosts.len() {
-            self.flush(SimTime::ZERO, h);
+            if self.hosts[h].is_some() {
+                self.flush(SimTime::ZERO, h);
+            }
         }
         for h in 0..self.hosts.len() {
-            if self.hsend[h] && self.hosts[h].is_done() {
-                self.hdone[h] = true;
-                self.completion[h] = Some(SimTime::ZERO);
-                self.done_count += 1;
+            if self.hosts[h].is_some() {
+                self.touch(SimTime::ZERO, h);
             }
         }
     }
@@ -865,22 +1042,27 @@ impl<'a> RackShard<'a> {
     /// Collect the mailboxes, process every local event strictly before
     /// `w_end`, hand off what that emitted.
     fn run_window(&mut self) {
+        self.w_end = SimTime::from_nanos(self.window_end.load(Ordering::Relaxed));
         self.begin_window();
         while let Some((now, ev)) = self.q.pop_before(self.w_end) {
+            self.sample_until(now);
             let touched = match &ev {
                 REv::Deliver { host, .. }
                 | REv::Notify { host, .. }
-                | REv::HostTimer { host, .. } => Some(*host as usize),
+                | REv::HostTimer { host, .. }
+                | REv::Start { host } => Some(*host as usize),
                 _ => None,
             };
             match ev {
                 REv::Deliver { host, head } => {
                     let h = host as usize;
+                    let pnow = self.clock.perceived(h, now);
+                    let t = self.hosts[h].as_deref_mut().expect("segments reach started hosts");
                     // The transport reads each segment where it lies.
                     let (mut id, mut n) = (head, 0u64);
                     while id != NIL {
                         let next = self.pool.next(id);
-                        self.hosts[h].on_segment(now, self.pool.get(id));
+                        t.on_segment(pnow, self.pool.get(id));
                         self.pool.release(id);
                         id = next;
                         n += 1;
@@ -914,29 +1096,146 @@ impl<'a> RackShard<'a> {
                 REv::NightStart { day } => self.on_night_start(now, day),
                 REv::Notify { host, tdn, gen } => {
                     let h = host as usize;
-                    self.hosts[h].on_tdn_notification(now, tdn, gen);
+                    // A skewed host reads the notification against its
+                    // own clock: exactly what desynchronizes its
+                    // slot-phase estimate.
+                    let pnow = self.clock.perceived(h, now);
+                    self.hosts[h]
+                        .as_deref_mut()
+                        .expect("notifications reach started hosts")
+                        .on_tdn_notification(pnow, tdn, gen);
                     self.flush(now, h);
                 }
                 REv::HostTimer { host, tgen } => self.host_timer(now, host as usize, tgen),
+                REv::Start { host } => self.flush(now, host as usize),
+                REv::LinkFail { day } => {
+                    // The light path drops mid-day and stays dark until
+                    // the next day; segments in flight complete.
+                    if self.day == day && self.peer.take().is_some() {
+                        self.kick_eps_if_work(now);
+                    }
+                }
+                REv::Prepare { day } => self.on_prepare(now, day),
             }
             if let Some(h) = touched {
-                if self.hsend[h] && !self.hdone[h] && self.hosts[h].is_done() {
-                    self.hdone[h] = true;
-                    self.completion[h] = Some(now);
-                    self.done_count += 1;
-                }
+                self.touch(now, h);
             }
         }
+        self.sample_until(self.w_end);
         self.end_window();
     }
 
+    /// The post-event step for a host the event called into: fold a
+    /// sender's `bytes_acked` progress into `acked_total`, put the host
+    /// on the dirty list for the day record, refresh its closed flag, and
+    /// record a sender's completion the first time it reports done.
+    fn touch(&mut self, now: SimTime, h: usize) {
+        let observing = self.observing();
+        let host = self.hosts[h].as_deref().expect("only started hosts are touched");
+        let t = &mut self.track[h];
+        t.closed = host.is_done();
+        if t.sender && t.closed && t.completion.is_none() {
+            t.completion = Some(now);
+            self.done_count += 1;
+        }
+        if observing {
+            if t.sender {
+                let acked = host.stats().bytes_acked;
+                self.acked_total = self.acked_total + acked - t.acked;
+                t.acked = acked;
+            }
+            if !t.dirty {
+                t.dirty = true;
+                self.dirty.push(h as u32);
+            }
+        }
+    }
+
+    /// Whether the run samples and keeps day records (the two-rack
+    /// door); the N-rack door keeps counters only.
+    fn observing(&self) -> bool {
+        self.sample_every > SimDuration::ZERO
+    }
+
+    /// Record `acked_total` at every sample time before `t`; every event
+    /// at or before a sample time has run.
+    fn sample_until(&mut self, t: SimTime) {
+        while self.next_sample < t {
+            debug_assert_eq!(
+                self.acked_total,
+                (0..self.hosts.len())
+                    .filter(|&h| self.track[h].sender)
+                    .filter_map(|h| self.hosts[h].as_deref())
+                    .map(|host| host.stats().bytes_acked)
+                    .sum::<u64>(),
+                "running acked total diverged from the full sum"
+            );
+            self.seq.push(self.next_sample, self.acked_total as f64);
+            self.next_sample += self.sample_every;
+        }
+    }
+
+    /// The counters a host contributes to a [`DayRecord`]: reordering
+    /// and retransmissions from senders, spurious retransmissions from
+    /// receivers (all zero before the host exists).
+    fn day_counters(&self, h: usize) -> [u64; 4] {
+        let Some(host) = self.hosts[h].as_deref() else {
+            return [0; 4];
+        };
+        let s = host.stats();
+        if self.track[h].sender {
+            [s.reorder_events, s.reorder_marked_pkts, s.retransmits, 0]
+        } else {
+            [0, 0, 0, s.spurious_retransmits]
+        }
+    }
+
+    /// Close the books on `day` (which served `self.day_tdn`): only a
+    /// host touched since the last record can have moved a counter;
+    /// debug builds check that against a scan of every host.
+    fn record_day(&mut self, day: u64) {
+        let delta = |shard: &Self, h: usize| -> [u64; 4] {
+            let (cur, prev) = (shard.day_counters(h), shard.track[h].day);
+            std::array::from_fn(|k| cur[k] - prev[k])
+        };
+        let full_scan = cfg!(debug_assertions).then(|| {
+            (0..self.hosts.len()).fold([0u64; 4], |sum, h| {
+                let d = delta(self, h);
+                std::array::from_fn(|k| sum[k] + d[k])
+            })
+        });
+        let mut sum = [0u64; 4];
+        for i in 0..self.dirty.len() {
+            let h = self.dirty[i] as usize;
+            let d = delta(self, h);
+            sum = std::array::from_fn(|k| sum[k] + d[k]);
+            self.track[h].day = self.day_counters(h);
+            self.track[h].dirty = false;
+        }
+        self.dirty.clear();
+        debug_assert_eq!(Some(sum), full_scan, "dirty list missed a touched host");
+        let [reorder_events, reorder_marked_pkts, retransmits, spurious_retransmits] = sum;
+        self.days.push(DayRecord {
+            day,
+            tdn: self.day_tdn,
+            reorder_events,
+            reorder_marked_pkts,
+            retransmits,
+            spurious_retransmits,
+        });
+    }
+
     /// Drain a host's sends through the rack NIC, then maintain its lazy
-    /// timer. No cancel is ever issued: pulling a timer *earlier* bumps
-    /// the generation and schedules anew; pushing it *later* is just the
-    /// `tdeadline` write, and the already-armed event rearms itself when
-    /// it fires stale.
+    /// timer. The host paces and arms timers against its perceived
+    /// clock; the deadline it reports is converted to true time (skew is
+    /// locally constant over one re-arm). No cancel is ever issued:
+    /// pulling a timer *earlier* bumps the generation and schedules
+    /// anew; pushing it *later* is just the `tdeadline` write, and the
+    /// already-armed event rearms itself when it fires stale.
     fn flush(&mut self, now: SimTime, h: usize) {
-        while let Some(seg) = self.hosts[h].poll_send(now) {
+        let pnow = self.clock.perceived(h, now);
+        let host = self.hosts[h].as_deref_mut().expect("only started hosts are flushed");
+        while let Some(seg) = host.poll_send(pnow) {
             let seat = self.seats[seg.flow.0 as usize];
             let dst = match seg.dir {
                 Direction::DataPath => seat.dst_rack,
@@ -944,7 +1243,7 @@ impl<'a> RackShard<'a> {
             };
             let start = self.nic_free.max(now);
             let done = start
-                + SimDuration::serialization(u64::from(seg.wire_size()), self.host_rate_bps);
+                + SimDuration::serialization(u64::from(seg.wire_size()), self.net.host_rate_bps);
             self.nic_free = done;
             if cfg!(debug_assertions) {
                 self.ledger.polled += 1;
@@ -953,7 +1252,9 @@ impl<'a> RackShard<'a> {
             let seg = self.pool.insert(seg);
             self.q.schedule(done, REv::Enqueue { dst, seg });
         }
-        let want = self.hosts[h].next_timer().map_or(SimTime::MAX, |t| t.max(now));
+        let want = host
+            .next_timer()
+            .map_or(SimTime::MAX, |pt| (now + pt.saturating_since(pnow)).max(now));
         self.tdeadline[h] = want;
         if want < self.tarmed[h] {
             self.tgen[h] = self.tgen[h].wrapping_add(1);
@@ -978,7 +1279,8 @@ impl<'a> RackShard<'a> {
             return; // disarmed since
         }
         if deadline <= now {
-            self.hosts[h].on_timer(now);
+            let pnow = self.clock.perceived(h, now);
+            self.hosts[h].as_deref_mut().expect("armed hosts exist").on_timer(pnow);
             self.flush(now, h);
         } else {
             // Fired early (the deadline moved later, lazily): rearm at
@@ -998,12 +1300,8 @@ impl<'a> RackShard<'a> {
     /// New data for `dst`: wake whichever service path owns it.
     fn kick(&mut self, now: SimTime, dst: usize) {
         if self.peer == Some(dst) {
-            if !self.circuit_pending {
-                let at = self.circuit_busy_until.max(now);
-                self.q.schedule(at, REv::CircuitService);
-                self.circuit_pending = true;
-            }
-        } else if !self.eps_pending {
+            self.kick_circuit(now);
+        } else if self.eps_on && !self.eps_pending {
             let at = self.eps_busy_until.max(now);
             self.q.schedule(at, REv::PacketService);
             self.eps_pending = true;
@@ -1016,17 +1314,26 @@ impl<'a> RackShard<'a> {
     /// train extent is too.
     fn circuit_service(&mut self, now: SimTime) {
         let Some(dst) = self.peer else { return };
+        let tdn = Some(self.day_tdn);
         let mut at = now;
         let mut first = true;
         loop {
             if at >= self.w_end {
-                if self.voqs[dst].has_eligible(Some(TdnId(1))) {
+                if self.voqs[dst].has_eligible(tdn) {
                     self.q.schedule(at, REv::CircuitService);
                     self.circuit_pending = true;
                 }
                 return;
             }
-            let Some(item) = self.voqs[dst].dequeue_eligible(at, Some(TdnId(1))) else {
+            if !first && self.stops_for_next_event(at) {
+                self.q.schedule(at, REv::CircuitService);
+                self.circuit_pending = true;
+                return;
+            }
+            // A segment leaves its VOQ at its launch in a segment-exact
+            // train, else when the train starts.
+            let left = if self.strict { at } else { now };
+            let Some(item) = self.voqs[dst].dequeue_eligible(left, tdn) else {
                 return;
             };
             if !first {
@@ -1039,24 +1346,27 @@ impl<'a> RackShard<'a> {
         }
     }
 
-    /// Serve the shared EPS uplink as a train: round-robin over the
-    /// rack's non-circuit destinations until nothing is eligible or the
-    /// window ends.
+    /// Serve the EPS uplink as a train: round-robin over the rack's
+    /// non-circuit destinations until nothing is eligible or the window
+    /// ends.
     fn packet_service(&mut self, now: SimTime) {
+        if !self.eps_on {
+            return;
+        }
         let n = self.racks;
         let mut at = now;
         let mut first = true;
         loop {
             if at >= self.w_end {
-                let more = (0..n).any(|d| {
-                    d != self.r
-                        && self.peer != Some(d)
-                        && self.voqs[d].has_eligible(Some(TdnId(0)))
-                });
-                if more {
+                if self.eps_has_work() {
                     self.q.schedule(at, REv::PacketService);
                     self.eps_pending = true;
                 }
+                return;
+            }
+            if !first && self.stops_for_next_event(at) {
+                self.q.schedule(at, REv::PacketService);
+                self.eps_pending = true;
                 return;
             }
             let start = self.eps_rr;
@@ -1073,8 +1383,9 @@ impl<'a> RackShard<'a> {
             }
             let Some(dst) = chosen else { return };
             self.eps_rr = (dst + 1) % n;
+            let left = if self.strict { at } else { now };
             let item = self.voqs[dst]
-                .dequeue_eligible(at, Some(TdnId(0)))
+                .dequeue_eligible(left, Some(TdnId(0)))
                 .expect("has_eligible checked");
             if !first {
                 self.extra_events += 1;
@@ -1086,9 +1397,23 @@ impl<'a> RackShard<'a> {
         }
     }
 
-    /// Whether a circuit connects racks `a` and `b` on `day`.
-    fn connected_on_day(&self, day: u64, a: usize, b: usize) -> bool {
-        self.peer_of[(day % self.peer_of.len() as u64) as usize][a] == Some(b)
+    /// A segment-exact train (strict time division) stops before the
+    /// rack's next event, so every segment holds its VOQ slot until it
+    /// launches, exactly as one event per segment would.
+    fn stops_for_next_event(&mut self, at: SimTime) -> bool {
+        self.strict && self.q.peek_time().is_some_and(|next| next < at)
+    }
+
+    /// Whether any destination has eligible packet traffic.
+    fn eps_has_work(&self) -> bool {
+        (0..self.racks).any(|d| {
+            d != self.r && self.peer != Some(d) && self.voqs[d].has_eligible(Some(TdnId(0)))
+        })
+    }
+
+    /// The week's row for day `day`.
+    fn row(&self, day: u64) -> &[Option<usize>] {
+        &self.peer_of[(day % self.peer_of.len() as u64) as usize]
     }
 
     /// Launch the dequeued segment from this rack's ToR toward `dst` at
@@ -1103,8 +1428,8 @@ impl<'a> RackShard<'a> {
         let seg = self.pool.get_mut(id);
         seg.ecn = item.ecn; // the VOQ's CE mark lands in the slot
         let (wire_size, has_payload) = (u64::from(seg.wire_size()), seg.has_payload());
-        let mut p = if circuit { self.circuit } else { self.packet };
-        let true_ser = SimDuration::serialization(wire_size, p.rate_bps);
+        let mut tdn = if circuit { self.day_tdn } else { TdnId(0) };
+        let true_ser = SimDuration::serialization(wire_size, self.net.tdn(tdn).rate_bps);
         // Time plane: the launching host is always resident (data
         // launches at the flow's source rack, acks at its destination).
         if !self.clock.is_inert() {
@@ -1113,16 +1438,15 @@ impl<'a> RackShard<'a> {
                 Direction::DataPath => seat.s_local,
                 Direction::AckPath => seat.r_local,
             } as usize;
-            match self.clock.on_send(host, at, &self.sched, self.guard_band) {
+            match self.clock.on_send(host, at, &self.net.schedule, self.net.guard_band) {
                 ClockVerdict::Send => {}
                 ClockVerdict::GuardDrop => {
                     self.drop_seg(id);
                     return true_ser; // slot burned, segment gone
                 }
                 ClockVerdict::Defer => {
-                    // Re-enqueue at what the host believes is the next
-                    // slot start.
-                    let next = self.sched.day_start(self.sched.day_number(at) + 1);
+                    // Held at the ToR until the next slot opens.
+                    let next = self.net.schedule.day_start(self.net.schedule.day_number(at) + 1);
                     if cfg!(debug_assertions) {
                         self.ledger.on_nic += 1;
                     }
@@ -1131,14 +1455,18 @@ impl<'a> RackShard<'a> {
                 }
                 ClockVerdict::WrongTdn { perceived_day } => {
                     // The host launches under the network it thinks is
-                    // active: stale parameters for this transmission.
-                    p = if self.connected_on_day(perceived_day, self.r, dst) {
-                        self.circuit
+                    // active: stale parameters and marking.
+                    tdn = if self.row(perceived_day)[self.r] == Some(dst) {
+                        self.net.schedule.day_tdn(perceived_day)
                     } else {
-                        self.packet
+                        TdnId(0)
                     };
                 }
             }
+        }
+        let p = *self.net.tdn(tdn);
+        if self.net.circuit_marking && tdn == self.net.circuit_tdn {
+            self.pool.get_mut(id).circuit_mark = true;
         }
         let ser = SimDuration::serialization(wire_size, p.rate_bps);
         let jitter = match p.jitter {
@@ -1148,12 +1476,13 @@ impl<'a> RackShard<'a> {
             _ => SimDuration::ZERO,
         };
         // EPS transit faults (burst windows) apply on the packet
-        // network only.
+        // network only. A corrupted data segment flows on, to be caught
+        // by the receiver's payload checksum; a corrupted pure ACK is a
+        // loss.
         if !circuit {
             match self.faults.on_transit(at) {
                 EpsVerdict::Pass => {}
                 EpsVerdict::Corrupt if has_payload => self.mangle(id),
-                // A corrupted pure ACK is a loss.
                 EpsVerdict::Drop | EpsVerdict::Corrupt => {
                     self.drop_seg(id);
                     return ser;
@@ -1182,10 +1511,13 @@ impl<'a> RackShard<'a> {
         ser
     }
 
-    /// Damage the payload checksum of the segment in slot `id`.
+    /// Damage the payload checksum of the segment in slot `id`. The
+    /// fixed mask keeps corruption deterministic; a zero result would
+    /// read as "unstamped", so it becomes 1.
     fn mangle(&mut self, id: u32) {
         let seg = self.pool.get_mut(id);
-        seg.payload_csum = crate::emulator::mangle_csum(seg.payload_csum);
+        let m = seg.payload_csum ^ 0x5A5A_5A5A;
+        seg.payload_csum = if m == 0 { 1 } else { m };
     }
 
     /// The segment in slot `id` left the fabric at launch, for one of
@@ -1224,64 +1556,175 @@ impl<'a> RackShard<'a> {
     }
 
     fn on_day_start(&mut self, now: SimTime, day: u64) {
-        self.peer = self.peer_of[(day % self.peer_of.len() as u64) as usize][self.r];
-        // Notify resident hosts, sampling latencies (and fault
-        // verdicts) in fixed host order.
-        for h in 0..self.hosts.len() {
-            let flow = self.hflow[h] as usize;
-            let seat = self.seats[flow];
-            let connected =
-                self.connected_on_day(day, seat.src_rack as usize, seat.dst_rack as usize);
-            let tdn = if connected { TdnId(1) } else { TdnId(0) };
-            let lat = self.notify_model.sample(&mut self.rng, flow).total();
-            let side = u8::from(!self.hsend[h]);
-            match self.faults.on_notify(day, flow, side) {
-                NotifyVerdict::Drop => {}
-                NotifyVerdict::Deliver { extra, duplicate } => {
-                    let base = now + lat + extra;
-                    let host = h as u32;
-                    self.q.schedule(base, REv::Notify { host, tdn, gen: day });
-                    if let Some(lag) = duplicate {
-                        self.q
-                            .schedule(base + lag, REv::Notify { host, tdn, gen: day });
+        if day > 0 && self.observing() {
+            self.record_day(day - 1);
+        }
+        // A stuck rotor replays the frozen day's row and TDN; a failed
+        // circuit day may truncate or vanish. Both ends of every circuit
+        // derive the same fate from the plan; rack 0 counts it.
+        let sched_day = self.faults.schedule_day(day);
+        let tdn = self.net.schedule.day_tdn(sched_day);
+        let fate = self.faults.day_fate(day, tdn, self.net.circuit_tdn);
+        if self.r == 0 {
+            self.faults.record_day(day, sched_day, fate);
+        }
+        self.day = day;
+        self.day_tdn = tdn;
+        self.peer = match fate {
+            DayFate::Absent => None,
+            _ => self.row(sched_day)[self.r],
+        };
+        self.eps_on = !self.strict || tdn == TdnId(0);
+        if let DayFate::Truncated(frac) = fate {
+            let at = now + self.net.schedule.day_len.mul_f64(frac);
+            self.q.schedule(at, REv::LinkFail { day });
+        }
+
+        // Notify resident hosts of the TDN their pair rides today (none
+        // on an absent day: the outage is unannounced). The gen is the
+        // day number, monotone at the ToR. Latency and the fault verdict
+        // are drawn for every host slot, in slot order, live or not, so
+        // the main and fault streams do not depend on who is live; a
+        // delivery is only scheduled to a host that is live when it
+        // lands — its flow has started by then, and it had not closed by
+        // this day start. The original and a duplicate are judged each
+        // at its own delivery time.
+        if self.net.notifications && fate != DayFate::Absent {
+            for h in 0..self.track.len() {
+                let t = self.track[h];
+                let seat = self.seats[t.flow as usize];
+                let connected =
+                    self.row(sched_day)[seat.src_rack as usize] == Some(seat.dst_rack as usize);
+                let pair_tdn = if connected { tdn } else { TdnId(0) };
+                let lat = self.notify_model.sample(&mut self.rng, t.flow as usize).total();
+                let side = u8::from(!t.sender);
+                match self.faults.on_notify(day, t.flow as usize, side) {
+                    NotifyVerdict::Drop => {}
+                    NotifyVerdict::Deliver { extra, duplicate } => {
+                        let base = now + lat + extra;
+                        let host = h as u32;
+                        for at in [Some(base), duplicate.map(|lag| base + lag)].into_iter().flatten() {
+                            if !t.closed && t.start <= at {
+                                self.q.schedule(at, REv::Notify { host, tdn: pair_tdn, gen: day });
+                            }
+                        }
                     }
                 }
             }
         }
-        // Kick services for the new matching.
-        if let Some(dst) = self.peer {
-            if self.voqs[dst].has_eligible(Some(TdnId(1))) && !self.circuit_pending {
-                let at = self.circuit_busy_until.max(now);
-                self.q.schedule(at, REv::CircuitService);
-                self.circuit_pending = true;
+
+        // retcpdyn: the prepare lead of the *next* day, if it is a
+        // circuit day.
+        if let Some(dyncfg) = self.net.retcpdyn {
+            let next = day + 1;
+            if self.net.schedule.day_tdn(next) == self.net.circuit_tdn {
+                let at = self.net.schedule.day_start(next) - dyncfg.prepare_lead;
+                if at >= now {
+                    self.q.schedule(at, REv::Prepare { day: next });
+                }
             }
         }
+
+        // Kick services for the new matching.
+        if self.peer.is_some_and(|dst| self.voqs[dst].has_eligible(Some(tdn))) {
+            self.kick_circuit(now);
+        }
         self.kick_eps_if_work(now);
-        self.q.schedule(now + self.sched.day_len, REv::NightStart { day });
+        self.q
+            .schedule(now + self.net.schedule.day_len, REv::NightStart { day });
     }
 
     fn on_night_start(&mut self, now: SimTime, day: u64) {
         self.peer = None;
+        self.eps_on = !self.strict;
+        // A circuit day just ended: restore the VOQ caps (retcpdyn). The
+        // *effective* TDN (a frozen day replays another) decides.
+        if self.net.retcpdyn.is_some() && self.day_tdn == self.net.circuit_tdn {
+            for v in &mut self.voqs {
+                v.reset_cap();
+            }
+        }
         self.q
-            .schedule(now + self.sched.night_len, REv::DayStart { day: day + 1 });
+            .schedule(now + self.net.schedule.night_len, REv::DayStart { day: day + 1 });
         // Traffic that was circuit-bound now needs the EPS.
         self.kick_eps_if_work(now);
     }
 
-    /// Schedule an EPS service pass if any destination has eligible
-    /// packet traffic (checking first saves an empty pop per rack per
-    /// schedule edge).
+    /// retcpdyn, one prepare lead before circuit day `day`: enlarge the
+    /// VOQ toward that day's peer and tell the started senders whose
+    /// flows it carries to ramp.
+    fn on_prepare(&mut self, now: SimTime, day: u64) {
+        let cap = self.net.retcpdyn.expect("prepare only with retcpdyn").enlarged_cap;
+        let Some(peer) = self.row(day)[self.r] else { return };
+        self.voqs[peer].set_cap(cap);
+        for h in 0..self.track.len() {
+            let t = self.track[h];
+            if t.sender && t.start <= now && self.seats[t.flow as usize].dst_rack as usize == peer {
+                let pnow = self.clock.perceived(h, now);
+                self.hosts[h]
+                    .as_deref_mut()
+                    .expect("started hosts exist")
+                    .on_circuit_prepare(pnow);
+                self.flush(now, h);
+                self.touch(now, h);
+            }
+        }
+    }
+
+    /// Schedule a circuit service pass unless one is pending.
+    fn kick_circuit(&mut self, now: SimTime) {
+        if !self.circuit_pending {
+            let at = self.circuit_busy_until.max(now);
+            self.q.schedule(at, REv::CircuitService);
+            self.circuit_pending = true;
+        }
+    }
+
+    /// Schedule an EPS service pass if the EPS serves and any
+    /// destination has eligible packet traffic (checking first saves an
+    /// empty pop per rack per schedule edge).
     fn kick_eps_if_work(&mut self, now: SimTime) {
-        if self.eps_pending {
+        if self.eps_pending || !self.eps_on {
             return;
         }
-        let any = (0..self.racks).any(|d| {
-            d != self.r && self.peer != Some(d) && self.voqs[d].has_eligible(Some(TdnId(0)))
-        });
-        if any {
+        if self.eps_has_work() {
             let at = self.eps_busy_until.max(now);
             self.q.schedule(at, REv::PacketService);
             self.eps_pending = true;
+        }
+    }
+
+    /// The rack's share of the run.
+    fn finish(self) -> RackResult {
+        let hosts = self
+            .hosts
+            .iter()
+            .zip(&self.track)
+            .map(|(host, t)| {
+                let host = host.as_deref();
+                HostEnd {
+                    flow: t.flow as usize,
+                    sender: t.sender,
+                    stats: host.map(|h| *h.stats()).unwrap_or_default(),
+                    completion: t.completion,
+                    error: host.and_then(|h| h.conn_error()),
+                    cwnds: match host {
+                        Some(h) if t.sender => h.cwnd_report(),
+                        _ => Vec::new(),
+                    },
+                }
+            })
+            .collect();
+        RackResult {
+            hosts,
+            events: self.q.events_processed() + self.extra_events,
+            end: self.q.now(),
+            voqs: self.voqs,
+            faults: self.faults,
+            impair: self.impair,
+            clock: self.clock,
+            seq: self.seq,
+            days: self.days,
         }
     }
 }
@@ -1289,31 +1732,32 @@ impl<'a> RackShard<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcp::cc::{CcConfig, Cubic};
+    use crate::config::RetcpDynConfig;
+    use crate::faults::{LinkFailure, ScheduleFreeze};
+    use crate::clock::SlotEdgePolicy;
+    use tcp::cc::{CcConfig, Cubic, ReTcp, ReTcpConfig};
     use tcp::{Config, Connection, FlowId};
 
-    fn cubic_pair(
-        i: usize,
-        bytes: u64,
-    ) -> (Box<dyn Transport + Send>, Box<dyn Transport + Send>) {
+    type Pair = (Box<dyn Transport + Send>, Box<dyn Transport + Send>);
+
+    fn pair(i: usize, bytes: u64, cc: impl Fn() -> Box<dyn tcp::CongestionControl>) -> Pair {
         let cfg = Config {
             bytes_to_send: bytes,
             ..Config::default()
         };
-        let cc = CcConfig::default();
+        let flow = FlowId(i as u32);
         (
-            Box::new(Connection::connect(
-                FlowId(i as u32),
-                cfg.clone(),
-                Box::new(Cubic::new(cc)),
-                SimTime::ZERO,
-            )),
-            Box::new(Connection::listen(
-                FlowId(i as u32),
-                cfg,
-                Box::new(Cubic::new(cc)),
-            )),
+            Box::new(Connection::connect(flow, cfg.clone(), cc(), SimTime::ZERO)),
+            Box::new(Connection::listen(flow, cfg, cc())),
         )
+    }
+
+    fn cubic_pair(i: usize, bytes: u64) -> Pair {
+        pair(i, bytes, || Box::new(Cubic::new(CcConfig::default())))
+    }
+
+    fn retcp_pair(i: usize, bytes: u64) -> Pair {
+        pair(i, bytes, || Box::new(ReTcp::new(ReTcpConfig::default())))
     }
 
     fn small_cfg() -> ShardConfig {
@@ -1353,6 +1797,12 @@ mod tests {
             let mut cfg = small_cfg();
             cfg.faults.notify_loss = 0.05;
             cfg.faults.notify_duplicate = 0.05;
+            cfg.faults.link_failure = Some(LinkFailure {
+                day: 3,
+                at_fraction: 0.5,
+                outage_days: 4,
+            });
+            cfg.faults.freeze = Some(ScheduleFreeze { from_day: 9, days: 3 });
             cfg.impair.loss_rate = 0.005;
             cfg.impair.reorder_rate = 0.02;
             cfg.impair.reorder_delay = SimDuration::from_micros(120);
@@ -1369,21 +1819,65 @@ mod tests {
         assert_eq!(d1, d4, "chaos run diverged across worker counts");
     }
 
+    /// The two-rack week with every feature only the two-rack engine
+    /// once had — day-fate faults, reTCP's circuit marks and prepare
+    /// signal, skewed clocks deferring mis-timed launches, wire
+    /// impairments — on threads: the digest does not depend on them.
     #[test]
-    #[should_panic(expected = "day-fate faults")]
-    fn day_fate_faults_are_rejected() {
-        let mut cfg = small_cfg();
-        cfg.faults.link_failure = Some(crate::faults::LinkFailure {
-            day: 1,
-            at_fraction: 0.5,
-            outage_days: 1,
-        });
-        let _ = ShardedEmulator::new(cfg, ring_flows(4), |i, _| cubic_pair(i, 1_000));
+    fn two_rack_week_with_every_feature_is_worker_invariant() {
+        let run = |workers: usize| {
+            let mut net = NetConfig::paper_baseline();
+            net.circuit_marking = true;
+            net.retcpdyn = Some(RetcpDynConfig::default());
+            net.faults.link_failure = Some(LinkFailure {
+                day: 13,
+                at_fraction: 0.5,
+                outage_days: 8,
+            });
+            net.faults.freeze = Some(ScheduleFreeze { from_day: 25, days: 4 });
+            net.clock = ClockPlan {
+                offset_bound: SimDuration::from_micros(120),
+                drift_ppm: 50.0,
+                slot_edge_policy: SlotEdgePolicy::Defer,
+                ..ClockPlan::none()
+            };
+            net.guard_band = SimDuration::from_micros(5);
+            net.impair = ImpairPlan {
+                loss_rate: 0.002,
+                reorder_rate: 0.01,
+                duplicate_rate: 0.002,
+                corrupt_rate: 0.002,
+                ..ImpairPlan::none()
+            };
+            let flows = vec![PairFlow { src: 0, dst: 1 }; 4];
+            let mut emu = ShardedEmulator::build(net, 2, &flows, vec![SimTime::ZERO; 4], None);
+            for i in 0..4 {
+                let (s, r) = if i % 2 == 0 {
+                    cubic_pair(i, u64::MAX)
+                } else {
+                    retcp_pair(i, u64::MAX)
+                };
+                emu.install(i, s, r);
+            }
+            emu.run(SimTime::from_millis(8), workers)
+        };
+        let base = run(1);
+        assert!(base.total_acked() > 0);
+        assert!(base.faults_total >= 4, "the day-fate faults never fired");
+        assert!(base.impairments_total > 0, "the wire never fired");
+        assert!(base.clock_total > 0, "no launch met the slot edge");
+        for workers in [2, 4] {
+            assert_eq!(
+                run(workers).stats_digest(),
+                base.stats_digest(),
+                "digest moved at workers={workers}"
+            );
+        }
     }
 
     #[test]
-    #[should_panic(expected = "names TDN 2")]
-    fn third_network_is_rejected() {
+    #[should_panic(expected = "names TDN 2, which has no parameters")]
+    fn a_week_naming_a_tdn_without_parameters_is_rejected() {
         let mut cfg = small_cfg();
         cfg.net.schedule.days = vec![TdnId(0), TdnId(2), TdnId(1)];
         let _ = ShardedEmulator::new(cfg, ring_flows(4), |i, _| cubic_pair(i, 1_000));
@@ -1456,6 +1950,7 @@ mod tests {
         // second release of a re-queued id amounts to): the event then
         // reads a vacant slot, and the pool says so at that site.
         let emu = ShardedEmulator::new(small_cfg(), ring_flows(4), |i, _| cubic_pair(i, u64::MAX));
+        emu.windows.end.store(SimTime::from_micros(1).as_nanos(), Ordering::Relaxed);
         {
             let mut shard = emu.shards[0].lock().unwrap();
             shard.start();
@@ -1466,22 +1961,20 @@ mod tests {
             };
             shard.pool.release(seg);
             shard.q.schedule(at, REv::Enqueue { dst, seg });
-            shard.w_end = SimTime::from_micros(1);
             shard.run_window();
         }
     }
 
     /// Start `emu` and step it window by window, inline, until some
     /// shard has handed mail off; returns the parity it went to.
-    fn run_until_mail(emu: &ShardedEmulator<'_>) -> usize {
-        for s in &emu.shards {
-            s.lock().unwrap().start();
-        }
+    fn run_until_mail(emu: &mut ShardedEmulator<'_>) -> usize {
+        emu.start();
         while emu.mail.in_flight() == 0 {
-            assert!(emu.next_window(SimTime::from_millis(1)), "ran out before any cross-rack segment");
-            for s in &emu.shards {
-                s.lock().unwrap().run_window();
-            }
+            assert!(
+                emu.next_window(SimTime::from_millis(1), SimTime::MAX).is_some(),
+                "ran out before any cross-rack segment"
+            );
+            emu.run_window();
         }
         emu.shards[0].lock().unwrap().parity
     }
@@ -1492,14 +1985,14 @@ mod tests {
     fn lost_mail_trips_the_conservation_law() {
         // A collect that drops one batch on the floor: the segment is
         // out of the mailbox and in no queue, and the next barrier says so.
-        let emu = ShardedEmulator::new(small_cfg(), ring_flows(4), |i, _| cubic_pair(i, u64::MAX));
-        let parity = run_until_mail(&emu);
+        let mut emu = ShardedEmulator::new(small_cfg(), ring_flows(4), |i, _| cubic_pair(i, u64::MAX));
+        let parity = run_until_mail(&mut emu);
         let mut lost = 0;
         for dst in 0..4 {
             emu.mail.collect(parity, dst, |run| lost += run.len());
         }
         assert!(lost > 0);
-        emu.next_window(SimTime::from_millis(1));
+        emu.next_window(SimTime::from_millis(1), SimTime::MAX);
     }
 
     /// Shapes of the `Deliver` events rack `dst` collects and queues:

@@ -23,9 +23,6 @@ pub const LOG_CAP: usize = 4096;
 /// Counter block of one chaos injector: every field monotone, every
 /// field folded into the run digest.
 pub trait InjectorStats {
-    /// Total events applied across all classes — zero on a clean run is
-    /// the inert-plan guarantee made observable.
-    fn total(&self) -> u64;
     /// Feed every counter into `d` in declaration order.
     fn write_digest(&self, d: &mut Digest);
 }
@@ -37,6 +34,21 @@ pub trait LogEvent {
     /// Feed the event into `d`, discriminant first.
     fn write_digest(&self, d: &mut Digest);
 }
+
+/// `AddAssign` for a counter block whose fields all sum across racks.
+/// The destructuring makes a field added to the block and not to the
+/// macro call a compile error.
+macro_rules! summed_counters {
+    ($t:ident { $($f:ident),* $(,)? }) => {
+        impl std::ops::AddAssign for $t {
+            fn add_assign(&mut self, o: $t) {
+                let $t { $($f),* } = o;
+                $(self.$f += $f;)*
+            }
+        }
+    };
+}
+pub(crate) use summed_counters;
 
 /// Append `ev` to `log` unless the [`LOG_CAP`] is reached.
 pub fn push_capped<E>(log: &mut Vec<E>, ev: E) {
@@ -63,9 +75,6 @@ mod tests {
 
     struct OneStat(u64);
     impl InjectorStats for OneStat {
-        fn total(&self) -> u64 {
-            self.0
-        }
         fn write_digest(&self, d: &mut Digest) {
             d.write_u64(self.0);
         }

@@ -10,7 +10,7 @@
 //!
 //! There is one queue implementation, generic over what it queues
 //! ([`VoqItem`]): admission and service read an entry's pin and ECN
-//! codepoint and nothing else. Both engines queue 8-byte handles to
+//! codepoint and nothing else. The engine queues 8-byte handles to
 //! pooled segments (`crate::pool::SegRef`); `Voq<Segment>`, the default,
 //! queues whole segments for callers that have no pool.
 
@@ -76,10 +76,10 @@ pub struct Voq<T = Segment> {
     pinned_total: usize,
     /// Occupancy over time, the raw series behind Figs. 7b/8b/13/14.
     gauge: Gauge,
-    /// Whether occupancy changes append to the gauge. The figure
-    /// pipelines need the series; the sharded multirack engine doesn't
-    /// read it, and skipping the per-op append keeps its hot path free
-    /// of unbounded trace growth.
+    /// Whether occupancy changes append to the gauge. The two-rack
+    /// door's figures need the series; the N-rack door records none, and
+    /// skipping the per-op append keeps its hot path free of unbounded
+    /// trace growth.
     traced: bool,
     /// Tail drops.
     pub drops: u64,

@@ -17,7 +17,6 @@
 
 pub mod event;
 pub mod par;
-pub mod recorder;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -25,14 +24,13 @@ pub mod trace;
 pub mod wheel;
 
 pub use event::{EventId, EventQueue};
-pub use recorder::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use rng::DetRng;
 pub use stats::Cdf;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Gauge, TimeSeries};
 pub use wheel::{TimerWheel, WheelEventId};
 
-/// The event queue both `rdcn` engines run on.
+/// The event queue the `rdcn` engine runs on.
 ///
 /// [`TimerWheel`] (an intrusive hierarchical wheel: one node slab, every
 /// bucket a linked list through it, no heap call per event once the slab

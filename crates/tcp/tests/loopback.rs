@@ -1,5 +1,5 @@
 //! End-to-end loopback tests: two `Connection`s joined by a simple
-//! delay/loss pipe, driven by the simcore event queue both engines run on
+//! delay/loss pipe, driven by the simcore event queue the engine runs on
 //! (`DefaultQueue`, the wheel). These exercise the handshake, bulk
 //! transfer, SACK recovery, RTO, TLP, FIN teardown, and determinism — the
 //! machinery every experiment in the harness relies on.

@@ -7,9 +7,10 @@
 #   Any other argument prints this usage line and exits 2 before
 #   anything is built.
 #   (none) — the default gate: release build, workspace tests, the
-#           window-barrier panic and stress tests, the queue oracle and
-#           the allocation ledger again in release, chaos soak, figures
-#           smoke, `figures all --jobs 1` diffed bit-for-bit against the
+#           window-barrier panic, stress and worker-invariance tests, the
+#           queue oracle and the allocation ledger again in release, chaos
+#           soak, figures smoke, `figures all --jobs 1` diffed
+#           bit-for-bit against the
 #           checked-in figures_output.txt (every deterministic row,
 #           the tails table included), every example under a
 #           wall-clock timeout, the benchmark package (built --offline,
@@ -96,10 +97,12 @@ cargo test -q --offline --workspace
 
 # The window barrier's spin/park hand-off is timing-sensitive and an
 # unoptimised build hides races an optimised one shows: run its panic
-# tests and the empty-window stress again in release.
-echo "==> window barrier, release build: panic propagation + 10k-empty-window stress"
+# tests, the empty-window stress and the two-rack week with every
+# feature on at 1, 2 and 4 workers again in release.
+echo "==> window barrier, release build: panic propagation, 10k-empty-window stress, worker invariance"
 cargo test -q --offline --release -p simcore par::tests::run_windows
 cargo test -q --offline --release --test multirack barrier_survives
+cargo test -q --offline --release -p rdcn --lib two_rack_week_with_every_feature_is_worker_invariant
 
 # The wheel's debug assertions are compiled out of the build every figure
 # and the benchmark run on, and an optimised build inlines across the

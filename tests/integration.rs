@@ -256,7 +256,7 @@ fn mptcp_reinjection_ablation() {
     assert!((0.5..2.0).contains(&ratio), "ratio {ratio:.2}");
 }
 
-/// Paced single-path TCP runs to the horizon on the two-rack engine. A
+/// Paced single-path TCP runs to the horizon through the two-rack door. A
 /// paced sender that is cwnd-blocked used to keep advertising its last
 /// pacing release; the engine re-armed the host timer at that (past)
 /// instant after every firing and `run` never returned. Bounded events

@@ -1,8 +1,9 @@
 //! Multi-rack fabric tests: the demand-oblivious rotor serves every rack
 //! pair, the hybrid semantics hold (EPS always on, circuits accelerate),
-//! TDTCP exploits the circuits across many pairs, and runs are
-//! deterministic — across reruns and across worker counts. Every run
-//! here is the N-rack engine at `workers = 1` unless it says otherwise.
+//! TDTCP exploits the circuits across many pairs, the two-rack door and
+//! the N-rack door run one loop, and runs are deterministic — across
+//! reruns and across worker counts. Every run here is `workers = 1`
+//! unless it says otherwise.
 
 use bench::Variant;
 use rdcn::{
@@ -209,26 +210,29 @@ fn two_rack_week(variant: Variant, until_ms: u64, workers: usize) -> ShardResult
     run(cfg, flows, variant, u64::MAX, until_ms, workers)
 }
 
+/// The two doors drive one loop: `ShardedEmulator` at N = 2 over
+/// `Schedule::hybrid_6to1` and `Emulator` over
+/// `NetConfig::paper_baseline()` — the same seed, VOQ, notification
+/// model and endpoints — end every flow with the same `ConnStats`.
 #[test]
-fn two_rack_week_holds_the_paper_shape_on_both_engines() {
-    // The same week and the same endpoints on the two-rack engine: every
-    // flow switches TDN as often on both ...
+fn the_two_doors_drive_one_loop() {
     let sharded = two_rack_week(Variant::Tdtcp, 10, 1);
     let mut net = NetConfig::paper_baseline();
     Variant::Tdtcp.apply_net_config(&mut net);
     let two_rack =
         Emulator::new(net, 16, Variant::Tdtcp.factory(u64::MAX)).run(SimTime::from_millis(10));
-    let pairs = sharded.sender_stats.iter().zip(&two_rack.sender_stats);
-    for (i, (s, e)) in pairs.enumerate() {
-        assert!(s.tdn_switches > 0, "flow {i} never switched");
-        assert_eq!(s.tdn_switches, e.tdn_switches, "flow {i}");
+    let senders = sharded.sender_stats.iter().zip(&two_rack.sender_stats);
+    let receivers = sharded.receiver_stats.iter().zip(&two_rack.receiver_stats);
+    for (i, (s, e)) in senders.chain(receivers).enumerate() {
+        assert!(s.tdn_switches > 0, "host {i} never switched");
+        assert_eq!(s.digest(), e.digest(), "host {i} (senders first)");
     }
-    // ... the run does not depend on the worker count ...
+    // The run does not depend on the worker count, and
+    // `tests/integration.rs::headline_ordering`'s margin holds.
     assert_eq!(
         two_rack_week(Variant::Tdtcp, 10, 2).stats_digest(),
         sharded.stats_digest()
     );
-    // ... and `tests/integration.rs::headline_ordering`'s margin holds.
     let tdtcp = two_rack_week(Variant::Tdtcp, 25, 1).total_acked() as f64;
     let cubic = two_rack_week(Variant::Cubic, 25, 1).total_acked() as f64;
     assert!(

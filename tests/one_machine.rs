@@ -395,7 +395,7 @@ testkit::props! {
 
 // ---------------------------------------------------------------------
 // Scripted streams: one per fork the two copies of the machine had at a
-// single state set (DESIGN.md §15), each steering straight at it.
+// single state set (DESIGN.md §14), each steering straight at it.
 // ---------------------------------------------------------------------
 
 fn pass(from: Side) -> Op {

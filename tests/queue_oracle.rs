@@ -1,5 +1,5 @@
 //! Differential oracle for the event queue: `simcore::TimerWheel` (what
-//! both engines run on) against `simcore::EventQueue` (the binary heap it
+//! the engine runs on) against `simcore::EventQueue` (the binary heap it
 //! replaced), over random scripts.
 //!
 //! The wheel may be rebuilt freely as long as it pops in the heap's exact

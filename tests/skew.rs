@@ -31,6 +31,10 @@ fn drift_with_resync(ppm: f64) -> ClockPlan {
 }
 
 fn run_tdtcp(clock: ClockPlan, guard_band: Option<SimDuration>) -> RunResult {
+    run_tdtcp_seeded(clock, guard_band, 1)
+}
+
+fn run_tdtcp_seeded(clock: ClockPlan, guard_band: Option<SimDuration>, seed: u64) -> RunResult {
     let mut net = NetConfig::paper_baseline();
     net.clock = clock;
     if let Some(g) = guard_band {
@@ -38,6 +42,7 @@ fn run_tdtcp(clock: ClockPlan, guard_band: Option<SimDuration>) -> RunResult {
     }
     let wl = Workload {
         flows: 8,
+        seed,
         ..Workload::bulk(Variant::Tdtcp, HORIZON)
     };
     wl.run(&net)
@@ -76,18 +81,26 @@ fn fifty_ppm_drift_with_resync_keeps_headline_goodput() {
 /// The guard band is the knob the paper says it is: with a fixed
 /// static-offset population, shrinking the guard band strictly
 /// increases slot-edge losses — each step exposes launches the wider
-/// band absorbed.
+/// band absorbed. Summed over seeds 1–20: which hosts draw an offset
+/// between two bands is a per-seed lottery, and a single seed's
+/// 20 → 5 µs step is inside the run's own noise about one time in four
+/// (EXPERIMENTS.md, "One loop").
 #[test]
 fn shrinking_guard_band_strictly_increases_slot_edge_drops() {
     let plan = ClockPlan::offset(SimDuration::from_micros(60));
     let mut drops = Vec::new();
     for guard_us in [50u64, 20, 5] {
-        let res = run_tdtcp(plan.clone(), Some(SimDuration::from_micros(guard_us)));
-        assert!(
-            res.clock.skewed_sends > 0,
-            "guard {guard_us} µs: no mis-timed launches at all"
-        );
-        drops.push(res.clock.guard_drops);
+        let mut sum = 0;
+        for seed in 1..=20 {
+            let guard = Some(SimDuration::from_micros(guard_us));
+            let res = run_tdtcp_seeded(plan.clone(), guard, seed);
+            assert!(
+                res.clock.skewed_sends > 0,
+                "guard {guard_us} µs, seed {seed}: no mis-timed launches at all"
+            );
+            sum += res.clock.guard_drops;
+        }
+        drops.push(sum);
     }
     assert!(
         drops[0] < drops[1] && drops[1] < drops[2],

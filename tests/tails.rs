@@ -146,14 +146,14 @@ testkit::props! {
 // Tail behaviour pins
 // ---------------------------------------------------------------------------
 
-/// Censored p99 FCT at `degree`, pooled across seeds 1..=4 (pooling
+/// Censored p99 FCT at `degree`, pooled across seeds 1..=20 (pooling
 /// smooths the per-run RTO-backoff lottery; censoring keeps flows that
 /// never finish inside the horizon in the tail instead of silently
 /// dropping them — survivorship bias would otherwise *lower* p99 under
 /// deep collapse).
 fn pooled_censored_p99(variant: Variant, degree: usize, bytes: u64) -> u64 {
     let mut samples = Vec::new();
-    for seed in 1u64..=4 {
+    for seed in 1u64..=20 {
         let mut spec = TailSpec::incast(Population::Uniform(variant), degree);
         spec.incast_bytes = bytes;
         let mut net = NetConfig::paper_baseline();
@@ -166,13 +166,15 @@ fn pooled_censored_p99(variant: Variant, degree: usize, bytes: u64) -> u64 {
         .expect("pooled incast runs produced no started flows")
 }
 
-/// The T-RACKs collapse curve: CUBIC's censored p99 FCT rises strictly
-/// with incast fan-in. 20 kB senders keep degree 2 under the 16-packet
-/// VOQ's overflow point, so the sweep spans "no collapse" to "deep
-/// collapse" instead of starting saturated.
+/// The T-RACKs collapse curve: CUBIC's censored p99 FCT (20 kB senders)
+/// rises strictly with incast fan-in, doubling from 4 to 32. The tail is
+/// quantized by RTO chains, and degree 2 shares degree 4's quantum
+/// (≈ 31 ms once pooled over 80 seeds or more), so it is not part of
+/// the sweep; a 4-seed pool holds the order by luck about half the
+/// time, a 20-seed pool nearly always (EXPERIMENTS.md, "One loop").
 #[test]
 fn cubic_p99_is_monotone_in_incast_degree() {
-    let p99s: Vec<u64> = [2usize, 4, 8, 16, 32]
+    let p99s: Vec<u64> = [4usize, 8, 16, 32]
         .iter()
         .map(|&d| pooled_censored_p99(Variant::Cubic, d, 20_000))
         .collect();
@@ -209,29 +211,42 @@ fn tdtcp_p99_bounded_under_one_percent_loss() {
 /// RepNet's claim at fan-in 16: duplicating every incast flow strictly
 /// improves p99 FCT over completed flows, and some completions are won
 /// by a non-primary replica (the mechanism, not just the outcome).
+/// About 0.8 % of replicated TDTCP's completions lie past the second RTO
+/// quantum (≈ 24 ms), so its p99 rank sits at that edge and one seed can
+/// read it on either side: TDTCP pools seeds 1–60, CUBIC is seed 1
+/// (EXPERIMENTS.md, "One loop").
 #[test]
 fn replication_improves_p99_at_fanin_16() {
-    for variant in [Variant::Tdtcp, Variant::Cubic] {
+    for (variant, seeds) in [(Variant::Tdtcp, 1..=60), (Variant::Cubic, 1..=1)] {
         let base = TailSpec::incast(Population::Uniform(variant), 16);
         let mut replicated = base.clone();
         replicated.replication = 2;
         let horizon = SimTime::from_millis(30);
-        let r0 = run_tails(&base, &NetConfig::paper_baseline(), horizon);
-        let r2 = run_tails(&replicated, &NetConfig::paper_baseline(), horizon);
-        let p99_r0 = r0.oracle().p99().unwrap();
-        let p99_r2 = r2.oracle().p99().unwrap();
+        let (mut fcts_r0, mut fcts_r2) = (Vec::new(), Vec::new());
+        for seed in seeds {
+            let net = NetConfig {
+                seed,
+                ..NetConfig::paper_baseline()
+            };
+            let r0 = run_tails(&base, &net, horizon);
+            let r2 = run_tails(&replicated, &net, horizon);
+            assert_eq!(r0.replica_wins, 0, "no replicas, no wins");
+            assert!(
+                r2.replica_wins > 0,
+                "{}, seed {seed}: first-finisher wins must be observed",
+                variant.label()
+            );
+            assert_eq!(r2.replicas_spawned, 2 * r2.started, "2 extras per logical flow");
+            fcts_r0.extend(r0.fcts_ns);
+            fcts_r2.extend(r2.fcts_ns);
+        }
+        let p99_r0 = FctOracle::new(fcts_r0).p99().unwrap();
+        let p99_r2 = FctOracle::new(fcts_r2).p99().unwrap();
         assert!(
             p99_r2 < p99_r0,
             "{}: replication must strictly improve p99 ({p99_r0} -> {p99_r2} ns)",
             variant.label()
         );
-        assert_eq!(r0.replica_wins, 0, "no replicas, no wins");
-        assert!(
-            r2.replica_wins > 0,
-            "{}: first-finisher wins must be observed",
-            variant.label()
-        );
-        assert_eq!(r2.replicas_spawned, 2 * r2.started, "2 extras per logical flow");
     }
 }
 
