@@ -81,8 +81,8 @@ impl Population {
 
     /// The network support this population needs. Uniform populations
     /// get their variant's switch support; the mixed population gets the
-    /// least common denominator (notifications on, no ECN/marking —
-    /// neither TDTCP nor CUBIC needs more).
+    /// least common denominator (no ECN/marking — neither TDTCP nor
+    /// CUBIC needs more).
     pub fn apply_net_config(self, cfg: &mut NetConfig) {
         match self {
             Population::Uniform(v) => v.apply_net_config(cfg),
@@ -90,7 +90,6 @@ impl Population {
                 cfg.voq.ecn_threshold = None;
                 cfg.circuit_marking = false;
                 cfg.retcpdyn = None;
-                cfg.notifications = true;
             }
         }
     }

@@ -82,9 +82,6 @@ impl Variant {
             Variant::ReTcpDyn => Some(RetcpDynConfig::default()),
             _ => None,
         };
-        // Notifications always flow (ToRs do not know which variant runs
-        // on a host); only TDTCP and MPTCP's scheduler consume them.
-        cfg.notifications = true;
     }
 
     /// Build the endpoint factory for this variant with `bytes` per flow,
@@ -201,7 +198,6 @@ mod tests {
         assert!(cfg.retcpdyn.is_some());
         assert!(cfg.voq.ecn_threshold.is_none());
         Variant::Tdtcp.apply_net_config(&mut cfg);
-        assert!(cfg.notifications);
         assert!(cfg.retcpdyn.is_none());
     }
 }

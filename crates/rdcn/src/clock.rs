@@ -306,6 +306,9 @@ struct HostClock {
     /// Monotonicity clamp: the largest perceived time handed out so
     /// far.
     last_perceived: SimTime,
+    /// True time of the last read. Reads come in time order: one from
+    /// the future would carry the clamp and resyncs past the simulation.
+    last_read: SimTime,
 }
 
 /// Executes a [`ClockPlan`] against a dedicated RNG stream, owns every
@@ -387,6 +390,7 @@ impl ClockInjector {
                 drift_ppm,
                 synced_at: SimTime::ZERO,
                 last_perceived: SimTime::ZERO,
+                last_read: SimTime::ZERO,
             });
         }
         // Apply every resync that has come due since the last touch.
@@ -420,7 +424,8 @@ impl ClockInjector {
 
     /// The host's perceived local time at true time `now`: offset plus
     /// accumulated drift plus bounded read jitter, clamped monotone.
-    /// Inert plans return `now` untouched with zero draws.
+    /// Inert plans return `now` untouched with zero draws. A host's
+    /// reads must come in time order.
     pub fn perceived(&mut self, host: usize, now: SimTime) -> SimTime {
         if self.is_inert() {
             return now;
@@ -428,6 +433,12 @@ impl ClockInjector {
         let jitter = self.plan.jitter;
         let jitter_ns = Self::draw_signed(&mut self.rng, jitter);
         let hc = self.host_mut(host, now);
+        debug_assert!(
+            now >= hc.last_read,
+            "host {host}'s clock read at {now:?} after a read at {:?}",
+            hc.last_read
+        );
+        hc.last_read = now;
         let elapsed = now.saturating_since(hc.synced_at).as_nanos();
         let drift_ns = (hc.drift_ppm * elapsed as f64 / 1e6) as i64;
         let raw = now.as_nanos() as i128 + hc.offset_ns as i128 + drift_ns as i128

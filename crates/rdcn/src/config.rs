@@ -82,10 +82,8 @@ pub struct NetConfig {
     pub schedule: Schedule,
     /// ToR VOQ settings (applied to both directions).
     pub voq: VoqConfig,
-    /// Whether ToRs send TDN-change notifications (TDTCP needs them; other
-    /// variants ignore them).
-    pub notifications: bool,
-    /// Notification latency model.
+    /// Latency model of the TDN-change notifications every ToR sends its
+    /// hosts (TDTCP needs them; other variants ignore them).
     pub notify: NotifyConfig,
     /// Whether the switch sets the circuit mark on segments that traverse
     /// the optical TDN (reTCP's explicit feedback).
@@ -134,7 +132,6 @@ impl NetConfig {
             tdns: vec![TdnParams::packet_10g(), TdnParams::optical_100g()],
             schedule,
             voq: VoqConfig::default(),
-            notifications: true,
             notify: NotifyConfig::optimized(),
             circuit_marking: false,
             circuit_tdn: TdnId(1),

@@ -16,11 +16,7 @@
 //! * EPS scheduling: a week that names TDN 0 is Etalon's strict time
 //!   division, where the EPS is scheduled like the circuit and serves
 //!   only on TDN-0 days (nights are dark). On any other week — the rotor —
-//!   the EPS is always on;
-//! * train granularity, a separate policy on the same switch: a week
-//!   naming TDN 0 runs segment-exact trains, the rotor whole-window
-//!   trains (below). The rotor keeps whole-window trains only so that
-//!   its pinned digest holds (ROADMAP 1b has one rule as an open item).
+//!   the EPS is always on.
 //!
 //! Each rack shard owns its queue, its forked RNG and chaos injectors,
 //! its resident transports, its VOQ row and its ports. Racks meet only
@@ -30,14 +26,14 @@
 //! emitted through per-(source, destination) mailboxes at the barrier.
 //! Threads need `Send` hosts; the two-rack door runs inline.
 //!
-//! Event semantics: one `CircuitService`/`PacketService` event is a
-//! *train* that launches queued segments back-to-back to the window end.
-//! A whole-window train's segments leave the VOQ when it starts; a
-//! segment-exact train also stops before the rack's next event, so each
-//! segment holds its slot until it launches. Timers are lazy per-host
-//! arrays (no cancel), a delivery flushes the receiving host only, and
-//! same-instant segments to one host arrive as one event. Every
-//! transport call sees its host's perceived clock.
+//! Event semantics: one `Service` event is a *train* on one port — the
+//! circuit or the EPS uplink — that launches queued segments
+//! back-to-back until the window ends or the rack's next event comes
+//! due, on every week, so each segment holds its VOQ slot until it
+//! launches. Timers are lazy per-host arrays (no cancel), a delivery
+//! flushes the receiving host only, and same-instant segments to one
+//! host arrive as one event. Every transport call sees its host's
+//! perceived clock, and no clock is read ahead of the rack's next event.
 //!
 //! Debug builds check a segment conservation law and the pool law at
 //! every window barrier (`ShardedEmulator::assert_conserved`), the
@@ -183,15 +179,14 @@ impl ShardConfig {
     }
 
     /// The engine's view of this fabric, and its rack count: TDN 0 is the
-    /// packet network and TDN 1 the circuit, every host is notified, and
-    /// there is no reTCP switch support.
+    /// packet network and TDN 1 the circuit, and there is no reTCP switch
+    /// support.
     fn into_net(self) -> (NetConfig, usize) {
         let net = self.net;
         let engine = NetConfig {
             tdns: vec![net.packet, net.circuit],
             schedule: net.schedule,
             voq: net.voq,
-            notifications: true,
             notify: net.notify,
             circuit_marking: false,
             circuit_tdn: TdnId(1),
@@ -228,8 +223,8 @@ enum REv {
     /// pool chain starting at `head`, in arrival order.
     Deliver { host: u32, head: u32 },
     Enqueue { dst: u32, seg: u32 },
-    CircuitService,
-    PacketService,
+    /// A train on `port` (see [`RackShard::serve`]).
+    Service { port: Port },
     DayStart { day: u64 },
     NightStart { day: u64 },
     Notify { host: u32, tdn: TdnId, gen: u64 },
@@ -240,6 +235,14 @@ enum REv {
     LinkFail { day: u64 },
     /// retcpdyn: circuit day `day` is one prepare lead away.
     Prepare { day: u64 },
+}
+
+/// One of a ToR's two uplinks: the circuit toward today's peer, or the
+/// EPS uplink shared round-robin by every other destination.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Port {
+    Circuit = 0,
+    Eps = 1,
 }
 
 /// One segment crossing racks: queued by the source shard in emission
@@ -368,9 +371,9 @@ struct RackShard<H> {
     net: Arc<NetConfig>,
     /// `peer_of[day % len][rack]`, see [`peer_rows`].
     peer_of: Arc<[Vec<Option<usize>>]>,
-    /// The week names TDN 0. Two policies follow from it (module docs):
-    /// the EPS serves only on TDN-0 days, and trains are segment-exact.
-    strict: bool,
+    /// The week names TDN 0, so the EPS is scheduled like the circuit
+    /// and serves only on TDN-0 days (module docs).
+    eps_scheduled: bool,
 
     /// The current day, and the TDN it serves (a frozen day replays
     /// another day's).
@@ -386,11 +389,12 @@ struct RackShard<H> {
     pool: SegPool,
     /// voqs[dst]: per-destination queue at this rack's ToR.
     voqs: Vec<Voq<SegRef>>,
-    eps_busy_until: SimTime,
-    eps_pending: bool,
+    /// Per port (`[Port as usize]`): when its last launched segment
+    /// clears it, and whether a `Service` event for it is queued.
+    busy_until: [SimTime; 2],
+    pending: [bool; 2],
+    /// The destination the EPS uplink tries first.
     eps_rr: usize,
-    circuit_busy_until: SimTime,
-    circuit_pending: bool,
     nic_free: SimTime,
 
     /// Where every flow's endpoints live (indexed by the global flow id
@@ -804,7 +808,7 @@ impl<'a, H: DerefMut<Target: Transport>> ShardedEmulator<'a, H> {
             })
             .collect();
 
-        let strict = net.schedule.days.contains(&TdnId(0));
+        let eps_scheduled = net.schedule.days.contains(&TdnId(0));
         let net = Arc::new(net);
         let shards = tracks
             .into_iter()
@@ -828,18 +832,16 @@ impl<'a, H: DerefMut<Target: Transport>> ShardedEmulator<'a, H> {
                     notify_model: NotifyModel::new(net.notify),
                     net: Arc::clone(&net),
                     peer_of: Arc::clone(&peer_of),
-                    strict,
+                    eps_scheduled,
                     day: 0,
                     day_tdn: TdnId(0),
                     peer: None,
-                    eps_on: !strict,
+                    eps_on: !eps_scheduled,
                     pool: SegPool::new(),
                     voqs: (0..racks).map(|_| voq()).collect(),
-                    eps_busy_until: SimTime::ZERO,
-                    eps_pending: false,
+                    busy_until: [SimTime::ZERO; 2],
+                    pending: [false; 2],
                     eps_rr: 0,
-                    circuit_busy_until: SimTime::ZERO,
-                    circuit_pending: false,
                     nic_free: SimTime::ZERO,
                     seats: Arc::clone(&seats),
                     hosts: (0..n).map(|_| None).collect(),
@@ -1079,19 +1081,13 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
                         self.ledger.on_nic -= 1;
                     }
                     if self.voqs[dst].enqueue(now, self.pool.seg_ref(seg)) {
-                        self.kick(now, dst);
+                        let port = if self.peer == Some(dst) { Port::Circuit } else { Port::Eps };
+                        self.kick(now, port);
                     } else {
                         self.pool.release(seg); // tail drop
                     }
                 }
-                REv::CircuitService => {
-                    self.circuit_pending = false;
-                    self.circuit_service(now);
-                }
-                REv::PacketService => {
-                    self.eps_pending = false;
-                    self.packet_service(now);
-                }
+                REv::Service { port } => self.serve(now, port),
                 REv::DayStart { day } => self.on_day_start(now, day),
                 REv::NightStart { day } => self.on_night_start(now, day),
                 REv::Notify { host, tdn, gen } => {
@@ -1111,8 +1107,8 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
                 REv::LinkFail { day } => {
                     // The light path drops mid-day and stays dark until
                     // the next day; segments in flight complete.
-                    if self.day == day && self.peer.take().is_some() {
-                        self.kick_eps_if_work(now);
+                    if self.day == day && self.peer.take().is_some() && self.next_dst(Port::Eps).is_some() {
+                        self.kick(now, Port::Eps);
                     }
                 }
                 REv::Prepare { day } => self.on_prepare(now, day),
@@ -1297,118 +1293,77 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
         }
     }
 
-    /// New data for `dst`: wake whichever service path owns it.
-    fn kick(&mut self, now: SimTime, dst: usize) {
-        if self.peer == Some(dst) {
-            self.kick_circuit(now);
-        } else if self.eps_on && !self.eps_pending {
-            let at = self.eps_busy_until.max(now);
-            self.q.schedule(at, REv::PacketService);
-            self.eps_pending = true;
+    /// Wake `port`: queue a train for when its last segment clears it,
+    /// unless one is queued already or the port is dark (no circuit, or
+    /// a scheduled EPS off its TDN-0 days).
+    fn kick(&mut self, now: SimTime, port: Port) {
+        let lit = if port == Port::Circuit { self.peer.is_some() } else { self.eps_on };
+        let p = port as usize;
+        if lit && !self.pending[p] {
+            self.q.schedule(self.busy_until[p].max(now), REv::Service { port });
+            self.pending[p] = true;
         }
     }
 
-    /// Serve the circuit as a train: launch every already-queued
-    /// eligible segment back-to-back until the VOQ runs dry or the
-    /// window ends. Window ends are worker-count independent, so the
-    /// train extent is too.
-    fn circuit_service(&mut self, now: SimTime) {
-        let Some(dst) = self.peer else { return };
-        let tdn = Some(self.day_tdn);
+    /// The TDN `port` serves on: today's on the circuit, TDN 0 on the EPS.
+    fn port_tdn(&self, port: Port) -> TdnId {
+        match port {
+            Port::Circuit => self.day_tdn,
+            Port::Eps => TdnId(0),
+        }
+    }
+
+    /// The destination `port` serves next, if the port is lit and that
+    /// destination holds a segment eligible on it: today's peer on the
+    /// circuit; on the EPS, round-robin from `eps_rr`, the first
+    /// destination that rides it (circuit traffic does not).
+    fn next_dst(&self, port: Port) -> Option<usize> {
+        let tdn = Some(self.port_tdn(port));
+        match port {
+            Port::Circuit => self.peer.filter(|&d| self.voqs[d].has_eligible(tdn)),
+            Port::Eps if self.eps_on => (0..self.racks)
+                .map(|k| (self.eps_rr + k) % self.racks)
+                .find(|&d| d != self.r && self.peer != Some(d) && self.voqs[d].has_eligible(tdn)),
+            Port::Eps => None,
+        }
+    }
+
+    /// Serve `port` as a train: launch its eligible segments
+    /// back-to-back, each as the previous one clears the port, until
+    /// nothing is eligible, the window ends, or the rack's next event
+    /// comes due. So every segment holds its VOQ slot until it launches,
+    /// exactly as one event per segment would. Window ends and the rack's
+    /// own queue are worker-count independent, so the train is too.
+    fn serve(&mut self, now: SimTime, port: Port) {
+        self.pending[port as usize] = false;
+        let Some(mut dst) = self.next_dst(port) else { return };
+        // Nothing a launch schedules here lands before the window ends (a
+        // clock `Defer` waits for the next day start), so the queue's
+        // head now bounds the whole train.
+        let next = self.q.peek_time().unwrap_or(SimTime::MAX);
+        let tdn = Some(self.port_tdn(port));
         let mut at = now;
-        let mut first = true;
         loop {
-            if at >= self.w_end {
-                if self.voqs[dst].has_eligible(tdn) {
-                    self.q.schedule(at, REv::CircuitService);
-                    self.circuit_pending = true;
+            if port == Port::Eps {
+                self.eps_rr = (dst + 1) % self.racks;
+            }
+            let item = self.voqs[dst].dequeue_eligible(at, tdn).expect("next_dst checked");
+            at += self.launch(at, item, port, dst);
+            self.busy_until[port as usize] = at;
+            if at >= self.w_end || next < at {
+                // The window end resumes a train that has work left; the
+                // rack's next event resumes it after that event, whatever
+                // the VOQ then holds.
+                if at < self.w_end || self.next_dst(port).is_some() {
+                    self.q.schedule(at, REv::Service { port });
+                    self.pending[port as usize] = true;
                 }
                 return;
             }
-            if !first && self.stops_for_next_event(at) {
-                self.q.schedule(at, REv::CircuitService);
-                self.circuit_pending = true;
-                return;
-            }
-            // A segment leaves its VOQ at its launch in a segment-exact
-            // train, else when the train starts.
-            let left = if self.strict { at } else { now };
-            let Some(item) = self.voqs[dst].dequeue_eligible(left, tdn) else {
-                return;
-            };
-            if !first {
-                self.extra_events += 1;
-            }
-            first = false;
-            let ser = self.launch(at, item, true, dst);
-            at += ser;
-            self.circuit_busy_until = at;
+            let Some(d) = self.next_dst(port) else { return };
+            dst = d;
+            self.extra_events += 1;
         }
-    }
-
-    /// Serve the EPS uplink as a train: round-robin over the rack's
-    /// non-circuit destinations until nothing is eligible or the window
-    /// ends.
-    fn packet_service(&mut self, now: SimTime) {
-        if !self.eps_on {
-            return;
-        }
-        let n = self.racks;
-        let mut at = now;
-        let mut first = true;
-        loop {
-            if at >= self.w_end {
-                if self.eps_has_work() {
-                    self.q.schedule(at, REv::PacketService);
-                    self.eps_pending = true;
-                }
-                return;
-            }
-            if !first && self.stops_for_next_event(at) {
-                self.q.schedule(at, REv::PacketService);
-                self.eps_pending = true;
-                return;
-            }
-            let start = self.eps_rr;
-            let mut chosen = None;
-            for k in 0..n {
-                let dst = (start + k) % n;
-                if dst == self.r || self.peer == Some(dst) {
-                    continue; // circuit traffic does not ride the EPS
-                }
-                if self.voqs[dst].has_eligible(Some(TdnId(0))) {
-                    chosen = Some(dst);
-                    break;
-                }
-            }
-            let Some(dst) = chosen else { return };
-            self.eps_rr = (dst + 1) % n;
-            let left = if self.strict { at } else { now };
-            let item = self.voqs[dst]
-                .dequeue_eligible(left, Some(TdnId(0)))
-                .expect("has_eligible checked");
-            if !first {
-                self.extra_events += 1;
-            }
-            first = false;
-            let ser = self.launch(at, item, false, dst);
-            at += ser;
-            self.eps_busy_until = at;
-        }
-    }
-
-    /// A segment-exact train (strict time division) stops before the
-    /// rack's next event, so every segment holds its VOQ slot until it
-    /// launches, exactly as one event per segment would.
-    fn stops_for_next_event(&mut self, at: SimTime) -> bool {
-        self.strict && self.q.peek_time().is_some_and(|next| next < at)
-    }
-
-    /// Whether any destination has eligible packet traffic.
-    fn eps_has_work(&self) -> bool {
-        (0..self.racks).any(|d| {
-            d != self.r && self.peer != Some(d) && self.voqs[d].has_eligible(Some(TdnId(0)))
-        })
     }
 
     /// The week's row for day `day`.
@@ -1421,14 +1376,14 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
     /// → EPS jitter → EPS transit faults → wire impairments — reading and
     /// rewriting it in its pool slot, and emitting any surviving copies
     /// toward the destination rack. Every path out of here releases the
-    /// slot or re-queues its id. Returns the serialization time the port
-    /// slot consumed.
-    fn launch(&mut self, at: SimTime, item: SegRef, circuit: bool, dst: usize) -> SimDuration {
+    /// slot or re-queues its id. Returns the serialization time the
+    /// port's slot consumed.
+    fn launch(&mut self, at: SimTime, item: SegRef, port: Port, dst: usize) -> SimDuration {
         let id = item.id;
+        let mut tdn = self.port_tdn(port);
         let seg = self.pool.get_mut(id);
         seg.ecn = item.ecn; // the VOQ's CE mark lands in the slot
         let (wire_size, has_payload) = (u64::from(seg.wire_size()), seg.has_payload());
-        let mut tdn = if circuit { self.day_tdn } else { TdnId(0) };
         let true_ser = SimDuration::serialization(wire_size, self.net.tdn(tdn).rate_bps);
         // Time plane: the launching host is always resident (data
         // launches at the flow's source rack, acks at its destination).
@@ -1479,7 +1434,7 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
         // network only. A corrupted data segment flows on, to be caught
         // by the receiver's payload checksum; a corrupted pure ACK is a
         // loss.
-        if !circuit {
+        if port == Port::Eps {
             match self.faults.on_transit(at) {
                 EpsVerdict::Pass => {}
                 EpsVerdict::Corrupt if has_payload => self.mangle(id),
@@ -1574,7 +1529,7 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
             DayFate::Absent => None,
             _ => self.row(sched_day)[self.r],
         };
-        self.eps_on = !self.strict || tdn == TdnId(0);
+        self.eps_on = !self.eps_scheduled || tdn == TdnId(0);
         if let DayFate::Truncated(frac) = fate {
             let at = now + self.net.schedule.day_len.mul_f64(frac);
             self.q.schedule(at, REv::LinkFail { day });
@@ -1589,7 +1544,7 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
         // lands — its flow has started by then, and it had not closed by
         // this day start. The original and a duplicate are judged each
         // at its own delivery time.
-        if self.net.notifications && fate != DayFate::Absent {
+        if fate != DayFate::Absent {
             for h in 0..self.track.len() {
                 let t = self.track[h];
                 let seat = self.seats[t.flow as usize];
@@ -1625,18 +1580,19 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
             }
         }
 
-        // Kick services for the new matching.
-        if self.peer.is_some_and(|dst| self.voqs[dst].has_eligible(Some(tdn))) {
-            self.kick_circuit(now);
+        // Wake each port that has work under the new matching.
+        for port in [Port::Circuit, Port::Eps] {
+            if self.next_dst(port).is_some() {
+                self.kick(now, port);
+            }
         }
-        self.kick_eps_if_work(now);
         self.q
             .schedule(now + self.net.schedule.day_len, REv::NightStart { day });
     }
 
     fn on_night_start(&mut self, now: SimTime, day: u64) {
         self.peer = None;
-        self.eps_on = !self.strict;
+        self.eps_on = !self.eps_scheduled;
         // A circuit day just ended: restore the VOQ caps (retcpdyn). The
         // *effective* TDN (a frozen day replays another) decides.
         if self.net.retcpdyn.is_some() && self.day_tdn == self.net.circuit_tdn {
@@ -1647,7 +1603,9 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
         self.q
             .schedule(now + self.net.schedule.night_len, REv::DayStart { day: day + 1 });
         // Traffic that was circuit-bound now needs the EPS.
-        self.kick_eps_if_work(now);
+        if self.next_dst(Port::Eps).is_some() {
+            self.kick(now, Port::Eps);
+        }
     }
 
     /// retcpdyn, one prepare lead before circuit day `day`: enlarge the
@@ -1668,29 +1626,6 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
                 self.flush(now, h);
                 self.touch(now, h);
             }
-        }
-    }
-
-    /// Schedule a circuit service pass unless one is pending.
-    fn kick_circuit(&mut self, now: SimTime) {
-        if !self.circuit_pending {
-            let at = self.circuit_busy_until.max(now);
-            self.q.schedule(at, REv::CircuitService);
-            self.circuit_pending = true;
-        }
-    }
-
-    /// Schedule an EPS service pass if the EPS serves and any
-    /// destination has eligible packet traffic (checking first saves an
-    /// empty pop per rack per schedule edge).
-    fn kick_eps_if_work(&mut self, now: SimTime) {
-        if self.eps_pending || !self.eps_on {
-            return;
-        }
-        if self.eps_has_work() {
-            let at = self.eps_busy_until.max(now);
-            self.q.schedule(at, REv::PacketService);
-            self.eps_pending = true;
         }
     }
 
@@ -1737,6 +1672,7 @@ mod tests {
     use crate::clock::SlotEdgePolicy;
     use tcp::cc::{CcConfig, Cubic, ReTcp, ReTcpConfig};
     use tcp::{Config, Connection, FlowId};
+    use wire::Ecn;
 
     type Pair = (Box<dyn Transport + Send>, Box<dyn Transport + Send>);
 
@@ -1872,6 +1808,54 @@ mod tests {
                 base.stats_digest(),
                 "digest moved at workers={workers}"
             );
+        }
+    }
+
+    /// On every week a segment holds its VOQ slot until it launches: an
+    /// arrival while a circuit train is on the wire finds the segments
+    /// the train has not launched yet, and is CE-marked or tail-dropped
+    /// because of them.
+    #[test]
+    fn a_train_holds_its_slots_on_every_week() {
+        for days in [vec![TdnId(1)], vec![TdnId(0), TdnId(1)]] {
+            let mut cfg = small_cfg();
+            cfg.net.racks = 2;
+            cfg.net.schedule.days = days.clone();
+            cfg.net.voq = VoqConfig {
+                cap_pkts: 4,
+                ecn_threshold: Some(2),
+            };
+            let flows = vec![PairFlow { src: 0, dst: 1 }];
+            let emu = ShardedEmulator::new(cfg, flows, |i, _| cubic_pair(i, 1_000));
+            emu.windows.end.store(SimTime::from_micros(15).as_nanos(), Ordering::Relaxed);
+            let mut shard = emu.shards[0].lock().unwrap();
+            // A circuit to rack 1, a full VOQ toward it (four jumbo
+            // frames, 720 ns each at 100 Gbps), and a train at `t0`.
+            shard.peer = Some(1);
+            shard.day_tdn = TdnId(1);
+            let mut seg = Segment::new(FlowId(0), Direction::DataPath);
+            seg.len = 8_940;
+            seg.ecn = Ecn::Ect0;
+            let t0 = SimTime::from_micros(1);
+            for _ in 0..4 {
+                let id = shard.pool.insert(seg);
+                let item = shard.pool.seg_ref(id);
+                assert!(shard.voqs[1].enqueue(t0, item));
+            }
+            shard.kick(t0, Port::Circuit);
+            // Two arrivals while the train's first segment is on the wire.
+            for ns in [100, 200] {
+                let id = shard.pool.insert(seg);
+                shard.ledger.on_nic += 1;
+                shard.q.schedule(t0 + SimDuration::from_nanos(ns), REv::Enqueue { dst: 1, seg: id });
+            }
+            let marks = shard.voqs[1].ce_marks;
+            shard.run_window();
+            let voq = &shard.voqs[1];
+            // Three segments still wait: the first arrival is marked
+            // above the threshold, the second meets the cap.
+            assert_eq!((voq.ce_marks - marks, voq.drops), (1, 1), "week {days:?}");
+            assert!(voq.is_empty(), "week {days:?}: the train launched every admitted segment");
         }
     }
 

@@ -189,7 +189,8 @@ impl<T: VoqItem> Voq<T> {
     /// segments are always eligible; pinned segments only when their pin
     /// matches the active TDN. Returns `None` during blackouts
     /// (`active = None` never services anything: time division is strict,
-    /// §2.1).
+    /// §2.1). `now` is the launch: a segment the engine's trains have
+    /// not launched yet still counts toward admission and ECN marking.
     pub fn dequeue_eligible(&mut self, now: SimTime, active: Option<TdnId>) -> Option<T> {
         let active = active?;
         if !self.has_eligible(Some(active)) {

@@ -51,7 +51,6 @@ fn satellite_net() -> NetConfig {
             cap_pkts: 2048,
             ecn_threshold: None,
         },
-        notifications: true,
         notify: NotifyConfig::optimized(),
         circuit_marking: false,
         circuit_tdn: TdnId(1),

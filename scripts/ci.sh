@@ -97,12 +97,15 @@ cargo test -q --offline --workspace
 
 # The window barrier's spin/park hand-off is timing-sensitive and an
 # unoptimised build hides races an optimised one shows: run its panic
-# tests, the empty-window stress and the two-rack week with every
-# feature on at 1, 2 and 4 workers again in release.
+# tests, the empty-window stress and the two worker-invariance runs again
+# in release. Those two are the two-rack week with every feature on (at
+# 1, 2 and 4 workers) and the rotor with every chaos plane armed (at 1
+# and 4); both serve the one train rule.
 echo "==> window barrier, release build: panic propagation, 10k-empty-window stress, worker invariance"
 cargo test -q --offline --release -p simcore par::tests::run_windows
 cargo test -q --offline --release --test multirack barrier_survives
 cargo test -q --offline --release -p rdcn --lib two_rack_week_with_every_feature_is_worker_invariant
+cargo test -q --offline --release -p rdcn --lib chaos_run_is_worker_invariant
 
 # The wheel's debug assertions are compiled out of the build every figure
 # and the benchmark run on, and an optimised build inlines across the

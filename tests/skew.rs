@@ -12,8 +12,9 @@
 
 use bench::workload::steady_goodput_gbps;
 use bench::{Variant, Workload};
-use rdcn::{ClockPlan, NetConfig, RunResult, SlotEdgePolicy};
+use rdcn::{ClockPlan, NetConfig, RunResult, Schedule, SlotEdgePolicy};
 use simcore::{SimDuration, SimTime};
+use wire::TdnId;
 
 const HORIZON: SimTime = SimTime::from_millis(20);
 const WARMUP: SimTime = SimTime::from_millis(4);
@@ -150,5 +151,38 @@ fn every_slot_edge_policy_engages_and_flows_survive() {
         };
         assert!(hit > 0, "{policy:?} never fired under 150 µs offsets");
         assert!(res.total_acked() > 0, "{policy:?}: flows moved no bytes");
+    }
+}
+
+/// A skewed host reports the skew it has, on every week. The rotor week
+/// (one circuit day, no TDN 0) serves the same trains as the paper's
+/// week: each launch reads its host's clock at its own instant, never
+/// ahead of the rack's next event, so a 1 µs offset bound reads as at
+/// most 1 µs on either.
+#[test]
+fn a_skewed_host_stays_within_its_bound_on_every_week() {
+    for days in [vec![TdnId(1)], vec![TdnId(0), TdnId(1)]] {
+        let mut net = NetConfig::paper_baseline();
+        net.schedule = Schedule::alternating(
+            SimDuration::from_micros(180),
+            SimDuration::from_micros(20),
+            days.clone(),
+        );
+        net.clock = ClockPlan {
+            offset_bound: SimDuration::from_micros(1),
+            ..ClockPlan::none()
+        };
+        let horizon = SimTime::from_millis(5);
+        let wl = Workload {
+            flows: 8,
+            ..Workload::bulk(Variant::Cubic, horizon)
+        };
+        let res = wl.run(&net);
+        assert!(res.total_acked() > 0, "week {days:?}: no bytes moved");
+        assert!(
+            res.clock.max_abs_skew_ns <= 1_000,
+            "week {days:?}: a 1 µs offset bound read as {} ns of skew",
+            res.clock.max_abs_skew_ns
+        );
     }
 }
