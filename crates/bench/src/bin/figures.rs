@@ -26,7 +26,6 @@
 //! Every experiment's sweep-style runs shard across worker threads via
 //! `simcore::par`; outputs are bit-identical to `--jobs 1` because run
 //! seeds live in the sharded items and results collect in index order.
-#![forbid(unsafe_code)]
 
 use bench::experiments::*;
 use simcore::SimTime;
@@ -126,7 +125,10 @@ fn main() -> ExitCode {
     );
 
     for w in &wanted {
-        // detlint: allow(wall_clock) — per-experiment wall timing for the stderr line only
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-experiment wall timing for the stderr line only"
+        )]
         let t0 = std::time::Instant::now();
         match w.as_str() {
             "table1" => table1::run(horizon, warmup).print(),

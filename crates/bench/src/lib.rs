@@ -6,7 +6,6 @@
 //! ([`experiments`]). The `figures` binary drives them from the command
 //! line.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chaos;

@@ -254,12 +254,6 @@ impl TdtcpConnection {
         self.conn.cwnd()
     }
 
-    /// Whether the connection is currently desynchronized (watchdog fired,
-    /// no fresh notification yet).
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
-    }
-
     /// The terminal error this connection aborted with, if any.
     pub fn conn_error(&self) -> Option<ConnError> {
         self.conn.conn_error()
@@ -352,13 +346,6 @@ impl TdtcpConnection {
         if self.conn.select_path(tdn) {
             self.conn.stats_mut().tdn_switches += 1;
         }
-    }
-
-    /// The host's current estimate of its clock skew against the ToR's
-    /// notification cadence, in signed nanoseconds (positive = local
-    /// clock running fast). Exposed for the skew acceptance tests.
-    pub fn estimated_skew_ns(&self) -> i64 {
-        self.skew_ewma_ns as i64
     }
 
     /// Update the skew estimate from this (applied, fresh) notification's

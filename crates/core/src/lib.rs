@@ -24,7 +24,6 @@
 //! The engine implements [`tcp::Transport`], so the `rdcn` emulator
 //! drives it exactly like any other variant.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod connection;

@@ -184,16 +184,6 @@ impl MptcpConnection {
         self.dsn_una
     }
 
-    /// Data-level bytes delivered in order (receiver side).
-    pub fn data_delivered(&self) -> u64 {
-        self.rx.rcv_nxt()
-    }
-
-    /// The subflow currently scheduled by `tdm_schd`.
-    pub fn current_subflow(&self) -> TdnId {
-        self.current
-    }
-
     fn subflow_index(&self, pin: Option<TdnId>) -> usize {
         pin.map(|t| t.index().min(self.subflows.len() - 1))
             .unwrap_or(0)

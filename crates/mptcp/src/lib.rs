@@ -9,7 +9,6 @@
 //! connection-level reinjection — all the machinery whose overheads and
 //! flow-control stalls §2.2 measures.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod connection;

@@ -157,28 +157,6 @@ impl ClockStats {
         } = *self;
         skewed_sends + guard_drops + deferred_sends + wrong_tdn_deliveries + resyncs
     }
-
-    /// Feed every counter into `d` in declaration order.
-    pub fn write_digest(&self, d: &mut Digest) {
-        let ClockStats {
-            skewed_sends,
-            guard_drops,
-            deferred_sends,
-            wrong_tdn_deliveries,
-            resyncs,
-            max_abs_skew_ns,
-        } = *self;
-        for v in [
-            skewed_sends,
-            guard_drops,
-            deferred_sends,
-            wrong_tdn_deliveries,
-            resyncs,
-        ] {
-            d.write_u64(v);
-        }
-        d.write_i64(max_abs_skew_ns);
-    }
 }
 
 /// Counters summed across racks; the skew maximum is the larger one.
@@ -203,7 +181,24 @@ impl std::ops::AddAssign for ClockStats {
 
 impl InjectorStats for ClockStats {
     fn write_digest(&self, d: &mut Digest) {
-        ClockStats::write_digest(self, d)
+        let ClockStats {
+            skewed_sends,
+            guard_drops,
+            deferred_sends,
+            wrong_tdn_deliveries,
+            resyncs,
+            max_abs_skew_ns,
+        } = *self;
+        for v in [
+            skewed_sends,
+            guard_drops,
+            deferred_sends,
+            wrong_tdn_deliveries,
+            resyncs,
+        ] {
+            d.write_u64(v);
+        }
+        d.write_i64(max_abs_skew_ns);
     }
 }
 

@@ -11,6 +11,7 @@ use crate::config::NetConfig;
 use crate::faults::FaultStats;
 use crate::impair::ImpairStats;
 use crate::shard::{PairFlow, RackResult, ShardedEmulator};
+use crate::statfold::InjectorStats;
 use simcore::{SimDuration, SimTime, TimeSeries};
 use tcp::{ConnError, ConnStats, Transport};
 use testkit::Digest;
@@ -160,21 +161,45 @@ impl RunResult {
     /// Two runs with the same configuration and seed must produce the same
     /// digest — this is the workspace's golden-trace determinism guarantee
     /// (see `tests/determinism.rs`). Floats are hashed by bit pattern, so
-    /// the comparison is exact, not approximate.
+    /// the comparison is exact, not approximate. The destructuring makes a
+    /// field added to the result and not to the fold a compile error.
     pub fn stats_digest(&self) -> u64 {
+        let RunResult {
+            seq_series,
+            voq_ab,
+            voq_ba,
+            sender_stats,
+            receiver_stats,
+            day_records,
+            drops_ab,
+            drops_ba,
+            ce_marks_ab,
+            final_cwnds,
+            completions,
+            starts,
+            duration,
+            events,
+            faults,
+            fault_log_digest,
+            impairments,
+            impair_log_digest,
+            clock,
+            clock_log_digest,
+            conn_errors,
+        } = self;
         let mut d = Digest::new();
-        for series in [&self.seq_series, &self.voq_ab, &self.voq_ba] {
+        for series in [seq_series, voq_ab, voq_ba] {
             d.write_usize(series.points().len());
             for &(t, v) in series.points() {
                 d.write_u64(t.as_nanos());
                 d.write_f64(v);
             }
         }
-        for stats in self.sender_stats.iter().chain(&self.receiver_stats) {
+        for stats in sender_stats.iter().chain(receiver_stats) {
             stats.write_digest(&mut d);
         }
-        d.write_usize(self.day_records.len());
-        for r in &self.day_records {
+        d.write_usize(day_records.len());
+        for r in day_records {
             let DayRecord {
                 day,
                 tdn,
@@ -190,16 +215,16 @@ impl RunResult {
             d.write_u64(*retransmits);
             d.write_u64(*spurious_retransmits);
         }
-        d.write_u64(self.drops_ab);
-        d.write_u64(self.drops_ba);
-        d.write_u64(self.ce_marks_ab);
-        for cwnds in &self.final_cwnds {
+        d.write_u64(*drops_ab);
+        d.write_u64(*drops_ba);
+        d.write_u64(*ce_marks_ab);
+        for cwnds in final_cwnds {
             d.write_usize(cwnds.len());
             for &c in cwnds {
                 d.write_u32(c);
             }
         }
-        for c in &self.completions {
+        for c in completions {
             match c {
                 Some(t) => {
                     d.write_bool(true).write_u64(t.as_nanos());
@@ -209,18 +234,18 @@ impl RunResult {
                 }
             }
         }
-        for s in &self.starts {
+        for s in starts {
             d.write_u64(s.as_nanos());
         }
-        d.write_u64(self.duration.as_nanos());
-        d.write_u64(self.events);
-        self.faults.write_digest(&mut d);
-        d.write_u64(self.fault_log_digest);
-        self.impairments.write_digest(&mut d);
-        d.write_u64(self.impair_log_digest);
-        self.clock.write_digest(&mut d);
-        d.write_u64(self.clock_log_digest);
-        for e in &self.conn_errors {
+        d.write_u64(duration.as_nanos());
+        d.write_u64(*events);
+        faults.write_digest(&mut d);
+        d.write_u64(*fault_log_digest);
+        impairments.write_digest(&mut d);
+        d.write_u64(*impair_log_digest);
+        clock.write_digest(&mut d);
+        d.write_u64(*clock_log_digest);
+        for e in conn_errors {
             match e {
                 None => {
                     d.write_bool(false);

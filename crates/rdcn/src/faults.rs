@@ -154,9 +154,21 @@ impl FaultStats {
             + eps_drops
             + eps_corruptions
     }
+}
 
-    /// Feed every counter into `d` in declaration order.
-    pub fn write_digest(&self, d: &mut Digest) {
+statfold::summed_counters!(FaultStats {
+    notifications_dropped,
+    notifications_delayed,
+    notifications_duplicated,
+    days_truncated,
+    days_absent,
+    days_frozen,
+    eps_drops,
+    eps_corruptions,
+});
+
+impl InjectorStats for FaultStats {
+    fn write_digest(&self, d: &mut Digest) {
         let FaultStats {
             notifications_dropped,
             notifications_delayed,
@@ -179,23 +191,6 @@ impl FaultStats {
         ] {
             d.write_u64(v);
         }
-    }
-}
-
-statfold::summed_counters!(FaultStats {
-    notifications_dropped,
-    notifications_delayed,
-    notifications_duplicated,
-    days_truncated,
-    days_absent,
-    days_frozen,
-    eps_drops,
-    eps_corruptions,
-});
-
-impl InjectorStats for FaultStats {
-    fn write_digest(&self, d: &mut Digest) {
-        FaultStats::write_digest(self, d)
     }
 }
 

@@ -110,19 +110,6 @@ impl ImpairStats {
         } = *self;
         segs_dropped + segs_reordered + segs_duplicated + segs_corrupted
     }
-
-    /// Feed every counter into `d` in declaration order.
-    pub fn write_digest(&self, d: &mut Digest) {
-        let ImpairStats {
-            segs_dropped,
-            segs_reordered,
-            segs_duplicated,
-            segs_corrupted,
-        } = *self;
-        for v in [segs_dropped, segs_reordered, segs_duplicated, segs_corrupted] {
-            d.write_u64(v);
-        }
-    }
 }
 
 statfold::summed_counters!(ImpairStats {
@@ -134,7 +121,15 @@ statfold::summed_counters!(ImpairStats {
 
 impl InjectorStats for ImpairStats {
     fn write_digest(&self, d: &mut Digest) {
-        ImpairStats::write_digest(self, d)
+        let ImpairStats {
+            segs_dropped,
+            segs_reordered,
+            segs_duplicated,
+            segs_corrupted,
+        } = *self;
+        for v in [segs_dropped, segs_reordered, segs_duplicated, segs_corrupted] {
+            d.write_u64(v);
+        }
     }
 }
 

@@ -11,7 +11,6 @@
 //! two-rack pair and [`ShardedEmulator`] for an N-rack fabric at any
 //! worker count.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analytic;
@@ -20,6 +19,7 @@ pub mod config;
 pub mod emulator;
 pub mod faults;
 pub mod impair;
+mod mail;
 pub mod notify;
 mod pool;
 pub mod schedule;

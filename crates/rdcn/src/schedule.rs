@@ -302,12 +302,10 @@ mod tests {
         for n in [2usize, 4, 8, 16] {
             let ms = rotor::matchings(n);
             assert_eq!(ms.len(), n - 1, "n={n}");
-            // detlint: allow(unordered_iter) — membership-only pair set; iteration order never observed
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for m in &ms {
                 assert_eq!(m.len(), n / 2);
-                // detlint: allow(unordered_iter) — membership-only set; iteration order never observed
-                let mut in_round = std::collections::HashSet::new();
+                let mut in_round = std::collections::BTreeSet::new();
                 for &(a, b) in m {
                     assert_ne!(a, b);
                     assert!(in_round.insert(a), "rack {a} appears twice in a round");

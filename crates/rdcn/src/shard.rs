@@ -45,6 +45,7 @@ use crate::config::{NetConfig, TdnParams};
 use crate::emulator::DayRecord;
 use crate::faults::{DayFate, EpsVerdict, FaultInjector, FaultPlan, NotifyVerdict, FAULT_STREAM_LABEL};
 use crate::impair::{ImpairInjector, ImpairPlan, ImpairVerdict, IMPAIR_STREAM_LABEL};
+use crate::mail::{Mailboxes, Msg};
 use crate::notify::{NotifyConfig, NotifyModel};
 use crate::pool::{SegPool, SegRef, NIL};
 use crate::schedule::{rotor, Schedule};
@@ -52,9 +53,9 @@ use crate::voq::{Voq, VoqConfig};
 use simcore::{par, DefaultQueue, DetRng, SimDuration, SimTime, TimeSeries};
 use std::marker::PhantomData;
 use std::ops::DerefMut;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use tcp::{ConnError, ConnStats, Direction, Segment, Transport};
+use tcp::{ConnError, ConnStats, Direction, Transport};
 use testkit::Digest;
 use wire::TdnId;
 
@@ -243,95 +244,6 @@ enum REv {
 enum Port {
     Circuit = 0,
     Eps = 1,
-}
-
-/// One segment crossing racks: queued by the source shard in emission
-/// order, collected by the destination shard one window later. The one
-/// place between two hosts where the segment itself is copied.
-struct Msg {
-    /// Arrival time at the destination host.
-    t: SimTime,
-    /// Destination host, rack-local.
-    host: u32,
-    /// The source shard's previous emission had the same `(t, rack,
-    /// host)`: the two arrive in one `Deliver`. Fixed by the source's own
-    /// emission order, so a batch never depends on what else shares the
-    /// box.
-    joins_prev: bool,
-    seg: Segment,
-}
-
-/// One `(source, destination)` box of one parity.
-#[derive(Default)]
-struct Mailbox {
-    /// Set by the hand-off, cleared by the collect: the destination
-    /// skips a box its source left empty without taking the lock. The
-    /// `Release` store pairs with the `Acquire` load in `collect` (the
-    /// window barrier between them orders the two as well).
-    full: AtomicBool,
-    msgs: Mutex<Vec<Msg>>,
-}
-
-/// The cross-rack mailboxes: one box per (source, destination) pair,
-/// double-buffered by window parity. A source fills a private outbox per
-/// destination during a window of parity `p` and swaps each non-empty
-/// one into its row of parity `p` when the window ends — one hand-off
-/// per pair per window, not a lock per segment — while the destination
-/// collects its column of parity `p ^ 1`, last window's mail. So a box
-/// has one writer or one reader in any window, never both, and the locks
-/// are never contended. The swap trades the outbox for the box's emptied
-/// buffer, both keep their capacity: nothing is allocated or freed across
-/// threads in the steady state.
-struct Mailboxes {
-    racks: usize,
-    /// `boxes[parity][src * racks + dst]`.
-    boxes: [Vec<Mailbox>; 2],
-}
-
-impl Mailboxes {
-    fn new(racks: usize) -> Mailboxes {
-        let half = || (0..racks * racks).map(|_| Mailbox::default()).collect();
-        Mailboxes {
-            racks,
-            boxes: [half(), half()],
-        }
-    }
-
-    /// Swap the non-empty `outbox` into the (collected, hence empty)
-    /// `(src, dst)` box of `parity`; `outbox` comes back empty.
-    fn hand_off(&self, parity: usize, src: usize, dst: usize, outbox: &mut Vec<Msg>) {
-        let slot = &self.boxes[parity][src * self.racks + dst];
-        let mut msgs = slot.msgs.lock().expect("mailbox poisoned");
-        debug_assert!(msgs.is_empty(), "handed off into an uncollected box");
-        std::mem::swap(&mut *msgs, outbox);
-        slot.full.store(true, Ordering::Release);
-    }
-
-    /// Empty column `dst` of `parity` in fixed source-rack order, handing
-    /// each run of `joins_prev` messages to `deliver` as one batch.
-    fn collect(&self, parity: usize, dst: usize, mut deliver: impl FnMut(&[Msg])) {
-        for src in 0..self.racks {
-            let slot = &self.boxes[parity][src * self.racks + dst];
-            if !slot.full.load(Ordering::Acquire) {
-                continue;
-            }
-            let mut msgs = slot.msgs.lock().expect("mailbox poisoned");
-            for run in msgs.chunk_by(|_, next| next.joins_prev) {
-                deliver(run);
-            }
-            msgs.clear();
-            slot.full.store(false, Ordering::Release);
-        }
-    }
-
-    /// Messages handed off and not yet collected, both parities.
-    fn in_flight(&self) -> u64 {
-        let mut n = 0;
-        for slot in self.boxes.iter().flatten() {
-            n += slot.msgs.lock().expect("mailbox poisoned").len() as u64;
-        }
-        n
-    }
 }
 
 /// What the engine keeps per resident host besides its timer: who it
@@ -623,48 +535,49 @@ impl ShardResult {
         max / mean
     }
 
-    /// Fold every counter into `d` in declaration order.
-    pub fn write_digest(&self, d: &mut Digest) {
-        d.write_u64(self.drops)
-            .write_u64(self.ce_marks)
-            .write_u64(self.events)
-            .write_u64(self.faults_total)
-            .write_u64(self.impairments_total)
-            .write_u64(self.clock_total);
-        for v in &self.rack_events {
-            d.write_u64(*v);
-        }
-        for v in &self.fault_log_digests {
-            d.write_u64(*v);
-        }
-        for v in &self.impair_log_digests {
-            d.write_u64(*v);
-        }
-        for v in &self.clock_log_digests {
-            d.write_u64(*v);
-        }
-        d.write_u64(self.duration.as_nanos());
-    }
-
     /// Digest over everything observable in the result, folded in fixed
-    /// order — the object of the worker-count invariance property.
+    /// order — the object of the worker-count invariance property. The
+    /// destructuring makes a field added to the result and not to the
+    /// fold a compile error.
     pub fn stats_digest(&self) -> u64 {
+        let ShardResult {
+            sender_stats,
+            receiver_stats,
+            completions,
+            sender_errors,
+            drops,
+            ce_marks,
+            events,
+            rack_events,
+            faults_total,
+            impairments_total,
+            clock_total,
+            fault_log_digests,
+            impair_log_digests,
+            clock_log_digests,
+            duration,
+        } = self;
         let mut d = Digest::new();
-        d.write_usize(self.sender_stats.len());
-        for s in &self.sender_stats {
+        d.write_usize(sender_stats.len());
+        for s in sender_stats.iter().chain(receiver_stats) {
             s.write_digest(&mut d);
         }
-        for s in &self.receiver_stats {
-            s.write_digest(&mut d);
-        }
-        for c in &self.completions {
+        for c in completions {
             d.write_bool(c.is_some());
             d.write_u64(c.map_or(0, |t| t.as_nanos()));
         }
-        for e in &self.sender_errors {
-            d.write_bool(*e);
+        for &e in sender_errors {
+            d.write_bool(e);
         }
-        self.write_digest(&mut d);
+        for v in [*drops, *ce_marks, *events, *faults_total, *impairments_total, *clock_total] {
+            d.write_u64(v);
+        }
+        for digests in [rack_events, fault_log_digests, impair_log_digests, clock_log_digests] {
+            for &v in digests {
+                d.write_u64(v);
+            }
+        }
+        d.write_u64(duration.as_nanos());
         d.finish()
     }
 
@@ -1671,7 +1584,7 @@ mod tests {
     use crate::faults::{LinkFailure, ScheduleFreeze};
     use crate::clock::SlotEdgePolicy;
     use tcp::cc::{CcConfig, Cubic, ReTcp, ReTcpConfig};
-    use tcp::{Config, Connection, FlowId};
+    use tcp::{Config, Connection, FlowId, Segment};
     use wire::Ecn;
 
     type Pair = (Box<dyn Transport + Send>, Box<dyn Transport + Send>);

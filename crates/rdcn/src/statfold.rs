@@ -7,12 +7,6 @@
 //! length, every event, and the counters into one value. The first two
 //! copies were hand-rolled; this module is the single home for the
 //! pattern so the third (and any later) layer reuses it.
-//!
-//! Note on detlint: the counter structs keep their *inherent*
-//! `write_digest` methods (the `digest_coverage` rule matches
-//! `impl StructName` blocks by name); the [`InjectorStats`] impls
-//! delegate to them, giving generic call sites a trait without hiding
-//! the fold from the linter.
 
 use testkit::Digest;
 
@@ -23,7 +17,9 @@ pub const LOG_CAP: usize = 4096;
 /// Counter block of one chaos injector: every field monotone, every
 /// field folded into the run digest.
 pub trait InjectorStats {
-    /// Feed every counter into `d` in declaration order.
+    /// Feed every counter into `d` in declaration order. Implementations
+    /// destructure `self` exhaustively, so a counter no fold names is a
+    /// compile error.
     fn write_digest(&self, d: &mut Digest);
 }
 

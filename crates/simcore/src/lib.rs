@@ -12,19 +12,16 @@
 //! wall-clock I/O — drives all progress, so runs are reproducible
 //! bit-for-bit from a seed.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod event;
 pub mod par;
-pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod trace;
 pub mod wheel;
 
 pub use event::{EventId, EventQueue};
-pub use rng::DetRng;
 pub use stats::Cdf;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Gauge, TimeSeries};
@@ -46,6 +43,12 @@ pub use wheel::{TimerWheel, WheelEventId};
 /// `benchmark/src/micro.rs` (`simcore.wheel_ns_per_op` /
 /// `simcore.heap_ns_per_op`), which times them on the same script.
 pub type DefaultQueue<E> = TimerWheel<E>;
+
+/// The simulator's RNG: every stochastic choice (cross traffic,
+/// notification jitter, chaos draws) comes from one of these, seeded
+/// explicitly and forked per stream with a label, so identical seeds
+/// yield identical runs. It is `testkit`'s golden-pinned xoshiro256++.
+pub type DetRng = testkit::TkRng;
 
 /// Handle type paired with [`DefaultQueue`] (see [`EventId`] /
 /// [`WheelEventId`]).

@@ -613,7 +613,7 @@ impl<E> TimerWheel<E> {
 mod tests {
     use super::*;
     use crate::event::EventQueue;
-    use crate::rng::DetRng;
+    use crate::DetRng;
     use crate::time::SimDuration;
 
     #[test]

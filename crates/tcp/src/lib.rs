@@ -21,7 +21,6 @@
 //!   CUBIC, DCTCP and reTCP implementations,
 //! * and the [`Transport`] trait the RDCN emulator drives.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ca;

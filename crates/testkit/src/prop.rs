@@ -314,9 +314,9 @@ pub fn weighted<T: 'static>(gens: Vec<(u32, Gen<T>)>) -> Gen<T> {
 }
 
 macro_rules! impl_tuple_gen {
-    ($fname:ident: $($g:ident $v:ident $i:tt),+) => {
+    ($(#[$attr:meta])* $fname:ident: $($g:ident $v:ident $i:tt),+) => {
         /// Tuple of independent generators; shrinks one component at a time.
-        #[allow(clippy::too_many_arguments)]
+        $(#[$attr])*
         pub fn $fname<$($g: Clone + 'static),+>($($v: Gen<$g>),+) -> Gen<($($g,)+)> {
             $(let $v = $v.clone();)+
             let gens = ($($v.clone(),)+);
@@ -341,10 +341,10 @@ macro_rules! impl_tuple_gen {
 impl_tuple_gen!(tuple2: A a 0, B b 1);
 impl_tuple_gen!(tuple3: A a 0, B b 1, C c 2);
 impl_tuple_gen!(tuple4: A a 0, B b 1, C c 2, D d 3);
-impl_tuple_gen!(tuple5: A a 0, B b 1, C c 2, D d 3, E e 4);
-impl_tuple_gen!(tuple6: A a 0, B b 1, C c 2, D d 3, E e 4, F f 5);
-impl_tuple_gen!(tuple7: A a 0, B b 1, C c 2, D d 3, E e 4, F f 5, G g 6);
-impl_tuple_gen!(tuple8: A a 0, B b 1, C c 2, D d 3, E e 4, F f 5, G g 6, H h 7);
+impl_tuple_gen!(
+    #[expect(clippy::too_many_arguments, reason = "one argument per tuple component")]
+    tuple8: A a 0, B b 1, C c 2, D d 3, E e 4, F f 5, G g 6, H h 7
+);
 
 // ---------------------------------------------------------------------------
 // Runner

@@ -398,6 +398,18 @@ mod tests {
     }
 
     #[test]
+    fn shuffle_and_choose_deterministic() {
+        let mut a = TkRng::new(11);
+        let mut b = TkRng::new(11);
+        let mut xs: Vec<u32> = (0..20).collect();
+        let mut ys: Vec<u32> = (0..20).collect();
+        a.shuffle(&mut xs);
+        b.shuffle(&mut ys);
+        assert_eq!(xs, ys);
+        assert_eq!(a.choose(&xs), b.choose(&ys));
+    }
+
+    #[test]
     fn sample_indices_distinct() {
         let mut r = TkRng::new(23);
         let picks = r.sample_indices(100, 10);

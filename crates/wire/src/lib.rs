@@ -11,7 +11,6 @@
 //! exercised by round-trip/property tests and by the `dissector` example,
 //! and double as the reference wire specification of the protocol.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod buf;

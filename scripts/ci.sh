@@ -15,20 +15,17 @@
 #           the tails table included), every example under a
 #           wall-clock timeout, the benchmark package (built --offline,
 #           its unit tests, one pass of each of its five workloads, all
-#           of which must report "correct": true), detlint, clippy
-#           -D warnings. Host time is measured by the benchmark
+#           of which must report "correct": true), and clippy
+#           -D warnings, which carries the static rules (DESIGN.md §10):
+#           the workspace lint table in Cargo.toml (unsafe_code denied,
+#           every suppression an #[expect] with a reason) and
+#           clippy.toml's disallowed types and methods (HashMap/HashSet,
+#           wall-clock reads, read_dir). tests/static_rules.rs (layering,
+#           no registry packages, stream labels, literal seeds) runs in
+#           the workspace tests. Host time is measured by the benchmark
 #           package (BENCHMARK.json, benchmark/README.md) only.
-#   lint  — run only detlint, the in-repo determinism & layering
-#           static-analysis pass (DESIGN.md §10): per-file token rules
-#           (HashMap/HashSet iteration, wall-clock reads, ad-hoc RNG
-#           seeding, layering DAG, forbid(unsafe_code)) plus the v2
-#           workspace symbol-graph rules (stream-label discipline,
-#           cross-file digest coverage, shard mailbox safety, stale
-#           suppression audit). The run prints per-rule fired/suppressed
-#           counts and total scan timing; findings go to
-#           target/detlint.json (schema 2, includes the per-rule
-#           breakdown). Any unsuppressed finding exits non-zero. Also
-#           runs in the default gate before clippy.
+#   lint  — run only the static rules: clippy -D warnings over every
+#           target, then tests/static_rules.rs.
 #   soak  — deepen the property-test search: every testkit `props!`
 #           block runs TK_CASES cases (default 10000) instead of its
 #           built-in count, and the chaos soak runs 5000 scenarios.
@@ -69,8 +66,9 @@ echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 
 if [[ "$MODE" == "lint" ]]; then
-    echo "==> detlint (determinism & layering static analysis)"
-    cargo run -q --offline --release -p detlint -- --root . --json target/detlint.json
+    echo "==> static rules: cargo clippy -D warnings, tests/static_rules.rs"
+    cargo clippy --offline --workspace --all-targets -- -D warnings
+    cargo test -q --offline --test static_rules
     echo "LINT OK"
     exit 0
 fi
@@ -163,10 +161,7 @@ if [[ "$(grep -c '^{"correct": true' <<< "$smoke")" -ne 5 ]]; then
     exit 1
 fi
 
-echo "==> detlint (determinism & layering static analysis)"
-cargo run -q --offline --release -p detlint -- --root . --json target/detlint.json
-
-echo "==> cargo clippy -D warnings"
+echo "==> cargo clippy -D warnings (the static rules, DESIGN.md §10)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "CI OK"

@@ -15,7 +15,6 @@
 //!
 //! Run `cargo run --release -p bench --bin figures` to reproduce the
 //! evaluation, or start from `examples/quickstart.rs`.
-#![forbid(unsafe_code)]
 
 pub use mptcp;
 pub use rdcn;

@@ -12,7 +12,9 @@
 //! thousands, thousands and fifty.
 //!
 //! This file holds the workspace's only `unsafe`: the allocator shim
-//! below, which forwards every call unchanged to `std::alloc::System`.
+//! below, which forwards every call unchanged to `std::alloc::System`
+//! (the workspace denies `unsafe_code`; the shim carries the one
+//! `#[expect]`).
 
 use bench::{Variant, Workload};
 use rdcn::{MultiRackConfig, NetConfig, PairFlow, ShardConfig, ShardedEmulator};
@@ -42,6 +44,7 @@ impl CountingAlloc {
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the counter touches no
 // allocator state.
+#[expect(unsafe_code, reason = "a global allocator is an unsafe trait; this one only counts")]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         Self::count();

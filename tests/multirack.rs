@@ -268,7 +268,10 @@ fn fabric16_digest_is_pinned_at_every_worker_count() {
     // must park, not spin: each finishes within 3× the two-worker wall
     // time.
     let timed = |workers: usize| {
-        // detlint: allow(wall_clock) — host time bounds the oversubscribed runs; it never reaches the simulation
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "host time bounds the oversubscribed runs; it never reaches the simulation"
+        )]
         let t0 = std::time::Instant::now();
         let digest = fabric16(workers).stats_digest();
         (digest, t0.elapsed())
