@@ -132,15 +132,6 @@ fn main() -> ExitCode {
         let t0 = std::time::Instant::now();
         match w.as_str() {
             "table1" => table1::run(horizon, warmup).print(),
-            "fig2" => seqgraph::fig2(horizon).print(),
-            "fig7a" => seqgraph::fig7a(horizon).print(),
-            "fig8a" => seqgraph::fig8a(horizon).print(),
-            "fig9" => seqgraph::fig9(horizon).print(),
-            "fig7b" => voqfig::fig7b(horizon).print(),
-            "fig8b" => voqfig::fig8b(horizon).print(),
-            "fig13" => voqfig::fig13(horizon).print(),
-            "fig14a" => voqfig::fig14a(horizon).print(),
-            "fig14b" => voqfig::fig14b(horizon).print(),
             "fig10" => fig10::run(horizon).print(),
             "fig11" => fig11::run(horizon).print(),
             "notify" => notify::run(50_000, 16).print(),
@@ -174,8 +165,8 @@ fn main() -> ExitCode {
             "multirack" => multirack::run(horizon).print(),
             "tails" => tails::run().print(),
             "faults" => faultsweep::run(horizon).print(),
-            "impair" => impairsweep::run(horizon).print(),
-            "skew" => skew::run(horizon).print(),
+            "impair" => sensitivity::impair(horizon).print(),
+            "skew" => sensitivity::skew(horizon).print(),
             "fairness" => {
                 use bench::Variant;
                 let rows = simcore::par::par_map(
@@ -184,7 +175,15 @@ fn main() -> ExitCode {
                 );
                 shortflows::print_fairness(&rows);
             }
-            other => unreachable!("parse_args admitted unknown experiment {other}"),
+            name => {
+                if let Some(fig) = figure(&seqgraph::FIGURES, name) {
+                    seqgraph::run(fig, horizon).print();
+                } else if let Some(fig) = figure(&voqfig::FIGURES, name) {
+                    voqfig::run(fig, horizon).print();
+                } else {
+                    unreachable!("parse_args admitted unknown experiment {name}");
+                }
+            }
         }
         eprintln!("[{w} took {:.1}s]", t0.elapsed().as_secs_f64());
     }

@@ -27,7 +27,7 @@ pub fn run(horizon: SimTime) -> MultiRack {
         .collect();
     let rows = simcore::par::par_map(vec![Variant::Tdtcp, Variant::Cubic], |_, variant| {
         let emu = ShardedEmulator::new(ShardConfig::clean(cfg.clone()), flows.clone(), |i, _| {
-            variant.endpoints(i, u64::MAX, None)
+            variant.endpoints(i, u64::MAX, None, SimTime::ZERO)
         });
         let res = emu.run(horizon, 1);
         (variant.label().to_string(), res.total_acked(), res.drops)

@@ -1,11 +1,10 @@
-//! Sequence-number graphs: Fig. 2 (CUBIC & MPTCP vs analytic bounds),
-//! Fig. 7a (all variants, bandwidth + latency difference), Fig. 8a
-//! (bandwidth only), Fig. 9 (latency only at 100 Gbps).
+//! Sequence-number graphs, one row of [`FIGURES`] each.
 //!
 //! Each graph plots cumulative acknowledged bytes over a ~4 ms window of
 //! steady state, re-zeroed at the window start, next to the analytic
 //! "optimal" and "packet only" reference curves.
 
+use crate::experiments::{Figure, SIX_VARIANTS};
 use crate::variants::Variant;
 use crate::workload::Workload;
 use rdcn::{analytic, NetConfig};
@@ -46,21 +45,27 @@ impl SeqGraph {
     }
 }
 
-/// Generate a sequence graph for `variants` over `net`.
+/// Fig. 2 (CUBIC and MPTCP against the bounds: §2.2's motivation
+/// measurement), Fig. 7a (every variant, bandwidth + latency
+/// difference), Fig. 8a (bandwidth difference only) and Fig. 9 (latency
+/// difference only, at 100 Gbps).
+pub const FIGURES: [Figure; 4] = [
+    ("fig2", NetConfig::paper_baseline, &[Variant::Cubic, Variant::Mptcp]),
+    ("fig7a", NetConfig::paper_baseline, &SIX_VARIANTS),
+    ("fig8a", NetConfig::bandwidth_only, &SIX_VARIANTS),
+    ("fig9", || NetConfig::latency_only(100_000_000_000), &SIX_VARIANTS),
+];
+
+/// Generate one [`FIGURES`] row's sequence graph.
 ///
-/// `horizon` is the full simulated duration; the plotted window is
-/// `[window_start, window_start + window_len)`, chosen inside steady
-/// state like the paper's "≈4-ms period during the experiment, not the
-/// absolute start".
-pub fn run(
-    name: &'static str,
-    net: &NetConfig,
-    variants: &[Variant],
-    horizon: SimTime,
-    window_start: SimTime,
-    window_len: SimDuration,
-    step: SimDuration,
-) -> SeqGraph {
+/// `horizon` is the full simulated duration; the plotted window is three
+/// optical weeks from mid-horizon, inside steady state like the paper's
+/// "≈4-ms period during the experiment, not the absolute start".
+pub fn run((name, net, variants): Figure, horizon: SimTime) -> SeqGraph {
+    let net = &net();
+    let window_start = SimTime::from_nanos(horizon.as_nanos() / 2);
+    let window_len = SimDuration::from_micros(4200);
+    let step = SimDuration::from_micros(200);
     assert!(window_start + window_len <= horizon);
     let window_end = window_start + window_len;
     let mut grid_us = Vec::new();
@@ -107,78 +112,4 @@ pub fn run(
         grid_us,
         series,
     }
-}
-
-/// Fig. 2: CUBIC and MPTCP against the analytic bounds, three optical
-/// weeks (§2.2's motivation measurement).
-pub fn fig2(horizon: SimTime) -> SeqGraph {
-    run(
-        "fig2",
-        &NetConfig::paper_baseline(),
-        &[Variant::Cubic, Variant::Mptcp],
-        horizon,
-        SimTime::from_nanos(horizon.as_nanos() / 2),
-        SimDuration::from_micros(4200), // 3 weeks
-        SimDuration::from_micros(200),
-    )
-}
-
-/// Fig. 7a: every variant under bandwidth + latency difference.
-pub fn fig7a(horizon: SimTime) -> SeqGraph {
-    run(
-        "fig7a",
-        &NetConfig::paper_baseline(),
-        &[
-            Variant::ReTcpDyn,
-            Variant::Tdtcp,
-            Variant::ReTcp,
-            Variant::Dctcp,
-            Variant::Cubic,
-            Variant::Mptcp,
-        ],
-        horizon,
-        SimTime::from_nanos(horizon.as_nanos() / 2),
-        SimDuration::from_micros(4200),
-        SimDuration::from_micros(200),
-    )
-}
-
-/// Fig. 8a: bandwidth difference only.
-pub fn fig8a(horizon: SimTime) -> SeqGraph {
-    run(
-        "fig8a",
-        &NetConfig::bandwidth_only(),
-        &[
-            Variant::ReTcpDyn,
-            Variant::Tdtcp,
-            Variant::ReTcp,
-            Variant::Dctcp,
-            Variant::Cubic,
-            Variant::Mptcp,
-        ],
-        horizon,
-        SimTime::from_nanos(horizon.as_nanos() / 2),
-        SimDuration::from_micros(4200),
-        SimDuration::from_micros(200),
-    )
-}
-
-/// Fig. 9: latency difference only at 100 Gbps.
-pub fn fig9(horizon: SimTime) -> SeqGraph {
-    run(
-        "fig9",
-        &NetConfig::latency_only(100_000_000_000),
-        &[
-            Variant::ReTcpDyn,
-            Variant::Tdtcp,
-            Variant::ReTcp,
-            Variant::Dctcp,
-            Variant::Cubic,
-            Variant::Mptcp,
-        ],
-        horizon,
-        SimTime::from_nanos(horizon.as_nanos() / 2),
-        SimDuration::from_micros(4200),
-        SimDuration::from_micros(200),
-    )
 }

@@ -153,7 +153,7 @@ fn tdtcp_fabric_allocates_per_day_not_per_segment() {
                 })
             })
             .collect();
-        let endpoints = |i, _: &PairFlow| Variant::Tdtcp.endpoints(i, u64::MAX, None);
+        let endpoints = |i, _: &PairFlow| Variant::Tdtcp.endpoints(i, u64::MAX, None, SimTime::ZERO);
         let res = ShardedEmulator::new(ShardConfig::clean(cfg), flows, endpoints).run(until, 1);
         delivered(&res.receiver_stats)
     });

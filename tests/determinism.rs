@@ -18,14 +18,24 @@ use tcp::{FlowId, Segment, SeqNum, Transport};
 use tdtcp::{TdtcpConfig, TdtcpConnection};
 use wire::TdnId;
 
+/// An edit of the baseline network: how a test arms one chaos plane.
+type Edit = fn(&mut NetConfig);
+
 fn run_once(variant: Variant, seed: u64) -> u64 {
+    run_edited(variant, seed, |_| {})
+}
+
+/// [`run_once`] over the baseline network with `edit` applied.
+fn run_edited(variant: Variant, seed: u64, edit: Edit) -> u64 {
+    let mut net = NetConfig::paper_baseline();
+    edit(&mut net);
     let wl = Workload {
         flows: 4,
         seed,
         sample_every: SimDuration::from_micros(10),
         ..Workload::bulk(variant, SimTime::from_millis(3))
     };
-    wl.run(&NetConfig::paper_baseline()).stats_digest()
+    wl.run(&net).stats_digest()
 }
 
 /// Same seed, same variant → identical digest, across several seeds and
@@ -164,69 +174,6 @@ fn all_variants_are_deterministic() {
     }
 }
 
-fn run_faulted(variant: Variant, seed: u64, faults: rdcn::FaultPlan) -> u64 {
-    let mut net = NetConfig::paper_baseline();
-    net.faults = faults;
-    let wl = Workload {
-        flows: 4,
-        seed,
-        sample_every: SimDuration::from_micros(10),
-        ..Workload::bulk(variant, SimTime::from_millis(3))
-    };
-    wl.run(&net).stats_digest()
-}
-
-/// Fault injection is part of the determinism contract: the same
-/// (seed, plan) pair reproduces a bit-identical digest, and the faulted
-/// digest differs from the clean run's (the plan actually did
-/// something, and the digest covers the fault log).
-#[test]
-fn faulted_runs_are_deterministic() {
-    let plan = rdcn::FaultPlan::notification_loss(0.05);
-    let a = run_faulted(Variant::Tdtcp, 1, plan.clone());
-    let b = run_faulted(Variant::Tdtcp, 1, plan);
-    assert_eq!(a, b, "notification-loss run must replay bit-identically");
-    assert_ne!(
-        a,
-        run_once(Variant::Tdtcp, 1),
-        "a lossy plan must perturb the digest"
-    );
-}
-
-/// Same contract for a structural fault: a mid-day circuit failure with
-/// a multi-day outage replays bit-identically and diverges from clean.
-#[test]
-fn link_failure_runs_are_deterministic() {
-    let plan = rdcn::FaultPlan {
-        link_failure: Some(rdcn::LinkFailure {
-            day: 4,
-            at_fraction: 0.5,
-            outage_days: 12,
-        }),
-        ..rdcn::FaultPlan::default()
-    };
-    let a = run_faulted(Variant::Tdtcp, 7, plan.clone());
-    let b = run_faulted(Variant::Tdtcp, 7, plan);
-    assert_eq!(a, b, "link-failure run must replay bit-identically");
-    assert_ne!(
-        a,
-        run_once(Variant::Tdtcp, 7),
-        "a circuit outage must perturb the digest"
-    );
-}
-
-fn run_impaired(variant: Variant, seed: u64, impair: rdcn::ImpairPlan) -> u64 {
-    let mut net = NetConfig::paper_baseline();
-    net.impair = impair;
-    let wl = Workload {
-        flows: 4,
-        seed,
-        sample_every: SimDuration::from_micros(10),
-        ..Workload::bulk(variant, SimTime::from_millis(3))
-    };
-    wl.run(&net).stats_digest()
-}
-
 fn busy_impair_plan() -> rdcn::ImpairPlan {
     rdcn::ImpairPlan {
         loss_rate: 0.01,
@@ -235,56 +182,6 @@ fn busy_impair_plan() -> rdcn::ImpairPlan {
         duplicate_rate: 0.01,
         corrupt_rate: 0.002,
     }
-}
-
-/// Data-path impairment joins the determinism contract: the same
-/// (seed, plan) pair reproduces a bit-identical digest across multiple
-/// seeds and both headline variants, and every impaired digest diverges
-/// from its clean twin (the digest covers the impairment log).
-#[test]
-fn impaired_runs_are_deterministic() {
-    for variant in [Variant::Tdtcp, Variant::Cubic] {
-        for seed in [1u64, 0xBADC_AB1E] {
-            let a = run_impaired(variant, seed, busy_impair_plan());
-            let b = run_impaired(variant, seed, busy_impair_plan());
-            assert_eq!(
-                a, b,
-                "impaired digest diverged: variant={variant:?} seed={seed:#x}"
-            );
-            assert_ne!(
-                a,
-                run_once(variant, seed),
-                "an armed plan must perturb the digest: variant={variant:?}"
-            );
-        }
-    }
-}
-
-/// The inert-plan guarantee: constructing (but not arming) an
-/// [`rdcn::ImpairPlan`] makes zero RNG draws, so the clean digest is
-/// untouched — attaching `ImpairPlan::none()` explicitly is
-/// bit-identical to the baseline default.
-#[test]
-fn inert_impair_plan_leaves_clean_digest_unchanged() {
-    for variant in [Variant::Tdtcp, Variant::Cubic] {
-        assert_eq!(
-            run_impaired(variant, 1, rdcn::ImpairPlan::none()),
-            run_once(variant, 1),
-            "inert plan perturbed the clean digest: variant={variant:?}"
-        );
-    }
-}
-
-fn run_skewed(variant: Variant, seed: u64, clock: rdcn::ClockPlan) -> u64 {
-    let mut net = NetConfig::paper_baseline();
-    net.clock = clock;
-    let wl = Workload {
-        flows: 4,
-        seed,
-        sample_every: SimDuration::from_micros(10),
-        ..Workload::bulk(variant, SimTime::from_millis(3))
-    };
-    wl.run(&net).stats_digest()
 }
 
 /// A plan that exercises every time-plane mechanism at once: per-host
@@ -301,41 +198,109 @@ fn busy_clock_plan() -> rdcn::ClockPlan {
     }
 }
 
-/// Time-plane chaos joins the determinism contract: the same
-/// (seed, plan) pair reproduces a bit-identical digest across seeds and
-/// both headline variants, and every skewed digest diverges from its
-/// clean twin (the digest covers the clock log and counters).
-#[test]
-fn skewed_runs_are_deterministic() {
-    for variant in [Variant::Tdtcp, Variant::Cubic] {
-        for seed in [1u64, 0xC10C] {
-            let a = run_skewed(variant, seed, busy_clock_plan());
-            let b = run_skewed(variant, seed, busy_clock_plan());
-            assert_eq!(
-                a, b,
-                "skewed digest diverged: variant={variant:?} seed={seed:#x}"
-            );
+/// `(plane, the edit arming it with a busy plan, variants, seeds)`.
+type Case = (&'static str, Edit, &'static [Variant], &'static [u64]);
+
+/// Every chaos plane joins the determinism contract: on each of its
+/// variants and seeds, the armed run replays to a bit-identical digest,
+/// and that digest differs from the clean run's (the plan did something,
+/// and the digest covers the plane's log and counters).
+const CASES: [Case; 4] = [
+    (
+        "notification loss",
+        |n| n.faults = rdcn::FaultPlan::notification_loss(0.05),
+        &[Variant::Tdtcp],
+        &[1],
+    ),
+    (
+        // A mid-day circuit failure with a multi-day outage.
+        "link failure",
+        |n| {
+            n.faults.link_failure = Some(rdcn::LinkFailure {
+                day: 4,
+                at_fraction: 0.5,
+                outage_days: 12,
+            });
+        },
+        &[Variant::Tdtcp],
+        &[7],
+    ),
+    (
+        "impairment",
+        |n| n.impair = busy_impair_plan(),
+        &[Variant::Tdtcp, Variant::Cubic],
+        &[1, 0xBADC_AB1E],
+    ),
+    (
+        "clock skew",
+        |n| n.clock = busy_clock_plan(),
+        &[Variant::Tdtcp, Variant::Cubic],
+        &[1, 0xC10C],
+    ),
+];
+
+fn case(plane: &str) -> Case {
+    CASES.into_iter().find(|c| c.0 == plane).expect("a case for the plane")
+}
+
+/// The `CASES` contract for `plane`.
+fn assert_replays_and_perturbs(plane: &str) {
+    let (plane, edit, variants, seeds) = case(plane);
+    for &variant in variants {
+        for &seed in seeds {
+            let a = run_edited(variant, seed, edit);
+            let b = run_edited(variant, seed, edit);
+            assert_eq!(a, b, "{plane} digest diverged: variant={variant:?} seed={seed:#x}");
             assert_ne!(
                 a,
                 run_once(variant, seed),
-                "an armed clock plan must perturb the digest: variant={variant:?}"
+                "an armed {plane} plan must perturb the digest: variant={variant:?}"
             );
         }
     }
 }
 
-/// The inert-plan guarantee for the time plane: attaching
-/// `ClockPlan::none()` explicitly makes zero draws from the clock
-/// stream, so the digest is bit-identical to the baseline default.
-#[test]
-fn inert_clock_plan_leaves_clean_digest_unchanged() {
+/// The inert-plan guarantee: attaching a plane's inert plan explicitly
+/// makes zero draws from its stream, so the digest is bit-identical to
+/// the baseline default.
+fn assert_inert(plane: &str, edit: Edit) {
     for variant in [Variant::Tdtcp, Variant::Cubic] {
         assert_eq!(
-            run_skewed(variant, 1, rdcn::ClockPlan::none()),
+            run_edited(variant, 1, edit),
             run_once(variant, 1),
-            "inert clock plan perturbed the clean digest: variant={variant:?}"
+            "inert {plane} plan perturbed the clean digest: variant={variant:?}"
         );
     }
+}
+
+#[test]
+fn faulted_runs_are_deterministic() {
+    assert_replays_and_perturbs("notification loss");
+}
+
+#[test]
+fn link_failure_runs_are_deterministic() {
+    assert_replays_and_perturbs("link failure");
+}
+
+#[test]
+fn impaired_runs_are_deterministic() {
+    assert_replays_and_perturbs("impairment");
+}
+
+#[test]
+fn skewed_runs_are_deterministic() {
+    assert_replays_and_perturbs("clock skew");
+}
+
+#[test]
+fn inert_impair_plan_leaves_clean_digest_unchanged() {
+    assert_inert("impair", |n| n.impair = rdcn::ImpairPlan::none());
+}
+
+#[test]
+fn inert_clock_plan_leaves_clean_digest_unchanged() {
+    assert_inert("clock", |n| n.clock = rdcn::ClockPlan::none());
 }
 
 /// PR 9's intra-run parallelism contract: a chaotic multirack run —
@@ -368,7 +333,7 @@ fn sharded_chaos_run_is_worker_count_invariant() {
         .collect();
     let run = |workers: usize| {
         rdcn::ShardedEmulator::new(chaotic_cfg(), flows.clone(), |i, _| {
-            Variant::Tdtcp.endpoints(i, u64::MAX, None)
+            Variant::Tdtcp.endpoints(i, u64::MAX, None, SimTime::ZERO)
         })
         .run(SimTime::from_millis(4), workers)
     };
@@ -397,14 +362,11 @@ fn skewed_sweep_matches_serial_digests() {
         .into_iter()
         .flat_map(|v| (0u64..4).map(move |seed| (v, seed)))
         .collect();
-    let serial: Vec<u64> = grid
-        .iter()
-        .map(|&(v, s)| run_skewed(v, s, busy_clock_plan()))
-        .collect();
+    let skewed = case("clock skew").1;
+    let serial: Vec<u64> = grid.iter().map(|&(v, s)| run_edited(v, s, skewed)).collect();
     for jobs in [1, 2, 4] {
-        let sharded = simcore::par::par_map_jobs(jobs, grid.clone(), |_, (v, s)| {
-            run_skewed(v, s, busy_clock_plan())
-        });
+        let sharded =
+            simcore::par::par_map_jobs(jobs, grid.clone(), |_, (v, s)| run_edited(v, s, skewed));
         assert_eq!(
             sharded, serial,
             "sharded skewed digests diverged from serial at jobs={jobs}"

@@ -35,7 +35,7 @@ fn run(
     workers: usize,
 ) -> ShardResult {
     ShardedEmulator::new(ShardConfig::clean(cfg), flows, |i, _| {
-        variant.endpoints(i, bytes, None)
+        variant.endpoints(i, bytes, None, SimTime::ZERO)
     })
     .run(SimTime::from_millis(until_ms), workers)
 }
@@ -175,7 +175,7 @@ fn chaos_paths_are_worker_count_invariant() {
             };
             cfg.guard_band = SimDuration::from_micros(1);
             ShardedEmulator::new(cfg, all_pairs(4), |i, _| {
-                Variant::Tdtcp.endpoints(i, u64::MAX, None)
+                Variant::Tdtcp.endpoints(i, u64::MAX, None, SimTime::ZERO)
             })
             .run(SimTime::from_millis(4), workers)
         };

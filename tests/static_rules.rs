@@ -116,6 +116,22 @@ fn stream_faults(files: &[(String, String)]) -> Vec<String> {
     faults
 }
 
+/// The files of `crates/bench/src` that may call a transport's
+/// constructors: the one builder, `Variant::endpoints`, and the ablation,
+/// which builds TDTCP with ablated configs no variant names.
+const ENDPOINT_BUILDERS: [&str; 2] =
+    ["crates/bench/src/variants.rs", "crates/bench/src/experiments/ablation.rs"];
+
+/// Faults in `(path, source)` files of `crates/bench/src`: a transport
+/// (`tcp::Connection`, `TdtcpConnection`, `MptcpConnection`) built
+/// outside the files allowed to build one.
+fn endpoint_faults(files: &[(String, String)]) -> Vec<String> {
+    let builds = |src: &str| src.contains("Connection::connect(") || src.contains("Connection::listen(");
+    let outside = files.iter().filter(|(path, _)| !ENDPOINT_BUILDERS.contains(&path.as_str()));
+    let builders = outside.filter(|(_, src)| builds(src));
+    builders.map(|(path, _)| format!("{path} builds a transport; use `Variant::endpoints`")).collect()
+}
+
 /// Every file under `dir`, recursively, in path order.
 #[expect(clippy::disallowed_methods, reason = "the listing is sorted before use")]
 fn walk(dir: &Path) -> Vec<PathBuf> {
@@ -147,6 +163,8 @@ fn the_workspace_keeps_every_rule() {
     let mut faults = lock_faults(&read("Cargo.lock"));
     faults.extend(manifests.iter().flat_map(|m| manifest_faults(&read(m))));
     faults.extend(stream_faults(&sources));
+    let harness: Vec<_> = sources.iter().filter(|(f, _)| f.starts_with("crates/bench/src/")).cloned().collect();
+    faults.extend(endpoint_faults(&harness));
     assert!(faults.is_empty(), "{faults:#?}");
 }
 
@@ -191,6 +209,15 @@ fn a_fork_with_a_literal_label_is_named() {
 fn a_literal_seed_is_named() {
     let src = "fn f() -> DetRng { DetRng::new(7) }\nfn g(seed: u64) -> DetRng { DetRng::new(seed) }";
     assert_eq!(stream_faults(&lib(src)), ["crates/x/src/lib.rs: an RNG seeded with the literal 7"]);
+}
+
+#[test]
+fn a_harness_building_its_own_transport_is_named() {
+    let tails = "pub fn make_endpoints(variant: Variant, net: &NetConfig, i: usize, bytes: u64, now: SimTime) {\n    \
+        Box::new(tdtcp::TdtcpConnection::connect(FlowId(i as u32), cfg.clone(), &template, now))\n}";
+    let files = [("crates/bench/src/tails.rs", tails), ("crates/bench/src/variants.rs", tails)];
+    let files = files.map(|(p, s)| (p.to_string(), s.to_string()));
+    assert_eq!(endpoint_faults(&files), ["crates/bench/src/tails.rs builds a transport; use `Variant::endpoints`"]);
 }
 
 /// One production source file holding `src`.
