@@ -135,7 +135,7 @@ pub fn run(horizon: SimTime) -> FaultSweep {
     // day, and keep the circuit dark for three schedule weeks.
     let sched = &base.schedule;
     let mut fail_day = sched.day_number(SimTime::ZERO + (horizon.saturating_since(SimTime::ZERO) / 2));
-    while sched.day_tdn(fail_day) != base.circuit_tdn {
+    while !rdcn::is_circuit(sched.day_tdn(fail_day)) {
         fail_day += 1;
     }
     let outage_days = 3 * sched.days.len() as u64;

@@ -68,7 +68,7 @@ pub fn run(horizon: SimTime) -> Fig10 {
             for rec in res
                 .day_records
                 .iter()
-                .filter(|r| r.day >= 14 && r.tdn == net.circuit_tdn)
+                .filter(|r| r.day >= 14 && rdcn::is_circuit(r.tdn))
             {
                 ev.add(rec.reorder_events as f64);
                 mk.add(rec.reorder_marked_pkts as f64);

@@ -46,9 +46,10 @@ pub struct WatchdogConfig {
     pub period: SimDuration,
     /// Guard band absorbing notification delivery-latency variation.
     pub guard: SimDuration,
-    /// Congestion-window cap, in packets, while desynchronized.
-    pub degraded_cwnd_pkts: u32,
 }
+
+/// Congestion-window cap, in packets, while desynchronized.
+const DEGRADED_CWND_PKTS: u32 = 4;
 
 impl WatchdogConfig {
     /// A watchdog for a schedule whose day+night slot is `slot`: period =
@@ -65,11 +66,7 @@ impl WatchdogConfig {
     /// endpoint's timer slack, skew-gate window, and escalation threshold
     /// agree with the slack the switch actually enforces at slot edges.
     pub fn for_slot_with_guard(slot: SimDuration, guard: SimDuration) -> WatchdogConfig {
-        WatchdogConfig {
-            period: slot,
-            guard,
-            degraded_cwnd_pkts: 4,
-        }
+        WatchdogConfig { period: slot, guard }
     }
 }
 
@@ -289,10 +286,9 @@ impl TdtcpConnection {
     /// on, so it must not blast a stale TDN's window onto an unknown path.
     fn sync_posture(&mut self) {
         self.conn.collapse_paths(self.downgraded || self.degraded);
-        let cap = self.cfg.watchdog.filter(|_| self.degraded);
-        let mss = self.cfg.tcp.mss;
-        self.conn
-            .cap_cwnd(cap.map(|wd| wd.degraded_cwnd_pkts.saturating_mul(mss)));
+        let capped = self.degraded && self.cfg.watchdog.is_some();
+        let cap = DEGRADED_CWND_PKTS.saturating_mul(self.cfg.tcp.mss);
+        self.conn.cap_cwnd(capped.then_some(cap));
     }
 
     /// Enter the conservative fallback posture until the next fresh

@@ -53,26 +53,6 @@ impl TdnParams {
     }
 }
 
-/// retcpdyn switch support: advance VOQ enlargement + sender prepare
-/// signal (§5.2).
-#[derive(Debug, Clone, Copy)]
-pub struct RetcpDynConfig {
-    /// Lead time before a circuit day at which the VOQ is enlarged and
-    /// senders are told to ramp (150 µs in the paper).
-    pub prepare_lead: SimDuration,
-    /// Enlarged VOQ capacity (50 packets in the paper).
-    pub enlarged_cap: usize,
-}
-
-impl Default for RetcpDynConfig {
-    fn default() -> Self {
-        RetcpDynConfig {
-            prepare_lead: SimDuration::from_micros(150),
-            enlarged_cap: 50,
-        }
-    }
-}
-
 /// Full configuration of the emulated two-rack RDCN.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
@@ -86,12 +66,13 @@ pub struct NetConfig {
     /// hosts (TDTCP needs them; other variants ignore them).
     pub notify: NotifyConfig,
     /// Whether the switch sets the circuit mark on segments that traverse
-    /// the optical TDN (reTCP's explicit feedback).
+    /// a circuit (reTCP's explicit feedback). Every TDN but TDN 0 is a
+    /// circuit ([`crate::is_circuit`]).
     pub circuit_marking: bool,
-    /// Which TDN counts as "the circuit" for marking/retcpdyn purposes.
-    pub circuit_tdn: TdnId,
-    /// retcpdyn switch support, if enabled.
-    pub retcpdyn: Option<RetcpDynConfig>,
+    /// retcpdyn switch support (§5.2): 150 µs before each circuit day the
+    /// ToR enlarges the VOQ toward that day's peer to 50 packets and tells
+    /// the senders it carries to ramp.
+    pub retcpdyn: bool,
     /// Host NIC uplink rate in bits per second: segments leave a host at
     /// this serialization rate rather than as instantaneous bursts (the
     /// testbed's hosts have their own NICs; without this, window-sized
@@ -134,8 +115,7 @@ impl NetConfig {
             voq: VoqConfig::default(),
             notify: NotifyConfig::optimized(),
             circuit_marking: false,
-            circuit_tdn: TdnId(1),
-            retcpdyn: None,
+            retcpdyn: false,
             host_rate_bps: 100_000_000_000,
             seed: 1,
             faults: FaultPlan::default(),

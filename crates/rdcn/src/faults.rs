@@ -26,6 +26,7 @@
 //!   checksum at delivery and are discarded, so both manifest as loss
 //!   with distinct counters).
 
+use crate::schedule::is_circuit;
 use crate::statfold::{self, InjectorStats, LogEvent};
 use simcore::{DetRng, SimDuration, SimTime};
 use testkit::Digest;
@@ -446,14 +447,14 @@ impl FaultInjector {
         }
     }
 
-    /// Decide the fate of day `day` serving `tdn` (`circuit_tdn` names
-    /// the OCS TDN the link-failure fault applies to). Pure, like
+    /// Decide the fate of day `day` serving `tdn` (the link-failure fault
+    /// applies to circuit days only). Pure, like
     /// [`FaultInjector::schedule_day`].
-    pub fn day_fate(&self, day: u64, tdn: TdnId, circuit_tdn: TdnId) -> DayFate {
+    pub fn day_fate(&self, day: u64, tdn: TdnId) -> DayFate {
         let Some(lf) = self.plan.link_failure else {
             return DayFate::Normal;
         };
-        if tdn != circuit_tdn {
+        if !is_circuit(tdn) {
             DayFate::Normal
         } else if day == lf.day {
             DayFate::Truncated(lf.at_fraction.clamp(0.0, 1.0))
@@ -527,7 +528,7 @@ mod tests {
                     duplicate: None
                 }
             );
-            assert_eq!(inj.day_fate(day, TdnId(1), TdnId(1)), DayFate::Normal);
+            assert_eq!(inj.day_fate(day, TdnId(1)), DayFate::Normal);
             assert_eq!(inj.schedule_day(day), day);
             assert_eq!(
                 inj.on_transit(SimTime::from_micros(day)),
@@ -565,13 +566,13 @@ mod tests {
         let mut inj = injector(plan, 3);
         let circuit = TdnId(1);
         // Packet days are untouched even inside the outage window.
-        assert_eq!(inj.day_fate(7, TdnId(0), circuit), DayFate::Normal);
-        assert_eq!(inj.day_fate(6, circuit, circuit), DayFate::Truncated(0.5));
-        assert_eq!(inj.day_fate(13, circuit, circuit), DayFate::Absent);
-        assert_eq!(inj.day_fate(20, circuit, circuit), DayFate::Normal);
+        assert_eq!(inj.day_fate(7, TdnId(0)), DayFate::Normal);
+        assert_eq!(inj.day_fate(6, circuit), DayFate::Truncated(0.5));
+        assert_eq!(inj.day_fate(13, circuit), DayFate::Absent);
+        assert_eq!(inj.day_fate(20, circuit), DayFate::Normal);
         assert_eq!(inj.stats().total(), 0, "deciding a fate counts nothing");
         for day in [6, 13, 20] {
-            let fate = inj.day_fate(day, circuit, circuit);
+            let fate = inj.day_fate(day, circuit);
             inj.record_day(day, day, fate);
         }
         assert_eq!(inj.stats().days_truncated, 1);

@@ -31,7 +31,7 @@ pub use clock::{
     ClockEvent, ClockInjector, ClockPlan, ClockStats, ClockVerdict, SlotEdgePolicy,
     CLOCK_STREAM_LABEL,
 };
-pub use config::{NetConfig, RetcpDynConfig, TdnParams};
+pub use config::{NetConfig, TdnParams};
 pub use faults::{
     DayFate, EpsBurst, EpsVerdict, FaultInjector, FaultPlan, FaultStats, InjectedFault,
     LinkFailure, NotifyVerdict, ScheduleFreeze, FAULT_STREAM_LABEL,
@@ -43,7 +43,7 @@ pub use impair::{
     ImpairEvent, ImpairInjector, ImpairPlan, ImpairStats, ImpairVerdict, IMPAIR_STREAM_LABEL,
 };
 pub use notify::{NotifyConfig, NotifyModel, NotifySample};
-pub use schedule::{Phase, Schedule};
+pub use schedule::{is_circuit, Phase, Schedule};
 pub use shard::{
     MultiRackConfig, PairFlow, ShardConfig, ShardResult, ShardedEmulator, RACK_STREAM_BASE,
 };

@@ -29,8 +29,6 @@ pub struct NotifyConfig {
     pub pull_model: bool,
     /// Opt. 3: notifications travel a dedicated control network.
     pub dedicated_network: bool,
-    /// Physical propagation within the rack.
-    pub propagation: SimDuration,
     /// Additional fixed delay added to every delivery — not part of the
     /// paper's system, but the knob behind the notification-latency
     /// sensitivity ablation (generalizing Fig. 11).
@@ -44,7 +42,6 @@ impl NotifyConfig {
             cached_construction: true,
             pull_model: true,
             dedicated_network: true,
-            propagation: SimDuration::from_nanos(500),
             extra_delay: SimDuration::ZERO,
         }
     }
@@ -55,7 +52,6 @@ impl NotifyConfig {
             cached_construction: false,
             pull_model: false,
             dedicated_network: false,
-            propagation: SimDuration::from_nanos(500),
             extra_delay: SimDuration::ZERO,
         }
     }
@@ -80,6 +76,9 @@ impl NotifySample {
         self.construction + self.fanout + self.transit
     }
 }
+
+/// Physical propagation of a notification within the rack.
+const PROPAGATION: SimDuration = SimDuration::from_nanos(500);
 
 /// Mean of the shared-data-plane NIC queueing delay (exponential).
 const QUEUEING_MEAN_NS: f64 = 8_000.0;
@@ -150,7 +149,7 @@ impl NotifyModel {
                 (rng.exponential(QUEUEING_MEAN_NS) as u64).min(QUEUEING_CLAMP_NS),
             )
         };
-        let transit = self.cfg.propagation + host_processing + queueing + self.cfg.extra_delay;
+        let transit = PROPAGATION + host_processing + queueing + self.cfg.extra_delay;
 
         NotifySample {
             construction,
@@ -180,7 +179,7 @@ impl NotifyModel {
             QUEUEING_CLAMP_NS
         };
         let host_processing: u64 = 600 + 199;
-        self.cfg.propagation
+        PROPAGATION
             + self.cfg.extra_delay
             + SimDuration::from_nanos(construction + fanout + host_processing + queueing)
     }

@@ -13,6 +13,12 @@
 use simcore::{SimDuration, SimTime};
 use wire::TdnId;
 
+/// Whether a day naming `tdn` is a circuit day: every TDN but TDN 0, the
+/// packet network, is a circuit.
+pub fn is_circuit(tdn: TdnId) -> bool {
+    tdn != TdnId::ZERO
+}
+
 /// What the network is doing at an instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {

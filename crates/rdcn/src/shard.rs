@@ -48,7 +48,7 @@ use crate::impair::{ImpairInjector, ImpairPlan, ImpairVerdict, IMPAIR_STREAM_LAB
 use crate::mail::{Mailboxes, Msg};
 use crate::notify::{NotifyConfig, NotifyModel};
 use crate::pool::{SegPool, SegRef, NIL};
-use crate::schedule::{rotor, Schedule};
+use crate::schedule::{is_circuit, rotor, Schedule};
 use crate::voq::{Voq, VoqConfig};
 use simcore::{par, DefaultQueue, DetRng, SimDuration, SimTime, TimeSeries};
 use std::marker::PhantomData;
@@ -128,7 +128,7 @@ fn peer_rows(sched: &Schedule, racks: usize) -> Vec<Vec<Option<usize>>> {
     (0..sched.days.len() * (racks - 1))
         .map(|day| {
             let mut peers = vec![None; racks];
-            if sched.day_tdn(day as u64) != TdnId(0) {
+            if is_circuit(sched.day_tdn(day as u64)) {
                 for &(a, b) in &matchings[circuit_days % (racks - 1)] {
                     peers[a] = Some(b);
                     peers[b] = Some(a);
@@ -139,6 +139,13 @@ fn peer_rows(sched: &Schedule, racks: usize) -> Vec<Vec<Option<usize>>> {
         })
         .collect()
 }
+
+/// retcpdyn: how long before a circuit day the ToR enlarges the VOQ and
+/// tells senders to ramp (150 µs in the paper).
+const PREPARE_LEAD: SimDuration = SimDuration::from_micros(150);
+
+/// retcpdyn: the enlarged VOQ capacity (50 packets in the paper).
+const ENLARGED_CAP: usize = 50;
 
 /// One flow between a rack pair.
 #[derive(Debug, Clone, Copy)]
@@ -190,8 +197,7 @@ impl ShardConfig {
             voq: net.voq,
             notify: net.notify,
             circuit_marking: false,
-            circuit_tdn: TdnId(1),
-            retcpdyn: None,
+            retcpdyn: false,
             host_rate_bps: net.host_rate_bps,
             seed: net.seed,
             faults: self.faults,
@@ -1333,7 +1339,7 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
             }
         }
         let p = *self.net.tdn(tdn);
-        if self.net.circuit_marking && tdn == self.net.circuit_tdn {
+        if self.net.circuit_marking && is_circuit(tdn) {
             self.pool.get_mut(id).circuit_mark = true;
         }
         let ser = SimDuration::serialization(wire_size, p.rate_bps);
@@ -1432,7 +1438,7 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
         // derive the same fate from the plan; rack 0 counts it.
         let sched_day = self.faults.schedule_day(day);
         let tdn = self.net.schedule.day_tdn(sched_day);
-        let fate = self.faults.day_fate(day, tdn, self.net.circuit_tdn);
+        let fate = self.faults.day_fate(day, tdn);
         if self.r == 0 {
             self.faults.record_day(day, sched_day, fate);
         }
@@ -1483,10 +1489,10 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
 
         // retcpdyn: the prepare lead of the *next* day, if it is a
         // circuit day.
-        if let Some(dyncfg) = self.net.retcpdyn {
+        if self.net.retcpdyn {
             let next = day + 1;
-            if self.net.schedule.day_tdn(next) == self.net.circuit_tdn {
-                let at = self.net.schedule.day_start(next) - dyncfg.prepare_lead;
+            if is_circuit(self.net.schedule.day_tdn(next)) {
+                let at = self.net.schedule.day_start(next) - PREPARE_LEAD;
                 if at >= now {
                     self.q.schedule(at, REv::Prepare { day: next });
                 }
@@ -1508,7 +1514,7 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
         self.eps_on = !self.eps_scheduled;
         // A circuit day just ended: restore the VOQ caps (retcpdyn). The
         // *effective* TDN (a frozen day replays another) decides.
-        if self.net.retcpdyn.is_some() && self.day_tdn == self.net.circuit_tdn {
+        if self.net.retcpdyn && is_circuit(self.day_tdn) {
             for v in &mut self.voqs {
                 v.reset_cap();
             }
@@ -1525,9 +1531,8 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
     /// VOQ toward that day's peer and tell the started senders whose
     /// flows it carries to ramp.
     fn on_prepare(&mut self, now: SimTime, day: u64) {
-        let cap = self.net.retcpdyn.expect("prepare only with retcpdyn").enlarged_cap;
         let Some(peer) = self.row(day)[self.r] else { return };
-        self.voqs[peer].set_cap(cap);
+        self.voqs[peer].set_cap(ENLARGED_CAP);
         for h in 0..self.track.len() {
             let t = self.track[h];
             if t.sender && t.start <= now && self.seats[t.flow as usize].dst_rack as usize == peer {
@@ -1580,7 +1585,6 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RetcpDynConfig;
     use crate::faults::{LinkFailure, ScheduleFreeze};
     use crate::clock::SlotEdgePolicy;
     use tcp::cc::{CcConfig, Cubic, ReTcp, ReTcpConfig};
@@ -1677,7 +1681,7 @@ mod tests {
         let run = |workers: usize| {
             let mut net = NetConfig::paper_baseline();
             net.circuit_marking = true;
-            net.retcpdyn = Some(RetcpDynConfig::default());
+            net.retcpdyn = true;
             net.faults.link_failure = Some(LinkFailure {
                 day: 13,
                 at_fraction: 0.5,

@@ -185,8 +185,8 @@ testkit::props! {
             tk_assert_eq!(a.on_notify(day, flow, side), b.on_notify(day, flow, side));
             tk_assert_eq!(a.schedule_day(day), b.schedule_day(day));
             tk_assert_eq!(
-                a.day_fate(day, TdnId((day % 2) as u8), TdnId(0)),
-                b.day_fate(day, TdnId((day % 2) as u8), TdnId(0))
+                a.day_fate(day, TdnId((day % 2) as u8)),
+                b.day_fate(day, TdnId((day % 2) as u8))
             );
             let t = SimTime::from_micros(day * 7);
             tk_assert_eq!(a.on_transit(t), b.on_transit(t));
@@ -206,7 +206,7 @@ testkit::props! {
             for &(day, flow) in &ops {
                 let _ = c.on_notify(day, flow, (day % 2) as u8);
                 let _ = c.schedule_day(day);
-                let _ = c.day_fate(day, TdnId((day % 2) as u8), TdnId(0));
+                let _ = c.day_fate(day, TdnId((day % 2) as u8));
                 let _ = c.on_transit(SimTime::from_micros(day * 7));
             }
             tk_assert!(

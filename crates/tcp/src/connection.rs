@@ -38,6 +38,12 @@ use simcore::{SimDuration, SimTime};
 use std::collections::VecDeque;
 use wire::{Ecn, TdnId};
 
+/// Initial sequence number of every connection (fixed for determinism).
+pub const ISN: SeqNum = SeqNum::ZERO;
+
+/// Duplicate-ACK / SACKed-segment threshold for fast retransmit.
+const DUPACK_THRESH: u32 = 3;
+
 /// Connection configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
@@ -47,8 +53,6 @@ pub struct Config {
     pub recv_buf: u32,
     /// RTT estimator knobs.
     pub rtt: RttConfig,
-    /// Duplicate-ACK / SACKed-segment threshold for fast retransmit.
-    pub dupack_thresh: u32,
     /// Application bytes to send (`u64::MAX` = unbounded bulk source).
     pub bytes_to_send: u64,
     /// Negotiate and use ECN (set ECT(0) on data, echo CE as ECE).
@@ -57,8 +61,6 @@ pub struct Config {
     pub tlp: bool,
     /// Pace data segments at cwnd/min_rtt instead of bursting.
     pub pacing: bool,
-    /// Initial sequence number (fixed for determinism).
-    pub isn: u32,
     /// Give up after this many consecutive RTO fires (or persist probes)
     /// without progress, aborting the connection with a [`ConnError`]
     /// instead of retrying forever (the `tcp_retries2` analogue). With
@@ -73,12 +75,10 @@ impl Default for Config {
             mss: 8948,
             recv_buf: 4 << 20,
             rtt: RttConfig::default(),
-            dupack_thresh: 3,
             bytes_to_send: u64::MAX,
             ecn: false,
             tlp: true,
             pacing: false,
-            isn: 0,
             max_retries: 15,
         }
     }
@@ -219,7 +219,6 @@ impl Connection {
 
     fn new_endpoint(flow: FlowId, data_dir: Direction, cfg: Config, paths: Vec<Path>) -> Self {
         assert!(!paths.is_empty(), "a connection needs at least one path");
-        let isn = SeqNum(cfg.isn);
         Connection {
             bytes_unsent: cfg.bytes_to_send,
             last_path: paths.len() - 1,
@@ -231,8 +230,8 @@ impl Connection {
             hold_until: None,
             relaxed_reordering: true,
             pessimistic_rto: true,
-            snd_una: isn,
-            snd_nxt: isn,
+            snd_una: ISN,
+            snd_nxt: ISN,
             cfg,
             flow,
             data_dir,
@@ -528,7 +527,7 @@ impl Connection {
             State::SynRcvd => {
                 if seg.flags.ack {
                     self.process_ack(now, seg);
-                    if self.snd_una.after(SeqNum(self.cfg.isn)) {
+                    if self.snd_una.after(ISN) {
                         self.state = State::Established;
                         self.established_at = Some(now);
                     }
@@ -801,8 +800,7 @@ impl Connection {
             self.stats.reorder_events += 1;
         }
 
-        let thresh = self.cfg.dupack_thresh;
-        if self.dupacks < thresh && self.rtx.sacked_above(self.snd_una) < thresh {
+        if self.dupacks < DUPACK_THRESH && self.rtx.sacked_above(self.snd_una) < DUPACK_THRESH {
             if self.paths[cur].ca == CaState::Open {
                 self.paths[cur].ca = CaState::Disorder;
             }

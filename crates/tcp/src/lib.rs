@@ -37,7 +37,7 @@ pub mod transport;
 
 pub use ca::CaState;
 pub use cc::{CcConfig, CongestionControl};
-pub use connection::{Config, Connection, State};
+pub use connection::{Config, Connection, State, ISN};
 pub use path::Path;
 pub use segment::{Direction, DssMap, FlowId, SackBlocks, Segment};
 pub use seq::SeqNum;

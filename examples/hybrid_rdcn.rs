@@ -44,7 +44,7 @@ fn main() {
                 .seq_series
                 .value_at(net.schedule.day_start(day + 1), 0.0)
                 - res.seq_series.value_at(net.schedule.day_start(day), 0.0);
-            if net.schedule.day_tdn(day) == net.circuit_tdn {
+            if rdcn::is_circuit(net.schedule.day_tdn(day)) {
                 ob += d;
                 od += 1;
             } else {

@@ -53,8 +53,7 @@ fn satellite_net() -> NetConfig {
         },
         notify: NotifyConfig::optimized(),
         circuit_marking: false,
-        circuit_tdn: TdnId(1),
-        retcpdyn: None,
+        retcpdyn: false,
         host_rate_bps: 10_000_000_000,
         seed: 42,
         faults: rdcn::FaultPlan::default(),

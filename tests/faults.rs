@@ -82,7 +82,7 @@ fn mid_day_circuit_failure_truncates_then_recovers() {
     let sched = &base.schedule;
     // First circuit day after a little warmup.
     let mut fail_day = sched.day_number(SimTime::from_millis(1));
-    while sched.day_tdn(fail_day) != base.circuit_tdn {
+    while !rdcn::is_circuit(sched.day_tdn(fail_day)) {
         fail_day += 1;
     }
     let outage_days = 2 * sched.days.len() as u64;
