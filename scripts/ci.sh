@@ -8,7 +8,8 @@
 #   anything is built.
 #   (none) — the default gate: release build, workspace tests, the
 #           window-barrier panic, stress and worker-invariance tests, the
-#           queue oracle and the allocation ledger again in release, chaos
+#           queue oracle, the allocation ledger and the pinned digests
+#           (determinism, the fabric, the live set) again in release, chaos
 #           soak, figures smoke, `figures all --jobs 1` diffed
 #           bit-for-bit against the
 #           checked-in figures_output.txt (every deterministic row,
@@ -112,6 +113,16 @@ cargo test -q --offline --release -p rdcn --lib chaos_run_is_worker_invariant
 echo "==> queue oracle + allocation ledger, release build"
 cargo test -q --offline --release --test queue_oracle
 cargo test -q --offline --release --test alloc_ledger
+
+# The segment ledger and record_day's full-scan check run only in debug
+# builds, while figures and the benchmark run in release: hold the
+# pinned digests (every armed chaos plane, the 16-rack fabric, the live
+# set) in the release build too, so a digest that depends on the build
+# profile fails here.
+echo "==> pinned digests, release build"
+cargo test -q --offline --release --test determinism
+cargo test -q --offline --release --test multirack fabric16_digest_is_pinned_at_every_worker_count
+cargo test -q --offline --release --test liveset short_incast_simulated_results_match_the_full_scan_engine
 
 echo "==> chaos soak: ${CHAOS_CASES} randomized scenarios"
 TK_CASES="$CHAOS_CASES" cargo test -q --offline --test chaos chaos_soak
