@@ -14,7 +14,7 @@ use tcp::cc::{CcConfig, Cubic};
 use tcp::{FlowId, SackBlocks, Segment, SeqNum, Transport};
 use tdtcp::{TdtcpConfig, TdtcpConnection};
 use testkit::prop::{option_of, range, tuple3, vec_of, weighted, Gen};
-use testkit::{tk_assert, tk_assert_eq};
+use testkit::{tk_assert, tk_assert_eq, Counters};
 use wire::TdnId;
 
 const MSS: u32 = 1000;

@@ -4,6 +4,8 @@
 //! boundaries and diffs to attribute events to optical days (Fig. 10) or
 //! computes rates over windows (throughput tables).
 
+use testkit::Counters;
+
 /// Cumulative statistics for one connection (or one MPTCP subflow).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConnStats {
@@ -110,12 +112,13 @@ impl ConnStats {
         }
         (self.bytes_delivered as f64 * 8.0) / elapsed.as_secs_f64()
     }
+}
 
-    /// Every counter, in declaration order. The destructuring is
-    /// exhaustive, so a new counter cannot be left out of the digest or
-    /// the sum.
-    fn counters_mut(&mut self) -> [&mut u64; 33] {
-        let ConnStats {
+/// Every counter, in declaration order: the digest, the sum and `+=`
+/// all read this one list.
+impl Counters for ConnStats {
+    fn counters_mut(&mut self) -> impl IntoIterator<Item = &mut u64> {
+        testkit::counters!(self, ConnStats {
             bytes_sent,
             bytes_acked,
             bytes_delivered,
@@ -149,68 +152,14 @@ impl ConnStats {
             stall_ns,
             skew_gate_pauses,
             skew_escalations,
-        } = self;
-        [
-            bytes_sent,
-            bytes_acked,
-            bytes_delivered,
-            segs_sent,
-            acks_sent,
-            segs_received,
-            retransmits,
-            spurious_retransmits,
-            dup_segs_received,
-            fast_recoveries,
-            reorder_events,
-            reorder_marked_pkts,
-            rtos,
-            tlps,
-            ce_received,
-            ece_received,
-            drops,
-            tdn_switches,
-            cross_tdn_rtt_discards,
-            relaxed_skips,
-            reinjections,
-            notify_watchdog_fires,
-            notify_resyncs,
-            degraded_ns,
-            stale_notifies,
-            persist_probes,
-            sack_reneges,
-            corrupt_rx,
-            conn_aborts,
-            rto_stalls,
-            stall_ns,
-            skew_gate_pauses,
-            skew_escalations,
-        ]
-    }
-
-    /// Feed every counter into `d`, in declaration order. Two runs whose
-    /// connections digest identically behaved identically counter-for-
-    /// counter — the building block of the golden-trace determinism suite.
-    pub fn write_digest(&self, d: &mut testkit::Digest) {
-        let mut copy = *self;
-        for v in copy.counters_mut() {
-            d.write_u64(*v);
-        }
-    }
-
-    /// One-shot digest of these counters.
-    pub fn digest(&self) -> u64 {
-        let mut d = testkit::Digest::new();
-        self.write_digest(&mut d);
-        d.finish()
+        })
     }
 }
 
 /// Counter-wise sum (an MPTCP connection totals its subflows).
 impl std::ops::AddAssign for ConnStats {
-    fn add_assign(&mut self, mut rhs: ConnStats) {
-        for (sum, v) in self.counters_mut().into_iter().zip(rhs.counters_mut()) {
-            *sum += *v;
-        }
+    fn add_assign(&mut self, rhs: ConnStats) {
+        self.merge(rhs);
     }
 }
 

@@ -131,6 +131,74 @@ impl Digest {
     }
 }
 
+/// A block of `u64` counters that a run digests, sums and merges.
+///
+/// The one required method is the list; the digest fold, the sum and the
+/// merge across racks derive from it, so a block names its counters once.
+/// [`Counters::counters_mut`] is written with [`counters!`], which
+/// destructures the block exhaustively, so a field added to the block and
+/// left off the list is a compile error.
+pub trait Counters: Copy {
+    /// Every counter, in declaration order. A running maximum is skipped
+    /// here and listed by [`Counters::maxima_mut`].
+    fn counters_mut(&mut self) -> impl IntoIterator<Item = &mut u64>;
+
+    /// Every running maximum (none by default): digested after the
+    /// counters, merged by taking the larger, and not summed.
+    fn maxima_mut(&mut self) -> impl IntoIterator<Item = &mut u64> {
+        []
+    }
+
+    /// Feed every counter, then every maximum, into `d`.
+    fn write_digest(&self, d: &mut Digest) {
+        let mut copy = *self;
+        for v in copy.counters_mut() {
+            d.write_u64(*v);
+        }
+        for v in copy.maxima_mut() {
+            d.write_u64(*v);
+        }
+    }
+
+    /// One-shot digest of the block.
+    fn digest(&self) -> u64 {
+        let mut d = Digest::new();
+        self.write_digest(&mut d);
+        d.finish()
+    }
+
+    /// Sum of the counters (a maximum is not an event count).
+    fn sum(&self) -> u64 {
+        let mut copy = *self;
+        copy.counters_mut().into_iter().map(|v| *v).sum()
+    }
+
+    /// Fold in `other`: counters add, maxima keep the larger.
+    fn merge(&mut self, mut other: Self) {
+        for (sum, v) in self.counters_mut().into_iter().zip(other.counters_mut()) {
+            *sum += *v;
+        }
+        for (max, v) in self.maxima_mut().into_iter().zip(other.maxima_mut()) {
+            *max = (*max).max(*v);
+        }
+    }
+}
+
+/// The body of a [`Counters::counters_mut`]: `counters!(self, Block { a,
+/// b } skip { c })` destructures `self` exhaustively and returns `[a, b]`,
+/// each counter named once. Fields after `skip` (a running maximum, a
+/// field that names the record) are bound `_`, so a field named nowhere
+/// is a compile error. Inside a macro rustc words it "pattern requires
+/// `..` due to inaccessible fields": list the field; a `..` here would
+/// let every block drop counters unseen.
+#[macro_export]
+macro_rules! counters {
+    ($block:expr, $t:ident { $($c:ident),+ $(,)? } $(skip { $($s:ident),+ $(,)? })?) => {{
+        let $t { $($c,)+ $($($s: _,)+)? } = $block;
+        [$($c),+]
+    }};
+}
+
 /// One-shot digest of a byte slice.
 pub fn digest_bytes(bytes: &[u8]) -> u64 {
     let mut d = Digest::new();
@@ -217,6 +285,34 @@ mod tests {
         b.write_f64(0.3);
         // 0.1 + 0.2 != 0.3 in f64; the digest must see the difference.
         assert_ne!(a.finish(), b.finish());
+    }
+
+    /// Two counters and a peak.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    struct Block {
+        a: u64,
+        b: u64,
+        peak: u64,
+    }
+    impl Counters for Block {
+        fn counters_mut(&mut self) -> impl IntoIterator<Item = &mut u64> {
+            counters!(self, Block { a, b } skip { peak })
+        }
+        fn maxima_mut(&mut self) -> impl IntoIterator<Item = &mut u64> {
+            [&mut self.peak]
+        }
+    }
+
+    #[test]
+    fn counters_derive_fold_sum_and_merge_from_the_list() {
+        let block = |a, b, peak| Block { a, b, peak };
+        let mut x = block(1, 2, 9);
+        assert_eq!(x.digest(), Digest::new().write_u64(1).write_u64(2).write_u64(9).finish());
+        assert_eq!(x.sum(), 3, "a maximum is not summed");
+        x.merge(block(10, 20, 4));
+        assert_eq!(x, block(11, 22, 9));
+        x.merge(block(0, 0, 12));
+        assert_eq!(x.peak, 12);
     }
 
     #[test]

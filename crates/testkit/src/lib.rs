@@ -4,7 +4,8 @@
 //! deterministic PRNG ([`TkRng`], xoshiro256++ seeded via SplitMix64), a
 //! minimal property-testing harness ([`prop`]) with iteration-bounded
 //! shrinking and persisted regression seeds, and a stable stats digest
-//! ([`Digest`]) used by the golden-trace determinism suite.
+//! ([`Digest`], with [`Counters`] for counter blocks) used by the
+//! golden-trace determinism suite.
 //!
 //! The crate depends on `std` only. Randomness is never drawn from the
 //! environment: every stream is derived from an explicit 64-bit seed, and
@@ -17,6 +18,6 @@ pub mod digest;
 pub mod prop;
 pub mod rng;
 
-pub use digest::Digest;
+pub use digest::{Counters, Digest};
 pub use prop::{check, Config, Gen};
 pub use rng::{TkRng, UniformRange};

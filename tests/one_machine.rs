@@ -24,7 +24,7 @@ use tcp::rtt::RttConfig;
 use tcp::{Connection, FlowId, SackBlocks, Segment, SeqNum, Transport};
 use tdtcp::{TdtcpConfig, TdtcpConnection};
 use testkit::prop::{just, range, tuple2, tuple4, vec_of, weighted, Gen};
-use testkit::tk_assert_eq;
+use testkit::{tk_assert_eq, Counters};
 use wire::{Ecn, TcpFlags, TdnId};
 
 const MSS: u32 = 1000;
