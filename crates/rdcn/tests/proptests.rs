@@ -191,9 +191,9 @@ testkit::props! {
             let t = SimTime::from_micros(day * 7);
             tk_assert_eq!(a.on_transit(t), b.on_transit(t));
         }
-        tk_assert_eq!(a.log(), b.log());
-        tk_assert_eq!(a.stats(), b.stats());
-        tk_assert_eq!(a.log_digest(), b.log_digest());
+        tk_assert_eq!(a.books().log(), b.books().log());
+        tk_assert_eq!(a.books().stats(), b.books().stats());
+        tk_assert_eq!(a.books().digest(), b.books().digest());
 
         // A different seed draws a different fault stream. Only check
         // when the plan is probabilistic enough that equality would be
@@ -210,7 +210,7 @@ testkit::props! {
                 let _ = c.on_transit(SimTime::from_micros(day * 7));
             }
             tk_assert!(
-                c.log_digest() != a.log_digest(),
+                c.books().digest() != a.books().digest(),
                 "independent seeds produced identical fault streams"
             );
         }
@@ -253,9 +253,9 @@ testkit::props! {
             let t = SimTime::from_micros(t_us);
             tk_assert_eq!(a.on_wire(t), b.on_wire(t));
         }
-        tk_assert_eq!(a.log(), b.log());
-        tk_assert_eq!(a.stats(), b.stats());
-        tk_assert_eq!(a.log_digest(), b.log_digest());
+        tk_assert_eq!(a.books().log(), b.books().log());
+        tk_assert_eq!(a.books().stats(), b.books().stats());
+        tk_assert_eq!(a.books().digest(), b.books().digest());
 
         // An inert plan never draws: the verdict stream is all Pass and
         // the log digest equals a fresh injector's.
@@ -269,7 +269,7 @@ testkit::props! {
                 rdcn::ImpairVerdict::Pass
             );
         }
-        tk_assert_eq!(inert.stats().total(), 0);
+        tk_assert_eq!(inert.books().stats().total(), 0);
 
         // A different seed draws a different impairment stream — only
         // checked when rates make coincidence astronomically unlikely.
@@ -279,7 +279,7 @@ testkit::props! {
                 let _ = c.on_wire(SimTime::from_micros(t_us));
             }
             tk_assert!(
-                c.log_digest() != a.log_digest(),
+                c.books().digest() != a.books().digest(),
                 "independent seeds produced identical impairment streams"
             );
         }
