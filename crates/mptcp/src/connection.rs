@@ -182,18 +182,18 @@ impl MptcpConnection {
         }
     }
 
-    /// Cumulative data-level acknowledgment (sender side).
-    pub fn dsn_una(&self) -> u64 {
-        self.dsn_una
-    }
-
     fn subflow_index(&self, pin: Option<TdnId>) -> usize {
         pin.map(|t| t.index().min(self.subflows.len() - 1))
             .unwrap_or(0)
     }
 
-    /// Which subflow owns data sequence `dsn` (latest mapping wins, since
-    /// reinjection creates a second mapping for the same range).
+    /// Which subflow owns data sequence `dsn`: the lowest-indexed subflow
+    /// with a mapping that covers it. Reinjection gives a range a second
+    /// mapping, so that rule alone could name the copy. It never does,
+    /// because the only caller asks at `reinject_cursor`, and the cursor
+    /// never moves back below a reinjected range: it only grows (by
+    /// `max` with `dsn_una`, and past each chunk it reinjects). Every DSN
+    /// asked about thus has one mapping, its original.
     fn mapping_owner(&self, dsn: u64) -> Option<usize> {
         for (i, sf) in self.subflows.iter().enumerate() {
             if sf
