@@ -42,7 +42,10 @@ pub enum Variant {
 /// lost notifications degrade goodput instead of stranding a host on a
 /// stale TDN: what every TDTCP endpoint built for a network carries.
 pub fn watchdog_for(net: &NetConfig) -> WatchdogConfig {
-    WatchdogConfig::for_slot_with_guard(net.schedule.slot_len(), net.guard_band)
+    WatchdogConfig {
+        period: net.schedule.slot_len(),
+        guard: net.guard_band,
+    }
 }
 
 /// All variants in the paper's presentation order.

@@ -51,25 +51,6 @@ pub struct WatchdogConfig {
 /// Congestion-window cap, in packets, while desynchronized.
 const DEGRADED_CWND_PKTS: u32 = 4;
 
-impl WatchdogConfig {
-    /// A watchdog for a schedule whose day+night slot is `slot`: period =
-    /// slot, guard = slot/2. The guard comfortably exceeds the per-host
-    /// notification latency spread (tens of µs even unoptimized) while a
-    /// single missed notification — a 2·slot gap — still overshoots the
-    /// deadline by slot/2 and is reliably detected.
-    pub fn for_slot(slot: SimDuration) -> WatchdogConfig {
-        Self::for_slot_with_guard(slot, slot / 2)
-    }
-
-    /// A watchdog for a schedule whose slot is `slot` with an explicit
-    /// guard band — the network-wide `NetConfig::guard_band`, so the
-    /// endpoint's timer slack, skew-gate window, and escalation threshold
-    /// agree with the slack the switch actually enforces at slot edges.
-    pub fn for_slot_with_guard(slot: SimDuration, guard: SimDuration) -> WatchdogConfig {
-        WatchdogConfig { period: slot, guard }
-    }
-}
-
 /// TDTCP configuration: the base TCP knobs plus the TDTCP-specific ones.
 #[derive(Debug, Clone)]
 pub struct TdtcpConfig {

@@ -97,9 +97,9 @@ pub struct NetConfig {
     /// absorbs host clock skew. Shared by the slot-edge enforcement (a
     /// mis-timed launch whose skew exceeds this is penalized per the
     /// clock plan's policy) and by the TDTCP endpoint watchdog/skew
-    /// hardening (its timer slack and escalation threshold). Defaults to
-    /// half a slot, which preserves the watchdog's historical
-    /// `for_slot` slack.
+    /// hardening (its timer slack and escalation threshold), which
+    /// `bench::variants::watchdog_for` hands every TDTCP endpoint as its
+    /// watchdog guard. Defaults to half a slot.
     pub guard_band: SimDuration,
 }
 

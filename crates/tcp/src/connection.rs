@@ -274,11 +274,6 @@ impl Connection {
         self.cwnd_cap.map_or(raw, |cap| raw.min(cap))
     }
 
-    /// The current path's congestion-avoidance state.
-    pub fn ca_state(&self) -> CaState {
-        self.cur().ca
-    }
-
     /// The current path's RTT estimator (read-only).
     pub fn rtt(&self) -> &RttEstimator {
         &self.cur().rtt

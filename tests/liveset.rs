@@ -129,10 +129,10 @@ fn run_probed(net: &NetConfig, flows: &[ProbedFlow], horizon: SimTime) -> Probed
         cfg.tcp.max_retries = 3;
         cfg.tcp.rtt.min_rto = SimDuration::from_micros(500);
         cfg.tcp.rtt.initial_rto = SimDuration::from_micros(500);
-        cfg.watchdog = Some(tdtcp::WatchdogConfig::for_slot_with_guard(
-            net.schedule.slot_len(),
-            net.guard_band,
-        ));
+        cfg.watchdog = Some(tdtcp::WatchdogConfig {
+            period: net.schedule.slot_len(),
+            guard: net.guard_band,
+        });
         let template = Cubic::new(CcConfig::default());
         let flow = FlowId(i as u32);
         let probe = |inner: Box<dyn Transport>, side: usize, deaf_from| {
