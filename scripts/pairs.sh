@@ -13,7 +13,7 @@
 # medians and how many pairs the change won; then the min-of-passes range
 # per side (the least-disturbed pass of each run — steadier than the
 # median on a box whose speed steps). Appends one line to the tracked
-# BENCH_wall.jsonl (ROADMAP 3b): host, cores, seed, both commits, the
+# BENCH_wall.jsonl (ROADMAP 4b): host, cores, seed, both commits, the
 # quartiles. A run that is not `"correct": true` aborts the script.
 #
 # SEED defaults to a fresh random one — the claim must hold at a seed not
