@@ -777,14 +777,11 @@ impl Connection {
         let Some(high_sacked) = self.rtx.highest_sacked() else {
             return;
         };
-        // Fast path: an unsacked head below a SACKed segment is a hole.
-        let hole_exists = match self.rtx.front() {
-            Some(f) if !f.sacked => true,
-            _ => self
-                .rtx
-                .iter()
-                .any(|s| !s.sacked && s.seq.before(high_sacked)),
-        };
+        // A hole is an unsacked segment below the highest SACKed edge.
+        let hole_exists = self
+            .rtx
+            .first_unsacked()
+            .is_some_and(|s| s.seq.before(high_sacked));
         if !hole_exists {
             return;
         }
