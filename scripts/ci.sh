@@ -8,7 +8,8 @@
 #   anything is built.
 #   (none) — the default gate: release build, workspace tests, the
 #           window-barrier panic, stress and worker-invariance tests, the
-#           queue oracle, the allocation ledger and the pinned digests
+#           queue and scoreboard oracles, the allocation ledger, the
+#           inert-flow law and the pinned digests
 #           (determinism, the fabric, the live set) again in release, chaos
 #           soak, figures smoke, `figures all --jobs 1` diffed
 #           bit-for-bit against the
@@ -109,10 +110,13 @@ cargo test -q --offline --release -p rdcn --lib chaos_run_is_worker_invariant
 # The wheel's debug assertions are compiled out of the build every figure
 # and the benchmark run on, and an optimised build inlines across the
 # allocator boundary the ledger counts at: hold both to their oracles
-# there too.
-echo "==> queue oracle + allocation ledger, release build"
+# there too. The same holds for the SACK scoreboard's bit walks and the
+# inert-flow law, which rest on the same kind of inlined index math.
+echo "==> queue and scoreboard oracles, allocation ledger, inert-flow law, release build"
 cargo test -q --offline --release --test queue_oracle
+cargo test -q --offline --release --test scoreboard_oracle
 cargo test -q --offline --release --test alloc_ledger
+cargo test -q --offline --release --test laws
 
 # The segment ledger and record_day's full-scan check run only in debug
 # builds, while figures and the benchmark run in release: hold the
