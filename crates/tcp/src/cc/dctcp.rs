@@ -3,10 +3,13 @@
 //! sender maintains `α`, an EWMA of the marked fraction per window, and
 //! reduces `cwnd ← cwnd·(1 − α/2)` once per window that saw marks.
 //!
-//! Growth outside marked windows follows Reno (slow start + 1 MSS/RTT).
+//! That signal is all DCTCP adds: it holds a [`Reno`] window, which does
+//! the growth, the loss halving (DCTCP paper §3.3) and the RTO collapse.
+//! The receiver keeps no DCTCP state: with one ACK per data segment,
+//! RFC 8257's ECE state machine reduces to echoing the CE mark of the
+//! segment being acknowledged, which `Connection` does.
 
-use super::{AckEvent, CcConfig, CongestionControl};
-use crate::seq::SeqNum;
+use super::{AckEvent, CcConfig, CongestionControl, Reno};
 use simcore::SimTime;
 
 const G: f64 = 1.0 / 16.0; // α gain, the paper's recommended value
@@ -14,9 +17,7 @@ const G: f64 = 1.0 / 16.0; // α gain, the paper's recommended value
 /// DCTCP congestion control.
 #[derive(Debug, Clone)]
 pub struct Dctcp {
-    cfg: CcConfig,
-    cwnd: u32,
-    ssthresh: u32,
+    reno: Reno,
     alpha: f64,
     /// Bytes acked in the current observation window.
     window_acked: u64,
@@ -27,32 +28,24 @@ pub struct Dctcp {
     window_end: u64,
     /// Total bytes acked over the connection (drives window boundaries).
     total_acked: u64,
-    acked_accum: u32,
 }
 
 impl Dctcp {
     /// New instance with `cfg` and the canonical `α = 1` cold start.
     pub fn new(cfg: CcConfig) -> Self {
         Dctcp {
-            cfg,
-            cwnd: cfg.initial_cwnd(),
-            ssthresh: cfg.max_cwnd,
+            reno: Reno::new(cfg),
             alpha: 1.0,
             window_acked: 0,
             window_marked: 0,
             window_end: u64::from(cfg.initial_cwnd()),
             total_acked: 0,
-            acked_accum: 0,
         }
     }
 
     /// Current α (marked-fraction EWMA), exposed for tests and tracing.
     pub fn alpha(&self) -> f64 {
         self.alpha
-    }
-
-    fn in_slow_start(&self) -> bool {
-        self.cwnd < self.ssthresh
     }
 }
 
@@ -62,11 +55,11 @@ impl CongestionControl for Dctcp {
     }
 
     fn cwnd(&self) -> u32 {
-        self.cwnd
+        self.reno.cwnd
     }
 
     fn ssthresh(&self) -> u32 {
-        self.ssthresh
+        self.reno.ssthresh
     }
 
     fn on_ack(&mut self, ev: &AckEvent) {
@@ -85,72 +78,31 @@ impl CongestionControl for Dctcp {
                 0.0
             };
             self.alpha = (1.0 - G) * self.alpha + G * frac;
+            let cfg = self.reno.cfg;
             if self.window_marked > 0 {
                 // ECN reduction once per window.
-                let reduced = (self.cwnd as f64 * (1.0 - self.alpha / 2.0)) as u32;
-                self.cwnd = reduced.max(self.cfg.min_cwnd());
-                self.ssthresh = self.cwnd;
+                let reduced = (self.reno.cwnd as f64 * (1.0 - self.alpha / 2.0)) as u32;
+                self.reno.cwnd = reduced.max(cfg.min_cwnd());
+                self.reno.ssthresh = self.reno.cwnd;
             }
             self.window_acked = 0;
             self.window_marked = 0;
-            self.window_end = self.total_acked + u64::from(self.cwnd.max(self.cfg.mss));
+            self.window_end = self.total_acked + u64::from(self.reno.cwnd.max(cfg.mss));
         }
 
-        if ev.in_recovery {
-            return;
-        }
-        if self.in_slow_start() {
-            self.cwnd = (self.cwnd + ev.bytes_acked)
-                .min(self.ssthresh)
-                .min(self.cfg.max_cwnd);
-        } else {
-            self.acked_accum += ev.bytes_acked;
-            if self.acked_accum >= self.cwnd {
-                self.acked_accum -= self.cwnd;
-                self.cwnd = (self.cwnd + self.cfg.mss).min(self.cfg.max_cwnd);
-            }
-        }
+        self.reno.on_ack(ev);
     }
 
-    fn on_enter_recovery(&mut self, _now: SimTime, _flight_size: u32) {
-        // Packet loss still halves, like Reno (DCTCP paper §3.3).
-        // cwnd-based reduction (Linux semantics; see cubic.rs).
-        self.ssthresh = (self.cwnd / 2).max(self.cfg.min_cwnd());
-        self.cwnd = self.ssthresh;
-        self.acked_accum = 0;
+    fn on_enter_recovery(&mut self, now: SimTime, flight_size: u32) {
+        self.reno.on_enter_recovery(now, flight_size);
     }
 
-    fn on_rto(&mut self, _now: SimTime) {
-        self.ssthresh = (self.cwnd / 2).max(self.cfg.min_cwnd());
-        self.cwnd = self.cfg.mss;
-        self.acked_accum = 0;
+    fn on_rto(&mut self, now: SimTime) {
+        self.reno.on_rto(now);
     }
 
     fn clone_box(&self) -> Box<dyn CongestionControl> {
-        Box::new(Dctcp::new(self.cfg))
-    }
-}
-
-/// Receiver-side DCTCP ECE state machine (RFC 8257 §3.2): echo the CE
-/// state of arriving data accurately even with delayed ACKs. With the
-/// per-packet ACKs this stack generates, it reduces to "echo CE of the
-/// segment being acknowledged", but the state machine is kept faithful.
-#[derive(Debug, Clone, Default)]
-pub struct DctcpReceiver {
-    ce_state: bool,
-}
-
-impl DctcpReceiver {
-    /// New receiver state.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Process an arriving data segment's CE mark; returns whether the ACK
-    /// for it must carry ECE.
-    pub fn on_data(&mut self, _seq: SeqNum, ce: bool) -> bool {
-        self.ce_state = ce;
-        self.ce_state
+        Box::new(Dctcp::new(self.reno.cfg))
     }
 }
 
@@ -230,14 +182,5 @@ mod tests {
         // cwnd starts at 10_000 and halves on loss (cwnd-based).
         cc.on_enter_recovery(SimTime::ZERO, 0);
         assert_eq!(cc.cwnd(), 5_000);
-    }
-
-    #[test]
-    fn receiver_echoes_ce_state() {
-        let mut rx = DctcpReceiver::new();
-        assert!(!rx.on_data(SeqNum(0), false));
-        assert!(rx.on_data(SeqNum(1000), true));
-        assert!(rx.on_data(SeqNum(2000), true));
-        assert!(!rx.on_data(SeqNum(3000), false));
     }
 }

@@ -1,6 +1,6 @@
 //! NewReno-style AIMD (RFC 5681/6582): slow start, congestion avoidance,
-//! multiplicative decrease by half. The simplest baseline and the base
-//! behaviour DCTCP falls back to without ECN marks.
+//! multiplicative decrease by half. The simplest baseline, and the window
+//! DCTCP and reTCP hold by value and add their signal to.
 
 use super::{AckEvent, CcConfig, CongestionControl};
 use simcore::SimTime;
@@ -8,9 +8,9 @@ use simcore::SimTime;
 /// Reno congestion control.
 #[derive(Debug, Clone)]
 pub struct Reno {
-    cfg: CcConfig,
-    cwnd: u32,
-    ssthresh: u32,
+    pub(super) cfg: CcConfig,
+    pub(super) cwnd: u32,
+    pub(super) ssthresh: u32,
     /// Byte accumulator for the one-MSS-per-RTT increase in CA.
     acked_accum: u32,
 }

@@ -9,7 +9,7 @@
 //! when the ToR pre-enlarges its VOQ ~150 µs before circuit start, and
 //! ramps early so the burst pre-fills the buffer.
 
-use super::{AckEvent, CcConfig, CongestionControl};
+use super::{AckEvent, CcConfig, CongestionControl, Reno};
 use simcore::SimTime;
 
 /// reTCP tuning.
@@ -37,19 +37,14 @@ impl Default for ReTcpConfig {
     }
 }
 
-/// reTCP congestion control: Reno-style growth plus explicit circuit
+/// reTCP congestion control: a [`Reno`] window plus explicit circuit
 /// scaling.
 #[derive(Debug, Clone)]
 pub struct ReTcp {
     cfg: ReTcpConfig,
-    cwnd: u32,
-    ssthresh: u32,
-    acked_accum: u32,
+    reno: Reno,
     /// Whether the last observed mark state was "circuit".
     circuit_on: bool,
-    /// cwnd saved at the most recent boost, restored (grown normally
-    /// meanwhile) at unboost.
-    saved_cwnd: Option<u32>,
 }
 
 impl ReTcp {
@@ -57,11 +52,8 @@ impl ReTcp {
     pub fn new(cfg: ReTcpConfig) -> Self {
         ReTcp {
             cfg,
-            cwnd: cfg.cc.initial_cwnd(),
-            ssthresh: cfg.cc.max_cwnd,
-            acked_accum: 0,
+            reno: Reno::new(cfg.cc),
             circuit_on: false,
-            saved_cwnd: None,
         }
     }
 
@@ -71,21 +63,15 @@ impl ReTcp {
     }
 
     fn boost(&mut self) {
-        self.saved_cwnd = Some(self.cwnd);
-        let boosted = (self.cwnd as f64 * self.cfg.scale) as u32;
-        self.cwnd = boosted.min(self.cfg.boost_cap).min(self.cfg.cc.max_cwnd);
+        let boosted = (self.reno.cwnd as f64 * self.cfg.scale) as u32;
+        self.reno.cwnd = boosted.min(self.cfg.boost_cap).min(self.cfg.cc.max_cwnd);
     }
 
+    /// Divide back down, never below the loss floor. The window grown
+    /// meanwhile is kept, scaled: it is not reset to the pre-boost one.
     fn unboost(&mut self) {
-        let shrunk = (self.cwnd as f64 / self.cfg.scale) as u32;
-        // Never end below where we started the boost from scaled-down
-        // growth, and never below the loss floor.
-        let floor = self.cfg.cc.min_cwnd();
-        self.cwnd = shrunk.max(self.saved_cwnd.take().unwrap_or(floor).min(shrunk.max(floor))).max(floor);
-    }
-
-    fn in_slow_start(&self) -> bool {
-        self.cwnd < self.ssthresh
+        let shrunk = (self.reno.cwnd as f64 / self.cfg.scale) as u32;
+        self.reno.cwnd = shrunk.max(self.cfg.cc.min_cwnd());
     }
 }
 
@@ -95,42 +81,23 @@ impl CongestionControl for ReTcp {
     }
 
     fn cwnd(&self) -> u32 {
-        self.cwnd
+        self.reno.cwnd
     }
 
     fn ssthresh(&self) -> u32 {
-        self.ssthresh
+        self.reno.ssthresh
     }
 
     fn on_ack(&mut self, ev: &AckEvent) {
-        if ev.in_recovery || ev.bytes_acked == 0 {
-            return;
-        }
-        if self.in_slow_start() {
-            self.cwnd = (self.cwnd + ev.bytes_acked)
-                .min(self.ssthresh)
-                .min(self.cfg.cc.max_cwnd);
-        } else {
-            self.acked_accum += ev.bytes_acked;
-            if self.acked_accum >= self.cwnd {
-                self.acked_accum -= self.cwnd;
-                self.cwnd = (self.cwnd + self.cfg.cc.mss).min(self.cfg.cc.max_cwnd);
-            }
-        }
+        self.reno.on_ack(ev);
     }
 
-    fn on_enter_recovery(&mut self, _now: SimTime, _flight_size: u32) {
-        // cwnd-based reduction (Linux semantics; see cubic.rs).
-        self.ssthresh = (self.cwnd / 2).max(self.cfg.cc.min_cwnd());
-        self.cwnd = self.ssthresh;
-        self.acked_accum = 0;
+    fn on_enter_recovery(&mut self, now: SimTime, flight_size: u32) {
+        self.reno.on_enter_recovery(now, flight_size);
     }
 
-    fn on_rto(&mut self, _now: SimTime) {
-        self.ssthresh = (self.cwnd / 2).max(self.cfg.cc.min_cwnd());
-        self.cwnd = self.cfg.cc.mss;
-        self.acked_accum = 0;
-        self.saved_cwnd = None;
+    fn on_rto(&mut self, now: SimTime) {
+        self.reno.on_rto(now);
     }
 
     fn on_circuit_signal(&mut self, _now: SimTime, circuit_up: bool) {
