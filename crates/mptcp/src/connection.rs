@@ -10,9 +10,9 @@
 //! *reinjection* re-sends the unacknowledged data ranges on the active
 //! subflow — the exact pathology §2.2 measures.
 
-use crate::dsn::DsnTracker;
 use simcore::SimTime;
 use tcp::cc::CongestionControl;
+use tcp::recv::Reassembler;
 use tcp::{ConnStats, DssMap, FlowId, Segment, SeqNum, Transport};
 use wire::TdnId;
 
@@ -102,8 +102,12 @@ pub struct MptcpConnection {
     bytes_unassigned: u64,
     /// Lowest data sequence not yet reinjected in the current stall.
     reinject_cursor: u64,
-    /// Receiver-side data-level reassembly.
-    rx: DsnTracker,
+    /// Receiver-side data-level reassembly, over the DSN truncated to 32
+    /// bits: live ranges span at most the 1 MB send buffer, far below the
+    /// 2^31 that wrapping comparison needs.
+    rx: Reassembler,
+    /// Data-level bytes delivered in order: the 64-bit DATA_ACK.
+    data_delivered: u64,
     /// Data-level duplicates: ranges that reached the receiver twice,
     /// once per subflow (a reinjected range whose original also landed).
     data_dups: u64,
@@ -163,7 +167,8 @@ impl MptcpConnection {
             dsn_una: 0,
             bytes_unassigned: 0,
             reinject_cursor: 0,
-            rx: DsnTracker::new(),
+            rx: Reassembler::new(SeqNum(0), RECV_BUF_CONN as u32),
+            data_delivered: 0,
             data_dups: 0,
             stats: ConnStats::new(),
             done: false,
@@ -187,28 +192,25 @@ impl MptcpConnection {
             .unwrap_or(0)
     }
 
-    /// Which subflow owns data sequence `dsn`: the lowest-indexed subflow
-    /// with a mapping that covers it. Reinjection gives a range a second
-    /// mapping, so that rule alone could name the copy. It never does,
-    /// because the only caller asks at `reinject_cursor`, and the cursor
-    /// never moves back below a reinjected range: it only grows (by
-    /// `max` with `dsn_una`, and past each chunk it reinjects). Every DSN
-    /// asked about thus has one mapping, its original.
-    fn mapping_owner(&self, dsn: u64) -> Option<usize> {
-        for (i, sf) in self.subflows.iter().enumerate() {
-            if sf
-                .mappings
+    /// The mapping that carries data sequence `dsn`, with the index of its
+    /// subflow: the lowest-indexed subflow with a mapping that covers it.
+    /// Reinjection gives a range a second mapping, so that rule alone
+    /// could name the copy. It never does, because the only caller asks
+    /// at `reinject_cursor`, and the cursor never moves back below a
+    /// reinjected range: it only grows (by `max` with `dsn_una`, and past
+    /// each chunk it reinjects). Every DSN asked about thus has one
+    /// mapping, its original.
+    fn mapping_at(&self, dsn: u64) -> Option<(usize, Mapping)> {
+        self.subflows.iter().enumerate().find_map(|(i, sf)| {
+            sf.mappings
                 .iter()
-                .any(|m| m.dsn <= dsn && dsn < m.dsn + u64::from(m.len))
-            {
-                return Some(i);
-            }
-        }
-        None
+                .find(|m| m.dsn <= dsn && dsn < m.dsn + u64::from(m.len))
+                .map(|&m| (i, m))
+        })
     }
 
     /// tdm_schd assignment: feed the active subflow one chunk at a time.
-    fn assign_chunks(&mut self, _now: SimTime) {
+    fn assign_chunks(&mut self) {
         if self.role != Role::Sender {
             return;
         }
@@ -252,7 +254,7 @@ impl MptcpConnection {
     /// Connection-level reinjection: when progress is blocked by
     /// unacknowledged data owned by an *inactive* subflow, re-send that
     /// data range on the active subflow.
-    fn maybe_reinject(&mut self, _now: SimTime) {
+    fn maybe_reinject(&mut self) {
         if self.role != Role::Sender || !self.cfg.reinject {
             return;
         }
@@ -277,7 +279,7 @@ impl MptcpConnection {
         if self.reinject_cursor >= self.dsn_next {
             return;
         }
-        let Some(owner) = self.mapping_owner(self.reinject_cursor) else {
+        let Some((owner, owner_map)) = self.mapping_at(self.reinject_cursor) else {
             return;
         };
         if owner == idx {
@@ -294,12 +296,6 @@ impl MptcpConnection {
             return;
         }
         // Reinject one MSS-sized chunk of the blocking range.
-        let owner_map = self.subflows[owner]
-            .mappings
-            .iter()
-            .find(|m| m.dsn <= self.reinject_cursor && self.reinject_cursor < m.dsn + u64::from(m.len))
-            .copied()
-            .expect("owner found above");
         let offset = self.reinject_cursor - owner_map.dsn;
         let len = owner_map.len - offset as u32;
         let sf = &mut self.subflows[idx];
@@ -335,7 +331,7 @@ impl MptcpConnection {
         // Connection-level semantics for the sequence-progress metrics,
         // and the counters only the data level sees.
         s.bytes_acked = self.dsn_una;
-        s.bytes_delivered = self.rx.rcv_nxt();
+        s.bytes_delivered = self.data_delivered;
         s.reinjections = self.stats.reinjections;
         s.tdn_switches = self.stats.tdn_switches;
         s.dup_segs_received += self.data_dups;
@@ -359,7 +355,8 @@ impl Transport for MptcpConnection {
         // Data-level bookkeeping happens at the MPTCP layer.
         if seg.has_payload() {
             if let Some(dss) = seg.dss {
-                let out = self.rx.on_data(dss.dsn, u64::from(dss.len.min(seg.len)));
+                let out = self.rx.on_data(SeqNum(dss.dsn as u32), dss.len.min(seg.len));
+                self.data_delivered += u64::from(out.delivered);
                 if out.duplicate {
                     self.data_dups += 1;
                 }
@@ -384,14 +381,14 @@ impl Transport for MptcpConnection {
     }
 
     fn poll_send(&mut self, now: SimTime) -> Option<Segment> {
-        self.assign_chunks(now);
-        self.maybe_reinject(now);
+        self.assign_chunks();
+        self.maybe_reinject();
         // Poll the active subflow first, then the others (retransmissions
         // and stranded ACKs may still be queued there).
         let active = self.subflow_index(Some(self.current));
         let others = (0..self.subflows.len()).filter(|&i| i != active);
         for i in std::iter::once(active).chain(others) {
-            let data_ack = self.rx.rcv_nxt();
+            let data_ack = self.data_delivered;
             let sf = &mut self.subflows[i];
             let Some(conn) = sf.conn.as_mut() else { continue };
             if let Some(mut seg) = conn.poll_send(now) {

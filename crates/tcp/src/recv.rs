@@ -91,10 +91,6 @@ impl Reassembler {
             // In-order (possibly after clipping): deliver, then drain any
             // now-contiguous out-of-order intervals.
             let covered = self.remove_covered(start, end);
-            if covered == end - start && seq.before(self.rcv_nxt) {
-                // All new bytes were already buffered AND the segment
-                // started old — still a duplicate in effect.
-            }
             self.rcv_nxt = end;
             out.delivered = end - start;
             self.drain_contiguous(&mut out);
