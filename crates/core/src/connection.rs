@@ -148,7 +148,9 @@ impl TdtcpConnection {
 
     /// Create the passive endpoint (bulk sink).
     pub fn listen(flow: FlowId, cfg: TdtcpConfig, cc_template: &dyn CongestionControl) -> Self {
-        Self::listen_with_ccas(flow, cfg, vec![cc_template.clone_box()])
+        let paths = state_sets(&cfg, vec![cc_template.clone_box()]);
+        let conn = Connection::listen_paths(flow, cfg.tcp.clone(), paths);
+        Self::wrap(cfg, conn)
     }
 
     /// Create an initiating endpoint with a *different* congestion control
@@ -168,17 +170,6 @@ impl TdtcpConnection {
     ) -> Self {
         let paths = state_sets(&cfg, ccas);
         let conn = Connection::connect_paths(flow, cfg.tcp.clone(), paths, now);
-        Self::wrap(cfg, conn)
-    }
-
-    /// Listener counterpart of [`TdtcpConnection::connect_with_ccas`].
-    pub fn listen_with_ccas(
-        flow: FlowId,
-        cfg: TdtcpConfig,
-        ccas: Vec<Box<dyn CongestionControl>>,
-    ) -> Self {
-        let paths = state_sets(&cfg, ccas);
-        let conn = Connection::listen_paths(flow, cfg.tcp.clone(), paths);
         Self::wrap(cfg, conn)
     }
 
@@ -204,53 +195,19 @@ impl TdtcpConnection {
     // accessors
     // ------------------------------------------------------------------
 
-    /// Current state.
-    pub fn state(&self) -> State {
-        self.conn.state()
-    }
-
-    /// The TDN this endpoint currently believes is active.
-    pub fn current_tdn(&self) -> TdnId {
-        self.conn.current()
+    /// The connection machine under the shell, read-only: its state, the
+    /// TDN it believes is active (`current`), the per-TDN state sets
+    /// (`path`, `paths`), the window gating transmission after the
+    /// degraded-mode cap (`cwnd`), and the "specific TDN" and "all TDNs"
+    /// accounting of §4.3 (`pipe_bytes`, `packets_out`).
+    pub fn conn(&self) -> &Connection {
+        &self.conn
     }
 
     /// Whether TD_CAPABLE negotiation succeeded and the connection speaks
     /// TDTCP (not downgraded).
     pub fn is_tdtcp(&self) -> bool {
         self.negotiated && !self.downgraded
-    }
-
-    /// Read a TDN's duplicated state (ids beyond the allocated sets read
-    /// the last one; every id reads set 0 while downgraded or degraded).
-    pub fn tdn_state(&self, tdn: TdnId) -> &TdnState {
-        self.conn.path(tdn)
-    }
-
-    /// Congestion window of the currently active TDN, after the degraded-
-    /// mode cap (the window actually gating transmission).
-    pub fn cwnd(&self) -> u32 {
-        self.conn.cwnd()
-    }
-
-    /// The terminal error this connection aborted with, if any.
-    pub fn conn_error(&self) -> Option<ConnError> {
-        self.conn.conn_error()
-    }
-
-    /// Number of TDN state sets allocated.
-    pub fn num_tdn_states(&self) -> usize {
-        self.conn.paths().len()
-    }
-
-    /// Pipe (bytes in flight) attributed to one TDN, derived from the
-    /// shared retransmission queue ("specific TDN" accounting, §4.3).
-    pub fn pipe_bytes(&self, tdn: TdnId) -> u32 {
-        self.conn.pipe_bytes(tdn)
-    }
-
-    /// Total outstanding packets over all TDNs ("all TDNs" accounting).
-    pub fn total_packets_out(&self) -> u32 {
-        self.conn.packets_out()
     }
 
     /// Locally downgrade to regular TCP (§4.2): stop emitting TDTCP
@@ -289,40 +246,7 @@ impl TdtcpConnection {
     /// notifications reliably and in order).
     pub fn on_notification(&mut self, now: SimTime, tdn: TdnId) {
         let gen = self.last_gen.map_or(0, |g| g + 1);
-        self.on_notification_gen(now, tdn, gen);
-    }
-
-    /// Process a TDN-change notification carrying the ToR's monotone
-    /// generation `gen`. A gen at or below the last applied one marks a
-    /// duplicated or reordered delivery and is discarded (idempotence);
-    /// a fresh gen resynchronizes a degraded connection.
-    pub fn on_notification_gen(&mut self, now: SimTime, tdn: TdnId, gen: u64) {
-        if self.downgraded || !self.cfg.per_tdn_state {
-            return;
-        }
-        if self.last_gen.is_some_and(|last| gen <= last) {
-            self.conn.stats_mut().stale_notifies += 1;
-            return;
-        }
-        self.last_gen = Some(gen);
-        self.last_notify_at = Some(now);
-        if self.degraded {
-            // Fresh authoritative word from the ToR: leave the
-            // conservative posture and resume per-TDN operation.
-            if let Some(since) = self.degraded_since.take() {
-                self.conn.stats_mut().degraded_ns += now.saturating_since(since).as_nanos();
-            }
-            self.degraded = false;
-            self.sync_posture();
-            self.conn.stats_mut().notify_resyncs += 1;
-        }
-        self.update_skew_estimate(now, gen);
-        // First sight of a new TDN allocates a fresh state set (§4.2);
-        // everything sent from here on is tagged with the new TDN (§3.4's
-        // TDN change pointer, kept per segment).
-        if self.conn.select_path(tdn) {
-            self.conn.stats_mut().tdn_switches += 1;
-        }
+        self.on_tdn_notification(now, tdn, gen);
     }
 
     /// Update the skew estimate from this (applied, fresh) notification's
@@ -396,74 +320,6 @@ impl TdtcpConnection {
         let base = self.last_notify_at.or(self.conn.established_at())?;
         Some(base + wd.period + wd.guard)
     }
-
-    // ------------------------------------------------------------------
-    // segments and timers: negotiate / tag around the machine
-    // ------------------------------------------------------------------
-
-    /// Feed an arriving segment.
-    pub fn handle_segment(&mut self, now: SimTime, seg: &Segment) {
-        // Negotiate on the peer's SYN (listener) or SYN-ACK (initiator):
-        // the TDN counts must match exactly (§4.2); anything else
-        // downgrades this side to regular TCP before the machine sees
-        // the segment.
-        let handshake = match self.conn.state() {
-            State::Closed => seg.flags.syn && !seg.flags.ack,
-            State::SynSent => seg.flags.syn && seg.flags.ack,
-            _ => false,
-        };
-        if handshake && !seg.flags.rst {
-            self.negotiated = seg.td_capable == Some(self.cfg.num_tdns);
-            if !self.negotiated {
-                self.downgrade();
-            }
-        }
-        self.conn.handle_segment(now, seg);
-    }
-
-    /// Produce the next transmittable segment, TD options attached.
-    pub fn poll_transmit(&mut self, now: SimTime) -> Option<Segment> {
-        self.update_skew_gate(now);
-        let mut seg = self.conn.poll_send(now)?;
-        let tdn = self.conn.current();
-        if seg.flags.syn && !self.syn_sent {
-            // TD_CAPABLE: offered on the SYN, echoed on the SYN-ACK once
-            // the offer matched.
-            self.syn_sent = true;
-            if !seg.flags.ack || self.negotiated {
-                seg.td_capable = Some(self.cfg.num_tdns);
-            }
-        } else if self.is_tdtcp() {
-            // TD_DATA_ACK: the TDN the data rides (D flag) and the TDN
-            // this ACK returns on (A flag).
-            if seg.seq_space() > 0 {
-                seg.data_tdn = Some(tdn);
-            }
-            if seg.flags.ack {
-                seg.ack_tdn = Some(tdn);
-            }
-        }
-        Some(seg)
-    }
-
-    /// Earliest pending timer.
-    pub fn next_timer_at(&self) -> Option<SimTime> {
-        let timer = self.conn.next_timer();
-        match self.watchdog_deadline() {
-            Some(wd) => Some(timer.map_or(wd, |t| t.min(wd))),
-            None => timer,
-        }
-    }
-
-    /// Fire expired timers.
-    pub fn handle_timer(&mut self, now: SimTime) {
-        if self.watchdog_deadline().is_some_and(|wd| wd <= now) {
-            // The watchdog inferred a missed TDN change.
-            self.conn.stats_mut().notify_watchdog_fires += 1;
-            self.degrade(now);
-        }
-        self.conn.handle_timer(now);
-    }
 }
 
 /// One state set per TDN (or a single one under the `per_tdn_state`
@@ -497,25 +353,101 @@ impl std::fmt::Debug for TdtcpConnection {
     }
 }
 
+/// The shell's only entry points: segments and timers negotiate and tag
+/// around the machine's own, and notifications select its state set.
 impl Transport for TdtcpConnection {
     fn on_segment(&mut self, now: SimTime, seg: &Segment) {
-        self.handle_segment(now, seg);
+        // Negotiate on the peer's SYN (listener) or SYN-ACK (initiator):
+        // the TDN counts must match exactly (§4.2); anything else
+        // downgrades this side to regular TCP before the machine sees
+        // the segment.
+        let handshake = match self.conn.state() {
+            State::Closed => seg.flags.syn && !seg.flags.ack,
+            State::SynSent => seg.flags.syn && seg.flags.ack,
+            _ => false,
+        };
+        if handshake && !seg.flags.rst {
+            self.negotiated = seg.td_capable == Some(self.cfg.num_tdns);
+            if !self.negotiated {
+                self.downgrade();
+            }
+        }
+        self.conn.on_segment(now, seg);
     }
 
+    /// The machine's next segment, TD options attached.
     fn poll_send(&mut self, now: SimTime) -> Option<Segment> {
-        self.poll_transmit(now)
+        self.update_skew_gate(now);
+        let mut seg = self.conn.poll_send(now)?;
+        let tdn = self.conn.current();
+        if seg.flags.syn && !self.syn_sent {
+            // TD_CAPABLE: offered on the SYN, echoed on the SYN-ACK once
+            // the offer matched.
+            self.syn_sent = true;
+            if !seg.flags.ack || self.negotiated {
+                seg.td_capable = Some(self.cfg.num_tdns);
+            }
+        } else if self.is_tdtcp() {
+            // TD_DATA_ACK: the TDN the data rides (D flag) and the TDN
+            // this ACK returns on (A flag).
+            if seg.seq_space() > 0 {
+                seg.data_tdn = Some(tdn);
+            }
+            if seg.flags.ack {
+                seg.ack_tdn = Some(tdn);
+            }
+        }
+        Some(seg)
     }
 
     fn next_timer(&self) -> Option<SimTime> {
-        self.next_timer_at()
+        let timer = self.conn.next_timer();
+        match self.watchdog_deadline() {
+            Some(wd) => Some(timer.map_or(wd, |t| t.min(wd))),
+            None => timer,
+        }
     }
 
     fn on_timer(&mut self, now: SimTime) {
-        self.handle_timer(now);
+        if self.watchdog_deadline().is_some_and(|wd| wd <= now) {
+            // The watchdog inferred a missed TDN change.
+            self.conn.stats_mut().notify_watchdog_fires += 1;
+            self.degrade(now);
+        }
+        self.conn.on_timer(now);
     }
 
+    /// Process a TDN-change notification carrying the ToR's monotone
+    /// generation `gen`. A gen at or below the last applied one marks a
+    /// duplicated or reordered delivery and is discarded (idempotence);
+    /// a fresh gen resynchronizes a degraded connection.
     fn on_tdn_notification(&mut self, now: SimTime, tdn: TdnId, gen: u64) {
-        self.on_notification_gen(now, tdn, gen);
+        if self.downgraded || !self.cfg.per_tdn_state {
+            return;
+        }
+        if self.last_gen.is_some_and(|last| gen <= last) {
+            self.conn.stats_mut().stale_notifies += 1;
+            return;
+        }
+        self.last_gen = Some(gen);
+        self.last_notify_at = Some(now);
+        if self.degraded {
+            // Fresh authoritative word from the ToR: leave the
+            // conservative posture and resume per-TDN operation.
+            if let Some(since) = self.degraded_since.take() {
+                self.conn.stats_mut().degraded_ns += now.saturating_since(since).as_nanos();
+            }
+            self.degraded = false;
+            self.sync_posture();
+            self.conn.stats_mut().notify_resyncs += 1;
+        }
+        self.update_skew_estimate(now, gen);
+        // First sight of a new TDN allocates a fresh state set (§4.2);
+        // everything sent from here on is tagged with the new TDN (§3.4's
+        // TDN change pointer, kept per segment).
+        if self.conn.select_path(tdn) {
+            self.conn.stats_mut().tdn_switches += 1;
+        }
     }
 
     fn stats(&self) -> &ConnStats {

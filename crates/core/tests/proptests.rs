@@ -80,9 +80,9 @@ fn establish((num_tdns, per_tdn_state): (u8, bool)) -> TdtcpConnection {
     synack.ack = SeqNum(1);
     synack.wnd = 1 << 22;
     synack.td_capable = Some(num_tdns);
-    a.handle_segment(SimTime::from_micros(100), &synack);
+    a.on_segment(SimTime::from_micros(100), &synack);
     assert!(a.is_established() && a.is_tdtcp());
-    assert_eq!(a.num_tdn_states(), if per_tdn_state { usize::from(num_tdns) } else { 1 });
+    assert_eq!(a.conn().paths().len(), if per_tdn_state { usize::from(num_tdns) } else { 1 });
     a
 }
 
@@ -93,7 +93,7 @@ fn apply_op(conn: &mut TdtcpConnection, op: &Op, mut now_us: u64) -> u64 {
         Op::Poll => {
             // Drain at most a window's worth to bound the test.
             for _ in 0..64 {
-                if conn.poll_transmit(now).is_none() {
+                if conn.poll_send(now).is_none() {
                     break;
                 }
             }
@@ -114,13 +114,13 @@ fn apply_op(conn: &mut TdtcpConnection, op: &Op, mut now_us: u64) -> u64 {
                 sb.push(SeqNum(1) + l * MSS, SeqNum(1) + r * MSS);
                 seg.sack = sb;
             }
-            conn.handle_segment(now, &seg);
+            conn.on_segment(now, &seg);
         }
         Op::Timer => {
-            if let Some(t) = conn.next_timer_at() {
+            if let Some(t) = conn.next_timer() {
                 let fire = t.as_micros().max(now_us) + 1;
                 now_us = fire;
-                conn.handle_timer(SimTime::from_micros(fire));
+                conn.on_timer(SimTime::from_micros(fire));
             }
         }
     }
@@ -146,21 +146,22 @@ testkit::props! {
             tk_assert!(acked >= last_acked);
             last_acked = acked;
             // The current TDN is always indexable.
-            let cur = conn.current_tdn();
-            tk_assert!(cur.index() < conn.num_tdn_states().max(1) + 256);
-            let _ = conn.tdn_state(cur); // must not panic
+            let machine = conn.conn();
+            let cur = machine.current();
+            tk_assert!(cur.index() < machine.paths().len().max(1) + 256);
+            let _ = machine.path(cur); // must not panic
             // Per-TDN pipes never exceed the total outstanding.
-            let total = conn.total_packets_out();
+            let total = machine.packets_out();
             let mut per = 0;
-            for i in 0..conn.num_tdn_states() {
-                per += conn.pipe_bytes(TdnId(i as u8)) / MSS;
+            for i in 0..machine.paths().len() {
+                per += machine.pipe_bytes(TdnId(i as u8)) / MSS;
             }
             // pipe excludes lost/sacked so the partition is <= total
             // (plus retransmissions in flight, bounded by total).
             tk_assert!(per <= total * 2 + 2);
             // The flat-state ablation never grows or leaves set 0.
             if !shape.1 {
-                tk_assert_eq!(conn.num_tdn_states(), 1);
+                tk_assert_eq!(machine.paths().len(), 1);
                 tk_assert_eq!(cur, TdnId::ZERO);
             }
         }
@@ -179,16 +180,16 @@ testkit::props! {
             now_us += 53;
             let now = SimTime::from_micros(now_us);
             match *op {
-                Op::Poll => { let _ = conn.poll_transmit(now); }
+                Op::Poll => { let _ = conn.poll_send(now); }
                 Op::Notify(t) => conn.on_notification(now, TdnId(t)),
                 Op::Ack { ack_kmss, .. } => {
                     let mut seg = Segment::new(FlowId(1), tcp::Direction::AckPath);
                     seg.flags.ack = true;
                     seg.ack = SeqNum(1) + ack_kmss * MSS;
                     seg.wnd = 1 << 22;
-                    conn.handle_segment(now, &seg);
+                    conn.on_segment(now, &seg);
                 }
-                Op::Timer => conn.handle_timer(now),
+                Op::Timer => conn.on_timer(now),
             }
             let s = *conn.stats();
             tk_assert!(s.bytes_sent >= prev.bytes_sent);
@@ -227,13 +228,13 @@ testkit::props! {
         let mut now_us = 200u64;
         for (i, &t) in tdns.iter().enumerate() {
             now_us += 11;
-            inorder.on_notification_gen(SimTime::from_micros(now_us), TdnId(t), i as u64);
+            inorder.on_tdn_notification(SimTime::from_micros(now_us), TdnId(t), i as u64);
         }
         let mut expected_stale = 0u64;
         let mut max_gen: Option<u64> = None;
         for &i in &order {
             now_us += 11;
-            shuffled.on_notification_gen(
+            shuffled.on_tdn_notification(
                 SimTime::from_micros(now_us),
                 TdnId(tdns[i]),
                 i as u64,
@@ -245,24 +246,24 @@ testkit::props! {
             }
         }
         // Both converge on the newest generation's TDN...
-        tk_assert_eq!(inorder.current_tdn(), TdnId(*tdns.last().unwrap()));
-        tk_assert_eq!(shuffled.current_tdn(), inorder.current_tdn());
+        tk_assert_eq!(inorder.conn().current(), TdnId(*tdns.last().unwrap()));
+        tk_assert_eq!(shuffled.conn().current(), inorder.conn().current());
         // ...and every duplicate / out-of-order delivery was discarded.
         tk_assert_eq!(shuffled.stats().stale_notifies, expected_stale);
         tk_assert_eq!(inorder.stats().stale_notifies, 0);
 
         // Redelivering the whole set changes nothing but the stale count.
-        let before = shuffled.current_tdn();
+        let before = shuffled.conn().current();
         let switches = shuffled.stats().tdn_switches;
         for &i in &order {
             now_us += 11;
-            shuffled.on_notification_gen(
+            shuffled.on_tdn_notification(
                 SimTime::from_micros(now_us),
                 TdnId(tdns[i]),
                 i as u64,
             );
         }
-        tk_assert_eq!(shuffled.current_tdn(), before);
+        tk_assert_eq!(shuffled.conn().current(), before);
         tk_assert_eq!(shuffled.stats().tdn_switches, switches);
         tk_assert_eq!(
             shuffled.stats().stale_notifies,
@@ -293,8 +294,8 @@ testkit::props! {
                 b.stats().digest(),
                 "stats diverged after {op:?}"
             );
-            tk_assert_eq!(a.current_tdn(), b.current_tdn());
-            tk_assert_eq!(a.total_packets_out(), b.total_packets_out());
+            tk_assert_eq!(a.conn().current(), b.conn().current());
+            tk_assert_eq!(a.conn().packets_out(), b.conn().packets_out());
         }
     }
 }
