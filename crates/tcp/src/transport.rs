@@ -1,8 +1,9 @@
 //! The endpoint abstraction the network substrate drives.
 //!
-//! Single-path TCP, TDTCP, and MPTCP endpoints all implement [`Transport`];
-//! the RDCN emulator holds a `Box<dyn Transport>` per host and is agnostic
-//! to the variant under test.
+//! Single-path TCP, TDTCP, and MPTCP endpoints all implement [`Transport`],
+//! and its methods are their only entry points. The RDCN engine is generic
+//! over its host handle `H`, any `DerefMut` to a [`Transport`] (a boxed
+//! `dyn Transport` by default), and is agnostic to the variant under test.
 
 use crate::segment::Segment;
 use crate::stats::ConnStats;
