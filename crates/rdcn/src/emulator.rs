@@ -200,11 +200,7 @@ impl RunResult {
         } = self;
         let mut d = Digest::new();
         for series in [seq_series, voq_ab, voq_ba] {
-            d.write_usize(series.points().len());
-            for &(t, v) in series.points() {
-                d.write_u64(t.as_nanos());
-                d.write_f64(v);
-            }
+            series.write_digest(&mut d);
         }
         for stats in sender_stats.iter().chain(receiver_stats) {
             stats.write_digest(&mut d);

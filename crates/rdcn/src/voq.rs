@@ -14,7 +14,7 @@
 //! pooled segments (`crate::pool::SegRef`); `Voq<Segment>`, the default,
 //! queues whole segments for callers that have no pool.
 
-use simcore::{Gauge, SimTime};
+use simcore::{SimTime, TimeSeries};
 use tcp::Segment;
 use wire::{Ecn, TdnId};
 use std::collections::VecDeque;
@@ -75,8 +75,8 @@ pub struct Voq<T = Segment> {
     /// eligible and dequeue can take the head without scanning.
     pinned_total: usize,
     /// Occupancy over time, the raw series behind Figs. 7b/8b/13/14.
-    gauge: Gauge,
-    /// Whether occupancy changes append to the gauge. The two-rack
+    series: TimeSeries,
+    /// Whether occupancy changes append to the series. The two-rack
     /// door's figures need the series; the N-rack door records none, and
     /// skipping the per-op append keeps its hot path free of unbounded
     /// trace growth.
@@ -104,7 +104,7 @@ impl<T: VoqItem> Voq<T> {
             ecn_k: cfg.ecn_threshold,
             class_len: Vec::new(),
             pinned_total: 0,
-            gauge: Gauge::new(name, 0.0),
+            series: TimeSeries::new(name),
             traced: true,
             drops: 0,
             enqueued: 0,
@@ -180,7 +180,7 @@ impl<T: VoqItem> Voq<T> {
         self.q.push_back(seg);
         self.enqueued += 1;
         if self.traced {
-            self.gauge.set(now, self.q.len() as f64);
+            self.series.push(now, self.q.len() as f64);
         }
         true
     }
@@ -214,7 +214,7 @@ impl<T: VoqItem> Voq<T> {
             self.pinned_total -= 1;
         }
         if self.traced {
-            self.gauge.set(now, self.q.len() as f64);
+            self.series.push(now, self.q.len() as f64);
         }
         Some(seg)
     }
@@ -231,13 +231,13 @@ impl<T: VoqItem> Voq<T> {
     }
 
     /// The occupancy trace.
-    pub fn series(&self) -> &simcore::TimeSeries {
-        self.gauge.series()
+    pub fn series(&self) -> &TimeSeries {
+        &self.series
     }
 
     /// Consume, returning the occupancy trace.
-    pub fn into_series(self) -> simcore::TimeSeries {
-        self.gauge.into_series()
+    pub fn into_series(self) -> TimeSeries {
+        self.series
     }
 }
 
@@ -363,7 +363,7 @@ mod tests {
         assert_eq!(v.len(), 3);
         assert!(!v.enqueue(t(2), seg(None, false)), "but admits nothing new");
 
-        // The gauge tracks occupancy; an untraced queue records nothing.
+        // The series tracks occupancy; an untraced queue records nothing.
         let mut v = Voq::new("q", VoqConfig::default());
         let mut quiet = Voq::untraced(VoqConfig::default());
         for q in [&mut v, &mut quiet] {
@@ -371,9 +371,9 @@ mod tests {
             q.enqueue(t(2), seg(None, false));
             q.dequeue_eligible(t(3), Some(TdnId(0)));
         }
-        let pts = v.series().points();
-        assert_eq!(pts.len(), 3);
-        assert_eq!((pts[1].1, pts[2].1), (2.0, 1.0));
+        let occupancy: Vec<f64> = v.series().points().map(|(_, n)| n).collect();
+        assert_eq!(occupancy, [1.0, 2.0, 1.0]);
+        assert!(quiet.series().is_empty());
         assert_eq!((quiet.len(), quiet.enqueued), (1, 2));
     }
 

@@ -125,10 +125,10 @@ fn dctcp_keeps_voq_below_cubic() {
         cfg.voq.ecn_threshold = if ecn { Some(4) } else { None };
         let emu = Emulator::new(cfg, 4, Box::new(cubic_factory(u64::MAX, ecn)));
         let res = emu.run(SimTime::from_millis(15));
-        let pts = res.voq_ab.points();
         let from = SimTime::from_millis(5);
-        let (sum, n) = pts
-            .iter()
+        let (sum, n) = res
+            .voq_ab
+            .points()
             .filter(|(t, _)| *t >= from)
             .fold((0.0, 0u32), |(s, n), (_, v)| (s + v, n + 1));
         (sum / n as f64, res.ce_marks_ab)

@@ -4,8 +4,7 @@
 //! ([`SimTime`]/[`SimDuration`]), a deterministic event queue
 //! ([`DefaultQueue`]) with FIFO tie-breaking and cancellation, an explicitly
 //! seeded RNG ([`DetRng`]), and the statistics/tracing types the evaluation
-//! harness uses to regenerate the paper's figures ([`Cdf`], [`TimeSeries`],
-//! [`Gauge`]).
+//! harness uses to regenerate the paper's figures ([`Cdf`], [`TimeSeries`]).
 //!
 //! Design follows the event-driven, no-surprises style of smoltcp: the
 //! simulation is single-threaded and synchronous; simulated time — not
@@ -24,7 +23,7 @@ pub mod wheel;
 pub use event::{EventId, EventQueue};
 pub use stats::Cdf;
 pub use time::{SimDuration, SimTime};
-pub use trace::{Gauge, TimeSeries};
+pub use trace::TimeSeries;
 pub use wheel::{TimerWheel, WheelEventId};
 
 /// The event queue the `rdcn` engine runs on.

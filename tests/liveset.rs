@@ -329,15 +329,6 @@ fn chaos_paths_keep_the_pool_law_and_rerun_to_one_digest() {
 // What the rule must not move
 // ---------------------------------------------------------------------------
 
-fn series_digest(series: &TimeSeries) -> u64 {
-    let mut d = Digest::new();
-    d.write_usize(series.points().len());
-    for &(t, v) in series.points() {
-        d.write_u64(t.as_nanos()).write_f64(v);
-    }
-    d.finish()
-}
-
 /// Digests of the per-flow completion times (sorted, i.e. the multiset),
 /// the A→B VOQ occupancy series and the aggregate sequence series.
 fn simulated_result_digests(res: &RunResult) -> [u64; 3] {
@@ -348,6 +339,11 @@ fn simulated_result_digests(res: &RunResult) -> [u64; 3] {
     for t in done {
         d.write_u64(t);
     }
+    let series_digest = |series: &TimeSeries| {
+        let mut d = Digest::new();
+        series.write_digest(&mut d);
+        d.finish()
+    };
     [d.finish(), series_digest(&res.voq_ab), series_digest(&res.seq_series)]
 }
 
