@@ -110,11 +110,13 @@ cargo test -q --offline --release -p rdcn --lib chaos_run_is_worker_invariant
 # The wheel's debug assertions are compiled out of the build every figure
 # and the benchmark run on, and an optimised build inlines across the
 # allocator boundary the ledger counts at: hold both to their oracles
-# there too. The same holds for the SACK scoreboard's bit walks and the
-# inert-flow law, which rest on the same kind of inlined index math.
-echo "==> queue and scoreboard oracles, allocation ledger, inert-flow law, release build"
+# there too. The same holds for the SACK scoreboard's bit walks, the
+# series store's word packing and the inert-flow law, which rest on the
+# same kind of inlined index math.
+echo "==> queue, scoreboard and series oracles, allocation ledger, inert-flow law, release build"
 cargo test -q --offline --release --test queue_oracle
 cargo test -q --offline --release --test scoreboard_oracle
+cargo test -q --offline --release --test series_oracle
 cargo test -q --offline --release --test alloc_ledger
 cargo test -q --offline --release --test laws
 
