@@ -5,7 +5,7 @@
 
 use mptcp::{MptcpConfig, MptcpConnection};
 use rdcn::{Emulator, NetConfig};
-use simcore::SimTime;
+use simcore::{SimDuration, SimTime};
 use tcp::cc::{CcConfig, Cubic};
 use tcp::{Config, Connection, FlowId, Transport};
 
@@ -45,7 +45,8 @@ fn bulk_transfer_completes() {
 #[test]
 fn both_subflows_carry_data() {
     let cfg = NetConfig::paper_baseline();
-    let emu = Emulator::new(cfg, 1, Box::new(mptcp_factory(u64::MAX, true)));
+    let mut emu = Emulator::new(cfg, 1, Box::new(mptcp_factory(u64::MAX, true)));
+    emu.set_sample_interval(SimDuration::from_micros(2));
     let res = emu.run(SimTime::from_millis(10));
     // Two subflow windows reported once both subflows are connected.
     assert_eq!(res.final_cwnds[0].len(), 2, "{:?}", res.final_cwnds);

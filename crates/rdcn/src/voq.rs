@@ -76,10 +76,9 @@ pub struct Voq<T = Segment> {
     pinned_total: usize,
     /// Occupancy over time, the raw series behind Figs. 7b/8b/13/14.
     series: TimeSeries,
-    /// Whether occupancy changes append to the series. The two-rack
-    /// door's figures need the series; the N-rack door records none, and
-    /// skipping the per-op append keeps its hot path free of unbounded
-    /// trace growth.
+    /// Whether occupancy changes append to the series. Only a run its
+    /// caller observes traces its VOQs; skipping the per-op append keeps
+    /// every other run's hot path free of unbounded trace growth.
     traced: bool,
     /// Tail drops.
     pub drops: u64,

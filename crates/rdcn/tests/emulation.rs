@@ -85,7 +85,8 @@ fn voq_drains_during_optical_days() {
     // and is nearly empty during optical days (service rate >> arrival).
     let cfg = NetConfig::paper_baseline();
     let sched = cfg.schedule.clone();
-    let emu = Emulator::new(cfg, 16, Box::new(cubic_factory(u64::MAX, false)));
+    let mut emu = Emulator::new(cfg, 16, Box::new(cubic_factory(u64::MAX, false)));
+    emu.set_sample_interval(SimDuration::from_micros(2));
     let res = emu.run(SimTime::from_millis(15));
     // Average occupancy over packet vs optical days, skipping warmup.
     let (mut pkt_sum, mut pkt_n, mut opt_sum, mut opt_n) = (0.0, 0u64, 0.0, 0u64);
@@ -123,7 +124,8 @@ fn dctcp_keeps_voq_below_cubic() {
     let run = |ecn: bool| {
         let mut cfg = NetConfig::paper_baseline();
         cfg.voq.ecn_threshold = if ecn { Some(4) } else { None };
-        let emu = Emulator::new(cfg, 4, Box::new(cubic_factory(u64::MAX, ecn)));
+        let mut emu = Emulator::new(cfg, 4, Box::new(cubic_factory(u64::MAX, ecn)));
+        emu.set_sample_interval(SimDuration::from_micros(2));
         let res = emu.run(SimTime::from_millis(15));
         let from = SimTime::from_millis(5);
         let (sum, n) = res
@@ -157,7 +159,8 @@ fn deterministic_runs() {
 #[test]
 fn day_records_cover_run() {
     let cfg = NetConfig::paper_baseline();
-    let emu = Emulator::new(cfg.clone(), 4, Box::new(cubic_factory(u64::MAX, false)));
+    let mut emu = Emulator::new(cfg.clone(), 4, Box::new(cubic_factory(u64::MAX, false)));
+    emu.set_sample_interval(SimDuration::from_micros(2));
     let res = emu.run(SimTime::from_millis(10));
     // 10ms / 200us slots = 50 days; the last may be unfinished.
     assert!(res.day_records.len() >= 48, "{}", res.day_records.len());

@@ -120,8 +120,8 @@ cargo test -q --offline --release --test series_oracle
 cargo test -q --offline --release --test alloc_ledger
 cargo test -q --offline --release --test laws
 
-# The segment ledger and record_day's full-scan check run only in debug
-# builds, while figures and the benchmark run in release: hold the
+# The segment ledger and the running totals' full-scan check run only in
+# debug builds, while figures and the benchmark run in release: hold the
 # pinned digests (every armed chaos plane, the 16-rack fabric, the live
 # set) in the release build too, so a digest that depends on the build
 # profile fails here.

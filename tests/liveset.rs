@@ -11,10 +11,10 @@
 //! logs every notification it is handed — and pin the simulated results
 //! of the benchmark's `short_incast` spec.
 //!
-//! The engine's own cross-checks (running acked total ≡ full sum at every
-//! sample, dirty-list day deltas ≡ full-scan deltas at every day, no
-//! notification popped for an unborn host) are `debug_assert`s, so every
-//! suite under `cargo test` runs them.
+//! The engine's own cross-checks (in an observed run, running totals ≡ a
+//! scan of every host at every sample and every day; no notification
+//! popped for an unborn host) are debug-build assertions, so every suite
+//! under `cargo test` runs them.
 
 use bench::tails::{self, Population, TailSpec, TAIL_STREAM_LABEL};
 use bench::Variant;
@@ -374,7 +374,9 @@ fn short_incast_simulated_results_match_the_full_scan_engine() {
             let f = &schedule.flows[i];
             tails::make_endpoints(f.variant, &net, i, f.bytes, now)
         });
-        let res = Emulator::new_staggered(net.clone(), specs, factory).run(SimTime::from_millis(30));
+        let mut emu = Emulator::new_staggered(net.clone(), specs, factory);
+        emu.set_sample_interval(SimDuration::from_micros(2));
+        let res = emu.run(SimTime::from_millis(30));
         assert!(res.completions.iter().flatten().count() > 50, "{variant:?}: too few completions");
         (variant.label(), simulated_result_digests(&res))
     });
