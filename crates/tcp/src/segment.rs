@@ -8,6 +8,7 @@
 
 use crate::seq::SeqNum;
 use wire::ip::protocol;
+use wire::options::DssMapping;
 use wire::{Ecn, Ipv4Header, TcpFlags, TcpHeader, TcpOption, TdnId};
 
 /// Identifies one flow (connection) in a simulation run.
@@ -210,11 +211,6 @@ impl Segment {
         self.len + u32::from(self.flags.syn) + u32::from(self.flags.fin)
     }
 
-    /// End of this segment's sequence range (exclusive).
-    pub fn seq_end(&self) -> SeqNum {
-        self.seq + self.seq_space()
-    }
-
     /// Whether the segment carries payload bytes.
     pub fn has_payload(&self) -> bool {
         self.len > 0
@@ -239,11 +235,14 @@ impl Segment {
                 ack_tdn: self.ack_tdn,
             });
         }
-        if let Some(dss) = self.dss {
+        if self.dss.is_some() || self.data_ack.is_some() {
             options.push(TcpOption::MpDss {
-                data_seq: dss.dsn,
-                subflow_seq: dss.ssn.0,
-                len: dss.len.min(u16::MAX as u32) as u16,
+                data_ack: self.data_ack,
+                map: self.dss.map(|dss| DssMapping {
+                    data_seq: dss.dsn,
+                    subflow_seq: dss.ssn.0,
+                    len: dss.len.min(u16::MAX as u32) as u16,
+                }),
             });
         }
         if !self.sack.is_empty() {
@@ -304,15 +303,12 @@ impl Segment {
                         seg.sack.push(SeqNum(l), SeqNum(r));
                     }
                 }
-                TcpOption::MpDss {
-                    data_seq,
-                    subflow_seq,
-                    len,
-                } => {
-                    seg.dss = Some(DssMap {
-                        dsn: *data_seq,
-                        ssn: SeqNum(*subflow_seq),
-                        len: *len as u32,
+                TcpOption::MpDss { data_ack, map } => {
+                    seg.data_ack = *data_ack;
+                    seg.dss = map.map(|m| DssMap {
+                        dsn: m.data_seq,
+                        ssn: SeqNum(m.subflow_seq),
+                        len: u32::from(m.len),
                     });
                 }
                 _ => {}
@@ -332,7 +328,6 @@ mod tests {
         s.seq = SeqNum(100);
         s.len = 50;
         assert_eq!(s.seq_space(), 50);
-        assert_eq!(s.seq_end(), SeqNum(150));
         s.flags.syn = true;
         assert_eq!(s.seq_space(), 51);
         s.flags.fin = true;

@@ -5,7 +5,7 @@
 use testkit::prop::{one_of, range, tuple2, uniform, vec_of, Gen};
 use testkit::{tk_assert, tk_assert_eq};
 use wire::ip::protocol;
-use wire::options::MAX_SACK_BLOCKS;
+use wire::options::{DssMapping, MAX_SACK_BLOCKS};
 use wire::{Ecn, Ipv4Header, TcpFlags, TcpHeader, TcpOption, TdnId, TdnNotification};
 
 fn arb_flags() -> Gen<TcpFlags> {
@@ -29,14 +29,29 @@ fn arb_option() -> Gen<TcpOption> {
             .map(|(version, num_tdns)| TcpOption::TdCapable { version, num_tdns }),
         tuple2(arb_tdn_opt(), arb_tdn_opt())
             .map(|(data_tdn, ack_tdn)| TcpOption::TdDataAck { data_tdn, ack_tdn }),
-        testkit::prop::tuple3(uniform::<u64>(), uniform::<u32>(), uniform::<u16>()).map(
-            |(data_seq, subflow_seq, len)| TcpOption::MpDss {
-                data_seq,
-                subflow_seq,
-                len,
-            },
-        ),
+        uniform::<u64>().map(|ack| TcpOption::MpDss {
+            data_ack: Some(ack),
+            map: None,
+        }),
+        arb_dss_map().map(|map| TcpOption::MpDss {
+            data_ack: None,
+            map: Some(map),
+        }),
+        tuple2(uniform::<u64>(), arb_dss_map()).map(|(ack, map)| TcpOption::MpDss {
+            data_ack: Some(ack),
+            map: Some(map),
+        }),
     ])
+}
+
+fn arb_dss_map() -> Gen<DssMapping> {
+    testkit::prop::tuple3(uniform::<u64>(), uniform::<u32>(), uniform::<u16>()).map(
+        |(data_seq, subflow_seq, len)| DssMapping {
+            data_seq,
+            subflow_seq,
+            len,
+        },
+    )
 }
 
 testkit::props! {

@@ -317,6 +317,41 @@ fn mptcp_receiver_counts_data_level_duplicates() {
     assert_eq!(stats.dup_segs_received, 1, "the second copy is a duplicate: {stats:?}");
 }
 
+/// An MPTCP receiver's ACK carries the connection-level data ACK, and the
+/// wire keeps it: `to_wire` emits it in a DSS option and `from_wire`
+/// restores it.
+#[test]
+fn mptcp_data_ack_survives_the_wire() {
+    use mptcp::{MptcpConfig, MptcpConnection};
+    use tcp::{Direction, DssMap, Segment, SeqNum};
+    let flow = FlowId(0);
+    let template = Cubic::new(CcConfig::default());
+    let mut rcv = MptcpConnection::listen(flow, MptcpConfig::default(), &template);
+    let mut syn = Segment::new(flow, Direction::DataPath);
+    syn.flags.syn = true;
+    syn.pin = Some(wire::TdnId(0));
+    rcv.on_segment(SimTime::ZERO, &syn);
+    let mut data = Segment::new(flow, Direction::DataPath);
+    data.seq = SeqNum(1);
+    data.len = 1000;
+    data.pin = Some(wire::TdnId(0));
+    data.dss = Some(DssMap {
+        dsn: 0,
+        ssn: SeqNum(1),
+        len: 1000,
+    });
+    data.stamp_payload();
+    rcv.on_segment(SimTime::ZERO, &data);
+    let acks: Vec<Segment> = std::iter::from_fn(|| rcv.poll_send(SimTime::ZERO)).collect();
+    assert!(acks.iter().any(|s| s.data_ack == Some(1000)), "{acks:?}");
+    for seg in &acks {
+        let bytes = seg.to_wire(0x0A00_0002, 0x0A00_0001, 5_001, 40_000);
+        let back = Segment::from_wire(&bytes, flow, seg.dir).expect("own encoding parses");
+        assert_eq!((back.data_ack, back.dss), (seg.data_ack, seg.dss));
+        assert_eq!((back.seq, back.ack, back.flags), (seg.seq, seg.ack, seg.flags));
+    }
+}
+
 /// Paced single-path TCP runs to the horizon through the two-rack door. A
 /// paced sender that is cwnd-blocked used to keep advertising its last
 /// pacing release; the engine re-armed the host timer at that (past)
