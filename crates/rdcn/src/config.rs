@@ -170,15 +170,6 @@ impl NetConfig {
     pub fn tdn(&self, id: TdnId) -> &TdnParams {
         &self.tdns[id.index()]
     }
-
-    /// The slowest TDN's RTT (TDTCP's pessimistic RTO assumption, §4.4).
-    pub fn slowest_rtt(&self) -> SimDuration {
-        self.tdns
-            .iter()
-            .map(|t| t.one_way * 2)
-            .max()
-            .unwrap_or(SimDuration::ZERO)
-    }
 }
 
 #[cfg(test)]
@@ -192,7 +183,6 @@ mod tests {
         assert_eq!(c.tdn(TdnId(0)).rate_bps, 10_000_000_000);
         assert_eq!(c.tdn(TdnId(1)).rate_bps, 100_000_000_000);
         assert_eq!(c.tdn(TdnId(0)).one_way, SimDuration::from_micros(50));
-        assert_eq!(c.slowest_rtt(), SimDuration::from_micros(100));
         // Packet BDP = 10 Gbps * 100us = 125 kB ≈ 14 jumbo frames; the
         // 16-packet VOQ is "slightly larger than the packet network BDP".
         let bdp = c.tdn(TdnId(0)).bdp_bytes();

@@ -116,11 +116,6 @@ impl Schedule {
         self.days.iter().map(|t| t.index()).max().unwrap_or(0) + 1
     }
 
-    /// Duty cycle: fraction of time a configuration is up.
-    pub fn duty_cycle(&self) -> f64 {
-        self.day_len / self.slot_len()
-    }
-
     /// The phase at time `t`. Days run `[k·slot, k·slot + day_len)`;
     /// nights fill the rest of the slot.
     pub fn phase_at(&self, t: SimTime) -> Phase {
@@ -217,7 +212,6 @@ mod tests {
         assert_eq!(s.slot_len(), SimDuration::from_micros(200));
         assert_eq!(s.week_len(), SimDuration::from_micros(1400));
         assert_eq!(s.num_tdns(), 2);
-        assert!((s.duty_cycle() - 0.9).abs() < 1e-12, "9:1 duty cycle");
         assert_eq!(
             s.uptime_per_week(TdnId(0)),
             SimDuration::from_micros(1080)

@@ -141,19 +141,6 @@ impl TkRng {
             Some(&xs[self.next_below(xs.len() as u64) as usize])
         }
     }
-
-    /// `k` distinct indices sampled uniformly from `0..n` (partial
-    /// Fisher–Yates); returns fewer if `k > n`.
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        let k = k.min(n);
-        let mut idx: Vec<usize> = (0..n).collect();
-        for i in 0..k {
-            let j = i + self.next_below((n - i) as u64) as usize;
-            idx.swap(i, j);
-        }
-        idx.truncate(k);
-        idx
-    }
 }
 
 impl std::fmt::Debug for TkRng {
@@ -407,18 +394,6 @@ mod tests {
         b.shuffle(&mut ys);
         assert_eq!(xs, ys);
         assert_eq!(a.choose(&xs), b.choose(&ys));
-    }
-
-    #[test]
-    fn sample_indices_distinct() {
-        let mut r = TkRng::new(23);
-        let picks = r.sample_indices(100, 10);
-        assert_eq!(picks.len(), 10);
-        let mut sorted = picks.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 10, "indices must be distinct");
-        assert!(picks.iter().all(|&i| i < 100));
     }
 
     #[test]
