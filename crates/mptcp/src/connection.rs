@@ -25,6 +25,11 @@ const SEND_BUF: u64 = 1 << 20;
 /// window — the §2.2 "flow control stall".
 const RECV_BUF_CONN: u64 = 512 << 10;
 
+/// SACK blocks that fit beside the DSS option a receiver's data ACK rides
+/// in: 40 B of TCP option space less the DSS's 12 B leaves room for the
+/// SACK option's 2 B and three 8 B blocks.
+const SACK_BLOCKS_BESIDE_DATA_ACK: usize = 3;
+
 /// Number of subflows: one per TDN of the paper's two-TDN network.
 const NUM_SUBFLOWS: u8 = 2;
 
@@ -417,6 +422,7 @@ impl Transport for MptcpConnection {
                 }
                 if seg.flags.ack && self.role == Role::Receiver {
                     seg.data_ack = Some(data_ack);
+                    seg.sack.truncate(SACK_BLOCKS_BESIDE_DATA_ACK);
                 }
                 self.refresh_stats();
                 return Some(seg);

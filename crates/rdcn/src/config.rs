@@ -45,12 +45,6 @@ impl TdnParams {
             jitter: None,
         }
     }
-
-    /// Bandwidth-delay product in bytes for this TDN.
-    pub fn bdp_bytes(&self) -> u64 {
-        // rate * RTT / 8
-        (self.rate_bps as f64 * (self.one_way.as_secs_f64() * 2.0) / 8.0) as u64
-    }
 }
 
 /// Full configuration of the emulated two-rack RDCN.
@@ -185,7 +179,8 @@ mod tests {
         assert_eq!(c.tdn(TdnId(0)).one_way, SimDuration::from_micros(50));
         // Packet BDP = 10 Gbps * 100us = 125 kB ≈ 14 jumbo frames; the
         // 16-packet VOQ is "slightly larger than the packet network BDP".
-        let bdp = c.tdn(TdnId(0)).bdp_bytes();
+        let packet = c.tdn(TdnId(0));
+        let bdp = packet.rate_bps / 8 * (2 * packet.one_way.as_micros()) / 1_000_000;
         assert_eq!(bdp, 125_000);
         assert!(c.voq.cap_pkts as u64 * 9000 > bdp);
     }
@@ -203,6 +198,7 @@ mod tests {
     #[test]
     fn optical_bdp() {
         let o = TdnParams::optical_100g();
-        assert_eq!(o.bdp_bytes(), 500_000); // 100G * 40us
+        let bdp = o.rate_bps / 8 * (2 * o.one_way.as_micros()) / 1_000_000;
+        assert_eq!(bdp, 500_000); // 100G * 40us
     }
 }

@@ -65,11 +65,6 @@ impl Reassembler {
         self.cap.saturating_sub(self.ooo_bytes())
     }
 
-    /// Whether any out-of-order data is buffered.
-    pub fn has_gaps(&self) -> bool {
-        !self.ooo.is_empty()
-    }
-
     /// Receive a data segment covering `[seq, seq+len)`.
     pub fn on_data(&mut self, seq: SeqNum, len: u32) -> RxOutcome {
         debug_assert!(len > 0, "on_data requires payload");
@@ -217,7 +212,7 @@ mod tests {
         assert_eq!(o.delivered, 100);
         assert!(!o.out_of_order && !o.duplicate);
         assert_eq!(rx.rcv_nxt(), SeqNum(1100));
-        assert!(!rx.has_gaps());
+        assert_eq!(rx.ooo_bytes(), 0);
     }
 
     #[test]
@@ -230,7 +225,7 @@ mod tests {
         let o2 = rx.on_data(SeqNum(1000), 100);
         assert_eq!(o2.delivered, 200, "hole fill drains the buffered interval");
         assert_eq!(rx.rcv_nxt(), SeqNum(1200));
-        assert!(!rx.has_gaps());
+        assert_eq!(rx.ooo_bytes(), 0);
         assert_eq!(rx.window(), 1 << 20);
     }
 
@@ -314,7 +309,7 @@ mod tests {
         let o = rx.on_data(SeqNum(1000), 300);
         assert_eq!(o.delivered, 400);
         assert_eq!(rx.rcv_nxt(), SeqNum(1400));
-        assert!(!rx.has_gaps());
+        assert_eq!(rx.ooo_bytes(), 0);
     }
 
     #[test]
@@ -344,6 +339,6 @@ mod tests {
             delivered += rx.on_data(SeqNum(i * 100), 100).delivered;
         }
         assert_eq!(delivered, 600);
-        assert!(!rx.has_gaps());
+        assert_eq!(rx.ooo_bytes(), 0);
     }
 }

@@ -3,13 +3,18 @@
 //! The simulator passes this structured form instead of encoded bytes so a
 //! multi-second run does not spend its time in codecs; [`Segment::to_wire`]
 //! and [`Segment::from_wire`] convert to and from the byte-exact formats in
-//! the `wire` crate (used by the dissector example and round-trip tests),
-//! so the struct is provably equivalent to real packets.
+//! the `wire` crate. The root wire law (`tests/laws.rs`) round-trips every
+//! segment a run sends and receives through them, so the struct is
+//! equivalent to real packets on every field the wire carries.
 
 use crate::seq::SeqNum;
-use wire::ip::protocol;
+use wire::ip::{protocol, IPV4_HEADER_LEN};
 use wire::options::DssMapping;
-use wire::{Ecn, Ipv4Header, TcpFlags, TcpHeader, TcpOption, TdnId};
+use wire::{Ecn, Ipv4Header, ParseError, TcpFlags, TcpHeader, TcpOption, TdnId};
+
+/// The window scale both ends announce on their SYN (RFC 7323): every
+/// other segment's window field counts KiB.
+const WSCALE: u8 = 10;
 
 /// Identifies one flow (connection) in a simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -23,16 +28,6 @@ pub enum Direction {
     DataPath,
     /// Receiver → sender (ACKs).
     AckPath,
-}
-
-impl Direction {
-    /// The opposite direction.
-    pub fn reverse(self) -> Direction {
-        match self {
-            Direction::DataPath => Direction::AckPath,
-            Direction::AckPath => Direction::DataPath,
-        }
-    }
 }
 
 /// Up to four SACK blocks, fixed-size to keep [`Segment`] allocation-free.
@@ -57,6 +52,15 @@ impl SackBlocks {
         if (self.len as usize) < 4 {
             self.blocks[self.len as usize] = (left, right);
             self.len += 1;
+        }
+    }
+
+    /// Keep the first `n` blocks, the most recent (RFC 2018 §4): what a
+    /// sender does when its other options leave room for fewer than four.
+    pub fn truncate(&mut self, n: usize) {
+        while self.len() > n {
+            self.len -= 1;
+            self.blocks[self.len as usize] = (SeqNum(0), SeqNum(0));
         }
     }
 
@@ -137,8 +141,12 @@ pub struct Segment {
 }
 
 /// Fixed per-segment header overhead assumed for serialization timing:
-/// 20 B IPv4 + 20 B TCP + up to ~20 B of options, rounded to a constant so
-/// runs are deterministic regardless of which options a variant uses.
+/// 20 B IPv4 + 20 B TCP + up to 20 B of options, one constant for every
+/// variant. SACK blocks beside TDTCP's tag or MPTCP's DSS make the real
+/// header longer (up to 80 B): of the segments the hosts received in 16
+/// bulk flows × 20 ms on the paper baseline, TDTCP's 2 980 of 11 088 and
+/// MPTCP's 1 983 of 8 974 had a header above 60 B. Whether serialization
+/// should charge the real length is left to ROADMAP item 3.
 pub const HEADER_OVERHEAD: u32 = 60;
 
 impl Segment {
@@ -217,11 +225,17 @@ impl Segment {
     }
 
     /// Encode to real IPv4+TCP bytes (payload synthesized as zeros).
+    ///
+    /// A SYN carries the window unscaled, capped at 65 535, and announces
+    /// window scale 10; every other window is sent in whole KiB. Panics if the
+    /// options exceed the 40 B option space: the sender that attaches an
+    /// option trims its SACK blocks to fit.
     pub fn to_wire(&self, src_ip: u32, dst_ip: u32, src_port: u16, dst_port: u16) -> Vec<u8> {
         let mut options = Vec::new();
         if self.flags.syn {
             options.push(TcpOption::Mss(8948));
             options.push(TcpOption::SackPermitted);
+            options.push(TcpOption::WindowScale(WSCALE));
         }
         if let Some(n) = self.td_capable {
             options.push(TcpOption::TdCapable {
@@ -241,37 +255,27 @@ impl Segment {
                 map: self.dss.map(|dss| DssMapping {
                     data_seq: dss.dsn,
                     subflow_seq: dss.ssn.0,
-                    len: dss.len.min(u16::MAX as u32) as u16,
+                    len: u16::try_from(dss.len).expect("a DSS mapping fits its 16-bit length"),
                 }),
             });
         }
         if !self.sack.is_empty() {
-            // Fit what we can in remaining option space.
-            let used: usize = options.iter().map(TcpOption::wire_len).sum();
-            let room = (40 - used).saturating_sub(2) / 8;
-            let blocks: Vec<(u32, u32)> = self
-                .sack
-                .iter()
-                .take(room)
-                .map(|(l, r)| (l.0, r.0))
-                .collect();
-            if !blocks.is_empty() {
-                options.push(TcpOption::Sack(blocks));
-            }
+            options.push(TcpOption::Sack(self.sack.iter().map(|(l, r)| (l.0, r.0)).collect()));
         }
         let mut ip = Ipv4Header::new(src_ip, dst_ip, protocol::TCP);
         ip.ecn = self.ecn;
+        let window = if self.flags.syn { self.wnd } else { self.wnd >> WSCALE };
         let tcp = TcpHeader {
             src_port,
             dst_port,
             seq: self.seq.0,
             ack: self.ack.0,
             flags: self.flags,
-            window: (self.wnd >> 10).min(u16::MAX as u32) as u16, // wscale 10
+            window: window.min(u32::from(u16::MAX)) as u16,
             options,
         };
         let payload = vec![0u8; self.len as usize];
-        let mut buf = Vec::with_capacity(20 + tcp.header_len() + payload.len());
+        let mut buf = Vec::with_capacity(IPV4_HEADER_LEN + tcp.header_len() + payload.len());
         ip.emit(&mut buf, tcp.header_len() + payload.len());
         tcp.emit(&mut buf, &ip, &payload);
         buf
@@ -280,15 +284,23 @@ impl Segment {
     /// Decode from IPv4+TCP bytes produced by [`Segment::to_wire`].
     ///
     /// `flow` and `dir` are routing context the wire does not carry.
+    /// Malformed input is an error, never a panic: a total length beyond
+    /// the buffer is [`ParseError::Truncated`], an empty SACK block
+    /// [`ParseError::BadOption`].
     pub fn from_wire(data: &[u8], flow: FlowId, dir: Direction) -> wire::Result<Segment> {
         let (ip, total) = Ipv4Header::parse(data)?;
-        let tcp_bytes = &data[20..total as usize];
+        let tcp_bytes = data
+            .get(IPV4_HEADER_LEN..usize::from(total))
+            .ok_or(ParseError::Truncated)?;
         let (tcp, payload_off) = TcpHeader::parse(tcp_bytes, &ip)?;
         let mut seg = Segment::new(flow, dir);
         seg.seq = SeqNum(tcp.seq);
         seg.ack = SeqNum(tcp.ack);
         seg.flags = tcp.flags;
-        seg.wnd = (tcp.window as u32) << 10;
+        seg.wnd = u32::from(tcp.window);
+        if !tcp.flags.syn {
+            seg.wnd <<= WSCALE;
+        }
         seg.len = (tcp_bytes.len() - payload_off) as u32;
         seg.ecn = ip.ecn;
         for opt in &tcp.options {
@@ -300,6 +312,9 @@ impl Segment {
                 }
                 TcpOption::Sack(blocks) => {
                     for &(l, r) in blocks {
+                        if !SeqNum(l).before(SeqNum(r)) {
+                            return Err(ParseError::BadOption);
+                        }
                         seg.sack.push(SeqNum(l), SeqNum(r));
                     }
                 }
@@ -347,6 +362,12 @@ mod tests {
         let v: Vec<_> = sb.iter().collect();
         assert_eq!(v[0], (SeqNum(0), SeqNum(50)));
         assert_eq!(v[3], (SeqNum(300), SeqNum(350)));
+        sb.truncate(3);
+        let mut three = SackBlocks::EMPTY;
+        for i in 0..3u32 {
+            three.push(SeqNum(i * 100), SeqNum(i * 100 + 50));
+        }
+        assert_eq!(sb, three, "truncate keeps the first blocks and nothing else");
     }
 
     #[test]
@@ -381,6 +402,43 @@ mod tests {
         let back = Segment::from_wire(&bytes, FlowId(0), Direction::DataPath).unwrap();
         assert_eq!(back.td_capable, Some(2));
         assert!(back.flags.syn);
+    }
+
+    #[test]
+    fn syn_window_is_unscaled_and_announces_the_scale() {
+        for (wnd, field) in [(1 << 20, 65_535), (4_000, 4_000)] {
+            let mut s = Segment::new(FlowId(0), Direction::DataPath);
+            s.flags.syn = true;
+            s.wnd = wnd;
+            let bytes = s.to_wire(1, 2, 3, 4);
+            let (ip, _) = Ipv4Header::parse(&bytes).unwrap();
+            let (tcp, _) = TcpHeader::parse(&bytes[IPV4_HEADER_LEN..], &ip).unwrap();
+            assert_eq!(tcp.window, field);
+            assert!(tcp.options.contains(&TcpOption::WindowScale(WSCALE)));
+            let back = Segment::from_wire(&bytes, FlowId(0), Direction::DataPath).unwrap();
+            assert_eq!(back.wnd, field.into(), "a SYN's window reads back unscaled");
+        }
+    }
+
+    #[test]
+    fn an_empty_sack_block_is_malformed() {
+        let ip = Ipv4Header::new(1, 2, protocol::TCP);
+        let tcp = TcpHeader {
+            src_port: 3,
+            dst_port: 4,
+            seq: 0,
+            ack: 0,
+            flags: TcpFlags::default(),
+            window: 0,
+            options: vec![TcpOption::Sack(vec![(500, 500)])],
+        };
+        let mut bytes = Vec::new();
+        ip.emit(&mut bytes, tcp.header_len());
+        tcp.emit(&mut bytes, &ip, &[]);
+        assert_eq!(
+            Segment::from_wire(&bytes, FlowId(0), Direction::AckPath),
+            Err(ParseError::BadOption)
+        );
     }
 
     #[test]
@@ -451,11 +509,5 @@ mod tests {
         other = s;
         other.len = 51;
         assert_ne!(base, other.expected_payload_csum());
-    }
-
-    #[test]
-    fn direction_reverse() {
-        assert_eq!(Direction::DataPath.reverse(), Direction::AckPath);
-        assert_eq!(Direction::AckPath.reverse(), Direction::DataPath);
     }
 }

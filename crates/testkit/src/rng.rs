@@ -132,15 +132,6 @@ impl TkRng {
             xs.swap(i, j);
         }
     }
-
-    /// Uniformly chosen element, or `None` if the slice is empty.
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
-        if xs.is_empty() {
-            None
-        } else {
-            Some(&xs[self.next_below(xs.len() as u64) as usize])
-        }
-    }
 }
 
 impl std::fmt::Debug for TkRng {
@@ -385,7 +376,7 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_and_choose_deterministic() {
+    fn shuffle_deterministic() {
         let mut a = TkRng::new(11);
         let mut b = TkRng::new(11);
         let mut xs: Vec<u32> = (0..20).collect();
@@ -393,7 +384,6 @@ mod tests {
         a.shuffle(&mut xs);
         b.shuffle(&mut ys);
         assert_eq!(xs, ys);
-        assert_eq!(a.choose(&xs), b.choose(&ys));
     }
 
     #[test]
@@ -409,13 +399,5 @@ mod tests {
             let frac = f64::from(c) / f64::from(n);
             assert!((frac - 0.125).abs() < 0.01, "bucket fraction {frac}");
         }
-    }
-
-    #[test]
-    fn choose_none_on_empty() {
-        let mut r = TkRng::new(1);
-        let empty: [u8; 0] = [];
-        assert!(r.choose(&empty).is_none());
-        assert!(r.choose(&[5u8]).is_some());
     }
 }

@@ -9,7 +9,6 @@
 use crate::checksum;
 use crate::error::{ParseError, Result};
 use crate::tdn::TdnId;
-use crate::buf::BufMut;
 
 /// Experimental ICMP type used for TDN-change notifications (RFC 4727
 /// reserves 253/254 for experimentation).
@@ -28,7 +27,7 @@ pub struct TdnNotification {
 
 impl TdnNotification {
     /// Encode, computing the ICMP checksum.
-    pub fn emit<B: BufMut>(&self, buf: &mut B) {
+    pub fn emit(&self, buf: &mut Vec<u8>) {
         let mut pkt = [0u8; TDN_NOTIFY_LEN];
         pkt[0] = ICMP_TYPE_TDN_CHANGE;
         pkt[1] = 0; // code
@@ -36,7 +35,7 @@ impl TdnNotification {
         // pkt[5..8] reserved, zero
         let ck = checksum::internet_checksum(&pkt);
         pkt[2..4].copy_from_slice(&ck.to_be_bytes());
-        buf.put_slice(&pkt);
+        buf.extend_from_slice(&pkt);
     }
 
     /// Parse and verify a notification.

@@ -3,7 +3,6 @@
 
 use crate::checksum;
 use crate::error::{ParseError, Result};
-use crate::buf::BufMut;
 
 /// ECN codepoint in the low two bits of the (former) TOS byte (RFC 3168).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -48,8 +47,6 @@ impl Ecn {
 
 /// IP protocol numbers we emit.
 pub mod protocol {
-    /// ICMP (the TDN-change notification rides on it).
-    pub const ICMP: u8 = 1;
     /// TCP.
     pub const TCP: u8 = 6;
 }
@@ -91,7 +88,7 @@ impl Ipv4Header {
     }
 
     /// Encode with the given payload length; computes the header checksum.
-    pub fn emit<B: BufMut>(&self, buf: &mut B, payload_len: usize) {
+    pub fn emit(&self, buf: &mut Vec<u8>, payload_len: usize) {
         let total = (IPV4_HEADER_LEN + payload_len) as u16;
         let mut hdr = [0u8; IPV4_HEADER_LEN];
         hdr[0] = 0x45; // version 4, IHL 5
@@ -105,7 +102,7 @@ impl Ipv4Header {
         hdr[16..20].copy_from_slice(&self.dst.to_be_bytes());
         let ck = checksum::internet_checksum(&hdr);
         hdr[10..12].copy_from_slice(&ck.to_be_bytes());
-        buf.put_slice(&hdr);
+        buf.extend_from_slice(&hdr);
     }
 
     /// Parse a header; returns the header and the total-length field value.
@@ -183,7 +180,7 @@ mod tests {
 
     #[test]
     fn corrupted_checksum_rejected() {
-        let h = Ipv4Header::new(1, 2, protocol::ICMP);
+        let h = Ipv4Header::new(1, 2, protocol::TCP);
         let mut buf = Vec::new();
         h.emit(&mut buf, 0);
         buf[8] ^= 0xFF; // mangle TTL

@@ -16,7 +16,6 @@
 
 use crate::error::{ParseError, Result};
 use crate::tdn::TdnId;
-use crate::buf::BufMut;
 
 /// Private TCP option kind used by TDTCP (unassigned by IANA; the data
 /// center operator controls both ends, §3.3).
@@ -67,13 +66,6 @@ pub enum TcpOption {
     SackPermitted,
     /// Selective acknowledgment blocks, `(left_edge, right_edge)` pairs.
     Sack(Vec<(u32, u32)>),
-    /// RFC 7323 timestamps.
-    Timestamps {
-        /// Sender's timestamp clock value.
-        tsval: u32,
-        /// Echo of the peer's most recent tsval.
-        tsecr: u32,
-    },
     /// TDTCP capability negotiation (Fig. 5b).
     TdCapable {
         /// Protocol version (0 in this reproduction).
@@ -115,7 +107,6 @@ impl TcpOption {
             TcpOption::WindowScale(_) => 3,
             TcpOption::SackPermitted => 2,
             TcpOption::Sack(blocks) => 2 + 8 * blocks.len(),
-            TcpOption::Timestamps { .. } => 10,
             TcpOption::TdCapable { .. } => 4,
             TcpOption::TdDataAck { .. } => 5,
             TcpOption::MpDss { data_ack, map } => {
@@ -126,47 +117,29 @@ impl TcpOption {
     }
 
     /// Append this option to `buf`.
-    pub fn emit<B: BufMut>(&self, buf: &mut B) {
+    pub fn emit(&self, buf: &mut Vec<u8>) {
         match self {
-            TcpOption::Nop => buf.put_u8(1),
+            TcpOption::Nop => buf.push(1),
             TcpOption::Mss(mss) => {
-                buf.put_u8(2);
-                buf.put_u8(4);
-                buf.put_u16(*mss);
+                buf.extend_from_slice(&[2, 4]);
+                buf.extend_from_slice(&mss.to_be_bytes());
             }
-            TcpOption::WindowScale(shift) => {
-                buf.put_u8(3);
-                buf.put_u8(3);
-                buf.put_u8(*shift);
-            }
-            TcpOption::SackPermitted => {
-                buf.put_u8(4);
-                buf.put_u8(2);
-            }
+            TcpOption::WindowScale(shift) => buf.extend_from_slice(&[3, 3, *shift]),
+            TcpOption::SackPermitted => buf.extend_from_slice(&[4, 2]),
             TcpOption::Sack(blocks) => {
                 assert!(
                     blocks.len() <= MAX_SACK_BLOCKS,
                     "at most {MAX_SACK_BLOCKS} SACK blocks fit in the option space"
                 );
-                buf.put_u8(5);
-                buf.put_u8((2 + 8 * blocks.len()) as u8);
+                buf.extend_from_slice(&[5, (2 + 8 * blocks.len()) as u8]);
                 for &(l, r) in blocks {
-                    buf.put_u32(l);
-                    buf.put_u32(r);
+                    buf.extend_from_slice(&l.to_be_bytes());
+                    buf.extend_from_slice(&r.to_be_bytes());
                 }
-            }
-            TcpOption::Timestamps { tsval, tsecr } => {
-                buf.put_u8(8);
-                buf.put_u8(10);
-                buf.put_u32(*tsval);
-                buf.put_u32(*tsecr);
             }
             TcpOption::TdCapable { version, num_tdns } => {
                 assert!(*version < 16, "version is a nibble");
-                buf.put_u8(TDTCP_KIND);
-                buf.put_u8(4);
-                buf.put_u8((TD_SUBTYPE_CAPABLE << 4) | version);
-                buf.put_u8(*num_tdns);
+                buf.extend_from_slice(&[TDTCP_KIND, 4, (TD_SUBTYPE_CAPABLE << 4) | version, *num_tdns]);
             }
             TcpOption::TdDataAck { data_tdn, ack_tdn } => {
                 let mut flags = 0u8;
@@ -176,11 +149,13 @@ impl TcpOption {
                 if ack_tdn.is_some() {
                     flags |= 0x2; // A bit
                 }
-                buf.put_u8(TDTCP_KIND);
-                buf.put_u8(5);
-                buf.put_u8((TD_SUBTYPE_DATA_ACK << 4) | flags);
-                buf.put_u8(data_tdn.map_or(0, |t| t.0));
-                buf.put_u8(ack_tdn.map_or(0, |t| t.0));
+                buf.extend_from_slice(&[
+                    TDTCP_KIND,
+                    5,
+                    (TD_SUBTYPE_DATA_ACK << 4) | flags,
+                    data_tdn.map_or(0, |t| t.0),
+                    ack_tdn.map_or(0, |t| t.0),
+                ]);
             }
             TcpOption::MpDss { data_ack, map } => {
                 let mut flags = 0u8;
@@ -190,23 +165,19 @@ impl TcpOption {
                 if map.is_some() {
                     flags |= DSS_M | DSS_M8;
                 }
-                buf.put_u8(MPTCP_KIND);
-                buf.put_u8(self.wire_len() as u8);
-                buf.put_u8(MP_SUBTYPE_DSS << 4);
-                buf.put_u8(flags);
+                buf.extend_from_slice(&[MPTCP_KIND, self.wire_len() as u8, MP_SUBTYPE_DSS << 4, flags]);
                 if let Some(ack) = data_ack {
-                    buf.put_u64(*ack);
+                    buf.extend_from_slice(&ack.to_be_bytes());
                 }
                 if let Some(m) = map {
-                    buf.put_u64(m.data_seq);
-                    buf.put_u32(m.subflow_seq);
-                    buf.put_u16(m.len);
+                    buf.extend_from_slice(&m.data_seq.to_be_bytes());
+                    buf.extend_from_slice(&m.subflow_seq.to_be_bytes());
+                    buf.extend_from_slice(&m.len.to_be_bytes());
                 }
             }
             TcpOption::Unknown { kind, data } => {
-                buf.put_u8(*kind);
-                buf.put_u8((2 + data.len()) as u8);
-                buf.put_slice(data);
+                buf.extend_from_slice(&[*kind, (2 + data.len()) as u8]);
+                buf.extend_from_slice(data);
             }
         }
     }
@@ -266,15 +237,6 @@ impl TcpOption {
                     })
                     .collect();
                 TcpOption::Sack(blocks)
-            }
-            8 => {
-                if body.len() != 8 {
-                    return Err(ParseError::BadOption);
-                }
-                TcpOption::Timestamps {
-                    tsval: u32::from_be_bytes([body[0], body[1], body[2], body[3]]),
-                    tsecr: u32::from_be_bytes([body[4], body[5], body[6], body[7]]),
-                }
             }
             TDTCP_KIND => {
                 if body.is_empty() {
@@ -395,10 +357,6 @@ mod tests {
         round_trip(TcpOption::Mss(8948));
         round_trip(TcpOption::WindowScale(10));
         round_trip(TcpOption::SackPermitted);
-        round_trip(TcpOption::Timestamps {
-            tsval: 0xDEAD_BEEF,
-            tsecr: 0x0102_0304,
-        });
         round_trip(TcpOption::Sack(vec![(1000, 2000), (3000, 4000)]));
     }
 

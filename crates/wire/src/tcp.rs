@@ -5,7 +5,6 @@ use crate::checksum;
 use crate::error::{ParseError, Result};
 use crate::ip::Ipv4Header;
 use crate::options::TcpOption;
-use crate::buf::BufMut;
 
 /// TCP header flags (we omit URG; nothing in the reproduction uses it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -50,22 +49,6 @@ impl TcpFlags {
             cwr: b & 0x80 != 0,
         }
     }
-
-    /// Convenience: a bare ACK.
-    pub fn ack() -> TcpFlags {
-        TcpFlags {
-            ack: true,
-            ..Default::default()
-        }
-    }
-
-    /// Convenience: a SYN.
-    pub fn syn() -> TcpFlags {
-        TcpFlags {
-            syn: true,
-            ..Default::default()
-        }
-    }
 }
 
 /// Minimum TCP header length (no options).
@@ -102,9 +85,9 @@ impl TcpHeader {
 
     /// Encode the header and payload with a correct checksum computed over
     /// the pseudo-header from `ip`.
-    pub fn emit<B: BufMut>(&self, buf: &mut B, ip: &Ipv4Header, payload: &[u8]) {
+    pub fn emit(&self, buf: &mut Vec<u8>, ip: &Ipv4Header, payload: &[u8]) {
         let hlen = self.header_len();
-        let mut hdr = vec![0u8; hlen];
+        let mut hdr = vec![0u8; TCP_HEADER_MIN];
         hdr[0..2].copy_from_slice(&self.src_port.to_be_bytes());
         hdr[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
         hdr[4..8].copy_from_slice(&self.seq.to_be_bytes());
@@ -112,22 +95,18 @@ impl TcpHeader {
         hdr[12] = ((hlen / 4) as u8) << 4;
         hdr[13] = self.flags.to_byte();
         hdr[14..16].copy_from_slice(&self.window.to_be_bytes());
-        let mut cursor = TCP_HEADER_MIN;
         for opt in &self.options {
-            let mut tmp = Vec::with_capacity(opt.wire_len());
-            opt.emit(&mut tmp);
-            hdr[cursor..cursor + tmp.len()].copy_from_slice(&tmp);
-            cursor += tmp.len();
+            opt.emit(&mut hdr);
         }
-        // Remaining option bytes stay zero = EOL padding.
+        hdr.resize(hlen, 0); // EOL padding
         let sum = ip
             .pseudo_header_sum(hlen + payload.len())
             .wrapping_add(checksum::sum_words(&hdr))
             .wrapping_add(checksum::sum_words(payload));
         let ck = !checksum::fold(sum);
         hdr[16..18].copy_from_slice(&ck.to_be_bytes());
-        buf.put_slice(&hdr);
-        buf.put_slice(payload);
+        buf.extend_from_slice(&hdr);
+        buf.extend_from_slice(payload);
     }
 
     /// Parse a TCP segment out of `data`, verifying the checksum against
@@ -168,6 +147,16 @@ mod tests {
     use crate::ip::protocol;
     use crate::tdn::TdnId;
 
+    const ACK: TcpFlags = TcpFlags {
+        fin: false,
+        syn: false,
+        rst: false,
+        psh: false,
+        ack: true,
+        ece: false,
+        cwr: false,
+    };
+
     fn ip() -> Ipv4Header {
         Ipv4Header::new(0x0A000001, 0x0A000002, protocol::TCP)
     }
@@ -179,7 +168,7 @@ mod tests {
             dst_port: 5001,
             seq: 0x11223344,
             ack: 0x55667788,
-            flags: TcpFlags::ack(),
+            flags: ACK,
             window: 0xFFFF,
             options: vec![],
         };
@@ -198,7 +187,10 @@ mod tests {
             dst_port: 2,
             seq: 1000,
             ack: 0,
-            flags: TcpFlags::syn(),
+            flags: TcpFlags {
+                syn: true,
+                ..Default::default()
+            },
             window: 65535,
             options: vec![
                 TcpOption::Mss(8948),
@@ -252,7 +244,7 @@ mod tests {
             dst_port: 2,
             seq: 0,
             ack: 0,
-            flags: TcpFlags::ack(),
+            flags: ACK,
             window: 100,
             options: vec![],
         };
@@ -269,7 +261,7 @@ mod tests {
             dst_port: 2,
             seq: 0,
             ack: 0,
-            flags: TcpFlags::ack(),
+            flags: ACK,
             window: 100,
             options: vec![],
         };
@@ -290,7 +282,7 @@ mod tests {
             dst_port: 2,
             seq: 0,
             ack: 0,
-            flags: TcpFlags::ack(),
+            flags: ACK,
             window: 100,
             options: vec![],
         };

@@ -34,12 +34,6 @@ impl fmt::Display for TdnId {
     }
 }
 
-impl From<u8> for TdnId {
-    fn from(v: u8) -> Self {
-        TdnId(v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

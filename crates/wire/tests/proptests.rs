@@ -23,8 +23,6 @@ fn arb_option() -> Gen<TcpOption> {
         testkit::prop::just(TcpOption::SackPermitted),
         vec_of(tuple2(uniform::<u32>(), uniform::<u32>()), 1..MAX_SACK_BLOCKS + 1)
             .map(TcpOption::Sack),
-        tuple2(uniform::<u32>(), uniform::<u32>())
-            .map(|(tsval, tsecr)| TcpOption::Timestamps { tsval, tsecr }),
         tuple2(range(0u8..16), uniform::<u8>())
             .map(|(version, num_tdns)| TcpOption::TdCapable { version, num_tdns }),
         tuple2(arb_tdn_opt(), arb_tdn_opt())

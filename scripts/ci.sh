@@ -112,8 +112,10 @@ cargo test -q --offline --release -p rdcn --lib chaos_run_is_worker_invariant
 # allocator boundary the ledger counts at: hold both to their oracles
 # there too. The same holds for the SACK scoreboard's bit walks, the
 # series store's word packing and the inert-flow law, which rest on the
-# same kind of inlined index math.
-echo "==> queue, scoreboard and series oracles, allocation ledger, inert-flow law, release build"
+# same kind of inlined index math. `--test laws` also holds the wire law
+# (every segment of nine runs through `to_wire` / `from_wire`) and its
+# never-panic parser property to the optimised codecs.
+echo "==> queue, scoreboard and series oracles, allocation ledger, the laws (inert flow, observer, wire), release build"
 cargo test -q --offline --release --test queue_oracle
 cargo test -q --offline --release --test scoreboard_oracle
 cargo test -q --offline --release --test series_oracle

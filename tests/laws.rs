@@ -1,5 +1,6 @@
-//! Metamorphic laws of the one simulation loop (ROADMAP 7), each a
-//! property over random scenarios through the two-rack door.
+//! Laws of the one simulation loop (ROADMAP 7 and 10a), each run
+//! through the two-rack door: two metamorphic properties over random
+//! scenarios, and the wire law over every variant.
 //!
 //! *Inert flow.* A flow whose start lies beyond the horizon never runs,
 //! so appending one must leave every other flow's `ConnStats`,
@@ -13,15 +14,29 @@
 //! bit-identical simulation state, on every paper variant, clean or
 //! under all three chaos planes, with simultaneous or staggered starts.
 //! The unobserved run records none of the five observation fields.
+//!
+//! *Wire.* Every segment a host sends or receives survives the byte
+//! encoding of Fig. 5: `Segment::from_wire(to_wire(s))` equals `s` on
+//! every field the wire carries ([`WireView`]), on every variant over the
+//! paper baseline and on TDTCP and MPTCP with all three chaos planes
+//! armed. The law wraps each host at the `Transport` seam, so the
+//! received side sees what the switches did (CE marks). It lives here
+//! and not in the engine: in a debug build the round trips cost 35–125×
+//! the run they check. Its companion property holds `from_wire`
+//! to an error, never a panic, on bytes from outside the program.
 
-use bench::Variant;
+use bench::{Variant, ALL_VARIANTS};
 use rdcn::emulator::TimedEndpointFactory;
 use rdcn::{
     ClockPlan, Emulator, EndpointFactory, FaultPlan, FlowSpec, ImpairPlan, NetConfig, RunResult,
 };
 use simcore::{SimDuration, SimTime};
-use testkit::prop::{range, tuple2, tuple4, uniform, vec_of};
+use std::cell::Cell;
+use std::rc::Rc;
+use tcp::{ConnError, ConnStats, Direction, DssMap, FlowId, SackBlocks, Segment, SeqNum, Transport};
+use testkit::prop::{range, tuple2, tuple3, tuple4, uniform, vec_of};
 use testkit::{tk_assert, tk_assert_eq};
+use wire::{Ecn, ParseError, TcpFlags, TdnId};
 
 const HORIZON: SimTime = SimTime::from_millis(12);
 
@@ -179,5 +194,242 @@ testkit::props! {
         tk_assert!(quiet.seq_series.is_empty() && quiet.day_records.is_empty());
         tk_assert!(quiet.voq_ab.is_empty() && quiet.voq_ba.is_empty());
         tk_assert!(quiet.final_cwnds.iter().all(Vec::is_empty));
+    }
+}
+
+/// What of a segment the wire carries, under its two rules: a window
+/// travels in whole KiB (window scale 10), and a SYN's window is
+/// unscaled and capped at 65 535 (RFC 7323 §2.2). Flow, direction,
+/// routing pin, circuit mark and payload stamp are simulation context
+/// the wire does not carry.
+#[derive(Debug, PartialEq)]
+struct WireView {
+    seq: SeqNum,
+    ack: SeqNum,
+    len: u32,
+    flags: TcpFlags,
+    wnd: u32,
+    sack: SackBlocks,
+    data_tdn: Option<TdnId>,
+    ack_tdn: Option<TdnId>,
+    td_capable: Option<u8>,
+    dss: Option<DssMap>,
+    data_ack: Option<u64>,
+    ecn: Ecn,
+}
+
+impl WireView {
+    fn of(s: &Segment) -> WireView {
+        let Segment {
+            flow: _,
+            dir: _,
+            seq,
+            ack,
+            len,
+            flags,
+            wnd,
+            sack,
+            data_tdn,
+            ack_tdn,
+            td_capable,
+            dss,
+            data_ack,
+            ecn,
+            circuit_mark: _,
+            pin: _,
+            payload_csum: _,
+        } = *s;
+        let wnd = if flags.syn { wnd.min(65_535) } else { wnd >> 10 };
+        WireView { seq, ack, len, flags, wnd, sack, data_tdn, ack_tdn, td_capable, dss, data_ack, ecn }
+    }
+}
+
+/// Segments a run put on the wire; how many of them carried SACK blocks
+/// (where the window is not a whole KiB) and a switch's CE mark.
+#[derive(Debug, Clone, Copy, Default)]
+struct Crossed {
+    segments: u64,
+    sacked: u64,
+    marked: u64,
+}
+
+/// A host whose every segment, sent or received, is encoded, parsed back
+/// and held to its [`WireView`].
+struct OnTheWire {
+    host: Box<dyn Transport + Send>,
+    crossed: Rc<Cell<Crossed>>,
+}
+
+impl OnTheWire {
+    fn cross(&self, s: &Segment) {
+        let bytes = s.to_wire(0x0A00_0001, 0x0A00_0002, 40_000, 5_001);
+        let back = Segment::from_wire(&bytes, s.flow, s.dir).expect("own encoding parses");
+        assert_eq!(WireView::of(&back), WireView::of(s), "{} segment {s:?}", self.host.variant());
+        let mut c = self.crossed.get();
+        c.segments += 1;
+        c.sacked += u64::from(!s.sack.is_empty());
+        c.marked += u64::from(s.ecn == Ecn::Ce);
+        self.crossed.set(c);
+    }
+}
+
+impl Transport for OnTheWire {
+    fn on_segment(&mut self, now: SimTime, seg: &Segment) {
+        self.cross(seg);
+        self.host.on_segment(now, seg);
+    }
+
+    fn poll_send(&mut self, now: SimTime) -> Option<Segment> {
+        self.host.poll_send(now).inspect(|s| self.cross(s))
+    }
+
+    fn next_timer(&self) -> Option<SimTime> {
+        self.host.next_timer()
+    }
+
+    fn on_timer(&mut self, now: SimTime) {
+        self.host.on_timer(now);
+    }
+
+    fn on_tdn_notification(&mut self, now: SimTime, tdn: TdnId, gen: u64) {
+        self.host.on_tdn_notification(now, tdn, gen);
+    }
+
+    fn on_circuit_prepare(&mut self, now: SimTime) {
+        self.host.on_circuit_prepare(now);
+    }
+
+    fn stats(&self) -> &ConnStats {
+        self.host.stats()
+    }
+
+    fn is_established(&self) -> bool {
+        self.host.is_established()
+    }
+
+    fn is_done(&self) -> bool {
+        self.host.is_done()
+    }
+
+    fn conn_error(&self) -> Option<ConnError> {
+        self.host.conn_error()
+    }
+
+    fn variant(&self) -> &'static str {
+        self.host.variant()
+    }
+
+    fn cwnd_report(&self) -> Vec<u32> {
+        self.host.cwnd_report()
+    }
+}
+
+/// The wire law's bulk flows and horizon: a debug-build round trip costs
+/// ~0.3 ms, so the nine runs of 4 flows × 3 ms take ~7 s, and every run
+/// still sends SACK blocks (MPTCP's receiver reaches four before its
+/// trim).
+const WIRE_FLOWS: usize = 4;
+const WIRE_HORIZON: SimTime = SimTime::from_millis(3);
+
+/// Every variant over the paper baseline, then TDTCP and MPTCP with all
+/// three chaos planes armed: every segment each host sends or receives
+/// reads back as itself, some of them carried SACK blocks, and DCTCP's
+/// carried CE marks.
+#[test]
+fn every_segment_survives_the_wire() {
+    let clean = ALL_VARIANTS.map(|v| (v, false));
+    for (variant, chaos) in clean.into_iter().chain([(Variant::Tdtcp, true), (Variant::Mptcp, true)]) {
+        let mut net = net(variant, 1);
+        if chaos {
+            armed(&mut net);
+        }
+        let watchdog = Some(bench::variants::watchdog_for(&net));
+        let crossed = Rc::new(Cell::new(Crossed::default()));
+        let wrap = |host| -> Box<dyn Transport> {
+            Box::new(OnTheWire { host, crossed: Rc::clone(&crossed) })
+        };
+        let factory: EndpointFactory = Box::new(|i| {
+            let (s, r) = variant.endpoints(i, u64::MAX, watchdog, SimTime::ZERO);
+            (wrap(s), wrap(r))
+        });
+        Emulator::new(net, WIRE_FLOWS, factory).run(WIRE_HORIZON);
+        let c = crossed.get();
+        assert!(c.sacked > 0, "{variant:?} (chaos {chaos}) sent no SACK block: {c:?}");
+        if variant == Variant::Dctcp {
+            assert!(c.marked > 0, "no CE mark crossed the wire: {c:?}");
+        }
+    }
+}
+
+/// A segment of a shape a run sends: a TDTCP SYN (`shape` 0), a
+/// TDN-tagged segment with up to four SACK blocks (1), or an MPTCP ACK
+/// with a data ACK and up to three (2).
+fn shaped(shape: u8, (seq, ack, wnd, len): (u32, u32, u32, u32), blocks: u32) -> Segment {
+    let mut s = Segment::new(FlowId(0), Direction::AckPath);
+    s.seq = SeqNum(seq);
+    s.ack = SeqNum(ack);
+    s.wnd = wnd;
+    s.len = len;
+    s.flags.ack = true;
+    let room = match shape {
+        0 => {
+            s.flags.syn = true;
+            s.td_capable = Some(2);
+            0
+        }
+        1 => {
+            (s.data_tdn, s.ack_tdn) = (Some(TdnId(1)), Some(TdnId(0)));
+            4
+        }
+        _ => {
+            s.data_ack = Some(u64::from(ack));
+            3
+        }
+    };
+    for i in 0..blocks.min(room) {
+        let left = s.ack + 1_000 * (2 * i + 1);
+        s.sack.push(left, left + 500);
+    }
+    s
+}
+
+testkit::props! {
+    /// Bytes from outside the program: arbitrary ones; a real encoding
+    /// cut short, which is `Truncated`; or a real encoding whose IPv4
+    /// total length is false (its header checksum repaired, so the IPv4
+    /// parser accepts it), `Truncated` when that length overruns the
+    /// buffer. `from_wire` returns on every one of them.
+    fn from_wire_never_panics(input in tuple4(
+        tuple3(
+            range(0u8..3),
+            tuple4(uniform::<u32>(), uniform::<u32>(), uniform::<u32>(), range(0u32..1_500)),
+            range(0u32..5),
+        ),
+        range(0u8..3),
+        uniform::<u16>(),
+        vec_of(uniform::<u8>(), 0..80),
+    )) {
+        let ((shape, fields, blocks), mode, n, noise) = input;
+        let mut bytes = shaped(shape, fields, blocks).to_wire(1, 2, 3, 4);
+        let parse = |b: &[u8]| Segment::from_wire(b, FlowId(0), Direction::AckPath).err();
+        match mode {
+            0 => {
+                parse(&noise);
+            }
+            1 => {
+                bytes.truncate(usize::from(n) % bytes.len());
+                tk_assert_eq!(parse(&bytes), Some(ParseError::Truncated));
+            }
+            _ => {
+                bytes[2..4].copy_from_slice(&n.to_be_bytes());
+                bytes[10..12].fill(0);
+                let ck = wire::checksum::internet_checksum(&bytes[..20]);
+                bytes[10..12].copy_from_slice(&ck.to_be_bytes());
+                let got = parse(&bytes);
+                if usize::from(n) > bytes.len() {
+                    tk_assert_eq!(got, Some(ParseError::Truncated));
+                }
+            }
+        }
     }
 }
