@@ -6,8 +6,10 @@
 # Usage: scripts/ci.sh [soak|chaos|lint|skew]
 #   Any other argument prints this usage line and exits 2 before
 #   anything is built.
-#   (none) — the default gate: release build, workspace tests, the
-#           window-barrier panic, stress and worker-invariance tests, the
+#   (none) — the default gate: release build, the tests of every
+#           member (the root `default-members`: unit tests, property
+#           suites and the root suites), the window-barrier panic,
+#           stress and worker-invariance tests, the
 #           queue and scoreboard oracles, the allocation ledger, the
 #           inert-flow law and the pinned digests
 #           (determinism, the fabric, the live set) again in release, chaos
@@ -23,8 +25,8 @@
 #           every suppression an #[expect] with a reason) and
 #           clippy.toml's disallowed types and methods (HashMap/HashSet,
 #           wall-clock reads, read_dir). tests/static_rules.rs (layering,
-#           no registry packages, stream labels, literal seeds) runs in
-#           the workspace tests. Host time is measured by the benchmark
+#           no registry packages, stream labels, literal seeds) runs
+#           with the other tests. Host time is measured by the benchmark
 #           package (BENCHMARK.json, benchmark/README.md) only.
 #   lint  — run only the static rules: clippy -D warnings over every
 #           target, then tests/static_rules.rs.
@@ -42,7 +44,7 @@
 #           under resync holds ≥80% of clean goodput, guard-band knob,
 #           desync escalation, slot-edge policies) plus the skewed /
 #           inert-clock determinism tests. The same tests run inside
-#           the default gate's workspace pass; this mode is the quick
+#           the default gate's test pass; this mode is the quick
 #           focused loop. Regenerate the checked-in sweep tables with:
 #           cargo run --release -p bench --bin figures -- skew
 set -euo pipefail
@@ -65,11 +67,11 @@ if [[ "$MODE" == "soak" ]]; then
 fi
 
 echo "==> cargo build --release --offline"
-cargo build --release --offline --workspace
+cargo build --release --offline
 
 if [[ "$MODE" == "lint" ]]; then
     echo "==> static rules: cargo clippy -D warnings, tests/static_rules.rs"
-    cargo clippy --offline --workspace --all-targets -- -D warnings
+    cargo clippy --offline --all-targets -- -D warnings
     cargo test -q --offline --test static_rules
     echo "LINT OK"
     exit 0
@@ -93,7 +95,7 @@ if [[ "$MODE" == "skew" ]]; then
 fi
 
 echo "==> cargo test -q --offline"
-cargo test -q --offline --workspace
+cargo test -q --offline
 
 # The window barrier's spin/park hand-off is timing-sensitive and an
 # unoptimised build hides races an optimised one shows: run its panic
@@ -181,6 +183,6 @@ if [[ "$(grep -c '^{"correct": true' <<< "$smoke")" -ne 5 ]]; then
 fi
 
 echo "==> cargo clippy -D warnings (the static rules, DESIGN.md §10)"
-cargo clippy --offline --workspace --all-targets -- -D warnings
+cargo clippy --offline --all-targets -- -D warnings
 
 echo "CI OK"

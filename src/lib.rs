@@ -22,3 +22,5 @@ pub use simcore;
 pub use tcp;
 pub use tdtcp;
 pub use wire;
+
+pub mod harness;

@@ -13,9 +13,8 @@
 use bench::{Variant, Workload};
 use rdcn::NetConfig;
 use simcore::{SimDuration, SimTime};
-use tcp::cc::{CcConfig, Cubic};
-use tcp::{FlowId, Segment, SeqNum, Transport};
-use tdtcp::{TdtcpConfig, TdtcpConnection};
+use tcp::Transport;
+use tdtcp_repro::harness::{handshake, td_config, td_pair, Peer, MSS};
 use testkit::Counters;
 use wire::TdnId;
 
@@ -432,24 +431,9 @@ fn tdtcp_connection_replay_is_deterministic() {
 }
 
 fn drive_scripted_connection() -> Vec<u64> {
-    const MSS: u32 = 1000;
-    let mut cfg = TdtcpConfig::default();
-    cfg.tcp.mss = MSS;
-    let cubic = Cubic::new(CcConfig {
-        mss: MSS,
-        init_cwnd_pkts: 10,
-        max_cwnd: 1 << 24,
-    });
-    let mut conn = TdtcpConnection::connect(FlowId(1), cfg, &cubic, SimTime::ZERO);
-    let mut synack = Segment::new(FlowId(1), tcp::Direction::AckPath);
-    synack.flags.syn = true;
-    synack.flags.ack = true;
-    synack.seq = SeqNum(0);
-    synack.ack = SeqNum(1);
-    synack.wnd = 1 << 22;
-    synack.td_capable = Some(2);
-    conn.on_segment(SimTime::from_micros(100), &synack);
-    assert!(conn.is_established());
+    let mut cfg = td_config(u64::MAX);
+    cfg.tcp.pacing = true;
+    let (mut conn, ..) = handshake(td_pair(cfg, 0));
 
     let mut digests = Vec::new();
     let mut now_us = 200u64;
@@ -462,11 +446,7 @@ fn drive_scripted_connection() -> Vec<u64> {
             }
             1 => conn.on_notification(now, TdnId((step / 5 % 2) as u8)),
             2 => {
-                let mut ack = Segment::new(FlowId(1), tcp::Direction::AckPath);
-                ack.flags.ack = true;
-                ack.ack = SeqNum(1) + (step / 5) * MSS;
-                ack.wnd = 1 << 22;
-                ack.ack_tdn = Some(TdnId((step / 5 % 2) as u8));
+                let ack = Peer::ack(1 + step / 5 * MSS).wnd(1 << 22).tdn((step / 5 % 2) as u8);
                 conn.on_segment(now, &ack);
             }
             _ => {

@@ -1,15 +1,19 @@
-//! Workspace-level integration tests: cross-crate behaviours that no
-//! single crate can check alone — variant interop on one emulated
-//! network, downgrade compatibility between TDTCP and plain TCP
-//! endpoints, full-run determinism across the whole stack, and transfer
-//! integrity for every variant.
+//! Workspace-level integration tests: real transports over the emulated
+//! RDCN, the behaviours no single crate can check alone — transfer
+//! integrity for every variant, variant interop and downgrade between
+//! TDTCP and plain TCP endpoints, full-run determinism across the whole
+//! stack, the paper's headline orderings, and the dynamics every figure
+//! rests on (fair sharing, VOQs that drain on optical days, DCTCP's
+//! shallower queue, day records, drops under a tiny VOQ).
 
 use bench::{Variant, Workload, ALL_VARIANTS};
-use rdcn::{Emulator, NetConfig};
-use simcore::SimTime;
+use rdcn::{analytic, Emulator, NetConfig, RunResult};
+use simcore::{SimDuration, SimTime};
 use tcp::cc::{CcConfig, Cubic};
-use tcp::{FlowId, Transport};
+use tcp::{FlowId, Segment, Transport};
 use tdtcp::{TdtcpConfig, TdtcpConnection};
+use tdtcp_repro::harness::{Peer, FLOW};
+use wire::TdnId;
 
 /// Every variant moves every byte of a finite transfer, exactly once.
 #[test]
@@ -69,12 +73,20 @@ fn tails_builds_the_transport_each_variant_names() {
 }
 
 /// Identical seeds reproduce every counter bit-for-bit across the whole
-/// stack (DESIGN.md §5).
+/// stack (DESIGN.md §5), for the paper's 16 flows and for smaller runs
+/// of four CUBIC and two MPTCP flows over 10 ms.
 #[test]
 fn whole_stack_determinism() {
-    for v in [Variant::Tdtcp, Variant::Cubic, Variant::Mptcp] {
+    let runs = [
+        Workload::bulk(Variant::Tdtcp, SimTime::from_millis(8)),
+        Workload::bulk(Variant::Cubic, SimTime::from_millis(8)),
+        Workload::bulk(Variant::Mptcp, SimTime::from_millis(8)),
+        Workload { flows: 4, ..Workload::bulk(Variant::Cubic, SimTime::from_millis(10)) },
+        Workload { flows: 2, ..Workload::bulk(Variant::Mptcp, SimTime::from_millis(10)) },
+    ];
+    for wl in runs {
         let run = || {
-            let res = Workload::bulk(v, SimTime::from_millis(8)).run(&NetConfig::paper_baseline());
+            let res = wl.run(&NetConfig::paper_baseline());
             (
                 res.total_acked(),
                 res.drops_ab,
@@ -82,7 +94,8 @@ fn whole_stack_determinism() {
                 res.sender_stats.iter().map(|s| s.retransmits).sum::<u64>(),
             )
         };
-        assert_eq!(run(), run(), "{} must be deterministic", v.label());
+        let (label, flows) = (wl.variant.label(), wl.flows);
+        assert_eq!(run(), run(), "{label} ({flows} flows) must be deterministic");
     }
 }
 
@@ -119,7 +132,9 @@ fn tdtcp_downgrades_against_plain_tcp() {
 }
 
 /// The headline ordering of §5.2 holds end to end: TDTCP > reTCP-class >
-/// CUBIC > MPTCP, all between packet-only and optimal.
+/// CUBIC > MPTCP, all between packet-only and optimal. MPTCP's strict
+/// subflow isolation makes it the worst performer, below even
+/// single-path CUBIC (§2.2, Fig. 2), yet it moves data.
 #[test]
 fn headline_ordering() {
     let horizon = SimTime::from_millis(25);
@@ -137,7 +152,33 @@ fn headline_ordering() {
         cubic > mptcp * 1.05,
         "cubic {cubic:.0} must beat mptcp {mptcp:.0}"
     );
+    assert!(mptcp > 0.0);
     assert!(tdtcp < optimal);
+}
+
+/// The headline result (§1, §5.2) with TDTCP endpoints that carry no
+/// notification watchdog: per-TDN state lets TDTCP resume each network's
+/// window from a checkpoint instead of re-probing, which beats
+/// single-path CUBIC by double digits and exploits the optical capacity
+/// beyond any packet-only strategy. (`headline_ordering` runs the
+/// figures' TDTCP, whose watchdog makes it a different run.)
+#[test]
+fn tdtcp_beats_cubic_headline() {
+    let horizon = SimTime::from_millis(25);
+    let net = NetConfig::paper_baseline();
+    let acked = |v: Variant| {
+        let emu = Emulator::new(net.clone(), 16, v.factory(u64::MAX));
+        emu.run(horizon).total_acked() as f64
+    };
+    let (cubic, tdtcp) = (acked(Variant::Cubic), acked(Variant::Tdtcp));
+    let optimal = analytic::optimal_bytes(&net, horizon);
+    let packet_only = analytic::packet_only_bytes(&net, horizon);
+    let gain = tdtcp / cubic - 1.0;
+    // The paper reports 24% over CUBIC in this setting; demand the right
+    // shape: a double-digit improvement, bounded by optimal.
+    assert!(gain > 0.10, "TDTCP gain over CUBIC only {:.1}%", gain * 100.0);
+    assert!(tdtcp < optimal);
+    assert!(tdtcp > packet_only, "tdtcp {tdtcp:.0} vs packet-only {packet_only:.0}");
 }
 
 /// The Fig. 10 shape holds: TDTCP's circuit days are almost always free
@@ -238,8 +279,9 @@ fn three_tdn_schedule() {
     assert!(tdtcp.sender_stats[0].tdn_switches > 10);
 }
 
-/// Reinjection ablation: with it on, MPTCP pays duplicate transmissions
-/// to shorten data-level stalls; with it off, no duplicates ever occur
+/// Reinjection ablation: with it on, stranded subflow ACKs trigger
+/// connection-level reinjection, and MPTCP pays duplicate transmissions
+/// to shorten data-level stalls; with it off, no reinjection ever occurs
 /// and progress waits for the stranded subflow's next day. (In this
 /// model the two roughly trade off — the paper frames reinjection as the
 /// stall-recovery mechanism, not a free win.)
@@ -291,26 +333,11 @@ fn mptcp_reinjection_ablation() {
 #[test]
 fn mptcp_receiver_counts_data_level_duplicates() {
     use mptcp::{MptcpConfig, MptcpConnection};
-    use tcp::{Direction, DssMap, Segment, SeqNum};
-    let flow = FlowId(0);
     let template = Cubic::new(CcConfig::default());
-    let mut rcv = MptcpConnection::listen(flow, MptcpConfig::default(), &template);
-    for tdn in [wire::TdnId(0), wire::TdnId(1)] {
-        let mut syn = Segment::new(flow, Direction::DataPath);
-        syn.flags.syn = true;
-        syn.pin = Some(tdn);
-        rcv.on_segment(SimTime::ZERO, &syn);
-        let mut data = Segment::new(flow, Direction::DataPath);
-        data.seq = SeqNum(1);
-        data.len = 1000;
-        data.pin = Some(tdn);
-        data.dss = Some(DssMap {
-            dsn: 0,
-            ssn: SeqNum(1),
-            len: 1000,
-        });
-        data.stamp_payload();
-        rcv.on_segment(SimTime::ZERO, &data);
+    let mut rcv = MptcpConnection::listen(FLOW, MptcpConfig::default(), &template);
+    for tdn in [0, 1] {
+        rcv.on_segment(SimTime::ZERO, &Peer::syn().pin(tdn));
+        rcv.on_segment(SimTime::ZERO, &Peer::data(1, 1000).pin(tdn).dsn(0));
     }
     let stats = rcv.stats();
     assert_eq!(stats.bytes_delivered, 1000, "{stats:?}");
@@ -323,30 +350,15 @@ fn mptcp_receiver_counts_data_level_duplicates() {
 #[test]
 fn mptcp_data_ack_survives_the_wire() {
     use mptcp::{MptcpConfig, MptcpConnection};
-    use tcp::{Direction, DssMap, Segment, SeqNum};
-    let flow = FlowId(0);
     let template = Cubic::new(CcConfig::default());
-    let mut rcv = MptcpConnection::listen(flow, MptcpConfig::default(), &template);
-    let mut syn = Segment::new(flow, Direction::DataPath);
-    syn.flags.syn = true;
-    syn.pin = Some(wire::TdnId(0));
-    rcv.on_segment(SimTime::ZERO, &syn);
-    let mut data = Segment::new(flow, Direction::DataPath);
-    data.seq = SeqNum(1);
-    data.len = 1000;
-    data.pin = Some(wire::TdnId(0));
-    data.dss = Some(DssMap {
-        dsn: 0,
-        ssn: SeqNum(1),
-        len: 1000,
-    });
-    data.stamp_payload();
-    rcv.on_segment(SimTime::ZERO, &data);
+    let mut rcv = MptcpConnection::listen(FLOW, MptcpConfig::default(), &template);
+    rcv.on_segment(SimTime::ZERO, &Peer::syn().pin(0));
+    rcv.on_segment(SimTime::ZERO, &Peer::data(1, 1000).pin(0).dsn(0));
     let acks: Vec<Segment> = std::iter::from_fn(|| rcv.poll_send(SimTime::ZERO)).collect();
     assert!(acks.iter().any(|s| s.data_ack == Some(1000)), "{acks:?}");
     for seg in &acks {
         let bytes = seg.to_wire(0x0A00_0002, 0x0A00_0001, 5_001, 40_000);
-        let back = Segment::from_wire(&bytes, flow, seg.dir).expect("own encoding parses");
+        let back = Segment::from_wire(&bytes, FLOW, seg.dir).expect("own encoding parses");
         assert_eq!((back.data_ack, back.dss), (seg.data_ack, seg.dss));
         assert_eq!((back.seq, back.ack, back.flags), (seg.seq, seg.ack, seg.flags));
     }
@@ -376,4 +388,143 @@ fn paced_single_path_flows_reach_the_horizon() {
     let res = Emulator::new(NetConfig::paper_baseline(), 2, factory).run(SimTime::from_millis(5));
     assert!(res.total_acked() > 1_000_000, "paced flows made progress");
     assert!(res.events < 5_000_000, "{} events in 5 ms: timer spin", res.events);
+}
+
+/// One MPTCP flow moves every byte, counted at the connection level.
+#[test]
+fn mptcp_bulk_transfer_completes() {
+    let res = Emulator::new(NetConfig::paper_baseline(), 1, Variant::Mptcp.factory(1_000_000))
+        .run(SimTime::from_millis(100));
+    let s = &res.sender_stats[0];
+    assert_eq!(s.bytes_acked, 1_000_000, "all data acked at the connection level: {s:?}");
+    assert_eq!(res.receiver_stats[0].bytes_delivered, 1_000_000);
+}
+
+#[test]
+fn mptcp_both_subflows_carry_data() {
+    let mut emu = Emulator::new(NetConfig::paper_baseline(), 1, Variant::Mptcp.factory(u64::MAX));
+    emu.set_sample_interval(SimDuration::from_micros(2));
+    let res = emu.run(SimTime::from_millis(10));
+    // Two subflow windows reported once both subflows are connected.
+    assert_eq!(res.final_cwnds[0].len(), 2, "{:?}", res.final_cwnds);
+    assert!(res.sender_stats[0].bytes_acked > 0);
+    // Switch notifications reached the scheduler.
+    assert!(res.sender_stats[0].tdn_switches > 0);
+}
+
+/// `flows` CUBIC flows of `bytes` each over `net` until `horizon`,
+/// sampled every 2 µs when `sampled`.
+fn cubic_run(net: NetConfig, flows: usize, bytes: u64, until: SimTime, sampled: bool) -> RunResult {
+    let mut emu = Emulator::new(net, flows, Variant::Cubic.factory(bytes));
+    if sampled {
+        emu.set_sample_interval(SimDuration::from_micros(2));
+    }
+    emu.run(until)
+}
+
+#[test]
+fn single_flow_bulk_completes() {
+    let res = cubic_run(NetConfig::paper_baseline(), 1, 2_000_000, SimTime::from_millis(50), false);
+    assert_eq!(res.receiver_stats[0].bytes_delivered, 2_000_000, "{res:?}");
+    assert_eq!(res.sender_stats[0].bytes_acked, 2_000_000);
+}
+
+/// The central Fig. 2 observation: 16 CUBIC flows, every one of which
+/// makes progress, land above half the packet-only floor and below
+/// optimal.
+#[test]
+fn cubic_lands_between_packet_only_and_optimal() {
+    let net = NetConfig::paper_baseline();
+    let horizon = SimTime::from_millis(20);
+    let res = cubic_run(net.clone(), 16, u64::MAX, horizon, false);
+    let per_flow: Vec<u64> = res.receiver_stats.iter().map(|s| s.bytes_delivered).collect();
+    for (i, &b) in per_flow.iter().enumerate() {
+        assert!(b > 0, "flow {i} starved: {per_flow:?}");
+    }
+    let measured = res.total_acked() as f64;
+    let optimal = analytic::optimal_bytes(&net, horizon);
+    let packet_only = analytic::packet_only_bytes(&net, horizon);
+    assert!(measured < optimal, "measured {measured:.0} must be below optimal {optimal:.0}");
+    assert!(
+        measured > packet_only * 0.5,
+        "measured {measured:.0} vs packet-only {packet_only:.0}: too low"
+    );
+}
+
+/// Appendix A.3: with CUBIC the VOQ stays occupied during packet days
+/// and is nearly empty during optical days (service rate >> arrival).
+#[test]
+fn voq_drains_during_optical_days() {
+    let net = NetConfig::paper_baseline();
+    let sched = net.schedule.clone();
+    let res = cubic_run(net, 16, u64::MAX, SimTime::from_millis(15), true);
+    // Average occupancy over packet vs optical days, skipping warmup.
+    let (mut pkt_sum, mut pkt_n, mut opt_sum, mut opt_n) = (0.0, 0u64, 0.0, 0u64);
+    let mut t = SimTime::from_millis(5);
+    while t < SimTime::from_millis(15) {
+        let v = res.voq_ab.value_at(t, 0.0);
+        match sched.phase_at(t).active() {
+            Some(TdnId(0)) => (pkt_sum, pkt_n) = (pkt_sum + v, pkt_n + 1),
+            Some(_) => (opt_sum, opt_n) = (opt_sum + v, opt_n + 1),
+            None => {}
+        }
+        t += SimDuration::from_micros(5);
+    }
+    let pkt_avg = pkt_sum / pkt_n as f64;
+    let opt_avg = opt_sum / opt_n as f64;
+    assert!(
+        opt_avg < pkt_avg,
+        "optical-day VOQ {opt_avg:.2} should sit below packet-day {pkt_avg:.2}"
+    );
+}
+
+/// With 16 flows the VOQ is floor-limited (16 x 2-MSS minimum windows
+/// exceed cap + BDP) and every CCA pins the queue — the regime of
+/// Fig. 7b where only TDTCP escapes. Four flows give DCTCP's ECN
+/// back-off room to show.
+#[test]
+fn dctcp_keeps_voq_below_cubic() {
+    let run = |variant: Variant| {
+        let mut net = NetConfig::paper_baseline();
+        net.voq.ecn_threshold = (variant == Variant::Dctcp).then_some(4);
+        let mut emu = Emulator::new(net, 4, variant.factory(u64::MAX));
+        emu.set_sample_interval(SimDuration::from_micros(2));
+        let res = emu.run(SimTime::from_millis(15));
+        let from = SimTime::from_millis(5);
+        let late = res.voq_ab.points().filter(|(t, _)| *t >= from);
+        let (sum, n) = late.fold((0.0, 0u32), |(s, n), (_, v)| (s + v, n + 1));
+        (sum / n as f64, res.ce_marks_ab)
+    };
+    let (cubic_avg, cubic_marks) = run(Variant::Cubic);
+    let (dctcp_avg, dctcp_marks) = run(Variant::Dctcp);
+    assert_eq!(cubic_marks, 0);
+    assert!(dctcp_marks > 0, "DCTCP flows must see CE marks");
+    assert!(
+        dctcp_avg < cubic_avg,
+        "DCTCP mean VOQ {dctcp_avg:.2} should undercut CUBIC {cubic_avg:.2}"
+    );
+}
+
+#[test]
+fn day_records_cover_run() {
+    let net = NetConfig::paper_baseline();
+    let res = cubic_run(net.clone(), 4, u64::MAX, SimTime::from_millis(10), true);
+    // 10ms / 200us slots = 50 days; the last may be unfinished.
+    assert!(res.day_records.len() >= 48, "{}", res.day_records.len());
+    for (i, rec) in res.day_records.iter().enumerate() {
+        assert_eq!(rec.day, i as u64);
+        assert_eq!(rec.tdn, net.schedule.day_tdn(i as u64));
+    }
+    // Optical days exist in the record (1 in 7).
+    assert!(res.day_records.iter().any(|r| r.tdn == TdnId(1)));
+}
+
+#[test]
+fn drops_occur_with_bursty_cubic_and_tiny_voq() {
+    let mut net = NetConfig::paper_baseline();
+    net.voq.cap_pkts = 4;
+    let res = cubic_run(net, 16, u64::MAX, SimTime::from_millis(10), false);
+    assert!(res.drops_ab > 0, "a 4-packet VOQ under 16 bursty flows drops");
+    // And the flows survive it.
+    assert!(res.total_acked() > 0);
 }

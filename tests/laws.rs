@@ -19,7 +19,7 @@
 //! encoding of Fig. 5: `Segment::from_wire(to_wire(s))` equals `s` on
 //! every field the wire carries ([`WireView`]), on every variant over the
 //! paper baseline and on TDTCP and MPTCP with all three chaos planes
-//! armed. The law wraps each host at the `Transport` seam, so the
+//! armed. The law taps each host at the `Transport` seam, so the
 //! received side sees what the switches did (CE marks). It lives here
 //! and not in the engine: in a debug build the round trips cost 35–125×
 //! the run they check. Its companion property holds `from_wire`
@@ -33,7 +33,8 @@ use rdcn::{
 use simcore::{SimDuration, SimTime};
 use std::cell::Cell;
 use std::rc::Rc;
-use tcp::{ConnError, ConnStats, Direction, DssMap, FlowId, SackBlocks, Segment, SeqNum, Transport};
+use tcp::{Direction, DssMap, FlowId, SackBlocks, Segment, SeqNum, Transport};
+use tdtcp_repro::harness::{Observer, Tap};
 use testkit::prop::{range, tuple2, tuple3, tuple4, uniform, vec_of};
 use testkit::{tk_assert, tk_assert_eq};
 use wire::{Ecn, ParseError, TcpFlags, TdnId};
@@ -253,10 +254,10 @@ struct Crossed {
     marked: u64,
 }
 
-/// A host whose every segment, sent or received, is encoded, parsed back
-/// and held to its [`WireView`].
+/// An observer that encodes every segment its host sends or receives,
+/// parses it back and holds it to its [`WireView`].
 struct OnTheWire {
-    host: Box<dyn Transport + Send>,
+    variant: &'static str,
     crossed: Rc<Cell<Crossed>>,
 }
 
@@ -264,7 +265,7 @@ impl OnTheWire {
     fn cross(&self, s: &Segment) {
         let bytes = s.to_wire(0x0A00_0001, 0x0A00_0002, 40_000, 5_001);
         let back = Segment::from_wire(&bytes, s.flow, s.dir).expect("own encoding parses");
-        assert_eq!(WireView::of(&back), WireView::of(s), "{} segment {s:?}", self.host.variant());
+        assert_eq!(WireView::of(&back), WireView::of(s), "{} segment {s:?}", self.variant);
         let mut c = self.crossed.get();
         c.segments += 1;
         c.sacked += u64::from(!s.sack.is_empty());
@@ -273,54 +274,12 @@ impl OnTheWire {
     }
 }
 
-impl Transport for OnTheWire {
-    fn on_segment(&mut self, now: SimTime, seg: &Segment) {
+impl Observer for OnTheWire {
+    fn segment_in(&mut self, _now: SimTime, seg: &Segment) {
         self.cross(seg);
-        self.host.on_segment(now, seg);
     }
-
-    fn poll_send(&mut self, now: SimTime) -> Option<Segment> {
-        self.host.poll_send(now).inspect(|s| self.cross(s))
-    }
-
-    fn next_timer(&self) -> Option<SimTime> {
-        self.host.next_timer()
-    }
-
-    fn on_timer(&mut self, now: SimTime) {
-        self.host.on_timer(now);
-    }
-
-    fn on_tdn_notification(&mut self, now: SimTime, tdn: TdnId, gen: u64) {
-        self.host.on_tdn_notification(now, tdn, gen);
-    }
-
-    fn on_circuit_prepare(&mut self, now: SimTime) {
-        self.host.on_circuit_prepare(now);
-    }
-
-    fn stats(&self) -> &ConnStats {
-        self.host.stats()
-    }
-
-    fn is_established(&self) -> bool {
-        self.host.is_established()
-    }
-
-    fn is_done(&self) -> bool {
-        self.host.is_done()
-    }
-
-    fn conn_error(&self) -> Option<ConnError> {
-        self.host.conn_error()
-    }
-
-    fn variant(&self) -> &'static str {
-        self.host.variant()
-    }
-
-    fn cwnd_report(&self) -> Vec<u32> {
-        self.host.cwnd_report()
+    fn segment_out(&mut self, _now: SimTime, seg: &Segment) {
+        self.cross(seg);
     }
 }
 
@@ -345,8 +304,9 @@ fn every_segment_survives_the_wire() {
         }
         let watchdog = Some(bench::variants::watchdog_for(&net));
         let crossed = Rc::new(Cell::new(Crossed::default()));
-        let wrap = |host| -> Box<dyn Transport> {
-            Box::new(OnTheWire { host, crossed: Rc::clone(&crossed) })
+        let wrap = |host: Box<dyn Transport + Send>| -> Box<dyn Transport> {
+            let observer = OnTheWire { variant: host.variant(), crossed: Rc::clone(&crossed) };
+            Box::new(Tap { host, observer })
         };
         let factory: EndpointFactory = Box::new(|i| {
             let (s, r) = variant.endpoints(i, u64::MAX, watchdog, SimTime::ZERO);

@@ -7,8 +7,8 @@
 //! time the notification lands and whose endpoint had not closed
 //! (`is_done`) when the day began, and a late flow's endpoints are built
 //! at the window barrier before its start. These tests pin the edges of
-//! that rule from outside the engine — through a probe endpoint that
-//! logs every notification it is handed — and pin the simulated results
+//! that rule from outside the engine — through a probe at the transport
+//! seam that logs every notification a host is handed — and pin the simulated results
 //! of the benchmark's `short_incast` spec.
 //!
 //! The engine's own cross-checks (in an observed run, running totals ≡ a
@@ -26,61 +26,28 @@ use simcore::{DetRng, SimDuration, SimTime, TimeSeries};
 use std::cell::RefCell;
 use std::rc::Rc;
 use tcp::cc::{CcConfig, Cubic};
-use tcp::{ConnError, ConnStats, FlowId, Segment, Transport};
+use tcp::{ConnError, FlowId, Transport};
+use tdtcp_repro::harness::{Observer, Tap};
 use testkit::Digest;
 use wire::TdnId;
 
 /// `(delivery time, generation)` of every notification a host was handed.
 type NotifyLog = Rc<RefCell<Vec<(SimTime, u64)>>>;
 
-/// A transparent endpoint wrapper that logs notifications and can go
-/// deaf: from `deaf_from` on it discards incoming segments, which drives
+/// An observer that logs the notifications its host is handed and can
+/// go deaf: from `deaf_from` on the host hears no segment, which drives
 /// a sender into RTO back-off and, at `max_retries`, into an abort.
 struct Probe {
-    inner: Box<dyn Transport>,
     log: NotifyLog,
     deaf_from: Option<SimTime>,
 }
 
-impl Transport for Probe {
-    fn on_segment(&mut self, now: SimTime, seg: &Segment) {
-        if self.deaf_from.is_none_or(|t| now < t) {
-            self.inner.on_segment(now, seg);
-        }
-    }
-    fn poll_send(&mut self, now: SimTime) -> Option<Segment> {
-        self.inner.poll_send(now)
-    }
-    fn next_timer(&self) -> Option<SimTime> {
-        self.inner.next_timer()
-    }
-    fn on_timer(&mut self, now: SimTime) {
-        self.inner.on_timer(now);
-    }
-    fn on_tdn_notification(&mut self, now: SimTime, tdn: TdnId, gen: u64) {
+impl Observer for Probe {
+    fn notification(&mut self, now: SimTime, _tdn: TdnId, gen: u64) {
         self.log.borrow_mut().push((now, gen));
-        self.inner.on_tdn_notification(now, tdn, gen);
     }
-    fn on_circuit_prepare(&mut self, now: SimTime) {
-        self.inner.on_circuit_prepare(now);
-    }
-    fn stats(&self) -> &ConnStats {
-        self.inner.stats()
-    }
-    fn is_established(&self) -> bool {
-        self.inner.is_established()
-    }
-    fn is_done(&self) -> bool {
-        self.inner.is_done()
-    }
-    fn conn_error(&self) -> Option<ConnError> {
-        self.inner.conn_error()
-    }
-    fn variant(&self) -> &'static str {
-        self.inner.variant()
-    }
-    fn cwnd_report(&self) -> Vec<u32> {
-        self.inner.cwnd_report()
+    fn hears(&self, now: SimTime) -> bool {
+        self.deaf_from.is_none_or(|t| now < t)
     }
 }
 
@@ -135,12 +102,9 @@ fn run_probed(net: &NetConfig, flows: &[ProbedFlow], horizon: SimTime) -> Probed
         });
         let template = Cubic::new(CcConfig::default());
         let flow = FlowId(i as u32);
-        let probe = |inner: Box<dyn Transport>, side: usize, deaf_from| {
-            Box::new(Probe {
-                inner,
-                log: Rc::clone(&logs[i][side]),
-                deaf_from,
-            }) as Box<dyn Transport>
+        let probe = |host: Box<dyn Transport>, side: usize, deaf_from| {
+            let observer = Probe { log: Rc::clone(&logs[i][side]), deaf_from };
+            Box::new(Tap { host, observer }) as Box<dyn Transport>
         };
         (
             probe(

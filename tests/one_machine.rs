@@ -18,52 +18,19 @@
 //! negotiation, option tagging and notification handling.
 
 use simcore::{SimDuration, SimTime};
-use std::collections::VecDeque;
-use tcp::cc::{CcConfig, CongestionControl, Cubic, Dctcp, ReTcp, ReTcpConfig, Reno};
 use tcp::rtt::RttConfig;
-use tcp::{Connection, FlowId, SackBlocks, Segment, SeqNum, Transport};
-use tdtcp::{TdtcpConfig, TdtcpConnection};
+use tcp::{SackBlocks, Segment, SeqNum, Transport};
+use tdtcp::TdtcpConfig;
+use tdtcp_repro::harness::{tcp_pair, td_pair, Fate, Op, Side, World, MSS};
 use testkit::prop::{just, range, tuple2, tuple4, vec_of, weighted, Gen};
 use testkit::{tk_assert_eq, Counters};
-use wire::{Ecn, TcpFlags, TdnId};
-
-const MSS: u32 = 1000;
+use wire::TcpFlags;
 
 /// What both machines must agree on for every emitted segment.
 type Emitted = (SeqNum, u32, TcpFlags, SeqNum, SackBlocks, u32);
 
-fn emitted(s: &Segment) -> Emitted {
-    (s.seq, s.len, s.flags, s.ack, s.sack, s.wnd)
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Side {
-    Sender,
-    Receiver,
-}
-
-/// What the network does to the segment it was asked to deliver.
-#[derive(Debug, Clone, Copy)]
-enum Fate {
-    Pass,
-    Drop,
-    Dup,
-    Corrupt,
-    CeMark,
-    CircuitMark,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    /// Let `us` microseconds pass.
-    Wait(u32),
-    /// Take the `pick`-th segment in flight *from* `from` (anything but 0
-    /// reorders) and apply `fate` to it.
-    Deliver { from: Side, pick: u8, fate: Fate },
-    /// Jump to `side`'s next timer deadline and fire it.
-    Timer(Side),
-    /// A TDN-change notification reaches both hosts.
-    Notify(u8),
+fn emitted(log: &[Segment]) -> Vec<Emitted> {
+    log.iter().map(|s| (s.seq, s.len, s.flags, s.ack, s.sack, s.wnd)).collect()
 }
 
 fn arb_fate() -> Gen<Fate> {
@@ -99,26 +66,10 @@ fn arb_op(max_tdn: u8) -> Gen<Op> {
     ])
 }
 
-/// The four congestion controllers, so every `CongestionControl` hook the
-/// machine calls (`on_ack`, recovery enter/exit, `on_rto`,
-/// `on_circuit_signal`) is observable through the window it produces.
-fn cca(kind: u8) -> Box<dyn CongestionControl> {
-    let cc = CcConfig {
-        mss: MSS,
-        init_cwnd_pkts: 10,
-        max_cwnd: 1 << 22,
-    };
-    match kind % 4 {
-        0 => Box::new(Cubic::new(cc)),
-        1 => Box::new(Reno::new(cc)),
-        2 => Box::new(Dctcp::new(cc)),
-        _ => Box::new(ReTcp::new(ReTcpConfig {
-            cc,
-            ..ReTcpConfig::default()
-        })),
-    }
-}
-
+/// Every controller (`harness::cca`: CUBIC, Reno, DCTCP, reTCP) runs
+/// each case, so every `CongestionControl` hook the machine calls
+/// (`on_ack`, recovery enter/exit, `on_rto`, `on_circuit_signal`) is
+/// observable through the window it produces.
 fn tcp_cfg(kind: u8, bytes: u64) -> tcp::Config {
     tcp::Config {
         mss: MSS,
@@ -139,162 +90,37 @@ fn tcp_cfg(kind: u8, bytes: u64) -> tcp::Config {
 
 type Pair = (Box<dyn Transport>, Box<dyn Transport>);
 
-fn tcp_sender(kind: u8, bytes: u64) -> Box<dyn Transport> {
-    Box::new(Connection::connect(
-        FlowId(1),
-        tcp_cfg(kind, bytes),
-        cca(kind),
-        SimTime::ZERO,
-    ))
-}
-
-fn tcp_receiver(kind: u8) -> Box<dyn Transport> {
-    Box::new(Connection::listen(FlowId(1), tcp_cfg(kind, 0), cca(kind)))
-}
-
 fn td_cfg(kind: u8, bytes: u64, num_tdns: u8, per_tdn_state: bool) -> TdtcpConfig {
     TdtcpConfig {
         tcp: tcp_cfg(kind, bytes),
         num_tdns,
         per_tdn_state,
-        watchdog: None,
         ..TdtcpConfig::default()
     }
 }
 
-fn td_sender(kind: u8, bytes: u64, num_tdns: u8, per_tdn_state: bool) -> Box<dyn Transport> {
-    let cfg = td_cfg(kind, bytes, num_tdns, per_tdn_state);
-    Box::new(TdtcpConnection::connect(
-        FlowId(1),
-        cfg,
-        cca(kind).as_ref(),
-        SimTime::ZERO,
-    ))
+fn tcp_ends(kind: u8, bytes: u64) -> Pair {
+    let (snd, rcv) = tcp_pair(tcp_cfg(kind, bytes), kind);
+    (Box::new(snd), Box::new(rcv))
 }
 
-fn td_receiver(kind: u8, num_tdns: u8, per_tdn_state: bool) -> Box<dyn Transport> {
-    let cfg = td_cfg(kind, 0, num_tdns, per_tdn_state);
-    Box::new(TdtcpConnection::listen(FlowId(1), cfg, cca(kind).as_ref()))
+fn td_ends(kind: u8, bytes: u64, num_tdns: u8, per_tdn_state: bool) -> Pair {
+    let (snd, rcv) = td_pair(td_cfg(kind, bytes, num_tdns, per_tdn_state), kind);
+    (Box::new(snd), Box::new(rcv))
 }
 
-/// One connection pair and the two directions of wire between them.
-struct World {
-    snd: Box<dyn Transport>,
-    rcv: Box<dyn Transport>,
-    from_snd: VecDeque<Segment>,
-    from_rcv: VecDeque<Segment>,
-    /// Everything either end emitted during the current step.
-    log: Vec<Emitted>,
-    notify_after_handshake: bool,
-}
-
-impl World {
-    fn new((snd, rcv): Pair) -> World {
-        let mut w = World {
-            snd,
-            rcv,
-            from_snd: VecDeque::new(),
-            from_rcv: VecDeque::new(),
-            log: Vec::new(),
-            notify_after_handshake: false,
-        };
-        w.flush(Side::Sender, SimTime::ZERO);
-        w
-    }
-
-    /// Drain `side` onto its wire, as the emulator does after every event.
-    fn flush(&mut self, side: Side, now: SimTime) {
-        let (ep, wire) = match side {
-            Side::Sender => (&mut self.snd, &mut self.from_snd),
-            Side::Receiver => (&mut self.rcv, &mut self.from_rcv),
-        };
-        for _ in 0..256 {
-            let Some(seg) = ep.poll_send(now) else { break };
-            self.log.push(emitted(&seg));
-            wire.push_back(seg);
-        }
-    }
-
-    /// Apply one op; returns the (possibly advanced) clock.
-    fn step(&mut self, op: Op, now: SimTime) -> SimTime {
-        match op {
-            Op::Wait(us) => return now + SimDuration::from_micros(u64::from(us)),
-            Op::Deliver { from, pick, fate } => {
-                let (wire, to, ep) = match from {
-                    Side::Sender => (&mut self.from_snd, Side::Receiver, &mut self.rcv),
-                    Side::Receiver => (&mut self.from_rcv, Side::Sender, &mut self.snd),
-                };
-                let Some(mut seg) =
-                    wire.remove(usize::from(pick).min(wire.len().saturating_sub(1)))
-                else {
-                    return now;
-                };
-                let copies = match fate {
-                    Fate::Drop => 0,
-                    Fate::Dup => 2,
-                    _ => 1,
-                };
-                match fate {
-                    Fate::Corrupt if seg.has_payload() => seg.payload_csum ^= 0x5a5a,
-                    Fate::CeMark if seg.ecn == Ecn::Ect0 => seg.ecn = Ecn::Ce,
-                    Fate::CircuitMark => seg.circuit_mark = true,
-                    _ => {}
-                }
-                for _ in 0..copies {
-                    ep.on_segment(now, &seg);
-                }
-                self.flush(to, now);
-            }
-            Op::Timer(side) => {
-                let ep = match side {
-                    Side::Sender => &mut self.snd,
-                    Side::Receiver => &mut self.rcv,
-                };
-                let Some(deadline) = ep.next_timer() else {
-                    return now;
-                };
-                let now = now.max(deadline);
-                ep.on_timer(now);
-                self.flush(side, now);
-                return now;
-            }
-            // Until the handshake settles who speaks TDTCP, a two-TDN
-            // endpoint applies notifications; that is the shell's own
-            // behaviour, not the machine's, so the downgrade property
-            // withholds them until then.
-            Op::Notify(_)
-                if self.notify_after_handshake
-                    && !(self.snd.is_established() && self.rcv.is_established()) => {}
-            Op::Notify(tdn) => {
-                // Strictly increasing generations: every notification is
-                // fresh, as from a ToR that loses and reorders nothing.
-                let gen = now.as_nanos();
-                for side in [Side::Sender, Side::Receiver] {
-                    let ep = match side {
-                        Side::Sender => &mut self.snd,
-                        Side::Receiver => &mut self.rcv,
-                    };
-                    ep.on_tdn_notification(now, TdnId(tdn), gen);
-                    self.flush(side, now);
-                }
-            }
-        }
-        now
-    }
-
-    /// Everything observable about the pair besides what it emitted.
-    fn observe(&self) -> [Observed; 2] {
-        [&self.snd, &self.rcv].map(|ep| Observed {
-            stats_digest: ep.stats().digest(),
-            next_timer: ep.next_timer(),
-            // Set 0's window: a downgraded shell still reports the
-            // (idle) sets it allocated before negotiation failed.
-            cwnd: ep.cwnd_report().first().copied(),
-            established: ep.is_established(),
-            done: ep.is_done(),
-            errored: ep.conn_error().is_some(),
-        })
-    }
+/// Everything observable about the pair besides what it emitted.
+fn observe(w: &World) -> [Observed; 2] {
+    [&w.snd, &w.rcv].map(|ep| Observed {
+        stats_digest: ep.stats().digest(),
+        next_timer: ep.next_timer(),
+        // Set 0's window: a downgraded shell still reports the
+        // (idle) sets it allocated before negotiation failed.
+        cwnd: ep.cwnd_report().first().copied(),
+        established: ep.is_established(),
+        done: ep.is_done(),
+        errored: ep.conn_error().is_some(),
+    })
 }
 
 /// What one endpoint shows the outside world between events.
@@ -311,22 +137,40 @@ struct Observed {
 /// Run `ops` through the reference pair and the candidate pair in lock
 /// step; the first step after which they differ in any observable fails.
 fn lockstep(reference: Pair, candidate: Pair, ops: &[Op]) -> Result<(), String> {
-    lockstep_worlds(World::new(reference), World::new(candidate), ops)
+    lockstep_worlds(reference, candidate, ops, false)
 }
 
-fn lockstep_worlds(mut r: World, mut c: World, ops: &[Op]) -> Result<(), String> {
+/// [`lockstep`]; with `settle_first`, notifications wait for the
+/// handshake. Until the handshake settles who speaks TDTCP, a two-TDN
+/// endpoint applies notifications; that is the shell's own behaviour,
+/// not the machine's, so the downgrade property withholds them until
+/// then.
+fn lockstep_worlds(
+    (r_snd, r_rcv): Pair,
+    (c_snd, c_rcv): Pair,
+    ops: &[Op],
+    settle_first: bool,
+) -> Result<(), String> {
+    let (mut r, mut c) = (World::new(r_snd, r_rcv), World::new(c_snd, c_rcv));
     let (mut now_r, mut now_c) = (SimTime::ZERO, SimTime::ZERO);
-    tk_assert_eq!(r.log, c.log, "SYN differs");
+    tk_assert_eq!(emitted(&r.log), emitted(&c.log), "SYN differs");
     for (i, &op) in ops.iter().enumerate() {
         r.log.clear();
         c.log.clear();
+        // Both worlds are established together, or the last step failed.
+        let withheld = settle_first && !(r.snd.is_established() && r.rcv.is_established());
+        let op = match op {
+            Op::Notify(_) if withheld => Op::Wait(0),
+            op => op,
+        };
         // A clock that only moves forward, and never stands still
         // between events (distinct events share no instant).
         now_r = r.step(op, now_r) + SimDuration::from_nanos(1);
         now_c = c.step(op, now_c) + SimDuration::from_nanos(1);
         tk_assert_eq!(now_r, now_c, "clocks diverged at op {i} {op:?}");
-        tk_assert_eq!(r.log, c.log, "emitted segments diverged at op {i} {op:?}");
-        tk_assert_eq!(r.observe(), c.observe(), "state diverged at op {i} {op:?}");
+        let (r_out, c_out) = (emitted(&r.log), emitted(&c.log));
+        tk_assert_eq!(r_out, c_out, "emitted segments diverged at op {i} {op:?}");
+        tk_assert_eq!(observe(&r), observe(&c), "state diverged at op {i} {op:?}");
     }
     Ok(())
 }
@@ -357,11 +201,7 @@ testkit::props! {
     /// path of §4.2, which is a second state set by design.)
     fn one_tdn_tdtcp_is_tcp(case in arb_case(0)) {
         let (kind, bytes, ops, _) = case;
-        lockstep(
-            (tcp_sender(kind, bytes), tcp_receiver(kind)),
-            (td_sender(kind, bytes, 1, true), td_receiver(kind, 1, true)),
-            &ops,
-        )?;
+        lockstep(tcp_ends(kind, bytes), td_ends(kind, bytes, 1, true), &ops)?;
     }
 
     #[cases(96)]
@@ -369,11 +209,7 @@ testkit::props! {
     /// tagged, notifications arriving, one state set.
     fn flat_state_tdtcp_is_tcp(case in arb_case(1)) {
         let (kind, bytes, ops, _) = case;
-        lockstep(
-            (tcp_sender(kind, bytes), tcp_receiver(kind)),
-            (td_sender(kind, bytes, 2, false), td_receiver(kind, 2, false)),
-            &ops,
-        )?;
+        lockstep(tcp_ends(kind, bytes), td_ends(kind, bytes, 2, false), &ops)?;
     }
 
     #[cases(96)]
@@ -381,15 +217,9 @@ testkit::props! {
     /// way round) falls back to regular TCP and ignores notifications.
     fn downgraded_tdtcp_is_tcp(case in arb_case(1)) {
         let (kind, bytes, ops, td_side) = case;
-        let candidate = if td_side == 0 {
-            (td_sender(kind, bytes, 2, true), tcp_receiver(kind))
-        } else {
-            (tcp_sender(kind, bytes), td_receiver(kind, 2, true))
-        };
-        let mut r = World::new((tcp_sender(kind, bytes), tcp_receiver(kind)));
-        let mut c = World::new(candidate);
-        (r.notify_after_handshake, c.notify_after_handshake) = (true, true);
-        lockstep_worlds(r, c, &ops)?;
+        let (tcp, td) = (tcp_ends(kind, bytes), td_ends(kind, bytes, 2, true));
+        let candidate = if td_side == 0 { (td.0, tcp.1) } else { (tcp.0, td.1) };
+        lockstep_worlds(tcp_ends(kind, bytes), candidate, &ops, true)?;
     }
 }
 
@@ -414,9 +244,9 @@ fn lose(from: Side) -> Op {
     }
 }
 
-/// Handshake, then the sender's first window of ten segments is on the
-/// wire and nothing else is.
-fn handshake() -> Vec<Op> {
+/// The handshake's ops, after which the sender's first window of ten
+/// segments is on the wire and nothing else is.
+fn opening() -> Vec<Op> {
     vec![
         pass(Side::Sender),   // SYN
         pass(Side::Receiver), // SYN-ACK
@@ -427,14 +257,7 @@ fn handshake() -> Vec<Op> {
 
 fn scripted(kind: u8, bytes: u64, ops: &[Op]) {
     for (num_tdns, per_tdn_state) in [(1, true), (2, false)] {
-        lockstep(
-            (tcp_sender(kind, bytes), tcp_receiver(kind)),
-            (
-                td_sender(kind, bytes, num_tdns, per_tdn_state),
-                td_receiver(kind, num_tdns, per_tdn_state),
-            ),
-            ops,
-        )
+        lockstep(tcp_ends(kind, bytes), td_ends(kind, bytes, num_tdns, per_tdn_state), ops)
         .unwrap_or_else(|e| panic!("num_tdns={num_tdns} per_tdn_state={per_tdn_state}: {e}"));
     }
 }
@@ -443,7 +266,7 @@ fn scripted(kind: u8, bytes: u64, ops: &[Op]) {
 /// arming from the synthesized timeout, slow start, FIN.
 #[test]
 fn scripted_clean_transfer() {
-    let mut ops = handshake();
+    let mut ops = opening();
     for _ in 0..120 {
         ops.extend([
             Op::Wait(37),
@@ -462,7 +285,7 @@ fn scripted_clean_transfer() {
 /// backoff does on those decides when the next timeout falls.
 #[test]
 fn scripted_rto_backoff_then_sack_only_acks() {
-    let mut ops = handshake();
+    let mut ops = opening();
     ops.extend([lose(Side::Sender), lose(Side::Sender)]); // segments 1, 2 lost
     ops.extend([
         Op::Timer(Side::Sender),
@@ -510,7 +333,7 @@ fn scripted_disorder_returns_to_open() {
         pick: u8::MAX,
         fate: Fate::Pass,
     };
-    let mut ops = handshake();
+    let mut ops = opening();
     for _ in 0..3 {
         ops.extend([overtake, pass(Side::Receiver)]);
         ops.extend([pass(Side::Sender); 40]); // the whole window arrives...
@@ -531,7 +354,7 @@ fn scripted_circuit_marks_reach_the_cca() {
         pick: 0,
         fate: Fate::CircuitMark,
     };
-    let mut ops = handshake();
+    let mut ops = opening();
     for round in 0..60 {
         let data = if (round / 10) % 2 == 1 {
             marked
@@ -547,7 +370,7 @@ fn scripted_circuit_marks_reach_the_cca() {
 /// threshold, RACK marking, stale-retransmission refresh, recovery exit.
 #[test]
 fn scripted_fast_recovery_with_lost_retransmit() {
-    let mut ops = handshake();
+    let mut ops = opening();
     ops.push(lose(Side::Sender)); // first data segment lost
     for _ in 0..5 {
         ops.extend([

@@ -10,14 +10,15 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The layering: allowed `[dependencies]` and `[dev-dependencies]` per
-/// package. Transports see `rdcn` only in tests; only the root sees `bench`.
+/// package. Transports never see `rdcn`, not even in tests; only the root
+/// sees `bench`.
 const LAYERS: &[(&str, &[&str], &[&str])] = &[
     ("testkit", &[], &[]),
     ("wire", &[], &["testkit"]),
     ("simcore", &["testkit"], &[]),
     ("tcp", &["simcore", "wire", "testkit"], &[]),
-    ("tdtcp", &["simcore", "wire", "tcp"], &["testkit", "rdcn"]),
-    ("mptcp", &["simcore", "wire", "tcp"], &["testkit", "rdcn"]),
+    ("tdtcp", &["simcore", "wire", "tcp"], &[]),
+    ("mptcp", &["simcore", "wire", "tcp"], &[]),
     ("rdcn", &["simcore", "wire", "tcp", "testkit"], &[]),
     ("bench", &["simcore", "wire", "rdcn", "tcp", "tdtcp", "mptcp", "testkit"], &[]),
     ("tdtcp-repro", &["simcore", "wire", "rdcn", "tcp", "tdtcp", "mptcp", "bench"], &["testkit"]),
