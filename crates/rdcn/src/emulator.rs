@@ -11,14 +11,14 @@ use crate::clock::ClockStats;
 use crate::config::NetConfig;
 use crate::faults::FaultStats;
 use crate::impair::ImpairStats;
-use crate::shard::{PairFlow, RackResult, ShardedEmulator};
+use crate::shard::{digest_racks, PairFlow, RackResult, ShardedEmulator};
 use simcore::{SimDuration, SimTime, TimeSeries};
 use tcp::{ConnError, ConnStats, Transport};
-use testkit::{Counters, Digest};
+use testkit::Counters;
 use wire::TdnId;
 
 /// Per-day deltas of the counters Fig. 10 plots, one entry per finished day.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DayRecord {
     /// Global day number.
     pub day: u64,
@@ -46,10 +46,11 @@ impl Counters for DayRecord {
     }
 }
 
-/// Everything a run produces. The five observation fields —
-/// `seq_series`, `voq_ab`, `voq_ba`, `day_records` and `final_cwnds` —
-/// stay empty unless the caller asked for them with
-/// [`Emulator::set_sample_interval`]; the rest is simulation state.
+/// Everything a run produces. The three observation fields —
+/// `seq_series`, `voq_ab` and `day_records` — stay empty unless the
+/// caller asked for them with [`Emulator::set_sample_interval`], and none
+/// of them is in [`RunResult::stats_digest`]; the rest is simulation
+/// state.
 #[derive(Debug)]
 pub struct RunResult {
     /// Aggregate acknowledged bytes over time (the sequence graph of
@@ -58,8 +59,6 @@ pub struct RunResult {
     /// A→B VOQ occupancy over time (Figs. 7b/8b/13/14). Observed runs
     /// only.
     pub voq_ab: TimeSeries,
-    /// B→A VOQ occupancy over time. Observed runs only.
-    pub voq_ba: TimeSeries,
     /// Final sender-side stats per flow.
     pub sender_stats: Vec<ConnStats>,
     /// Final receiver-side stats per flow.
@@ -72,9 +71,6 @@ pub struct RunResult {
     pub drops_ba: u64,
     /// CE marks applied in the A→B VOQ.
     pub ce_marks_ab: u64,
-    /// Final congestion windows per flow (one entry per path state).
-    /// Observed runs only: otherwise every flow's entry is empty.
-    pub final_cwnds: Vec<Vec<u32>>,
     /// When each flow's sender finished (staggered/finite workloads).
     pub completions: Vec<Option<SimTime>>,
     /// When each flow started (its connection was created and the first
@@ -88,25 +84,18 @@ pub struct RunResult {
     /// Faults actually injected during the run (all zero for an empty
     /// [`crate::FaultPlan`]).
     pub faults: FaultStats,
-    /// Digest of the injected-fault sequence (order-sensitive); two runs
-    /// with the same seed and plan must agree on it.
-    pub fault_log_digest: u64,
     /// Data-path impairments applied during the run (all zero for an
     /// empty [`crate::ImpairPlan`]).
     pub impairments: ImpairStats,
-    /// Digest of the applied-impairment sequence (order-sensitive); two
-    /// runs with the same seed and plan must agree on it.
-    pub impair_log_digest: u64,
     /// Time-plane effects applied during the run (all zero for an empty
     /// [`crate::ClockPlan`]).
     pub clock: ClockStats,
-    /// Digest of the applied clock-event sequence (order-sensitive); two
-    /// runs with the same seed and plan must agree on it.
-    pub clock_log_digest: u64,
     /// Terminal error of each flow's sender, if it aborted instead of
     /// completing. `completions[i]` records when the sender *terminated*;
     /// this distinguishes success from surrender.
     pub conn_errors: Vec<Option<ConnError>>,
+    /// The racks' one digest, folded before they were consumed.
+    digest: u64,
 }
 
 impl RunResult {
@@ -173,99 +162,20 @@ impl RunResult {
             .sum()
     }
 
-    /// Digest every observable output of the run into one 64-bit value.
-    ///
-    /// Two runs with the same configuration and seed must produce the same
-    /// digest — this is the workspace's golden-trace determinism guarantee
-    /// (see `tests/determinism.rs`). Floats are hashed by bit pattern, so
-    /// the comparison is exact, not approximate. The destructuring makes a
-    /// field added to the result and not to the fold a compile error.
+    /// The run's one digest, of its simulation state: two runs with the
+    /// same configuration and seed must agree on it (`tests/determinism.rs`).
+    /// It is folded once, from the racks, by the fold both doors share
+    /// (`crate::shard`), and covers no observation field: sampling a run,
+    /// at any interval or not at all, leaves it unchanged.
     pub fn stats_digest(&self) -> u64 {
-        let RunResult {
-            seq_series,
-            voq_ab,
-            voq_ba,
-            sender_stats,
-            receiver_stats,
-            day_records,
-            drops_ab,
-            drops_ba,
-            ce_marks_ab,
-            final_cwnds,
-            completions,
-            starts,
-            duration,
-            events,
-            faults,
-            fault_log_digest,
-            impairments,
-            impair_log_digest,
-            clock,
-            clock_log_digest,
-            conn_errors,
-        } = self;
-        let mut d = Digest::new();
-        for series in [seq_series, voq_ab, voq_ba] {
-            series.write_digest(&mut d);
-        }
-        for stats in sender_stats.iter().chain(receiver_stats) {
-            stats.write_digest(&mut d);
-        }
-        d.write_usize(day_records.len());
-        for r in day_records {
-            d.write_u64(r.day).write_u64(u64::from(r.tdn.0));
-            r.write_digest(&mut d);
-        }
-        d.write_u64(*drops_ab);
-        d.write_u64(*drops_ba);
-        d.write_u64(*ce_marks_ab);
-        for cwnds in final_cwnds {
-            d.write_usize(cwnds.len());
-            for &c in cwnds {
-                d.write_u32(c);
-            }
-        }
-        for c in completions {
-            match c {
-                Some(t) => {
-                    d.write_bool(true).write_u64(t.as_nanos());
-                }
-                None => {
-                    d.write_bool(false);
-                }
-            }
-        }
-        for s in starts {
-            d.write_u64(s.as_nanos());
-        }
-        d.write_u64(duration.as_nanos());
-        d.write_u64(*events);
-        faults.write_digest(&mut d);
-        d.write_u64(*fault_log_digest);
-        impairments.write_digest(&mut d);
-        d.write_u64(*impair_log_digest);
-        clock.write_digest(&mut d);
-        d.write_u64(*clock_log_digest);
-        for e in conn_errors {
-            match e {
-                None => {
-                    d.write_bool(false);
-                }
-                Some(ConnError::RetransmitLimit { retries }) => {
-                    d.write_bool(true).write_u64(1).write_u64(u64::from(*retries));
-                }
-                Some(ConnError::PersistTimeout { probes }) => {
-                    d.write_bool(true).write_u64(2).write_u64(u64::from(*probes));
-                }
-            }
-        }
-        d.finish()
+        self.digest
     }
 
     /// The two-rack fold of a run's racks: rack 0 holds every sender and
     /// the A→B VOQ, rack 1 every receiver and the B→A VOQ. Flow `i`
     /// started at `starts[i]`.
     fn fold(racks: Vec<RackResult>, starts: Vec<SimTime>) -> RunResult {
+        let digest = digest_racks(&racks);
         let [a, b] = <[RackResult; 2]>::try_from(racks)
             .ok()
             .expect("the two-rack fabric");
@@ -274,13 +184,11 @@ impl RunResult {
         let mut receiver_stats = vec![ConnStats::default(); n];
         let mut completions = vec![None; n];
         let mut conn_errors = vec![None; n];
-        let mut final_cwnds = vec![Vec::new(); n];
         for h in a.hosts.into_iter().chain(b.hosts) {
             if h.sender {
                 sender_stats[h.flow] = h.stats;
                 completions[h.flow] = h.completion;
                 conn_errors[h.flow] = h.error;
-                final_cwnds[h.flow] = h.cwnds;
             } else {
                 receiver_stats[h.flow] = h.stats;
             }
@@ -297,31 +205,25 @@ impl RunResult {
         impairments.merge(*b.impair.books().stats());
         let mut clock = *a.clock.books().stats();
         clock.merge(*b.clock.books().stats());
-        let both = |x: u64, y: u64| Digest::new().write_u64(x).write_u64(y).finish();
         let [_, ab] = <[_; 2]>::try_from(a.voqs).expect("two VOQs per rack");
-        let [ba, _] = <[_; 2]>::try_from(b.voqs).expect("two VOQs per rack");
         RunResult {
             seq_series: a.seq,
             drops_ab: ab.drops,
-            drops_ba: ba.drops,
+            drops_ba: b.voqs[0].drops,
             ce_marks_ab: ab.ce_marks,
             voq_ab: ab.into_series(),
-            voq_ba: ba.into_series(),
             sender_stats,
             receiver_stats,
             day_records,
-            final_cwnds,
             completions,
             starts,
             duration: a.end.max(b.end).saturating_since(SimTime::ZERO),
             events: a.events + b.events,
             faults,
-            fault_log_digest: both(a.faults.books().digest(), b.faults.books().digest()),
             impairments,
-            impair_log_digest: both(a.impair.books().digest(), b.impair.books().digest()),
             clock,
-            clock_log_digest: both(a.clock.books().digest(), b.clock.books().digest()),
             conn_errors,
+            digest,
         }
     }
 }
@@ -394,10 +296,11 @@ impl<'a> Emulator<'a> {
     }
 
     /// Observe the run: sample the acked total every `every` and fill
-    /// [`RunResult`]'s five observation fields (`seq_series`, `voq_ab`,
-    /// `voq_ba`, `day_records`, `final_cwnds`). Without this call they
-    /// stay empty, and the run computes none of them. Call before
-    /// [`Emulator::run`]; `every` must be positive.
+    /// [`RunResult`]'s three observation fields (`seq_series`, `voq_ab`,
+    /// `day_records`). Without this call they stay empty, and the run
+    /// computes none of them. Observation reads the run and never feeds
+    /// it, so [`RunResult::stats_digest`] is the same either way. Call
+    /// before [`Emulator::run`]; `every` must be positive.
     pub fn set_sample_interval(&mut self, every: SimDuration) {
         self.fabric.set_sample_interval(every);
     }

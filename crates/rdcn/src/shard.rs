@@ -3,7 +3,9 @@
 //! doors lead in: [`ShardedEmulator::new`] builds an N-rack fabric from a
 //! [`ShardConfig`], and [`crate::Emulator`] builds the paper's two-rack
 //! pair (§5.1) as N = 2 from a [`NetConfig`], every flow from rack 0 to
-//! rack 1, on its own thread.
+//! rack 1, on its own thread. Both fold the racks' results with one
+//! digest of the run's simulation state (`digest_racks`), which no
+//! observation enters.
 //!
 //! The fabric is one [`NetConfig`] and a rack count. Its week
 //! ([`NetConfig::schedule`]) decides everything time-divided:
@@ -396,17 +398,16 @@ pub(crate) struct HostEnd {
     pub(crate) stats: ConnStats,
     pub(crate) completion: Option<SimTime>,
     pub(crate) error: Option<ConnError>,
-    /// A sender's `cwnd_report` (empty for receivers and when not
-    /// observing).
-    pub(crate) cwnds: Vec<u32>,
 }
 
 /// One rack's share of a finished run. [`ShardResult`] and
-/// [`crate::RunResult`] are two folds of these.
+/// [`crate::RunResult`] are two folds of these, with one digest
+/// ([`digest_racks`]).
 pub(crate) struct RackResult {
     /// Per resident host, in rack-local order.
     pub(crate) hosts: Vec<HostEnd>,
-    /// Per-destination VOQs: counters, and traces when observing.
+    /// Per-destination VOQs: counters, and in an observed two-rack run
+    /// the A→B trace.
     pub(crate) voqs: Vec<Voq<SegRef>>,
     /// Logical events: queue pops plus train/batch segments beyond the
     /// first.
@@ -420,6 +421,43 @@ pub(crate) struct RackResult {
     pub(crate) seq: TimeSeries,
     /// Per finished day, the rack's share of the record.
     pub(crate) days: Vec<DayRecord>,
+}
+
+/// The one digest of a run, over its racks in rack order: per resident
+/// host, in rack-local order, its flow, side, `ConnStats`, completion
+/// and error; then per rack each VOQ's drop and CE-mark counters, the
+/// rack's events and end time, and the books of each chaos plane.
+/// Floats inside `ConnStats` go in by bit pattern, so the comparison is
+/// exact. It reads no observation (samples, day records, VOQ traces), so
+/// an observer cannot move it. The destructuring makes a field added to
+/// [`RackResult`] or [`HostEnd`] and not named here a compile error.
+pub(crate) fn digest_racks(racks: &[RackResult]) -> u64 {
+    let mut d = Digest::new();
+    d.write_usize(racks.len());
+    for RackResult { hosts, voqs, events, faults, impair, clock, end, seq: _, days: _ } in racks {
+        d.write_usize(hosts.len());
+        for HostEnd { flow, sender, stats, completion, error } in hosts {
+            d.write_usize(*flow).write_bool(*sender);
+            stats.write_digest(&mut d);
+            d.write_bool(completion.is_some());
+            d.write_u64(completion.map_or(0, SimTime::as_nanos));
+            let (kind, n) = match *error {
+                None => (0, 0),
+                Some(ConnError::RetransmitLimit { retries }) => (1, retries),
+                Some(ConnError::PersistTimeout { probes }) => (2, probes),
+            };
+            d.write_u64(kind).write_u32(n);
+        }
+        d.write_usize(voqs.len());
+        for v in voqs {
+            d.write_u64(v.drops).write_u64(v.ce_marks);
+        }
+        d.write_u64(*events).write_u64(end.as_nanos());
+        d.write_u64(faults.books().digest());
+        d.write_u64(impair.books().digest());
+        d.write_u64(clock.books().digest());
+    }
+    d.finish()
 }
 
 /// The one engine. Construct the N-rack fabric with
@@ -496,8 +534,6 @@ pub struct ShardResult {
     pub sender_errors: Vec<bool>,
     /// Tail drops summed over all VOQs.
     pub drops: u64,
-    /// CE marks summed over all VOQs.
-    pub ce_marks: u64,
     /// Logical events processed: queue pops plus train/batch segments
     /// beyond the first, summed over racks.
     pub events: u64,
@@ -510,14 +546,10 @@ pub struct ShardResult {
     pub impairments_total: u64,
     /// Time-plane effects applied (summed over racks).
     pub clock_total: u64,
-    /// Per-rack fault log digests, in rack order.
-    pub fault_log_digests: Vec<u64>,
-    /// Per-rack impairment log digests, in rack order.
-    pub impair_log_digests: Vec<u64>,
-    /// Per-rack clock log digests, in rack order.
-    pub clock_log_digests: Vec<u64>,
     /// Simulated duration (max over racks).
     pub duration: SimDuration,
+    /// The racks' one digest, folded before they were consumed.
+    digest: u64,
 }
 
 impl ShardResult {
@@ -539,50 +571,12 @@ impl ShardResult {
         max / mean
     }
 
-    /// Digest over everything observable in the result, folded in fixed
-    /// order — the object of the worker-count invariance property. The
-    /// destructuring makes a field added to the result and not to the
-    /// fold a compile error.
+    /// The run's one digest (the fold both doors share,
+    /// `digest_racks`) — the object of the worker-count invariance
+    /// property. At two racks it equals the two-rack door's
+    /// [`crate::RunResult::stats_digest`] for the same fabric and flows.
     pub fn stats_digest(&self) -> u64 {
-        let ShardResult {
-            sender_stats,
-            receiver_stats,
-            completions,
-            sender_errors,
-            drops,
-            ce_marks,
-            events,
-            rack_events,
-            faults_total,
-            impairments_total,
-            clock_total,
-            fault_log_digests,
-            impair_log_digests,
-            clock_log_digests,
-            duration,
-        } = self;
-        let mut d = Digest::new();
-        d.write_usize(sender_stats.len());
-        for s in sender_stats.iter().chain(receiver_stats) {
-            s.write_digest(&mut d);
-        }
-        for c in completions {
-            d.write_bool(c.is_some());
-            d.write_u64(c.map_or(0, |t| t.as_nanos()));
-        }
-        for &e in sender_errors {
-            d.write_bool(e);
-        }
-        for v in [*drops, *ce_marks, *events, *faults_total, *impairments_total, *clock_total] {
-            d.write_u64(v);
-        }
-        for digests in [rack_events, fault_log_digests, impair_log_digests, clock_log_digests] {
-            for &v in digests {
-                d.write_u64(v);
-            }
-        }
-        d.write_u64(duration.as_nanos());
-        d.finish()
+        self.digest
     }
 
     /// The N-rack fold of `racks` (in rack order) over `flows` flows.
@@ -592,6 +586,7 @@ impl ShardResult {
             receiver_stats: vec![ConnStats::default(); flows],
             completions: vec![None; flows],
             sender_errors: vec![false; flows],
+            digest: digest_racks(&racks),
             ..ShardResult::default()
         };
         for rack in &racks {
@@ -605,15 +600,11 @@ impl ShardResult {
                 }
             }
             res.drops += rack.voqs.iter().map(|v| v.drops).sum::<u64>();
-            res.ce_marks += rack.voqs.iter().map(|v| v.ce_marks).sum::<u64>();
             res.events += rack.events;
             res.rack_events.push(rack.events);
             res.faults_total += rack.faults.books().stats().total();
             res.impairments_total += rack.impair.books().stats().total();
             res.clock_total += rack.clock.books().stats().total();
-            res.fault_log_digests.push(rack.faults.books().digest());
-            res.impair_log_digests.push(rack.impair.books().digest());
-            res.clock_log_digests.push(rack.clock.books().digest());
             res.duration = res.duration.max(rack.end.saturating_since(SimTime::ZERO));
         }
         res
@@ -820,8 +811,10 @@ impl<'a, H: DerefMut<Target: Transport>> ShardedEmulator<'a, H> {
     }
 
     /// Observe the run: every rack with senders samples its acked total
-    /// every `every`, and every rack traces its VOQs, keeps day records
-    /// and reports final congestion windows. Call before the run starts.
+    /// every `every`, every rack keeps day records, and rack 0 traces
+    /// its VOQ toward rack 1 (the two-rack door's A→B VOQ). Observation
+    /// feeds nothing back, so the digest is the same with or without it.
+    /// Call before the run starts.
     pub(crate) fn set_sample_interval(&mut self, every: SimDuration) {
         assert!(every > SimDuration::ZERO, "a sampling interval must be positive");
         for s in &mut self.shards {
@@ -829,9 +822,9 @@ impl<'a, H: DerefMut<Target: Transport>> ShardedEmulator<'a, H> {
             g.sample_every = every;
             // A rack without senders has nothing to sample.
             g.next_sample = if g.n_senders > 0 { SimTime::ZERO } else { SimTime::MAX };
-            let cfg = g.net.voq;
-            g.voqs.iter_mut().for_each(|v| *v = Voq::new("voq", cfg));
         }
+        let a = self.rack(0);
+        a.voqs[1] = Voq::new("voq", a.net.voq);
     }
 
     /// Seed every rack's day 0 and flush the hosts installed so far.
@@ -1540,10 +1533,6 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
                     stats: host.map(|h| *h.stats()).unwrap_or_default(),
                     completion: t.completion,
                     error: host.and_then(|h| h.conn_error()),
-                    cwnds: match host {
-                        Some(h) if t.sender && self.observing() => h.cwnd_report(),
-                        _ => Vec::new(),
-                    },
                 }
             })
             .collect();

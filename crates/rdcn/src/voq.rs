@@ -111,8 +111,8 @@ impl<T: VoqItem> Voq<T> {
         }
     }
 
-    /// New VOQ that keeps all counters (drops/enqueued/ce_marks — the
-    /// digest-folded state) but records no occupancy trace. Queue
+    /// New VOQ that keeps all counters (drops and CE marks, which the
+    /// run digest folds, and enqueues) but records no occupancy trace. Queue
     /// *behaviour* is identical to [`Voq::new`]; only the `series()`
     /// observation is absent.
     pub fn untraced(cfg: VoqConfig) -> Self {

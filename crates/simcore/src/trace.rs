@@ -222,8 +222,8 @@ impl TimeSeries {
     }
 
     /// Fold the series into `d`: its length, then each point's time in ns
-    /// and value bits. `RunResult::stats_digest` and the pinned series
-    /// digests frame a series this way.
+    /// and value bits. The pinned series digests frame a series this
+    /// way.
     pub fn write_digest(&self, d: &mut Digest) {
         d.write_usize(self.len);
         for (t, v) in self.points() {

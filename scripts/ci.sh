@@ -8,11 +8,12 @@
 #   anything is built.
 #   (none) — the default gate: release build, the tests of every
 #           member (the root `default-members`: unit tests, property
-#           suites and the root suites), the window-barrier panic,
-#           stress and worker-invariance tests, the
+#           suites and the root suites), the window-barrier panic and
+#           worker-invariance tests, the
 #           queue and scoreboard oracles, the allocation ledger, the
-#           inert-flow law and the pinned digests
-#           (determinism, the fabric, the live set) again in release, chaos
+#           laws and the pinned digests (determinism, the whole
+#           multirack suite with its barrier stress, the fabric,
+#           slot-edge and two-door pins, the live set) again in release, chaos
 #           soak, figures smoke, `figures all --jobs 1` diffed
 #           bit-for-bit against the
 #           checked-in figures_output.txt (every deterministic row,
@@ -99,13 +100,13 @@ cargo test -q --offline
 
 # The window barrier's spin/park hand-off is timing-sensitive and an
 # unoptimised build hides races an optimised one shows: run its panic
-# tests, the empty-window stress and the two worker-invariance runs again
-# in release. Those two are the two-rack week with every feature on (at
-# 1, 2 and 4 workers) and the rotor with every chaos plane armed (at 1
-# and 4); both serve the one train rule.
-echo "==> window barrier, release build: panic propagation, 10k-empty-window stress, worker invariance"
+# tests and the two worker-invariance runs again in release. Those two
+# are the two-rack week with every feature on (at 1, 2 and 4 workers)
+# and the rotor with every chaos plane armed (at 1 and 4); both serve
+# the one train rule. The empty-window stress runs with the multirack
+# suite below.
+echo "==> window barrier, release build: panic propagation, worker invariance"
 cargo test -q --offline --release -p simcore par::tests::run_windows
-cargo test -q --offline --release --test multirack barrier_survives
 cargo test -q --offline --release -p rdcn --lib two_rack_week_with_every_feature_is_worker_invariant
 cargo test -q --offline --release -p rdcn --lib chaos_run_is_worker_invariant
 
@@ -126,12 +127,15 @@ cargo test -q --offline --release --test laws
 
 # The segment ledger and the running totals' full-scan check run only in
 # debug builds, while figures and the benchmark run in release: hold the
-# pinned digests (every armed chaos plane, the 16-rack fabric, the live
-# set) in the release build too, so a digest that depends on the build
-# profile fails here.
-echo "==> pinned digests, release build"
+# pinned digests in the release build too, so a digest that depends on
+# the build profile fails here. They are every variant and every armed
+# chaos plane (determinism); the 16-rack fabric at 1–32 workers, the two
+# slot-edge policies on the armed rotor, the two doors at one digest
+# and the 10k-empty-window barrier stress (the whole multirack suite);
+# and the live set.
+echo "==> pinned digests, release build: determinism, multirack, live set"
 cargo test -q --offline --release --test determinism
-cargo test -q --offline --release --test multirack fabric16_digest_is_pinned_at_every_worker_count
+cargo test -q --offline --release --test multirack
 cargo test -q --offline --release --test liveset short_incast_simulated_results_match_the_full_scan_engine
 
 echo "==> chaos soak: ${CHAOS_CASES} randomized scenarios"

@@ -3,16 +3,18 @@
 //! rests on this — figures are only comparable across variants and
 //! machines if a (config, seed) pair fully determines the trace.
 //!
-//! The check digests *every* observable output of a run (time series
-//! points, per-flow stats, per-day records, drop/mark counters, final
-//! cwnds, completions, event counts) into one 64-bit FNV value via
-//! [`rdcn::RunResult::stats_digest`], then compares digests across
-//! repeated runs. Floats are compared by bit pattern — exact, not
-//! approximate.
+//! The check compares [`rdcn::RunResult::stats_digest`] across repeated
+//! runs: one 64-bit FNV value over the run's whole simulation state
+//! (per-flow stats, completions and errors, drop and mark counters,
+//! event counts, end times, every chaos plane's books), folded once from
+//! the racks. Observation — the sampled acked total, the A→B VOQ trace
+//! and the day records — is not in the digest, so
+//! [`emulator_run_is_deterministic`] also compares those point for
+//! point. Floats are compared by bit pattern — exact, not approximate.
 
 use bench::{Variant, Workload};
 use rdcn::NetConfig;
-use simcore::{SimDuration, SimTime};
+use simcore::{SimDuration, SimTime, TimeSeries};
 use tcp::Transport;
 use tdtcp_repro::harness::{handshake, td_config, td_pair, Peer, MSS};
 use testkit::Counters;
@@ -43,18 +45,27 @@ fn run_result(variant: Variant, seed: u64, edit: Edit) -> rdcn::RunResult {
     wl.run(&net)
 }
 
-/// Same seed, same variant → identical digest, across several seeds and
-/// the two headline variants.
+/// Same seed, same variant → identical digest and identical
+/// observation, across several seeds and the two headline variants. The
+/// run is sampled, and its series — the acked total, the A→B VOQ trace
+/// and the day records — are compared point for point, time and value
+/// bits, since the digest covers none of them.
 #[test]
 fn emulator_run_is_deterministic() {
+    let points = |s: &TimeSeries| s.points().map(|(t, v)| (t, v.to_bits())).collect::<Vec<_>>();
     for variant in [Variant::Cubic, Variant::Tdtcp] {
         for seed in [1u64, 7, 0xDEAD_BEEF] {
-            let a = run_once(variant, seed);
-            let b = run_once(variant, seed);
-            assert_eq!(
-                a, b,
-                "digest diverged: variant={variant:?} seed={seed:#x}"
+            let a = run_result(variant, seed, |_| {});
+            let b = run_result(variant, seed, |_| {});
+            let run = format!("variant={variant:?} seed={seed:#x}");
+            assert_eq!(a.stats_digest(), b.stats_digest(), "digest diverged: {run}");
+            assert!(
+                !a.seq_series.is_empty() && !a.voq_ab.is_empty() && !a.day_records.is_empty(),
+                "{run}: the sampled run observed nothing"
             );
+            assert_eq!(points(&a.seq_series), points(&b.seq_series), "seq_series diverged: {run}");
+            assert_eq!(points(&a.voq_ab), points(&b.voq_ab), "voq_ab diverged: {run}");
+            assert_eq!(a.day_records, b.day_records, "day_records diverged: {run}");
         }
     }
 }
@@ -83,8 +94,9 @@ fn parallel_sweep_matches_serial_digests() {
 }
 
 /// One tail-workload run's observable output, digested: the underlying
-/// emulator digest (which now folds per-flow starts and the RTO-stall
-/// counters) combined with the schedule digest and the folded FCT view.
+/// emulator digest (the RTO-stall counters are in each host's
+/// `ConnStats`) combined with the schedule digest (every flow's start)
+/// and the folded FCT view.
 fn run_tails_once(degree: usize, seed: u64) -> u64 {
     use bench::tails::{run_tails, Population, TailSpec};
     let mut spec = TailSpec::incast(Population::MixedTdtcpCubic, degree);
@@ -168,11 +180,11 @@ fn digest_distinguishes_runs() {
 /// by the `figures all` diff and the congestion-control unit tests.
 /// Debug and release builds agree on every pin.
 const VARIANT_PINS: [(Variant, u64); 5] = [
-    (Variant::Dctcp, 0x22ad_748e_21a7_c900),
-    (Variant::Reno, 0x7776_e5c4_def2_a858),
-    (Variant::ReTcp, 0x1178_b94d_47aa_7973),
-    (Variant::ReTcpDyn, 0x6f84_ce14_8e3c_2427),
-    (Variant::Mptcp, 0xdb13_22d0_8fe3_e0c1),
+    (Variant::Dctcp, 0xc0e8_eaed_5cc8_01d7),
+    (Variant::Reno, 0x7334_a9c9_8478_a44e),
+    (Variant::ReTcp, 0x2959_f28d_94c6_dfea),
+    (Variant::ReTcpDyn, 0x66d8_7e25_098a_471e),
+    (Variant::Mptcp, 0x9912_0fc4_0128_3afe),
 ];
 
 /// All remaining variants double-run clean too, onto their pins (one
@@ -225,7 +237,7 @@ const CASES: [Case; 4] = [
     (
         "notification loss",
         |n| n.faults = rdcn::FaultPlan::notification_loss(0.05),
-        &[(Variant::Tdtcp, 1, 0xc6e0_ce74_b5c8_4218)],
+        &[(Variant::Tdtcp, 1, 0x249b_2cd1_beb6_25b6)],
     ),
     (
         // A mid-day circuit failure with a multi-day outage.
@@ -237,26 +249,26 @@ const CASES: [Case; 4] = [
                 outage_days: 12,
             });
         },
-        &[(Variant::Tdtcp, 7, 0x9c2e_3ac3_1cf1_439f)],
+        &[(Variant::Tdtcp, 7, 0x5ad9_0794_ef09_caec)],
     ),
     (
         "impairment",
         |n| n.impair = busy_impair_plan(),
         &[
-            (Variant::Tdtcp, 1, 0x5363_01f3_269b_14a5),
-            (Variant::Tdtcp, 0xBADC_AB1E, 0x441b_712a_0929_7598),
-            (Variant::Cubic, 1, 0x6dd2_bad2_560a_e6d1),
-            (Variant::Cubic, 0xBADC_AB1E, 0xda46_4986_b91f_e550),
+            (Variant::Tdtcp, 1, 0x4569_b7e2_143c_b750),
+            (Variant::Tdtcp, 0xBADC_AB1E, 0x1a50_0d7a_f796_c64c),
+            (Variant::Cubic, 1, 0x079b_1e1d_cab3_6539),
+            (Variant::Cubic, 0xBADC_AB1E, 0x362b_e110_34d8_0dba),
         ],
     ),
     (
         "clock skew",
         |n| n.clock = busy_clock_plan(),
         &[
-            (Variant::Tdtcp, 1, 0xbcb4_739c_40f1_1fd1),
-            (Variant::Tdtcp, 0xC10C, 0xe67c_576c_f165_4e64),
-            (Variant::Cubic, 1, 0x848e_dc71_e53f_de7e),
-            (Variant::Cubic, 0xC10C, 0x58b4_263b_eb64_be64),
+            (Variant::Tdtcp, 1, 0x5e94_9312_7e38_1a49),
+            (Variant::Tdtcp, 0xC10C, 0xa612_13e5_00d6_eec0),
+            (Variant::Cubic, 1, 0x174d_bd5a_892b_93d5),
+            (Variant::Cubic, 0xC10C, 0x0f86_2810_f254_cec8),
         ],
     ),
 ];
@@ -333,7 +345,7 @@ fn every_plane_armed_at_once_is_pinned() {
     assert!(res.clock.total() > 0, "clock plane never fired");
     let digest = res.stats_digest();
     assert_eq!(digest, run_edited(Variant::Tdtcp, 1, armed), "armed run diverged");
-    assert_eq!(digest, 0xf145_f908_e789_7eae, "every plane armed: got {digest:#018x}");
+    assert_eq!(digest, 0x345e_cd86_9539_92a7, "every plane armed: got {digest:#018x}");
 }
 
 #[test]
@@ -346,13 +358,14 @@ fn inert_clock_plan_leaves_clean_digest_unchanged() {
     assert_inert("clock", |n| n.clock = rdcn::ClockPlan::none());
 }
 
-/// PR 9's intra-run parallelism contract: a chaotic multirack run —
+/// The intra-run parallelism contract: a chaotic multirack run —
 /// notification faults, data-path impairments, and clock skew all armed
 /// at once — produces **bit-identical** results under the sharded
-/// engine at workers 1, 2 and 4. The digest folds every stats counter,
-/// the FCT multiset, and the per-rack fault/impair/clock log digests in
-/// fixed rack order, so any worker-count-dependent reordering anywhere
-/// in the engine would surface here.
+/// engine at workers 1, 2 and 4. The digest folds every host's stats,
+/// completion and error, and each rack's VOQ counters, events and
+/// fault/impair/clock books, in fixed rack order, so any
+/// worker-count-dependent reordering anywhere in the engine would
+/// surface here.
 #[test]
 fn sharded_chaos_run_is_worker_count_invariant() {
     fn chaotic_cfg() -> rdcn::ShardConfig {

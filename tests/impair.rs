@@ -143,8 +143,8 @@ fn eps_burst_corruption_is_detected_at_receivers() {
 fn impairments_fold_into_stats_digest() {
     let a = run_tdtcp(headline_plan(), u64::MAX);
     let b = run_tdtcp(headline_plan(), u64::MAX);
+    assert!(a.impairments.total() > 0, "the armed plan applied nothing");
     assert_eq!(a.stats_digest(), b.stats_digest());
-    assert_eq!(a.impair_log_digest, b.impair_log_digest);
     let clean = run_tdtcp(ImpairPlan::none(), u64::MAX);
     assert_ne!(
         a.stats_digest(),

@@ -7,12 +7,14 @@
 //! shallower queue, day records, drops under a tiny VOQ).
 
 use bench::{Variant, Workload, ALL_VARIANTS};
-use rdcn::{analytic, Emulator, NetConfig, RunResult};
+use rdcn::{analytic, Emulator, EndpointFactory, NetConfig, RunResult};
 use simcore::{SimDuration, SimTime};
+use std::cell::Cell;
+use std::rc::Rc;
 use tcp::cc::{CcConfig, Cubic};
 use tcp::{FlowId, Segment, Transport};
 use tdtcp::{TdtcpConfig, TdtcpConnection};
-use tdtcp_repro::harness::{Peer, FLOW};
+use tdtcp_repro::harness::{Observer, Peer, Tap, FLOW};
 use wire::TdnId;
 
 /// Every variant moves every byte of a finite transfer, exactly once.
@@ -400,13 +402,35 @@ fn mptcp_bulk_transfer_completes() {
     assert_eq!(res.receiver_stats[0].bytes_delivered, 1_000_000);
 }
 
+/// Payload segments a sender put out, per pin: `[TDN 0, TDN 1, unpinned]`.
+struct PerPin(Rc<Cell<[u64; 3]>>);
+
+impl Observer for PerPin {
+    fn segment_out(&mut self, _now: SimTime, seg: &Segment) {
+        if seg.len > 0 {
+            let mut n = self.0.get();
+            n[seg.pin.map_or(2, |t| usize::from(t.0).min(2))] += 1;
+            self.0.set(n);
+        }
+    }
+}
+
+/// Both subflows carry payload: the sender, tapped at the `Transport`
+/// seam, puts data segments on the packet network (TDN 0) and on the
+/// circuit (TDN 1), and no data goes out unpinned.
 #[test]
 fn mptcp_both_subflows_carry_data() {
-    let mut emu = Emulator::new(NetConfig::paper_baseline(), 1, Variant::Mptcp.factory(u64::MAX));
-    emu.set_sample_interval(SimDuration::from_micros(2));
-    let res = emu.run(SimTime::from_millis(10));
-    // Two subflow windows reported once both subflows are connected.
-    assert_eq!(res.final_cwnds[0].len(), 2, "{:?}", res.final_cwnds);
+    let sent = Rc::new(Cell::new([0u64; 3]));
+    let counts = Rc::clone(&sent);
+    let factory: EndpointFactory = Box::new(move |i| {
+        let (host, r) = Variant::Mptcp.endpoints(i, u64::MAX, None, SimTime::ZERO);
+        let observer = PerPin(Rc::clone(&counts));
+        (Box::new(Tap { host, observer }) as Box<dyn Transport>, r as Box<dyn Transport>)
+    });
+    let res = Emulator::new(NetConfig::paper_baseline(), 1, factory).run(SimTime::from_millis(10));
+    let [tdn0, tdn1, unpinned] = sent.get();
+    assert!(tdn0 > 0 && tdn1 > 0, "payload segments: TDN 0 {tdn0}, TDN 1 {tdn1}");
+    assert_eq!(unpinned, 0, "MPTCP pins every payload segment to a subflow's TDN");
     assert!(res.sender_stats[0].bytes_acked > 0);
     // Switch notifications reached the scheduler.
     assert!(res.sender_stats[0].tdn_switches > 0);

@@ -10,10 +10,11 @@
 //! plus the notification model's worst-case latency draws nothing.
 //!
 //! *Observer.* Sampling reads the run and never feeds it: the same run
-//! sampled every 2 µs, 7 µs or 100 µs, or not observed at all, ends in
-//! bit-identical simulation state, on every paper variant, clean or
-//! under all three chaos planes, with simultaneous or staggered starts.
-//! The unobserved run records none of the five observation fields.
+//! sampled every 2 µs, 7 µs or 100 µs, or not observed at all, has one
+//! `stats_digest` — the whole run's simulation state, which no
+//! observation field enters — on every paper variant, clean or under
+//! all three chaos planes, with simultaneous or staggered starts. The
+//! unobserved run records none of the three observation fields.
 //!
 //! *Wire.* Every segment a host sends or receives survives the byte
 //! encoding of Fig. 5: `Segment::from_wire(to_wire(s))` equals `s` on
@@ -112,21 +113,6 @@ fn armed(net: &mut NetConfig) {
     };
 }
 
-/// `a` and `b` end in the same simulation state: everything a run
-/// computes except its observation series.
-fn same_state(a: &RunResult, b: &RunResult) -> Result<(), String> {
-    tk_assert_eq!(a.sender_stats, b.sender_stats);
-    tk_assert_eq!(a.receiver_stats, b.receiver_stats);
-    tk_assert_eq!(a.completions, b.completions);
-    tk_assert_eq!(a.conn_errors, b.conn_errors);
-    tk_assert_eq!((a.drops_ab, a.drops_ba, a.ce_marks_ab), (b.drops_ab, b.drops_ba, b.ce_marks_ab));
-    tk_assert_eq!((a.events, a.duration), (b.events, b.duration));
-    tk_assert_eq!((a.faults, a.fault_log_digest), (b.faults, b.fault_log_digest));
-    tk_assert_eq!((a.impairments, a.impair_log_digest), (b.impairments, b.impair_log_digest));
-    tk_assert_eq!((a.clock, a.clock_log_digest), (b.clock, b.clock_log_digest));
-    Ok(())
-}
-
 /// The five variants of the paper's evaluation.
 const PAPER_VARIANTS: [Variant; 5] =
     [Variant::Tdtcp, Variant::Cubic, Variant::Mptcp, Variant::ReTcpDyn, Variant::Dctcp];
@@ -188,13 +174,12 @@ testkit::props! {
         let reference = sampled(Some(2));
         tk_assert!(!reference.seq_series.is_empty(), "a sampled run kept no samples");
         for us in [7, 100] {
-            same_state(&reference, &sampled(Some(us)))?;
+            tk_assert_eq!(reference.stats_digest(), sampled(Some(us)).stats_digest());
         }
         let quiet = sampled(None);
-        same_state(&reference, &quiet)?;
+        tk_assert_eq!(reference.stats_digest(), quiet.stats_digest());
         tk_assert!(quiet.seq_series.is_empty() && quiet.day_records.is_empty());
-        tk_assert!(quiet.voq_ab.is_empty() && quiet.voq_ba.is_empty());
-        tk_assert!(quiet.final_cwnds.iter().all(Vec::is_empty));
+        tk_assert!(quiet.voq_ab.is_empty());
     }
 }
 

@@ -1,17 +1,16 @@
 //! Multi-rack fabric tests: the demand-oblivious rotor serves every rack
 //! pair, the hybrid semantics hold (EPS always on, circuits accelerate),
 //! TDTCP exploits the circuits across many pairs, the two-rack door and
-//! the N-rack door run one loop, and runs are deterministic — across
-//! reruns and across worker counts. Every run here is `workers = 1`
-//! unless it says otherwise.
+//! the N-rack door run one loop to one digest, and runs are
+//! deterministic — across reruns and across worker counts. Every run
+//! here is `workers = 1` unless it says otherwise.
 
 use bench::Variant;
 use rdcn::{
-    ClockPlan, Emulator, EpsBurst, ImpairPlan, MultiRackConfig, NetConfig, PairFlow, Schedule,
+    ClockPlan, Emulator, EpsBurst, FaultPlan, ImpairPlan, MultiRackConfig, NetConfig, PairFlow,
     ShardConfig, ShardResult, ShardedEmulator, SlotEdgePolicy,
 };
 use simcore::{SimDuration, SimTime};
-use testkit::Counters;
 
 fn all_pairs(n: usize) -> Vec<PairFlow> {
     let mut v = Vec::new();
@@ -155,8 +154,8 @@ fn chaos_paths_are_worker_count_invariant() {
     // depend on the worker count. It is pinned, so the N-rack fold of
     // every plane's counters and log is held too.
     for (policy, pin) in [
-        (SlotEdgePolicy::Defer, 0xabcc_5fa5_7942_71d3),
-        (SlotEdgePolicy::Drop, 0xe942_b0ee_98ac_d85c),
+        (SlotEdgePolicy::Defer, 0x7d84_9e67_a5d5_3208),
+        (SlotEdgePolicy::Drop, 0x6ed6_40a9_6e29_0609),
     ] {
         let run = |workers: usize| {
             let mut net = MultiRackConfig::paper_8rack();
@@ -204,44 +203,106 @@ fn chaos_paths_are_worker_count_invariant() {
     }
 }
 
-/// The paper's two-rack week on this engine: N = 2 over
-/// `Schedule::hybrid_6to1` (six packet days, then one circuit day), 16
-/// bulk flows from rack 0 to rack 1.
-fn two_rack_week(variant: Variant, until_ms: u64, workers: usize) -> ShardResult {
-    let cfg = MultiRackConfig {
-        racks: 2,
-        schedule: Schedule::hybrid_6to1(),
-        ..MultiRackConfig::paper_8rack()
-    };
-    let flows = vec![PairFlow { src: 0, dst: 1 }; 16];
-    run(cfg, flows, variant, u64::MAX, until_ms, workers)
+/// The two-rack door's network as the N-rack door's config: N = 2, TDN 0
+/// the packet network and TDN 1 the circuit, the same week, VOQ,
+/// notification model, seed, chaos plans and guard band. `ShardConfig`
+/// has no circuit marking and no VOQ resizing, so reTCP and retcpdyn
+/// have no N-rack twin.
+fn as_fabric(net: &NetConfig) -> ShardConfig {
+    assert!(!net.circuit_marking && !net.retcpdyn, "no N-rack twin");
+    ShardConfig {
+        net: MultiRackConfig {
+            racks: 2,
+            packet: net.tdns[0],
+            circuit: net.tdns[1],
+            schedule: net.schedule.clone(),
+            voq: net.voq,
+            notify: net.notify,
+            host_rate_bps: net.host_rate_bps,
+            seed: net.seed,
+        },
+        faults: net.faults.clone(),
+        impair: net.impair.clone(),
+        clock: net.clock.clone(),
+        guard_band: net.guard_band,
+    }
 }
 
-/// The two doors drive one loop: `ShardedEmulator` at N = 2 over
-/// `Schedule::hybrid_6to1` and `Emulator` over
-/// `NetConfig::paper_baseline()` — the same seed, VOQ, notification
-/// model and endpoints — end every flow with the same `ConnStats`.
+/// `flows` bulk `variant` flows from rack 0 to rack 1 over `net`, through
+/// the N-rack door at `workers` workers.
+fn pair_run(
+    net: &NetConfig,
+    variant: Variant,
+    flows: usize,
+    until: SimTime,
+    workers: usize,
+) -> ShardResult {
+    ShardedEmulator::new(as_fabric(net), vec![PairFlow { src: 0, dst: 1 }; flows], |i, _| {
+        variant.endpoints(i, u64::MAX, None, SimTime::ZERO)
+    })
+    .run(until, workers)
+}
+
+/// The two doors drive one loop and fold one digest: `Emulator` over
+/// `NetConfig::paper_baseline()` and `ShardedEmulator` at N = 2 over the
+/// same network, at 1 and 2 workers, end in the same `stats_digest` — on
+/// TDTCP, CUBIC, DCTCP and MPTCP, clean and with all three chaos planes
+/// armed.
 #[test]
 fn the_two_doors_drive_one_loop() {
-    let sharded = two_rack_week(Variant::Tdtcp, 10, 1);
-    let mut net = NetConfig::paper_baseline();
-    Variant::Tdtcp.apply_net_config(&mut net);
-    let two_rack =
-        Emulator::new(net, 16, Variant::Tdtcp.factory(u64::MAX)).run(SimTime::from_millis(10));
-    let senders = sharded.sender_stats.iter().zip(&two_rack.sender_stats);
-    let receivers = sharded.receiver_stats.iter().zip(&two_rack.receiver_stats);
-    for (i, (s, e)) in senders.chain(receivers).enumerate() {
-        assert!(s.tdn_switches > 0, "host {i} never switched");
-        assert_eq!(s.digest(), e.digest(), "host {i} (senders first)");
+    const FLOWS: usize = 8;
+    let until = SimTime::from_millis(6);
+    for variant in [Variant::Tdtcp, Variant::Cubic, Variant::Dctcp, Variant::Mptcp] {
+        for chaos in [false, true] {
+            let mut net = NetConfig::paper_baseline();
+            variant.apply_net_config(&mut net);
+            if chaos {
+                net.faults = FaultPlan::notification_loss(0.05);
+                net.impair = ImpairPlan {
+                    loss_rate: 0.01,
+                    reorder_rate: 0.05,
+                    reorder_delay: SimDuration::from_micros(150),
+                    duplicate_rate: 0.01,
+                    corrupt_rate: 0.002,
+                };
+                net.clock = ClockPlan {
+                    offset_bound: SimDuration::from_micros(120),
+                    drift_ppm: 200.0,
+                    jitter: SimDuration::from_nanos(500),
+                    resync_interval: SimDuration::from_millis(1),
+                    resync_error: SimDuration::from_micros(2),
+                    ..ClockPlan::default()
+                };
+            }
+            let two_rack = Emulator::new(net.clone(), FLOWS, variant.factory(u64::MAX)).run(until);
+            if variant == Variant::Tdtcp {
+                let hosts = two_rack.sender_stats.iter().chain(&two_rack.receiver_stats);
+                for (i, s) in hosts.enumerate() {
+                    assert!(s.tdn_switches > 0, "chaos {chaos}: host {i} never switched");
+                }
+            }
+            if chaos {
+                let r = &two_rack;
+                let fired = [r.faults.total(), r.impairments.total(), r.clock.total()];
+                assert!(fired.iter().all(|&n| n > 0), "{variant:?}: a plane is silent: {fired:?}");
+            }
+            for workers in [1, 2] {
+                assert_eq!(
+                    pair_run(&net, variant, FLOWS, until, workers).stats_digest(),
+                    two_rack.stats_digest(),
+                    "{variant:?}, chaos {chaos}, workers={workers}"
+                );
+            }
+        }
     }
-    // The run does not depend on the worker count, and
-    // `tests/integration.rs::headline_ordering`'s margin holds.
-    assert_eq!(
-        two_rack_week(Variant::Tdtcp, 10, 2).stats_digest(),
-        sharded.stats_digest()
-    );
-    let tdtcp = two_rack_week(Variant::Tdtcp, 25, 1).total_acked() as f64;
-    let cubic = two_rack_week(Variant::Cubic, 25, 1).total_acked() as f64;
+    // `tests/integration.rs::headline_ordering`'s margin holds on the
+    // N-rack door too.
+    let acked = |variant: Variant| {
+        let mut net = NetConfig::paper_baseline();
+        variant.apply_net_config(&mut net);
+        pair_run(&net, variant, 16, SimTime::from_millis(25), 1).total_acked() as f64
+    };
+    let (tdtcp, cubic) = (acked(Variant::Tdtcp), acked(Variant::Cubic));
     assert!(
         tdtcp > cubic * 1.08,
         "tdtcp {tdtcp:.0} must clearly beat cubic {cubic:.0}"
@@ -269,11 +330,15 @@ fn fabric16(workers: usize) -> ShardResult {
 #[test]
 fn fabric16_digest_is_pinned_at_every_worker_count() {
     // The window protocol may change, the simulated result may not. It
-    // moved once (from 0x3e82_3511_d799_fd67) when a segment came to hold
-    // its VOQ slot until it launches, on every week. 3, 4, 8 and 32
-    // workers oversubscribe a 2-CPU host (32 > racks clamps to 16) and
-    // must park, not spin: each finishes within 3× the two-worker wall
-    // time.
+    // moved twice: from 0x3e82_3511_d799_fd67 when a segment came to hold
+    // its VOQ slot until it launches, on every week, and from
+    // 0x7116_49c7_7878_36a2 when both doors came to share one digest
+    // fold. 3, 4, 8 and 32 workers oversubscribe a 2-CPU host (32 > racks
+    // clamps to 16) and must park, not spin: each finishes within 3× the
+    // two-worker wall time. A loaded host can slow one run, so a miss
+    // re-times both sides, up to twice more; only a miss on every attempt
+    // fails, and a waiter that spins slows every attempt.
+    const PIN: u64 = 0x9c75_d724_9eb3_1334;
     let timed = |workers: usize| {
         #[expect(
             clippy::disallowed_methods,
@@ -281,18 +346,22 @@ fn fabric16_digest_is_pinned_at_every_worker_count() {
         )]
         let t0 = std::time::Instant::now();
         let digest = fabric16(workers).stats_digest();
-        (digest, t0.elapsed())
+        assert_eq!(digest, PIN, "workers={workers}");
+        t0.elapsed()
     };
-    assert_eq!(timed(1).0, 0x7116_49c7_7878_36a2, "workers=1");
-    let (d2, wall2) = timed(2);
-    assert_eq!(d2, 0x7116_49c7_7878_36a2, "workers=2");
+    timed(1);
+    let mut wall2 = timed(2);
     for workers in [3, 4, 8, 32] {
-        let (d, wall) = timed(workers);
-        assert_eq!(d, 0x7116_49c7_7878_36a2, "workers={workers}");
-        assert!(
-            wall < 3 * wall2,
-            "workers={workers} took {wall:?}, workers=2 took {wall2:?}"
-        );
+        let mut misses = Vec::new();
+        loop {
+            let wall = timed(workers);
+            if wall < 3 * wall2 {
+                break;
+            }
+            misses.push(format!("workers={workers} took {wall:?}, workers=2 took {wall2:?}"));
+            assert!(misses.len() < 3, "every attempt missed the 3× bound: {misses:?}");
+            wall2 = timed(2);
+        }
     }
 }
 

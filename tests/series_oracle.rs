@@ -33,7 +33,8 @@ impl Reference {
         }
     }
 
-    /// The series digest framing `RunResult::stats_digest` uses.
+    /// The series digest framing `TimeSeries::write_digest` uses (the
+    /// pinned series of `tests/liveset.rs`).
     fn digest(&self) -> u64 {
         let mut d = Digest::new();
         d.write_usize(self.points.len());
