@@ -46,9 +46,9 @@ fn summarize(label: &str, mut cdf: Cdf) -> DayCdf {
     DayCdf {
         label: label.to_string(),
         frac_zero: cdf.fraction_le(0.0),
-        p50: cdf.percentile(50.0).unwrap_or(0.0),
-        p90: cdf.percentile(90.0).unwrap_or(0.0),
-        p99: cdf.percentile(99.0).unwrap_or(0.0),
+        p50: cdf.percentile(500).unwrap_or(0.0),
+        p90: cdf.percentile(900).unwrap_or(0.0),
+        p99: cdf.percentile(990).unwrap_or(0.0),
         max: cdf.max().unwrap_or(0.0),
         steps: cdf.steps(),
     }

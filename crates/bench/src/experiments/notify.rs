@@ -57,7 +57,7 @@ pub fn run(n: usize, flows: usize) -> NotifyBench {
             for _ in 0..n {
                 c.add(pick(&model.sample(&mut rng, idx)) as f64);
             }
-            (c.percentile(50.0).unwrap(), c.percentile(99.0).unwrap())
+            (c.percentile(500).unwrap(), c.percentile(990).unwrap())
         };
 
     let on = NotifyConfig::optimized();

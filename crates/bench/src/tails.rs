@@ -34,6 +34,7 @@
 
 use crate::variants::{watchdog_for, Variant};
 use rdcn::{Emulator, FlowSpec, NetConfig, RunResult};
+use simcore::stats::nearest_rank;
 use simcore::{DetRng, SimDuration, SimTime};
 use tcp::Transport;
 use testkit::Digest;
@@ -372,21 +373,13 @@ impl FctOracle {
         self.samples.is_empty()
     }
 
-    /// Nearest-rank index for `permille` of `n` samples: the smallest
-    /// index covering at least `permille`/1000 of the mass.
-    fn rank_index(n: usize, permille: u32) -> usize {
-        assert!(permille <= 1000, "permille {permille} out of range");
-        let rank = (permille as u64 * n as u64).div_ceil(1000) as usize;
-        rank.max(1).min(n) - 1
-    }
-
     /// The `permille`-th permille (`p50` = 500, `p999` = 999) by exact
     /// nearest-rank selection. `None` when empty.
     pub fn percentile_permille(&mut self, permille: u32) -> Option<u64> {
         if self.samples.is_empty() {
             return None;
         }
-        let idx = Self::rank_index(self.samples.len(), permille);
+        let idx = nearest_rank(self.samples.len(), permille);
         let (_, v, _) = self.samples.select_nth_unstable(idx);
         Some(*v)
     }
@@ -415,7 +408,7 @@ impl FctOracle {
         }
         let mut sorted = samples.to_vec();
         sorted.sort_unstable();
-        Some(sorted[Self::rank_index(sorted.len(), permille)])
+        Some(sorted[nearest_rank(sorted.len(), permille)])
     }
 }
 

@@ -420,7 +420,9 @@ impl Transport for MptcpConnection {
                         });
                     }
                 }
-                if seg.flags.ack && self.role == Role::Receiver {
+                // RFC 8684 carries no DSS on a SYN: the listener's
+                // SYN-ACK goes out without a DATA_ACK.
+                if seg.flags.ack && !seg.flags.syn && self.role == Role::Receiver {
                     seg.data_ack = Some(data_ack);
                     seg.sack.truncate(SACK_BLOCKS_BESIDE_DATA_ACK);
                 }

@@ -197,7 +197,7 @@ mod tests {
         for _ in 0..n {
             c.add(model.sample(&mut rng, flow_idx).construction.as_nanos() as f64);
         }
-        (c.percentile(50.0).unwrap(), c.percentile(99.0).unwrap())
+        (c.percentile(500).unwrap(), c.percentile(990).unwrap())
     }
 
     #[test]

@@ -52,7 +52,7 @@ use crate::notify::{NotifyConfig, NotifyModel};
 use crate::pool::{SegPool, SegRef, NIL};
 use crate::schedule::{is_circuit, rotor, Schedule};
 use crate::voq::{Voq, VoqConfig};
-use simcore::{par, DefaultQueue, DetRng, SimDuration, SimTime, TimeSeries};
+use simcore::{par, DetRng, SimDuration, SimTime, TimeSeries, TimerWheel};
 use std::marker::PhantomData;
 use std::ops::DerefMut;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -278,7 +278,7 @@ struct Track {
 struct RackShard<H> {
     r: usize,
     racks: usize,
-    q: DefaultQueue<REv>,
+    q: TimerWheel<REv>,
     rng: DetRng,
     notify_model: NotifyModel,
     faults: FaultInjector,
@@ -725,7 +725,7 @@ impl<'a, H: DerefMut<Target: Transport>> ShardedEmulator<'a, H> {
                 Mutex::new(RackShard {
                     r,
                     racks,
-                    q: DefaultQueue::new(),
+                    q: TimerWheel::new(),
                     faults: FaultInjector::new(net.faults.clone(), rng.fork(FAULT_STREAM_LABEL)),
                     impair: ImpairInjector::new(net.impair.clone(), rng.fork(IMPAIR_STREAM_LABEL)),
                     clock: ClockInjector::new(net.clock.clone(), rng.fork(CLOCK_STREAM_LABEL)),
@@ -1936,7 +1936,7 @@ mod tests {
         // wheel node within one 64-byte line (ROADMAP 4a); the segment
         // itself is in the pool, whatever it weighs.
         assert!(std::mem::size_of::<REv>() <= 40);
-        assert!(DefaultQueue::<REv>::node_bytes() <= 64);
+        assert!(TimerWheel::<REv>::node_bytes() <= 64);
         assert_eq!(std::mem::size_of::<Segment>(), 120);
     }
 }

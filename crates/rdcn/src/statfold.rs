@@ -3,7 +3,7 @@
 //! Every chaos plane ([`crate::faults`], [`crate::impair`],
 //! [`crate::clock`]) keeps the same [`Books`]: a block of monotone
 //! counters folded into `RunResult::stats_digest`, and a capped log of
-//! applied events. [`Books::record`] enters one applied event in both,
+//! applied events. `Books::record` enters one applied event in both,
 //! so it is each plane's one emission seam, and [`Books::digest`] folds
 //! the log length, every event and the counters into one value.
 

@@ -82,8 +82,6 @@ pub struct Voq<T = Segment> {
     traced: bool,
     /// Tail drops.
     pub drops: u64,
-    /// Total enqueues accepted.
-    pub enqueued: u64,
     /// CE marks applied.
     pub ce_marks: u64,
 }
@@ -106,13 +104,12 @@ impl<T: VoqItem> Voq<T> {
             series: TimeSeries::new(name),
             traced: true,
             drops: 0,
-            enqueued: 0,
             ce_marks: 0,
         }
     }
 
-    /// New VOQ that keeps all counters (drops and CE marks, which the
-    /// run digest folds, and enqueues) but records no occupancy trace. Queue
+    /// New VOQ that keeps both counters (drops and CE marks, which the
+    /// run digest folds) but records no occupancy trace. Queue
     /// *behaviour* is identical to [`Voq::new`]; only the `series()`
     /// observation is absent.
     pub fn untraced(cfg: VoqConfig) -> Self {
@@ -177,7 +174,6 @@ impl<T: VoqItem> Voq<T> {
             self.pinned_total += 1;
         }
         self.q.push_back(seg);
-        self.enqueued += 1;
         if self.traced {
             self.series.push(now, self.q.len() as f64);
         }
@@ -309,7 +305,7 @@ mod tests {
         assert!(v.enqueue(t(0), seg(None, false)));
         assert!(v.enqueue(t(0), seg(None, false)));
         assert!(!v.enqueue(t(0), seg(None, false)), "third is dropped");
-        assert_eq!((v.drops, v.enqueued), (1, 2));
+        assert_eq!((v.drops, v.len()), (1, 2));
 
         // ECN marking at or above the threshold.
         let mut v = capped(16, Some(2));
@@ -373,7 +369,7 @@ mod tests {
         let occupancy: Vec<f64> = v.series().points().map(|(_, n)| n).collect();
         assert_eq!(occupancy, [1.0, 2.0, 1.0]);
         assert!(quiet.series().is_empty());
-        assert_eq!((quiet.len(), quiet.enqueued), (1, 2));
+        assert_eq!((quiet.len(), quiet.drops), (1, 0), "both accepted, one served");
     }
 
     #[test]

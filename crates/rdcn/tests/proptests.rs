@@ -89,6 +89,7 @@ testkit::props! {
     ) {
         let (ops, cap) = input;
         let mut v = Voq::new("p", VoqConfig { cap_pkts: cap, ecn_threshold: None });
+        let mut offered = 0u64;
         let mut accepted = 0u64;
         let mut dequeued = 0u64;
         let mut seq_counter = 0u32;
@@ -105,6 +106,7 @@ testkit::props! {
                     s.seq = tcp::SeqNum(seq_counter);
                     seq_counter += 1;
                     s.pin = (op == 1).then_some(TdnId(tdn));
+                    offered += 1;
                     if v.enqueue(now, s) {
                         accepted += 1;
                     }
@@ -123,7 +125,7 @@ testkit::props! {
             }
             tk_assert!(v.len() as u64 == accepted - dequeued);
         }
-        tk_assert_eq!(v.enqueued, accepted);
+        tk_assert_eq!(v.drops, offered - accepted);
     }
 
     // The analytic optimal curve is monotone and bounded by the fastest

@@ -1,82 +1,26 @@
-//! Deterministic discrete-event queue.
+//! The reference event queue: a `BTreeMap` keyed on `(time, seq)`.
 //!
-//! The queue is a binary heap keyed on `(time, seq)` where `seq` is a
-//! monotonically increasing insertion counter. The counter makes the pop
-//! order total: two events scheduled for the same instant are delivered in
-//! the order they were scheduled. This is what makes whole-simulation runs
-//! reproducible bit-for-bit from a seed, which the test suite relies on.
-//!
-//! Layout: heap entries are small fixed-size `{time, seq, slot}` keys;
-//! payloads live in a slab (`Vec<Slot<E>>` plus a free list) addressed by
-//! `slot`. Sift operations therefore move 24-byte keys instead of full
-//! payloads (an `rdcn` event embeds a >100-byte `Segment`), and liveness/
-//! cancellation checks are an array index into the slab rather than hash
-//! lookups — the old implementation maintained two `HashSet<u64>`s and
-//! paid an insert+remove per event. Each heap entry owns exactly one slab
-//! slot, so a slot is recycled only when its entry pops; cancellation
-//! stays lazy (mark the slot, discard the entry when it surfaces) but no
-//! longer allocates.
+//! `seq` is a monotonically increasing insertion counter, so the pop
+//! order is total: two events scheduled for the same instant are
+//! delivered in the order they were scheduled. That order is the whole
+//! contract of an event queue here, and it is what makes a run
+//! reproducible bit-for-bit from a seed. The engine runs on
+//! [`crate::TimerWheel`]; this queue states the contract in the fewest
+//! lines, and root `tests/queue_oracle.rs` holds the wheel to it.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 
-/// Opaque handle identifying a scheduled event, usable for cancellation.
-///
-/// The `seq` disambiguates reuse: slots are recycled after an event fires
-/// or its cancelled entry is collected, and a stale id whose slot now
-/// holds a different event fails the seq match instead of cancelling it.
+/// Handle identifying a scheduled event, usable for cancellation: the
+/// event's own `(time, seq)` key. `seq` is never reused, so cancelling
+/// an id that has fired or been cancelled finds nothing to remove.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId {
-    slot: u32,
-    seq: u64,
-}
+pub struct EventId((SimTime, u64));
 
-/// Heap key: 24 bytes regardless of payload size, so sift-up/down during
-/// push/pop moves small fixed entries.
-struct Entry {
-    time: SimTime,
-    seq: u64,
-    slot: u32,
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Entry {}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-enum Slot<E> {
-    /// On the free list, available for the next `schedule`.
-    Vacant,
-    /// Scheduled and not yet fired or cancelled.
-    Live { seq: u64, payload: E },
-    /// Cancelled while live; freed when its heap entry surfaces.
-    Cancelled,
-}
-
-/// A min-queue of timestamped events with deterministic FIFO tie-breaking
-/// and lazy cancellation.
+/// A min-queue of timestamped events with deterministic FIFO
+/// tie-breaking and cancellation.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry>,
-    slots: Vec<Slot<E>>,
-    free: Vec<u32>,
+    events: BTreeMap<(SimTime, u64), E>,
     next_seq: u64,
     now: SimTime,
     popped: u64,
@@ -92,9 +36,7 @@ impl<E> EventQueue<E> {
     /// Create an empty queue with the clock at zero.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
+            events: BTreeMap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
             popped: 0,
@@ -107,7 +49,7 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of events popped so far (a cheap progress/perf counter).
+    /// Number of events popped so far.
     pub fn events_processed(&self) -> u64 {
         self.popped
     }
@@ -123,271 +65,194 @@ impl<E> EventQueue<E> {
             "scheduled event at {time} but clock is already at {}",
             self.now
         );
-        let seq = self.next_seq;
+        let key = (time, self.next_seq);
         self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                debug_assert!(matches!(self.slots[slot as usize], Slot::Vacant));
-                self.slots[slot as usize] = Slot::Live { seq, payload };
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slots.len()).expect("more than u32::MAX live events");
-                self.slots.push(Slot::Live { seq, payload });
-                slot
-            }
-        };
-        self.heap.push(Entry { time, seq, slot });
-        EventId { slot, seq }
+        self.events.insert(key, payload);
+        EventId(key)
     }
 
-    /// Cancel a previously scheduled event. Returns `true` if the event had
-    /// not yet fired (or been cancelled). Cancellation is lazy: the entry
-    /// stays in the heap and is discarded when popped.
+    /// Cancel a scheduled event. Returns `true` if it had neither fired
+    /// nor been cancelled.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        match self.slots.get_mut(id.slot as usize) {
-            Some(s @ Slot::Live { .. }) => {
-                let live_seq = match s {
-                    Slot::Live { seq, .. } => *seq,
-                    _ => unreachable!(),
-                };
-                if live_seq == id.seq {
-                    *s = Slot::Cancelled;
-                    true
-                } else {
-                    false
-                }
-            }
-            _ => false,
-        }
+        self.events.remove(&id.0).is_some()
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            match std::mem::replace(&mut self.slots[entry.slot as usize], Slot::Vacant) {
-                Slot::Cancelled => {
-                    self.free.push(entry.slot);
-                }
-                Slot::Live { seq, payload } => {
-                    debug_assert_eq!(seq, entry.seq, "slot/entry pairing broken");
-                    debug_assert!(entry.time >= self.now, "event queue went backwards");
-                    self.free.push(entry.slot);
-                    self.now = entry.time;
-                    self.popped += 1;
-                    return Some((entry.time, payload));
-                }
-                Slot::Vacant => unreachable!("heap entry pointed at a vacant slot"),
-            }
-        }
-        None
+        let ((time, _), payload) = self.events.pop_first()?;
+        self.now = time;
+        self.popped += 1;
+        Some((time, payload))
     }
 
-    /// Pop the next live event strictly before `limit`, or `None` when
-    /// the queue is empty or its next live event is at or past `limit`.
-    /// One root inspection instead of a `peek_time` + `pop` pair — the
-    /// windowed shard loop calls this once per event.
+    /// Pop the next event strictly before `limit`, or `None` when the
+    /// queue is empty or its next event is at or past `limit`.
     pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        loop {
-            let entry = self.heap.peek()?;
-            if entry.time >= limit {
-                // Heap order: every live event is at or past `limit`
-                // too (a cancelled root is collected lazily later).
-                return None;
-            }
-            let entry = self.heap.pop().expect("peeked entry vanished");
-            match std::mem::replace(&mut self.slots[entry.slot as usize], Slot::Vacant) {
-                Slot::Cancelled => {
-                    self.free.push(entry.slot);
-                }
-                Slot::Live { seq, payload } => {
-                    debug_assert_eq!(seq, entry.seq, "slot/entry pairing broken");
-                    debug_assert!(entry.time >= self.now, "event queue went backwards");
-                    self.free.push(entry.slot);
-                    self.now = entry.time;
-                    self.popped += 1;
-                    return Some((entry.time, payload));
-                }
-                Slot::Vacant => unreachable!("heap entry pointed at a vacant slot"),
-            }
+        if self.peek_time()? >= limit {
+            return None;
         }
+        self.pop()
     }
 
-    /// Timestamp of the next live event without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Drain dead entries off the top so the peek is accurate.
-        while let Some(entry) = self.heap.peek() {
-            if matches!(self.slots[entry.slot as usize], Slot::Cancelled) {
-                let entry = self.heap.pop().expect("peeked entry vanished");
-                self.slots[entry.slot as usize] = Slot::Vacant;
-                self.free.push(entry.slot);
-            } else {
-                return Some(entry.time);
-            }
-        }
-        None
+    /// Timestamp of the next event without popping it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.events.first_key_value().map(|(&(time, _), _)| time)
     }
 
-    /// Whether any live events remain.
-    pub fn is_empty(&mut self) -> bool {
-        self.peek_time().is_none()
-    }
-
-    /// Count of entries including not-yet-collected cancelled ones.
-    pub fn raw_len(&self) -> usize {
-        self.heap.len()
+    /// Whether no events remain.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
     }
 }
+
+/// The queue contract as unit tests, stamped out for this reference and
+/// for [`crate::TimerWheel`], so both queues answer to one list. The
+/// caller has `SimTime` and `SimDuration` in scope.
+#[cfg(test)]
+macro_rules! contract_tests {
+    ($queue:ident) => {
+        #[test]
+        fn pops_in_time_order() {
+            let mut q = $queue::new();
+            q.schedule(SimTime::from_micros(30), "c");
+            q.schedule(SimTime::from_micros(10), "a");
+            q.schedule(SimTime::from_micros(20), "b");
+            assert_eq!(q.pop().unwrap().1, "a");
+            assert_eq!(q.pop().unwrap().1, "b");
+            assert_eq!(q.pop().unwrap().1, "c");
+            assert!(q.pop().is_none());
+        }
+
+        #[test]
+        fn ties_break_fifo() {
+            let mut q = $queue::new();
+            let t = SimTime::from_micros(5);
+            for i in 0..100 {
+                q.schedule(t, i);
+            }
+            for i in 0..100 {
+                assert_eq!(q.pop().unwrap().1, i);
+            }
+        }
+
+        #[test]
+        fn clock_advances_monotonically() {
+            let mut q = $queue::new();
+            q.schedule(SimTime::from_micros(10), ());
+            q.schedule(SimTime::from_micros(10), ());
+            q.schedule(SimTime::from_micros(25), ());
+            let mut last = SimTime::ZERO;
+            while let Some((t, _)) = q.pop() {
+                assert!(t >= last);
+                assert_eq!(q.now(), t);
+                last = t;
+            }
+            assert_eq!(q.events_processed(), 3);
+        }
+
+        #[test]
+        fn cancellation() {
+            let mut q = $queue::new();
+            let a = q.schedule(SimTime::from_micros(1), "a");
+            let b = q.schedule(SimTime::from_micros(2), "b");
+            q.schedule(SimTime::from_micros(3), "c");
+            assert!(q.cancel(b));
+            assert!(!q.cancel(b), "double cancel reports false");
+            assert_eq!(q.pop().unwrap().1, "a");
+            assert_eq!(q.pop().unwrap().1, "c");
+            assert!(!q.cancel(a), "cancel after fire reports false");
+        }
+
+        #[test]
+        fn peek_skips_cancelled() {
+            let mut q = $queue::new();
+            let a = q.schedule(SimTime::from_micros(1), "a");
+            q.schedule(SimTime::from_micros(2), "b");
+            q.cancel(a);
+            assert_eq!(q.peek_time(), Some(SimTime::from_micros(2)));
+            assert!(!q.is_empty());
+            q.pop();
+            assert!(q.is_empty());
+        }
+
+        #[test]
+        fn pop_before_respects_limit() {
+            let mut q = $queue::new();
+            let a = q.schedule(SimTime::from_micros(1), "a");
+            q.schedule(SimTime::from_micros(2), "b");
+            q.schedule(SimTime::from_micros(5), "c");
+            q.cancel(a);
+            // With "a" cancelled, "b" is the first event below the limit.
+            let b = Some((SimTime::from_micros(2), "b"));
+            assert_eq!(q.pop_before(SimTime::from_micros(4)), b);
+            // "c" is at 5 >= 4: untouched, clock stays where the pop left it.
+            assert_eq!(q.pop_before(SimTime::from_micros(4)), None);
+            assert_eq!(q.now(), SimTime::from_micros(2));
+            // Limit is exclusive: an event exactly at the limit stays queued.
+            assert_eq!(q.pop_before(SimTime::from_micros(5)), None);
+            let c = Some((SimTime::from_micros(5), "c"));
+            assert_eq!(q.pop_before(SimTime::from_micros(6)), c);
+            assert_eq!(q.pop_before(SimTime::MAX), None);
+            assert!(q.is_empty());
+        }
+
+        #[test]
+        fn interleaved_schedule_and_pop() {
+            // Simulates the common pattern: handling an event schedules more.
+            let mut q = $queue::new();
+            q.schedule(SimTime::from_micros(1), 0u32);
+            let mut seen = vec![];
+            while let Some((t, k)) = q.pop() {
+                seen.push(k);
+                if k < 5 {
+                    q.schedule(t + SimDuration::from_micros(1), k + 1);
+                }
+            }
+            assert_eq!(seen, vec![0, 1, 2, 3, 4, 5]);
+        }
+
+        #[test]
+        fn stale_id_does_not_cancel_reused_slot() {
+            let mut q = $queue::new();
+            let a = q.schedule(SimTime::from_micros(1), "a");
+            q.pop();
+            // The fired event's id must not cancel a later one (on the wheel,
+            // the newcomer reuses the fired event's node).
+            q.schedule(SimTime::from_micros(2), "b");
+            assert!(!q.cancel(a));
+            assert_eq!(q.pop().unwrap().1, "b");
+        }
+
+        #[test]
+        fn cancelled_slot_reuse_after_collection() {
+            let mut q = $queue::new();
+            let a = q.schedule(SimTime::from_micros(5), "a");
+            q.cancel(a);
+            assert!(q.is_empty());
+            let b = q.schedule(SimTime::from_micros(6), "b");
+            assert!(!q.cancel(a), "stale id after cancellation");
+            assert!(q.cancel(b));
+            assert!(q.pop().is_none());
+        }
+
+        #[test]
+        #[should_panic(expected = "clock is already")]
+        #[cfg(debug_assertions)]
+        fn scheduling_into_past_panics_in_debug() {
+            let mut q = $queue::new();
+            q.schedule(SimTime::from_micros(10), ());
+            q.pop();
+            q.schedule(SimTime::from_micros(5), ());
+        }
+    };
+}
+#[cfg(test)]
+pub(crate) use contract_tests;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::time::SimDuration;
 
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_micros(30), "c");
-        q.schedule(SimTime::from_micros(10), "a");
-        q.schedule(SimTime::from_micros(20), "b");
-        assert_eq!(q.pop().unwrap().1, "a");
-        assert_eq!(q.pop().unwrap().1, "b");
-        assert_eq!(q.pop().unwrap().1, "c");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn ties_break_fifo() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_micros(5);
-        for i in 0..100 {
-            q.schedule(t, i);
-        }
-        for i in 0..100 {
-            assert_eq!(q.pop().unwrap().1, i);
-        }
-    }
-
-    #[test]
-    fn clock_advances_monotonically() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_micros(10), ());
-        q.schedule(SimTime::from_micros(10), ());
-        q.schedule(SimTime::from_micros(25), ());
-        let mut last = SimTime::ZERO;
-        while let Some((t, _)) = q.pop() {
-            assert!(t >= last);
-            assert_eq!(q.now(), t);
-            last = t;
-        }
-        assert_eq!(q.events_processed(), 3);
-    }
-
-    #[test]
-    fn cancellation() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_micros(1), "a");
-        let b = q.schedule(SimTime::from_micros(2), "b");
-        q.schedule(SimTime::from_micros(3), "c");
-        assert!(q.cancel(b));
-        assert!(!q.cancel(b), "double cancel reports false");
-        assert_eq!(q.pop().unwrap().1, "a");
-        assert_eq!(q.pop().unwrap().1, "c");
-        assert!(!q.cancel(a), "cancel after fire reports false");
-    }
-
-    #[test]
-    fn peek_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_micros(1), "a");
-        q.schedule(SimTime::from_micros(2), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(2)));
-        assert!(!q.is_empty());
-        q.pop();
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn pop_before_respects_limit() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_micros(1), "a");
-        q.schedule(SimTime::from_micros(2), "b");
-        q.schedule(SimTime::from_micros(5), "c");
-        q.cancel(a);
-        // Cancelled root below the limit is collected, "b" surfaces.
-        assert_eq!(q.pop_before(SimTime::from_micros(4)), Some((SimTime::from_micros(2), "b")));
-        // "c" is at 5 >= 4: untouched, clock stays where the pop left it.
-        assert_eq!(q.pop_before(SimTime::from_micros(4)), None);
-        assert_eq!(q.now(), SimTime::from_micros(2));
-        // Limit is exclusive: an event exactly at the limit stays queued.
-        assert_eq!(q.pop_before(SimTime::from_micros(5)), None);
-        assert_eq!(q.pop_before(SimTime::from_micros(6)), Some((SimTime::from_micros(5), "c")));
-        assert_eq!(q.pop_before(SimTime::MAX), None);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn interleaved_schedule_and_pop() {
-        // Simulates the common pattern: handling an event schedules more.
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_micros(1), 0u32);
-        let mut seen = vec![];
-        while let Some((t, k)) = q.pop() {
-            seen.push(k);
-            if k < 5 {
-                q.schedule(t + SimDuration::from_micros(1), k + 1);
-            }
-        }
-        assert_eq!(seen, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn slots_are_recycled() {
-        // A schedule/pop steady state must not grow the slab.
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_micros(1), 0u32);
-        let mut pops = 0u32;
-        while let Some((t, k)) = q.pop() {
-            pops += 1;
-            if k < 10_000 {
-                q.schedule(t + SimDuration::from_micros(1), k + 1);
-            }
-        }
-        assert_eq!(pops, 10_001);
-        assert!(q.slots.len() <= 2, "slab grew to {} slots", q.slots.len());
-    }
-
-    #[test]
-    fn stale_id_does_not_cancel_reused_slot() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_micros(1), "a");
-        q.pop();
-        // "b" reuses a's slot; the stale id must not cancel it.
-        q.schedule(SimTime::from_micros(2), "b");
-        assert!(!q.cancel(a));
-        assert_eq!(q.pop().unwrap().1, "b");
-    }
-
-    #[test]
-    fn cancelled_slot_reuse_after_collection() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_micros(5), "a");
-        q.cancel(a);
-        assert!(q.is_empty()); // collects the cancelled entry, freeing the slot
-        let b = q.schedule(SimTime::from_micros(6), "b");
-        assert!(!q.cancel(a), "stale id on recycled slot");
-        assert!(q.cancel(b));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "clock is already")]
-    #[cfg(debug_assertions)]
-    fn scheduling_into_past_panics_in_debug() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_micros(10), ());
-        q.pop();
-        q.schedule(SimTime::from_micros(5), ());
-    }
+    contract_tests!(EventQueue);
 }

@@ -1,7 +1,7 @@
 //! Zero-dependency parallel execution of share-nothing simulation runs.
 //!
 //! Simulation runs are independent per `(variant, seed, horizon)`: each
-//! builds its own [`crate::DefaultQueue`], RNG and endpoints from an
+//! builds its own [`crate::TimerWheel`], RNG and endpoints from an
 //! explicit seed and shares no mutable state with any other run. That
 //! makes sharding trivial *and* bit-deterministic: [`par_map`] executes
 //! one closure per item on a scoped worker pool and collects results in

@@ -1,6 +1,16 @@
 //! Statistics used by the evaluation harness: empirical CDFs and
 //! percentiles (Fig. 10, §5.4 latency breakdowns).
 
+/// Index of the nearest-rank `permille`-th permille (`p50` = 500,
+/// `p999` = 999) among `n ≥ 1` sorted samples: the smallest index whose
+/// rank covers at least `permille`/1000 of the mass. Integer arithmetic,
+/// so no rank moves by a rounding error. Panics past 1000.
+pub fn nearest_rank(n: usize, permille: u32) -> usize {
+    assert!(permille <= 1000, "permille {permille} out of range");
+    let rank = (u64::from(permille) * n as u64).div_ceil(1000) as usize;
+    rank.max(1).min(n) - 1
+}
+
 /// Collects samples and answers percentile / CDF queries.
 ///
 /// Samples are kept unsorted and sorted lazily on query, so insertion is
@@ -43,17 +53,14 @@ impl Cdf {
         }
     }
 
-    /// The p-th percentile (`p` in `[0, 100]`) using nearest-rank.
-    /// Returns `None` when empty.
-    pub fn percentile(&mut self, p: f64) -> Option<f64> {
-        assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
+    /// The `permille`-th permille (`p50` = 500, `p999` = 999) by
+    /// [`nearest_rank`]. Returns `None` when empty.
+    pub fn percentile(&mut self, permille: u32) -> Option<f64> {
         if self.samples.is_empty() {
             return None;
         }
         self.ensure_sorted();
-        let n = self.samples.len();
-        let rank = ((p / 100.0) * n as f64).ceil() as usize;
-        Some(self.samples[rank.saturating_sub(1).min(n - 1)])
+        Some(self.samples[nearest_rank(self.samples.len(), permille)])
     }
 
     /// Minimum sample.
@@ -114,20 +121,32 @@ mod tests {
         for i in 1..=100 {
             c.add(i as f64);
         }
-        assert_eq!(c.percentile(50.0), Some(50.0));
-        assert_eq!(c.percentile(90.0), Some(90.0));
-        assert_eq!(c.percentile(99.0), Some(99.0));
-        assert_eq!(c.percentile(100.0), Some(100.0));
-        assert_eq!(c.percentile(0.0), Some(1.0));
+        assert_eq!(c.percentile(500), Some(50.0));
+        assert_eq!(c.percentile(900), Some(90.0));
+        assert_eq!(c.percentile(990), Some(99.0));
+        assert_eq!(c.percentile(1000), Some(100.0));
+        assert_eq!(c.percentile(0), Some(1.0));
         assert_eq!(c.min(), Some(1.0));
         assert_eq!(c.max(), Some(100.0));
+    }
+
+    /// p99.9 of 1..=1000 is the 999th sample, not the maximum: a rank
+    /// computed as `ceil(0.999 · 1000)` in `f64` lands one past it.
+    #[test]
+    fn p999_of_a_thousand_is_rank_999() {
+        let mut c = Cdf::new();
+        for i in 1..=1000 {
+            c.add(f64::from(i));
+        }
+        assert_eq!(nearest_rank(1000, 999), 998);
+        assert_eq!(c.percentile(999), Some(999.0));
     }
 
     #[test]
     fn empty_cdf() {
         let mut c = Cdf::new();
         assert!(c.is_empty());
-        assert_eq!(c.percentile(50.0), None);
+        assert_eq!(c.percentile(500), None);
         assert_eq!(c.mean(), None);
         assert_eq!(c.fraction_le(1.0), 0.0);
         assert!(c.steps().is_empty());
@@ -152,7 +171,7 @@ mod tests {
     fn add_after_query_resorts() {
         let mut c = Cdf::new();
         c.add(5.0);
-        assert_eq!(c.percentile(50.0), Some(5.0));
+        assert_eq!(c.percentile(500), Some(5.0));
         c.add(1.0);
         assert_eq!(c.min(), Some(1.0));
     }

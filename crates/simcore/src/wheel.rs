@@ -1,13 +1,10 @@
-//! Hierarchical timer wheel — the event queue both `rdcn` engines run on.
+//! Hierarchical timer wheel — the event queue `rdcn`'s loop runs on.
 //!
-//! Same contract as [`crate::EventQueue`]: events pop in exact
-//! `(time, seq)` order where `seq` is the monotone insertion counter, so
-//! the two implementations are digest-interchangeable — swapping one for
-//! the other cannot change any simulation output, only its host cost.
-//! The heap queue stays as the differential oracle (root
-//! `tests/queue_oracle.rs`, the unit test below, and the benchmark's
-//! `simcore.wheel_ns_per_op` / `simcore.heap_ns_per_op` kernels run the
-//! two on the same scripts).
+//! Same contract as the reference [`crate::EventQueue`]: events pop in
+//! exact `(time, seq)` order where `seq` is the monotone insertion
+//! counter, so a layout change here can move a run's host cost and
+//! nothing else. Root `tests/queue_oracle.rs` holds the wheel to the
+//! reference over random scripts, step by step.
 //!
 //! Layout: intrusive. Every scheduled event is one node in a slab —
 //! `time`, `seq`, a `next` link and the payload — and every container a
@@ -37,9 +34,8 @@ use crate::time::SimTime;
 
 /// Opaque handle identifying a scheduled event, usable for cancellation.
 ///
-/// Same shape as the heap queue's id: `seq` disambiguates slab reuse, so
-/// a stale id whose node now holds a different event fails the seq match
-/// instead of cancelling it.
+/// `seq` disambiguates slab reuse: a stale id whose node now holds a
+/// different event fails the seq match instead of cancelling it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WheelEventId {
     node: u32,
@@ -115,7 +111,7 @@ impl Level {
 
 /// A min-queue of timestamped events with deterministic FIFO
 /// tie-breaking and lazy cancellation, backed by a hierarchical timer
-/// wheel. Drop-in alternative to [`crate::EventQueue`].
+/// wheel. Pops in the order of the reference [`crate::EventQueue`].
 pub struct TimerWheel<E> {
     levels: [Level; LEVELS],
     /// Head of the list of events beyond the top level's span.
@@ -450,8 +446,8 @@ impl<E> TimerWheel<E> {
 
     /// Pop the next live event strictly before `limit`, or `None` when
     /// the wheel is empty or its next live event is at or past `limit`.
-    /// Mirrors [`crate::EventQueue::pop_before`] so the two queues stay
-    /// drop-in interchangeable for the windowed shard loop.
+    /// Mirrors [`crate::EventQueue::pop_before`]; the windowed shard
+    /// loop calls it once per event.
     pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
         loop {
             self.refill();
@@ -612,33 +608,9 @@ impl<E> TimerWheel<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventQueue;
-    use crate::DetRng;
     use crate::time::SimDuration;
 
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = TimerWheel::new();
-        q.schedule(SimTime::from_micros(30), "c");
-        q.schedule(SimTime::from_micros(10), "a");
-        q.schedule(SimTime::from_micros(20), "b");
-        assert_eq!(q.pop().unwrap().1, "a");
-        assert_eq!(q.pop().unwrap().1, "b");
-        assert_eq!(q.pop().unwrap().1, "c");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn ties_break_fifo() {
-        let mut q = TimerWheel::new();
-        let t = SimTime::from_micros(5);
-        for i in 0..100 {
-            q.schedule(t, i);
-        }
-        for i in 0..100 {
-            assert_eq!(q.pop().unwrap().1, i);
-        }
-    }
+    crate::event::contract_tests!(TimerWheel);
 
     #[test]
     fn sub_slot_times_keep_exact_order() {
@@ -651,31 +623,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "a");
         assert_eq!(q.pop().unwrap().1, "b");
         assert_eq!(q.pop().unwrap().1, "c");
-    }
-
-    #[test]
-    fn cancellation() {
-        let mut q = TimerWheel::new();
-        let a = q.schedule(SimTime::from_micros(1), "a");
-        let b = q.schedule(SimTime::from_micros(2), "b");
-        q.schedule(SimTime::from_micros(3), "c");
-        assert!(q.cancel(b));
-        assert!(!q.cancel(b), "double cancel reports false");
-        assert_eq!(q.pop().unwrap().1, "a");
-        assert_eq!(q.pop().unwrap().1, "c");
-        assert!(!q.cancel(a), "cancel after fire reports false");
-    }
-
-    #[test]
-    fn peek_skips_cancelled() {
-        let mut q = TimerWheel::new();
-        let a = q.schedule(SimTime::from_micros(1), "a");
-        q.schedule(SimTime::from_micros(2), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(2)));
-        assert!(!q.is_empty());
-        q.pop();
-        assert!(q.is_empty());
     }
 
     #[test]
@@ -707,45 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_before_respects_limit() {
-        let mut q = TimerWheel::new();
-        let a = q.schedule(SimTime::from_micros(1), "a");
-        q.schedule(SimTime::from_micros(2), "b");
-        q.schedule(SimTime::from_micros(5), "c");
-        q.cancel(a);
-        // Cancelled root below the limit is collected, "b" surfaces.
-        assert_eq!(
-            q.pop_before(SimTime::from_micros(4)),
-            Some((SimTime::from_micros(2), "b"))
-        );
-        // "c" is at 5 >= 4: untouched, clock stays where the pop left it.
-        assert_eq!(q.pop_before(SimTime::from_micros(4)), None);
-        assert_eq!(q.now(), SimTime::from_micros(2));
-        // Limit is exclusive: an event exactly at the limit stays queued.
-        assert_eq!(q.pop_before(SimTime::from_micros(5)), None);
-        assert_eq!(
-            q.pop_before(SimTime::from_micros(6)),
-            Some((SimTime::from_micros(5), "c"))
-        );
-        assert_eq!(q.pop_before(SimTime::MAX), None);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn interleaved_schedule_and_pop() {
-        let mut q = TimerWheel::new();
-        q.schedule(SimTime::from_micros(1), 0u32);
-        let mut seen = vec![];
-        while let Some((t, k)) = q.pop() {
-            seen.push(k);
-            if k < 5 {
-                q.schedule(t + SimDuration::from_micros(1), k + 1);
-            }
-        }
-        assert_eq!(seen, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
     fn slots_are_recycled() {
         let mut q = TimerWheel::new();
         q.schedule(SimTime::from_micros(1), 0u32);
@@ -758,93 +666,5 @@ mod tests {
         }
         assert_eq!(pops, 10_001);
         assert!(q.nodes.len() <= 2, "slab grew to {} nodes", q.nodes.len());
-    }
-
-    #[test]
-    fn stale_id_does_not_cancel_reused_slot() {
-        let mut q = TimerWheel::new();
-        let a = q.schedule(SimTime::from_micros(1), "a");
-        q.pop();
-        q.schedule(SimTime::from_micros(2), "b");
-        assert!(!q.cancel(a));
-        assert_eq!(q.pop().unwrap().1, "b");
-    }
-
-    /// The wheel's whole reason to exist hinges on matching the heap
-    /// queue exactly: run an adversarial random schedule/cancel/pop mix
-    /// against `EventQueue` and demand identical observable traces.
-    #[test]
-    fn trace_equivalent_to_binary_heap() {
-        for seed in 0..20u64 {
-            let mut rng = DetRng::new(0xEE1_0000 + seed);
-            let mut heap = EventQueue::new();
-            let mut wheel = TimerWheel::new();
-            let mut heap_ids = Vec::new();
-            let mut wheel_ids = Vec::new();
-            let mut trace_h = Vec::new();
-            let mut trace_w = Vec::new();
-            for step in 0..3_000u32 {
-                match rng.gen_range(0..10u32) {
-                    0..=5 => {
-                        // Schedule at now + mixed-magnitude offset
-                        // (sub-slot ns up to tens of ms).
-                        let mag = rng.gen_range(0..4u32);
-                        let off = match mag {
-                            0 => rng.gen_range(0..1_000u64),
-                            1 => rng.gen_range(0..100_000u64),
-                            2 => rng.gen_range(0..10_000_000u64),
-                            _ => rng.gen_range(0..100_000_000u64),
-                        };
-                        let t = heap.now() + SimDuration::from_nanos(off);
-                        heap_ids.push(heap.schedule(t, step));
-                        wheel_ids.push(wheel.schedule(t, step));
-                        wheel.check_invariants().unwrap();
-                    }
-                    6 => {
-                        if !heap_ids.is_empty() {
-                            let i = rng.gen_range(0..heap_ids.len());
-                            let a = heap.cancel(heap_ids[i]);
-                            let b = wheel.cancel(wheel_ids[i]);
-                            wheel.check_invariants().unwrap();
-                            assert_eq!(a, b, "cancel verdicts diverged");
-                        }
-                    }
-                    _ => {
-                        let a = heap.pop();
-                        let b = wheel.pop();
-                        wheel.check_invariants().unwrap();
-                        assert_eq!(a, b, "pop diverged at step {step} seed {seed}");
-                        if let Some(x) = a {
-                            trace_h.push(x);
-                        }
-                        if let Some((t, _)) = b {
-                            trace_w.push(t);
-                        }
-                        assert_eq!(heap.peek_time(), wheel.peek_time());
-                        wheel.check_invariants().unwrap();
-                    }
-                }
-            }
-            // Drain both to the end.
-            loop {
-                let a = heap.pop();
-                let b = wheel.pop();
-                assert_eq!(a, b, "drain diverged seed {seed}");
-                if a.is_none() {
-                    break;
-                }
-            }
-            assert_eq!(heap.events_processed(), wheel.events_processed());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "clock is already")]
-    #[cfg(debug_assertions)]
-    fn scheduling_into_past_panics_in_debug() {
-        let mut q = TimerWheel::new();
-        q.schedule(SimTime::from_micros(10), ());
-        q.pop();
-        q.schedule(SimTime::from_micros(5), ());
     }
 }

@@ -135,7 +135,7 @@ impl Digest {
 ///
 /// The one required method is the list; the digest fold, the sum and the
 /// merge across racks derive from it, so a block names its counters once.
-/// [`Counters::counters_mut`] is written with [`counters!`], which
+/// [`Counters::counters_mut`] is written with [`counters!`](crate::counters), which
 /// destructures the block exhaustively, so a field added to the block and
 /// left off the list is a compile error.
 pub trait Counters: Copy {

@@ -10,7 +10,8 @@
 #           member (the root `default-members`: unit tests, property
 #           suites and the root suites), the window-barrier panic and
 #           worker-invariance tests, the
-#           queue and scoreboard oracles, the allocation ledger, the
+#           queue oracle (the timer wheel against the `BTreeMap`
+#           reference queue), the scoreboard oracle, the allocation ledger, the
 #           laws and the pinned digests (determinism, the whole
 #           multirack suite with its barrier stress, the fabric,
 #           slot-edge and two-door pins, the live set) again in release, chaos
@@ -20,7 +21,9 @@
 #           the tails table included), every example under a
 #           wall-clock timeout, the benchmark package (built --offline,
 #           its unit tests, one pass of each of its five workloads, all
-#           of which must report "correct": true), and clippy
+#           of which must report "correct": true), the doc-link check
+#           (`cargo doc` with -D warnings: every intra-doc link resolves
+#           and no public doc links a private item), and clippy
 #           -D warnings, which carries the static rules (DESIGN.md §10):
 #           the workspace lint table in Cargo.toml (unsafe_code denied,
 #           every suppression an #[expect] with a reason) and
@@ -29,8 +32,8 @@
 #           no registry packages, stream labels, literal seeds) runs
 #           with the other tests. Host time is measured by the benchmark
 #           package (BENCHMARK.json, benchmark/README.md) only.
-#   lint  — run only the static rules: clippy -D warnings over every
-#           target, then tests/static_rules.rs.
+#   lint  — run only the static rules: the doc-link check, clippy
+#           -D warnings over every target, then tests/static_rules.rs.
 #   soak  — deepen the property-test search: every testkit `props!`
 #           block runs TK_CASES cases (default 10000) instead of its
 #           built-in count, and the chaos soak runs 5000 scenarios.
@@ -70,8 +73,16 @@ fi
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
+# A renamed or deleted item leaves the doc links that name it dangling,
+# and nothing else notices: rustdoc with warnings denied fails on them.
+doc_links() {
+    echo "==> doc links: cargo doc -D warnings"
+    RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --offline --workspace
+}
+
 if [[ "$MODE" == "lint" ]]; then
-    echo "==> static rules: cargo clippy -D warnings, tests/static_rules.rs"
+    echo "==> static rules: doc links, cargo clippy -D warnings, tests/static_rules.rs"
+    doc_links
     cargo clippy --offline --all-targets -- -D warnings
     cargo test -q --offline --test static_rules
     echo "LINT OK"
@@ -185,6 +196,8 @@ if [[ "$(grep -c '^{"correct": true' <<< "$smoke")" -ne 5 ]]; then
     echo "benchmark smoke: not all five workloads reported \"correct\": true"
     exit 1
 fi
+
+doc_links
 
 echo "==> cargo clippy -D warnings (the static rules, DESIGN.md §10)"
 cargo clippy --offline --all-targets -- -D warnings

@@ -14,7 +14,7 @@ use std::rc::Rc;
 use tcp::cc::{CcConfig, Cubic};
 use tcp::{FlowId, Segment, Transport};
 use tdtcp::{TdtcpConfig, TdtcpConnection};
-use tdtcp_repro::harness::{Observer, Peer, Tap, FLOW};
+use tdtcp_repro::harness::{play, Observer, Peer, Step, Tap, FLOW};
 use wire::TdnId;
 
 /// Every variant moves every byte of a finite transfer, exactly once.
@@ -344,6 +344,23 @@ fn mptcp_receiver_counts_data_level_duplicates() {
     let stats = rcv.stats();
     assert_eq!(stats.bytes_delivered, 1000, "{stats:?}");
     assert_eq!(stats.dup_segs_received, 1, "the second copy is a duplicate: {stats:?}");
+}
+
+/// An MPTCP listener answers a SYN with a SYN-ACK that carries no
+/// DATA_ACK: RFC 8684 puts no DSS on a SYN-bearing segment.
+#[test]
+fn mptcp_syn_ack_carries_no_data_ack() {
+    use mptcp::{MptcpConfig, MptcpConnection};
+    let template = Cubic::new(CcConfig::default());
+    let mut rcv = MptcpConnection::listen(FLOW, MptcpConfig::default(), &template);
+    play(
+        &mut rcv,
+        SimTime::ZERO,
+        &[
+            Step::In(0, Peer::syn().pin(0)),
+            Step::Out(0, |s| s.flags.syn && s.flags.ack && s.data_ack.is_none()),
+        ],
+    );
 }
 
 /// An MPTCP receiver's ACK carries the connection-level data ACK, and the

@@ -1,10 +1,11 @@
 //! Differential oracle for the event queue: `simcore::TimerWheel` (what
-//! the engine runs on) against `simcore::EventQueue` (the binary heap it
-//! replaced), over random scripts.
+//! the engine runs on) against `simcore::EventQueue` (a `BTreeMap` keyed
+//! on `(time, seq)`, the contract in its fewest lines), over random
+//! scripts. It is the wheel's one differential.
 //!
-//! The wheel may be rebuilt freely as long as it pops in the heap's exact
-//! `(time, seq)` order — every digest in the repo rests on that and on
-//! nothing else about the queue. This suite holds the two to identical
+//! The wheel may be rebuilt freely as long as it pops in the reference's
+//! exact `(time, seq)` order — every digest in the repo rests on that and
+//! on nothing else about the queue. This suite holds the two to identical
 //! observable behaviour step by step, and checks the wheel's structural
 //! invariants (`TimerWheel::check_invariants`) after every step, so a
 //! layout bug is caught where it happens, not thousands of events later
@@ -58,9 +59,9 @@ fn op() -> Gen<Op> {
 
 /// Both queues, the ids each issued, and what the script knows must hold.
 struct Pair {
-    heap: EventQueue<u32>,
+    reference: EventQueue<u32>,
     wheel: TimerWheel<u32>,
-    heap_ids: Vec<simcore::EventId>,
+    ref_ids: Vec<simcore::EventId>,
     wheel_ids: Vec<simcore::WheelEventId>,
     /// Scheduled, not fired, not cancelled.
     live: usize,
@@ -70,19 +71,19 @@ struct Pair {
 
 impl Pair {
     fn step(&mut self, op: Op) -> Result<(), String> {
-        let now = self.heap.now();
+        let now = self.reference.now();
         match op {
             Op::Schedule(off) => {
                 let at = now + SimDuration::from_nanos(off);
-                let payload = self.heap_ids.len() as u32;
-                self.heap_ids.push(self.heap.schedule(at, payload));
+                let payload = self.ref_ids.len() as u32;
+                self.ref_ids.push(self.reference.schedule(at, payload));
                 self.wheel_ids.push(self.wheel.schedule(at, payload));
                 self.live += 1;
             }
             Op::Cancel(pick) => {
-                if !self.heap_ids.is_empty() {
-                    let i = pick % self.heap_ids.len();
-                    let verdict = self.heap.cancel(self.heap_ids[i]);
+                if !self.ref_ids.is_empty() {
+                    let i = pick % self.ref_ids.len();
+                    let verdict = self.reference.cancel(self.ref_ids[i]);
                     tk_assert_eq!(
                         self.wheel.cancel(self.wheel_ids[i]),
                         verdict,
@@ -92,20 +93,20 @@ impl Pair {
                 }
             }
             Op::Pop => {
-                let expect = self.heap.pop();
+                let expect = self.reference.pop();
                 tk_assert_eq!(self.wheel.pop(), expect);
                 self.live -= usize::from(expect.is_some());
             }
             Op::PopBefore(off) => {
                 let limit = now + SimDuration::from_nanos(off);
-                let expect = self.heap.pop_before(limit);
+                let expect = self.reference.pop_before(limit);
                 tk_assert_eq!(self.wheel.pop_before(limit), expect, "limit {limit}");
                 self.live -= usize::from(expect.is_some());
             }
-            Op::Peek => tk_assert_eq!(self.wheel.peek_time(), self.heap.peek_time()),
+            Op::Peek => tk_assert_eq!(self.wheel.peek_time(), self.reference.peek_time()),
         }
-        tk_assert_eq!(self.wheel.now(), self.heap.now());
-        tk_assert_eq!(self.wheel.events_processed(), self.heap.events_processed());
+        tk_assert_eq!(self.wheel.now(), self.reference.now());
+        tk_assert_eq!(self.wheel.events_processed(), self.reference.events_processed());
         tk_assert_eq!(self.wheel.is_empty(), self.live == 0);
         self.wheel.check_invariants()?;
         // `raw_len` counts live events plus cancelled ones not yet
@@ -124,9 +125,9 @@ impl Pair {
 
 fn run_script(ops: &[Op], drain_window: Option<u64>) -> Result<(), String> {
     let mut pair = Pair {
-        heap: EventQueue::new(),
+        reference: EventQueue::new(),
         wheel: TimerWheel::new(),
-        heap_ids: Vec::new(),
+        ref_ids: Vec::new(),
         wheel_ids: Vec::new(),
         live: 0,
         peak_held: 0,
@@ -166,14 +167,14 @@ testkit::props! {
     #[cases(200)]
     /// Random schedule / cancel / pop / pop_before / peek scripts, then a
     /// full drain by `pop`.
-    fn wheel_matches_heap(ops in vec_of(op(), 1..1500)) {
+    fn wheel_matches_reference(ops in vec_of(op(), 1..1500)) {
         run_script(&ops, None)?;
     }
 
     #[cases(100)]
     /// The same scripts drained through `pop_before` windows of one
     /// width, sub-slot to multi-level.
-    fn wheel_matches_heap_windowed(
+    fn wheel_matches_reference_windowed(
         input in tuple2(vec_of(op(), 1..1000), range(1u64..20_000_000))
     ) {
         let (ops, window) = input;
@@ -185,16 +186,16 @@ testkit::props! {
 /// event's id, now stale, must not cancel the newcomer on either queue.
 #[test]
 fn stale_id_on_a_reused_node_cancels_nothing() {
-    let mut heap = EventQueue::new();
+    let mut reference = EventQueue::new();
     let mut wheel = TimerWheel::new();
     let at = SimTime::from_micros(1);
-    let (h0, w0) = (heap.schedule(at, 0u32), wheel.schedule(at, 0u32));
-    assert_eq!(wheel.pop(), heap.pop());
+    let (r0, w0) = (reference.schedule(at, 0u32), wheel.schedule(at, 0u32));
+    assert_eq!(wheel.pop(), reference.pop());
     let later = SimTime::from_micros(2);
-    let (h1, w1) = (heap.schedule(later, 1), wheel.schedule(later, 1));
+    let (r1, w1) = (reference.schedule(later, 1), wheel.schedule(later, 1));
     assert_eq!(wheel.slab_len(), 1, "the fired event's node was reused");
-    assert_eq!((heap.cancel(h0), wheel.cancel(w0)), (false, false));
-    assert_eq!((heap.cancel(h1), wheel.cancel(w1)), (true, true));
-    assert_eq!((heap.pop(), wheel.pop()), (None, None));
+    assert_eq!((reference.cancel(r0), wheel.cancel(w0)), (false, false));
+    assert_eq!((reference.cancel(r1), wheel.cancel(w1)), (true, true));
+    assert_eq!((reference.pop(), wheel.pop()), (None, None));
     wheel.check_invariants().unwrap();
 }
