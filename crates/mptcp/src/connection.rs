@@ -3,17 +3,18 @@
 //! One full TCP subflow per TDN, each *pinned* to its network (segments
 //! only traverse the RDCN while that TDN is active). A connection-level
 //! 64-bit data sequence space maps over the subflows via simplified DSS
-//! options; `tdm_schd` steers new data to the subflow of the currently
-//! active TDN. When ACKs for data sent on the previous TDN are stranded
-//! (the receiver cannot transmit on an inactive subflow), the
-//! connection-level send buffer fills and the sender stalls until
-//! *reinjection* re-sends the unacknowledged data ranges on the active
-//! subflow — the exact pathology §2.2 measures.
+//! options, after the first subflow's handshake has carried MP_CAPABLE
+//! with two fixed keys (the model has no crypto); `tdm_schd` steers new
+//! data to the subflow of the currently active TDN. When ACKs for data
+//! sent on the previous TDN are stranded (the receiver cannot transmit
+//! on an inactive subflow), the connection-level send buffer fills and
+//! the sender stalls until *reinjection* re-sends the unacknowledged data
+//! ranges on the active subflow — the exact pathology §2.2 measures.
 
 use simcore::SimTime;
 use tcp::cc::CongestionControl;
 use tcp::recv::Reassembler;
-use tcp::{ConnStats, DssMap, FlowId, Segment, SeqNum, Transport};
+use tcp::{ConnStats, FlowId, Segment, SeqNum, Transport};
 use wire::TdnId;
 
 /// Connection-level send buffer: unacknowledged data-level bytes may not
@@ -24,11 +25,6 @@ const SEND_BUF: u64 = 1 << 20;
 /// (stranded on an inactive subflow) consumes it, closing the advertised
 /// window — the §2.2 "flow control stall".
 const RECV_BUF_CONN: u64 = 512 << 10;
-
-/// SACK blocks that fit beside the DSS option a receiver's data ACK rides
-/// in: 40 B of TCP option space less the DSS's 12 B leaves room for the
-/// SACK option's 2 B and three 8 B blocks.
-const SACK_BLOCKS_BESIDE_DATA_ACK: usize = 3;
 
 /// Number of subflows: one per TDN of the paper's two-TDN network.
 const NUM_SUBFLOWS: u8 = 2;
@@ -118,6 +114,8 @@ pub struct MptcpConnection {
     data_dups: u64,
     stats: ConnStats,
     done: bool,
+    /// The initiator has sent the first subflow's third ACK.
+    opened: bool,
 }
 
 impl MptcpConnection {
@@ -177,6 +175,7 @@ impl MptcpConnection {
             data_dups: 0,
             stats: ConnStats::new(),
             done: false,
+            opened: false,
         }
     }
 
@@ -359,7 +358,7 @@ impl Transport for MptcpConnection {
         }
         // Data-level bookkeeping happens at the MPTCP layer.
         if seg.has_payload() {
-            if let Some(dss) = seg.dss {
+            if let Some(dss) = seg.dss() {
                 let out = self.rx.on_data(SeqNum(dss.dsn as u32), dss.len.min(seg.len));
                 self.data_delivered += u64::from(out.delivered);
                 if out.duplicate {
@@ -367,7 +366,7 @@ impl Transport for MptcpConnection {
                 }
             }
         }
-        if let Some(dack) = seg.data_ack {
+        if let Some(dack) = seg.data_ack() {
             if dack > self.dsn_una {
                 self.dsn_una = dack;
             }
@@ -398,7 +397,16 @@ impl Transport for MptcpConnection {
             let Some(conn) = sf.conn.as_mut() else { continue };
             if let Some(mut seg) = conn.poll_send(now) {
                 seg.pin = Some(sf.tdn);
-                if seg.has_payload() {
+                // RFC 8684 §3.1: the first subflow opens with MP_CAPABLE
+                // on its SYN, its SYN-ACK and the initiator's third ACK,
+                // and no DSS goes out before it. Later subflows would
+                // join with MP_JOIN, which the model does not send.
+                let opening = seg.flags.syn || (self.role == Role::Sender && !self.opened);
+                if i == 0 && opening {
+                    debug_assert!(!seg.has_payload(), "the third ACK carries no data");
+                    self.opened |= !seg.flags.syn;
+                    seg.set_mp_capable();
+                } else if seg.has_payload() {
                     // Attach the DSS mapping covering this segment.
                     let m = sf
                         .mappings
@@ -413,18 +421,11 @@ impl Transport for MptcpConnection {
                             seg.len <= m.len - offset,
                             "segment must not span mappings"
                         );
-                        seg.dss = Some(DssMap {
-                            dsn: m.dsn + u64::from(offset),
-                            ssn: seg.seq,
-                            len: seg.len,
-                        });
+                        seg.set_dss(m.dsn + u64::from(offset));
                     }
                 }
-                // RFC 8684 carries no DSS on a SYN: the listener's
-                // SYN-ACK goes out without a DATA_ACK.
                 if seg.flags.ack && !seg.flags.syn && self.role == Role::Receiver {
-                    seg.data_ack = Some(data_ack);
-                    seg.sack.truncate(SACK_BLOCKS_BESIDE_DATA_ACK);
+                    seg.set_data_ack(data_ack);
                 }
                 self.refresh_stats();
                 return Some(seg);

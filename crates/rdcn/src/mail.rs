@@ -1,8 +1,9 @@
 //! The cross-rack mailboxes: the only way a segment changes racks.
 //!
-//! A rack shard reaches another rack through these four calls and
-//! nothing else: [`Mailboxes::new`], [`Mailboxes::hand_off`],
-//! [`Mailboxes::collect`] and [`Mailboxes::in_flight`]. The boxes
+//! A rack shard reaches another rack through these calls and nothing
+//! else: [`Mailboxes::new`], [`Mailboxes::lend`],
+//! [`Mailboxes::hand_off`], [`Mailboxes::collect`] and
+//! [`Mailboxes::in_flight`]. The boxes
 //! themselves are private to this module, so the compiler rejects any
 //! other access. A rack never holds the leader (the emulator that owns
 //! every shard) either: `simcore::par::run_windows` hands each worker
@@ -41,15 +42,15 @@ struct Mailbox {
 }
 
 /// The cross-rack mailboxes: one box per (source, destination) pair,
-/// double-buffered by window parity. A source fills a private outbox per
-/// destination during a window of parity `p` and swaps each non-empty
-/// one into its row of parity `p` when the window ends — one hand-off
-/// per pair per window, not a lock per segment — while the destination
-/// collects its column of parity `p ^ 1`, last window's mail. So a box
-/// has one writer or one reader in any window, never both, and the locks
-/// are never contended. The swap trades the outbox for the box's emptied
-/// buffer, both keep their capacity: nothing is allocated or freed across
-/// threads in the steady state.
+/// double-buffered by window parity. During a window of parity `p` a
+/// source borrows the buffer of its `(src, dst)` box of parity `p` at its
+/// first emission toward `dst`, fills it as a private outbox, and gives
+/// it back when the window ends — two locks per pair per window, not one
+/// per segment — while the destination collects its column of parity
+/// `p ^ 1`, last window's mail. So a box has one writer or one reader in
+/// any window, never both, and the locks are never contended. A pair's
+/// capacity lives in its two boxes and nowhere else: nothing is
+/// allocated or freed across threads in the steady state.
 pub(crate) struct Mailboxes {
     racks: usize,
     /// `boxes[parity][src * racks + dst]`.
@@ -65,13 +66,23 @@ impl Mailboxes {
         }
     }
 
-    /// Swap the non-empty `outbox` into the (collected, hence empty)
-    /// `(src, dst)` box of `parity`; `outbox` comes back empty.
+    /// Lend the (collected, hence empty) buffer of the `(src, dst)` box
+    /// of `parity` to `outbox`, which holds none of its own.
+    pub(crate) fn lend(&self, parity: usize, src: usize, dst: usize, outbox: &mut Vec<Msg>) {
+        let slot = &self.boxes[parity][src * self.racks + dst];
+        let mut msgs = slot.msgs.lock().expect("mailbox poisoned");
+        debug_assert!(msgs.is_empty(), "lent an uncollected box");
+        debug_assert!(outbox.capacity() == 0, "an outbox kept a buffer of its own");
+        *outbox = std::mem::take(&mut *msgs);
+    }
+
+    /// Give the non-empty `outbox` back to the `(src, dst)` box of
+    /// `parity` it was lent from; `outbox` comes back with no buffer.
     pub(crate) fn hand_off(&self, parity: usize, src: usize, dst: usize, outbox: &mut Vec<Msg>) {
         let slot = &self.boxes[parity][src * self.racks + dst];
         let mut msgs = slot.msgs.lock().expect("mailbox poisoned");
-        debug_assert!(msgs.is_empty(), "handed off into an uncollected box");
-        std::mem::swap(&mut *msgs, outbox);
+        debug_assert!(msgs.capacity() == 0, "handed off into a box that kept its buffer");
+        *msgs = std::mem::take(outbox);
         slot.full.store(true, Ordering::Release);
     }
 

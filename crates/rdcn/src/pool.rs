@@ -1,6 +1,6 @@
 //! The segment pool: where a segment sits while the fabric moves it.
 //!
-//! A [`Segment`] is 120 bytes, and one hop used to copy it about eleven
+//! A [`Segment`] is 76 bytes, and one hop used to copy it about eleven
 //! times — into an event, into the wheel node, out again, into the VOQ
 //! deque, out again, into the launch, the mailbox, the batch, the next
 //! event. Here it is written once, into a slot of its engine's private

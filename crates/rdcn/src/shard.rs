@@ -345,8 +345,9 @@ struct RackShard<H> {
     seq: TimeSeries,
 
     mail: Arc<Mailboxes>,
-    /// `outbox[dst]`: this window's emissions toward rack `dst`, handed
-    /// to the mailboxes when the window ends.
+    /// `outbox[dst]`: this window's emissions toward rack `dst`, in the
+    /// buffer lent by the mailboxes at the first of them and handed back
+    /// when the window ends.
     outbox: Vec<Vec<Msg>>,
     /// Parity of the window being simulated: outboxes go to this half of
     /// the mailboxes, the other half is collected.
@@ -938,7 +939,8 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
         });
     }
 
-    /// Leave the window: hand every non-empty outbox to the mailboxes.
+    /// Leave the window: hand every non-empty outbox back to the
+    /// mailboxes.
     fn end_window(&mut self) {
         for (dst, outbox) in self.outbox.iter_mut().enumerate() {
             if !outbox.is_empty() {
@@ -1385,7 +1387,11 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
             "cross-rack arrival inside the window violates the lookahead"
         );
         let key = Some((arrive, rack, host));
-        self.outbox[rack as usize].push(Msg {
+        let outbox = &mut self.outbox[rack as usize];
+        if outbox.is_empty() {
+            self.mail.lend(self.parity, self.r, rack as usize, outbox);
+        }
+        outbox.push(Msg {
             t: arrive,
             host,
             joins_prev: self.last_emit == key,
@@ -1933,10 +1939,13 @@ mod tests {
     #[test]
     fn events_stay_within_the_wheel_node_budget() {
         // Time + seq + link + state on top of a 40-byte event keep the
-        // wheel node within one 64-byte line (ROADMAP 4a); the segment
-        // itself is in the pool, whatever it weighs.
+        // wheel node within one 64-byte line (ROADMAP 4a). The segment
+        // itself is in the pool and the mailboxes, which hold most of a
+        // fabric's segment bytes at its peak (EXPERIMENTS.md, "Where the
+        // memory goes").
         assert!(std::mem::size_of::<REv>() <= 40);
         assert!(TimerWheel::<REv>::node_bytes() <= 64);
-        assert_eq!(std::mem::size_of::<Segment>(), 120);
+        assert!(std::mem::size_of::<Segment>() <= 80);
+        assert!(std::mem::size_of::<Msg>() <= 96);
     }
 }

@@ -560,7 +560,7 @@ impl Connection {
         ack.flags.ack = true;
         ack.flags.ece = ece;
         ack.wnd = rx.window();
-        ack.sack = rx.sack_blocks();
+        ack.set_sack(rx.sack_blocks());
         ack.circuit_mark = self.echo_circuit;
         self.pending.push_back(ack);
         self.stats.acks_sent += 1;
@@ -572,7 +572,7 @@ impl Connection {
 
     fn process_ack(&mut self, now: SimTime, seg: &Segment) {
         // "All TDNs": an ACK with nothing outstanding on any path is stale.
-        if self.rtx.is_empty() && seg.ack == self.snd_una && seg.sack.is_empty() {
+        if self.rtx.is_empty() && seg.ack == self.snd_una && seg.sack().is_empty() {
             // Still a window update: a zero-window receiver reopening
             // its window sends exactly this "stale" ACK shape, and it
             // must cancel (or re-pace) the persist timer.
@@ -629,11 +629,11 @@ impl Connection {
         self.stats.bytes_acked += u64::from(acked_payload);
 
         // SACK processing and duplicate-ACK bookkeeping.
-        let sacked = self.rtx.mark_sacked(seg.sack.iter());
+        let sacked = self.rtx.mark_sacked(seg.sack().iter().copied());
         if progress {
             self.dupacks = 0;
         } else if !self.rtx.is_empty()
-            && (seg.has_payload() || sacked.newly_sacked > 0 || seg.sack.is_empty())
+            && (seg.has_payload() || sacked.newly_sacked > 0 || seg.sack().is_empty())
         {
             self.dupacks += 1;
         }

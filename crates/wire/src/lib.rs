@@ -5,7 +5,7 @@
 //! full option support, the TDTCP protocol extensions from Fig. 5 of the
 //! paper (the `TD_CAPABLE` handshake option, the `TD_DATA_ACK` per-segment
 //! tag, and the ICMP TDN-change notification), SACK blocks (RFC 2018), and
-//! a simplified MPTCP DSS mapping for the baseline.
+//! the baseline's MPTCP options: MP_CAPABLE and a simplified DSS.
 //!
 //! The simulator passes structured segments for speed. Root
 //! `tests/laws.rs`' wire law round-trips every segment a run sends or

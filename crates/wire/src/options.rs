@@ -1,6 +1,7 @@
-//! TCP options, including the two TDTCP options of Fig. 5(b,c) and the
-//! MPTCP DSS option (RFC 8684 §3.3, without its checksum) that the
-//! `mptcp` baseline crate's data ACK and mappings ride in.
+//! TCP options, including the two TDTCP options of Fig. 5(b,c), and the
+//! MPTCP options the `mptcp` baseline crate sends: MP_CAPABLE (RFC 8684
+//! §3.1, version 1) on its handshake, and DSS (§3.3, without its
+//! checksum) for its data ACK and mappings.
 //!
 //! TDTCP options use a single private option kind ([`TDTCP_KIND`]) with a
 //! subtype nibble, mirroring how the kernel implementation piggybacks on
@@ -27,6 +28,8 @@ pub const MPTCP_KIND: u8 = 30;
 pub const TD_SUBTYPE_CAPABLE: u8 = 0;
 /// TDTCP subtype: per-segment TDN tagging.
 pub const TD_SUBTYPE_DATA_ACK: u8 = 1;
+/// MPTCP subtype: capability negotiation on the first subflow's handshake.
+pub const MP_SUBTYPE_CAPABLE: u8 = 0;
 /// MPTCP subtype: data sequence signal (DSS).
 pub const MP_SUBTYPE_DSS: u8 = 2;
 
@@ -80,6 +83,20 @@ pub enum TcpOption {
         /// TDN the acknowledgment in this segment was sent on, if ACK set.
         ack_tdn: Option<TdnId>,
     },
+    /// MPTCP MP_CAPABLE (RFC 8684 §3.1): version 1 carries no key on
+    /// the SYN, the option sender's key on the SYN-ACK, and both keys on
+    /// the third ACK. A receiver key without a sender key has no
+    /// encoding.
+    MpCapable {
+        /// Protocol version (1 for RFC 8684).
+        version: u8,
+        /// The flag bits `A` to `H` (`H`: HMAC-SHA256, set in version 1).
+        flags: u8,
+        /// The key of the host sending this option.
+        sender_key: Option<u64>,
+        /// The key of the host receiving it (third ACK only).
+        receiver_key: Option<u64>,
+    },
     /// MPTCP DSS: a connection-level cumulative data ACK, a mapping of
     /// this subflow segment into the data sequence space, or both. Emitted
     /// with 8-octet fields; 4-octet ones parse too.
@@ -109,6 +126,11 @@ impl TcpOption {
             TcpOption::Sack(blocks) => 2 + 8 * blocks.len(),
             TcpOption::TdCapable { .. } => 4,
             TcpOption::TdDataAck { .. } => 5,
+            TcpOption::MpCapable {
+                sender_key,
+                receiver_key,
+                ..
+            } => 4 + 8 * (usize::from(sender_key.is_some()) + usize::from(receiver_key.is_some())),
             TcpOption::MpDss { data_ack, map } => {
                 4 + data_ack.map_or(0, |_| 8) + map.map_or(0, |_| 14)
             }
@@ -156,6 +178,27 @@ impl TcpOption {
                     data_tdn.map_or(0, |t| t.0),
                     ack_tdn.map_or(0, |t| t.0),
                 ]);
+            }
+            TcpOption::MpCapable {
+                version,
+                flags,
+                sender_key,
+                receiver_key,
+            } => {
+                assert!(*version < 16, "version is a nibble");
+                assert!(
+                    sender_key.is_some() || receiver_key.is_none(),
+                    "MP_CAPABLE has no encoding for a receiver key alone"
+                );
+                buf.extend_from_slice(&[
+                    MPTCP_KIND,
+                    self.wire_len() as u8,
+                    (MP_SUBTYPE_CAPABLE << 4) | version,
+                    *flags,
+                ]);
+                for key in [sender_key, receiver_key].into_iter().flatten() {
+                    buf.extend_from_slice(&key.to_be_bytes());
+                }
             }
             TcpOption::MpDss { data_ack, map } => {
                 let mut flags = 0u8;
@@ -273,14 +316,13 @@ impl TcpOption {
                 if body.is_empty() {
                     return Err(ParseError::BadOption);
                 }
-                let subtype = body[0] >> 4;
-                if subtype == MP_SUBTYPE_DSS {
-                    parse_dss(body)?
-                } else {
-                    TcpOption::Unknown {
+                match body[0] >> 4 {
+                    MP_SUBTYPE_CAPABLE => parse_capable(body)?,
+                    MP_SUBTYPE_DSS => parse_dss(body)?,
+                    _ => TcpOption::Unknown {
                         kind,
                         data: body.to_vec(),
-                    }
+                    },
                 }
             }
             _ => TcpOption::Unknown {
@@ -306,6 +348,26 @@ impl TcpOption {
         }
         Ok(out)
     }
+}
+
+/// An MP_CAPABLE option's body (after kind and length): the subtype and
+/// version byte, the flags, then no key, one or two. The 22- and 24-byte
+/// forms that carry a first data segment's data-level length are not
+/// sent here, so they are malformed too.
+fn parse_capable(body: &[u8]) -> Result<TcpOption> {
+    let key = |at: usize| u64::from_be_bytes(body[at..at + 8].try_into().expect("eight bytes"));
+    let keys = match body.len() {
+        2 => 0,
+        10 => 1,
+        18 => 2,
+        _ => return Err(ParseError::BadOption),
+    };
+    Ok(TcpOption::MpCapable {
+        version: body[0] & 0x0F,
+        flags: body[1],
+        sender_key: (keys > 0).then(|| key(2)),
+        receiver_key: (keys > 1).then(|| key(10)),
+    })
 }
 
 /// A DSS option's body (after kind and length): the subtype byte, the
@@ -394,6 +456,35 @@ mod tests {
             data_ack: Some(7),
             map: None,
         });
+    }
+
+    #[test]
+    fn round_trip_mp_capable() {
+        for (sender_key, receiver_key) in [(None, None), (Some(7), None), (Some(7), Some(9))] {
+            round_trip(TcpOption::MpCapable {
+                version: 1,
+                flags: 0x01,
+                sender_key,
+                receiver_key,
+            });
+        }
+    }
+
+    #[test]
+    fn mp_capable_on_wire_matches_rfc8684() {
+        let mut buf = Vec::new();
+        TcpOption::MpCapable {
+            version: 1,
+            flags: 0x01,
+            sender_key: Some(0x0102_0304_0506_0708),
+            receiver_key: None,
+        }
+        .emit(&mut buf);
+        assert_eq!(buf, vec![MPTCP_KIND, 12, 0x01, 0x01, 1, 2, 3, 4, 5, 6, 7, 8]);
+        // A first data segment's 22-byte form is not one this parser reads.
+        let mut long = vec![MPTCP_KIND, 22, 0x01, 0x01];
+        long.extend_from_slice(&[0; 18]);
+        assert_eq!(TcpOption::parse(&long), Err(ParseError::BadOption));
     }
 
     #[test]

@@ -27,6 +27,12 @@ fn arb_option() -> Gen<TcpOption> {
             .map(|(version, num_tdns)| TcpOption::TdCapable { version, num_tdns }),
         tuple2(arb_tdn_opt(), arb_tdn_opt())
             .map(|(data_tdn, ack_tdn)| TcpOption::TdDataAck { data_tdn, ack_tdn }),
+        tuple2(uniform::<u64>(), uniform::<u64>()).map(|(key, peer)| TcpOption::MpCapable {
+            version: 1,
+            flags: 0x01,
+            sender_key: (key % 3 > 0).then_some(key),
+            receiver_key: (key % 3 > 1).then_some(peer),
+        }),
         uniform::<u64>().map(|ack| TcpOption::MpDss {
             data_ack: Some(ack),
             map: None,

@@ -68,7 +68,7 @@ fn fig3a_scenario(relaxed: bool) -> (u64, u64, u64) {
     ack.ack_tdn = Some(TdnId(1));
     let mut sack = SackBlocks::EMPTY;
     sack.push(SeqNum(3 * MSS + 1), SeqNum(6 * MSS + 1));
-    ack.sack = sack;
+    ack.set_sack(sack);
     sender.on_segment(t(60), &ack);
     // Drain the output: marked holes go out as (spurious) retransmissions
     // ahead of new data.
@@ -123,7 +123,7 @@ fn main() {
     data.ack_tdn = Some(TdnId(0));
     let mut sack = SackBlocks::EMPTY;
     sack.push(SeqNum(12_001), SeqNum(15_001));
-    data.sack = sack;
+    data.set_sack(sack);
     let bytes = data.to_wire(0x0A00_0001, 0x0A00_0002, 40000, 5001);
     println!("\nTD_DATA_ACK data segment ({} bytes on the wire):", bytes.len());
     dissect(&bytes);

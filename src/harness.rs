@@ -10,7 +10,7 @@ use std::ops::Deref;
 use simcore::{SimDuration, SimTime};
 use tcp::cc::{CcConfig, CongestionControl, Cubic, Dctcp, ReTcp, ReTcpConfig, Reno};
 use tcp::{
-    ConnError, ConnStats, Connection, Direction, DssMap, FlowId, Segment, SeqNum, Transport,
+    ConnError, ConnStats, Connection, Direction, FlowId, SackBlocks, Segment, SeqNum, Transport,
 };
 use tdtcp::{TdtcpConfig, TdtcpConnection};
 use wire::{Ecn, TdnId};
@@ -143,9 +143,11 @@ impl Peer {
 
     /// SACK the `[left, right)` blocks.
     pub fn sack(mut self, blocks: &[(u32, u32)]) -> Peer {
+        let mut sack = SackBlocks::EMPTY;
         for &(left, right) in blocks {
-            self.0.sack.push(SeqNum(left), SeqNum(right));
+            sack.push(SeqNum(left), SeqNum(right));
         }
+        self.0.set_sack(sack);
         self
     }
 
@@ -176,8 +178,13 @@ impl Peer {
 
     /// MPTCP: the payload maps to data sequence `dsn`.
     pub fn dsn(mut self, dsn: u64) -> Peer {
-        let (ssn, len) = (self.0.seq, self.0.len);
-        self.0.dss = Some(DssMap { dsn, ssn, len });
+        self.0.set_dss(dsn);
+        self
+    }
+
+    /// MPTCP: MP_CAPABLE, on the first subflow's handshake.
+    pub fn mp_capable(mut self) -> Peer {
+        self.0.set_mp_capable();
         self
     }
 }

@@ -13,7 +13,7 @@
 //!
 //! The same allocator keeps a live-byte count and its high-water mark,
 //! which pin what a series retains per point and the peak requested heap
-//! of one `short_incast`-shaped run.
+//! of one `short_incast`-shaped run and of `fabric16`'s shape.
 //!
 //! This file holds the workspace's only `unsafe`: the allocator shim
 //! below, which forwards every call unchanged to `std::alloc::System`
@@ -286,4 +286,39 @@ fn short_incast_leg_sampled_peak_heap_is_pinned() {
     let (peak, sampled) = short_incast_leg_peak(Some(SimDuration::from_micros(2)));
     assert!(sampled, "a sampled run kept no samples");
     assert!(peak <= PEAK, "the sampled leg's heap peaked at {peak} B; the pin is {PEAK} B");
+}
+
+/// The peak requested heap of `fabric16`'s shape, engine and result
+/// together: 16 racks of the 8-rack rotor, every rack sending one TDTCP
+/// bulk flow at strides 1, 2 and 3 (48 flows), `workers = 1`, to
+/// `until`.
+fn fabric16_peak(until: SimTime) -> i64 {
+    const RACKS: usize = 16;
+    let cfg = MultiRackConfig {
+        racks: RACKS,
+        ..MultiRackConfig::paper_8rack()
+    };
+    let flows: Vec<PairFlow> = (1..=3)
+        .flat_map(|stride| (0..RACKS).map(move |src| PairFlow { src, dst: (src + stride) % RACKS }))
+        .collect();
+    let (peak, _, res) = peak_bytes(|| {
+        let endpoints = |i, _: &PairFlow| Variant::Tdtcp.endpoints(i, u64::MAX, None, SimTime::ZERO);
+        ShardedEmulator::new(ShardConfig::clean(cfg), flows, endpoints).run(until, 1)
+    });
+    assert!(delivered(&res.receiver_stats) > 50_000, "too few segments delivered");
+    peak
+}
+
+/// The fabric's segment bytes: the per-rack pools, the mailboxes and
+/// the buffers an outbox borrows hold a 76-byte segment a slot. The
+/// peak is reached by 20 ms (the benchmark's 60 ms run peaks at the same
+/// byte). Measured: 2 797 441 B in a debug build, 2 791 297 B in
+/// release. Before the segment was repacked from 120 B and the outboxes
+/// borrowed their box's buffer, it peaked at 3 799 425 B (debug) and
+/// 3 793 281 B (release).
+#[test]
+fn fabric16_peak_heap_is_pinned() {
+    const PEAK: i64 = 2_850_000;
+    let peak = fabric16_peak(SimTime::from_millis(20));
+    assert!(peak <= PEAK, "the fabric's heap peaked at {peak} B; the pin is {PEAK} B");
 }

@@ -346,8 +346,52 @@ fn mptcp_receiver_counts_data_level_duplicates() {
     assert_eq!(stats.dup_segs_received, 1, "the second copy is a duplicate: {stats:?}");
 }
 
-/// An MPTCP listener answers a SYN with a SYN-ACK that carries no
-/// DATA_ACK: RFC 8684 puts no DSS on a SYN-bearing segment.
+/// The MPTCP option a segment carries, read from its header bytes:
+/// `(subtype, option length)`. MP_CAPABLE is subtype 0 and DSS 2
+/// (RFC 8684 §3.1, §3.3).
+fn mptcp_option(seg: &Segment) -> Option<(u8, u8)> {
+    const IP: usize = 20;
+    let bytes = seg.to_wire(0x0A00_0001, 0x0A00_0002, 40_000, 5_001);
+    let header = usize::from(bytes[IP + 12] >> 4) * 4;
+    let mut opts = &bytes[IP + 20..IP + header];
+    while let [kind, rest @ ..] = opts {
+        match (*kind, rest) {
+            (0, _) => break,
+            (1, _) => opts = rest,
+            (wire::options::MPTCP_KIND, [len, subtype, ..]) => return Some((subtype >> 4, *len)),
+            (_, [len, ..]) => opts = &opts[usize::from(*len)..],
+            _ => break,
+        }
+    }
+    None
+}
+
+/// An MPTCP initiator opens as RFC 8684 §3.1 says: MP_CAPABLE without a
+/// key on its SYN (4 B), with both keys on its third ACK (20 B), and a
+/// DSS mapping (18 B) only on the data that follows.
+#[test]
+fn mptcp_initiator_opens_with_mp_capable() {
+    use mptcp::{MptcpConfig, MptcpConnection};
+    let template = Cubic::new(CcConfig::default());
+    let mut snd = MptcpConnection::connect(FLOW, MptcpConfig::default(), &template, SimTime::ZERO);
+    play(
+        &mut snd,
+        SimTime::ZERO,
+        &[
+            Step::Out(0, |s| s.flags.syn && !s.flags.ack && mptcp_option(s) == Some((0, 4))),
+            Step::In(10, Peer::syn().acking().pin(0)),
+            Step::Out(10, |s| {
+                !s.flags.syn && !s.has_payload() && mptcp_option(s) == Some((0, 20))
+            }),
+            Step::Out(10, |s| s.has_payload() && mptcp_option(s) == Some((2, 18))),
+        ],
+    );
+}
+
+/// An MPTCP listener answers an MP_CAPABLE SYN with a SYN-ACK that
+/// carries its key (12 B) and no DATA_ACK: RFC 8684 §3.1 puts no DSS on
+/// the handshake. The third ACK draws nothing, and the first data draws
+/// an ACK with the data ACK in a DSS (12 B).
 #[test]
 fn mptcp_syn_ack_carries_no_data_ack() {
     use mptcp::{MptcpConfig, MptcpConnection};
@@ -357,8 +401,14 @@ fn mptcp_syn_ack_carries_no_data_ack() {
         &mut rcv,
         SimTime::ZERO,
         &[
-            Step::In(0, Peer::syn().pin(0)),
-            Step::Out(0, |s| s.flags.syn && s.flags.ack && s.data_ack.is_none()),
+            Step::In(0, Peer::syn().pin(0).mp_capable()),
+            Step::Out(0, |s| {
+                s.flags.syn && s.flags.ack && s.data_ack().is_none() && mptcp_option(s) == Some((0, 12))
+            }),
+            Step::In(10, Peer::data(1, 0).acking().wnd(1 << 20).pin(0).mp_capable()),
+            Step::Quiet(10),
+            Step::In(20, Peer::data(1, 1000).acking().pin(0).dsn(0)),
+            Step::Out(20, |s| s.data_ack() == Some(1000) && mptcp_option(s) == Some((2, 12))),
         ],
     );
 }
@@ -374,11 +424,11 @@ fn mptcp_data_ack_survives_the_wire() {
     rcv.on_segment(SimTime::ZERO, &Peer::syn().pin(0));
     rcv.on_segment(SimTime::ZERO, &Peer::data(1, 1000).pin(0).dsn(0));
     let acks: Vec<Segment> = std::iter::from_fn(|| rcv.poll_send(SimTime::ZERO)).collect();
-    assert!(acks.iter().any(|s| s.data_ack == Some(1000)), "{acks:?}");
+    assert!(acks.iter().any(|s| s.data_ack() == Some(1000)), "{acks:?}");
     for seg in &acks {
         let bytes = seg.to_wire(0x0A00_0002, 0x0A00_0001, 5_001, 40_000);
         let back = Segment::from_wire(&bytes, FLOW, seg.dir).expect("own encoding parses");
-        assert_eq!((back.data_ack, back.dss), (seg.data_ack, seg.dss));
+        assert_eq!((back.data_ack(), back.dss()), (seg.data_ack(), seg.dss()));
         assert_eq!((back.seq, back.ack, back.flags), (seg.seq, seg.ack, seg.flags));
     }
 }

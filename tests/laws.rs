@@ -18,7 +18,7 @@
 //!
 //! *Wire.* Every segment a host sends or receives survives the byte
 //! encoding of Fig. 5: `Segment::from_wire(to_wire(s))` equals `s` on
-//! every field the wire carries ([`WireView`]), on every variant over the
+//! every field the wire carries (`tcp::segment::WireView`), on every variant over the
 //! paper baseline and on TDTCP and MPTCP with all three chaos planes
 //! armed. The law taps each host at the `Transport` seam, so the
 //! received side sees what the switches did (CE marks). It lives here
@@ -34,11 +34,11 @@ use rdcn::{
 use simcore::{SimDuration, SimTime};
 use std::cell::Cell;
 use std::rc::Rc;
-use tcp::{Direction, DssMap, FlowId, SackBlocks, Segment, SeqNum, Transport};
+use tcp::{Direction, FlowId, SackBlocks, Segment, SeqNum, Transport};
 use tdtcp_repro::harness::{Observer, Tap};
 use testkit::prop::{range, tuple2, tuple3, tuple4, uniform, vec_of};
 use testkit::{tk_assert, tk_assert_eq};
-use wire::{Ecn, ParseError, TcpFlags, TdnId};
+use wire::{Ecn, ParseError, TdnId};
 
 const HORIZON: SimTime = SimTime::from_millis(12);
 
@@ -183,64 +183,20 @@ testkit::props! {
     }
 }
 
-/// What of a segment the wire carries, under its two rules: a window
-/// travels in whole KiB (window scale 10), and a SYN's window is
-/// unscaled and capped at 65 535 (RFC 7323 §2.2). Flow, direction,
-/// routing pin, circuit mark and payload stamp are simulation context
-/// the wire does not carry.
-#[derive(Debug, PartialEq)]
-struct WireView {
-    seq: SeqNum,
-    ack: SeqNum,
-    len: u32,
-    flags: TcpFlags,
-    wnd: u32,
-    sack: SackBlocks,
-    data_tdn: Option<TdnId>,
-    ack_tdn: Option<TdnId>,
-    td_capable: Option<u8>,
-    dss: Option<DssMap>,
-    data_ack: Option<u64>,
-    ecn: Ecn,
-}
-
-impl WireView {
-    fn of(s: &Segment) -> WireView {
-        let Segment {
-            flow: _,
-            dir: _,
-            seq,
-            ack,
-            len,
-            flags,
-            wnd,
-            sack,
-            data_tdn,
-            ack_tdn,
-            td_capable,
-            dss,
-            data_ack,
-            ecn,
-            circuit_mark: _,
-            pin: _,
-            payload_csum: _,
-        } = *s;
-        let wnd = if flags.syn { wnd.min(65_535) } else { wnd >> 10 };
-        WireView { seq, ack, len, flags, wnd, sack, data_tdn, ack_tdn, td_capable, dss, data_ack, ecn }
-    }
-}
-
 /// Segments a run put on the wire; how many of them carried SACK blocks
-/// (where the window is not a whole KiB) and a switch's CE mark.
+/// (where the window is not a whole KiB), a switch's CE mark, MPTCP's
+/// MP_CAPABLE and a DSS mapping.
 #[derive(Debug, Clone, Copy, Default)]
 struct Crossed {
     segments: u64,
     sacked: u64,
     marked: u64,
+    capable: u64,
+    mapped: u64,
 }
 
 /// An observer that encodes every segment its host sends or receives,
-/// parses it back and holds it to its [`WireView`].
+/// parses it back and holds it to its `WireView`.
 struct OnTheWire {
     variant: &'static str,
     crossed: Rc<Cell<Crossed>>,
@@ -250,11 +206,13 @@ impl OnTheWire {
     fn cross(&self, s: &Segment) {
         let bytes = s.to_wire(0x0A00_0001, 0x0A00_0002, 40_000, 5_001);
         let back = Segment::from_wire(&bytes, s.flow, s.dir).expect("own encoding parses");
-        assert_eq!(WireView::of(&back), WireView::of(s), "{} segment {s:?}", self.variant);
+        assert_eq!(back.wire_view(), s.wire_view(), "{} segment {s:?}", self.variant);
         let mut c = self.crossed.get();
         c.segments += 1;
-        c.sacked += u64::from(!s.sack.is_empty());
+        c.sacked += u64::from(!s.sack().is_empty());
         c.marked += u64::from(s.ecn == Ecn::Ce);
+        c.capable += u64::from(s.mp_capable());
+        c.mapped += u64::from(s.dss().is_some());
         self.crossed.set(c);
     }
 }
@@ -277,8 +235,8 @@ const WIRE_HORIZON: SimTime = SimTime::from_millis(3);
 
 /// Every variant over the paper baseline, then TDTCP and MPTCP with all
 /// three chaos planes armed: every segment each host sends or receives
-/// reads back as itself, some of them carried SACK blocks, and DCTCP's
-/// carried CE marks.
+/// reads back as itself, some of them carried SACK blocks, DCTCP's
+/// carried CE marks, and MPTCP's carried MP_CAPABLE and DSS mappings.
 #[test]
 fn every_segment_survives_the_wire() {
     let clean = ALL_VARIANTS.map(|v| (v, false));
@@ -303,12 +261,17 @@ fn every_segment_survives_the_wire() {
         if variant == Variant::Dctcp {
             assert!(c.marked > 0, "no CE mark crossed the wire: {c:?}");
         }
+        if variant == Variant::Mptcp {
+            assert!(c.capable > 0 && c.mapped > 0, "no MP_CAPABLE or DSS mapping crossed: {c:?}");
+        }
     }
 }
 
 /// A segment of a shape a run sends: a TDTCP SYN (`shape` 0), a
-/// TDN-tagged segment with up to four SACK blocks (1), or an MPTCP ACK
-/// with a data ACK and up to three (2).
+/// TDN-tagged segment with up to four SACK blocks (1), an MPTCP ACK
+/// with a data ACK and up to three (2), an MPTCP data segment with its
+/// DSS mapping (3), or an MPTCP handshake step with MP_CAPABLE: SYN,
+/// SYN-ACK or third ACK as `seq` modulo 3 says (4).
 fn shaped(shape: u8, (seq, ack, wnd, len): (u32, u32, u32, u32), blocks: u32) -> Segment {
     let mut s = Segment::new(FlowId(0), Direction::AckPath);
     s.seq = SeqNum(seq);
@@ -326,15 +289,26 @@ fn shaped(shape: u8, (seq, ack, wnd, len): (u32, u32, u32, u32), blocks: u32) ->
             (s.data_tdn, s.ack_tdn) = (Some(TdnId(1)), Some(TdnId(0)));
             4
         }
-        _ => {
-            s.data_ack = Some(u64::from(ack));
+        2 => {
+            s.set_data_ack(u64::from(ack));
             3
         }
+        3 => {
+            s.set_dss(u64::from(seq) << 16 | u64::from(ack));
+            0
+        }
+        _ => {
+            (s.flags.syn, s.flags.ack) = (seq % 3 < 2, seq % 3 > 0);
+            s.set_mp_capable();
+            0
+        }
     };
+    let mut sack = SackBlocks::EMPTY;
     for i in 0..blocks.min(room) {
         let left = s.ack + 1_000 * (2 * i + 1);
-        s.sack.push(left, left + 500);
+        sack.push(left, left + 500);
     }
+    s.set_sack(sack);
     s
 }
 
@@ -346,7 +320,7 @@ testkit::props! {
     /// buffer. `from_wire` returns on every one of them.
     fn from_wire_never_panics(input in tuple4(
         tuple3(
-            range(0u8..3),
+            range(0u8..5),
             tuple4(uniform::<u32>(), uniform::<u32>(), uniform::<u32>(), range(0u32..1_500)),
             range(0u32..5),
         ),

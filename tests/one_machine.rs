@@ -19,7 +19,7 @@
 
 use simcore::{SimDuration, SimTime};
 use tcp::rtt::RttConfig;
-use tcp::{SackBlocks, Segment, SeqNum, Transport};
+use tcp::{Segment, SeqNum, Transport};
 use tdtcp::TdtcpConfig;
 use tdtcp_repro::harness::{tcp_pair, td_pair, Fate, Op, Side, World, MSS};
 use testkit::prop::{just, range, tuple2, tuple4, vec_of, weighted, Gen};
@@ -27,10 +27,10 @@ use testkit::{tk_assert_eq, Counters};
 use wire::TcpFlags;
 
 /// What both machines must agree on for every emitted segment.
-type Emitted = (SeqNum, u32, TcpFlags, SeqNum, SackBlocks, u32);
+type Emitted = (SeqNum, u32, TcpFlags, SeqNum, Vec<(SeqNum, SeqNum)>, u32);
 
 fn emitted(log: &[Segment]) -> Vec<Emitted> {
-    log.iter().map(|s| (s.seq, s.len, s.flags, s.ack, s.sack, s.wnd)).collect()
+    log.iter().map(|s| (s.seq, s.len, s.flags, s.ack, s.sack().to_vec(), s.wnd)).collect()
 }
 
 fn arb_fate() -> Gen<Fate> {
