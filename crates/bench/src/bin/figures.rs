@@ -19,8 +19,9 @@
 //! The `tails` experiment runs at its own fixed horizon regardless of
 //! `--horizon-ms`, so its block of `figures_output.txt` is one record.
 //!
-//! An unknown experiment name, an unknown option, or a missing or
-//! non-numeric option value is a usage error: nothing runs and the exit
+//! An unknown experiment name, an unknown option, or a missing,
+//! non-numeric or out-of-range option value (a horizon of 0 ms or past
+//! `u64` nanoseconds, 0 jobs) is a usage error: nothing runs and the exit
 //! code is 2.
 //!
 //! Every experiment's sweep-style runs shard across worker threads via
@@ -61,16 +62,26 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         match a.as_str() {
             "--horizon-ms" => {
                 let v = value("a number of milliseconds")?;
+                // `SimTime` counts nanoseconds in a `u64`.
                 let ms = v
-                    .parse()
-                    .map_err(|_| format!("--horizon-ms needs a number of milliseconds, got {v:?}"))?;
+                    .parse::<u64>()
+                    .ok()
+                    .filter(|&ms| ms > 0 && ms.checked_mul(1_000_000).is_some())
+                    .ok_or_else(|| {
+                        format!(
+                            "--horizon-ms needs a number of milliseconds from 1 to {}, got {v:?}",
+                            u64::MAX / 1_000_000
+                        )
+                    })?;
                 parsed.horizon = SimTime::from_millis(ms);
             }
             "--jobs" => {
                 let v = value("a number >= 1")?;
                 let n = v
                     .parse()
-                    .map_err(|_| format!("--jobs needs a number >= 1, got {v:?}"))?;
+                    .ok()
+                    .filter(|&n| n >= 1)
+                    .ok_or_else(|| format!("--jobs needs a number >= 1, got {v:?}"))?;
                 parsed.jobs = Some(n);
             }
             name if name == "all" || name == "quick" || EXPERIMENTS.contains(&name) => {
@@ -97,7 +108,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let jobs = jobs.unwrap_or_else(simcore::par::available).max(1);
+    let jobs = jobs.unwrap_or_else(simcore::par::available);
     simcore::par::set_default_jobs(jobs);
 
     if wanted.is_empty() {

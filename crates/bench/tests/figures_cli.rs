@@ -43,6 +43,14 @@ fn non_numeric_option_values_are_usage_errors() {
 }
 
 #[test]
+fn out_of_range_option_values_are_usage_errors() {
+    assert_usage_error(&["notify", "--horizon-ms", "0"], "--horizon-ms");
+    // One past the last millisecond whose nanoseconds fit in a `u64`.
+    assert_usage_error(&["notify", "--horizon-ms", "18446744073710"], "--horizon-ms");
+    assert_usage_error(&["notify", "--jobs", "0"], "--jobs");
+}
+
+#[test]
 fn known_experiment_still_runs() {
     let out = figures(&["notify", "--jobs", "1", "--horizon-ms", "5"]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));

@@ -11,7 +11,7 @@ use crate::clock::ClockStats;
 use crate::config::NetConfig;
 use crate::faults::FaultStats;
 use crate::impair::ImpairStats;
-use crate::shard::{digest_racks, PairFlow, RackResult, ShardedEmulator};
+use crate::shard::{digest_racks, FlowEnds, PairFlow, RackResult, ShardConfig, ShardedEmulator};
 use simcore::{SimDuration, SimTime, TimeSeries};
 use tcp::{ConnError, ConnStats, Transport};
 use testkit::Counters;
@@ -176,23 +176,11 @@ impl RunResult {
     /// started at `starts[i]`.
     fn fold(racks: Vec<RackResult>, starts: Vec<SimTime>) -> RunResult {
         let digest = digest_racks(&racks);
+        let FlowEnds { sender_stats, receiver_stats, completions, errors: conn_errors } =
+            FlowEnds::scatter(starts.len(), &racks);
         let [a, b] = <[RackResult; 2]>::try_from(racks)
             .ok()
             .expect("the two-rack fabric");
-        let n = starts.len();
-        let mut sender_stats = vec![ConnStats::default(); n];
-        let mut receiver_stats = vec![ConnStats::default(); n];
-        let mut completions = vec![None; n];
-        let mut conn_errors = vec![None; n];
-        for h in a.hosts.into_iter().chain(b.hosts) {
-            if h.sender {
-                sender_stats[h.flow] = h.stats;
-                completions[h.flow] = h.completion;
-                conn_errors[h.flow] = h.error;
-            } else {
-                receiver_stats[h.flow] = h.stats;
-            }
-        }
         debug_assert!(b.seq.is_empty(), "rack 1 holds no senders, so it samples nothing");
         let mut day_records = a.days;
         for (r, &other) in day_records.iter_mut().zip(&b.days) {
@@ -260,7 +248,7 @@ impl<'a> Emulator<'a> {
     /// ([`Emulator::set_sample_interval`]).
     fn pair(cfg: NetConfig, starts: Vec<SimTime>) -> ShardedEmulator<'a, Box<dyn Transport>> {
         let flows = vec![PairFlow { src: 0, dst: 1 }; starts.len()];
-        ShardedEmulator::build(cfg, 2, &flows, starts)
+        ShardedEmulator::build(ShardConfig { net: cfg, racks: 2 }, &flows, starts)
     }
 
     /// Create an emulator for `n_flows` flows whose endpoints come from

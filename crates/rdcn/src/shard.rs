@@ -1,13 +1,14 @@
 //! The one simulation loop: the hybrid RDCN of §2.1/Fig. 1, one shard
-//! per rack, bit-identical at any worker count (DESIGN.md §13). Two
-//! doors lead in: [`ShardedEmulator::new`] builds an N-rack fabric from a
-//! [`ShardConfig`], and [`crate::Emulator`] builds the paper's two-rack
-//! pair (§5.1) as N = 2 from a [`NetConfig`], every flow from rack 0 to
-//! rack 1, on its own thread. Both fold the racks' results with one
+//! per rack, bit-identical at any worker count (DESIGN.md §13). It runs
+//! one config, a [`ShardConfig`]: one [`NetConfig`] plus a rack count.
+//! Two doors lead in: [`ShardedEmulator::new`] builds an N-rack fabric
+//! from one, and [`crate::Emulator`] builds the paper's two-rack pair
+//! (§5.1) from a [`NetConfig`] with `racks: 2`, every flow from rack 0
+//! to rack 1, on its own thread. Both fold the racks' results with one
 //! digest of the run's simulation state (`digest_racks`), which no
 //! observation enters.
 //!
-//! The fabric is one [`NetConfig`] and a rack count. Its week
+//! The network's week
 //! ([`NetConfig::schedule`]) decides everything time-divided:
 //!
 //! * a day naming TDN k ≥ 1 is a circuit day; the j-th one connects rotor
@@ -66,7 +67,9 @@ use wire::TdnId;
 /// the rack's injectors fork their own streams off that.
 pub const RACK_STREAM_BASE: u64 = 0x5AAD_0000;
 
-/// Configuration of the N-rack fabric.
+/// The parameters of an N-rack rotor fabric with two networks;
+/// [`ShardConfig::clean`] turns one into the engine's config, one
+/// [`NetConfig`] plus a rack count.
 #[derive(Debug, Clone)]
 pub struct MultiRackConfig {
     /// Number of racks (even, ≥ 2).
@@ -158,56 +161,41 @@ pub struct PairFlow {
     pub dst: usize,
 }
 
-/// Configuration of a sharded multirack run: the fabric plus one plan
-/// per chaos plane (all [`inert`](FaultPlan::none) by default).
+/// Configuration of a run: one [`NetConfig`] plus a rack count (even,
+/// ≥ 2). Every door builds the loop from one of these; the two-rack door
+/// passes `racks: 2`.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
-    /// The fabric (racks, link parameters, schedule, VOQ, notify, seed).
-    pub net: MultiRackConfig,
-    /// Control-plane faults: notification faults, EPS bursts, and the
-    /// day-fate faults (`link_failure`, `freeze`).
-    pub faults: FaultPlan,
-    /// Data-path impairments applied per launched segment.
-    pub impair: ImpairPlan,
-    /// Per-host clock skew; hosts are numbered rack-locally.
-    pub clock: ClockPlan,
-    /// Skew absorbed at slot edges before the clock plan's slot-edge
-    /// policy applies.
-    pub guard_band: SimDuration,
+    /// The network: its TDNs (TDN 0 the packet network, TDN k ≥ 1 a
+    /// circuit), week, VOQ, notification model, switch support, seed,
+    /// chaos plans and guard band.
+    pub net: NetConfig,
+    /// Number of racks.
+    pub racks: usize,
 }
 
 impl ShardConfig {
-    /// A clean (all-chaos-inert) run over `net`.
-    pub fn clean(net: MultiRackConfig) -> ShardConfig {
+    /// A clean (all-chaos-inert) run over `fabric`: TDN 0 is its
+    /// packet network and TDN 1 its circuit, the guard band is zero, and
+    /// there is no circuit marking and no VOQ resizing.
+    pub fn clean(fabric: MultiRackConfig) -> ShardConfig {
         ShardConfig {
-            net,
-            faults: FaultPlan::none(),
-            impair: ImpairPlan::none(),
-            clock: ClockPlan::none(),
-            guard_band: SimDuration::ZERO,
+            net: NetConfig {
+                tdns: vec![fabric.packet, fabric.circuit],
+                schedule: fabric.schedule,
+                voq: fabric.voq,
+                notify: fabric.notify,
+                circuit_marking: false,
+                retcpdyn: false,
+                host_rate_bps: fabric.host_rate_bps,
+                seed: fabric.seed,
+                faults: FaultPlan::none(),
+                impair: ImpairPlan::none(),
+                clock: ClockPlan::none(),
+                guard_band: SimDuration::ZERO,
+            },
+            racks: fabric.racks,
         }
-    }
-
-    /// The engine's view of this fabric, and its rack count: TDN 0 is the
-    /// packet network and TDN 1 the circuit, and there is no reTCP switch
-    /// support.
-    fn into_net(self) -> (NetConfig, usize) {
-        let net = self.net;
-        let engine = NetConfig {
-            tdns: vec![net.packet, net.circuit],
-            schedule: net.schedule,
-            voq: net.voq,
-            notify: net.notify,
-            circuit_marking: false,
-            retcpdyn: false,
-            host_rate_bps: net.host_rate_bps,
-            seed: net.seed,
-            faults: self.faults,
-            impair: self.impair,
-            clock: self.clock,
-            guard_band: self.guard_band,
-        };
-        (engine, net.racks)
     }
 }
 
@@ -424,6 +412,38 @@ pub(crate) struct RackResult {
     pub(crate) days: Vec<DayRecord>,
 }
 
+/// Every resident host's end, scattered to its flow (global flow order):
+/// both results read their per-flow fields from here.
+pub(crate) struct FlowEnds {
+    pub(crate) sender_stats: Vec<ConnStats>,
+    pub(crate) receiver_stats: Vec<ConnStats>,
+    pub(crate) completions: Vec<Option<SimTime>>,
+    /// The sender's terminal error.
+    pub(crate) errors: Vec<Option<ConnError>>,
+}
+
+impl FlowEnds {
+    /// The hosts of `racks` over `flows` flows.
+    pub(crate) fn scatter(flows: usize, racks: &[RackResult]) -> FlowEnds {
+        let mut ends = FlowEnds {
+            sender_stats: vec![ConnStats::default(); flows],
+            receiver_stats: vec![ConnStats::default(); flows],
+            completions: vec![None; flows],
+            errors: vec![None; flows],
+        };
+        for h in racks.iter().flat_map(|r| &r.hosts) {
+            if h.sender {
+                ends.sender_stats[h.flow] = h.stats;
+                ends.completions[h.flow] = h.completion;
+                ends.errors[h.flow] = h.error;
+            } else {
+                ends.receiver_stats[h.flow] = h.stats;
+            }
+        }
+        ends
+    }
+}
+
 /// The one digest of a run, over its racks in rack order: per resident
 /// host, in rack-local order, its flow, side, `ConnStats`, completion
 /// and error; then per rack each VOQ's drop and CE-mark counters, the
@@ -582,24 +602,16 @@ impl ShardResult {
 
     /// The N-rack fold of `racks` (in rack order) over `flows` flows.
     fn fold(flows: usize, racks: Vec<RackResult>) -> ShardResult {
+        let ends = FlowEnds::scatter(flows, &racks);
         let mut res = ShardResult {
-            sender_stats: vec![ConnStats::default(); flows],
-            receiver_stats: vec![ConnStats::default(); flows],
-            completions: vec![None; flows],
-            sender_errors: vec![false; flows],
+            sender_stats: ends.sender_stats,
+            receiver_stats: ends.receiver_stats,
+            completions: ends.completions,
+            sender_errors: ends.errors.iter().map(Option::is_some).collect(),
             digest: digest_racks(&racks),
             ..ShardResult::default()
         };
         for rack in &racks {
-            for h in &rack.hosts {
-                if h.sender {
-                    res.sender_stats[h.flow] = h.stats;
-                    res.completions[h.flow] = h.completion;
-                    res.sender_errors[h.flow] = h.error.is_some();
-                } else {
-                    res.receiver_stats[h.flow] = h.stats;
-                }
-            }
             res.drops += rack.voqs.iter().map(|v| v.drops).sum::<u64>();
             res.events += rack.events;
             res.rack_events.push(rack.events);
@@ -625,9 +637,8 @@ impl<'a> ShardedEmulator<'a> {
             &PairFlow,
         ) -> (Box<dyn Transport + Send + 'a>, Box<dyn Transport + Send + 'a>),
     ) -> Self {
-        let (net, racks) = cfg.into_net();
         let starts = vec![SimTime::ZERO; flows.len()];
-        let mut emu = ShardedEmulator::build(net, racks, &flows, starts);
+        let mut emu = ShardedEmulator::build(cfg, &flows, starts);
         for (i, f) in flows.iter().enumerate() {
             let (s, r) = factory(i, f);
             emu.install(i, s, r);
@@ -656,16 +667,44 @@ impl<'a> ShardedEmulator<'a> {
     }
 }
 
+/// The worker-count check every N-rack determinism test shares: `flows`
+/// over `cfg` until `until`, flow `i` on `endpoints(i)`, acks something,
+/// each chaos plane applies at least `fires` (faults, impairments,
+/// clock), and the run ends in one digest at workers 1, 2 and 4. The
+/// digest folds every host's stats, completion and error and each
+/// rack's VOQ counters, events and chaos books, so a worker-dependent
+/// order anywhere in the engine moves it; debug builds also check the
+/// pool law at every barrier. Returns the run at workers 1.
+#[doc(hidden)]
+pub fn assert_worker_count_invariant(
+    cfg: &ShardConfig,
+    flows: &[PairFlow],
+    until: SimTime,
+    fires: [u64; 3],
+    endpoints: impl Fn(usize) -> (Box<dyn Transport + Send>, Box<dyn Transport + Send>),
+) -> ShardResult {
+    let run = |workers| {
+        ShardedEmulator::new(cfg.clone(), flows.to_vec(), |i, _| endpoints(i)).run(until, workers)
+    };
+    let base = run(1);
+    assert!(base.total_acked() > 0, "nothing acked");
+    let fired = [base.faults_total, base.impairments_total, base.clock_total];
+    assert!(
+        fired.iter().zip(fires).all(|(&n, least)| n >= least),
+        "the planes applied {fired:?}, fewer than {fires:?}"
+    );
+    for workers in [2, 4] {
+        assert_eq!(run(workers).stats_digest(), base.stats_digest(), "digest moved at workers={workers}");
+    }
+    base
+}
+
 impl<'a, H: DerefMut<Target: Transport>> ShardedEmulator<'a, H> {
-    /// The engine over `net` with `racks` racks and no hosts yet: flow
-    /// `i` runs `flows[i]` from `starts[i]`. It observes nothing until
+    /// The engine over `cfg` with no hosts yet: flow `i` runs
+    /// `flows[i]` from `starts[i]`. It observes nothing until
     /// [`ShardedEmulator::set_sample_interval`].
-    pub(crate) fn build(
-        net: NetConfig,
-        racks: usize,
-        flows: &[PairFlow],
-        starts: Vec<SimTime>,
-    ) -> Self {
+    pub(crate) fn build(cfg: ShardConfig, flows: &[PairFlow], starts: Vec<SimTime>) -> Self {
+        let ShardConfig { net, racks } = cfg;
         assert!(racks >= 2 && racks.is_multiple_of(2));
         for f in flows {
             assert!(f.src != f.dst && f.src < racks && f.dst < racks);
@@ -1559,8 +1598,8 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{LinkFailure, ScheduleFreeze};
     use crate::clock::SlotEdgePolicy;
+    use crate::faults::{LinkFailure, ScheduleFreeze};
     use tcp::cc::{CcConfig, Cubic, ReTcp, ReTcpConfig};
     use tcp::{Config, Connection, FlowId, Segment};
     use wire::Ecn;
@@ -1583,8 +1622,13 @@ mod tests {
         pair(i, bytes, || Box::new(Cubic::new(CcConfig::default())))
     }
 
-    fn retcp_pair(i: usize, bytes: u64) -> Pair {
-        pair(i, bytes, || Box::new(ReTcp::new(ReTcpConfig::default())))
+    /// CUBIC on even flows, reTCP on odd ones.
+    fn mixed_pair(i: usize, bytes: u64) -> Pair {
+        if i.is_multiple_of(2) {
+            cubic_pair(i, bytes)
+        } else {
+            pair(i, bytes, || Box::new(ReTcp::new(ReTcpConfig::default())))
+        }
     }
 
     fn small_cfg() -> ShardConfig {
@@ -1602,104 +1646,70 @@ mod tests {
             .collect()
     }
 
-    fn run_digest(cfg: ShardConfig, workers: usize, bytes: u64) -> (u64, ShardResult) {
-        let emu = ShardedEmulator::new(cfg, ring_flows(4), |i, _| cubic_pair(i, bytes));
-        let res = emu.run(SimTime::from_millis(3), workers);
-        (res.stats_digest(), res)
-    }
-
     #[test]
     fn digest_invariant_across_worker_counts() {
-        let (d1, r1) = run_digest(small_cfg(), 1, u64::MAX);
-        let (d2, _) = run_digest(small_cfg(), 2, u64::MAX);
-        let (d4, _) = run_digest(small_cfg(), 4, u64::MAX);
-        assert!(r1.total_acked() > 0);
-        assert_eq!(d1, d2, "workers=2 diverged from workers=1");
-        assert_eq!(d1, d4, "workers=4 diverged from workers=1");
+        let until = SimTime::from_millis(3);
+        assert_worker_count_invariant(&small_cfg(), &ring_flows(4), until, [0; 3], |i| cubic_pair(i, u64::MAX));
     }
 
+    /// Notification loss and duplication, a circuit failure, a schedule
+    /// freeze, a lossy reordering wire and skewed clocks on the rotor.
     #[test]
     fn chaos_run_is_worker_invariant() {
-        let chaos = || {
-            let mut cfg = small_cfg();
-            cfg.faults.notify_loss = 0.05;
-            cfg.faults.notify_duplicate = 0.05;
-            cfg.faults.link_failure = Some(LinkFailure {
-                day: 3,
-                at_fraction: 0.5,
-                outage_days: 4,
-            });
-            cfg.faults.freeze = Some(ScheduleFreeze { from_day: 9, days: 3 });
-            cfg.impair.loss_rate = 0.005;
-            cfg.impair.reorder_rate = 0.02;
-            cfg.impair.reorder_delay = SimDuration::from_micros(120);
-            cfg.clock = ClockPlan {
-                offset_bound: SimDuration::from_micros(40),
-                ..ClockPlan::none()
-            };
-            cfg.guard_band = SimDuration::from_micros(2);
-            cfg
+        let mut cfg = small_cfg();
+        cfg.net.faults.notify_loss = 0.05;
+        cfg.net.faults.notify_duplicate = 0.05;
+        cfg.net.faults.link_failure = Some(LinkFailure {
+            day: 3,
+            at_fraction: 0.5,
+            outage_days: 4,
+        });
+        cfg.net.faults.freeze = Some(ScheduleFreeze { from_day: 9, days: 3 });
+        cfg.net.impair.loss_rate = 0.005;
+        cfg.net.impair.reorder_rate = 0.02;
+        cfg.net.impair.reorder_delay = SimDuration::from_micros(120);
+        cfg.net.clock = ClockPlan {
+            offset_bound: SimDuration::from_micros(40),
+            ..ClockPlan::none()
         };
-        let (d1, r1) = run_digest(chaos(), 1, u64::MAX);
-        let (d4, _) = run_digest(chaos(), 4, u64::MAX);
-        assert!(r1.total_acked() > 0);
-        assert_eq!(d1, d4, "chaos run diverged across worker counts");
+        cfg.net.guard_band = SimDuration::from_micros(2);
+        let until = SimTime::from_millis(3);
+        assert_worker_count_invariant(&cfg, &ring_flows(4), until, [1; 3], |i| cubic_pair(i, u64::MAX));
     }
 
-    /// The two-rack week with every feature only the two-rack engine
-    /// once had — day-fate faults, reTCP's circuit marks and prepare
-    /// signal, skewed clocks deferring mis-timed launches, wire
-    /// impairments — on threads: the digest does not depend on them.
+    /// The paper's two-rack week with every feature — day-fate faults,
+    /// reTCP's circuit marks and retcpdyn's prepare signal, skewed clocks
+    /// deferring mis-timed launches, every wire impairment — on threads:
+    /// the digest does not depend on them.
     #[test]
     fn two_rack_week_with_every_feature_is_worker_invariant() {
-        let run = |workers: usize| {
-            let mut net = NetConfig::paper_baseline();
-            net.circuit_marking = true;
-            net.retcpdyn = true;
-            net.faults.link_failure = Some(LinkFailure {
-                day: 13,
-                at_fraction: 0.5,
-                outage_days: 8,
-            });
-            net.faults.freeze = Some(ScheduleFreeze { from_day: 25, days: 4 });
-            net.clock = ClockPlan {
-                offset_bound: SimDuration::from_micros(120),
-                drift_ppm: 50.0,
-                slot_edge_policy: SlotEdgePolicy::Defer,
-                ..ClockPlan::none()
-            };
-            net.guard_band = SimDuration::from_micros(5);
-            net.impair = ImpairPlan {
-                loss_rate: 0.002,
-                reorder_rate: 0.01,
-                duplicate_rate: 0.002,
-                corrupt_rate: 0.002,
-                ..ImpairPlan::none()
-            };
-            let flows = vec![PairFlow { src: 0, dst: 1 }; 4];
-            let mut emu = ShardedEmulator::build(net, 2, &flows, vec![SimTime::ZERO; 4]);
-            for i in 0..4 {
-                let (s, r) = if i % 2 == 0 {
-                    cubic_pair(i, u64::MAX)
-                } else {
-                    retcp_pair(i, u64::MAX)
-                };
-                emu.install(i, s, r);
-            }
-            emu.run(SimTime::from_millis(8), workers)
+        let mut net = NetConfig::paper_baseline();
+        net.circuit_marking = true;
+        net.retcpdyn = true;
+        net.faults.link_failure = Some(LinkFailure {
+            day: 13,
+            at_fraction: 0.5,
+            outage_days: 8,
+        });
+        net.faults.freeze = Some(ScheduleFreeze { from_day: 25, days: 4 });
+        net.clock = ClockPlan {
+            offset_bound: SimDuration::from_micros(120),
+            drift_ppm: 50.0,
+            slot_edge_policy: SlotEdgePolicy::Defer,
+            ..ClockPlan::none()
         };
-        let base = run(1);
-        assert!(base.total_acked() > 0);
-        assert!(base.faults_total >= 4, "the day-fate faults never fired");
-        assert!(base.impairments_total > 0, "the wire never fired");
-        assert!(base.clock_total > 0, "no launch met the slot edge");
-        for workers in [2, 4] {
-            assert_eq!(
-                run(workers).stats_digest(),
-                base.stats_digest(),
-                "digest moved at workers={workers}"
-            );
-        }
+        net.guard_band = SimDuration::from_micros(5);
+        net.impair = ImpairPlan {
+            loss_rate: 0.002,
+            reorder_rate: 0.01,
+            duplicate_rate: 0.002,
+            corrupt_rate: 0.002,
+            ..ImpairPlan::none()
+        };
+        let cfg = ShardConfig { net, racks: 2 };
+        let flows = [PairFlow { src: 0, dst: 1 }; 4];
+        let until = SimTime::from_millis(8);
+        assert_worker_count_invariant(&cfg, &flows, until, [4, 1, 1], |i| mixed_pair(i, u64::MAX));
     }
 
     /// On every week a segment holds its VOQ slot until it launches: an
@@ -1710,7 +1720,7 @@ mod tests {
     fn a_train_holds_its_slots_on_every_week() {
         for days in [vec![TdnId(1)], vec![TdnId(0), TdnId(1)]] {
             let mut cfg = small_cfg();
-            cfg.net.racks = 2;
+            cfg.racks = 2;
             cfg.net.schedule.days = days.clone();
             cfg.net.voq = VoqConfig {
                 cap_pkts: 4,

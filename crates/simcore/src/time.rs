@@ -141,30 +141,6 @@ impl SimDuration {
         SimDuration(t.saturating_add(u64::from(v - t as f64 >= 0.5)))
     }
 
-    /// The larger of two durations.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The smaller of two durations.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Clamp into `[lo, hi]`.
-    pub fn clamp(self, lo: SimDuration, hi: SimDuration) -> SimDuration {
-        debug_assert!(lo <= hi);
-        self.max(lo).min(hi)
-    }
-
     /// Serialization delay for `bytes` at `rate_bps` bits per second,
     /// rounded up to a whole nanosecond so a non-empty packet never
     /// serializes in zero time.

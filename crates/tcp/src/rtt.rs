@@ -48,8 +48,15 @@ pub struct RttEstimator {
 }
 
 impl RttEstimator {
-    /// New estimator with the given configuration.
+    /// New estimator with the given configuration. Panics if
+    /// `min_rto > max_rto`: no RTO lies between such bounds.
     pub fn new(cfg: RttConfig) -> Self {
+        assert!(
+            cfg.min_rto <= cfg.max_rto,
+            "RttConfig: min_rto {:?} exceeds max_rto {:?}",
+            cfg.min_rto,
+            cfg.max_rto
+        );
         RttEstimator {
             cfg,
             srtt: None,
@@ -198,6 +205,16 @@ mod tests {
         assert_eq!(e.min_rtt(), Some(us(40)));
         assert_eq!(e.latest(), Some(us(90)));
         assert_eq!(e.samples(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds max_rto")]
+    fn inverted_rto_bounds_are_rejected() {
+        RttEstimator::new(RttConfig {
+            min_rto: us(2),
+            max_rto: us(1),
+            ..RttConfig::default()
+        });
     }
 
     #[test]

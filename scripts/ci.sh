@@ -3,18 +3,18 @@
 # zero registry dependencies by design (see DESIGN.md), so an empty
 # cargo registry — or no network at all — must never break the build.
 #
-# Usage: scripts/ci.sh [soak|chaos|lint|skew]
+# Usage: scripts/ci.sh [soak|lint]
 #   Any other argument prints this usage line and exits 2 before
 #   anything is built.
 #   (none) — the default gate: release build, the tests of every
 #           member (the root `default-members`: unit tests, property
 #           suites and the root suites), the window-barrier panic and
-#           worker-invariance tests, the
-#           queue oracle (the timer wheel against the `BTreeMap`
-#           reference queue), the scoreboard oracle, the allocation ledger, the
+#           worker-invariance tests, the queue oracle (the timer wheel
+#           against the `BTreeMap` reference queue), the scoreboard oracle, the allocation ledger, the
 #           laws and the pinned digests (determinism, the whole
 #           multirack suite with its barrier stress, the fabric,
-#           slot-edge and two-door pins, the live set) again in release, chaos
+#           slot-edge and two-door pins, the live set) again in release,
+#           chaos
 #           soak, figures smoke, `figures all --jobs 1` diffed
 #           bit-for-bit against the
 #           checked-in figures_output.txt (every deterministic row,
@@ -38,27 +38,14 @@
 #           block runs TK_CASES cases (default 10000) instead of its
 #           built-in count, and the chaos soak runs 5000 scenarios.
 #           Override with TK_CASES=N scripts/ci.sh soak.
-#   chaos — run only the randomized chaos soak (build + tests/chaos.rs)
-#           at TK_CASES scenarios (default 200). On a violation the
-#           harness shrinks to a minimal failing plan and prints a
-#           replayable case seed (persisted to tests/tk-regressions/).
-#           TK_JOBS=N shards scenarios across N workers (default:
-#           available_parallelism; results are job-count independent).
-#   skew  — run the time-plane acceptance suite (tests/skew.rs: drift
-#           under resync holds ≥80% of clean goodput, guard-band knob,
-#           desync escalation, slot-edge policies) plus the skewed /
-#           inert-clock determinism tests. The same tests run inside
-#           the default gate's test pass; this mode is the quick
-#           focused loop. Regenerate the checked-in sweep tables with:
-#           cargo run --release -p bench --bin figures -- skew
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MODE="${1:-}"
 case "$MODE" in
-    ""|soak|chaos|lint|skew) ;;
+    ""|soak|lint) ;;
     *)
-        echo "usage: scripts/ci.sh [soak|chaos|lint|skew]" >&2
+        echo "usage: scripts/ci.sh [soak|lint]" >&2
         exit 2
         ;;
 esac
@@ -89,33 +76,16 @@ if [[ "$MODE" == "lint" ]]; then
     exit 0
 fi
 
-if [[ "$MODE" == "chaos" ]]; then
-    CHAOS_CASES="${TK_CASES:-200}"
-    echo "==> chaos soak: ${CHAOS_CASES} randomized scenarios"
-    TK_CASES="$CHAOS_CASES" cargo test -q --offline --test chaos
-    echo "CHAOS OK"
-    exit 0
-fi
-
-if [[ "$MODE" == "skew" ]]; then
-    echo "==> time-plane acceptance suite (clock skew / guard band / desync)"
-    cargo test -q --offline --test skew
-    cargo test -q --offline --test determinism skew
-    cargo test -q --offline --test determinism inert_clock
-    echo "SKEW OK"
-    exit 0
-fi
-
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
 # The window barrier's spin/park hand-off is timing-sensitive and an
 # unoptimised build hides races an optimised one shows: run its panic
 # tests and the two worker-invariance runs again in release. Those two
-# are the two-rack week with every feature on (at 1, 2 and 4 workers)
-# and the rotor with every chaos plane armed (at 1 and 4); both serve
-# the one train rule. The empty-window stress runs with the multirack
-# suite below.
+# are the two-rack week with every feature on and the rotor with every
+# chaos plane armed, each at 1, 2 and 4 workers; both serve the one
+# train rule. The empty-window stress runs with the multirack suite
+# below.
 echo "==> window barrier, release build: panic propagation, worker invariance"
 cargo test -q --offline --release -p simcore par::tests::run_windows
 cargo test -q --offline --release -p rdcn --lib two_rack_week_with_every_feature_is_worker_invariant
@@ -140,8 +110,8 @@ cargo test -q --offline --release --test laws
 # debug builds, while figures and the benchmark run in release: hold the
 # pinned digests in the release build too, so a digest that depends on
 # the build profile fails here. They are every variant and every armed
-# chaos plane (determinism); the 16-rack fabric at 1–32 workers, the two
-# slot-edge policies on the armed rotor, the two doors at one digest
+# chaos plane (determinism); the 16-rack fabric at 1–32 workers, the
+# two slot-edge policies on the armed rotor, the two doors at one digest
 # and the 10k-empty-window barrier stress (the whole multirack suite);
 # and the live set.
 echo "==> pinned digests, release build: determinism, multirack, live set"

@@ -1,12 +1,14 @@
-//! The one test harness of the transport suites: the constants every
+//! The one test harness of the root suites: the constants every
 //! case sizes its endpoints with, the handshake, the peer-segment
-//! builder, single-host scripts, the two-host driver and the forwarding
-//! wrapper at the `Transport` seam. It lives in the library, not in a
-//! `tests/common` module, so each root test binary links it whole.
+//! builder, single-host scripts, the two-host driver, the forwarding
+//! wrapper at the `Transport` seam and the busy chaos plans every armed
+//! run shares. It lives in the library, not in a `tests/common` module,
+//! so each root test binary links it whole.
 
 use std::collections::VecDeque;
 use std::ops::Deref;
 
+use rdcn::{ClockPlan, FaultPlan, ImpairPlan, NetConfig};
 use simcore::{SimDuration, SimTime};
 use tcp::cc::{CcConfig, CongestionControl, Cubic, Dctcp, ReTcp, ReTcpConfig, Reno};
 use tcp::{
@@ -75,6 +77,44 @@ pub fn td_pair(cfg: TdtcpConfig, kind: u8) -> (TdtcpConnection, TdtcpConnection)
     let cc = cca(kind);
     let snd = TdtcpConnection::connect(FLOW, cfg.clone(), cc.as_ref(), SimTime::ZERO);
     (snd, TdtcpConnection::listen(FLOW, cfg, cc.as_ref()))
+}
+
+/// The busy control plane: 5 % of notifications lost.
+pub fn busy_faults() -> FaultPlan {
+    FaultPlan::notification_loss(0.05)
+}
+
+/// The busy data path: 1 % of segments lost, 5 % held back up to 150 µs,
+/// 1 % duplicated and 0.2 % corrupted.
+pub fn busy_impair() -> ImpairPlan {
+    ImpairPlan {
+        loss_rate: 0.01,
+        reorder_rate: 0.05,
+        reorder_delay: SimDuration::from_micros(150),
+        duplicate_rate: 0.01,
+        corrupt_rate: 0.002,
+    }
+}
+
+/// The busy time plane, every mechanism at once: per-host offsets up to
+/// 120 µs, 200 ppm drift, 500 ns read jitter, and a resync every
+/// millisecond to within 2 µs.
+pub fn busy_clock() -> ClockPlan {
+    ClockPlan {
+        offset_bound: SimDuration::from_micros(120),
+        drift_ppm: 200.0,
+        jitter: SimDuration::from_nanos(500),
+        resync_interval: SimDuration::from_millis(1),
+        resync_error: SimDuration::from_micros(2),
+        ..ClockPlan::default()
+    }
+}
+
+/// Arm every chaos plane of `net` with its busy plan.
+pub fn arm(net: &mut NetConfig) {
+    net.faults = busy_faults();
+    net.impair = busy_impair();
+    net.clock = busy_clock();
 }
 
 /// The three-way handshake of `(a, b)`: `a`'s SYN at 0 µs reaches `b`

@@ -13,10 +13,13 @@
 //! point. Floats are compared by bit pattern — exact, not approximate.
 
 use bench::{Variant, Workload};
+use rdcn::shard::assert_worker_count_invariant;
 use rdcn::NetConfig;
 use simcore::{SimDuration, SimTime, TimeSeries};
 use tcp::Transport;
-use tdtcp_repro::harness::{handshake, td_config, td_pair, Peer, MSS};
+use tdtcp_repro::harness::{
+    arm, busy_clock, busy_faults, busy_impair, handshake, td_config, td_pair, Peer, MSS,
+};
 use testkit::Counters;
 use wire::TdnId;
 
@@ -199,30 +202,6 @@ fn all_variants_are_deterministic() {
     }
 }
 
-fn busy_impair_plan() -> rdcn::ImpairPlan {
-    rdcn::ImpairPlan {
-        loss_rate: 0.01,
-        reorder_rate: 0.05,
-        reorder_delay: SimDuration::from_micros(150),
-        duplicate_rate: 0.01,
-        corrupt_rate: 0.002,
-    }
-}
-
-/// A plan that exercises every time-plane mechanism at once: per-host
-/// offsets past the guard band, drift, read jitter, and periodic
-/// resyncs.
-fn busy_clock_plan() -> rdcn::ClockPlan {
-    rdcn::ClockPlan {
-        offset_bound: SimDuration::from_micros(120),
-        drift_ppm: 200.0,
-        jitter: SimDuration::from_nanos(500),
-        resync_interval: SimDuration::from_millis(1),
-        resync_error: SimDuration::from_micros(2),
-        ..rdcn::ClockPlan::default()
-    }
-}
-
 /// `(plane, the edit arming it with a busy plan, its runs)`; a run is
 /// `(variant, seed, pinned stats_digest)`.
 type Case = (&'static str, Edit, &'static [(Variant, u64, u64)]);
@@ -236,7 +215,7 @@ type Case = (&'static str, Edit, &'static [(Variant, u64, u64)]);
 const CASES: [Case; 4] = [
     (
         "notification loss",
-        |n| n.faults = rdcn::FaultPlan::notification_loss(0.05),
+        |n| n.faults = busy_faults(),
         &[(Variant::Tdtcp, 1, 0x249b_2cd1_beb6_25b6)],
     ),
     (
@@ -253,7 +232,7 @@ const CASES: [Case; 4] = [
     ),
     (
         "impairment",
-        |n| n.impair = busy_impair_plan(),
+        |n| n.impair = busy_impair(),
         &[
             (Variant::Tdtcp, 1, 0x4569_b7e2_143c_b750),
             (Variant::Tdtcp, 0xBADC_AB1E, 0x1a50_0d7a_f796_c64c),
@@ -263,7 +242,7 @@ const CASES: [Case; 4] = [
     ),
     (
         "clock skew",
-        |n| n.clock = busy_clock_plan(),
+        |n| n.clock = busy_clock(),
         &[
             (Variant::Tdtcp, 1, 0x5e94_9312_7e38_1a49),
             (Variant::Tdtcp, 0xC10C, 0xa612_13e5_00d6_eec0),
@@ -334,17 +313,12 @@ fn skewed_runs_are_deterministic() {
 /// plane's counters and log is held where the three meet.
 #[test]
 fn every_plane_armed_at_once_is_pinned() {
-    let armed: Edit = |n| {
-        n.faults = rdcn::FaultPlan::notification_loss(0.05);
-        n.impair = busy_impair_plan();
-        n.clock = busy_clock_plan();
-    };
-    let res = run_result(Variant::Tdtcp, 1, armed);
+    let res = run_result(Variant::Tdtcp, 1, arm);
     assert!(res.faults.total() > 0, "fault plane never fired");
     assert!(res.impairments.total() > 0, "impair plane never fired");
     assert!(res.clock.total() > 0, "clock plane never fired");
     let digest = res.stats_digest();
-    assert_eq!(digest, run_edited(Variant::Tdtcp, 1, armed), "armed run diverged");
+    assert_eq!(digest, run_edited(Variant::Tdtcp, 1, arm), "armed run diverged");
     assert_eq!(digest, 0x345e_cd86_9539_92a7, "every plane armed: got {digest:#018x}");
 }
 
@@ -358,54 +332,22 @@ fn inert_clock_plan_leaves_clean_digest_unchanged() {
     assert_inert("clock", |n| n.clock = rdcn::ClockPlan::none());
 }
 
-/// The intra-run parallelism contract: a chaotic multirack run —
-/// notification faults, data-path impairments, and clock skew all armed
-/// at once — produces **bit-identical** results under the sharded
-/// engine at workers 1, 2 and 4. The digest folds every host's stats,
-/// completion and error, and each rack's VOQ counters, events and
-/// fault/impair/clock books, in fixed rack order, so any
-/// worker-count-dependent reordering anywhere in the engine would
-/// surface here.
+/// The intra-run parallelism contract: a chaotic 8-rack run —
+/// notification faults, data-path impairments and clock skew, every
+/// busy plan armed at once — ends in one digest at workers 1, 2 and 4.
+/// The digest folds each rack's events with its other books, so the
+/// event count needs no check of its own.
 #[test]
 fn sharded_chaos_run_is_worker_count_invariant() {
-    fn chaotic_cfg() -> rdcn::ShardConfig {
-        let net = rdcn::MultiRackConfig {
-            racks: 8,
-            ..rdcn::MultiRackConfig::paper_8rack()
-        };
-        rdcn::ShardConfig {
-            faults: rdcn::FaultPlan::notification_loss(0.05),
-            impair: busy_impair_plan(),
-            clock: busy_clock_plan(),
-            guard_band: SimDuration::from_micros(1),
-            ..rdcn::ShardConfig::clean(net)
-        }
-    }
-    let flows: Vec<rdcn::PairFlow> = (0..8)
-        .map(|r| rdcn::PairFlow {
-            src: r,
-            dst: (r + 1) % 8,
-        })
-        .collect();
-    let run = |workers: usize| {
-        rdcn::ShardedEmulator::new(chaotic_cfg(), flows.clone(), |i, _| {
-            Variant::Tdtcp.endpoints(i, u64::MAX, None, SimTime::ZERO)
-        })
-        .run(SimTime::from_millis(4), workers)
-    };
-    let base = run(1);
-    assert!(base.faults_total > 0, "fault plane never fired");
-    assert!(base.impairments_total > 0, "impair plane never fired");
-    assert!(base.clock_total > 0, "clock plane never fired");
-    for workers in [2usize, 4] {
-        let other = run(workers);
-        assert_eq!(
-            base.stats_digest(),
-            other.stats_digest(),
-            "sharded chaos digest diverged between workers=1 and workers={workers}"
-        );
-        assert_eq!(base.events, other.events, "event count drifted at workers={workers}");
-    }
+    let mut cfg = rdcn::ShardConfig::clean(rdcn::MultiRackConfig {
+        racks: 8,
+        ..rdcn::MultiRackConfig::paper_8rack()
+    });
+    arm(&mut cfg.net);
+    cfg.net.guard_band = SimDuration::from_micros(1);
+    let ring: Vec<_> = (0..8).map(|r| rdcn::PairFlow { src: r, dst: (r + 1) % 8 }).collect();
+    let tdtcp = |i| Variant::Tdtcp.endpoints(i, u64::MAX, None, SimTime::ZERO);
+    assert_worker_count_invariant(&cfg, &ring, SimTime::from_millis(4), [1; 3], tdtcp);
 }
 
 /// Skewed runs shard like clean ones: mapping a (variant, seed) grid

@@ -28,14 +28,12 @@
 
 use bench::{Variant, ALL_VARIANTS};
 use rdcn::emulator::TimedEndpointFactory;
-use rdcn::{
-    ClockPlan, Emulator, EndpointFactory, FaultPlan, FlowSpec, ImpairPlan, NetConfig, RunResult,
-};
+use rdcn::{Emulator, EndpointFactory, FlowSpec, NetConfig, RunResult};
 use simcore::{SimDuration, SimTime};
 use std::cell::Cell;
 use std::rc::Rc;
 use tcp::{Direction, FlowId, SackBlocks, Segment, SeqNum, Transport};
-use tdtcp_repro::harness::{Observer, Tap};
+use tdtcp_repro::harness::{arm, Observer, Tap};
 use testkit::prop::{range, tuple2, tuple3, tuple4, uniform, vec_of};
 use testkit::{tk_assert, tk_assert_eq};
 use wire::{Ecn, ParseError, TdnId};
@@ -92,27 +90,6 @@ fn simultaneous(net: NetConfig, variant: Variant, flows: &[(SimTime, u64)]) -> E
     Emulator::new(net, flows.len(), factory)
 }
 
-/// Every chaos plane armed: notification loss, a busy data path and a
-/// skewed, drifting, jittered clock.
-fn armed(net: &mut NetConfig) {
-    net.faults = FaultPlan::notification_loss(0.05);
-    net.impair = ImpairPlan {
-        loss_rate: 0.01,
-        reorder_rate: 0.05,
-        reorder_delay: SimDuration::from_micros(150),
-        duplicate_rate: 0.01,
-        corrupt_rate: 0.002,
-    };
-    net.clock = ClockPlan {
-        offset_bound: SimDuration::from_micros(120),
-        drift_ppm: 200.0,
-        jitter: SimDuration::from_nanos(500),
-        resync_interval: SimDuration::from_millis(1),
-        resync_error: SimDuration::from_micros(2),
-        ..ClockPlan::default()
-    };
-}
-
 /// The five variants of the paper's evaluation.
 const PAPER_VARIANTS: [Variant; 5] =
     [Variant::Tdtcp, Variant::Cubic, Variant::Mptcp, Variant::ReTcpDyn, Variant::Dctcp];
@@ -158,7 +135,7 @@ testkit::props! {
         let variant = PAPER_VARIANTS[usize::from(pick)];
         let mut net = net(variant, seed);
         if chaos == 1 {
-            armed(&mut net);
+            arm(&mut net);
         }
         let flows = flows(&finite);
         let sampled = |us: Option<u64>| {
@@ -243,7 +220,7 @@ fn every_segment_survives_the_wire() {
     for (variant, chaos) in clean.into_iter().chain([(Variant::Tdtcp, true), (Variant::Mptcp, true)]) {
         let mut net = net(variant, 1);
         if chaos {
-            armed(&mut net);
+            arm(&mut net);
         }
         let watchdog = Some(bench::variants::watchdog_for(&net));
         let crossed = Rc::new(Cell::new(Crossed::default()));

@@ -5,12 +5,14 @@
 //! deterministic — across reruns and across worker counts. Every run
 //! here is `workers = 1` unless it says otherwise.
 
-use bench::Variant;
+use bench::{Variant, ALL_VARIANTS};
 use rdcn::{
-    ClockPlan, Emulator, EpsBurst, FaultPlan, ImpairPlan, MultiRackConfig, NetConfig, PairFlow,
-    ShardConfig, ShardResult, ShardedEmulator, SlotEdgePolicy,
+    ClockPlan, Emulator, EpsBurst, ImpairPlan, MultiRackConfig, NetConfig, PairFlow, ShardConfig,
+    ShardResult, ShardedEmulator, SlotEdgePolicy,
 };
+use rdcn::shard::assert_worker_count_invariant;
 use simcore::{SimDuration, SimTime};
+use tdtcp_repro::harness::arm;
 
 fn all_pairs(n: usize) -> Vec<PairFlow> {
     let mut v = Vec::new();
@@ -82,12 +84,7 @@ fn circuits_accelerate_tdtcp_beyond_eps_share() {
     // bursts 1/7 of the time. TDTCP's total must exceed what the EPS
     // alone could have carried.
     let cfg = MultiRackConfig::paper_8rack();
-    let flows: Vec<PairFlow> = (0..8)
-        .map(|r| PairFlow {
-            src: r,
-            dst: (r + 1) % 8,
-        })
-        .collect();
+    let flows = ring(8);
     let tdtcp = run(cfg.clone(), flows.clone(), Variant::Tdtcp, u64::MAX, 15, 1);
     let cubic = run(cfg, flows, Variant::Cubic, u64::MAX, 15, 1);
     let (tdtcp, cubic) = (tdtcp.total_acked() as f64, cubic.total_acked() as f64);
@@ -125,109 +122,6 @@ fn eps_shared_fairly_across_destinations() {
     );
 }
 
-#[test]
-fn deterministic() {
-    // The clean fabric gives one digest: across two runs and at workers
-    // 1, 2 and 4.
-    let digest = |workers: usize| {
-        let mut cfg = MultiRackConfig::paper_8rack();
-        cfg.racks = 4;
-        let res = run(cfg, all_pairs(4), Variant::Tdtcp, u64::MAX, 5, workers);
-        assert!(res.total_acked() > 0);
-        res.stats_digest()
-    };
-    let base = digest(1);
-    for workers in [1, 2, 4] {
-        assert_eq!(digest(workers), base, "digest moved at workers={workers}");
-    }
-}
-
-#[test]
-fn chaos_paths_are_worker_count_invariant() {
-    // The rare paths of a pooled segment's life, together: the wire
-    // duplicate (an id copied into a second slot), wire and EPS-burst
-    // corruption (the slot rewritten in place), burst and guard-band
-    // drops (the slot released at the fault), the clock-deferred launch
-    // (the same id re-queued). Debug builds check the pool law at every
-    // window barrier and panic where a vacant slot is touched, so a
-    // mishandled id on any of them fails here; and the digest must not
-    // depend on the worker count. It is pinned, so the N-rack fold of
-    // every plane's counters and log is held too.
-    for (policy, pin) in [
-        (SlotEdgePolicy::Defer, 0x7d84_9e67_a5d5_3208),
-        (SlotEdgePolicy::Drop, 0x6ed6_40a9_6e29_0609),
-    ] {
-        let run = |workers: usize| {
-            let mut net = MultiRackConfig::paper_8rack();
-            net.racks = 4;
-            let mut cfg = ShardConfig::clean(net);
-            cfg.impair = ImpairPlan {
-                duplicate_rate: 0.01,
-                corrupt_rate: 0.01,
-                ..ImpairPlan::none()
-            };
-            cfg.faults.eps_burst = Some(EpsBurst {
-                start: SimTime::from_millis(1),
-                len: SimDuration::from_millis(1),
-                drop_rate: 0.05,
-                corrupt_rate: 0.05,
-            });
-            cfg.clock = ClockPlan {
-                offset_bound: SimDuration::from_micros(40),
-                slot_edge_policy: policy,
-                ..ClockPlan::none()
-            };
-            cfg.guard_band = SimDuration::from_micros(1);
-            ShardedEmulator::new(cfg, all_pairs(4), |i, _| {
-                Variant::Tdtcp.endpoints(i, u64::MAX, None, SimTime::ZERO)
-            })
-            .run(SimTime::from_millis(4), workers)
-        };
-        let base = run(1);
-        assert!(base.total_acked() > 0);
-        assert!(base.faults_total > 0, "{policy:?}: the EPS burst never fired");
-        assert!(base.impairments_total > 0, "{policy:?}: the wire never fired");
-        assert!(base.clock_total > 0, "{policy:?}: no launch met the slot edge");
-        let corrupt_rx: u64 = base.receiver_stats.iter().map(|s| s.corrupt_rx).sum();
-        let dups: u64 = base.receiver_stats.iter().map(|s| s.dup_segs_received).sum();
-        assert!(corrupt_rx > 0 && dups > 0, "{policy:?}: corrupt_rx {corrupt_rx}, dups {dups}");
-        let digest = base.stats_digest();
-        assert_eq!(digest, pin, "{policy:?}: got {digest:#018x}");
-        for workers in [2, 4] {
-            assert_eq!(
-                run(workers).stats_digest(),
-                base.stats_digest(),
-                "{policy:?}: digest moved at workers={workers}"
-            );
-        }
-    }
-}
-
-/// The two-rack door's network as the N-rack door's config: N = 2, TDN 0
-/// the packet network and TDN 1 the circuit, the same week, VOQ,
-/// notification model, seed, chaos plans and guard band. `ShardConfig`
-/// has no circuit marking and no VOQ resizing, so reTCP and retcpdyn
-/// have no N-rack twin.
-fn as_fabric(net: &NetConfig) -> ShardConfig {
-    assert!(!net.circuit_marking && !net.retcpdyn, "no N-rack twin");
-    ShardConfig {
-        net: MultiRackConfig {
-            racks: 2,
-            packet: net.tdns[0],
-            circuit: net.tdns[1],
-            schedule: net.schedule.clone(),
-            voq: net.voq,
-            notify: net.notify,
-            host_rate_bps: net.host_rate_bps,
-            seed: net.seed,
-        },
-        faults: net.faults.clone(),
-        impair: net.impair.clone(),
-        clock: net.clock.clone(),
-        guard_band: net.guard_band,
-    }
-}
-
 /// `flows` bulk `variant` flows from rack 0 to rack 1 over `net`, through
 /// the N-rack door at `workers` workers.
 fn pair_run(
@@ -237,7 +131,8 @@ fn pair_run(
     until: SimTime,
     workers: usize,
 ) -> ShardResult {
-    ShardedEmulator::new(as_fabric(net), vec![PairFlow { src: 0, dst: 1 }; flows], |i, _| {
+    let cfg = ShardConfig { net: net.clone(), racks: 2 };
+    ShardedEmulator::new(cfg, vec![PairFlow { src: 0, dst: 1 }; flows], |i, _| {
         variant.endpoints(i, u64::MAX, None, SimTime::ZERO)
     })
     .run(until, workers)
@@ -246,33 +141,17 @@ fn pair_run(
 /// The two doors drive one loop and fold one digest: `Emulator` over
 /// `NetConfig::paper_baseline()` and `ShardedEmulator` at N = 2 over the
 /// same network, at 1 and 2 workers, end in the same `stats_digest` — on
-/// TDTCP, CUBIC, DCTCP and MPTCP, clean and with all three chaos planes
-/// armed.
+/// every variant, clean and with all three chaos planes armed.
 #[test]
 fn the_two_doors_drive_one_loop() {
     const FLOWS: usize = 8;
     let until = SimTime::from_millis(6);
-    for variant in [Variant::Tdtcp, Variant::Cubic, Variant::Dctcp, Variant::Mptcp] {
+    for variant in ALL_VARIANTS {
         for chaos in [false, true] {
             let mut net = NetConfig::paper_baseline();
             variant.apply_net_config(&mut net);
             if chaos {
-                net.faults = FaultPlan::notification_loss(0.05);
-                net.impair = ImpairPlan {
-                    loss_rate: 0.01,
-                    reorder_rate: 0.05,
-                    reorder_delay: SimDuration::from_micros(150),
-                    duplicate_rate: 0.01,
-                    corrupt_rate: 0.002,
-                };
-                net.clock = ClockPlan {
-                    offset_bound: SimDuration::from_micros(120),
-                    drift_ppm: 200.0,
-                    jitter: SimDuration::from_nanos(500),
-                    resync_interval: SimDuration::from_millis(1),
-                    resync_error: SimDuration::from_micros(2),
-                    ..ClockPlan::default()
-                };
+                arm(&mut net);
             }
             let two_rack = Emulator::new(net.clone(), FLOWS, variant.factory(u64::MAX)).run(until);
             if variant == Variant::Tdtcp {
@@ -307,6 +186,81 @@ fn the_two_doors_drive_one_loop() {
         tdtcp > cubic * 1.08,
         "tdtcp {tdtcp:.0} must clearly beat cubic {cubic:.0}"
     );
+}
+
+/// `n` racks, rack `r` sending to rack `r + 1`.
+fn ring(n: usize) -> Vec<PairFlow> {
+    (0..n).map(|r| PairFlow { src: r, dst: (r + 1) % n }).collect()
+}
+
+/// The clean rotor of `MultiRackConfig::paper_8rack()` at `racks` racks.
+fn rotor(racks: usize) -> ShardConfig {
+    ShardConfig::clean(MultiRackConfig {
+        racks,
+        ..MultiRackConfig::paper_8rack()
+    })
+}
+
+/// The clean rotor gives one digest at workers 1, 2 and 4, and again on
+/// a second run. reTCP's circuit marks and retcpdyn's VOQ resizing act
+/// at four racks too: retcpdyn's run moves when they are off.
+#[test]
+fn deterministic() {
+    let (flows, until) = (all_pairs(4), SimTime::from_millis(5));
+    for variant in [Variant::Tdtcp, Variant::ReTcpDyn] {
+        let mut cfg = rotor(4);
+        variant.apply_net_config(&mut cfg.net);
+        let endpoints = |i| variant.endpoints(i, u64::MAX, None, SimTime::ZERO);
+        let base = assert_worker_count_invariant(&cfg, &flows, until, [0; 3], endpoints);
+        let rerun = |cfg: ShardConfig| {
+            ShardedEmulator::new(cfg, flows.clone(), |i, _| endpoints(i)).run(until, 1).stats_digest()
+        };
+        assert_eq!(rerun(cfg), base.stats_digest(), "{variant:?}: a second run moved");
+        if variant == Variant::ReTcpDyn {
+            assert_ne!(rerun(rotor(4)), base.stats_digest(), "the switch support is inert");
+        }
+    }
+}
+
+#[test]
+fn chaos_paths_are_worker_count_invariant() {
+    // The rare paths of a pooled segment's life, together: the wire
+    // duplicate (an id copied into a second slot), wire and EPS-burst
+    // corruption (the slot rewritten in place), burst and guard-band
+    // drops (the slot released at the fault), and the clock-deferred
+    // launch (the same id re-queued). Pinned, so the N-rack fold of every
+    // plane's counters and log is held too.
+    for (policy, pin) in [
+        (SlotEdgePolicy::Defer, 0x7d84_9e67_a5d5_3208),
+        (SlotEdgePolicy::Drop, 0x6ed6_40a9_6e29_0609),
+    ] {
+        let mut cfg = rotor(4);
+        cfg.net.impair = ImpairPlan {
+            duplicate_rate: 0.01,
+            corrupt_rate: 0.01,
+            ..ImpairPlan::none()
+        };
+        cfg.net.faults.eps_burst = Some(EpsBurst {
+            start: SimTime::from_millis(1),
+            len: SimDuration::from_millis(1),
+            drop_rate: 0.05,
+            corrupt_rate: 0.05,
+        });
+        cfg.net.clock = ClockPlan {
+            offset_bound: SimDuration::from_micros(40),
+            slot_edge_policy: policy,
+            ..ClockPlan::none()
+        };
+        cfg.net.guard_band = SimDuration::from_micros(1);
+        let tdtcp = |i| Variant::Tdtcp.endpoints(i, u64::MAX, None, SimTime::ZERO);
+        let until = SimTime::from_millis(4);
+        let base = assert_worker_count_invariant(&cfg, &all_pairs(4), until, [1; 3], tdtcp);
+        let corrupt_rx: u64 = base.receiver_stats.iter().map(|s| s.corrupt_rx).sum();
+        let dups: u64 = base.receiver_stats.iter().map(|s| s.dup_segs_received).sum();
+        assert!(corrupt_rx > 0 && dups > 0, "{policy:?}: corrupt_rx {corrupt_rx}, dups {dups}");
+        let digest = base.stats_digest();
+        assert_eq!(digest, pin, "{policy:?}: got {digest:#018x}");
+    }
 }
 
 /// The benchmark's `fabric16`: 16 racks, every rack sending at strides
