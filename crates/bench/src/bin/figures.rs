@@ -22,7 +22,10 @@
 //! An unknown experiment name, an unknown option, or a missing,
 //! non-numeric or out-of-range option value (a horizon of 0 ms or past
 //! `u64` nanoseconds, 0 jobs) is a usage error: nothing runs and the exit
-//! code is 2.
+//! code is 2. So is a horizon at or below the 10 ms warm-up when an
+//! experiment that measures past the warm-up is requested (`table1`,
+//! `faults`, `impair`, `skew`, and so `all`): it would print every
+//! steady-state goodput as 0.
 //!
 //! Every experiment's sweep-style runs shard across worker threads via
 //! `simcore::par`; outputs are bit-identical to `--jobs 1` because run
@@ -40,6 +43,10 @@ const EXPERIMENTS: [&str; 23] = [
 ];
 
 const USAGE: &str = "usage: figures [experiment...] [--horizon-ms N] [--jobs N]";
+
+/// The experiments that measure past the warm-up
+/// ([`default_warmup`]): their horizon must end after it.
+const WARMED_UP: [&str; 4] = ["table1", "faults", "impair", "skew"];
 
 /// The parsed command line.
 struct Args {
@@ -90,16 +97,37 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             other => return Err(format!("unknown experiment or option: {other}")),
         }
     }
+    if parsed.wanted.is_empty() {
+        parsed.wanted.push("all".to_string());
+    }
+    // `quick` expands in place: the reduced horizon applies, and its
+    // experiment set merges with whatever else was requested instead of
+    // clobbering it (`figures quick faults` runs faults too).
+    if let Some(pos) = parsed.wanted.iter().position(|w| w == "quick") {
+        parsed.horizon = SimTime::from_millis(25);
+        parsed.wanted.splice(pos..=pos, ["table1", "fig10", "fig11"].map(String::from));
+        let mut seen = std::collections::BTreeSet::new();
+        parsed.wanted.retain(|w| seen.insert(w.clone()));
+    }
+    if parsed.wanted.iter().any(|w| w == "all") {
+        parsed.wanted = EXPERIMENTS.map(String::from).to_vec();
+    }
+    let warmup = default_warmup();
+    if parsed.horizon <= warmup {
+        if let Some(w) = parsed.wanted.iter().find(|w| WARMED_UP.contains(&w.as_str())) {
+            return Err(format!(
+                "{w} measures past the {} ms warm-up, so --horizon-ms must exceed it, got {}",
+                warmup.as_nanos() / 1_000_000,
+                parsed.horizon.as_nanos() / 1_000_000
+            ));
+        }
+    }
     Ok(parsed)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Args {
-        mut horizon,
-        mut wanted,
-        jobs,
-    } = match parse_args(&args) {
+    let Args { horizon, wanted, jobs } = match parse_args(&args) {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("figures: {e}");
@@ -110,22 +138,6 @@ fn main() -> ExitCode {
     };
     let jobs = jobs.unwrap_or_else(simcore::par::available);
     simcore::par::set_default_jobs(jobs);
-
-    if wanted.is_empty() {
-        wanted.push("all".to_string());
-    }
-    // `quick` expands in place: the reduced horizon applies, and its
-    // experiment set merges with whatever else was requested instead of
-    // clobbering it (`figures quick faults` runs faults too).
-    if let Some(pos) = wanted.iter().position(|w| w == "quick") {
-        horizon = SimTime::from_millis(25);
-        wanted.splice(pos..=pos, ["table1", "fig10", "fig11"].map(String::from));
-        let mut seen = std::collections::BTreeSet::new();
-        wanted.retain(|w| seen.insert(w.clone()));
-    }
-    if wanted.iter().any(|w| w == "all") {
-        wanted = EXPERIMENTS.map(String::from).to_vec();
-    }
 
     let warmup = default_warmup();
     println!(

@@ -50,6 +50,19 @@ fn out_of_range_option_values_are_usage_errors() {
     assert_usage_error(&["notify", "--jobs", "0"], "--jobs");
 }
 
+/// An experiment that measures past the 10 ms warm-up needs a horizon
+/// beyond it: otherwise every steady-state goodput reads 0 and every
+/// ratio NaN.
+#[test]
+fn a_horizon_within_the_warm_up_is_a_usage_error() {
+    for experiment in ["table1", "faults", "impair", "skew", "all"] {
+        assert_usage_error(&[experiment, "--jobs", "1", "--horizon-ms", "5"], "warm-up");
+        assert_usage_error(&[experiment, "--jobs", "1", "--horizon-ms", "10"], "warm-up");
+    }
+    // Named beside an experiment that needs no warm-up, it still fails.
+    assert_usage_error(&["notify", "table1", "--horizon-ms", "5"], "table1");
+}
+
 #[test]
 fn known_experiment_still_runs() {
     let out = figures(&["notify", "--jobs", "1", "--horizon-ms", "5"]);

@@ -253,13 +253,34 @@ struct Track {
     /// The flow's start: the host is live from here until it closes.
     start: SimTime,
     /// `is_done()` as of the last event that called into the host. A
-    /// closed host is not notified any more.
+    /// closed host hears nothing from its ToR any more.
     closed: bool,
+    /// Left the engine at a window barrier ([`ShardedEmulator::retire`]):
+    /// its end is in the rack's `retired` list and its transport is gone.
+    retired: bool,
     /// When a sender first reported done.
     completion: Option<SimTime>,
     /// The host's [`RackShard::observed`] counters as last folded into
     /// the rack's `totals` (observing runs only).
     seen: [u64; 5],
+}
+
+/// What a resident host has sent and been sent: the counts that tell
+/// the barrier whether anything is still on its way to or from it
+/// ([`ShardedEmulator::retire`]). Kept apart from [`Track`], which the
+/// day start scans for every host.
+#[derive(Debug, Clone, Copy, Default)]
+struct Traffic {
+    /// Segments the host emitted: every poll, plus the wire duplicates
+    /// of its segments (its rack launches them).
+    emitted: u64,
+    /// Of those, the ones that died in this rack: VOQ tail drops and
+    /// every [`RackShard::drop_seg`] cause.
+    died: u64,
+    /// Segments delivered to the host.
+    delivered: u64,
+    /// ToR notifications scheduled to the host and not yet delivered.
+    notices: u32,
 }
 
 /// One rack's complete simulation state; `H` boxes its transports.
@@ -310,6 +331,7 @@ struct RackShard<H> {
     /// until the flow's endpoints are built.
     hosts: Vec<Option<H>>,
     track: Vec<Track>,
+    traffic: Vec<Traffic>,
     /// Next deadline wanted by the host (`SimTime::MAX` = none).
     tdeadline: Vec<SimTime>,
     /// Earliest time a live `HostTimer` event will fire (`MAX` = none).
@@ -320,6 +342,11 @@ struct RackShard<H> {
     tgen: Vec<u32>,
     n_senders: usize,
     done_count: usize,
+    /// Hosts that closed and have not retired: the candidates the
+    /// barrier checks ([`ShardedEmulator::retire`]).
+    closing: Vec<u32>,
+    /// The ends of the hosts retired so far, in retirement order.
+    retired: Vec<HostEnd>,
     /// Running sums of every resident host's observed counters, and
     /// their values when the current day started (observing runs only).
     totals: [u64; 5],
@@ -353,29 +380,21 @@ struct RackShard<H> {
     /// Train/batch segments beyond the event that carried them — added
     /// to the queue's pop count so `events` counts one per segment moved.
     extra_events: u64,
-    /// Segment ledger for the barrier-time conservation law; written in
-    /// debug builds only.
+    /// Where the segments the hosts' counts do not place are, for the
+    /// barrier-time conservation law; written in debug builds only.
     ledger: Ledger,
 }
 
-/// Where every segment a rack has seen went. Counters move only under
-/// `cfg!(debug_assertions)`; nothing here feeds a digest or draws RNG.
+/// The segments in flight inside a rack that no host count places.
+/// Counters move only under `cfg!(debug_assertions)`; nothing here feeds
+/// a digest or draws RNG.
 #[derive(Default)]
 struct Ledger {
-    /// Segments polled from resident hosts.
-    polled: u64,
-    /// Extra copies made by the duplicate impairment.
-    wire_dups: u64,
     /// Scheduled `Enqueue`s not yet popped (waiting on the NIC, or a
     /// clock-deferred launch waiting for its slot).
     on_nic: u64,
-    /// Dropped at launch: guard band, EPS burst, impairment loss, or a
-    /// corrupted pure ACK.
-    dropped: u64,
-    /// Segments this rack collected from its mailboxes: in a scheduled
-    /// `Deliver`, or already delivered.
-    routed_in: u64,
-    /// The part of `routed_in` not yet delivered.
+    /// Segments collected from the mailboxes into a scheduled `Deliver`
+    /// and not yet delivered.
     in_deliver: u64,
 }
 
@@ -387,6 +406,38 @@ pub(crate) struct HostEnd {
     pub(crate) stats: ConnStats,
     pub(crate) completion: Option<SimTime>,
     pub(crate) error: Option<ConnError>,
+}
+
+impl HostEnd {
+    /// The end of the host `t` tracks, whose transport is `host` (`None`
+    /// if its flow never started).
+    fn of<T: Transport + ?Sized>(t: &Track, host: Option<&T>) -> HostEnd {
+        HostEnd {
+            flow: t.flow as usize,
+            sender: t.sender,
+            stats: host.map(|h| *h.stats()).unwrap_or_default(),
+            completion: t.completion,
+            error: host.and_then(|h| h.conn_error()),
+        }
+    }
+}
+
+/// The transport of the host `t` tracks, for an event that calls into
+/// it. Nothing reaches a host whose flow has not started, nor one that
+/// retired: a flow retires only once nothing is in flight toward either
+/// host and neither can act again ([`ShardedEmulator::retire`]).
+fn reached<R>(host: Option<R>, t: &Track) -> R {
+    match host {
+        Some(host) => host,
+        None if t.retired => panic!(
+            "an event reached flow {}'s retired {}: a flow retires only when both hosts are \
+             closed, want no timer, have no notification pending and every segment each \
+             emitted has died or been delivered",
+            t.flow,
+            if t.sender { "sender" } else { "receiver" }
+        ),
+        None => panic!("events reach started hosts only (flow {})", t.flow),
+    }
 }
 
 /// One rack's share of a finished run. [`ShardResult`] and
@@ -657,6 +708,7 @@ impl<'a> ShardedEmulator<'a> {
                 if cfg!(debug_assertions) {
                     self.assert_conserved();
                 }
+                self.retire();
                 let racks = shards.iter().map(|s| s.lock().expect("shard poisoned"));
                 self.windows.next(racks, until, SimTime::MAX).is_some()
             },
@@ -735,6 +787,7 @@ impl<'a, H: DerefMut<Target: Transport>> ShardedEmulator<'a, H> {
                 sender,
                 start: starts[flow],
                 closed: false,
+                retired: false,
                 completion: None,
                 seen: [0; 5],
             };
@@ -788,10 +841,13 @@ impl<'a, H: DerefMut<Target: Transport>> ShardedEmulator<'a, H> {
                     hosts: (0..n).map(|_| None).collect(),
                     n_senders,
                     track,
+                    traffic: vec![Traffic::default(); n],
                     tdeadline: vec![SimTime::MAX; n],
                     tarmed: vec![SimTime::MAX; n],
                     tgen: vec![0; n],
                     done_count: 0,
+                    closing: Vec::new(),
+                    retired: Vec::new(),
                     totals: [0; 5],
                     day_base: [0; 5],
                     days: Vec::new(),
@@ -899,13 +955,14 @@ impl<'a, H: DerefMut<Target: Transport>> ShardedEmulator<'a, H> {
     }
 
     /// The barrier-time conservation law (debug builds): summed over
-    /// racks, every segment polled from a host or duplicated on the wire
-    /// is waiting on a NIC, in a VOQ, tail-dropped, dropped with a cause
-    /// at launch, in a mailbox, in a scheduled `Deliver`, or delivered.
-    /// And the pool law: the slots live in the racks' pools are exactly
-    /// the segments waiting on a NIC, in a VOQ or in a scheduled
-    /// `Deliver` — an id leaked, or released while something still holds
-    /// it, breaks the equality.
+    /// every host of every rack, retired ones included, each segment a
+    /// host emitted (polled, or duplicated on the wire) has died in its
+    /// rack (tail-dropped, or dropped with a cause at launch), been
+    /// delivered, or is waiting on a NIC, in a VOQ, in a mailbox or in a
+    /// scheduled `Deliver`. And the pool law: the slots live in the
+    /// racks' pools are exactly the segments waiting on a NIC, in a VOQ
+    /// or in a scheduled `Deliver` — an id leaked, or released while
+    /// something still holds it, breaks the equality.
     fn assert_conserved(&self) {
         let (mut made, mut found) = (0u64, self.mail.in_flight());
         let (mut live, mut held) = (0u64, 0u64);
@@ -914,9 +971,11 @@ impl<'a, H: DerefMut<Target: Transport>> ShardedEmulator<'a, H> {
             debug_assert!(g.outbox.iter().all(Vec::is_empty), "outbox kept past its window");
             let l = &g.ledger;
             let queued = g.voqs.iter().map(|v| v.len() as u64).sum::<u64>();
-            made += l.polled + l.wire_dups;
-            found += l.on_nic + l.dropped + l.routed_in + queued;
-            found += g.voqs.iter().map(|v| v.drops).sum::<u64>();
+            for t in &g.traffic {
+                made += t.emitted;
+                found += t.died + t.delivered;
+            }
+            found += l.on_nic + queued + l.in_deliver;
             live += g.pool.live();
             held += l.on_nic + queued + l.in_deliver;
         }
@@ -924,11 +983,59 @@ impl<'a, H: DerefMut<Target: Transport>> ShardedEmulator<'a, H> {
         assert_eq!(live, held, "segment pool law violated at a window barrier");
     }
 
+    /// Retire every flow that has left the network (DESIGN.md §13): both
+    /// hosts closed, neither wanting a timer or awaiting a notification,
+    /// and each direction balanced — what one host emitted, less what
+    /// died in its rack, was delivered to the other. Then nothing is in
+    /// flight toward either host and neither can act again, so nothing
+    /// will reach them: their ends are kept for the fold and their
+    /// transports dropped. Runs at the window barrier; its work grows
+    /// with the hosts that have closed and not retired, not with the
+    /// hosts.
+    fn retire(&self) {
+        let quiet = |g: &RackShard<H>, h: usize| {
+            g.track[h].closed && g.traffic[h].notices == 0 && g.tdeadline[h] == SimTime::MAX
+        };
+        for s in &self.shards {
+            let mut g = s.lock().expect("shard poisoned");
+            let mut closing = std::mem::take(&mut g.closing);
+            closing.retain(|&h| {
+                let (h, t) = (h as usize, g.track[h as usize]);
+                if t.retired {
+                    return false; // with its peer, from the peer's rack
+                }
+                let seat = self.seats[t.flow as usize];
+                let (rack, p) = if t.sender {
+                    (seat.dst_rack, seat.r_local as usize)
+                } else {
+                    (seat.src_rack, seat.s_local as usize)
+                };
+                // The peer lives in another rack: a flow spans two.
+                let mut peer = self.shards[rack as usize].lock().expect("shard poisoned");
+                let (a, b) = (g.traffic[h], peer.traffic[p]);
+                let retire = quiet(&g, h)
+                    && quiet(&peer, p)
+                    && a.emitted - a.died == b.delivered
+                    && b.emitted - b.died == a.delivered;
+                if retire {
+                    g.retire_host(h);
+                    peer.retire_host(p);
+                }
+                !retire
+            });
+            g.closing = closing;
+        }
+    }
+
     /// The barrier between two windows on this thread; returns the
     /// window's end.
     pub(crate) fn next_window(&mut self, until: SimTime, next_start: SimTime) -> Option<SimTime> {
         if cfg!(debug_assertions) {
             self.assert_conserved();
+        }
+        // Most barriers find no closed host waiting: skip the locks.
+        if self.shards.iter_mut().any(|s| !s.get_mut().expect("shard poisoned").closing.is_empty()) {
+            self.retire();
         }
         let racks = self.shards.iter_mut().map(|s| s.get_mut().expect("shard poisoned"));
         self.windows.next(racks, until, next_start)
@@ -964,7 +1071,6 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
         let (q, ledger, pool) = (&mut self.q, &mut self.ledger, &mut self.pool);
         self.mail.collect(self.parity ^ 1, self.r, |run| {
             if cfg!(debug_assertions) {
-                ledger.routed_in += run.len() as u64;
                 ledger.in_deliver += run.len() as u64;
             }
             let head = pool.insert(run[0].seg);
@@ -996,17 +1102,16 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
         while let Some((now, ev)) = self.q.pop_before(self.w_end) {
             self.sample_until(now);
             let touched = match &ev {
-                REv::Deliver { host, .. }
-                | REv::Notify { host, .. }
-                | REv::HostTimer { host, .. }
-                | REv::Start { host } => Some(*host as usize),
+                REv::Deliver { host, .. } | REv::Notify { host, .. } | REv::Start { host } => {
+                    Some(*host as usize)
+                }
                 _ => None,
             };
             match ev {
                 REv::Deliver { host, head } => {
                     let h = host as usize;
                     let pnow = self.clock.perceived(h, now);
-                    let t = self.hosts[h].as_deref_mut().expect("segments reach started hosts");
+                    let t = reached(self.hosts[h].as_deref_mut(), &self.track[h]);
                     // The transport reads each segment where it lies.
                     let (mut id, mut n) = (head, 0u64);
                     while id != NIL {
@@ -1017,6 +1122,7 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
                         n += 1;
                     }
                     self.extra_events += n - 1;
+                    self.traffic[h].delivered += n;
                     if cfg!(debug_assertions) {
                         self.ledger.in_deliver -= n;
                     }
@@ -1031,6 +1137,8 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
                         let port = if self.peer == Some(dst) { Port::Circuit } else { Port::Eps };
                         self.kick(now, port);
                     } else {
+                        let src = self.source(seg);
+                        self.traffic[src].died += 1;
                         self.pool.release(seg); // tail drop
                     }
                 }
@@ -1039,14 +1147,13 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
                 REv::NightStart { day } => self.on_night_start(now, day),
                 REv::Notify { host, tdn, gen } => {
                     let h = host as usize;
+                    self.traffic[h].notices -= 1;
                     // A skewed host reads the notification against its
                     // own clock: exactly what desynchronizes its
                     // slot-phase estimate.
                     let pnow = self.clock.perceived(h, now);
-                    self.hosts[h]
-                        .as_deref_mut()
-                        .expect("notifications reach started hosts")
-                        .on_tdn_notification(pnow, tdn, gen);
+                    let t = reached(self.hosts[h].as_deref_mut(), &self.track[h]);
+                    t.on_tdn_notification(pnow, tdn, gen);
                     self.flush(now, h);
                 }
                 REv::HostTimer { host, tgen } => self.host_timer(now, host as usize, tgen),
@@ -1069,13 +1176,17 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
     }
 
     /// The post-event step for a host the event called into: refresh
-    /// its closed flag, record a sender's completion the first time it
+    /// its closed flag (a host that closes becomes a candidate for
+    /// retirement), record a sender's completion the first time it
     /// reports done, and fold its counters' progress into the rack's
     /// running totals.
     fn touch(&mut self, now: SimTime, h: usize) {
         let observing = self.observing();
-        let host = self.hosts[h].as_deref().expect("only started hosts are touched");
+        let host = reached(self.hosts[h].as_deref(), &self.track[h]);
         let t = &mut self.track[h];
+        if host.is_done() && !t.closed {
+            self.closing.push(h as u32);
+        }
         t.closed = host.is_done();
         if t.sender && t.closed && t.completion.is_none() {
             t.completion = Some(now);
@@ -1108,15 +1219,17 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
         }
     }
 
-    /// Debug builds: the running totals equal a scan of every host.
+    /// Debug builds: the running totals equal a scan of every host,
+    /// retired ones by their ends.
     fn check_totals(&self) {
         if cfg!(debug_assertions) {
             let mut scan = [0u64; 5];
-            for (host, t) in self.hosts.iter().zip(&self.track) {
-                if let Some(host) = host.as_deref() {
-                    let seen = Self::observed(host.stats(), t.sender);
-                    scan.iter_mut().zip(seen).for_each(|(sum, v)| *sum += v);
-                }
+            let live = self.hosts.iter().zip(&self.track).filter_map(|(host, t)| {
+                host.as_deref().map(|host| Self::observed(host.stats(), t.sender))
+            });
+            let retired = self.retired.iter().map(|e| Self::observed(&e.stats, e.sender));
+            for seen in live.chain(retired) {
+                scan.iter_mut().zip(seen).for_each(|(sum, v)| *sum += v);
             }
             assert_eq!(self.totals, scan, "running totals diverged from a scan of every host");
         }
@@ -1157,7 +1270,7 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
     /// already-armed event rearms itself when it fires stale.
     fn flush(&mut self, now: SimTime, h: usize) {
         let pnow = self.clock.perceived(h, now);
-        let host = self.hosts[h].as_deref_mut().expect("only started hosts are flushed");
+        let host = reached(self.hosts[h].as_deref_mut(), &self.track[h]);
         while let Some(seg) = host.poll_send(pnow) {
             let seat = self.seats[seg.flow.0 as usize];
             let dst = match seg.dir {
@@ -1168,8 +1281,8 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
             let done = start
                 + SimDuration::serialization(u64::from(seg.wire_size()), self.net.host_rate_bps);
             self.nic_free = done;
+            self.traffic[h].emitted += 1;
             if cfg!(debug_assertions) {
-                self.ledger.polled += 1;
                 self.ledger.on_nic += 1;
             }
             let seg = self.pool.insert(seg);
@@ -1192,6 +1305,8 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
         }
     }
 
+    /// A `HostTimer` event for host `h`. A stale one returns before it
+    /// touches the host, which may have retired since it was armed.
     fn host_timer(&mut self, now: SimTime, h: usize, gen: u32) {
         if gen != self.tgen[h] {
             return; // superseded by an earlier rearm
@@ -1203,8 +1318,9 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
         }
         if deadline <= now {
             let pnow = self.clock.perceived(h, now);
-            self.hosts[h].as_deref_mut().expect("armed hosts exist").on_timer(pnow);
+            reached(self.hosts[h].as_deref_mut(), &self.track[h]).on_timer(pnow);
             self.flush(now, h);
+            self.touch(now, h);
         } else {
             // Fired early (the deadline moved later, lazily): rearm at
             // the real deadline.
@@ -1315,11 +1431,7 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
         // Time plane: the launching host is always resident (data
         // launches at the flow's source rack, acks at its destination).
         if !self.clock.is_inert() {
-            let seat = self.seats[seg.flow.0 as usize];
-            let host = match seg.dir {
-                Direction::DataPath => seat.s_local,
-                Direction::AckPath => seat.r_local,
-            } as usize;
+            let host = self.source(id);
             match self.clock.on_send(host, at, &self.net.schedule, self.net.guard_band) {
                 ClockVerdict::Send => {}
                 ClockVerdict::GuardDrop => {
@@ -1376,9 +1488,8 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
             ImpairVerdict::Pass => self.emit(arrive, id),
             ImpairVerdict::Delay(extra) => self.emit(arrive + extra, id),
             ImpairVerdict::Duplicate(lag) => {
-                if cfg!(debug_assertions) {
-                    self.ledger.wire_dups += 1;
-                }
+                let src = self.source(id);
+                self.traffic[src].emitted += 1;
                 // The copy is a segment of its own from here on.
                 let dup = self.pool.insert(*self.pool.get(id));
                 self.emit(arrive, id);
@@ -1402,12 +1513,23 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
         seg.payload_csum = if m == 0 { 1 } else { m };
     }
 
-    /// The segment in slot `id` left the fabric at launch, for one of
-    /// the causes `Ledger::dropped` lists.
+    /// The segment in slot `id` left the fabric at launch: a guard-band
+    /// drop, an EPS burst's drop, an impairment loss, or a corrupted pure
+    /// ACK.
     fn drop_seg(&mut self, id: u32) {
+        let src = self.source(id);
+        self.traffic[src].died += 1;
         self.pool.release(id);
-        if cfg!(debug_assertions) {
-            self.ledger.dropped += 1;
+    }
+
+    /// The resident host that emitted the segment in slot `id`: a flow's
+    /// data leaves from its sender's rack, its acks from its receiver's.
+    fn source(&self, id: u32) -> usize {
+        let seg = self.pool.get(id);
+        let seat = self.seats[seg.flow.0 as usize];
+        match seg.dir {
+            Direction::DataPath => seat.s_local as usize,
+            Direction::AckPath => seat.r_local as usize,
         }
     }
 
@@ -1496,6 +1618,7 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
                         let host = h as u32;
                         for at in [Some(base), duplicate.map(|lag| base + lag)].into_iter().flatten() {
                             if t.start <= at {
+                                self.traffic[h].notices += 1;
                                 self.q.schedule(at, REv::Notify { host, tdn: pair_tdn, gen: day });
                             }
                         }
@@ -1545,42 +1668,55 @@ impl<H: DerefMut<Target: Transport>> RackShard<H> {
     }
 
     /// retcpdyn, one prepare lead before circuit day `day`: enlarge the
-    /// VOQ toward that day's peer and tell the started senders whose
-    /// flows it carries to ramp.
+    /// VOQ toward that day's peer and tell the started, open senders
+    /// whose flows it carries to ramp. A closed host hears nothing from
+    /// its ToR, the prepare signal included.
     fn on_prepare(&mut self, now: SimTime, day: u64) {
         let Some(peer) = self.row(day)[self.r] else { return };
         self.voqs[peer].set_cap(ENLARGED_CAP);
         for h in 0..self.track.len() {
             let t = self.track[h];
-            if t.sender && t.start <= now && self.seats[t.flow as usize].dst_rack as usize == peer {
+            if t.sender
+                && !t.closed
+                && t.start <= now
+                && self.seats[t.flow as usize].dst_rack as usize == peer
+            {
                 let pnow = self.clock.perceived(h, now);
-                self.hosts[h]
-                    .as_deref_mut()
-                    .expect("started hosts exist")
-                    .on_circuit_prepare(pnow);
+                reached(self.hosts[h].as_deref_mut(), &t).on_circuit_prepare(pnow);
                 self.flush(now, h);
                 self.touch(now, h);
             }
         }
     }
 
+    /// Take host `h`'s end and drop its transport
+    /// ([`ShardedEmulator::retire`]).
+    fn retire_host(&mut self, h: usize) {
+        let host = self.hosts[h].take().expect("a closed host has started");
+        let t = &mut self.track[h];
+        t.retired = true;
+        // Grow by an eighth, not by doubling: every end is kept until
+        // the run finishes, and a doubled buffer's idle tail raised
+        // `short_incast`'s TDTCP leg peak by 107 kB
+        // (`tests/alloc_ledger.rs`).
+        if self.retired.len() == self.retired.capacity() {
+            self.retired.reserve_exact(self.retired.len() / 8 + 16);
+        }
+        self.retired.push(HostEnd::of(t, Some(&*host)));
+    }
+
     /// The rack's share of the run.
     fn finish(self) -> RackResult {
-        let hosts = self
-            .hosts
-            .iter()
-            .zip(&self.track)
-            .map(|(host, t)| {
-                let host = host.as_deref();
-                HostEnd {
-                    flow: t.flow as usize,
-                    sender: t.sender,
-                    stats: host.map(|h| *h.stats()).unwrap_or_default(),
-                    completion: t.completion,
-                    error: host.and_then(|h| h.conn_error()),
-                }
-            })
-            .collect();
+        let mut hosts = self.retired;
+        hosts.reserve_exact(self.hosts.len() - hosts.len());
+        for (host, t) in self.hosts.iter().zip(&self.track) {
+            if !t.retired {
+                hosts.push(HostEnd::of(t, host.as_deref()));
+            }
+        }
+        // A rack seats at most one host per flow, in flow order, so flow
+        // order is rack-local order.
+        hosts.sort_unstable_by_key(|e| e.flow);
         RackResult {
             hosts,
             events: self.q.events_processed() + self.extra_events,
@@ -1812,7 +1948,7 @@ mod tests {
     #[should_panic(expected = "segment conservation violated")]
     fn miscounted_shard_trips_the_conservation_law() {
         let emu = ShardedEmulator::new(small_cfg(), ring_flows(4), |i, _| cubic_pair(i, u64::MAX));
-        emu.shards[2].lock().unwrap().ledger.polled += 1;
+        emu.shards[2].lock().unwrap().traffic[0].emitted += 1;
         let _ = emu.run(SimTime::from_millis(1), 1);
     }
 

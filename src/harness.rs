@@ -490,14 +490,15 @@ impl<T: Transport + ?Sized> World<T> {
 }
 
 /// What a [`Tap`] reports of the host it wraps: every segment in and
-/// out, every timer and every notification, each with `now`. An
-/// observer returns nothing, so it cannot feed the host; its one filter,
-/// `hears`, can only make the host deaf.
+/// out, every timer, every notification and every circuit prepare
+/// signal, each with `now`. An observer returns nothing, so it cannot
+/// feed the host; its one filter, `hears`, can only make the host deaf.
 pub trait Observer {
     fn segment_in(&mut self, _now: SimTime, _seg: &Segment) {}
     fn segment_out(&mut self, _now: SimTime, _seg: &Segment) {}
     fn timer(&mut self, _now: SimTime) {}
     fn notification(&mut self, _now: SimTime, _tdn: TdnId, _gen: u64) {}
+    fn circuit_prepare(&mut self, _now: SimTime) {}
     /// Whether a segment arriving at `now` reaches the host (and this
     /// observer) at all. Default: always.
     fn hears(&self, _now: SimTime) -> bool {
@@ -535,6 +536,7 @@ impl<H: Transport + ?Sized, O: Observer> Transport for Tap<H, O> {
         self.host.on_tdn_notification(now, tdn, gen);
     }
     fn on_circuit_prepare(&mut self, now: SimTime) {
+        self.observer.circuit_prepare(now);
         self.host.on_circuit_prepare(now);
     }
     fn stats(&self) -> &ConnStats {

@@ -230,13 +230,13 @@ fn a_queue_walk_retains_a_word_a_point() {
     );
 }
 
-/// The peak requested heap of the benchmark's `short_incast` TDTCP leg
-/// (500 Poisson shorts and four 16-way incast rounds over four
-/// background flows, seed 1, the benchmark's 300 ms horizon), engine
+/// The peak requested heap of one `short_incast` leg of the benchmark
+/// (500 Poisson shorts and four 16-way incast rounds over four background
+/// flows, seed 1, the benchmark's 300 ms horizon) on `variant`, engine
 /// and result together, sampled every `sample` if given, and whether the
 /// run recorded samples.
-fn short_incast_leg_peak(sample: Option<SimDuration>) -> (i64, bool) {
-    let population = Population::Uniform(Variant::Tdtcp);
+fn short_incast_leg_peak(variant: Variant, sample: Option<SimDuration>) -> (i64, bool) {
+    let population = Population::Uniform(variant);
     let spec = TailSpec {
         incast_degree: 16,
         incast_rounds: 4,
@@ -263,29 +263,40 @@ fn short_incast_leg_peak(sample: Option<SimDuration>) -> (i64, bool) {
     (peak, !res.seq_series.is_empty())
 }
 
-/// The leg as the benchmark runs it, unobserved. Measured: 3 197 252 B
-/// in a debug build, 3 196 932 B in release. While every two-rack run
-/// sampled every 2 µs by default, the same leg peaked at 7 504 816 B
-/// (debug) and 7 504 496 B (release) under a 7.6 MB pin.
-#[test]
-fn short_incast_leg_peak_heap_is_pinned() {
-    const PEAK: i64 = 3_300_000;
-    let (peak, sampled) = short_incast_leg_peak(None);
-    assert!(!sampled, "an unobserved run kept samples");
-    assert!(peak <= PEAK, "the leg's heap peaked at {peak} B; the pin is {PEAK} B");
+/// Hold one leg's peak to `pin`.
+fn assert_leg_peak(variant: Variant, sample: Option<SimDuration>, pin: i64) {
+    let (peak, sampled) = short_incast_leg_peak(variant, sample);
+    assert_eq!(sampled, sample.is_some(), "{variant:?}: samples kept only when asked for");
+    assert!(peak <= pin, "{variant:?} leg (sampled every {sample:?}): the heap peaked at {peak} B; the pin is {pin} B");
 }
 
-/// The same leg sampled every 2 µs: its three series hold ~494 k points,
-/// so this bounds the series store on a real run. Measured: 7 500 816 B
-/// in a debug build, 7 500 496 B in release; with a
-/// `Vec<(SimTime, f64)>` per series it peaked at 15 984 592 B (debug)
-/// and 15 984 272 B (release).
+/// The TDTCP leg as the benchmark runs it, unobserved. A flow leaves
+/// the engine at the first window barrier after both its hosts closed
+/// and went quiet, so the peak comes mid-run, at ~320 live flows.
+/// Measured: 1 832 052 B in a debug build, 1 831 732 B in release. While every finished flow's
+/// transports stayed to the end of the run, it peaked at 2 943 716 B
+/// at the finish (3 197 252 B before the segment was repacked).
+#[test]
+fn short_incast_leg_peak_heap_is_pinned() {
+    assert_leg_peak(Variant::Tdtcp, None, 1_920_000);
+}
+
+/// The CUBIC leg, unobserved: at most 177 of its 568 flows are live at
+/// once. Measured: 1 211 004 B in a debug build, 1 210 812 B in release; 2 526 980 B while finished
+/// flows stayed to the end of the run.
+#[test]
+fn short_incast_cubic_leg_peak_heap_is_pinned() {
+    assert_leg_peak(Variant::Cubic, None, 1_270_000);
+}
+
+/// The TDTCP leg sampled every 2 µs: its three series hold ~494 k
+/// points, so this bounds the series store on a real run. Measured:
+/// 3 814 007 B in a debug build, 3 813 687 B in release; 5 853 415 B while finished flows stayed to
+/// the end of the run, and 15 984 272 B with a `Vec<(SimTime, f64)>`
+/// per series.
 #[test]
 fn short_incast_leg_sampled_peak_heap_is_pinned() {
-    const PEAK: i64 = 7_600_000;
-    let (peak, sampled) = short_incast_leg_peak(Some(SimDuration::from_micros(2)));
-    assert!(sampled, "a sampled run kept no samples");
-    assert!(peak <= PEAK, "the sampled leg's heap peaked at {peak} B; the pin is {PEAK} B");
+    assert_leg_peak(Variant::Tdtcp, Some(SimDuration::from_micros(2)), 4_000_000);
 }
 
 /// The peak requested heap of `fabric16`'s shape, engine and result
@@ -322,3 +333,4 @@ fn fabric16_peak_heap_is_pinned() {
     let peak = fabric16_peak(SimTime::from_millis(20));
     assert!(peak <= PEAK, "the fabric's heap peaked at {peak} B; the pin is {PEAK} B");
 }
+

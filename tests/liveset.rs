@@ -6,10 +6,14 @@
 //! hosts only: the ToR notifies a host whose flow has started by the
 //! time the notification lands and whose endpoint had not closed
 //! (`is_done`) when the day began, and a late flow's endpoints are built
-//! at the window barrier before its start. These tests pin the edges of
-//! that rule from outside the engine — through a probe at the transport
-//! seam that logs every notification a host is handed — and pin the simulated results
-//! of the benchmark's `short_incast` spec.
+//! at the window barrier before its start. A closed host hears nothing
+//! from its ToR, retcpdyn's prepare signal included, and once both hosts
+//! of a flow are closed and quiet the flow leaves the engine at a window
+//! barrier. These tests pin the edges of that rule from outside the
+//! engine — through a probe at the transport seam that logs every
+//! notification and prepare signal a host is handed, and when the engine
+//! dropped the host — and pin the simulated results of the benchmark's
+//! `short_incast` spec.
 //!
 //! The engine's own cross-checks (in an observed run, running totals ≡ a
 //! scan of every host at every sample and every day; no notification
@@ -23,7 +27,7 @@ use rdcn::{
     ClockPlan, Emulator, EpsBurst, FlowSpec, ImpairPlan, NetConfig, RunResult, SlotEdgePolicy,
 };
 use simcore::{DetRng, SimDuration, SimTime, TimeSeries};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use tcp::cc::{CcConfig, Cubic};
 use tcp::{ConnError, FlowId, Transport};
@@ -31,23 +35,62 @@ use tdtcp_repro::harness::{Observer, Tap};
 use testkit::Digest;
 use wire::TdnId;
 
-/// `(delivery time, generation)` of every notification a host was handed.
-type NotifyLog = Rc<RefCell<Vec<(SimTime, u64)>>>;
+/// What a probe saw of its host.
+#[derive(Clone, Default)]
+struct HostLog {
+    /// `(delivery time, generation)` of every notification it was handed.
+    notices: Vec<(SimTime, u64)>,
+    /// When it was handed retcpdyn's circuit prepare signal.
+    prepares: Vec<SimTime>,
+    /// The latest instant any probe of the run had seen when the engine
+    /// dropped the host.
+    dropped: Option<SimTime>,
+}
 
-/// An observer that logs the notifications its host is handed and can
-/// go deaf: from `deaf_from` on the host hears no segment, which drives
-/// a sender into RTO back-off and, at `max_retries`, into an abort.
+/// An observer that logs what its host is handed and can go deaf: from
+/// `deaf_from` on the host hears no segment, which drives a sender into
+/// RTO back-off and, at `max_retries`, into an abort.
 struct Probe {
-    log: NotifyLog,
+    log: Rc<RefCell<HostLog>>,
     deaf_from: Option<SimTime>,
+    /// The latest instant any probe of the run has seen.
+    latest: Rc<Cell<SimTime>>,
+}
+
+impl Probe {
+    fn saw(&self, now: SimTime) {
+        self.latest.set(self.latest.get().max(now));
+    }
 }
 
 impl Observer for Probe {
+    fn segment_in(&mut self, now: SimTime, _seg: &tcp::Segment) {
+        self.saw(now);
+    }
+    fn segment_out(&mut self, now: SimTime, _seg: &tcp::Segment) {
+        self.saw(now);
+    }
+    fn timer(&mut self, now: SimTime) {
+        self.saw(now);
+    }
     fn notification(&mut self, now: SimTime, _tdn: TdnId, gen: u64) {
-        self.log.borrow_mut().push((now, gen));
+        self.saw(now);
+        self.log.borrow_mut().notices.push((now, gen));
+    }
+    fn circuit_prepare(&mut self, now: SimTime) {
+        self.saw(now);
+        self.log.borrow_mut().prepares.push(now);
     }
     fn hears(&self, now: SimTime) -> bool {
         self.deaf_from.is_none_or(|t| now < t)
+    }
+}
+
+/// The engine drops a host's transport — and its probe — when the host's
+/// flow retires, or when the run ends.
+impl Drop for Probe {
+    fn drop(&mut self) {
+        self.log.borrow_mut().dropped = Some(self.latest.get());
     }
 }
 
@@ -72,23 +115,24 @@ impl ProbedFlow {
 }
 
 /// What a probed run yields: the result, and per flow the sender's and
-/// the receiver's notification logs.
+/// the receiver's logs.
 struct Probed {
     res: RunResult,
-    logs: Vec<[Vec<(SimTime, u64)>; 2]>,
+    logs: Vec<[HostLog; 2]>,
 }
 
 impl Probed {
     /// The last generation host `side` (0 = sender) of `flow` heard.
     fn last_gen(&self, flow: usize, side: usize) -> u64 {
-        self.logs[flow][side].last().expect("host heard nothing").1
+        self.logs[flow][side].notices.last().expect("host heard nothing").1
     }
 }
 
 /// Run `flows` as TDTCP endpoints (watchdog armed, as `bench::tails`
 /// builds them) over `net` until `horizon`, every endpoint probed.
 fn run_probed(net: &NetConfig, flows: &[ProbedFlow], horizon: SimTime) -> Probed {
-    let logs: Vec<[NotifyLog; 2]> = flows.iter().map(|_| Default::default()).collect();
+    let logs: Vec<[Rc<RefCell<HostLog>>; 2]> = flows.iter().map(|_| Default::default()).collect();
+    let latest = Rc::new(Cell::new(SimTime::ZERO));
     let factory: TimedEndpointFactory = Box::new(|i, now| {
         let f = flows[i];
         let mut cfg = tdtcp::TdtcpConfig::default();
@@ -103,7 +147,11 @@ fn run_probed(net: &NetConfig, flows: &[ProbedFlow], horizon: SimTime) -> Probed
         let template = Cubic::new(CcConfig::default());
         let flow = FlowId(i as u32);
         let probe = |host: Box<dyn Transport>, side: usize, deaf_from| {
-            let observer = Probe { log: Rc::clone(&logs[i][side]), deaf_from };
+            let observer = Probe {
+                log: Rc::clone(&logs[i][side]),
+                deaf_from,
+                latest: Rc::clone(&latest),
+            };
             Box::new(Tap { host, observer }) as Box<dyn Transport>
         };
         (
@@ -151,13 +199,13 @@ fn flow_started_before_delivery_still_hears_that_day() {
     let run = run_probed(&net, &flows, SimTime::from_millis(3));
 
     for side in 0..2 {
-        let (at, gen) = run.logs[1][side][0];
+        let (at, gen) = run.logs[1][side].notices[0];
         assert_eq!(gen, day, "flow born in the gap must hear day {day} (side {side})");
         assert!(at >= in_gap && at < after_delivery, "day {day} landed at {at}");
-        let (_, gen) = run.logs[2][side][0];
+        let (_, gen) = run.logs[2][side].notices[0];
         assert_eq!(gen, day + 1, "flow born after the delivery hears the next day first");
         // The flow that was there all along heard every day from 0.
-        assert_eq!(run.logs[0][side][0].1, 0);
+        assert_eq!(run.logs[0][side].notices[0].1, 0);
     }
 }
 
@@ -198,6 +246,62 @@ fn closed_hosts_stop_hearing_the_tor() {
         running.tdn_switches,
         finished.tdn_switches
     );
+}
+
+/// retcpdyn's prepare signal comes from the ToR like a notification: a
+/// sender hears none once it has closed, while a running neighbour
+/// hears one every week.
+#[test]
+fn closed_senders_hear_no_circuit_prepare() {
+    let mut net = NetConfig::paper_baseline();
+    net.retcpdyn = true;
+    let horizon = SimTime::from_millis(10);
+    let flows = [
+        ProbedFlow::new(SimTime::ZERO, BULK),
+        ProbedFlow::new(SimTime::ZERO, 50_000),
+    ];
+    let run = run_probed(&net, &flows, horizon);
+
+    let done_at = run.res.completions[1].expect("the 50 kB flow completes");
+    assert!(run.res.conn_errors[1].is_none());
+    let late: Vec<_> = run.logs[1][0].prepares.iter().filter(|&&t| t > done_at).collect();
+    assert!(late.is_empty(), "the sender closed at {done_at} and heard prepares at {late:?}");
+    // One prepare lead before each circuit day, for the live neighbour.
+    let week = net.schedule.week_len();
+    let heard = run.logs[0][0].prepares.iter().filter(|&&t| t > done_at).count() as u64;
+    let weeks_left = (horizon.saturating_since(done_at).as_nanos() / week.as_nanos()).saturating_sub(1);
+    assert!(heard >= weeks_left, "the live sender heard {heard} prepares in {weeks_left} weeks");
+    assert!(run.logs.iter().all(|[_, r]| r.prepares.is_empty()), "a receiver heard a prepare");
+}
+
+/// A finished flow leaves the engine: both its hosts are dropped at a
+/// window barrier soon after they close and go quiet, not when the run
+/// ends, while a running neighbour's stay to the horizon.
+#[test]
+fn finished_flows_leave_the_engine_before_the_horizon() {
+    let net = NetConfig::paper_baseline();
+    let horizon = SimTime::from_millis(10);
+    let flows = [
+        ProbedFlow::new(SimTime::ZERO, BULK),
+        ProbedFlow::new(SimTime::ZERO, 50_000),
+        ProbedFlow::new(SimTime::from_millis(3), 200_000),
+    ];
+    let run = run_probed(&net, &flows, horizon);
+
+    for (i, logs) in run.logs.iter().enumerate().skip(1) {
+        let done_at = run.res.completions[i].expect("the short flows complete");
+        for (side, log) in logs.iter().enumerate() {
+            let dropped = log.dropped.expect("every host is dropped once the run is over");
+            assert!(
+                dropped >= done_at && dropped < done_at + SimDuration::from_micros(200),
+                "flow {i} closed at {done_at}, its host (side {side}) was dropped at {dropped}"
+            );
+        }
+    }
+    for log in &run.logs[0] {
+        let dropped = log.dropped.expect("every host is dropped once the run is over");
+        assert!(dropped + SimDuration::from_micros(10) > horizon, "the bulk flow left at {dropped}");
+    }
 }
 
 /// Liveness is per host, not per flow: when a sender aborts, its
