@@ -16,7 +16,8 @@
 //! * the one connection state machine ([`connection::Connection`]):
 //!   handshake, SACK recovery, RACK-style loss marking, tail-loss probes,
 //!   RTO, persist and pacing over a set of paths — single-path TCP when
-//!   the set has one member, the engine under `tdtcp` when it has more,
+//!   the set has one member, TDTCP with one per TDN and the
+//!   [`TimeDivision`] policy,
 //! * pluggable congestion control ([`cc::CongestionControl`]) with Reno,
 //!   CUBIC, DCTCP and reTCP implementations,
 //! * and the [`Transport`] trait the RDCN emulator drives.
@@ -37,7 +38,7 @@ pub mod transport;
 
 pub use ca::CaState;
 pub use cc::{CcConfig, CongestionControl};
-pub use connection::{Config, Connection, State, ISN};
+pub use connection::{Config, Connection, State, TimeDivision, WatchdogConfig, ISN};
 pub use path::Path;
 pub use segment::{Direction, DssMap, FlowId, SackBlocks, Segment};
 pub use seq::SeqNum;

@@ -14,7 +14,7 @@
 
 use simcore::SimTime;
 use tcp::cc::{CcConfig, Cubic};
-use tcp::{Direction, FlowId, SackBlocks, Segment, SeqNum, Transport};
+use tcp::{Connection, Direction, FlowId, SackBlocks, Segment, SeqNum, Transport};
 use tdtcp::{TdtcpConfig, TdtcpConnection};
 use wire::{TcpHeader, TdnId, TdnNotification};
 use wire::ip::protocol;
@@ -26,7 +26,7 @@ fn t(us: u64) -> SimTime {
 }
 
 /// Establish a TDTCP pair by relaying the handshake by hand.
-fn establish(relaxed: bool) -> TdtcpConnection {
+fn establish(relaxed: bool) -> Connection {
     let mut cfg = TdtcpConfig::default();
     cfg.tcp.mss = MSS;
     cfg.tcp.pacing = false; // hand-driven scenario: send on demand
@@ -54,7 +54,7 @@ fn fig3a_scenario(relaxed: bool) -> (u64, u64, u64) {
         sender.poll_send(t(40)).expect("window open");
     }
     // ...the network reconfigures...
-    sender.on_notification(t(45), TdnId(1));
+    sender.on_tdn_notification(t(45), TdnId(1), 0);
     // ...and segments 4-6 go out on the low-latency TDN 1.
     for _ in 0..3 {
         sender.poll_send(t(46)).expect("window open");

@@ -73,7 +73,7 @@ pub fn tcp_pair(cfg: tcp::Config, kind: u8) -> (Connection, Connection) {
 }
 
 /// A TDTCP sender and listener on `cfg`, cloning controller `kind`.
-pub fn td_pair(cfg: TdtcpConfig, kind: u8) -> (TdtcpConnection, TdtcpConnection) {
+pub fn td_pair(cfg: TdtcpConfig, kind: u8) -> (Connection, Connection) {
     let cc = cca(kind);
     let snd = TdtcpConnection::connect(FLOW, cfg.clone(), cc.as_ref(), SimTime::ZERO);
     (snd, TdtcpConnection::listen(FLOW, cfg, cc.as_ref()))

@@ -1,21 +1,22 @@
-//! The TDTCP shell at one state set adds nothing.
+//! The time-division policy at one state set adds nothing.
 //!
 //! TDTCP duplicates TCP's congestion, RTT and pipe state per TDN (§3.1,
 //! §4.3), so a TDTCP connection that only ever uses one state set *is*
 //! TCP. This suite holds the implementation to that sentence: it drives a
-//! plain `tcp::Connection` pair and a candidate pair through the same
-//! scripted and random segment / timer streams — the same reordering,
-//! drops, duplicates, corruption, CE and circuit marks, the same timer
-//! firings at the same instants — and requires, after every step, equal
-//! `ConnStats::digest()`s, equal `next_timer()`s, equal window reports and
-//! equal emitted `(seq, len, flags, ack, sack, wnd)` sequences.
+//! `tcp::Connection` pair without the time-division policy and a
+//! candidate pair with it through the same scripted and random segment /
+//! timer streams — the same reordering, drops, duplicates, corruption, CE
+//! and circuit marks, the same timer firings at the same instants — and
+//! requires, after every step, equal `ConnStats::digest()`s, equal
+//! `next_timer()`s, equal window reports and equal emitted `(seq, len,
+//! flags, ack, sack, wnd)` sequences.
 //!
-//! The candidates are every way a `TdtcpConnection` ends up on one state
-//! set: `num_tdns = 1`; the `per_tdn_state = false` ablation (which also
-//! ignores notifications); and a two-TDN endpoint whose `TD_CAPABLE`
-//! offer was not echoed — or never made — by a plain-TCP peer (§4.2
-//! downgrade). What is left to differ is exactly what the shell adds:
-//! negotiation, option tagging and notification handling.
+//! The candidates are every way a connection with the policy ends up on
+//! one state set: `num_tdns = 1`; the `per_tdn_state = false` ablation
+//! (which also ignores notifications); and a two-TDN endpoint whose
+//! `TD_CAPABLE` offer was not echoed — or never made — by a plain-TCP
+//! peer (§4.2 downgrade). What is left to differ is exactly what the
+//! policy adds: negotiation, option tagging and notification handling.
 
 use simcore::{SimDuration, SimTime};
 use tcp::rtt::RttConfig;
@@ -114,7 +115,7 @@ fn observe(w: &World) -> [Observed; 2] {
     [&w.snd, &w.rcv].map(|ep| Observed {
         stats_digest: ep.stats().digest(),
         next_timer: ep.next_timer(),
-        // Set 0's window: a downgraded shell still reports the
+        // Set 0's window: a downgraded endpoint still reports the
         // (idle) sets it allocated before negotiation failed.
         cwnd: ep.cwnd_report().first().copied(),
         established: ep.is_established(),
@@ -142,7 +143,7 @@ fn lockstep(reference: Pair, candidate: Pair, ops: &[Op]) -> Result<(), String> 
 
 /// [`lockstep`]; with `settle_first`, notifications wait for the
 /// handshake. Until the handshake settles who speaks TDTCP, a two-TDN
-/// endpoint applies notifications; that is the shell's own behaviour,
+/// endpoint applies notifications; that is the policy's own behaviour,
 /// not the machine's, so the downgrade property withholds them until
 /// then.
 fn lockstep_worlds(
