@@ -116,9 +116,6 @@ pub struct TailSpec {
     pub short_bytes: u64,
     /// Mean exponential inter-arrival gap of the short flows.
     pub mean_gap: SimDuration,
-    /// Probability a short flow is pulled out of the Poisson process and
-    /// into one synchronized hotspot burst (skewed mixes).
-    pub hotspot_frac: f64,
     /// RepNet knob: extra replicas per finite flow (0 = off). The first
     /// finisher wins; non-primary wins are counted.
     pub replication: u32,
@@ -142,7 +139,6 @@ impl TailSpec {
             shorts: 0,
             short_bytes: 0,
             mean_gap: SimDuration::ZERO,
-            hotspot_frac: 0.0,
             replication: 0,
             population,
             settle: SimDuration::ZERO,
@@ -161,7 +157,6 @@ impl TailSpec {
             shorts: 0,
             short_bytes: 0,
             mean_gap: SimDuration::ZERO,
-            hotspot_frac: 0.0,
             replication: 0,
             population,
             settle: SimDuration::from_millis(2),
@@ -187,7 +182,6 @@ impl TailSpec {
             shorts: n,
             short_bytes: bytes,
             mean_gap,
-            hotspot_frac: 0.0,
             replication: 0,
             population,
             settle: SimDuration::from_millis(2),
@@ -204,7 +198,7 @@ impl TailSpec {
 pub enum FlowClass {
     /// Long-lived background flow (no FCT).
     Background,
-    /// Poisson / hotspot short flow.
+    /// Poisson short flow.
     Short,
     /// Member of incast round `round`.
     Incast {
@@ -288,22 +282,14 @@ pub fn generate(spec: &TailSpec, rng: &mut DetRng) -> TailSchedule {
         });
     }
 
-    // Logical finite flows: first the Poisson/hotspot shorts in arrival
-    // order, then the incast rounds. Hotspot shorts land on one shared
-    // burst epoch at half the expected Poisson span.
+    // Logical finite flows: first the Poisson shorts in arrival order,
+    // then the incast rounds.
     let mut logical: Vec<(SimTime, u64, FlowClass)> = Vec::new();
     if spec.shorts > 0 {
-        let span_ns = spec.mean_gap.as_nanos().saturating_mul(spec.shorts as u64);
-        let hotspot_at = SimTime::ZERO + spec.settle + SimDuration::from_nanos(span_ns / 2);
         let mut t = SimTime::ZERO + spec.settle;
         for _ in 0..spec.shorts {
             t += SimDuration::from_nanos(rng.exponential(spec.mean_gap.as_nanos() as f64) as u64);
-            let start = if spec.hotspot_frac > 0.0 && rng.chance(spec.hotspot_frac) {
-                hotspot_at
-            } else {
-                t
-            };
-            logical.push((start, spec.short_bytes, FlowClass::Short));
+            logical.push((t, spec.short_bytes, FlowClass::Short));
         }
     }
     for round in 0..spec.incast_rounds {
