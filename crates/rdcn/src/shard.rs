@@ -1988,6 +1988,7 @@ mod tests {
 
     /// Start `emu` and step it window by window, inline, until some
     /// shard has handed mail off; returns the parity it went to.
+    #[cfg(debug_assertions)]
     fn run_until_mail(emu: &mut ShardedEmulator<'_>) -> usize {
         emu.start();
         while emu.mail.in_flight() == 0 {
