@@ -273,17 +273,22 @@ fn assert_leg_peak(variant: Variant, sample: Option<SimDuration>, pin: i64) {
 /// The TDTCP leg as the benchmark runs it, unobserved. A flow leaves
 /// the engine at the first window barrier after both its hosts closed
 /// and went quiet, so the peak comes mid-run, at ~320 live flows.
-/// Measured: 1 832 052 B in a debug build, 1 831 732 B in release. While every finished flow's
-/// transports stayed to the end of the run, it peaked at 2 943 716 B
-/// at the finish (3 197 252 B before the segment was repacked).
+/// Measured: 1 796 212 B in a debug build, 1 795 892 B in release
+/// (1 831 732 B while a TDTCP endpoint was a 896-byte type wrapping the
+/// connection, where it is now the connection and a 112-byte policy).
+/// While every finished flow's transports stayed to the end of the run,
+/// it peaked at 2 943 716 B at the finish (3 197 252 B before the
+/// segment was repacked).
 #[test]
 fn short_incast_leg_peak_heap_is_pinned() {
     assert_leg_peak(Variant::Tdtcp, None, 1_920_000);
 }
 
 /// The CUBIC leg, unobserved: at most 177 of its 568 flows are live at
-/// once. Measured: 1 211 004 B in a debug build, 1 210 812 B in release; 2 526 980 B while finished
-/// flows stayed to the end of the run.
+/// once. Measured: 1 213 668 B in a debug build, 1 213 476 B in release
+/// (1 210 812 B before every connection carried a pointer for the
+/// time-division policy); 2 526 980 B while finished flows stayed to the
+/// end of the run.
 #[test]
 fn short_incast_cubic_leg_peak_heap_is_pinned() {
     assert_leg_peak(Variant::Cubic, None, 1_270_000);
@@ -291,7 +296,7 @@ fn short_incast_cubic_leg_peak_heap_is_pinned() {
 
 /// The TDTCP leg sampled every 2 µs: its three series hold ~494 k
 /// points, so this bounds the series store on a real run. Measured:
-/// 3 814 007 B in a debug build, 3 813 687 B in release; 5 853 415 B while finished flows stayed to
+/// 3 811 543 B in a debug build, 3 811 223 B in release; 5 853 415 B while finished flows stayed to
 /// the end of the run, and 15 984 272 B with a `Vec<(SimTime, f64)>`
 /// per series.
 #[test]
@@ -323,7 +328,7 @@ fn fabric16_peak(until: SimTime) -> i64 {
 /// The fabric's segment bytes: the per-rack pools, the mailboxes and
 /// the buffers an outbox borrows hold a 76-byte segment a slot. The
 /// peak is reached by 20 ms (the benchmark's 60 ms run peaks at the same
-/// byte). Measured: 2 797 441 B in a debug build, 2 791 297 B in
+/// byte). Measured: 2 795 777 B in a debug build, 2 789 633 B in
 /// release. Before the segment was repacked from 120 B and the outboxes
 /// borrowed their box's buffer, it peaked at 3 799 425 B (debug) and
 /// 3 793 281 B (release).
