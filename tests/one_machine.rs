@@ -17,15 +17,20 @@
 //! `TD_CAPABLE` offer was not echoed — or never made — by a plain-TCP
 //! peer (§4.2 downgrade). What is left to differ is exactly what the
 //! policy adds: negotiation, option tagging and notification handling.
+//!
+//! MPTCP is held to the same kind of sentence: a connection that never
+//! hears of TDN 1 runs one subflow, and its data level adds options and
+//! nothing else (`one_subflow_mptcp_is_tcp`, below).
 
 use simcore::{SimDuration, SimTime};
 use tcp::rtt::RttConfig;
-use tcp::{Segment, SeqNum, Transport};
+use mptcp::{MptcpConfig, MptcpConnection};
+use tcp::{ConnError, ConnStats, Connection, Segment, SeqNum, Transport};
 use tdtcp::TdtcpConfig;
-use tdtcp_repro::harness::{tcp_pair, td_pair, Fate, Op, Side, World, MSS};
-use testkit::prop::{just, range, tuple2, tuple4, vec_of, weighted, Gen};
+use tdtcp_repro::harness::{cca, tcp_pair, td_pair, Fate, Op, Side, World, FLOW, MSS};
+use testkit::prop::{just, range, tuple2, tuple3, tuple4, vec_of, weighted, Gen};
 use testkit::{tk_assert_eq, Counters};
-use wire::TcpFlags;
+use wire::{TcpFlags, TdnId};
 
 /// What both machines must agree on for every emitted segment.
 type Emitted = (SeqNum, u32, TcpFlags, SeqNum, Vec<(SeqNum, SeqNum)>, u32);
@@ -49,7 +54,9 @@ fn arb_side() -> Gen<Side> {
     weighted(vec![(1, just(Side::Sender)), (1, just(Side::Receiver))])
 }
 
-fn arb_op(max_tdn: u8) -> Gen<Op> {
+/// An op; notifications name TDNs up to `max_tdn`, and there are none
+/// without it.
+fn arb_op(max_tdn: Option<u8>) -> Gen<Op> {
     let deliver = |from: Side| {
         tuple2(range(0u8..6), arb_fate()).map(move |(pick, fate)| Op::Deliver {
             from,
@@ -58,13 +65,16 @@ fn arb_op(max_tdn: u8) -> Gen<Op> {
             fate,
         })
     };
-    weighted(vec![
+    let mut ops = vec![
         (3, range(1u32..400).map(Op::Wait)),
         (8, deliver(Side::Sender)),
         (8, deliver(Side::Receiver)),
         (2, arb_side().map(Op::Timer)),
-        (1, range(0u8..max_tdn + 1).map(Op::Notify)),
-    ])
+    ];
+    if let Some(max_tdn) = max_tdn {
+        ops.push((1, range(0u8..max_tdn + 1).map(Op::Notify)));
+    }
+    weighted(ops)
 }
 
 /// Every controller (`harness::cca`: CUBIC, Reno, DCTCP, reTCP) runs
@@ -190,7 +200,7 @@ fn arb_case(max_tdn: u8) -> Gen<(u8, u64, Vec<Op>, u8)> {
     tuple4(
         range(0u8..4),
         arb_bytes(),
-        vec_of(arb_op(max_tdn), 1..400),
+        vec_of(arb_op(Some(max_tdn)), 1..400),
         range(0u8..2),
     )
 }
@@ -221,6 +231,127 @@ testkit::props! {
         let (tcp, td) = (tcp_ends(kind, bytes), td_ends(kind, bytes, 2, true));
         let candidate = if td_side == 0 { (td.0, tcp.1) } else { (tcp.0, td.1) };
         lockstep_worlds(tcp_ends(kind, bytes), candidate, &ops, true)?;
+    }
+}
+
+// ---------------------------------------------------------------------
+// One-subflow MPTCP: the data level adds options and nothing else.
+// ---------------------------------------------------------------------
+
+/// [`tcp_cfg`] at the default receive buffer. A window that binds would
+/// split a data-level chunk (one MSS, handed to the subflow only once it
+/// has sent the last) where TCP sends a full segment, so every case
+/// stays below it: it sends at most 256 KB against a 4 MB buffer.
+fn subflow_cfg(kind: u8, bytes: u64) -> tcp::Config {
+    tcp::Config {
+        recv_buf: tcp::Config::default().recv_buf,
+        ..tcp_cfg(kind, bytes)
+    }
+}
+
+/// An MPTCP sender of `bytes` and its listener, on [`subflow_cfg`]: far
+/// below the data level's 1 MB send and 512 KB receive buffers.
+fn mptcp_ends(kind: u8, bytes: u64) -> Pair {
+    let cfg = MptcpConfig {
+        tcp: subflow_cfg(kind, 0),
+        bytes_to_send: bytes,
+        ..MptcpConfig::default()
+    };
+    let cc = cca(kind);
+    let snd = MptcpConnection::connect(FLOW, cfg.clone(), cc.as_ref(), SimTime::ZERO);
+    (Box::new(snd), Box::new(MptcpConnection::listen(FLOW, cfg, cc.as_ref())))
+}
+
+/// The reference receiver: a TCP listener whose ACKs carry a DATA_ACK,
+/// as an MPTCP receiver's do. The option takes 12 of the 40 option
+/// bytes, so three SACK blocks fit beside it, not four (DESIGN.md §14,
+/// "Segments"), and a sender that hears of fewer SACKed ranges may
+/// retransmit differently. Its value is not compared.
+struct DataAcking(Connection);
+
+impl Transport for DataAcking {
+    fn on_segment(&mut self, now: SimTime, seg: &Segment) {
+        self.0.on_segment(now, seg);
+    }
+    fn poll_send(&mut self, now: SimTime) -> Option<Segment> {
+        let mut seg = self.0.poll_send(now)?;
+        seg.set_data_ack(0);
+        Some(seg)
+    }
+    fn next_timer(&self) -> Option<SimTime> {
+        self.0.next_timer()
+    }
+    fn on_timer(&mut self, now: SimTime) {
+        self.0.on_timer(now);
+    }
+    fn on_tdn_notification(&mut self, now: SimTime, tdn: TdnId, gen: u64) {
+        self.0.on_tdn_notification(now, tdn, gen);
+    }
+    fn on_circuit_prepare(&mut self, now: SimTime) {
+        self.0.on_circuit_prepare(now);
+    }
+    fn stats(&self) -> &ConnStats {
+        self.0.stats()
+    }
+    fn is_established(&self) -> bool {
+        self.0.is_established()
+    }
+    fn is_done(&self) -> bool {
+        self.0.is_done()
+    }
+    fn conn_error(&self) -> Option<ConnError> {
+        self.0.conn_error()
+    }
+    fn variant(&self) -> &'static str {
+        self.0.variant()
+    }
+    fn cwnd_report(&self) -> Vec<u32> {
+        self.0.cwnd_report()
+    }
+}
+
+/// Run `ops` through a TCP pair and a one-subflow MPTCP pair in lock
+/// step, the TCP receiver's ACKs carrying a DATA_ACK ([`DataAcking`]).
+/// Up to the TCP sender's FIN both must emit the same segments after
+/// every op, and both ends must want the same timers. The subflow
+/// sends no FIN (the data level feeds it and never closes it), so the
+/// run ends there.
+fn subflow_lockstep(kind: u8, bytes: u64, ops: &[Op]) -> Result<(), String> {
+    let (r_snd, r_rcv) = tcp_pair(subflow_cfg(kind, bytes), kind);
+    let (c_snd, c_rcv) = mptcp_ends(kind, bytes);
+    let mut r: World = World::new(Box::new(r_snd), Box::new(DataAcking(r_rcv)));
+    let mut c = World::new(c_snd, c_rcv);
+    let timers = |w: &World| [w.snd.next_timer(), w.rcv.next_timer()];
+    tk_assert_eq!(emitted(&r.log), emitted(&c.log), "SYN differs");
+    let mut now = SimTime::ZERO;
+    for (i, &op) in ops.iter().enumerate() {
+        r.log.clear();
+        c.log.clear();
+        let (now_r, now_c) = (r.step(op, now), c.step(op, now));
+        tk_assert_eq!(now_r, now_c, "clocks diverged at op {i} {op:?}");
+        now = now_r + SimDuration::from_nanos(1);
+        let fin = r.log.iter().position(|s| s.flags.fin);
+        let r_out = emitted(&r.log[..fin.unwrap_or(r.log.len())]);
+        tk_assert_eq!(r_out, emitted(&c.log), "emitted segments diverged at op {i} {op:?}");
+        if fin.is_some() {
+            return Ok(());
+        }
+        tk_assert_eq!(timers(&r), timers(&c), "timers diverged at op {i} {op:?}");
+    }
+    Ok(())
+}
+
+testkit::props! {
+    #[cases(96)]
+    /// An MPTCP pair that never hears of TDN 1 runs one subflow: every
+    /// controller, every fate, no notification, at most 256 KB.
+    fn one_subflow_mptcp_is_tcp(case in tuple3(
+        range(0u8..4),
+        weighted(vec![(2, range(1u64..5_000)), (3, range(5_000u64..=256 << 10))]),
+        vec_of(arb_op(None), 1..400),
+    )) {
+        let (kind, bytes, ops) = case;
+        subflow_lockstep(kind, bytes, &ops)?;
     }
 }
 
