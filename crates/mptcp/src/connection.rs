@@ -27,7 +27,7 @@ const SEND_BUF: u64 = 1 << 20;
 const RECV_BUF_CONN: u64 = 512 << 10;
 
 /// Number of subflows: one per TDN of the paper's two-TDN network.
-const NUM_SUBFLOWS: u8 = 2;
+const NUM_SUBFLOWS: usize = 2;
 
 /// MPTCP configuration.
 #[derive(Debug, Clone)]
@@ -64,9 +64,10 @@ struct Mapping {
     len: u32,
 }
 
+/// Subflow `i` is pinned to TDN `i`.
+#[derive(Debug)]
 struct Subflow {
     conn: Option<tcp::Connection>,
-    tdn: TdnId,
     /// Active data mappings, oldest first.
     mappings: Vec<Mapping>,
     /// Subflow sequence where the next enqueued byte will land.
@@ -74,8 +75,31 @@ struct Subflow {
 }
 
 impl Subflow {
-    fn established(&self) -> bool {
-        self.conn.as_ref().is_some_and(|c| c.is_established())
+    fn new(conn: Option<tcp::Connection>) -> Self {
+        Subflow {
+            conn,
+            mappings: Vec::new(),
+            app_end: tcp::ISN + 1, // data starts after the SYN
+        }
+    }
+
+    /// Map `len` bytes from data sequence `dsn` onto the subflow's next
+    /// bytes and hand them to its connection. Only an established
+    /// subflow that has sent all it was given takes a mapping, so every
+    /// segment lies within one; returns whether this one was taken.
+    fn map(&mut self, dsn: u64, len: u32) -> bool {
+        let ready = |c: &&mut tcp::Connection| c.is_established() && c.unsent_bytes() == 0;
+        let Some(conn) = self.conn.as_mut().filter(ready) else {
+            return false;
+        };
+        conn.enqueue_app_bytes(u64::from(len));
+        self.mappings.push(Mapping {
+            ssn: self.app_end,
+            dsn,
+            len,
+        });
+        self.app_end += len;
+        true
     }
 }
 
@@ -87,20 +111,19 @@ enum Role {
 }
 
 /// An MPTCP endpoint (both subflows plus connection-level state).
+#[derive(Debug)]
 pub struct MptcpConnection {
     cfg: MptcpConfig,
     flow: FlowId,
     role: Role,
     cc_template: Box<dyn CongestionControl>,
-    subflows: Vec<Subflow>,
+    subflows: [Subflow; NUM_SUBFLOWS],
     /// tdm_schd: the TDN whose subflow receives new data.
     current: TdnId,
     /// Next data sequence to assign.
     dsn_next: u64,
     /// Cumulative data-level acknowledgment received.
     dsn_una: u64,
-    /// Application bytes not yet assigned to any subflow.
-    bytes_unassigned: u64,
     /// Lowest data sequence not yet reinjected in the current stall.
     reinject_cursor: u64,
     /// Receiver-side data-level reassembly, over the DSN truncated to 32
@@ -113,7 +136,6 @@ pub struct MptcpConnection {
     /// once per subflow (a reinjected range whose original also landed).
     data_dups: u64,
     stats: ConnStats,
-    done: bool,
     /// The initiator has sent the first subflow's third ACK.
     opened: bool,
 }
@@ -129,20 +151,19 @@ impl MptcpConnection {
         cc_template: &dyn CongestionControl,
         now: SimTime,
     ) -> Self {
-        let mut c = Self::new_endpoint(flow, Role::Sender, cfg, cc_template);
-        c.bytes_unassigned = c.cfg.bytes_to_send;
+        let subflows = std::array::from_fn(|_| Subflow::new(None));
+        let mut c = Self::new_endpoint(flow, Role::Sender, cfg, cc_template, subflows);
         c.activate_subflow(0, now);
         c
     }
 
     /// Create the receiving endpoint: one listener per subflow.
     pub fn listen(flow: FlowId, cfg: MptcpConfig, cc_template: &dyn CongestionControl) -> Self {
-        let mut c = Self::new_endpoint(flow, Role::Receiver, cfg, cc_template);
-        for i in 0..c.subflows.len() {
-            let conn = tcp::Connection::listen(flow, c.cfg.tcp.clone(), c.cc_template.clone_box());
-            c.subflows[i].conn = Some(conn);
-        }
-        c
+        let subflows = std::array::from_fn(|_| {
+            let conn = tcp::Connection::listen(flow, cfg.tcp.clone(), cc_template.clone_box());
+            Subflow::new(Some(conn))
+        });
+        Self::new_endpoint(flow, Role::Receiver, cfg, cc_template, subflows)
     }
 
     fn new_endpoint(
@@ -150,15 +171,8 @@ impl MptcpConnection {
         role: Role,
         cfg: MptcpConfig,
         cc_template: &dyn CongestionControl,
+        subflows: [Subflow; NUM_SUBFLOWS],
     ) -> Self {
-        let subflows = (0..NUM_SUBFLOWS)
-            .map(|i| Subflow {
-                conn: None,
-                tdn: TdnId(i),
-                mappings: Vec::new(),
-                app_end: tcp::ISN + 1, // data starts after the SYN
-            })
-            .collect();
         MptcpConnection {
             cfg,
             flow,
@@ -168,13 +182,11 @@ impl MptcpConnection {
             current: TdnId::ZERO,
             dsn_next: 0,
             dsn_una: 0,
-            bytes_unassigned: 0,
             reinject_cursor: 0,
             rx: Reassembler::new(SeqNum(0), RECV_BUF_CONN as u32),
             data_delivered: 0,
             data_dups: 0,
             stats: ConnStats::new(),
-            done: false,
             opened: false,
         }
     }
@@ -192,8 +204,19 @@ impl MptcpConnection {
     }
 
     fn subflow_index(&self, pin: Option<TdnId>) -> usize {
-        pin.map(|t| t.index().min(self.subflows.len() - 1))
-            .unwrap_or(0)
+        pin.map_or(0, |t| t.index().min(NUM_SUBFLOWS - 1))
+    }
+
+    /// The subflow of the active TDN, which tdm_schd feeds.
+    fn active(&self) -> usize {
+        self.subflow_index(Some(self.current))
+    }
+
+    /// A sender has delivered every byte it was given.
+    fn data_done(&self) -> bool {
+        self.role == Role::Sender
+            && self.cfg.bytes_to_send != u64::MAX
+            && self.dsn_una >= self.cfg.bytes_to_send
     }
 
     /// The mapping that carries data sequence `dsn`, with the index of its
@@ -218,52 +241,30 @@ impl MptcpConnection {
         if self.role != Role::Sender {
             return;
         }
-        let idx = self.subflow_index(Some(self.current));
-        if !self.subflows[idx].established() {
-            return;
-        }
         let inflight = self.dsn_next - self.dsn_una;
+        let unassigned = self.cfg.bytes_to_send - self.dsn_next;
         // New data is limited by both the send buffer and the shared
         // connection-level receive window (data parked above a hole that
         // is stranded on an inactive subflow consumes the peer's buffer —
         // the §2.2 flow-control stall). Hole-filling reinjection is not
         // window-limited and proceeds via maybe_reinject.
-        if inflight >= SEND_BUF.min(RECV_BUF_CONN)
-            || self.bytes_unassigned == 0
-        {
+        if inflight >= SEND_BUF.min(RECV_BUF_CONN) || unassigned == 0 {
             return;
-        }
-        let sf = &mut self.subflows[idx];
-        let conn = sf.conn.as_mut().expect("established");
-        if conn.unsent_bytes() > 0 {
-            return; // keep segments aligned with whole mappings
         }
         let len = u64::from(self.cfg.tcp.mss)
-            .min(self.bytes_unassigned)
+            .min(unassigned)
             .min(SEND_BUF - inflight) as u32;
-        if len == 0 {
-            return;
+        let active = self.active();
+        if self.subflows[active].map(self.dsn_next, len) {
+            self.dsn_next += u64::from(len);
         }
-        sf.mappings.push(Mapping {
-            ssn: sf.app_end,
-            dsn: self.dsn_next,
-            len,
-        });
-        conn.enqueue_app_bytes(u64::from(len));
-        sf.app_end += len;
-        self.dsn_next += u64::from(len);
-        self.bytes_unassigned -= u64::from(len);
     }
 
     /// Connection-level reinjection: when progress is blocked by
     /// unacknowledged data owned by an *inactive* subflow, re-send that
-    /// data range on the active subflow.
+    /// data range on the active subflow, one chunk at a time.
     fn maybe_reinject(&mut self) {
         if self.role != Role::Sender || !self.cfg.reinject {
-            return;
-        }
-        let idx = self.subflow_index(Some(self.current));
-        if !self.subflows[idx].established() {
             return;
         }
         // Reinject when data-level progress is head-of-line blocked by a
@@ -271,59 +272,26 @@ impl MptcpConnection {
         // under real pressure — the Linux implementation only reinjects
         // when the scheduler can no longer push new data, which is what
         // produces the measured stall-then-recover pattern (§2.2).
-        if self.dsn_una >= self.dsn_next {
-            return;
-        }
         // Trigger before the shared receive window fully closes, so the
         // reinjected copy can still be delivered and reopen the window.
-        if self.dsn_next - self.dsn_una < RECV_BUF_CONN / 2 {
+        if self.dsn_next.saturating_sub(self.dsn_una) < RECV_BUF_CONN / 2 {
             return;
         }
         self.reinject_cursor = self.reinject_cursor.max(self.dsn_una);
         if self.reinject_cursor >= self.dsn_next {
             return;
         }
+        let active = self.active();
         let Some((owner, owner_map)) = self.mapping_at(self.reinject_cursor) else {
             return;
         };
-        if owner == idx {
+        if owner == active {
             return; // blocking data already rides the active subflow
         }
-        // Don't flood: one reinjected chunk at a time through the subflow.
-        if self.subflows[idx]
-            .conn
-            .as_ref()
-            .expect("established")
-            .unsent_bytes()
-            > 0
-        {
-            return;
-        }
-        // Reinject one MSS-sized chunk of the blocking range.
-        let offset = self.reinject_cursor - owner_map.dsn;
-        let len = owner_map.len - offset as u32;
-        let sf = &mut self.subflows[idx];
-        sf.mappings.push(Mapping {
-            ssn: sf.app_end,
-            dsn: self.reinject_cursor,
-            len,
-        });
-        sf.conn
-            .as_mut()
-            .expect("established")
-            .enqueue_app_bytes(u64::from(len));
-        sf.app_end += len;
-        self.reinject_cursor += u64::from(len);
-        self.stats.reinjections += 1;
-    }
-
-    /// Drop mappings fully acknowledged at the subflow level.
-    fn gc_mappings(&mut self) {
-        for sf in &mut self.subflows {
-            let Some(conn) = sf.conn.as_ref() else { continue };
-            let una = conn.snd_una();
-            sf.mappings
-                .retain(|m| (m.ssn + m.len).after(una));
+        let len = owner_map.len - (self.reinject_cursor - owner_map.dsn) as u32;
+        if self.subflows[active].map(self.reinject_cursor, len) {
+            self.reinject_cursor += u64::from(len);
+            self.stats.reinjections += 1;
         }
     }
 
@@ -345,41 +313,27 @@ impl MptcpConnection {
 
 impl Transport for MptcpConnection {
     fn on_segment(&mut self, now: SimTime, seg: &Segment) {
-        let idx = self.subflow_index(seg.pin);
         // A damaged segment must not reach the MPTCP data level either:
-        // hand it to the subflow engine (which discards and counts it)
-        // and skip the DSS/data-ACK bookkeeping entirely.
-        if seg.payload_is_corrupt() {
-            if let Some(conn) = self.subflows[idx].conn.as_mut() {
-                conn.on_segment(now, seg);
-            }
-            self.refresh_stats();
-            return;
-        }
-        // Data-level bookkeeping happens at the MPTCP layer.
-        if seg.has_payload() {
-            if let Some(dss) = seg.dss() {
-                let out = self.rx.on_data(SeqNum(dss.dsn as u32), dss.len.min(seg.len));
+        // the subflow engine discards and counts it.
+        if !seg.payload_is_corrupt() {
+            if let Some(dss) = seg.dss().filter(|_| seg.has_payload()) {
+                let out = self
+                    .rx
+                    .on_data(SeqNum(dss.dsn as u32), dss.len.min(seg.len));
                 self.data_delivered += u64::from(out.delivered);
-                if out.duplicate {
-                    self.data_dups += 1;
-                }
+                self.data_dups += u64::from(out.duplicate);
+            }
+            if let Some(dack) = seg.data_ack() {
+                self.dsn_una = self.dsn_una.max(dack);
             }
         }
-        if let Some(dack) = seg.data_ack() {
-            if dack > self.dsn_una {
-                self.dsn_una = dack;
-            }
-        }
-        if let Some(conn) = self.subflows[idx].conn.as_mut() {
+        // Only this subflow's acknowledgment can have moved, so only its
+        // mappings can be done.
+        let sf = &mut self.subflows[self.subflow_index(seg.pin)];
+        if let Some(conn) = sf.conn.as_mut() {
             conn.on_segment(now, seg);
-        }
-        self.gc_mappings();
-        if self.role == Role::Sender
-            && self.cfg.bytes_to_send != u64::MAX
-            && self.dsn_una >= self.cfg.bytes_to_send
-        {
-            self.done = true;
+            let una = conn.snd_una();
+            sf.mappings.retain(|m| (m.ssn + m.len).after(una));
         }
         self.refresh_stats();
     }
@@ -389,47 +343,38 @@ impl Transport for MptcpConnection {
         self.maybe_reinject();
         // Poll the active subflow first, then the others (retransmissions
         // and stranded ACKs may still be queued there).
-        let active = self.subflow_index(Some(self.current));
-        let others = (0..self.subflows.len()).filter(|&i| i != active);
+        let active = self.active();
+        let others = (0..NUM_SUBFLOWS).filter(|&i| i != active);
         for i in std::iter::once(active).chain(others) {
-            let data_ack = self.data_delivered;
             let sf = &mut self.subflows[i];
-            let Some(conn) = sf.conn.as_mut() else { continue };
-            if let Some(mut seg) = conn.poll_send(now) {
-                seg.pin = Some(sf.tdn);
-                // RFC 8684 §3.1: the first subflow opens with MP_CAPABLE
-                // on its SYN, its SYN-ACK and the initiator's third ACK,
-                // and no DSS goes out before it. Later subflows would
-                // join with MP_JOIN, which the model does not send.
-                let opening = seg.flags.syn || (self.role == Role::Sender && !self.opened);
-                if i == 0 && opening {
-                    debug_assert!(!seg.has_payload(), "the third ACK carries no data");
-                    self.opened |= !seg.flags.syn;
-                    seg.set_mp_capable();
-                } else if seg.has_payload() {
-                    // Attach the DSS mapping covering this segment.
-                    let m = sf
-                        .mappings
-                        .iter()
-                        .find(|m| {
-                            seg.seq.after_eq(m.ssn) && seg.seq.before(m.ssn + m.len)
-                        })
-                        .copied();
-                    if let Some(m) = m {
-                        let offset = seg.seq - m.ssn;
-                        debug_assert!(
-                            seg.len <= m.len - offset,
-                            "segment must not span mappings"
-                        );
-                        seg.set_dss(m.dsn + u64::from(offset));
-                    }
+            let Some(mut seg) = sf.conn.as_mut().and_then(|c| c.poll_send(now)) else {
+                continue;
+            };
+            seg.pin = Some(TdnId(i as u8));
+            // RFC 8684 §3.1: the first subflow opens with MP_CAPABLE
+            // on its SYN, its SYN-ACK and the initiator's third ACK,
+            // and no DSS goes out before it. Later subflows would
+            // join with MP_JOIN, which the model does not send.
+            let opening = seg.flags.syn || (self.role == Role::Sender && !self.opened);
+            if i == 0 && opening {
+                debug_assert!(!seg.has_payload(), "the third ACK carries no data");
+                self.opened |= !seg.flags.syn;
+                seg.set_mp_capable();
+            } else if seg.has_payload() {
+                // Attach the DSS mapping covering this segment.
+                let covers =
+                    |m: &&Mapping| seg.seq.after_eq(m.ssn) && seg.seq.before(m.ssn + m.len);
+                if let Some(m) = sf.mappings.iter().find(covers) {
+                    let offset = seg.seq - m.ssn;
+                    debug_assert!(seg.len <= m.len - offset, "segment must not span mappings");
+                    seg.set_dss(m.dsn + u64::from(offset));
                 }
-                if seg.flags.ack && !seg.flags.syn && self.role == Role::Receiver {
-                    seg.set_data_ack(data_ack);
-                }
-                self.refresh_stats();
-                return Some(seg);
             }
+            if seg.flags.ack && !seg.flags.syn && self.role == Role::Receiver {
+                seg.set_data_ack(self.data_delivered);
+            }
+            self.refresh_stats();
+            return Some(seg);
         }
         None
     }
@@ -437,15 +382,13 @@ impl Transport for MptcpConnection {
     fn next_timer(&self) -> Option<SimTime> {
         self.subflows
             .iter()
-            .filter_map(|sf| sf.conn.as_ref().and_then(|c| c.next_timer()))
+            .filter_map(|sf| sf.conn.as_ref()?.next_timer())
             .min()
     }
 
     fn on_timer(&mut self, now: SimTime) {
-        for sf in &mut self.subflows {
-            if let Some(conn) = sf.conn.as_mut() {
-                conn.on_timer(now);
-            }
+        for conn in self.subflows.iter_mut().filter_map(|sf| sf.conn.as_mut()) {
+            conn.on_timer(now);
         }
         self.refresh_stats();
     }
@@ -455,11 +398,18 @@ impl Transport for MptcpConnection {
             self.stats.tdn_switches += 1;
         }
         self.current = tdn;
-        let idx = self.subflow_index(Some(tdn));
-        self.activate_subflow(idx, now);
+        self.activate_subflow(self.active(), now);
         // A new stall episode may begin; allow the fresh ranges to be
         // reinjected once progress is judged blocked again.
         self.reinject_cursor = self.reinject_cursor.max(self.dsn_una);
+    }
+
+    /// retcpdyn's prepare signal reaches the active subflow's controller,
+    /// as a connection's reaches its current path's.
+    fn on_circuit_prepare(&mut self, now: SimTime) {
+        if let Some(conn) = self.subflows[self.active()].conn.as_mut() {
+            conn.on_circuit_prepare(now);
+        }
     }
 
     fn stats(&self) -> &ConnStats {
@@ -467,33 +417,24 @@ impl Transport for MptcpConnection {
     }
 
     fn is_established(&self) -> bool {
-        self.subflows
-            .first()
-            .is_some_and(Subflow::established)
+        let first = self.subflows[0].conn.as_ref();
+        first.is_some_and(tcp::Connection::is_established)
     }
 
     fn is_done(&self) -> bool {
-        self.done
+        self.data_done()
     }
 
     fn conn_error(&self) -> Option<tcp::ConnError> {
         // The connection as a whole fails only when the transfer never
         // completed and every subflow gave up; a single aborted subflow
         // with a surviving sibling can still finish via reinjection.
-        if self.done {
+        if self.data_done() {
             return None;
         }
-        let errors: Vec<_> = self
-            .subflows
-            .iter()
-            .filter_map(|sf| sf.conn.as_ref())
-            .map(tcp::Connection::conn_error)
-            .collect();
-        if !errors.is_empty() && errors.iter().all(Option::is_some) {
-            errors[0]
-        } else {
-            None
-        }
+        let mut conns = self.subflows.iter().filter_map(|sf| sf.conn.as_ref());
+        let first = conns.next()?.conn_error()?;
+        conns.all(|c| c.conn_error().is_some()).then_some(first)
     }
 
     fn variant(&self) -> &'static str {
@@ -503,20 +444,7 @@ impl Transport for MptcpConnection {
     fn cwnd_report(&self) -> Vec<u32> {
         self.subflows
             .iter()
-            .filter_map(|sf| sf.conn.as_ref().map(tcp::Connection::cwnd))
+            .filter_map(|sf| Some(sf.conn.as_ref()?.cwnd()))
             .collect()
-    }
-}
-
-impl std::fmt::Debug for MptcpConnection {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MptcpConnection")
-            .field("flow", &self.flow)
-            .field("role", &self.role)
-            .field("current", &self.current)
-            .field("dsn_next", &self.dsn_next)
-            .field("dsn_una", &self.dsn_una)
-            .field("done", &self.done)
-            .finish()
     }
 }
