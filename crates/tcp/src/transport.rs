@@ -51,13 +51,12 @@ pub trait Transport {
     /// A ToR-generated TDN-change notification arrived (§3.2). `gen` is
     /// the ToR's monotone notification generation — endpoints use it to
     /// detect duplicated and out-of-order deliveries (a duplicate
-    /// carries a gen they have already applied). Default: ignored
-    /// (single-path TCP has no use for it).
-    fn on_tdn_notification(&mut self, _now: SimTime, _tdn: TdnId, _gen: u64) {}
+    /// carries a gen they have already applied).
+    fn on_tdn_notification(&mut self, now: SimTime, tdn: TdnId, gen: u64);
 
     /// retcpdyn: the ToR announced it will switch to the circuit soon and
-    /// has pre-enlarged its buffers. Default: ignored.
-    fn on_circuit_prepare(&mut self, _now: SimTime) {}
+    /// has pre-enlarged its buffers.
+    fn on_circuit_prepare(&mut self, now: SimTime);
 
     /// Cumulative statistics.
     fn stats(&self) -> &ConnStats;
@@ -70,10 +69,8 @@ pub trait Transport {
 
     /// The terminal error this connection aborted with, if any. A
     /// connection with an error also reports `is_done()` so drivers
-    /// terminate. Default: never errors (receivers; legacy variants).
-    fn conn_error(&self) -> Option<ConnError> {
-        None
-    }
+    /// terminate.
+    fn conn_error(&self) -> Option<ConnError>;
 
     /// Variant label for reporting (e.g. `"cubic"`, `"tdtcp"`).
     fn variant(&self) -> &'static str;
@@ -81,7 +78,5 @@ pub trait Transport {
     /// Current congestion window(s) in bytes — one entry for single-path
     /// variants, one per TDN for TDTCP, one per subflow for MPTCP. For
     /// tracing and diagnostics.
-    fn cwnd_report(&self) -> Vec<u32> {
-        Vec::new()
-    }
+    fn cwnd_report(&self) -> Vec<u32>;
 }
