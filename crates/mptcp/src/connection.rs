@@ -421,8 +421,10 @@ impl Transport for MptcpConnection {
         first.is_some_and(tcp::Connection::is_established)
     }
 
+    /// Done when the data level has finished, or when every subflow
+    /// aborted: a connection with an error is done too.
     fn is_done(&self) -> bool {
-        self.data_done()
+        self.data_done() || self.conn_error().is_some()
     }
 
     fn conn_error(&self) -> Option<tcp::ConnError> {

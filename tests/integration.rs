@@ -433,6 +433,31 @@ fn mptcp_data_ack_survives_the_wire() {
     }
 }
 
+/// An MPTCP sender whose every subflow aborted reports the error and, as
+/// `Transport::conn_error` promises of any host, `is_done()` too, so a
+/// driver stops calling it. Here subflow 0's SYN, with no peer to
+/// answer it, times out until the subflow runs out of retries.
+#[test]
+fn mptcp_sender_whose_subflows_all_aborted_is_done() {
+    use mptcp::{MptcpConfig, MptcpConnection};
+    let template = Cubic::new(CcConfig::default());
+    let cfg = MptcpConfig {
+        tcp: tcp::Config { max_retries: 3, ..MptcpConfig::default().tcp },
+        bytes_to_send: 10_000,
+        ..MptcpConfig::default()
+    };
+    let mut snd = MptcpConnection::connect(FLOW, cfg, &template, SimTime::ZERO);
+    let mut fired = 0;
+    while let Some(fire) = snd.next_timer() {
+        snd.on_timer(fire);
+        while snd.poll_send(fire).is_some() {}
+        fired += 1;
+        assert!(fired <= 10, "the subflow did not abort within its retry budget");
+    }
+    assert_eq!(snd.conn_error(), Some(tcp::ConnError::RetransmitLimit { retries: 3 }));
+    assert!(snd.is_done(), "an errored connection must report is_done()");
+}
+
 /// Paced single-path TCP runs to the horizon through the two-rack door. A
 /// paced sender that is cwnd-blocked used to keep advertising its last
 /// pacing release; the engine re-armed the host timer at that (past)
