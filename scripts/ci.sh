@@ -19,9 +19,10 @@
 #           bit-for-bit against the
 #           checked-in figures_output.txt (every deterministic row,
 #           the tails table included), every example under a
-#           wall-clock timeout, the benchmark package (built --offline,
-#           its unit tests, one pass of each of its five workloads, all
-#           of which must report "correct": true), the doc-link check
+#           wall-clock timeout, the benchmark package (built --offline
+#           --locked against its own Cargo.lock, its unit tests, one
+#           pass of each of its five workloads, all of which must
+#           report "correct": true), the doc-link check
 #           (`cargo doc` with -D warnings: every intra-doc link resolves
 #           and no public doc links a private item), and clippy
 #           -D warnings in the debug and the release profile, which
@@ -173,9 +174,13 @@ done
 # the workspace build or tests notices when that surface changes under
 # it. Build it, run its unit tests, and run each workload once: every
 # run cross-checks its output and reports `"correct": true` or not.
-echo "==> benchmark: offline build, unit tests, one pass of each workload"
-cargo build -q --release --offline --manifest-path benchmark/Cargo.toml
-cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+# `--locked`: the package keeps its own Cargo.lock, which names the
+# workspace crates it builds. A workspace change that would make cargo
+# rewrite that lock (a crate added, renamed or re-wired) fails here
+# instead of silently editing the benchmark's files.
+echo "==> benchmark: offline locked build, unit tests, one pass of each workload"
+cargo build -q --release --offline --locked --manifest-path benchmark/Cargo.toml
+cargo test -q --release --offline --locked --manifest-path benchmark/Cargo.toml
 smoke="$(bash benchmark/run.sh --passes 1 --trace 0 | grep '^{"correct"')"
 if [[ "$(grep -c '^{"correct": true' <<< "$smoke")" -ne 5 ]]; then
     echo "$smoke" | cut -c1-120
