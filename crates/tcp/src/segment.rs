@@ -172,7 +172,7 @@ pub struct Segment {
 /// header longer (up to 80 B): of the segments the hosts received in 16
 /// bulk flows × 20 ms on the paper baseline, TDTCP's 2 980 of 11 088 and
 /// MPTCP's 1 983 of 8 974 had a header above 60 B. Whether serialization
-/// should charge the real length is left to ROADMAP item 3.
+/// should charge the real length is left to ROADMAP item 12c.
 pub const HEADER_OVERHEAD: u32 = 60;
 
 /// What of a segment the wire carries, under its two rules: a window

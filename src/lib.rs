@@ -8,7 +8,8 @@
 //! * [`wire`] — byte-exact packet formats (TDTCP options, ICMP
 //!   notifications, TCP/IPv4, SACK, MPTCP DSS),
 //! * [`tcp`] — the userspace TCP engine with CUBIC/DCTCP/Reno/reTCP,
-//! * [`tdtcp`] — the paper's contribution: per-TDN congestion state,
+//! * [`tdtcp`] — the paper's configuration and the constructors of a
+//!   TDTCP endpoint: a [`tcp::Connection`] under the time-division policy,
 //! * [`mptcp`] — the multipath baseline with the `tdm_schd` scheduler,
 //! * [`rdcn`] — the emulated reconfigurable data center network,
 //! * `bench` — the harness regenerating every table and figure.
