@@ -120,6 +120,8 @@ pub struct MptcpConnection {
     subflows: [Subflow; NUM_SUBFLOWS],
     /// tdm_schd: the TDN whose subflow receives new data.
     current: TdnId,
+    /// The generation of the last notification applied.
+    last_gen: Option<u64>,
     /// Next data sequence to assign.
     dsn_next: u64,
     /// Cumulative data-level acknowledgment received.
@@ -180,6 +182,7 @@ impl MptcpConnection {
             cc_template: cc_template.clone_box(),
             subflows,
             current: TdnId::ZERO,
+            last_gen: None,
             dsn_next: 0,
             dsn_una: 0,
             reinject_cursor: 0,
@@ -306,6 +309,7 @@ impl MptcpConnection {
         s.bytes_delivered = self.data_delivered;
         s.reinjections = self.stats.reinjections;
         s.tdn_switches = self.stats.tdn_switches;
+        s.stale_notifies = self.stats.stale_notifies;
         s.dup_segs_received += self.data_dups;
         self.stats = s;
     }
@@ -393,7 +397,15 @@ impl Transport for MptcpConnection {
         self.refresh_stats();
     }
 
-    fn on_tdn_notification(&mut self, now: SimTime, tdn: TdnId, _gen: u64) {
+    /// A gen at or below the last applied one is a duplicated or
+    /// overtaken delivery: it is discarded and counted, as TDTCP's
+    /// policy does, so it cannot steer new data to a dark TDN.
+    fn on_tdn_notification(&mut self, now: SimTime, tdn: TdnId, gen: u64) {
+        if self.last_gen.is_some_and(|last| gen <= last) {
+            self.stats.stale_notifies += 1;
+            return;
+        }
+        self.last_gen = Some(gen);
         if tdn != self.current {
             self.stats.tdn_switches += 1;
         }

@@ -704,14 +704,7 @@ impl<'a> ShardedEmulator<'a> {
         par::run_windows(
             workers,
             &self.shards,
-            |shards| {
-                if cfg!(debug_assertions) {
-                    self.assert_conserved();
-                }
-                self.retire();
-                let racks = shards.iter().map(|s| s.lock().expect("shard poisoned"));
-                self.windows.next(racks, until, SimTime::MAX).is_some()
-            },
+            |_| self.next_window(until, SimTime::MAX).is_some(),
             |_, shard| shard.run_window(),
         );
         let flows = self.seats.len();
@@ -1027,18 +1020,23 @@ impl<'a, H: DerefMut<Target: Transport>> ShardedEmulator<'a, H> {
         }
     }
 
-    /// The barrier between two windows on this thread; returns the
-    /// window's end.
-    pub(crate) fn next_window(&mut self, until: SimTime, next_start: SimTime) -> Option<SimTime> {
+    /// The barrier between two windows, which both doors run: check the
+    /// laws (debug builds), bound the next window, and retire finished
+    /// flows; returns the window's end. Retiring reads and writes no
+    /// queue, mailbox or done count, so it may follow the bound, and one
+    /// lock per rack serves both.
+    pub(crate) fn next_window(&self, until: SimTime, next_start: SimTime) -> Option<SimTime> {
         if cfg!(debug_assertions) {
             self.assert_conserved();
         }
-        // Most barriers find no closed host waiting: skip the locks.
-        if self.shards.iter_mut().any(|s| !s.get_mut().expect("shard poisoned").closing.is_empty()) {
+        let mut closing = false;
+        let racks = self.shards.iter().map(|s| s.lock().expect("shard poisoned"));
+        let end = self.windows.next(racks.inspect(|g| closing |= !g.closing.is_empty()), until, next_start);
+        // Most barriers find no closed host waiting: skip retirement.
+        if closing {
             self.retire();
         }
-        let racks = self.shards.iter_mut().map(|s| s.get_mut().expect("shard poisoned"));
-        self.windows.next(racks, until, next_start)
+        end
     }
 }
 

@@ -433,6 +433,28 @@ fn mptcp_data_ack_survives_the_wire() {
     }
 }
 
+/// tdm_schd follows the ToR's generations, as TDTCP does: a notification
+/// at or below the last applied gen (a duplicate, or one overtaken by a
+/// later day's) is discarded and counted. It switches nothing back, so
+/// subflow 1's SYN still goes out ahead of subflow 0's data.
+#[test]
+fn mptcp_discards_a_stale_notification() {
+    use mptcp::{MptcpConfig, MptcpConnection};
+    let template = Cubic::new(CcConfig::default());
+    let mut snd = MptcpConnection::connect(FLOW, MptcpConfig::default(), &template, SimTime::ZERO);
+    play(
+        &mut snd,
+        SimTime::ZERO,
+        &[Step::Out(0, |s| s.flags.syn), Step::In(10, Peer::syn().acking().pin(0)), Step::Out(10, |s| !s.flags.syn)],
+    );
+    snd.on_tdn_notification(SimTime::from_micros(20), TdnId(1), 5);
+    snd.on_tdn_notification(SimTime::from_micros(30), TdnId(0), 4);
+    let stats = snd.stats();
+    assert_eq!((stats.tdn_switches, stats.stale_notifies), (1, 1), "{stats:?}");
+    let seg = snd.poll_send(SimTime::from_micros(30)).expect("a segment");
+    assert_eq!((seg.pin, seg.flags.syn), (Some(TdnId(1)), true), "{seg:?}");
+}
+
 /// An MPTCP sender whose every subflow aborted reports the error and, as
 /// `Transport::conn_error` promises of any host, `is_done()` too, so a
 /// driver stops calling it. Here subflow 0's SYN, with no peer to
