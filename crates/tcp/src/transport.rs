@@ -11,10 +11,11 @@ use simcore::SimTime;
 use wire::TdnId;
 
 /// A terminal per-flow error: the connection gave up instead of retrying
-/// forever. Mirrors PR 2's degraded posture for the control plane — the
-/// failure is *surfaced*, not silently spun on, so the driver (and the
-/// chaos harness's invariant oracle) can distinguish "completed",
-/// "errored", and "stalled".
+/// forever. Mirrors the time-division policy's degraded posture for a
+/// silent control plane (one path, capped window, its time counted in
+/// `ConnStats::degraded_ns`) — the failure is *surfaced*, not silently
+/// spun on, so the driver (and the chaos harness's invariant oracle) can
+/// distinguish "completed", "errored", and "stalled".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConnError {
     /// Consecutive retransmission timeouts exceeded the configured

@@ -19,6 +19,7 @@
 
 use simcore::{DetRng, SimDuration, SimTime};
 use tcp::cc::{CcConfig, CongestionControl, ReTcpConfig, Reno};
+use tcp::rtt::RttConfig;
 use tcp::{ConnError, Connection, SeqNum, State, Transport};
 use tdtcp::{TdtcpConfig, TdtcpConnection};
 use tdtcp_repro::harness::Step::{Check, In, Notify, Out, Quiet, Sends, Timer};
@@ -662,6 +663,35 @@ fn rtt_samples_reach_high_numbered_tdns() {
             assert_eq!(rtt.latest(), Some(SimDuration::from_micros(100)));
             assert_eq!(a.path(TdnId(0)).rtt.samples(), 1, "handshake sample only");
         }),
+    ]);
+}
+
+/// §4.4's pessimistic RTO: ACKs may return on the slowest path, so a
+/// segment sent on the fast path times out halfway from its path's srtt
+/// to the slowest one's, plus four times the largest rttvar — not at its
+/// own path's RTO. The floor is 1 µs, so neither deadline is clamped.
+/// TDN 0 has the handshake's 20 µs sample (rttvar 10) and TDN 1 a 4 µs
+/// one (rttvar 2): a send on TDN 1 at 50 µs times out at
+/// 50 + 4 + (20 − 4)/2 + 4·10 = 102 µs, where its own RTO says 62.
+#[test]
+fn fast_path_timeout_waits_for_the_slowest_path() {
+    let tcp = tcp::Config {
+        tlp: false,
+        rtt: RttConfig { min_rto: SimDuration::from_micros(1), ..RttConfig::default() },
+        ..config(u64::MAX)
+    };
+    let (mut a, ..) = handshake(td_pair(TdtcpConfig { tcp, ..td_config(0) }, 0));
+    play(&mut a, t(30), &[
+        Notify(35, 1),
+        Sends(40, 1),
+        In(44, Peer::ack(1001).tdn(1)),
+        Check(|a| {
+            let srtt = |tdn| a.path(TdnId(tdn)).rtt.srtt();
+            assert_eq!((srtt(0), srtt(1)), (Some(SimDuration::from_micros(20)), Some(SimDuration::from_micros(4))));
+            assert_eq!(a.next_timer(), None, "nothing outstanding");
+        }),
+        Sends(50, 1),
+        Check(|a| assert_eq!(a.next_timer(), Some(t(102)), "own RTO would say {:?}", t(50) + a.path(TdnId(1)).rtt.rto())),
     ]);
 }
 
