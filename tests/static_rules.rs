@@ -133,13 +133,108 @@ fn endpoint_faults(files: &[(String, String)]) -> Vec<String> {
     builders.map(|(path, _)| format!("{path} builds a transport; use `Variant::endpoints`")).collect()
 }
 
-/// Every file under `dir`, recursively, in path order.
+/// The docs whose file references `reference_faults` checks.
+const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
+
+/// The extensions that make a backticked span a file reference.
+const EXTENSIONS: [&str; 9] = ["rs", "md", "toml", "sh", "json", "jsonl", "txt", "lock", "yml"];
+
+/// The top-level directories that make a backticked span with a `/` a
+/// reference, to a file or a directory.
+const TOP_DIRS: [&str; 6] = ["crates", "tests", "src", "scripts", "benchmark", "examples"];
+
+/// Faults in the file references of the doc `name`, whose text is `doc`,
+/// against `tree`, every `(path, text)` file of the repo outside
+/// `target/`. A reference is a backticked span outside fenced blocks,
+/// made of path characters, that ends in a known extension or starts
+/// with a top-level directory and a `/`; `:N` or `:N–M` (lines) or
+/// `::name` (an item) may follow. It must resolve as a path from the
+/// root, as a path under `crates/`, or as the one file whose path ends
+/// in it. The file must have at least the last line cited, and hold a
+/// `fn`, type, `const` or `mod` called `name`.
+fn reference_faults(name: &str, doc: &str, tree: &[(String, String)]) -> Vec<String> {
+    let mut fenced = false;
+    let prose: Vec<&str> = doc
+        .lines()
+        .filter(|l| {
+            let fence = l.trim_start().starts_with("```");
+            fenced ^= fence;
+            !fenced && !fence
+        })
+        .collect();
+    let prose = prose.join("\n");
+    let pathy = |c: char| c.is_ascii_alphanumeric() || "_./-:–".contains(c);
+    let spans = prose.split('`').skip(1).step_by(2).filter(|s| !s.is_empty() && s.chars().all(pathy));
+    let mut faults = Vec::new();
+    for span in spans {
+        let (path, item, line): (&str, Option<&str>, Option<usize>) = match span.split_once("::") {
+            Some((path, item)) => (path, Some(item), None),
+            None => match span.split_once(':') {
+                None => (span, None, None),
+                Some((path, lines)) => match lines.rsplit(['-', '–']).next().map(str::parse) {
+                    Some(Ok(n)) if lines.chars().all(|c| c.is_ascii_digit() || "-–".contains(c)) => (path, None, Some(n)),
+                    _ => continue,
+                },
+            },
+        };
+        let path = path.trim_end_matches('/');
+        let base = path.rsplit('/').next().unwrap_or_default();
+        let is_file = base.rsplit_once('.').is_some_and(|(stem, ext)| !stem.is_empty() && EXTENSIONS.contains(&ext));
+        let is_dir = path.split_once('/').is_some_and(|(top, _)| TOP_DIRS.contains(&top));
+        let exact = ["", "crates/"].map(|root| format!("{root}{path}"));
+        if !is_file {
+            let inside = |p: &String| exact.iter().any(|d| p == d || p.starts_with(&format!("{d}/")));
+            if is_dir && !tree.iter().any(|(p, _)| inside(p)) {
+                faults.push(format!("{name}: `{span}` names no file"));
+            }
+            continue;
+        }
+        let tail = format!("/{path}");
+        let named = tree.iter().find(|(p, _)| exact.contains(p));
+        let ending: Vec<_> = tree.iter().filter(|(p, _)| p.ends_with(&tail)).collect();
+        let (file, text) = match (named, ending.as_slice()) {
+            (Some(f), _) | (None, &[f]) => f,
+            (None, &[]) => {
+                faults.push(format!("{name}: `{span}` names no file"));
+                continue;
+            }
+            (None, many) => {
+                faults.push(format!("{name}: `{span}` names {} files", many.len()));
+                continue;
+            }
+        };
+        let lines = text.lines().count();
+        if let Some(n) = line.filter(|&n| n > lines) {
+            faults.push(format!("{name}: `{span}`: {file} has {lines} lines, not {n}"));
+        }
+        let defines = |item: &str| {
+            let words = ["fn", "struct", "enum", "trait", "type", "const", "static", "mod"];
+            words.iter().any(|kw| {
+                let decl = format!("{kw} {item}");
+                let ends = |(i, _): (usize, &str)| !text[i + decl.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '_');
+                text.match_indices(&decl).any(ends)
+            })
+        };
+        if let Some(item) = item.filter(|i| !defines(i)) {
+            faults.push(format!("{name}: `{span}`: {file} has no item `{item}`"));
+        }
+    }
+    faults
+}
+
+/// Every file under `dir`, recursively, in path order, but for build
+/// output (`target/`) and hidden directories.
 #[expect(clippy::disallowed_methods, reason = "the listing is sorted before use")]
 fn walk(dir: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
     for entry in fs::read_dir(dir).expect("readable directory") {
         let path = entry.expect("readable entry").path();
-        if path.is_dir() { out.extend(walk(&path)) } else { out.push(path) }
+        let skipped = path.file_name().is_some_and(|n| n == "target" || n.to_string_lossy().starts_with('.'));
+        if !path.is_dir() {
+            out.push(path);
+        } else if !skipped {
+            out.extend(walk(&path));
+        }
     }
     out.sort();
     out
@@ -166,6 +261,9 @@ fn the_workspace_keeps_every_rule() {
     faults.extend(stream_faults(&sources));
     let harness: Vec<_> = sources.iter().filter(|(f, _)| f.starts_with("crates/bench/src/")).cloned().collect();
     faults.extend(endpoint_faults(&harness));
+    let text = |p: &PathBuf| String::from_utf8_lossy(&fs::read(p).expect("readable file")).into_owned();
+    let tree: Vec<_> = walk(root).iter().map(|p| (rel(p), text(p))).collect();
+    faults.extend(DOCS.iter().flat_map(|doc| reference_faults(doc, &read(doc), &tree)));
     assert!(faults.is_empty(), "{faults:#?}");
 }
 
@@ -219,6 +317,27 @@ fn a_harness_building_its_own_transport_is_named() {
     let files = [("crates/bench/src/tails.rs", tails), ("crates/bench/src/variants.rs", tails)];
     let files = files.map(|(p, s)| (p.to_string(), s.to_string()));
     assert_eq!(endpoint_faults(&files), ["crates/bench/src/tails.rs builds a transport; use `Variant::endpoints`"]);
+}
+
+#[test]
+fn a_stale_file_reference_is_named() {
+    let tree = [
+        ("tests/faults.rs", "fn check() {}\n".repeat(127)),
+        ("crates/rdcn/src/shard.rs", "pub(crate) fn next_window() {}\n".into()),
+        ("crates/tcp/src/connection.rs", String::new()),
+        ("crates/mptcp/src/connection.rs", String::new()),
+    ];
+    let tree = tree.map(|(p, s)| (p.to_string(), s));
+    let doc = "`tests/faults.rs:142`, `tests/faults.rs:120–127`, `tests/faults.rs::check_all`, \
+        `rdcn/src/shard.rs::next_window`, `shard.rs:1`, `connection.rs`, `BENCH_tails.json`, \
+        `crates/detlint/`, `crates/rdcn`, `rdcn::shard`\n```\n`crates/gone.rs`\n```\n";
+    assert_eq!(reference_faults("X.md", doc, &tree), [
+        "X.md: `tests/faults.rs:142`: tests/faults.rs has 127 lines, not 142",
+        "X.md: `tests/faults.rs::check_all`: tests/faults.rs has no item `check_all`",
+        "X.md: `connection.rs` names 2 files",
+        "X.md: `BENCH_tails.json` names no file",
+        "X.md: `crates/detlint/` names no file",
+    ]);
 }
 
 /// One production source file holding `src`.
